@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/csr"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -71,14 +70,12 @@ type Algorithm struct {
 	edges []map[int]*edgeRec
 	peers [][]int
 
-	// Structure-of-arrays layout (the default; see soa.go): rows maps
-	// (node, peer) → slot into the parallel rec slabs, already sorted by
-	// peer, and the per-edge constants are interned in classes.
+	// Structure-of-arrays layout (the default; see soa.go): parallel rec
+	// slabs indexed by the topology's directed index of (node, peer), and
+	// the per-edge constants interned in classes.
 	refLayout bool
-	rows      *csr.Rows
 	classes   []edgeClass
 	classIdx  map[edgeClass]int32
-	recPeer   []int32
 	recClass  []int32
 	recFlags  []uint8
 	recSince  []float64 // upSince
@@ -209,8 +206,12 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 		}
 		a.peers = make([][]int, a.n)
 	} else {
-		a.rows = csr.NewRows(a.n)
+		if rt.Dyn.ReferenceLayout() {
+			panic("core: the slab layout requires the topology's slab layout")
+		}
 		a.classIdx = make(map[edgeClass]int32)
+		a.growRecs()
+		rt.Dyn.OnDeclare(a.onDeclare)
 	}
 	a.shardCtr = make([]modeCounters, rt.TickShards())
 	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
@@ -279,35 +280,30 @@ func (a *Algorithm) handshakeDeltaVals(delay, tau float64) float64 {
 	return (1+p.Rho)*(1+p.Mu)*(delay+tau)/(1-p.Rho) + tau
 }
 
-// ensureRec creates (or returns) u's record for edge {u,v}, deriving the
-// per-edge constants from the link parameters and estimate layer.
-func (a *Algorithm) ensureRec(u, v int) *edgeRec {
-	if rec, ok := a.edges[u][v]; ok {
-		return rec
-	}
+// deriveClass derives the per-edge constants of edge {u,v} (Section 4.3.1)
+// from the link's current parameters and the estimate layer's ε, lowering
+// the trigger level cap when the edge is the lightest seen so far. It runs
+// at every appearance, so a link re-declared while down is weighed by its
+// new parameters (eq. 9 must hold for the ε the estimates now carry).
+func (a *Algorithm) deriveClass(u, v int) (edgeClass, bool) {
 	lp, ok := a.rt.Dyn.Params(u, v)
 	if !ok {
-		return nil
+		return edgeClass{}, false
 	}
 	eps := a.rt.Est.Eps(u, v)
 	kappa := analysis.Kappa(eps, lp.Tau, a.p.Mu, a.p.KappaFactor)
 	_, deltaHi := analysis.DeltaRange(kappa, eps, lp.Tau, a.p.Mu)
-	rec := &edgeRec{
-		peer:  v,
+	if kappa < a.minKappa {
+		a.minKappa = kappa
+		a.refreshSMax()
+	}
+	return edgeClass{
 		eps:   eps,
 		tau:   lp.Tau,
 		delay: lp.Delay,
 		kappa: kappa,
 		delta: a.deltaFraction * deltaHi,
-	}
-	a.edges[u][v] = rec
-	a.peers[u] = append(a.peers[u], v)
-	sort.Ints(a.peers[u])
-	if kappa < a.minKappa {
-		a.minKappa = kappa
-		a.refreshSMax()
-	}
-	return rec
+	}, true
 }
 
 // OnEdgeUp implements runner.Algorithm; it is Listing 1's discovery path.
@@ -316,10 +312,18 @@ func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
 		a.onEdgeUpSlot(self, peer, t)
 		return
 	}
-	rec := a.ensureRec(self, peer)
-	if rec == nil {
+	cls, ok := a.deriveClass(self, peer)
+	if !ok {
 		return
 	}
+	rec, ok := a.edges[self][peer]
+	if !ok {
+		rec = &edgeRec{peer: peer}
+		a.edges[self][peer] = rec
+		a.peers[self] = append(a.peers[self], peer)
+		sort.Ints(a.peers[self])
+	}
+	rec.eps, rec.tau, rec.delay, rec.kappa, rec.delta = cls.eps, cls.tau, cls.delay, cls.kappa, cls.delta
 	rec.up = true
 	rec.upSince = t
 	rec.lAtUp = a.l[self]
@@ -507,11 +511,11 @@ func (a *Algorithm) level(self int, rec *edgeRec) int {
 // legality snapshots). Zero when the edge is down or not yet inserted.
 func (a *Algorithm) EdgeLevel(u, v int) int {
 	if !a.refLayout {
-		slot, ok := a.rows.Find(u, int32(v))
+		dir, ok := a.rt.Dyn.Dir(u, v)
 		if !ok {
 			return 0
 		}
-		return a.levelSlot(u, slot)
+		return a.levelSlot(u, dir)
 	}
 	rec, ok := a.edges[u][v]
 	if !ok {
@@ -525,11 +529,11 @@ func (a *Algorithm) EdgeLevel(u, v int) int {
 // shrinking weight; otherwise the static κ_e.
 func (a *Algorithm) EdgeKappa(u, v int) float64 {
 	if !a.refLayout {
-		slot, ok := a.rows.Find(u, int32(v))
-		if !ok {
+		dir, ok := a.rt.Dyn.Dir(u, v)
+		if !ok || a.recFlags[dir]&recSeen == 0 {
 			return 0
 		}
-		return a.kappaAtSlot(slot, a.classes[a.recClass[slot]].kappa, a.l[u])
+		return a.kappaAtSlot(dir, a.classes[a.recClass[dir]].kappa, a.l[u])
 	}
 	rec, ok := a.edges[u][v]
 	if !ok {
@@ -872,12 +876,14 @@ func (a *Algorithm) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 			}
 		}
 	} else {
-		peers, slots := a.rows.Row(u)
-		for i, slot := range slots {
-			if a.recFlags[slot]&recUp == 0 {
+		// Estimate(u, v), not EstimateAt: the gather doubles as a check that
+		// the fold's index reads return what the pair lookups return.
+		peers, dirs := a.rt.Dyn.Row(u)
+		for i, dir := range dirs {
+			if a.recFlags[dir]&recUp == 0 {
 				continue
 			}
-			lvl := a.levelSlot(u, slot)
+			lvl := a.levelSlot(u, dir)
 			if lvl < 1 {
 				continue
 			}
@@ -886,8 +892,8 @@ func (a *Algorithm) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 				c.missing++
 				continue
 			}
-			cls := &a.classes[a.recClass[slot]]
-			kappa := a.kappaAtSlot(slot, cls.kappa, a.l[u])
+			cls := &a.classes[a.recClass[dir]]
+			kappa := a.kappaAtSlot(dir, cls.kappa, a.l[u])
 			a.evals = append(a.evals, edgeEval{
 				level: lvl, est: est,
 				kappa: kappa, delta: a.deltaAtClass(cls, kappa),

@@ -62,6 +62,61 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreStepMessaging measures one integration tick of the trigger
+// fold on a warmed 10⁴-node ring with messaging estimates — the layer whose
+// per-edge reads dominate the large-N ring's tick. The warm-up runs whole
+// beacon rounds, so every edge holds a certified sample; Step leaves the
+// hardware clocks (and hence sample ages) alone, so every op folds the same
+// live edges. The per-tick path must not allocate: expect 0 allocs/op.
+func BenchmarkCoreStepMessaging(b *testing.B) {
+	const n = 10000
+	rt, err := runner.New(runner.Config{
+		N: n, Tick: 0.02, BeaconInterval: 0.25,
+		Drift: drift.TwoGroup{Rho: 0.1 / 60, Split: n / 2},
+		Seed:  1,
+	})
+	if err != nil {
+		b.Fatalf("runner: %v", err)
+	}
+	ring := topo.Ring(n)
+	for _, e := range ring {
+		if err := rt.Dyn.DeclareLink(e.U, e.V, topo.DefaultLinkParams()); err != nil {
+			b.Fatalf("declare: %v", err)
+		}
+	}
+	msg := estimate.NewMessaging(n, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
+		Rho: 0.1 / 60, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04,
+	})
+	rt.SetEstimator(msg)
+	algo := core.MustNew(core.Params{Rho: 0.1 / 60, Mu: 0.1, GTilde: 8})
+	rt.Attach(algo)
+	for _, e := range ring {
+		if err := rt.Dyn.AppearInstant(e.U, e.V); err != nil {
+			b.Fatalf("appear: %v", err)
+		}
+	}
+	if err := rt.Start(); err != nil {
+		b.Fatalf("start: %v", err)
+	}
+	rt.Run(1) // four beacon rounds: every directed edge holds a sample
+	dH := make([]float64, n)
+	for u := range dH {
+		dH[u] = 0.02
+	}
+	t := rt.Engine.Now()
+	misses := msg.Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t += 0.02
+		algo.Step(t, dH)
+	}
+	b.StopTimer()
+	if msg.Misses != misses {
+		b.Fatalf("%d estimate misses during the timed ticks; the fold did not read live samples", msg.Misses-misses)
+	}
+}
+
 // BenchmarkNeighborLevels measures per-node level sampling through the
 // append-into-slice variant with a reused scratch buffer; 0 allocs/op. The
 // map-returning NeighborLevels allocates on every call and must stay off

@@ -52,10 +52,10 @@ func (a *Algorithm) AppendNeighborLevels(u int, dst []NeighborLevel) []NeighborL
 		}
 		return dst
 	}
-	peers, slots := a.rows.Row(u)
-	for i, slot := range slots {
-		if a.recFlags[slot]&recUp != 0 {
-			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.levelSlot(u, slot)})
+	peers, dirs := a.rt.Dyn.Row(u)
+	for i, dir := range dirs {
+		if a.recFlags[dir]&recUp != 0 {
+			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.levelSlot(u, dir)})
 		}
 	}
 	return dst

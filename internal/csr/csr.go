@@ -5,7 +5,8 @@
 //     (row, key) → val with int32 ids, packed per-row storage with small
 //     over-allocation slack, and amortized relocation/compaction on churn.
 //   - FreeList: a stable-slot allocator for flat per-edge slabs, with a
-//     liveness bitset that makes index reuse while live a panic.
+//     liveness bitset that makes index reuse while live a panic; Grow sizes
+//     the slabs to it.
 //
 // Both are deliberately free of interior pointers: a Rows over E edges costs
 // three int32 headers per row plus 2×4 bytes per packed entry, against
@@ -229,6 +230,16 @@ func (f *FreeList) Live(s int32) bool {
 // Cap returns the high-water slot count: every slot ever returned by Alloc
 // is < Cap(), so parallel slabs sized to Cap() are always in bounds.
 func (f *FreeList) Cap() int { return int(f.n) }
+
+// Grow returns s extended with zero values to length n, or s itself when
+// it is already that long — the resize step of a slab indexed by slots
+// (append's amortized growth, no temporary for the zeros).
+func Grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
 
 // LiveCount returns the number of currently allocated slots.
 func (f *FreeList) LiveCount() int {

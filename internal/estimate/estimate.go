@@ -19,32 +19,41 @@ import (
 // Layer is the interface the synchronization algorithms consume.
 type Layer interface {
 	// Estimate returns u's current estimate of v's logical clock. ok is
-	// false when no valid estimate is available (no beacon yet, or the
-	// last sample is too old to be certified).
+	// false when v ∉ N_u or no valid estimate is available (no beacon yet,
+	// or the last sample is too old to be certified).
 	Estimate(u, v int) (value float64, ok bool)
+	// EstimateAt is Estimate for a caller that already holds the directed
+	// index dir of (u, v) (topo.Dynamic.Dir, or an entry of Row(u)) and
+	// knows v ∈ N_u: it returns exactly what Estimate(u, v) would, with
+	// the same side effects (miss counts, error-policy draws), but skips
+	// the adjacency lookups Estimate makes. For an edge u does not see the
+	// result is unspecified.
+	EstimateAt(u, v int, dir int32) (value float64, ok bool)
 	// Eps returns the certified error bound for estimates on edge {u,v}:
 	// |L_v(t) − L̃ᵛᵤ(t)| ≤ Eps(u,v) whenever Estimate reports ok.
 	Eps(u, v int) float64
 }
 
 // ConcurrentLayer is the opt-in contract of the sharded integration tick: a
-// layer whose ConcurrentQueries returns true promises that Estimate and Eps
-// may be called concurrently for distinct querying nodes u while no clock
-// integrates — without races, and with values independent of which shard
-// asks first. The runner keeps the whole tick serial for layers that do not
-// implement it, so a stateful external layer stays correct by default.
+// layer whose ConcurrentQueries returns true promises that Estimate,
+// EstimateAt and Eps may be called concurrently for distinct querying nodes
+// u while no clock integrates — without races, and with values independent
+// of which shard asks first. The runner keeps the whole tick serial for
+// layers that do not implement it, so a stateful external layer stays
+// correct by default.
 type ConcurrentLayer interface {
 	ConcurrentQueries() bool
 }
 
 // NodeLocalLayer is the stronger opt-in contract tick-crossing event windows
 // require: a layer whose NodeLocalQueries returns true promises that
-// Estimate(u, v) and Eps(u, v) read only state owned by the querying node u
-// (u's own samples and hardware clock) plus tick-stable topology — never
-// another node's clock. Under that promise an estimate query stays correct
-// when u's pending integration tick has been applied lazily while v's has
-// not: no cross-node clock read can observe the half-applied pair. Oracle
-// reads v's true clock, so it deliberately does not implement this
+// Estimate(u, v), EstimateAt(u, v, dir) and Eps(u, v) read only state owned
+// by the querying node u (u's own samples — the slab entries at u's
+// directed indices — and u's hardware clock) plus tick-stable topology —
+// never another node's clock. Under that promise an estimate query stays
+// correct when u's pending integration tick has been applied lazily while
+// v's has not: no cross-node clock read can observe the half-applied pair.
+// Oracle reads v's true clock, so it deliberately does not implement this
 // interface, which keeps tick crossing disabled for oracle-backed runs.
 type NodeLocalLayer interface {
 	NodeLocalQueries() bool
@@ -204,10 +213,16 @@ func (o *Oracle) SetPolicy(p ErrorPolicy) { o.policy = p }
 
 // Estimate implements Layer.
 func (o *Oracle) Estimate(u, v int) (float64, bool) {
-	if !o.dyn.Sees(u, v) {
+	dir, ok := o.dyn.Dir(u, v)
+	if !ok || !o.dyn.SeesAt(dir) {
 		return 0, false
 	}
-	eps := o.Eps(u, v)
+	return o.EstimateAt(u, v, dir)
+}
+
+// EstimateAt implements Layer.
+func (o *Oracle) EstimateAt(u, v int, dir int32) (float64, bool) {
+	eps := o.dyn.ParamsAt(dir).Eps
 	trueU, trueV := o.clock(u), o.clock(v)
 	err := o.policy.Err(u, v, trueU, trueV, eps)
 	if err > eps {

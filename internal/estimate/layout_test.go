@@ -11,9 +11,11 @@ import (
 // TestMessagingLayoutDifferential drives a reference-layout and a flat-layout
 // Messaging instance through the same randomized beacon/invalidate/churn
 // script over one shared topology, and demands bit-identical Estimate, Eps
-// and Misses observables after every operation. This pins the CSR sample
-// slabs to the map-backed store the same way the topo and core layers are
-// pinned.
+// and Misses observables after every operation. This pins the sample slabs
+// (keyed by the topology's directed index) to the map-backed store the same
+// way the topo and core layers are pinned. Undeclares free slots that later
+// declares of other pairs reuse, so a stale sample surviving a reused index
+// would show up as a divergence.
 func TestMessagingLayoutDifferential(t *testing.T) {
 	const n = 12
 	for seed := int64(0); seed < 8; seed++ {
@@ -61,7 +63,7 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 		}
 		for step := 0; step < 300; step++ {
 			u, v := pair()
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				_ = dyn.DeclareLink(u, v, linkParams())
 			case 1:
@@ -85,6 +87,8 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 				soa.Invalidate(u, v)
 			case 5:
 				eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0, 0.2)))
+			case 6:
+				_ = dyn.Undeclare(u, v) // fails while visible, like the runner's callers
 			}
 			check(step)
 		}

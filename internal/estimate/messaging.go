@@ -26,7 +26,7 @@ type MessagingConfig struct {
 	// certified error becomes symmetric and half as large.
 	Centered bool
 	// ReferenceLayout selects the map-backed sample store instead of the
-	// default flat CSR sample slabs. Kept for differential pinning
+	// default flat sample slabs. Kept for differential pinning
 	// (TestMessagingLayoutDifferential); see DESIGN.md §Structure-of-arrays.
 	ReferenceLayout bool
 }
@@ -52,12 +52,12 @@ type Messaging struct {
 	hw  func(int) float64
 	// samples[u] maps peer → latest sample (reference layout only).
 	samples []map[int]*sample
-	// Flat layout (default): rows[u] maps peer → slot into the parallel
-	// sample slabs below. Rows are pre-registered when links are declared
-	// (declares are serial engine/scenario operations), so RecordBeacon —
-	// which runs concurrently for distinct receivers under the sharded
-	// event drain — never mutates the row structure, only its own slots.
-	rows                           *csr.Rows
+	// Flat layout (default): parallel sample slabs indexed by the topology's
+	// directed index of (receiver, sender) (topo.Dynamic.Dir). They are
+	// sized when links are declared (declares are serial engine/scenario
+	// operations), so RecordBeacon — which runs concurrently for distinct
+	// receivers under the sharded event drain — only writes the receiver's
+	// own entries.
 	smLSent, smHwAtRecv, smTransit []float64
 	smValid                        []uint8
 	// Misses counts estimate queries that found no certified sample. It is
@@ -68,9 +68,8 @@ type Messaging struct {
 }
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
-// hardware clock. In the default flat layout the layer registers a sample
-// slot for every link already declared on dyn and subscribes to future
-// declares, so beacon ingestion never grows the adjacency structure.
+// hardware clock. In the default flat layout the sample slabs cover every
+// link already declared on dyn; a declare hook grows them for later links.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw}
 	if cfg.ReferenceLayout {
@@ -78,34 +77,35 @@ func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingC
 		for i := range m.samples {
 			m.samples[i] = make(map[int]*sample)
 		}
-		return m
+	} else {
+		m.grow()
 	}
-	m.rows = csr.NewRows(n)
-	var ids []topo.EdgeID
-	for _, id := range dyn.DeclaredEdges(ids) {
-		m.register(id.U, id.V)
-	}
-	dyn.OnDeclare(m.register)
+	dyn.OnDeclare(m.onDeclare)
 	return m
 }
 
-// register reserves sample slots for both directions of a newly declared
-// link. Re-declares after an undeclare keep their old slots (the stale
-// sample is unobservable until a beacon crosses the revived edge, exactly
-// as the reference map keeps its entry).
-func (m *Messaging) register(a, b int) {
-	for _, d := range [2][2]int{{a, b}, {b, a}} {
-		u, v := d[0], d[1]
-		if _, ok := m.rows.Find(u, int32(v)); ok {
-			continue
-		}
-		slot := int32(len(m.smValid))
-		m.smLSent = append(m.smLSent, 0)
-		m.smHwAtRecv = append(m.smHwAtRecv, 0)
-		m.smTransit = append(m.smTransit, 0)
-		m.smValid = append(m.smValid, 0)
-		m.rows.Insert(u, int32(v), slot)
+// grow sizes the sample slabs to the topology's directed-index range.
+func (m *Messaging) grow() {
+	n := m.dyn.DirCap()
+	m.smLSent = csr.Grow(m.smLSent, n)
+	m.smHwAtRecv = csr.Grow(m.smHwAtRecv, n)
+	m.smTransit = csr.Grow(m.smTransit, n)
+	m.smValid = csr.Grow(m.smValid, n)
+}
+
+// onDeclare starts a newly declared link with no sample in either
+// direction. The link may reuse a slot Undeclare freed, or revive an
+// undeclared pair; either way a sample recorded before is stale.
+func (m *Messaging) onDeclare(a, b int) {
+	if m.samples != nil {
+		delete(m.samples[a], b)
+		delete(m.samples[b], a)
+		return
 	}
+	m.grow()
+	dir, _ := m.dyn.Dir(a, b)
+	m.smValid[dir] = 0
+	m.smValid[dir^1] = 0
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
@@ -123,23 +123,24 @@ func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.D
 		sm.valid = true
 		return
 	}
-	slot, ok := m.rows.Find(to, int32(from))
+	dir, ok := m.dyn.Dir(to, from)
 	if !ok {
-		// A beacon on a never-declared edge is unobservable (Estimate gates
-		// on dyn.Sees, which requires a declared link), so dropping it here
-		// is behaviorally identical to the reference map's orphan entry —
-		// and keeps this concurrent path free of structural mutation.
+		// A beacon on an undeclared link is unobservable (Estimate requires
+		// a declared link, and a later declare starts without a sample), so
+		// dropping it here is behaviorally identical to the reference map's
+		// orphan entry — and keeps this concurrent path free of structural
+		// mutation.
 		return
 	}
-	m.smLSent[slot] = b.L
-	m.smHwAtRecv[slot] = m.hw(to)
-	m.smTransit[slot] = d.MinTransit
-	m.smValid[slot] = 1
+	m.smLSent[dir] = b.L
+	m.smHwAtRecv[dir] = m.hw(to)
+	m.smTransit[dir] = d.MinTransit
+	m.smValid[dir] = 1
 }
 
 // Invalidate drops the sample for a directed edge (called on edge loss, so a
 // stale pre-outage sample is never reused after a reappearance). It is one
-// probe on u's own sample row — O(deg u), independent of the network size,
+// probe of u's topology row — O(deg u), independent of the network size,
 // and allocation-free — so EdgeDown storms (churn waves, partitions) cost
 // one short sorted scan per lost directed edge;
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
@@ -150,8 +151,8 @@ func (m *Messaging) Invalidate(u, v int) {
 		}
 		return
 	}
-	if slot, ok := m.rows.Find(u, int32(v)); ok {
-		m.smValid[slot] = 0
+	if dir, ok := m.dyn.Dir(u, v); ok {
+		m.smValid[dir] = 0
 	}
 }
 
@@ -179,9 +180,15 @@ func advanceSample(cfg MessagingConfig, lSent, minTransit, ageHW float64) float6
 
 // Estimate implements Layer.
 func (m *Messaging) Estimate(u, v int) (float64, bool) {
-	if !m.dyn.Sees(u, v) {
+	dir, ok := m.dyn.Dir(u, v)
+	if !ok || !m.dyn.SeesAt(dir) {
 		return 0, false
 	}
+	return m.EstimateAt(u, v, dir)
+}
+
+// EstimateAt implements Layer: slab loads at dir, with no lookup.
+func (m *Messaging) EstimateAt(u, v int, dir int32) (float64, bool) {
 	var lSent, hwAtRecv, minTransit float64
 	if m.samples != nil {
 		sm, ok := m.samples[u][v]
@@ -191,17 +198,13 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 		}
 		lSent, hwAtRecv, minTransit = sm.lSent, sm.hwAtRecv, sm.minTransit
 	} else {
-		slot, ok := m.rows.Find(u, int32(v))
-		if !ok || m.smValid[slot] == 0 {
+		if m.smValid[dir] == 0 {
 			atomic.AddUint64(&m.Misses, 1)
 			return 0, false
 		}
-		lSent, hwAtRecv, minTransit = m.smLSent[slot], m.smHwAtRecv[slot], m.smTransit[slot]
+		lSent, hwAtRecv, minTransit = m.smLSent[dir], m.smHwAtRecv[dir], m.smTransit[dir]
 	}
-	p, ok := m.dyn.Params(u, v)
-	if !ok {
-		return 0, false
-	}
+	p := m.dyn.ParamsAt(dir)
 	ageHW := m.hw(u) - hwAtRecv
 	if ageHW < 0 || ageHW > maxSampleAgeHW(m.cfg, p) {
 		atomic.AddUint64(&m.Misses, 1)
@@ -247,14 +250,13 @@ func (m *Messaging) Eps(u, v int) float64 {
 }
 
 // ConcurrentQueries implements ConcurrentLayer: a query for node u reads
-// only u's own sample map, u's hardware clock and the (tick-stable)
-// topology; the sole shared write is the atomic miss counter. Samples are
+// only u's own samples, u's hardware clock and the (tick-stable) topology; the sole shared write is the atomic miss counter. Samples are
 // written by beacon deliveries and invalidations, which are engine events —
 // never inside an integration tick.
 func (m *Messaging) ConcurrentQueries() bool { return true }
 
-// NodeLocalQueries implements NodeLocalLayer: everything Estimate and Eps
-// read for querying node u — the sample row, the hardware clock hw(u), link
-// parameters — is u-local or tick-stable, so queries stay correct while
+// NodeLocalQueries implements NodeLocalLayer: everything Estimate,
+// EstimateAt and Eps read for querying node u — u's samples, the hardware
+// clock hw(u), link parameters — is u-local or tick-stable, so queries stay correct while
 // integration ticks are applied lazily per node (tick-crossing windows).
 func (m *Messaging) NodeLocalQueries() bool { return true }

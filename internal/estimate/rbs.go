@@ -223,9 +223,19 @@ func (r *RBS) maxSampleAgeHW() float64 {
 // common broadcast. The anchor removes all message-delay uncertainty; only
 // the reception jitter is subtracted.
 func (r *RBS) Estimate(u, v int) (float64, bool) {
+	if r.dyn != nil && !r.dyn.Sees(u, v) {
+		return 0, false
+	}
+	return r.EstimateAt(u, v, 0)
+}
+
+// EstimateAt implements Layer. RBS estimate edges are co-listener pairs,
+// not topology links, so its samples stay keyed by its own rows and the
+// directed index goes unused.
+func (r *RBS) EstimateAt(u, v int, _ int32) (float64, bool) {
 	var lAtEvent, hwAtOwnEvent float64
 	if r.samples != nil {
-		if !r.coListener[u][v] || (r.dyn != nil && !r.dyn.Sees(u, v)) {
+		if !r.coListener[u][v] {
 			return 0, false
 		}
 		sm, ok := r.samples[u][v]
@@ -236,10 +246,7 @@ func (r *RBS) Estimate(u, v int) (float64, bool) {
 	} else {
 		// One row probe yields both the co-listener test and the sample.
 		slot, ok := r.rows.Find(u, int32(v))
-		if !ok || (r.dyn != nil && !r.dyn.Sees(u, v)) {
-			return 0, false
-		}
-		if r.rbValid[slot] == 0 {
+		if !ok || r.rbValid[slot] == 0 {
 			return 0, false
 		}
 		lAtEvent, hwAtOwnEvent = r.rbLAtEvent[slot], r.rbHwAtOwn[slot]

@@ -25,5 +25,6 @@ func (a *nopAlgo) MaxEstimate(int) float64                                     {
 // nopEstimator satisfies the estimate layer without producing estimates.
 type nopEstimator struct{}
 
-func (nopEstimator) Estimate(_, _ int) (float64, bool) { return 0, false }
-func (nopEstimator) Eps(_, _ int) float64              { return 0.2 }
+func (nopEstimator) Estimate(_, _ int) (float64, bool)            { return 0, false }
+func (nopEstimator) EstimateAt(_, _ int, _ int32) (float64, bool) { return 0, false }
+func (nopEstimator) Eps(_, _ int) float64                         { return 0.2 }

@@ -83,6 +83,7 @@ type Listener interface {
 // (map-backed) layout.
 type edge struct {
 	id     EdgeID
+	slot   int32 // stable slot, numbered exactly as the slab layout numbers it
 	params LinkParams
 	// up[i] is the visibility of the directed edge from endpoint i (0 = U,
 	// 1 = V) to the other endpoint; upSince[i] is when it last became
@@ -102,10 +103,13 @@ func (e *edge) side(u int) int {
 
 // refGraph is the retained map-of-pointers layout: one heap object per edge
 // plus per-node adjacency maps. It is the executable specification the
-// structure-of-arrays layout is differentially pinned against.
+// structure-of-arrays layout is differentially pinned against. Its edges
+// draw slots from the same free list as the slab layout, so directed
+// indices (Dir) agree across layouts; bySlot resolves them.
 type refGraph struct {
-	edges map[EdgeID]*edge
-	adj   []map[int]*edge
+	edges  map[EdgeID]*edge
+	adj    []map[int]*edge
+	bySlot []*edge
 }
 
 // churnState is the transition bookkeeping of one slab edge. It is created
@@ -118,7 +122,8 @@ type churnState struct {
 	apply   [2]func(sim.Time)
 }
 
-// Side-visibility bits of the slab layout's eUp bytes.
+// Side-visibility bits of the slab layout's eUp bytes: bit side is the
+// visibility of directed index 2·slot+side.
 const (
 	upU uint8 = 1 << 0 // directed edge (U → sees V)
 	upV uint8 = 1 << 1
@@ -129,10 +134,19 @@ const (
 // The default layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
 // layout): every declared edge owns a stable int32 slot in flat parallel
 // slabs (endpoints, interned parameter class, visibility bits, up-since
-// times), per-node adjacency is a csr.Rows mapping peer → slot, and the only
-// remaining keyed lookup — Declare and the scenario edge toggles — goes
-// through one compact packed-EdgeID → slot map off the hot path. Hot reads
-// (Sees, Params, Neighbors, AgeBoth) scan one contiguous sorted row.
+// times), per-node adjacency is a csr.Rows mapping peer → directed index,
+// and the only remaining keyed lookup — Declare and the scenario edge
+// toggles — goes through one compact packed-EdgeID → slot map off the hot
+// path. Hot reads (Sees, Params, Neighbors, AgeBoth) scan one contiguous
+// sorted row.
+//
+// The directed index dir = 2·slot + side names the directed edge (u, v),
+// side 0 when u is the smaller endpoint. It is the one key of per-directed-
+// edge state in the whole stack: the algorithm's edge records and the
+// estimate layers' samples are slabs indexed by it, and a caller walking
+// Row(u) reads them without any further lookup (SeesAt, ParamsAt). A slot
+// is stable while its link is declared; Undeclare frees it for reuse, and
+// the OnDeclare hooks tell the index-keyed layers to reset it.
 // SetReferenceLayout(true) switches to the retained map-backed layout; the
 // two are pinned byte-identical by differential and fuzz tests.
 type Dynamic struct {
@@ -157,14 +171,16 @@ type Dynamic struct {
 	pairTransit []float64
 	inMin       []float64
 	// onDeclare hooks run after each newly declared link (never for
-	// re-declares); the estimate layers use them to pre-register sample
-	// slots so beacon ingestion stays structurally read-only.
+	// re-declares); the layers keyed by directed index use them to size
+	// their slabs and reset a reused slot, so beacon ingestion and the
+	// trigger fold stay structurally read-only.
 	onDeclare []func(a, b int)
+	// slots numbers the declared links in both layouts.
+	slots csr.FreeList
 
 	// Structure-of-arrays layout (nil ref).
 	idx      map[uint64]int32 // packed canonical EdgeID → slot; control path only
-	adj      *csr.Rows        // (node, peer) → slot
-	slots    csr.FreeList
+	adj      *csr.Rows        // (node, peer) → directed index
 	eU, eV   []int32
 	eClass   []int32 // index into classes
 	eUp      []uint8 // upU | upV visibility bits
@@ -211,7 +227,7 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 // tests pin the two byte-identical; the switch must be thrown before any
 // link is declared.
 func (d *Dynamic) SetReferenceLayout(ref bool) {
-	if d.slots.Cap() != 0 || (d.ref != nil && len(d.ref.edges) > 0) {
+	if d.slots.Cap() != 0 {
 		panic("topo: SetReferenceLayout after links were declared")
 	}
 	if !ref {
@@ -224,6 +240,9 @@ func (d *Dynamic) SetReferenceLayout(ref bool) {
 	}
 	d.ref = &refGraph{edges: make(map[EdgeID]*edge), adj: adj}
 }
+
+// ReferenceLayout reports whether the map-backed layout is active.
+func (d *Dynamic) ReferenceLayout() bool { return d.ref != nil }
 
 // MinTransit returns the minimum Delay−Uncertainty over all links ever
 // declared, or +Inf when none exist. Monotone non-increasing over a run, so
@@ -291,8 +310,11 @@ func (d *Dynamic) RecomputeTransit() {
 func (d *Dynamic) SetListener(l Listener) { d.listener = l }
 
 // OnDeclare registers a hook invoked after every newly declared link (not
-// for re-declares). Declares only happen in serial contexts (construction
-// and global scenario events), so hooks may mutate shared structures.
+// for re-declares) with its canonical endpoints a < b. The link may occupy
+// a slot Undeclare freed, so a hook keyed by directed index must reset
+// both of the link's indices. Declares only happen in serial contexts
+// (construction and global scenario events), so hooks may mutate shared
+// structures.
 func (d *Dynamic) OnDeclare(fn func(a, b int)) { d.onDeclare = append(d.onDeclare, fn) }
 
 // N returns the number of nodes.
@@ -311,7 +333,10 @@ func (d *Dynamic) classOf(p LinkParams) int32 {
 
 // DeclareLink registers the parameters of a potential edge. A link must be
 // declared before it can appear. Re-declaring an existing link while it is
-// down updates its parameters.
+// down updates its parameters (endpoints derive their per-edge constants
+// afresh at the next appearance); re-declaring it with different
+// parameters while either endpoint sees it is an error, since the
+// endpoints' running estimates and weights were derived from the old ones.
 func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	if a == b {
 		return fmt.Errorf("topo: self-loop {%d,%d} not allowed", a, b)
@@ -323,6 +348,9 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		return err
 	}
 	id := MakeEdgeID(a, b)
+	if old, visible, ok := d.declared(id); ok && visible && old != p {
+		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
+	}
 	mt := p.Delay - p.Uncertainty
 	if mt < d.minTransit {
 		d.minTransit = mt
@@ -334,7 +362,11 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 			ex.params = p
 			return nil
 		}
-		e := &edge{id: id, params: p}
+		e := &edge{id: id, slot: d.slots.Alloc(), params: p}
+		if int(e.slot) == len(d.ref.bySlot) {
+			d.ref.bySlot = append(d.ref.bySlot, nil)
+		}
+		d.ref.bySlot[e.slot] = e
 		d.ref.edges[id] = e
 		d.ref.adj[id.U][id.V] = e
 		d.ref.adj[id.V][id.U] = e
@@ -356,14 +388,31 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		d.eClass[slot] = d.classOf(p)
 		d.eUp[slot] = 0
 		d.eSince[slot] = [2]sim.Time{}
-		d.adj.Insert(id.U, int32(id.V), slot)
-		d.adj.Insert(id.V, int32(id.U), slot)
+		d.adj.Insert(id.U, int32(id.V), 2*slot)
+		d.adj.Insert(id.V, int32(id.U), 2*slot+1)
 		d.idx[id.pack()] = slot
 	}
 	for _, fn := range d.onDeclare {
 		fn(id.U, id.V)
 	}
 	return nil
+}
+
+// declared returns the parameters of a declared link and whether either
+// endpoint currently sees it.
+func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
+	if d.ref != nil {
+		e, ok := d.ref.edges[id]
+		if !ok {
+			return LinkParams{}, false, false
+		}
+		return e.params, e.up[0] || e.up[1], true
+	}
+	slot, ok := d.idx[id.pack()]
+	if !ok {
+		return LinkParams{}, false, false
+	}
+	return d.classes[d.eClass[slot]], d.eUp[slot] != 0, true
 }
 
 // Undeclare removes a declared link entirely, returning its slot to the
@@ -386,6 +435,8 @@ func (d *Dynamic) Undeclare(a, b int) error {
 		delete(d.ref.edges, id)
 		delete(d.ref.adj[id.U], id.V)
 		delete(d.ref.adj[id.V], id.U)
+		d.ref.bySlot[e.slot] = nil
+		d.slots.Free(e.slot)
 		return nil
 	}
 	slot, ok := d.idx[id.pack()]
@@ -416,11 +467,52 @@ func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
 		}
 		return e.params, true
 	}
-	slot, ok := d.adj.Find(a, int32(b))
+	dir, ok := d.adj.Find(a, int32(b))
 	if !ok {
 		return LinkParams{}, false
 	}
-	return d.classes[d.eClass[slot]], true
+	return d.classes[d.eClass[dir>>1]], true
+}
+
+// Dir returns the directed index 2·slot+side of the declared link (u, v),
+// side 0 when u < v — the key of every per-directed-edge slab. ok is false
+// when the link is not declared.
+func (d *Dynamic) Dir(u, v int) (dir int32, ok bool) {
+	if d.ref != nil {
+		e, ok := d.ref.adj[u][v]
+		if !ok {
+			return 0, false
+		}
+		return 2*e.slot + int32(e.side(u)), true
+	}
+	return d.adj.Find(u, int32(v))
+}
+
+// DirCap bounds every directed index handed out so far: slabs keyed by
+// directed index are in range when sized to DirCap.
+func (d *Dynamic) DirCap() int { return 2 * d.slots.Cap() }
+
+// Row returns u's declared peers in ascending order and, in parallel, the
+// directed index of each (u, peer): the adjacency walk of the slab layout,
+// with no per-peer lookup. The slices alias internal storage, are only
+// valid until the next declare or undeclare, and are empty on the
+// reference layout.
+func (d *Dynamic) Row(u int) (peers, dirs []int32) { return d.adj.Row(u) }
+
+// SeesAt is Sees for the directed index of a declared link.
+func (d *Dynamic) SeesAt(dir int32) bool {
+	if d.ref != nil {
+		return d.ref.bySlot[dir>>1].up[dir&1]
+	}
+	return d.eUp[dir>>1]&(upU<<(dir&1)) != 0
+}
+
+// ParamsAt is Params for the directed index of a declared link.
+func (d *Dynamic) ParamsAt(dir int32) LinkParams {
+	if d.ref != nil {
+		return d.ref.bySlot[dir>>1].params
+	}
+	return d.classes[d.eClass[dir>>1]]
 }
 
 // Appear makes edge {a,b} appear now. Each endpoint observes the appearance
@@ -567,15 +659,6 @@ func (d *Dynamic) transitionRef(e *edge, side int, up bool, lag float64) {
 	e.pending[side] = d.engine.After(lag, apply)
 }
 
-// sideOf returns the slab side index of node u on edge {u,v}: side 0 is the
-// smaller endpoint (EdgeID is canonical U < V).
-func sideOf(u, v int) int {
-	if u < v {
-		return 0
-	}
-	return 1
-}
-
 // Sees reports whether the directed estimate edge (u, v) currently exists,
 // i.e. v ∈ N_u(t) in the paper's notation.
 func (d *Dynamic) Sees(u, v int) bool {
@@ -586,11 +669,11 @@ func (d *Dynamic) Sees(u, v int) bool {
 		}
 		return e.up[e.side(u)]
 	}
-	slot, ok := d.adj.Find(u, int32(v))
+	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return false
 	}
-	return d.eUp[slot]&(upU<<sideOf(u, v)) != 0
+	return d.eUp[dir>>1]&(upU<<(dir&1)) != 0
 }
 
 // BothUp reports whether {u,v} exists in both directions.
@@ -602,11 +685,11 @@ func (d *Dynamic) BothUp(u, v int) bool {
 		}
 		return e.up[0] && e.up[1]
 	}
-	slot, ok := d.adj.Find(u, int32(v))
+	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return false
 	}
-	return d.eUp[slot] == upU|upV
+	return d.eUp[dir>>1] == upU|upV
 }
 
 // UpSince returns the time the directed edge (u,v) last became visible; the
@@ -623,11 +706,11 @@ func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
 		}
 		return e.upSince[s], true
 	}
-	slot, ok := d.adj.Find(u, int32(v))
+	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return 0, false
 	}
-	s := sideOf(u, v)
+	slot, s := dir>>1, dir&1
 	if d.eUp[slot]&(upU<<s) == 0 {
 		return 0, false
 	}
@@ -645,11 +728,11 @@ func (d *Dynamic) AgeBoth(u, v int, now sim.Time) (float64, bool) {
 		since := math.Max(e.upSince[0], e.upSince[1])
 		return now - since, true
 	}
-	slot, ok := d.adj.Find(u, int32(v))
-	if !ok || d.eUp[slot] != upU|upV {
+	dir, ok := d.adj.Find(u, int32(v))
+	if !ok {
 		return 0, false
 	}
-	return now - math.Max(d.eSince[slot][0], d.eSince[slot][1]), true
+	return d.ageBothSlot(dir>>1, now)
 }
 
 // ageBothSlot is AgeBoth for an already-resolved slab slot.
@@ -675,9 +758,9 @@ func (d *Dynamic) Neighbors(u int, dst []int) []int {
 		sort.Ints(dst[start:])
 		return dst
 	}
-	peers, slots := d.adj.Row(u)
+	peers, dirs := d.adj.Row(u)
 	for i, v := range peers {
-		if d.eUp[slots[i]]&(upU<<sideOf(u, int(v))) != 0 {
+		if dir := dirs[i]; d.eUp[dir>>1]&(upU<<(dir&1)) != 0 {
 			dst = append(dst, int(v))
 		}
 	}

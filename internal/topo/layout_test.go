@@ -85,7 +85,38 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			if gp != wp || gpok != wpok {
 				t.Fatalf("%s: Params(%d,%d) = (%v,%v), reference (%v,%v)", ctx, u, v, gp, gpok, wp, wpok)
 			}
+			// Both layouts number slots alike, so directed indices agree,
+			// and the index-keyed reads agree with the pair-keyed ones.
+			gd, gdok := p.soa.Dir(u, v)
+			wd, wdok := p.ref.Dir(u, v)
+			if gd != wd || gdok != wdok || !gdok {
+				t.Fatalf("%s: Dir(%d,%d) = (%v,%v), reference (%v,%v)", ctx, u, v, gd, gdok, wd, wdok)
+			}
+			if (gd&1 == 1) != (u > v) {
+				t.Fatalf("%s: Dir(%d,%d) = %d has the wrong side", ctx, u, v, gd)
+			}
+			for _, g := range []*Dynamic{p.soa, p.ref} {
+				if g.SeesAt(gd) != g.Sees(u, v) || g.ParamsAt(gd) != gp {
+					t.Fatalf("%s: SeesAt/ParamsAt(%d) disagree with Sees/Params(%d,%d)", ctx, gd, u, v)
+				}
+			}
 		}
+	}
+	if got := p.soa.DirCap(); got != p.ref.DirCap() || got != 2*p.soa.slots.Cap() {
+		t.Fatalf("%s: DirCap %d, reference %d", ctx, got, p.ref.DirCap())
+	}
+	entries := 0
+	for u := 0; u < p.soa.N(); u++ {
+		peers, dirs := p.soa.Row(u)
+		entries += len(peers)
+		for i, v := range peers {
+			if d, ok := p.ref.Dir(u, int(v)); !ok || d != dirs[i] {
+				t.Fatalf("%s: Row(%d) holds (%d, %d), reference Dir (%d, %v)", ctx, u, v, dirs[i], d, ok)
+			}
+		}
+	}
+	if entries != 2*len(sd) {
+		t.Fatalf("%s: rows hold %d entries for %d declared links", ctx, entries, len(sd))
 	}
 	var sn, rn []int
 	for u := 0; u < p.soa.N(); u++ {
@@ -261,6 +292,55 @@ func TestUndeclareCancelsPendingDetection(t *testing.T) {
 		engine.RunUntil(2)
 		if d.Sees(0, 1) || d.Sees(1, 0) {
 			t.Fatalf("ref=%v: cancelled detection still fired", ref)
+		}
+	}
+}
+
+// TestRedeclareVisibleLink pins DeclareLink's contract on both layouts:
+// re-declaring a link either endpoint sees is an error when the parameters
+// change (and leaves the old ones in force), a no-op when they do not, and
+// an update once both endpoints have lost the link.
+func TestRedeclareVisibleLink(t *testing.T) {
+	narrow := DefaultLinkParams()
+	wide := narrow
+	wide.Eps = 0.8
+	for _, ref := range []bool{false, true} {
+		engine := sim.NewEngine()
+		d := NewDynamic(3, engine, sim.NewRNG(1))
+		d.SetReferenceLayout(ref)
+		if err := d.DeclareLink(0, 1, narrow); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Appear(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		// Run to the first detection: one endpoint sees the link.
+		engine.RunUntil(engine.PeekNext())
+		if d.Sees(0, 1) == d.Sees(1, 0) {
+			t.Fatalf("ref=%v: want exactly one endpoint to see the link", ref)
+		}
+		if err := d.DeclareLink(1, 0, wide); err == nil {
+			t.Fatalf("ref=%v: re-declare with new parameters while visible to one endpoint succeeded", ref)
+		}
+		engine.RunUntil(engine.Now() + 1)
+		if err := d.DeclareLink(0, 1, wide); err == nil {
+			t.Fatalf("ref=%v: re-declare with new parameters while visible succeeded", ref)
+		}
+		if p, _ := d.Params(0, 1); p != narrow {
+			t.Fatalf("ref=%v: rejected re-declare changed the parameters to %+v", ref, p)
+		}
+		if err := d.DeclareLink(0, 1, narrow); err != nil {
+			t.Fatalf("ref=%v: re-declare with unchanged parameters while visible: %v", ref, err)
+		}
+		if err := d.Disappear(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		engine.RunUntil(engine.Now() + 1)
+		if err := d.DeclareLink(0, 1, wide); err != nil {
+			t.Fatalf("ref=%v: re-declare while down: %v", ref, err)
+		}
+		if p, _ := d.Params(1, 0); p != wide {
+			t.Fatalf("ref=%v: re-declare while down left parameters %+v", ref, p)
 		}
 	}
 }
