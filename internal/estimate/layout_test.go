@@ -1,6 +1,11 @@
 package estimate
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -95,14 +100,49 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 	}
 }
 
+// rbsGolden is the sha256 of TestRBSLayoutDifferential's observable stream
+// (see rbsObserve), over all four seeds in order.
+const rbsGolden = "3c8cadfde520b126279503785ad5ed8fad198dc9745abc557381459ee40cc8b5"
+
+// rbsObserve appends one step's observables of r to h: for every ordered
+// pair u ≠ v, CoListeners, the Estimate bits and ok, and the Eps bits.
+func rbsObserve(h hash.Hash, r *RBS, n int) {
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(ok bool) {
+		if ok {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v {
+				continue
+			}
+			flag(r.CoListeners(u, v))
+			e, ok := r.Estimate(u, v)
+			put(math.Float64bits(e))
+			flag(ok)
+			put(math.Float64bits(r.Eps(u, v)))
+		}
+	}
+}
+
 // TestRBSLayoutDifferential runs a reference-layout and a flat-layout RBS
 // instance side by side on one engine, with overlapping listener groups (so
 // the CSR dedup path is exercised), identical per-instance RNG seeds, and a
 // randomized invalidation stream. Estimates, Eps, and CoListeners must agree
-// exactly over the whole run.
+// exactly over the whole run, and the stream of them (plus each seed's
+// Broadcasts) must hash to rbsGolden.
 func TestRBSLayoutDifferential(t *testing.T) {
 	const n = 10
 	groups := [][]int{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8}, {7, 8, 9, 0}}
+	refSum, soaSum := sha256.New(), sha256.New()
 	for seed := int64(0); seed < 4; seed++ {
 		eng := sim.NewEngine()
 		hw := func(u int) float64 { return float64(eng.Now()) * (1 + 2e-4*float64(u)) }
@@ -150,9 +190,22 @@ func TestRBSLayoutDifferential(t *testing.T) {
 					}
 				}
 			}
+			rbsObserve(refSum, ref, n)
+			rbsObserve(soaSum, soa, n)
 		}
 		if ref.Broadcasts != soa.Broadcasts || ref.Broadcasts == 0 {
 			t.Fatalf("seed %d: Broadcasts ref %d soa %d", seed, ref.Broadcasts, soa.Broadcasts)
+		}
+		for _, h := range []hash.Hash{refSum, soaSum} {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], ref.Broadcasts)
+			h.Write(b[:])
+		}
+	}
+	t.Logf("observable stream sha256 %x", refSum.Sum(nil))
+	for name, h := range map[string]hash.Hash{"reference": refSum, "flat": soaSum} {
+		if got := hex.EncodeToString(h.Sum(nil)); got != rbsGolden {
+			t.Errorf("%s layout stream sha256 %s, want %s", name, got, rbsGolden)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -159,19 +161,27 @@ func TestScaleTierDeterministicAcrossEventParallelism(t *testing.T) {
 	}
 }
 
+// scaleTierGolden is the sha256 of each scale tier's quick two-seed report
+// (RunReplicated(…, Spec{Quick: true, Seed: 1, Seeds: 2, Parallelism: 2})
+// .String()).
+var scaleTierGolden = map[string]string{
+	"E15": "0dea97210456aefe75589412c15ef3818e27afc543c436385f8fd4fb9ed464df",
+	"E16": "d764ffbe2ccc2c73a08233e4dfda3ada2e9c4489b1bd4519c9951232de2b58f9",
+}
+
 // TestScaleTierDeterministicAcrossLayout is the same net for the
 // structure-of-arrays storage: the scale-tier reports must be byte-identical
 // whether the networks run on the default CSR/slab layout or on the retired
-// map-backed reference layout. A divergent trigger decision, estimate query
-// order, or counter would surface as a diff in the rendered tables.
+// map-backed reference layout, and must hash to the tier's golden constant.
+// A divergent trigger decision, estimate query order, or counter would
+// surface as a diff in the rendered tables.
 func TestScaleTierDeterministicAcrossLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tier replays take a few seconds")
 	}
 	for _, entry := range All() {
-		switch entry.ID {
-		case "E15", "E16":
-		default:
+		want, ok := scaleTierGolden[entry.ID]
+		if !ok {
 			continue
 		}
 		entry := entry
@@ -181,6 +191,11 @@ func TestScaleTierDeterministicAcrossLayout(t *testing.T) {
 
 			spec.ReferenceLayout = true
 			ref := RunReplicated(entry.Run, spec).String()
+			sum := sha256.Sum256([]byte(ref))
+			t.Logf("%s report sha256 %x", entry.ID, sum)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s: reference layout report sha256 %s, want %s", entry.ID, got, want)
+			}
 
 			spec.ReferenceLayout = false
 			if soa := RunReplicated(entry.Run, spec).String(); soa != ref {
