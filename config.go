@@ -335,13 +335,6 @@ type Config struct {
 	Seed int64
 	// InitialClocks optionally sets corrupted initial logical clocks.
 	InitialClocks []float64
-	// ReferenceLayout runs the whole stack (topology graph, per-edge
-	// algorithm state, estimate sample store) on the retired map-backed
-	// storage instead of the default structure-of-arrays. Results are
-	// byte-identical either way — pinned by the randomized layout
-	// differential tests — so the knob exists only for that pinning and for
-	// before/after memory measurements.
-	ReferenceLayout bool
 }
 
 func (c *Config) applyDefaults() error {

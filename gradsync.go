@@ -68,7 +68,6 @@ func New(cfg Config) (*Network, error) {
 		TickParallelism:  cfg.TickParallelism,
 		EventParallelism: cfg.EventParallelism,
 		Seed:             cfg.Seed,
-		ReferenceLayout:  cfg.ReferenceLayout,
 	})
 	if err != nil {
 		return nil, err
@@ -111,12 +110,11 @@ func New(cfg Config) (*Network, error) {
 	switch cfg.Estimates.kind {
 	case "messaging":
 		layer := estimate.NewMessaging(n, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
-			Rho:             cfg.Rho,
-			Mu:              cfg.Mu,
-			BeaconInterval:  cfg.BeaconInterval,
-			TickSlop:        2 * cfg.Tick,
-			Centered:        cfg.Estimates.centered,
-			ReferenceLayout: cfg.ReferenceLayout,
+			Rho:            cfg.Rho,
+			Mu:             cfg.Mu,
+			BeaconInterval: cfg.BeaconInterval,
+			TickSlop:       2 * cfg.Tick,
+			Centered:       cfg.Estimates.centered,
 		})
 		rt.SetEstimator(layer)
 	default: // oracle
@@ -185,9 +183,6 @@ func New(cfg Config) (*Network, error) {
 		a, err := core.New(p)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.ReferenceLayout {
-			a.SetReferenceLayout(true)
 		}
 		net.aopt = a
 		net.algo = a

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/runner"
@@ -18,41 +17,6 @@ type insertEdgeMsg struct {
 	GTilde float64
 }
 
-// edgeRec is one node's state for a (potential) estimate edge, as described
-// in Section 4.3.2: the implicit representation of all neighbor sets N^s via
-// the pair (T₀, I), plus handshake bookkeeping.
-type edgeRec struct {
-	peer int
-	// Derived per-edge constants (Section 4.3.1).
-	eps   float64 // estimate uncertainty ε_e of the estimate layer
-	tau   float64 // detection delay τ_e
-	delay float64 // message delay bound T_e
-	kappa float64 // weight κ_e (eq. 9)
-	delta float64 // slow-trigger slack δ_e
-
-	up      bool
-	upSince sim.Time
-	lAtUp   float64 // L_self when the edge was discovered
-
-	// Insertion state: when haveTimes, the edge is being (or has been)
-	// inserted with base T₀ and duration I. preInserted marks time-0 edges,
-	// which the paper places in all neighbor sets immediately.
-	preInserted bool
-	haveTimes   bool
-	t0          float64
-	insDur      float64
-	// Decaying-weight insertion (§5.5 strategy): once decaying, the edge is
-	// in all neighbor sets with weight κ(l) = max(κ_e, κ₀ − (l−t0)·rate),
-	// evaluated against the local logical clock l.
-	decaying bool
-	kappa0   float64
-	// dynamicGrid marks the §7 insertion-time schedule (Lemma 7.1 offsets)
-	// instead of the Listing 2 offsets.
-	dynamicGrid bool
-
-	check sim.Handle // pending handshake check (zero when none)
-}
-
 // Algorithm is the AOPT implementation; it satisfies runner.Algorithm.
 type Algorithm struct {
 	p  Params
@@ -63,17 +27,9 @@ type Algorithm struct {
 	m    []float64 // max estimates M_u
 	mult []float64 // current rate multiplier (1 or 1+µ)
 
-	// Reference (map-backed) layout, active when refLayout is set:
-	// edges[u] maps peer → record; peers[u] lists the known peer ids in
-	// ascending order so trigger evaluation iterates deterministically
-	// (maps would randomize RNG draw order through the estimate layer).
-	edges []map[int]*edgeRec
-	peers [][]int
-
-	// Structure-of-arrays layout (the default; see soa.go): parallel rec
-	// slabs indexed by the topology's directed index of (node, peer), and
-	// the per-edge constants interned in classes.
-	refLayout bool
+	// Edge records (Section 4.3.2; see soa.go): parallel slabs indexed by
+	// the topology's directed index of (node, peer), and the per-edge
+	// constants interned in classes.
 	classes   []edgeClass
 	classIdx  map[edgeClass]int32
 	recClass  []int32
@@ -95,9 +51,10 @@ type Algorithm struct {
 	deltaFraction float64
 
 	// refTriggers switches trigger evaluation to the reference double loop
-	// (the literal Definitions 4.5–4.7 scan over every level s). It exists
-	// only so the differential and fuzz tests can pin the single-pass
-	// engine to byte-identical decisions; production always uses the fold.
+	// (the literal Definitions 4.5–4.7 scan over every level s). Only the
+	// differential and fuzz tests in trigger_test.go set it, to pin the
+	// single-pass engine to byte-identical decisions; production always
+	// uses the fold.
 	refTriggers bool
 
 	// evals is scratch for the reference trigger evaluation.
@@ -160,23 +117,6 @@ func MustNew(p Params) *Algorithm {
 // Name implements runner.Algorithm.
 func (a *Algorithm) Name() string { return "aopt" }
 
-// SetReferenceTriggers switches between the single-pass trigger engine
-// (false, the default) and the reference per-level double loop (true). The
-// two are pinned byte-identical by the differential tests; the switch exists
-// so those tests (and ablation debugging) can run the literal definition.
-func (a *Algorithm) SetReferenceTriggers(ref bool) { a.refTriggers = ref }
-
-// SetReferenceLayout switches between the structure-of-arrays edge-record
-// layout (false, the default; soa.go) and the retained map-of-pointers
-// layout (true). The two are pinned byte-identical by the full-run
-// differential tests; call before Init (i.e. before the runtime Attach).
-func (a *Algorithm) SetReferenceLayout(ref bool) {
-	if a.rt != nil {
-		panic("core: SetReferenceLayout after Init")
-	}
-	a.refLayout = ref
-}
-
 // OverrideDeltaFraction repositions the slow-trigger slack δ_e at the given
 // fraction of its legal range (0, κ/2−2ε−2µτ). Fractions ≥ 1 leave the
 // legal range and are permitted only so the E12 ablation can demonstrate
@@ -199,20 +139,9 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	for i := range a.mult {
 		a.mult[i] = 1
 	}
-	if a.refLayout {
-		a.edges = make([]map[int]*edgeRec, a.n)
-		for i := range a.edges {
-			a.edges[i] = make(map[int]*edgeRec)
-		}
-		a.peers = make([][]int, a.n)
-	} else {
-		if rt.Dyn.ReferenceLayout() {
-			panic("core: the slab layout requires the topology's slab layout")
-		}
-		a.classIdx = make(map[edgeClass]int32)
-		a.growRecs()
-		rt.Dyn.OnDeclare(a.onDeclare)
-	}
+	a.classIdx = make(map[edgeClass]int32)
+	a.growRecs()
+	rt.Dyn.OnDeclare(a.onDeclare)
 	a.shardCtr = make([]modeCounters, rt.TickShards())
 	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
 	a.decideFn = a.decideShard
@@ -270,12 +199,9 @@ func (a *Algorithm) refreshSMax() {
 	a.sMax = s
 }
 
-// handshakeDelta returns the Listing 1 waiting period Δ for an edge.
-func (a *Algorithm) handshakeDelta(rec *edgeRec) float64 {
-	return a.handshakeDeltaVals(rec.delay, rec.tau)
-}
-
-func (a *Algorithm) handshakeDeltaVals(delay, tau float64) float64 {
+// handshakeDelta returns the Listing 1 waiting period Δ for an edge with
+// message delay bound delay and detection delay tau.
+func (a *Algorithm) handshakeDelta(delay, tau float64) float64 {
 	p := a.p
 	return (1+p.Rho)*(1+p.Mu)*(delay+tau)/(1-p.Rho) + tau
 }
@@ -308,81 +234,66 @@ func (a *Algorithm) deriveClass(u, v int) (edgeClass, bool) {
 
 // OnEdgeUp implements runner.Algorithm; it is Listing 1's discovery path.
 func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
-	if !a.refLayout {
-		a.onEdgeUpSlot(self, peer, t)
-		return
-	}
-	cls, ok := a.deriveClass(self, peer)
+	dir, ok := a.rt.Dyn.Dir(self, peer)
 	if !ok {
 		return
 	}
-	rec, ok := a.edges[self][peer]
-	if !ok {
-		rec = &edgeRec{peer: peer}
-		a.edges[self][peer] = rec
-		a.peers[self] = append(a.peers[self], peer)
-		sort.Ints(a.peers[self])
-	}
-	rec.eps, rec.tau, rec.delay, rec.kappa, rec.delta = cls.eps, cls.tau, cls.delay, cls.kappa, cls.delta
-	rec.up = true
-	rec.upSince = t
-	rec.lAtUp = a.l[self]
+	cls, _ := a.deriveClass(self, peer)
+	a.recClass[dir] = a.internClass(cls)
+	a.recFlags[dir] |= recUp | recSeen
+	a.recSince[dir] = t
+	a.recLAtUp[dir] = a.l[self]
 	if t == 0 {
 		// Paper convention: edges present at time 0 populate all neighbor
 		// sets immediately (N^s_u(0) = N_u(0) for all s).
-		rec.preInserted = true
-		rec.haveTimes = false
+		a.recFlags[dir] |= recPreInserted
+		a.recFlags[dir] &^= recHaveTimes
 		return
 	}
 	if self < peer { // leader of the edge
-		a.scheduleLeaderCheck(self, rec, t)
+		a.scheduleLeaderCheck(self, peer, dir, t)
 	}
 }
 
 // OnEdgeDown implements runner.Algorithm: the node removes the peer from all
 // neighbor sets and forgets the insertion times (T_s := ⊥, Listing 1).
-func (a *Algorithm) OnEdgeDown(self, peer int, t sim.Time) {
-	if !a.refLayout {
-		a.onEdgeDownSlot(self, peer)
-		return
-	}
-	rec, ok := a.edges[self][peer]
+func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
+	dir, ok := a.rt.Dyn.Dir(self, peer)
 	if !ok {
 		return
 	}
-	rec.up = false
-	rec.preInserted = false
-	rec.haveTimes = false
-	rec.decaying = false
-	a.rt.Engine.Cancel(rec.check) // stale or zero handles are safe no-ops
-	rec.check = 0
+	a.recFlags[dir] &^= recUp | recPreInserted | recHaveTimes | recDecaying
+	a.rt.Engine.Cancel(a.recCheck[dir]) // stale or zero handles are safe no-ops
+	a.recCheck[dir] = 0
 }
 
 // scheduleLeaderCheck waits at least Δ and until the edge has been visible
 // for a logical duration of (1+ρ)(1+µ)Δ, then agrees insertion times with
-// the peer (Listing 1 lines 4–10).
-func (a *Algorithm) scheduleLeaderCheck(self int, rec *edgeRec, discovered sim.Time) {
-	delta := a.handshakeDelta(rec)
+// the peer (Listing 1 lines 4–10). The attempt closure captures
+// (self, peer, dir), the record's directed index.
+func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered sim.Time) {
+	cls := &a.classes[a.recClass[dir]]
+	delta := a.handshakeDelta(cls.delay, cls.tau)
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * delta
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		rec.check = 0
-		if !rec.up || rec.upSince != discovered {
+		a.recCheck[dir] = 0
+		if a.recFlags[dir]&recUp == 0 || a.recSince[dir] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if gap := needLogical - (a.l[self] - rec.lAtUp); gap > 0 {
+		if gap := needLogical - (a.l[self] - a.recLAtUp[dir]); gap > 0 {
 			// Logical window not yet covered; retry once it surely is
 			// (logical clocks advance at rate ≥ 1−ρ).
-			rec.check = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
+			a.recCheck[dir] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
 			return
 		}
 		g := a.gTilde(self, t)
-		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*rec.delay
-		a.rt.Net.SendControl(self, rec.peer, insertEdgeMsg{LIns: lIns, GTilde: g})
-		a.computeInsertionTimes(self, rec, lIns, g)
+		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[dir]].delay
+		a.rt.Net.SendControl(self, peer, insertEdgeMsg{LIns: lIns, GTilde: g})
+		a.computeInsertionTimes(dir, lIns, g)
 	}
-	rec.check = a.rt.Engine.After(delta, attempt)
+	a.recCheck[dir] = a.rt.Engine.After(delta, attempt)
 }
 
 // OnControl implements runner.Algorithm; handles insertedge messages
@@ -392,154 +303,141 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	if !ok {
 		return
 	}
-	if !a.refLayout {
-		a.onControlSlot(to, from, msg, d)
-		return
-	}
-	rec, okRec := a.edges[to][from]
-	if !okRec || !rec.up {
+	dir, ok := a.rt.Dyn.Dir(to, from)
+	if !ok || a.recFlags[dir]&recUp == 0 {
 		a.HandshakeAborts++
 		return
 	}
-	discovered := rec.upSince
-	minWait := rec.delay + rec.tau
-	maxWait := a.handshakeDelta(rec) - rec.tau
+	cls := &a.classes[a.recClass[dir]]
+	discovered := a.recSince[dir]
+	minWait := cls.delay + cls.tau
+	maxWait := a.handshakeDelta(cls.delay, cls.tau) - cls.tau
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * minWait
 	received := d.At
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		rec.check = 0
-		if !rec.up || rec.upSince != discovered {
+		a.recCheck[dir] = 0
+		if a.recFlags[dir]&recUp == 0 || a.recSince[dir] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if a.l[to]-rec.lAtUp >= needLogical {
-			a.computeInsertionTimes(to, rec, msg.LIns, msg.GTilde)
+		if a.l[to]-a.recLAtUp[dir] >= needLogical {
+			a.computeInsertionTimes(dir, msg.LIns, msg.GTilde)
 			return
 		}
 		if t-received < maxWait {
-			rec.check = a.rt.Engine.After(a.rt.Tick(), attempt)
+			a.recCheck[dir] = a.rt.Engine.After(a.rt.Tick(), attempt)
 			return
 		}
 		a.HandshakeAborts++
 	}
-	rec.check = a.rt.Engine.After(minWait, attempt)
+	a.recCheck[dir] = a.rt.Engine.After(minWait, attempt)
 }
 
 // computeInsertionTimes is Listing 2 (or, for InsertDecaying, the start of
-// the §5.5 weight-decay schedule).
-func (a *Algorithm) computeInsertionTimes(self int, rec *edgeRec, lIns, g float64) {
+// the §5.5 weight-decay schedule) for the record at dir.
+func (a *Algorithm) computeInsertionTimes(dir int32, lIns, g float64) {
+	cls := &a.classes[a.recClass[dir]]
 	if a.p.Insertion == InsertDecaying {
-		rec.t0 = lIns
-		rec.insDur = 0
-		rec.kappa0 = g + 4*rec.kappa
-		rec.decaying = true
-		rec.haveTimes = true
+		a.recT0[dir] = lIns
+		a.recInsDur[dir] = 0
+		a.recKappa0[dir] = g + 4*cls.kappa
+		a.recFlags[dir] |= recDecaying | recHaveTimes
 		a.Insertions++
 		return
 	}
 	var insDur float64
 	switch a.p.Insertion {
 	case InsertDynamic:
-		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, rec.delay, rec.tau)
-		rec.dynamicGrid = true
+		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, cls.delay, cls.tau)
+		a.recFlags[dir] |= recDynamicGrid
 	case InsertCustom:
 		insDur = a.p.InsertionFactor * g / a.p.Mu
-		rec.dynamicGrid = false
+		a.recFlags[dir] &^= recDynamicGrid
 	default:
 		insDur = analysis.InsertionDurationStatic(g, a.p.Mu, a.p.Rho)
-		rec.dynamicGrid = false
+		a.recFlags[dir] &^= recDynamicGrid
 	}
-	rec.t0 = analysis.InsertionBase(lIns, insDur)
-	rec.insDur = insDur
-	rec.haveTimes = true
+	a.recT0[dir] = analysis.InsertionBase(lIns, insDur)
+	a.recInsDur[dir] = insDur
+	a.recFlags[dir] |= recHaveTimes
 	a.Insertions++
 }
 
-// kappaAt returns the edge weight at local logical time l: the static κ_e,
-// or the decaying weight during a §5.5-style insertion.
-func (a *Algorithm) kappaAt(rec *edgeRec, l float64) float64 {
-	if !rec.decaying || l <= rec.t0 {
-		if rec.decaying {
-			return rec.kappa0
-		}
-		return rec.kappa
+// kappaAt returns the weight of the record at dir at local logical time l:
+// the static κ_e (kappa, the record's class weight, passed in because every
+// caller already has the class), or the decaying weight during a
+// §5.5-style insertion.
+func (a *Algorithm) kappaAt(dir int32, kappa, l float64) float64 {
+	if a.recFlags[dir]&recDecaying == 0 {
+		return kappa
 	}
-	k := rec.kappa0 - (l-rec.t0)*a.p.DecayRate*a.p.Mu
-	if k <= rec.kappa {
+	if l <= a.recT0[dir] {
+		return a.recKappa0[dir]
+	}
+	k := a.recKappa0[dir] - (l-a.recT0[dir])*a.p.DecayRate*a.p.Mu
+	if k <= kappa {
 		// Decay finished: the edge behaves like a fully inserted one.
-		rec.decaying = false
-		return rec.kappa
+		a.recFlags[dir] &^= recDecaying
+		return kappa
 	}
 	return k
 }
 
-// deltaAt returns the slow-trigger slack for the current weight.
-func (a *Algorithm) deltaAt(rec *edgeRec, kappa float64) float64 {
-	if kappa == rec.kappa {
-		return rec.delta
+// deltaAt returns the slow-trigger slack of an edge of class cls for the
+// current weight.
+func (a *Algorithm) deltaAt(cls *edgeClass, kappa float64) float64 {
+	if kappa == cls.kappa {
+		return cls.delta
 	}
-	_, hi := analysis.DeltaRange(kappa, rec.eps, rec.tau, a.p.Mu)
+	_, hi := analysis.DeltaRange(kappa, cls.eps, cls.tau, a.p.Mu)
 	return a.deltaFraction * hi
 }
 
 // level returns the highest s such that the peer is in N^s_self, per the
-// implicit representation of Section 4.3.2.
-func (a *Algorithm) level(self int, rec *edgeRec) int {
+// implicit representation of Section 4.3.2, for the record at dir.
+func (a *Algorithm) level(self int, dir int32) int {
+	flags := a.recFlags[dir]
 	switch {
-	case !rec.up:
+	case flags&recUp == 0:
 		return 0
-	case rec.preInserted:
+	case flags&recPreInserted != 0:
 		return analysis.InfLevel
-	case !rec.haveTimes:
+	case flags&recHaveTimes == 0:
 		return 0
-	case rec.decaying || a.p.Insertion == InsertDecaying && rec.insDur == 0:
+	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[dir] == 0:
 		// §5.5 strategy: in all neighbor sets as soon as the agreed logical
 		// start time is reached; safety comes from the inflated weight.
-		if a.l[self] >= rec.t0 {
+		if a.l[self] >= a.recT0[dir] {
 			return analysis.InfLevel
 		}
 		return 0
-	case rec.dynamicGrid:
-		return analysis.LevelAtDynamic(a.l[self], rec.t0, rec.insDur)
+	case flags&recDynamicGrid != 0:
+		return analysis.LevelAtDynamic(a.l[self], a.recT0[dir], a.recInsDur[dir])
 	default:
-		return analysis.LevelAt(a.l[self], rec.t0, rec.insDur)
+		return analysis.LevelAt(a.l[self], a.recT0[dir], a.recInsDur[dir])
 	}
 }
 
 // EdgeLevel exposes the level of edge {u,v} as seen by u (for metrics and
 // legality snapshots). Zero when the edge is down or not yet inserted.
 func (a *Algorithm) EdgeLevel(u, v int) int {
-	if !a.refLayout {
-		dir, ok := a.rt.Dyn.Dir(u, v)
-		if !ok {
-			return 0
-		}
-		return a.levelSlot(u, dir)
-	}
-	rec, ok := a.edges[u][v]
+	dir, ok := a.rt.Dyn.Dir(u, v)
 	if !ok {
 		return 0
 	}
-	return a.level(u, rec)
+	return a.level(u, dir)
 }
 
 // EdgeKappa returns the current weight κ of edge {u,v} as seen by u (0 if
 // unknown). During a decaying-weight insertion this is the inflated,
 // shrinking weight; otherwise the static κ_e.
 func (a *Algorithm) EdgeKappa(u, v int) float64 {
-	if !a.refLayout {
-		dir, ok := a.rt.Dyn.Dir(u, v)
-		if !ok || a.recFlags[dir]&recSeen == 0 {
-			return 0
-		}
-		return a.kappaAtSlot(dir, a.classes[a.recClass[dir]].kappa, a.l[u])
-	}
-	rec, ok := a.edges[u][v]
-	if !ok {
+	dir, ok := a.rt.Dyn.Dir(u, v)
+	if !ok || a.recFlags[dir]&recSeen == 0 {
 		return 0
 	}
-	return a.kappaAt(rec, a.l[u])
+	return a.kappaAt(dir, a.classes[a.recClass[dir]].kappa, a.l[u])
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding. The receiver
@@ -558,9 +456,7 @@ func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Deliv
 	}
 }
 
-// edgeEval caches per-edge values for one reference trigger evaluation. It
-// holds plain values (not a record pointer) so the reference double loop
-// runs unchanged on either edge-record layout.
+// edgeEval caches per-edge values for one reference trigger evaluation.
 type edgeEval struct {
 	level int
 	est   float64
@@ -732,42 +628,46 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 	if a.refTriggers {
 		return a.evalTriggersRef(u, c)
 	}
-	if !a.refLayout {
-		return a.evalTriggersSlot(u, c)
-	}
 	lu := a.l[u]
+	est := a.rt.Est
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
-	for _, peer := range a.peers[u] {
-		rec := a.edges[u][peer]
-		if !rec.up {
+	// One contiguous scan of u's sorted topology row, whose entries index
+	// the record slabs and the estimate layer directly — no map probe,
+	// pointer chase or per-edge lookup.
+	peers, dirs := a.rt.Dyn.Row(u)
+	for i, dir := range dirs {
+		if a.recFlags[dir]&recUp == 0 {
 			continue
 		}
-		lvl := a.level(u, rec)
+		lvl := a.level(u, dir)
 		if lvl < 1 {
 			continue
 		}
-		est, ok := a.rt.Est.Estimate(u, rec.peer)
+		// recUp mirrors topo's visibility bit (both flip in the same
+		// transition event), so v ∈ N_u holds as EstimateAt requires.
+		e, ok := est.EstimateAt(u, int(peers[i]), dir)
 		if !ok {
 			c.missing++
 			continue
 		}
-		kappa := a.kappaAt(rec, lu)
-		delta := a.deltaAt(rec, kappa)
+		cls := &a.classes[a.recClass[dir]]
+		kappa := a.kappaAt(dir, cls.kappa, lu)
+		delta := a.deltaAt(cls, kappa)
 		top := lvl
 		if top > a.sMax {
 			top = a.sMax
 		}
-		ahead, behind := est-lu, lu-est
-		if w := fastWitnessLevel(ahead, kappa, rec.eps, top); w > fw {
+		ahead, behind := e-lu, lu-e
+		if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
 			fw = w
 		}
-		if b := a.fastBlockedLevel(behind, kappa, rec.eps, rec.tau, top); b > fb {
+		if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
 			fb = b
 		}
-		if w := slowWitnessLevel(behind, kappa, delta, rec.eps, top); w > sw {
+		if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
 			sw = w
 		}
-		if b := a.slowBlockedLevel(ahead, kappa, delta, rec.eps, rec.tau, top); b > sb {
+		if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
 			sb = b
 		}
 	}
@@ -843,65 +743,36 @@ func (a *Algorithm) slowBlockedLevel(ahead, kappa, delta, eps, tau float64, top 
 
 // evalTriggersRef is the retained reference: gather per-edge values, then
 // scan every level s with the literal double loops. Kept as the oracle the
-// single-pass engine is differentially tested against; the gather step
-// branches on the edge-record layout, the double loops do not. It shares
-// the evals scratch across nodes, which is why Step keeps the reference
-// path serial.
+// single-pass engine is differentially tested against. It shares the evals
+// scratch across nodes, which is why Step keeps the reference path serial.
 func (a *Algorithm) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 	a.evals = a.evals[:0]
 	maxLevel := 0
-	if a.refLayout {
-		for _, peer := range a.peers[u] {
-			rec := a.edges[u][peer]
-			if !rec.up {
-				continue
-			}
-			lvl := a.level(u, rec)
-			if lvl < 1 {
-				continue
-			}
-			est, ok := a.rt.Est.Estimate(u, rec.peer)
-			if !ok {
-				c.missing++
-				continue
-			}
-			kappa := a.kappaAt(rec, a.l[u])
-			a.evals = append(a.evals, edgeEval{
-				level: lvl, est: est,
-				kappa: kappa, delta: a.deltaAt(rec, kappa),
-				eps: rec.eps, tau: rec.tau,
-			})
-			if lvl > maxLevel {
-				maxLevel = lvl
-			}
+	// Estimate(u, v), not EstimateAt: the gather doubles as a check that
+	// the fold's index reads return what the pair lookups return.
+	peers, dirs := a.rt.Dyn.Row(u)
+	for i, dir := range dirs {
+		if a.recFlags[dir]&recUp == 0 {
+			continue
 		}
-	} else {
-		// Estimate(u, v), not EstimateAt: the gather doubles as a check that
-		// the fold's index reads return what the pair lookups return.
-		peers, dirs := a.rt.Dyn.Row(u)
-		for i, dir := range dirs {
-			if a.recFlags[dir]&recUp == 0 {
-				continue
-			}
-			lvl := a.levelSlot(u, dir)
-			if lvl < 1 {
-				continue
-			}
-			est, ok := a.rt.Est.Estimate(u, int(peers[i]))
-			if !ok {
-				c.missing++
-				continue
-			}
-			cls := &a.classes[a.recClass[dir]]
-			kappa := a.kappaAtSlot(dir, cls.kappa, a.l[u])
-			a.evals = append(a.evals, edgeEval{
-				level: lvl, est: est,
-				kappa: kappa, delta: a.deltaAtClass(cls, kappa),
-				eps: cls.eps, tau: cls.tau,
-			})
-			if lvl > maxLevel {
-				maxLevel = lvl
-			}
+		lvl := a.level(u, dir)
+		if lvl < 1 {
+			continue
+		}
+		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
+		if !ok {
+			c.missing++
+			continue
+		}
+		cls := &a.classes[a.recClass[dir]]
+		kappa := a.kappaAt(dir, cls.kappa, a.l[u])
+		a.evals = append(a.evals, edgeEval{
+			level: lvl, est: est,
+			kappa: kappa, delta: a.deltaAt(cls, kappa),
+			eps: cls.eps, tau: cls.tau,
+		})
+		if lvl > maxLevel {
+			maxLevel = lvl
 		}
 	}
 	return a.fastTriggerRef(u, maxLevel), a.slowTriggerRef(u, maxLevel)

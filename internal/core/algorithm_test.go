@@ -471,59 +471,56 @@ func TestDecayingInsertionDrainsSkewSafely(t *testing.T) {
 }
 
 // TestRedeclaredLinkRederivesConstants: a link re-declared with a wider ε
-// while down must be weighed by the new ε when it reappears, on both
-// layouts. Eq. (9) ties κ to the ε the estimates carry, so keeping the κ of
-// the first appearance (0.924 for ε = 0.2) under ε = 0.8 (which needs
-// 3.564) would void the trigger analysis on that edge.
+// while down must be weighed by the new ε when it reappears. Eq. (9) ties κ
+// to the ε the estimates carry, so keeping the κ of the first appearance
+// (0.924 for ε = 0.2) under ε = 0.8 (which needs 3.564) would void the
+// trigger analysis on that edge.
 func TestRedeclaredLinkRederivesConstants(t *testing.T) {
 	narrow := testLink()
 	wide := narrow
 	wide.Eps = 0.8
-	for _, ref := range []bool{false, true} {
-		rt, err := runner.New(runner.Config{N: 2, Tick: 0.02, BeaconInterval: 0.25, Seed: 7, ReferenceLayout: ref})
-		if err != nil {
-			t.Fatal(err)
+	rt, err := runner.New(runner.Config{N: 2, Tick: 0.02, BeaconInterval: 0.25, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Dyn.DeclareLink(0, 1, narrow); err != nil {
+		t.Fatal(err)
+	}
+	algo := MustNew(testParams())
+	rt.SetEstimator(estimate.NewOracle(rt.Dyn, algo.Logical, nil))
+	rt.Attach(algo)
+	if err := rt.Dyn.AppearInstant(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(1)
+	kf := algo.Params().KappaFactor
+	if got, want := algo.EdgeKappa(0, 1), analysis.Kappa(narrow.Eps, narrow.Tau, tMu, kf); got != want {
+		t.Fatalf("κ = %v before the re-declare, want %v", got, want)
+	}
+	if err := rt.Dyn.Disappear(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(2)
+	if err := rt.Dyn.DeclareLink(0, 1, wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Dyn.Appear(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(3)
+	if got := rt.Est.Eps(0, 1); got != wide.Eps {
+		t.Fatalf("estimate layer reports ε = %v, want %v", got, wide.Eps)
+	}
+	want := analysis.Kappa(wide.Eps, wide.Tau, tMu, kf)
+	for _, e := range [][2]int{{0, 1}, {1, 0}} {
+		if got := algo.EdgeKappa(e[0], e[1]); got != want {
+			t.Errorf("κ(%d,%d) = %v after re-declaring ε = %v, want %v", e[0], e[1], got, wide.Eps, want)
 		}
-		if err := rt.Dyn.DeclareLink(0, 1, narrow); err != nil {
-			t.Fatal(err)
-		}
-		algo := MustNew(testParams())
-		algo.SetReferenceLayout(ref)
-		rt.SetEstimator(estimate.NewOracle(rt.Dyn, algo.Logical, nil))
-		rt.Attach(algo)
-		if err := rt.Dyn.AppearInstant(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Start(); err != nil {
-			t.Fatal(err)
-		}
-		rt.Run(1)
-		kf := algo.Params().KappaFactor
-		if got, want := algo.EdgeKappa(0, 1), analysis.Kappa(narrow.Eps, narrow.Tau, tMu, kf); got != want {
-			t.Fatalf("ref=%v: κ = %v before the re-declare, want %v", ref, got, want)
-		}
-		if err := rt.Dyn.Disappear(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		rt.Run(2)
-		if err := rt.Dyn.DeclareLink(0, 1, wide); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Dyn.Appear(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		rt.Run(3)
-		if got := rt.Est.Eps(0, 1); got != wide.Eps {
-			t.Fatalf("ref=%v: estimate layer reports ε = %v, want %v", ref, got, wide.Eps)
-		}
-		want := analysis.Kappa(wide.Eps, wide.Tau, tMu, kf)
-		for _, e := range [][2]int{{0, 1}, {1, 0}} {
-			if got := algo.EdgeKappa(e[0], e[1]); got != want {
-				t.Errorf("ref=%v: κ(%d,%d) = %v after re-declaring ε = %v, want %v", ref, e[0], e[1], got, wide.Eps, want)
-			}
-			if rec, _ := algo.recView(e[0], e[1]); rec.eps != wide.Eps {
-				t.Errorf("ref=%v: record (%d,%d) keeps ε = %v", ref, e[0], e[1], rec.eps)
-			}
+		if rec, _ := algo.recView(e[0], e[1]); rec.eps != wide.Eps {
+			t.Errorf("record (%d,%d) keeps ε = %v", e[0], e[1], rec.eps)
 		}
 	}
 }

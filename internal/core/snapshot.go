@@ -43,19 +43,10 @@ type NeighborLevel struct {
 // buffer it is allocation-free (pinned by BenchmarkNeighborLevels); callers
 // that sample levels every tick must use this instead of NeighborLevels.
 func (a *Algorithm) AppendNeighborLevels(u int, dst []NeighborLevel) []NeighborLevel {
-	if a.refLayout {
-		for _, peer := range a.peers[u] {
-			rec := a.edges[u][peer]
-			if rec.up {
-				dst = append(dst, NeighborLevel{Peer: peer, Level: a.level(u, rec)})
-			}
-		}
-		return dst
-	}
 	peers, dirs := a.rt.Dyn.Row(u)
 	for i, dir := range dirs {
 		if a.recFlags[dir]&recUp != 0 {
-			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.levelSlot(u, dir)})
+			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.level(u, dir)})
 		}
 	}
 	return dst

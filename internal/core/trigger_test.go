@@ -93,7 +93,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 	}
 	all := append(append([]topo.EdgeID(nil), core...), extra...)
 	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)})
-	h.algo.SetReferenceTriggers(reference)
+	h.algo.refTriggers = reference
 	h.algo.OverrideDeltaFraction(0.1 + rng.Float64()*0.8)
 	for u := 0; u < n; u++ {
 		h.algo.SetLogical(u, rng.Float64()*p.GTilde)

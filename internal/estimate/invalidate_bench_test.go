@@ -25,9 +25,8 @@ func BenchmarkMessagingInvalidate(b *testing.B) {
 			})
 			// Ring samples: every node holds beacons from both neighbors, so
 			// the invalidated node's row has the degree the scale tiers see.
-			// Links must be declared first — the flat layout registers its
-			// sample slots at declare time and drops beacons on undeclared
-			// edges.
+			// Links must be declared first — Messaging registers its sample
+			// slots at declare time and drops beacons on undeclared edges.
 			for u := 0; u < n; u++ {
 				if err := dyn.DeclareLink(u, (u+1)%n, topo.DefaultLinkParams()); err != nil {
 					b.Fatalf("declare: %v", err)

@@ -13,90 +13,147 @@ import (
 	"repro/internal/transport"
 )
 
-// TestMessagingLayoutDifferential drives a reference-layout and a flat-layout
-// Messaging instance through the same randomized beacon/invalidate/churn
-// script over one shared topology, and demands bit-identical Estimate, Eps
-// and Misses observables after every operation. This pins the sample slabs
-// (keyed by the topology's directed index) to the map-backed store the same
-// way the topo and core layers are pinned. Undeclares free slots that later
-// declares of other pairs reuse, so a stale sample surviving a reused index
-// would show up as a divergence.
+// beaconOracle serves the Messaging observables from one LocalBeacons per
+// receiver: the node-local store of the live mode, which keeps its samples
+// in its own sorted per-node slices and shares only the estimate math with
+// Messaging. The oracle adds what Messaging takes from the topology — a
+// query needs a link the querying node sees, a newly declared link starts
+// without samples, Eps is +Inf on an undeclared pair — and counts a miss
+// wherever Messaging must.
+type beaconOracle struct {
+	dyn    *topo.Dynamic
+	hw     func(int) float64
+	local  []*LocalBeacons
+	misses uint64
+}
+
+func newBeaconOracle(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig, link topo.LinkParams) *beaconOracle {
+	o := &beaconOracle{dyn: dyn, hw: hw, local: make([]*LocalBeacons, n)}
+	for u := range o.local {
+		o.local[u] = NewLocalBeacons(cfg, link)
+	}
+	return o
+}
+
+// declare declares {u,v} on the shared topology, dropping both directions'
+// samples when the link is new.
+func (o *beaconOracle) declare(u, v int, p topo.LinkParams) error {
+	_, had := o.dyn.Params(u, v)
+	err := o.dyn.DeclareLink(u, v, p)
+	if err == nil && !had {
+		o.local[u].Invalidate(v)
+		o.local[v].Invalidate(u)
+	}
+	return err
+}
+
+func (o *beaconOracle) estimate(u, v int) (float64, bool) {
+	if !o.dyn.Sees(u, v) {
+		return 0, false
+	}
+	e, ok := o.local[u].Estimate(v, o.hw(u))
+	if !ok {
+		o.misses++
+	}
+	return e, ok
+}
+
+func (o *beaconOracle) eps(u, v int) float64 {
+	if _, ok := o.dyn.Params(u, v); !ok {
+		return math.Inf(1)
+	}
+	return o.local[u].Eps()
+}
+
+// TestMessagingLayoutDifferential drives Messaging and the LocalBeacons
+// oracle through the same randomized beacon/invalidate/churn script over
+// one shared topology, and demands bit-identical Estimate, Eps and Misses
+// observables after every operation. This pins the sample slabs (keyed by
+// the topology's directed index) to a store keyed by peer id. Undeclares
+// free slots that later declares of other pairs reuse, so a stale sample
+// surviving a reused index would show up as a divergence. The script runs
+// over 12 nodes and again over 4, where random pairs repeat often enough
+// that invalidations and re-declares hit live samples.
 func TestMessagingLayoutDifferential(t *testing.T) {
-	const n = 12
-	for seed := int64(0); seed < 8; seed++ {
-		eng := sim.NewEngine()
-		dyn := topo.NewDynamic(n, eng, sim.NewRNG(seed))
-		hw := func(u int) float64 { return float64(eng.Now()) * (1 + 1e-4*float64(u)) }
-		cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
-		refCfg := cfg
-		refCfg.ReferenceLayout = true
-		ref := NewMessaging(n, dyn, hw, refCfg)
-		soa := NewMessaging(n, dyn, hw, cfg)
-
-		rng := sim.NewRNG(seed ^ 0x11e57)
-		check := func(step int) {
-			t.Helper()
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					if u == v {
-						continue
-					}
-					re, rok := ref.Estimate(u, v)
-					se, sok := soa.Estimate(u, v)
-					if re != se || rok != sok {
-						t.Fatalf("seed %d step %d: Estimate(%d,%d) ref (%v,%v) soa (%v,%v)",
-							seed, step, u, v, re, rok, se, sok)
-					}
-					if rEps, sEps := ref.Eps(u, v), soa.Eps(u, v); rEps != sEps {
-						t.Fatalf("seed %d step %d: Eps(%d,%d) ref %v soa %v",
-							seed, step, u, v, rEps, sEps)
-					}
-				}
-			}
-			if ref.Misses != soa.Misses {
-				t.Fatalf("seed %d step %d: Misses ref %d soa %d", seed, step, ref.Misses, soa.Misses)
-			}
+	for _, n := range []int{12, 4} {
+		for seed := int64(0); seed < 8; seed++ {
+			runMessagingScript(t, n, seed)
 		}
+	}
+}
 
-		pair := func() (int, int) {
-			u := rng.Intn(n)
-			v := rng.Intn(n - 1)
-			if v >= u {
-				v++
-			}
-			return u, v
-		}
-		for step := 0; step < 300; step++ {
-			u, v := pair()
-			switch rng.Intn(7) {
-			case 0:
-				_ = dyn.DeclareLink(u, v, linkParams())
-			case 1:
-				_ = dyn.AppearInstant(u, v)
-			case 2:
-				_ = dyn.Disappear(u, v)
-			case 3:
-				// Only declared links: the runner never delivers a beacon
-				// elsewhere, and the layouts differ on purpose for orphan
-				// records (reference keeps an unobservable map entry, flat
-				// drops it).
-				if _, declared := dyn.Params(u, v); !declared {
+// runMessagingScript runs one 300-step script of
+// TestMessagingLayoutDifferential over n nodes.
+func runMessagingScript(t *testing.T, n int, seed int64) {
+	t.Helper()
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(n, eng, sim.NewRNG(seed))
+	hw := func(u int) float64 { return float64(eng.Now()) * (1 + 1e-4*float64(u)) }
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
+	oracle := newBeaconOracle(n, dyn, hw, cfg, linkParams())
+	soa := NewMessaging(n, dyn, hw, cfg)
+
+	rng := sim.NewRNG(seed ^ 0x11e57)
+	check := func(step int) {
+		t.Helper()
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v {
 					continue
 				}
-				b := transport.Beacon{L: rng.Uniform(0, 50)}
-				d := transport.Delivery{MinTransit: rng.Uniform(0, 0.1)}
-				ref.RecordBeacon(u, v, b, d)
-				soa.RecordBeacon(u, v, b, d)
-			case 4:
-				ref.Invalidate(u, v)
-				soa.Invalidate(u, v)
-			case 5:
-				eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0, 0.2)))
-			case 6:
-				_ = dyn.Undeclare(u, v) // fails while visible, like the runner's callers
+				re, rok := oracle.estimate(u, v)
+				se, sok := soa.Estimate(u, v)
+				if math.Float64bits(re) != math.Float64bits(se) || rok != sok {
+					t.Fatalf("n=%d seed %d step %d: Estimate(%d,%d) oracle (%v,%v) messaging (%v,%v)",
+						n, seed, step, u, v, re, rok, se, sok)
+				}
+				if rEps, sEps := oracle.eps(u, v), soa.Eps(u, v); math.Float64bits(rEps) != math.Float64bits(sEps) {
+					t.Fatalf("n=%d seed %d step %d: Eps(%d,%d) oracle %v messaging %v",
+						n, seed, step, u, v, rEps, sEps)
+				}
 			}
-			check(step)
 		}
+		if oracle.misses != soa.Misses {
+			t.Fatalf("n=%d seed %d step %d: Misses oracle %d messaging %d", n, seed, step, oracle.misses, soa.Misses)
+		}
+	}
+
+	pair := func() (int, int) {
+		u := rng.Intn(n)
+		v := rng.Intn(n - 1)
+		if v >= u {
+			v++
+		}
+		return u, v
+	}
+	for step := 0; step < 300; step++ {
+		u, v := pair()
+		switch rng.Intn(7) {
+		case 0:
+			_ = oracle.declare(u, v, linkParams())
+		case 1:
+			_ = dyn.AppearInstant(u, v)
+		case 2:
+			_ = dyn.Disappear(u, v)
+		case 3:
+			// Only declared links: the runner never delivers a beacon
+			// elsewhere, and Messaging drops such a beacon on purpose.
+			if _, declared := dyn.Params(u, v); !declared {
+				continue
+			}
+			b := transport.Beacon{L: rng.Uniform(0, 50)}
+			d := transport.Delivery{MinTransit: rng.Uniform(0, 0.1)}
+			oracle.local[u].Record(v, b.L, hw(u), d.MinTransit)
+			soa.RecordBeacon(u, v, b, d)
+		case 4:
+			oracle.local[u].Invalidate(v)
+			soa.Invalidate(u, v)
+		case 5:
+			eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0, 0.2)))
+		case 6:
+			_ = dyn.Undeclare(u, v) // fails while visible, like the runner's callers
+		}
+		check(step)
 	}
 }
 
@@ -133,79 +190,43 @@ func rbsObserve(h hash.Hash, r *RBS, n int) {
 	}
 }
 
-// TestRBSLayoutDifferential runs a reference-layout and a flat-layout RBS
-// instance side by side on one engine, with overlapping listener groups (so
-// the CSR dedup path is exercised), identical per-instance RNG seeds, and a
-// randomized invalidation stream. Estimates, Eps, and CoListeners must agree
-// exactly over the whole run, and the stream of them (plus each seed's
-// Broadcasts) must hash to rbsGolden.
+// TestRBSLayoutDifferential runs RBS on one engine with overlapping
+// listener groups (so the CSR dedup path is exercised) and a randomized
+// invalidation stream, and hashes every step's CoListeners, Estimate and
+// Eps observables plus each seed's Broadcasts. The hash must equal
+// rbsGolden, which the flat slabs and the retired map-backed store both
+// produced.
 func TestRBSLayoutDifferential(t *testing.T) {
 	const n = 10
 	groups := [][]int{{0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8}, {7, 8, 9, 0}}
-	refSum, soaSum := sha256.New(), sha256.New()
+	sum := sha256.New()
 	for seed := int64(0); seed < 4; seed++ {
 		eng := sim.NewEngine()
 		hw := func(u int) float64 { return float64(eng.Now()) * (1 + 2e-4*float64(u)) }
 		logical := func(u int) float64 { return float64(eng.Now()) * (1 + 1e-4*float64(u)) }
 		cfg := RBSConfig{Rho: 0.002, Mu: 0.1, Jitter: 0.01, Interval: 0.5, ExchangeDelay: 0.05, TickSlop: 0.02}
-		refCfg := cfg
-		refCfg.ReferenceLayout = true
-		// Separate-but-identically-seeded RNGs: each instance draws the same
-		// jitter sequence for its own broadcasts.
-		ref, err := NewRBS(n, eng, nil, sim.NewRNG(seed), hw, logical, groups, refCfg)
+		r, err := NewRBS(n, eng, nil, sim.NewRNG(seed), hw, logical, groups, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		soa, err := NewRBS(n, eng, nil, sim.NewRNG(seed), hw, logical, groups, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Start()
-		soa.Start()
+		r.Start()
 
 		rng := sim.NewRNG(seed ^ 0x7b5)
 		for step := 0; step < 40; step++ {
 			eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0.05, 0.4)))
 			if rng.Bool(0.3) {
-				u, v := rng.Intn(n), rng.Intn(n)
-				ref.Invalidate(u, v)
-				soa.Invalidate(u, v)
+				r.Invalidate(rng.Intn(n), rng.Intn(n))
 			}
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					if u == v {
-						continue
-					}
-					if rc, sc := ref.CoListeners(u, v), soa.CoListeners(u, v); rc != sc {
-						t.Fatalf("seed %d step %d: CoListeners(%d,%d) ref %v soa %v", seed, step, u, v, rc, sc)
-					}
-					re, rok := ref.Estimate(u, v)
-					se, sok := soa.Estimate(u, v)
-					if re != se || rok != sok {
-						t.Fatalf("seed %d step %d: Estimate(%d,%d) ref (%v,%v) soa (%v,%v)",
-							seed, step, u, v, re, rok, se, sok)
-					}
-					if rEps, sEps := ref.Eps(u, v), soa.Eps(u, v); rEps != sEps {
-						t.Fatalf("seed %d step %d: Eps(%d,%d) ref %v soa %v", seed, step, u, v, rEps, sEps)
-					}
-				}
-			}
-			rbsObserve(refSum, ref, n)
-			rbsObserve(soaSum, soa, n)
+			rbsObserve(sum, r, n)
 		}
-		if ref.Broadcasts != soa.Broadcasts || ref.Broadcasts == 0 {
-			t.Fatalf("seed %d: Broadcasts ref %d soa %d", seed, ref.Broadcasts, soa.Broadcasts)
+		if r.Broadcasts == 0 {
+			t.Fatalf("seed %d: no broadcasts", seed)
 		}
-		for _, h := range []hash.Hash{refSum, soaSum} {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], ref.Broadcasts)
-			h.Write(b[:])
-		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], r.Broadcasts)
+		sum.Write(b[:])
 	}
-	t.Logf("observable stream sha256 %x", refSum.Sum(nil))
-	for name, h := range map[string]hash.Hash{"reference": refSum, "flat": soaSum} {
-		if got := hex.EncodeToString(h.Sum(nil)); got != rbsGolden {
-			t.Errorf("%s layout stream sha256 %s, want %s", name, got, rbsGolden)
-		}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != rbsGolden {
+		t.Errorf("observable stream sha256 %s, want %s", got, rbsGolden)
 	}
 }

@@ -25,18 +25,6 @@ type MessagingConfig struct {
 	// Centered shifts estimates up by half the one-sided error bound so the
 	// certified error becomes symmetric and half as large.
 	Centered bool
-	// ReferenceLayout selects the map-backed sample store instead of the
-	// default flat sample slabs. Kept for differential pinning
-	// (TestMessagingLayoutDifferential); see DESIGN.md §Structure-of-arrays.
-	ReferenceLayout bool
-}
-
-// sample is the last beacon received on a directed edge.
-type sample struct {
-	lSent      float64
-	hwAtRecv   float64
-	minTransit float64
-	valid      bool
 }
 
 // Messaging is the protocol-based estimate layer. The receiver of a beacon
@@ -50,14 +38,12 @@ type Messaging struct {
 	dyn *topo.Dynamic
 	cfg MessagingConfig
 	hw  func(int) float64
-	// samples[u] maps peer → latest sample (reference layout only).
-	samples []map[int]*sample
-	// Flat layout (default): parallel sample slabs indexed by the topology's
-	// directed index of (receiver, sender) (topo.Dynamic.Dir). They are
-	// sized when links are declared (declares are serial engine/scenario
-	// operations), so RecordBeacon — which runs concurrently for distinct
-	// receivers under the sharded event drain — only writes the receiver's
-	// own entries.
+	// The latest beacon sample of each directed edge, in parallel slabs
+	// indexed by the topology's directed index of (receiver, sender)
+	// (topo.Dynamic.Dir). They are sized when links are declared (declares
+	// are serial engine/scenario operations), so RecordBeacon — which runs
+	// concurrently for distinct receivers under the sharded event drain —
+	// only writes the receiver's own entries.
 	smLSent, smHwAtRecv, smTransit []float64
 	smValid                        []uint8
 	// Misses counts estimate queries that found no certified sample. It is
@@ -68,18 +54,11 @@ type Messaging struct {
 }
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
-// hardware clock. In the default flat layout the sample slabs cover every
-// link already declared on dyn; a declare hook grows them for later links.
+// hardware clock. The sample slabs cover every link already declared on
+// dyn; a declare hook grows them for later links.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw}
-	if cfg.ReferenceLayout {
-		m.samples = make([]map[int]*sample, n)
-		for i := range m.samples {
-			m.samples[i] = make(map[int]*sample)
-		}
-	} else {
-		m.grow()
-	}
+	m.grow()
 	dyn.OnDeclare(m.onDeclare)
 	return m
 }
@@ -97,11 +76,6 @@ func (m *Messaging) grow() {
 // direction. The link may reuse a slot Undeclare freed, or revive an
 // undeclared pair; either way a sample recorded before is stale.
 func (m *Messaging) onDeclare(a, b int) {
-	if m.samples != nil {
-		delete(m.samples[a], b)
-		delete(m.samples[b], a)
-		return
-	}
 	m.grow()
 	dir, _ := m.dyn.Dir(a, b)
 	m.smValid[dir] = 0
@@ -111,24 +85,11 @@ func (m *Messaging) onDeclare(a, b int) {
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
 // beacon delivery.
 func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
-	if m.samples != nil {
-		sm, ok := m.samples[to][from]
-		if !ok {
-			sm = &sample{}
-			m.samples[to][from] = sm
-		}
-		sm.lSent = b.L
-		sm.hwAtRecv = m.hw(to)
-		sm.minTransit = d.MinTransit
-		sm.valid = true
-		return
-	}
 	dir, ok := m.dyn.Dir(to, from)
 	if !ok {
-		// A beacon on an undeclared link is unobservable (Estimate requires
-		// a declared link, and a later declare starts without a sample), so
-		// dropping it here is behaviorally identical to the reference map's
-		// orphan entry — and keeps this concurrent path free of structural
+		// A beacon on an undeclared link is unobservable: Estimate requires
+		// a declared link, and a later declare starts without a sample.
+		// Dropping it keeps this concurrent path free of structural
 		// mutation.
 		return
 	}
@@ -145,12 +106,6 @@ func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.D
 // one short sorted scan per lost directed edge;
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
 func (m *Messaging) Invalidate(u, v int) {
-	if m.samples != nil {
-		if sm, ok := m.samples[u][v]; ok {
-			sm.valid = false
-		}
-		return
-	}
 	if dir, ok := m.dyn.Dir(u, v); ok {
 		m.smValid[dir] = 0
 	}
@@ -188,31 +143,20 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 }
 
 // EstimateAt implements Layer: slab loads at dir, with no lookup.
-func (m *Messaging) EstimateAt(u, v int, dir int32) (float64, bool) {
-	var lSent, hwAtRecv, minTransit float64
-	if m.samples != nil {
-		sm, ok := m.samples[u][v]
-		if !ok || !sm.valid {
-			atomic.AddUint64(&m.Misses, 1)
-			return 0, false
-		}
-		lSent, hwAtRecv, minTransit = sm.lSent, sm.hwAtRecv, sm.minTransit
-	} else {
-		if m.smValid[dir] == 0 {
-			atomic.AddUint64(&m.Misses, 1)
-			return 0, false
-		}
-		lSent, hwAtRecv, minTransit = m.smLSent[dir], m.smHwAtRecv[dir], m.smTransit[dir]
+func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
+	if m.smValid[dir] == 0 {
+		atomic.AddUint64(&m.Misses, 1)
+		return 0, false
 	}
 	p := m.dyn.ParamsAt(dir)
-	ageHW := m.hw(u) - hwAtRecv
+	ageHW := m.hw(u) - m.smHwAtRecv[dir]
 	if ageHW < 0 || ageHW > maxSampleAgeHW(m.cfg, p) {
 		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}
 	// The transit credit inside advanceSample covers only fully elapsed
 	// integration ticks (clocks advance in steps); TickSlop compensates.
-	est := advanceSample(m.cfg, lSent, minTransit, ageHW)
+	est := advanceSample(m.cfg, m.smLSent[dir], m.smTransit[dir], ageHW)
 	if m.cfg.Centered {
 		est += oneSidedBound(m.cfg, p) / 2
 	}

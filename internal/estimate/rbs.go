@@ -28,10 +28,6 @@ type RBSConfig struct {
 	ExchangeDelay float64
 	// TickSlop absorbs discrete integration (≈ 2 ticks).
 	TickSlop float64
-	// ReferenceLayout selects the map-backed co-listener/sample store
-	// instead of the default flat CSR slabs (differential pinning; see
-	// DESIGN.md §Structure-of-arrays).
-	ReferenceLayout bool
 }
 
 func (c RBSConfig) validate() error {
@@ -44,15 +40,6 @@ func (c RBSConfig) validate() error {
 		return fmt.Errorf("estimate: RBS exchange delay must be non-negative, got %v", c.ExchangeDelay)
 	}
 	return nil
-}
-
-// rbsSample is u's view of v's clock, anchored at a common broadcast event:
-// v's logical clock at v's reception, and u's hardware clock at u's own
-// reception of the same event.
-type rbsSample struct {
-	lAtEvent     float64
-	hwAtOwnEvent float64
-	valid        bool
 }
 
 // RBS is the reference-broadcast estimate layer. Reference sources emit
@@ -69,14 +56,12 @@ type RBS struct {
 	logical func(int) float64
 	// groups[s] is the listener set of reference source s.
 	groups [][]int
-	// Reference layout: coListener[u][v] marks pairs sharing at least one
-	// source; samples[u][v] is the latest anchored sample u holds about v.
-	coListener []map[int]bool
-	samples    []map[int]*rbsSample
-	// Flat layout (default): rows[u] maps co-listener → slot into the
-	// parallel sample slabs. The co-listener relation is static, so rows
-	// are fully built at construction; broadcast exchanges and
-	// invalidations only write slots.
+	// rows[u] maps co-listener v → slot into the parallel sample slabs,
+	// which hold u's view of v's clock anchored at their latest common
+	// broadcast: v's logical clock at v's reception (rbLAtEvent) and u's
+	// hardware clock at u's own reception (rbHwAtOwn). The co-listener
+	// relation is static, so rows are fully built at construction;
+	// broadcast exchanges and invalidations only write slots.
 	rows                  *csr.Rows
 	rbLAtEvent, rbHwAtOwn []float64
 	rbValid               []uint8
@@ -102,16 +87,7 @@ func NewRBS(n int, engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG,
 		hw:      hw,
 		logical: logical,
 		groups:  groups,
-	}
-	if cfg.ReferenceLayout {
-		r.coListener = make([]map[int]bool, n)
-		r.samples = make([]map[int]*rbsSample, n)
-		for i := 0; i < n; i++ {
-			r.coListener[i] = make(map[int]bool)
-			r.samples[i] = make(map[int]*rbsSample)
-		}
-	} else {
-		r.rows = csr.NewRows(n)
+		rows:    csr.NewRows(n),
 	}
 	for _, g := range groups {
 		for _, u := range g {
@@ -120,10 +96,6 @@ func NewRBS(n int, engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG,
 			}
 			for _, v := range g {
 				if u == v {
-					continue
-				}
-				if cfg.ReferenceLayout {
-					r.coListener[u][v] = true
 					continue
 				}
 				// Overlapping groups revisit pairs; keep the first slot.
@@ -191,17 +163,6 @@ func (r *RBS) broadcast(s int) {
 				if to == nil || to.node == from.node {
 					continue
 				}
-				if r.samples != nil {
-					sm, ok := r.samples[to.node][from.node]
-					if !ok {
-						sm = &rbsSample{}
-						r.samples[to.node][from.node] = sm
-					}
-					sm.lAtEvent = from.lAtRecv
-					sm.hwAtOwnEvent = to.hwAtRecv
-					sm.valid = true
-					continue
-				}
 				// Co-listeners always have a pre-built slot.
 				slot, _ := r.rows.Find(to.node, int32(from.node))
 				r.rbLAtEvent[slot] = from.lAtRecv
@@ -233,32 +194,19 @@ func (r *RBS) Estimate(u, v int) (float64, bool) {
 // not topology links, so its samples stay keyed by its own rows and the
 // directed index goes unused.
 func (r *RBS) EstimateAt(u, v int, _ int32) (float64, bool) {
-	var lAtEvent, hwAtOwnEvent float64
-	if r.samples != nil {
-		if !r.coListener[u][v] {
-			return 0, false
-		}
-		sm, ok := r.samples[u][v]
-		if !ok || !sm.valid {
-			return 0, false
-		}
-		lAtEvent, hwAtOwnEvent = sm.lAtEvent, sm.hwAtOwnEvent
-	} else {
-		// One row probe yields both the co-listener test and the sample.
-		slot, ok := r.rows.Find(u, int32(v))
-		if !ok || r.rbValid[slot] == 0 {
-			return 0, false
-		}
-		lAtEvent, hwAtOwnEvent = r.rbLAtEvent[slot], r.rbHwAtOwn[slot]
+	// One row probe yields both the co-listener test and the sample.
+	slot, ok := r.rows.Find(u, int32(v))
+	if !ok || r.rbValid[slot] == 0 {
+		return 0, false
 	}
 	rho := r.cfg.Rho
-	ageHW := r.hw(u) - hwAtOwnEvent
+	ageHW := r.hw(u) - r.rbHwAtOwn[slot]
 	if ageHW < 0 || ageHW > r.maxSampleAgeHW() {
 		return 0, false
 	}
 	// v may have heard the broadcast up to Jitter later than u; subtracting
 	// (1−ρ)(J+slop) keeps the estimate a lower bound on L_v(now).
-	return lAtEvent + (1-rho)/(1+rho)*ageHW - (1-rho)*(r.cfg.Jitter+r.cfg.TickSlop), true
+	return r.rbLAtEvent[slot] + (1-rho)/(1+rho)*ageHW - (1-rho)*(r.cfg.Jitter+r.cfg.TickSlop), true
 }
 
 // Eps implements Layer: jitter cost both ways plus the staleness window at
@@ -275,12 +223,6 @@ func (r *RBS) Eps(u, v int) float64 {
 
 // Invalidate drops u's sample about v (edge loss).
 func (r *RBS) Invalidate(u, v int) {
-	if r.samples != nil {
-		if sm, ok := r.samples[u][v]; ok {
-			sm.valid = false
-		}
-		return
-	}
 	if slot, ok := r.rows.Find(u, int32(v)); ok {
 		r.rbValid[slot] = 0
 	}
@@ -293,9 +235,6 @@ func (r *RBS) ConcurrentQueries() bool { return true }
 
 // CoListeners reports whether u and v share a reference source.
 func (r *RBS) CoListeners(u, v int) bool {
-	if r.coListener != nil {
-		return r.coListener[u][v]
-	}
 	_, ok := r.rows.Find(u, int32(v))
 	return ok
 }

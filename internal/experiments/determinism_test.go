@@ -170,11 +170,10 @@ var scaleTierGolden = map[string]string{
 }
 
 // TestScaleTierDeterministicAcrossLayout is the same net for the
-// structure-of-arrays storage: the scale-tier reports must be byte-identical
-// whether the networks run on the default CSR/slab layout or on the retired
-// map-backed reference layout, and must hash to the tier's golden constant.
-// A divergent trigger decision, estimate query order, or counter would
-// surface as a diff in the rendered tables.
+// structure-of-arrays storage: the scale-tier reports must hash to the
+// golden constants that both the slab layout and the retired map-backed
+// reference layout produced. A divergent trigger decision, estimate query
+// order, or counter would surface as a different hash.
 func TestScaleTierDeterministicAcrossLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tier replays take a few seconds")
@@ -187,20 +186,10 @@ func TestScaleTierDeterministicAcrossLayout(t *testing.T) {
 		entry := entry
 		t.Run(entry.ID, func(t *testing.T) {
 			t.Parallel()
-			spec := Spec{Quick: true, Seed: 1, Seeds: 2, Parallelism: 2}
-
-			spec.ReferenceLayout = true
-			ref := RunReplicated(entry.Run, spec).String()
-			sum := sha256.Sum256([]byte(ref))
-			t.Logf("%s report sha256 %x", entry.ID, sum)
+			report := RunReplicated(entry.Run, Spec{Quick: true, Seed: 1, Seeds: 2, Parallelism: 2}).String()
+			sum := sha256.Sum256([]byte(report))
 			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Errorf("%s: reference layout report sha256 %s, want %s", entry.ID, got, want)
-			}
-
-			spec.ReferenceLayout = false
-			if soa := RunReplicated(entry.Run, spec).String(); soa != ref {
-				t.Errorf("%s: SoA layout output differs from reference layout:\n--- reference ---\n%s\n--- soa ---\n%s",
-					entry.ID, ref, soa)
+				t.Errorf("%s: report sha256 %s, want %s; report:\n%s", entry.ID, got, want, report)
 			}
 		})
 	}

@@ -41,11 +41,6 @@ type Spec struct {
 	// only, never results — the sharded drain is byte-identical for every
 	// shard count.
 	EventParallelism int
-	// ReferenceLayout runs the scale-tier networks (E15, E16) on the
-	// retired map-backed storage instead of the default
-	// structure-of-arrays; results are byte-identical (pinned by the layout
-	// differential tests), only the memory footprint differs.
-	ReferenceLayout bool
 }
 
 // TickShards resolves the effective tick parallelism for the scale tiers.

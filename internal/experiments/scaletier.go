@@ -63,7 +63,6 @@ func runScaleTier(r *Result, spec Spec, tierID int64, tierTitle string, horizon 
 			TickParallelism:  spec.TickShards(),
 			EventParallelism: spec.EventShards(),
 			Seed:             spec.SeedFor(tierID, int64(ci)),
-			ReferenceLayout:  spec.ReferenceLayout,
 		})
 
 		maxGlobal := 0.0

@@ -110,13 +110,6 @@ type Config struct {
 	EventParallelism int
 	// Seed feeds all randomness.
 	Seed int64
-	// ReferenceLayout switches the topology graph (and, through the layers
-	// that consult it, the whole stack) to the retired map-backed storage
-	// instead of the default CSR/slab structure-of-arrays. Results are
-	// byte-identical for both values (pinned by the layout differential
-	// tests); the knob exists only for that pinning and for before/after
-	// memory measurements.
-	ReferenceLayout bool
 }
 
 func (c Config) validate() error {
@@ -197,9 +190,6 @@ func New(cfg Config) (*Runtime, error) {
 	engine.SetEventParallelism(cfg.EventParallelism)
 	rng := sim.NewRNG(cfg.Seed)
 	dyn := topo.NewDynamic(cfg.N, engine, rng.Split())
-	if cfg.ReferenceLayout {
-		dyn.SetReferenceLayout(true)
-	}
 	// The sharded drain windows on the minimum link transit time — the
 	// classic conservative-PDES lookahead: no beacon can cross a link in
 	// less, so events within a window cannot affect each other's shards.

@@ -251,8 +251,9 @@ func (e *Engine) EventShards() int { return e.shards }
 
 // SetReferenceDrain forces the serially merged source drain at any K — the
 // retained reference implementation the differential tests compare the
-// windowed drain against (the same role SetReferenceTriggers plays for the
-// single-pass trigger engine).
+// windowed drain against (the same role the reference trigger loop plays
+// for the single-pass trigger engine). Under it the drain takes the K = 1
+// serial fireSource path, so the reference is that path, not a copy.
 func (e *Engine) SetReferenceDrain(on bool) { e.reference = on }
 
 // SetLookahead installs the conservative window bound: f returns the

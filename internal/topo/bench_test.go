@@ -31,7 +31,7 @@ func BenchmarkNeighbors(b *testing.B) {
 
 // BenchmarkTopoChurn pins the cost of one edge transition cycle
 // (Disappear, drain detections, Appear, drain detections) on a 10⁴-node
-// ring under the slab layout. The first flap of an edge allocates its lazy
+// ring. The first flap of an edge allocates its lazy
 // churnState (two apply closures); the warm-up loop pays that for every
 // chord, so the measured steady state must be 0 allocs/op — a regression
 // here means a per-transition allocation crept into the free-list/CSR path.

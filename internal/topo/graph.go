@@ -79,40 +79,7 @@ type Listener interface {
 	EdgeDown(self, peer int, t sim.Time)
 }
 
-// edge holds the dynamic state of one undirected edge in the reference
-// (map-backed) layout.
-type edge struct {
-	id     EdgeID
-	slot   int32 // stable slot, numbered exactly as the slab layout numbers it
-	params LinkParams
-	// up[i] is the visibility of the directed edge from endpoint i (0 = U,
-	// 1 = V) to the other endpoint; upSince[i] is when it last became
-	// visible.
-	up      [2]bool
-	upSince [2]sim.Time
-	// pending transitions, so a flap cancels outstanding events.
-	pending [2]sim.Handle
-}
-
-func (e *edge) side(u int) int {
-	if u == e.id.U {
-		return 0
-	}
-	return 1
-}
-
-// refGraph is the retained map-of-pointers layout: one heap object per edge
-// plus per-node adjacency maps. It is the executable specification the
-// structure-of-arrays layout is differentially pinned against. Its edges
-// draw slots from the same free list as the slab layout, so directed
-// indices (Dir) agree across layouts; bySlot resolves them.
-type refGraph struct {
-	edges  map[EdgeID]*edge
-	adj    []map[int]*edge
-	bySlot []*edge
-}
-
-// churnState is the transition bookkeeping of one slab edge. It is created
+// churnState is the transition bookkeeping of one edge. It is created
 // lazily on the first scheduled (lagged) transition, so edges that never
 // churn — the overwhelming majority at scale — pay nothing for it, and a
 // steady-state flap cycle reuses the two apply closures without allocating.
@@ -122,7 +89,7 @@ type churnState struct {
 	apply   [2]func(sim.Time)
 }
 
-// Side-visibility bits of the slab layout's eUp bytes: bit side is the
+// Side-visibility bits of the eUp bytes: bit side is the
 // visibility of directed index 2·slot+side.
 const (
 	upU uint8 = 1 << 0 // directed edge (U → sees V)
@@ -131,7 +98,7 @@ const (
 
 // Dynamic is the dynamic estimate graph.
 //
-// The default layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
+// The layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
 // layout): every declared edge owns a stable int32 slot in flat parallel
 // slabs (endpoints, interned parameter class, visibility bits, up-since
 // times), per-node adjacency is a csr.Rows mapping peer → directed index,
@@ -147,8 +114,6 @@ const (
 // Row(u) reads them without any further lookup (SeesAt, ParamsAt). A slot
 // is stable while its link is declared; Undeclare frees it for reuse, and
 // the OnDeclare hooks tell the index-keyed layers to reset it.
-// SetReferenceLayout(true) switches to the retained map-backed layout; the
-// two are pinned byte-identical by differential and fuzz tests.
 type Dynamic struct {
 	n        int
 	engine   *sim.Engine
@@ -175,10 +140,9 @@ type Dynamic struct {
 	// their slabs and reset a reused slot, so beacon ingestion and the
 	// trigger fold stay structurally read-only.
 	onDeclare []func(a, b int)
-	// slots numbers the declared links in both layouts.
+	// slots numbers the declared links.
 	slots csr.FreeList
 
-	// Structure-of-arrays layout (nil ref).
 	idx      map[uint64]int32 // packed canonical EdgeID → slot; control path only
 	adj      *csr.Rows        // (node, peer) → directed index
 	eU, eV   []int32
@@ -188,9 +152,6 @@ type Dynamic struct {
 	classes  []LinkParams // interned parameter classes
 	classIdx map[LinkParams]int32
 	churn    map[int32]*churnState // lazily allocated transition state
-
-	// Reference layout (non-nil when SetReferenceLayout(true)).
-	ref *refGraph
 }
 
 // NewDynamic creates a graph over n nodes with no edges. The listener may be
@@ -221,28 +182,6 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 	}
 	return d
 }
-
-// SetReferenceLayout switches between the structure-of-arrays layout (false,
-// the default) and the retained map-backed layout (true). The differential
-// tests pin the two byte-identical; the switch must be thrown before any
-// link is declared.
-func (d *Dynamic) SetReferenceLayout(ref bool) {
-	if d.slots.Cap() != 0 {
-		panic("topo: SetReferenceLayout after links were declared")
-	}
-	if !ref {
-		d.ref = nil
-		return
-	}
-	adj := make([]map[int]*edge, d.n)
-	for i := range adj {
-		adj[i] = make(map[int]*edge)
-	}
-	d.ref = &refGraph{edges: make(map[EdgeID]*edge), adj: adj}
-}
-
-// ReferenceLayout reports whether the map-backed layout is active.
-func (d *Dynamic) ReferenceLayout() bool { return d.ref != nil }
 
 // MinTransit returns the minimum Delay−Uncertainty over all links ever
 // declared, or +Inf when none exist. Monotone non-increasing over a run, so
@@ -294,12 +233,6 @@ func (d *Dynamic) RecomputeTransit() {
 		}
 		d.pairRatchet(u, v, mt)
 		d.pairRatchet(v, u, mt)
-	}
-	if d.ref != nil {
-		for id, e := range d.ref.edges {
-			visit(id.U, id.V, e.params)
-		}
-		return
 	}
 	for _, slot := range d.idx {
 		visit(int(d.eU[slot]), int(d.eV[slot]), d.classes[d.eClass[slot]])
@@ -357,41 +290,26 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	}
 	d.pairRatchet(a, b, mt)
 	d.pairRatchet(b, a, mt)
-	if d.ref != nil {
-		if ex, ok := d.ref.edges[id]; ok {
-			ex.params = p
-			return nil
-		}
-		e := &edge{id: id, slot: d.slots.Alloc(), params: p}
-		if int(e.slot) == len(d.ref.bySlot) {
-			d.ref.bySlot = append(d.ref.bySlot, nil)
-		}
-		d.ref.bySlot[e.slot] = e
-		d.ref.edges[id] = e
-		d.ref.adj[id.U][id.V] = e
-		d.ref.adj[id.V][id.U] = e
-	} else {
-		if slot, ok := d.idx[id.pack()]; ok {
-			d.eClass[slot] = d.classOf(p)
-			return nil
-		}
-		slot := d.slots.Alloc()
-		if int(slot) == len(d.eU) {
-			d.eU = append(d.eU, 0)
-			d.eV = append(d.eV, 0)
-			d.eClass = append(d.eClass, 0)
-			d.eUp = append(d.eUp, 0)
-			d.eSince = append(d.eSince, [2]sim.Time{})
-		}
-		d.eU[slot] = int32(id.U)
-		d.eV[slot] = int32(id.V)
+	if slot, ok := d.idx[id.pack()]; ok {
 		d.eClass[slot] = d.classOf(p)
-		d.eUp[slot] = 0
-		d.eSince[slot] = [2]sim.Time{}
-		d.adj.Insert(id.U, int32(id.V), 2*slot)
-		d.adj.Insert(id.V, int32(id.U), 2*slot+1)
-		d.idx[id.pack()] = slot
+		return nil
 	}
+	slot := d.slots.Alloc()
+	if int(slot) == len(d.eU) {
+		d.eU = append(d.eU, 0)
+		d.eV = append(d.eV, 0)
+		d.eClass = append(d.eClass, 0)
+		d.eUp = append(d.eUp, 0)
+		d.eSince = append(d.eSince, [2]sim.Time{})
+	}
+	d.eU[slot] = int32(id.U)
+	d.eV[slot] = int32(id.V)
+	d.eClass[slot] = d.classOf(p)
+	d.eUp[slot] = 0
+	d.eSince[slot] = [2]sim.Time{}
+	d.adj.Insert(id.U, int32(id.V), 2*slot)
+	d.adj.Insert(id.V, int32(id.U), 2*slot+1)
+	d.idx[id.pack()] = slot
 	for _, fn := range d.onDeclare {
 		fn(id.U, id.V)
 	}
@@ -401,13 +319,6 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 // declared returns the parameters of a declared link and whether either
 // endpoint currently sees it.
 func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
-	if d.ref != nil {
-		e, ok := d.ref.edges[id]
-		if !ok {
-			return LinkParams{}, false, false
-		}
-		return e.params, e.up[0] || e.up[1], true
-	}
 	slot, ok := d.idx[id.pack()]
 	if !ok {
 		return LinkParams{}, false, false
@@ -422,23 +333,6 @@ func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
 // drain lookahead depend on removal order).
 func (d *Dynamic) Undeclare(a, b int) error {
 	id := MakeEdgeID(a, b)
-	if d.ref != nil {
-		e, ok := d.ref.edges[id]
-		if !ok {
-			return fmt.Errorf("topo: Undeclare of undeclared link {%d,%d}", a, b)
-		}
-		if e.up[0] || e.up[1] {
-			return fmt.Errorf("topo: Undeclare of visible link {%d,%d}", a, b)
-		}
-		d.engine.Cancel(e.pending[0])
-		d.engine.Cancel(e.pending[1])
-		delete(d.ref.edges, id)
-		delete(d.ref.adj[id.U], id.V)
-		delete(d.ref.adj[id.V], id.U)
-		d.ref.bySlot[e.slot] = nil
-		d.slots.Free(e.slot)
-		return nil
-	}
 	slot, ok := d.idx[id.pack()]
 	if !ok {
 		return fmt.Errorf("topo: Undeclare of undeclared link {%d,%d}", a, b)
@@ -460,13 +354,6 @@ func (d *Dynamic) Undeclare(a, b int) error {
 
 // Params returns the link parameters for {a,b}.
 func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.edges[MakeEdgeID(a, b)]
-		if !ok {
-			return LinkParams{}, false
-		}
-		return e.params, true
-	}
 	dir, ok := d.adj.Find(a, int32(b))
 	if !ok {
 		return LinkParams{}, false
@@ -478,13 +365,6 @@ func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
 // side 0 when u < v — the key of every per-directed-edge slab. ok is false
 // when the link is not declared.
 func (d *Dynamic) Dir(u, v int) (dir int32, ok bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return 0, false
-		}
-		return 2*e.slot + int32(e.side(u)), true
-	}
 	return d.adj.Find(u, int32(v))
 }
 
@@ -493,25 +373,18 @@ func (d *Dynamic) Dir(u, v int) (dir int32, ok bool) {
 func (d *Dynamic) DirCap() int { return 2 * d.slots.Cap() }
 
 // Row returns u's declared peers in ascending order and, in parallel, the
-// directed index of each (u, peer): the adjacency walk of the slab layout,
-// with no per-peer lookup. The slices alias internal storage, are only
-// valid until the next declare or undeclare, and are empty on the
-// reference layout.
+// directed index of each (u, peer): the adjacency walk, with no per-peer
+// lookup. The slices alias internal storage and are only valid until the
+// next declare or undeclare.
 func (d *Dynamic) Row(u int) (peers, dirs []int32) { return d.adj.Row(u) }
 
 // SeesAt is Sees for the directed index of a declared link.
 func (d *Dynamic) SeesAt(dir int32) bool {
-	if d.ref != nil {
-		return d.ref.bySlot[dir>>1].up[dir&1]
-	}
 	return d.eUp[dir>>1]&(upU<<(dir&1)) != 0
 }
 
 // ParamsAt is Params for the directed index of a declared link.
 func (d *Dynamic) ParamsAt(dir int32) LinkParams {
-	if d.ref != nil {
-		return d.ref.bySlot[dir>>1].params
-	}
 	return d.classes[d.eClass[dir>>1]]
 }
 
@@ -536,20 +409,6 @@ func (d *Dynamic) Disappear(a, b int) error {
 
 func (d *Dynamic) toggle(a, b int, up, instant bool, op string) error {
 	id := MakeEdgeID(a, b)
-	if d.ref != nil {
-		e, ok := d.ref.edges[id]
-		if !ok {
-			return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
-		}
-		for side := 0; side < 2; side++ {
-			lag := 0.0
-			if !instant {
-				lag = d.detectionLag(e.params.Tau)
-			}
-			d.transitionRef(e, side, up, lag)
-		}
-		return nil
-	}
 	slot, ok := d.idx[id.pack()]
 	if !ok {
 		return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
@@ -572,7 +431,7 @@ func (d *Dynamic) detectionLag(tau float64) float64 {
 	return d.rng.Uniform(0, tau)
 }
 
-// transition schedules the visibility flip of one side of a slab edge after
+// transition schedules the visibility flip of one side of an edge after
 // lag time units. An outstanding pending transition for that side is
 // superseded. The lag-0 path applies inline and touches no churn state, so
 // static initial topologies never allocate it; a lagged transition creates
@@ -603,7 +462,7 @@ func (d *Dynamic) transition(slot int32, side int, up bool, lag float64) {
 	cs.pending[side] = d.engine.After(lag, cs.apply[side])
 }
 
-// apply flips the visibility of one side of a slab edge and notifies the
+// apply flips the visibility of one side of an edge and notifies the
 // listener.
 func (d *Dynamic) apply(slot int32, side int, up bool, t sim.Time) {
 	bit := upU << side
@@ -628,47 +487,9 @@ func (d *Dynamic) apply(slot int32, side int, up bool, t sim.Time) {
 	}
 }
 
-// transitionRef is the reference-layout transition path.
-func (d *Dynamic) transitionRef(e *edge, side int, up bool, lag float64) {
-	d.engine.Cancel(e.pending[side]) // no-op for the zero or stale handle
-	e.pending[side] = 0
-	apply := func(t sim.Time) {
-		e.pending[side] = 0
-		if e.up[side] == up {
-			return
-		}
-		e.up[side] = up
-		self := e.id.U
-		if side == 1 {
-			self = e.id.V
-		}
-		peer := e.id.Other(self)
-		if up {
-			e.upSince[side] = t
-			if d.listener != nil {
-				d.listener.EdgeUp(self, peer, t)
-			}
-		} else if d.listener != nil {
-			d.listener.EdgeDown(self, peer, t)
-		}
-	}
-	if lag <= 0 {
-		apply(d.engine.Now())
-		return
-	}
-	e.pending[side] = d.engine.After(lag, apply)
-}
-
 // Sees reports whether the directed estimate edge (u, v) currently exists,
 // i.e. v ∈ N_u(t) in the paper's notation.
 func (d *Dynamic) Sees(u, v int) bool {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return false
-		}
-		return e.up[e.side(u)]
-	}
 	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return false
@@ -678,13 +499,6 @@ func (d *Dynamic) Sees(u, v int) bool {
 
 // BothUp reports whether {u,v} exists in both directions.
 func (d *Dynamic) BothUp(u, v int) bool {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return false
-		}
-		return e.up[0] && e.up[1]
-	}
 	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return false
@@ -695,17 +509,6 @@ func (d *Dynamic) BothUp(u, v int) bool {
 // UpSince returns the time the directed edge (u,v) last became visible; the
 // second result is false if the edge is currently down for u.
 func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return 0, false
-		}
-		s := e.side(u)
-		if !e.up[s] {
-			return 0, false
-		}
-		return e.upSince[s], true
-	}
 	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return 0, false
@@ -720,14 +523,6 @@ func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
 // AgeBoth returns how long {u,v} has been continuously visible to both
 // endpoints, or false if it is not currently both-up.
 func (d *Dynamic) AgeBoth(u, v int, now sim.Time) (float64, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok || !e.up[0] || !e.up[1] {
-			return 0, false
-		}
-		since := math.Max(e.upSince[0], e.upSince[1])
-		return now - since, true
-	}
 	dir, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return 0, false
@@ -735,7 +530,7 @@ func (d *Dynamic) AgeBoth(u, v int, now sim.Time) (float64, bool) {
 	return d.ageBothSlot(dir>>1, now)
 }
 
-// ageBothSlot is AgeBoth for an already-resolved slab slot.
+// ageBothSlot is AgeBoth for an already-resolved slot.
 func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
 	if d.eUp[slot] != upU|upV {
 		return 0, false
@@ -745,19 +540,9 @@ func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
 
 // Neighbors appends to dst the peers currently visible to u, in ascending
 // id order (deterministic iteration keeps whole simulations reproducible),
-// and returns the slice. In the slab layout the adjacency row is already
-// sorted, so this is one contiguous filtered scan with no sort.
+// and returns the slice. The adjacency row is already sorted, so this is
+// one contiguous filtered scan with no sort.
 func (d *Dynamic) Neighbors(u int, dst []int) []int {
-	if d.ref != nil {
-		start := len(dst)
-		for v, e := range d.ref.adj[u] {
-			if e.up[e.side(u)] {
-				dst = append(dst, v)
-			}
-		}
-		sort.Ints(dst[start:])
-		return dst
-	}
 	peers, dirs := d.adj.Row(u)
 	for i, v := range peers {
 		if dir := dirs[i]; d.eUp[dir>>1]&(upU<<(dir&1)) != 0 {
@@ -772,15 +557,9 @@ func (d *Dynamic) Neighbors(u int, dst []int) []int {
 // apart from the pairs they are free to toggle.
 func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id := range d.ref.edges {
-			dst = append(dst, id)
-		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if d.slots.Live(slot) {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if d.slots.Live(slot) {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -790,17 +569,9 @@ func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 // EdgesBothUp appends to dst all edges visible in both directions, sorted.
 func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id, e := range d.ref.edges {
-			if e.up[0] && e.up[1] {
-				dst = append(dst, id)
-			}
-		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if d.slots.Live(slot) && d.eUp[slot] == upU|upV {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if d.slots.Live(slot) && d.eUp[slot] == upU|upV {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -811,20 +582,12 @@ func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 // sorted.
 func (d *Dynamic) StableEdges(now sim.Time, minAge float64, dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id := range d.ref.edges {
-			if age, ok := d.AgeBoth(id.U, id.V, now); ok && age >= minAge {
-				dst = append(dst, id)
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if !d.slots.Live(slot) {
+			continue
 		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if !d.slots.Live(slot) {
-				continue
-			}
-			if age, ok := d.ageBothSlot(slot, now); ok && age >= minAge {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+		if age, ok := d.ageBothSlot(slot, now); ok && age >= minAge {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -840,21 +603,6 @@ func sortEdges(edges []EdgeID) {
 	})
 }
 
-// eachDeclaredPeer calls fn for every declared peer of u (up or down). The
-// graph-algorithm helpers below use it so they run on either layout.
-func (d *Dynamic) eachDeclaredPeer(u int, fn func(v int)) {
-	if d.ref != nil {
-		for v := range d.ref.adj[u] {
-			fn(v)
-		}
-		return
-	}
-	peers, _ := d.adj.Row(u)
-	for _, v := range peers {
-		fn(int(v))
-	}
-}
-
 // HopDistances runs BFS from src over both-up edges at least minAge old and
 // returns hop counts (-1 for unreachable).
 func (d *Dynamic) HopDistances(src int, now sim.Time, minAge float64) []int {
@@ -867,16 +615,17 @@ func (d *Dynamic) HopDistances(src int, now sim.Time, minAge float64) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		d.eachDeclaredPeer(u, func(v int) {
+		peers, dirs := d.adj.Row(u)
+		for i, v := range peers {
 			if dist[v] >= 0 {
-				return
+				continue
 			}
-			if age, ok := d.AgeBoth(u, v, now); !ok || age < minAge {
-				return
+			if age, ok := d.ageBothSlot(dirs[i]>>1, now); !ok || age < minAge {
+				continue
 			}
 			dist[v] = dist[u] + 1
-			queue = append(queue, v)
-		})
+			queue = append(queue, int(v))
+		}
 	}
 	return dist
 }
@@ -903,16 +652,17 @@ func (d *Dynamic) WeightedDistances(src int, now sim.Time, minAge float64, weigh
 			break
 		}
 		done[u] = true
-		d.eachDeclaredPeer(u, func(v int) {
-			if age, ok := d.AgeBoth(u, v, now); !ok || age < minAge {
-				return
+		peers, dirs := d.adj.Row(u)
+		for i, v := range peers {
+			slot := dirs[i] >> 1
+			if age, ok := d.ageBothSlot(slot, now); !ok || age < minAge {
+				continue
 			}
-			p, _ := d.Params(u, v)
-			w := weight(MakeEdgeID(u, v), p)
+			w := weight(MakeEdgeID(u, int(v)), d.classes[d.eClass[slot]])
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 			}
-		})
+		}
 	}
 	for i := range dist {
 		if dist[i] == inf {

@@ -1,14 +1,13 @@
 package gradsync_test
 
-// This file is the determinism net for the structure-of-arrays storage
-// (runner.Config.ReferenceLayout): the same randomized full runs that pin the
-// sharded tick must produce byte-identical state on the CSR/slab layout and
-// on the retired map-backed layout — and the SoA run must stay identical
-// under the sharded tick and sharded event drain, so the layout change
-// composes with both concurrency fan-outs. Each case's outcome is also
-// pinned as a golden constant, which outlives the reference layout. The
-// 8-shard replays also run under `make race`, putting the SoA read paths in
-// front of the detector.
+// This file pins the full-run outcome of the structure-of-arrays storage:
+// the randomized runs that pin the sharded tick must hash to golden
+// constants taken while the retired map-backed reference layout still
+// existed and asserted on both layouts, so the one remaining layout keeps
+// producing exactly what both did — and must stay identical under the
+// sharded tick and sharded event drain, so the layout composes with both
+// concurrency fan-outs. The 8-shard replays also run under `make race`,
+// putting the slab read paths in front of the detector.
 
 import (
 	"crypto/sha256"
@@ -56,11 +55,11 @@ func (a tickFingerprint) sum() string {
 }
 
 // TestLayoutDifferential replays randomized full runs — topology, scenario,
-// drift adversary, estimate layer, algorithm all drawn per case — once on the
-// reference map layout (serial) and then on the default SoA layout at
+// drift adversary, estimate layer, algorithm all drawn per case — at
 // tick/event shard counts (1,1), (2,2) and (8,8). Clocks, max estimates,
-// event counts and every algorithm counter must match bit-for-bit, and
-// every run must hash to the case's golden constant.
+// event counts and every algorithm counter must match bit-for-bit across
+// the shard counts and hash to the case's golden constant, which both the
+// slab layout and the retired map-backed layout produced.
 func TestLayoutDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
@@ -69,26 +68,25 @@ func TestLayoutDifferential(t *testing.T) {
 		c := randomTickCase(caseSeed)
 		want := layoutGolden[caseSeed]
 		t.Run(c.name, func(t *testing.T) {
-			run := func(ref bool, par int) tickFingerprint {
+			run := func(par int) tickFingerprint {
 				cfg := c.build(par)
 				cfg.EventParallelism = par
-				cfg.ReferenceLayout = ref
 				net := gradsync.MustNew(cfg)
 				net.RunFor(c.horizon)
 				return fingerprint(net)
 			}
-			refFP := run(true, 1)
-			t.Logf("seed %d: %s", caseSeed, refFP.sum())
-			if got := refFP.sum(); got != want {
-				t.Errorf("reference layout fingerprint %s, want %s", got, want)
+			serial := run(1)
+			t.Logf("fingerprint %s", serial.sum())
+			if got := serial.sum(); got != want {
+				t.Errorf("serial run fingerprint %s, want %s", got, want)
 			}
-			for _, par := range []int{1, 2, 8} {
-				fp := run(false, par)
-				if d := refFP.diff(fp); d != "" {
-					t.Fatalf("SoA layout at parallelism %d diverged from reference layout: %s", par, d)
+			for _, par := range []int{2, 8} {
+				fp := run(par)
+				if d := serial.diff(fp); d != "" {
+					t.Fatalf("parallelism %d diverged from the serial run: %s", par, d)
 				}
 				if got := fp.sum(); got != want {
-					t.Errorf("SoA layout at parallelism %d: fingerprint %s, want %s", par, got, want)
+					t.Errorf("parallelism %d: fingerprint %s, want %s", par, got, want)
 				}
 			}
 		})

@@ -9,21 +9,20 @@ import (
 	gradsync "repro"
 )
 
-// measureRingHeap builds a ring network on the requested storage layout,
-// runs it just long enough to populate beacon samples and per-edge algorithm
-// state, and returns the live-heap growth attributable to the network.
-func measureRingHeap(t *testing.T, n int, ref bool) int64 {
+// measureRingHeap builds a ring network, runs it just long enough to
+// populate beacon samples and per-edge algorithm state, and returns the
+// live-heap growth attributable to the network.
+func measureRingHeap(t *testing.T, n int) int64 {
 	t.Helper()
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	net := gradsync.MustNew(gradsync.Config{
-		Topology:        gradsync.RingTopology(n),
-		DiameterHint:    n / 2,
-		Drift:           gradsync.TwoGroupDrift(n / 2),
-		Estimates:       gradsync.MessagingEstimates(false),
-		Seed:            7,
-		ReferenceLayout: ref,
+		Topology:     gradsync.RingTopology(n),
+		DiameterHint: n / 2,
+		Drift:        gradsync.TwoGroupDrift(n / 2),
+		Estimates:    gradsync.MessagingEstimates(false),
+		Seed:         7,
 	})
 	net.RunFor(0.6) // a full beacon round: every sample slot written once
 	runtime.GC()
@@ -34,15 +33,18 @@ func measureRingHeap(t *testing.T, n int, ref bool) int64 {
 	return heap
 }
 
-// TestMemoryFootprintRing is the memory-diet regression gate: on a ring, the
-// default structure-of-arrays layout must hold strictly less live heap than
-// the retired map-backed reference layout. Default N is CI-sized; set
-// GRADSYNC_MEM_N (e.g. 1000000) to reproduce the before/after figures
-// reported in CHANGES.md and EXPERIMENTS.md. Run with -v for the bytes/node
-// breakdown.
+// TestMemoryFootprintRing is the memory-diet regression gate: a messaging
+// ring must hold at most maxBytesPerNode of live heap per node. The
+// structure-of-arrays layout measures ≈380 B/node at the default N; the
+// bound sits between that and the ≈461 B/node the layout held before its
+// records and samples were keyed by topo's directed index, so a return of
+// per-edge maps or a per-record field regrowth fails it. Default N is
+// CI-sized; set GRADSYNC_MEM_N (e.g. 1000000) to reproduce the figures
+// reported in EXPERIMENTS.md (the bound is calibrated at the default N).
+// Run with -v for the bytes/node figure.
 func TestMemoryFootprintRing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("memory measurement builds two full networks")
+		t.Skip("memory measurement builds a full network")
 	}
 	n := 20000
 	if s := os.Getenv("GRADSYNC_MEM_N"); s != "" {
@@ -52,13 +54,12 @@ func TestMemoryFootprintRing(t *testing.T) {
 		}
 		n = v
 	}
-	refHeap := measureRingHeap(t, n, true)
-	soaHeap := measureRingHeap(t, n, false)
-	t.Logf("N=%d ring: reference layout %.1f MiB (%.0f B/node), SoA layout %.1f MiB (%.0f B/node)",
-		n, float64(refHeap)/(1<<20), float64(refHeap)/float64(n),
-		float64(soaHeap)/(1<<20), float64(soaHeap)/float64(n))
-	if soaHeap >= refHeap {
-		t.Errorf("SoA layout holds %d B live heap, reference layout %d B — the memory diet regressed", soaHeap, refHeap)
+	heap := measureRingHeap(t, n)
+	perNode := float64(heap) / float64(n)
+	t.Logf("N=%d ring: %.1f MiB live heap (%.0f B/node)", n, float64(heap)/(1<<20), perNode)
+	const maxBytesPerNode = 440
+	if perNode > maxBytesPerNode {
+		t.Errorf("ring holds %.0f B/node of live heap, bound %d — the memory diet regressed", perNode, maxBytesPerNode)
 	}
 }
 
