@@ -17,8 +17,12 @@ vet:
 # and a machine without it still gets the vet pass instead of a hard error.
 # staticcheck.conf adds ST1000 (package doc comments) to the default checks.
 # mdlint (in-repo, no dependency) verifies every local link in the markdown
-# docs resolves.
+# docs resolves. The gofmt gate fails the target when gofmt would rewrite
+# any Go file in the tree (perfbench/ included).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet -tags large ./...
 	$(GO) run ./cmd/mdlint *.md
 	@if command -v staticcheck >/dev/null 2>&1; then \

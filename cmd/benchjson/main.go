@@ -4,6 +4,10 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH_sweep.json
 //
+// Every `<value> <unit>` column after ns/op — the -benchmem pair, MB/s and
+// any b.ReportMetric unit, in whatever order — lands in the record's
+// metrics map, so a new per-benchmark metric needs no parser change.
+//
 // With -compare it is the trend checker closing that loop: it diffs two
 // record files and exits non-zero when any benchmark regressed beyond the
 // threshold (default 20% ns/op), so CI can flag perf drift across PRs.
@@ -51,25 +55,55 @@ type Record struct {
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
-	// EventsPerSec carries the substrate-throughput metric the scale-tier
-	// benchmarks report via b.ReportMetric (E15 / BenchmarkRuntime10k).
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// EventsPerWindow is the drain-batching metric (mean events per parallel
-	// window) the Runtime benchmarks report; it tracks how far the sharded
-	// event drain's windows have been widened.
-	EventsPerWindow float64 `json:"events_per_window,omitempty"`
-	// QPS is the query-throughput metric the gradsyncd endpoint benchmarks
-	// report (BenchmarkSkewQuery / BenchmarkClockQuery) — the daemon's
-	// query-plane headline.
-	QPS    float64 `json:"qps,omitempty"`
-	BPerOp float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp     int64   `json:"allocs_per_op,omitempty"`
-	// HasMem marks that the B/op and allocs/op columns were present (the
-	// run used -benchmem), so a recorded 0 allocs/op is distinguishable
-	// from memory data simply being absent — required for the allocation
-	// gate in -compare, where 0 → 1 allocs/op on a pinned-alloc-free
-	// benchmark must fail.
-	HasMem bool `json:"has_mem,omitempty"`
+	// Metrics holds every other `<value> <unit>` column of the line, keyed
+	// by unit: the -benchmem pair (B/op, allocs/op), MB/s, and whatever
+	// b.ReportMetric reports (events/sec, events/window, qps, …). A unit is
+	// present exactly when its column was printed, so a measured 0
+	// allocs/op is distinguishable from memory data simply being absent —
+	// required for the allocation gate in -compare, where 0 → 1 allocs/op
+	// on a pinned-alloc-free benchmark must fail.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// legacyColumns are the fixed per-unit fields record files carried before
+// the metrics map. UnmarshalJSON folds them into Metrics, so the committed
+// baseline and archived runs stay comparable.
+type legacyColumns struct {
+	EventsPerSec    float64 `json:"events_per_sec"`
+	EventsPerWindow float64 `json:"events_per_window"`
+	QPS             float64 `json:"qps"`
+	BPerOp          float64 `json:"b_per_op"`
+	AllocsPerOp     float64 `json:"allocs_per_op"`
+	HasMem          bool    `json:"has_mem"`
+}
+
+// UnmarshalJSON reads a record in either layout.
+func (r *Record) UnmarshalJSON(data []byte) error {
+	type plain Record
+	if err := json.Unmarshal(data, (*plain)(r)); err != nil {
+		return err
+	}
+	var old legacyColumns
+	if err := json.Unmarshal(data, &old); err != nil {
+		return err
+	}
+	set := func(unit string, v float64, present bool) {
+		if !present {
+			return
+		}
+		if r.Metrics == nil {
+			r.Metrics = make(map[string]float64)
+		}
+		r.Metrics[unit] = v
+	}
+	// The legacy fields were omitempty, so zero meant "not reported" —
+	// except for the -benchmem pair, which has_mem marked.
+	set("events/sec", old.EventsPerSec, old.EventsPerSec != 0)
+	set("events/window", old.EventsPerWindow, old.EventsPerWindow != 0)
+	set("qps", old.QPS, old.QPS != 0)
+	set("B/op", old.BPerOp, old.HasMem)
+	set("allocs/op", old.AllocsPerOp, old.HasMem)
+	return nil
 }
 
 // MemRecord is one parsed `=== mem <case>: N=<n> live heap <x> MiB (<y>
@@ -90,12 +124,6 @@ type Report struct {
 	Benchmarks []Record    `json:"benchmarks"`
 	Mem        []MemRecord `json:"mem,omitempty"`
 }
-
-// benchLine captures the result columns in the order `go test` prints them:
-// extra ReportMetric columns sort alphabetically by unit, so events/sec <
-// events/window < qps, all before the -benchmem pair.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.e+]+) events/sec)?(?:\s+([\d.e+]+) events/window)?(?:\s+([\d.e+]+) qps)?(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
 
 // memLine matches the shared mem-footer format anywhere in a line (test
 // harnesses may indent or prefix it).
@@ -192,54 +220,54 @@ func parse(r io.Reader) (*Report, error) {
 			}
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
+		rec, ok, err := parseBenchLine(line)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad iteration count in %q: %w", line, err)
-		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
-		}
-		rec := Record{
-			Pkg:        pkg,
-			Name:       procsSuffix.ReplaceAllString(m[1], ""),
-			Iterations: iters,
-			NsPerOp:    ns,
-		}
-		if m[4] != "" {
-			if rec.EventsPerSec, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return nil, fmt.Errorf("bad events/sec in %q: %w", line, err)
-			}
-		}
-		if m[5] != "" {
-			if rec.EventsPerWindow, err = strconv.ParseFloat(m[5], 64); err != nil {
-				return nil, fmt.Errorf("bad events/window in %q: %w", line, err)
-			}
-		}
-		if m[6] != "" {
-			if rec.QPS, err = strconv.ParseFloat(m[6], 64); err != nil {
-				return nil, fmt.Errorf("bad qps in %q: %w", line, err)
-			}
-		}
-		if m[7] != "" {
-			if rec.BPerOp, err = strconv.ParseFloat(m[7], 64); err != nil {
-				return nil, fmt.Errorf("bad B/op in %q: %w", line, err)
-			}
-			if rec.AllocsPerOp, err = strconv.ParseInt(m[8], 10, 64); err != nil {
-				return nil, fmt.Errorf("bad allocs/op in %q: %w", line, err)
-			}
-			rec.HasMem = true
-		}
+		rec.Pkg = pkg
 		report.Benchmarks = append(report.Benchmarks, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return report, nil
+}
+
+// parseBenchLine parses one `go test -bench` result line: the name, the
+// iteration count, ns/op, then any number of `<value> <unit>` columns in
+// whatever order and with whatever units the benchmark reported. ok is
+// false for lines that are not result lines.
+func parseBenchLine(line string) (rec Record, ok bool, err error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+		return Record{}, false, nil
+	}
+	iters, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return Record{}, false, nil
+	}
+	rec = Record{Name: procsSuffix.ReplaceAllString(f[0], ""), Iterations: iters}
+	if rec.NsPerOp, err = strconv.ParseFloat(f[2], 64); err != nil {
+		return Record{}, false, fmt.Errorf("bad ns/op in %q: %w", line, err)
+	}
+	cols := f[4:]
+	if len(cols)%2 != 0 {
+		return Record{}, false, fmt.Errorf("unpaired metric column in %q", line)
+	}
+	for i := 0; i < len(cols); i += 2 {
+		v, err := strconv.ParseFloat(cols[i], 64)
+		if err != nil {
+			return Record{}, false, fmt.Errorf("bad %s in %q: %w", cols[i+1], line, err)
+		}
+		if rec.Metrics == nil {
+			rec.Metrics = make(map[string]float64, len(cols)/2)
+		}
+		rec.Metrics[cols[i+1]] = v
+	}
+	return rec, true, nil
 }
 
 // loadReport reads a record file previously written by this command.
@@ -262,14 +290,9 @@ type benchKey struct{ pkg, name string }
 type deltaRow struct {
 	name         string
 	verdict      string // "ok", "REGRESSED", "new", "removed"
-	oldNs, newNs   float64
-	deltaPct       float64
-	oldEv, newEv   float64 // events/sec where recorded (0 = absent)
-	oldQPS, newQPS float64 // qps where recorded (0 = absent)
-	hasMem       bool    // both records carried -benchmem columns
-	oldAllocs    int64
-	newAllocs    int64
-	oldB, newB   float64
+	oldNs, newNs float64
+	deltaPct     float64
+	old, new     map[string]float64 // the two records' metric columns
 }
 
 // memRow is one mem-footer comparison outcome.
@@ -315,7 +338,7 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 	for _, r := range newRep.Benchmarks {
 		prev, ok := old[benchKey{r.Pkg, r.Name}]
 		if !ok {
-			rows = append(rows, deltaRow{name: r.Name, verdict: "new", newNs: r.NsPerOp, newEv: r.EventsPerSec, newQPS: r.QPS})
+			rows = append(rows, deltaRow{name: r.Name, verdict: "new", newNs: r.NsPerOp, new: r.Metrics})
 			continue
 		}
 		matched++
@@ -331,21 +354,18 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 				fmt.Sprintf("%s %s: %.1f → %.1f ns/op (%+.1f%%, threshold %.0f%%)",
 					r.Pkg, r.Name, prev.NsPerOp, r.NsPerOp, deltaPct, threshold))
 		}
-		hasMem := prev.HasMem && r.HasMem
-		if hasMem && r.AllocsPerOp > prev.AllocsPerOp {
+		oldAllocs, hadMem := prev.Metrics["allocs/op"]
+		newAllocs, hasMem := r.Metrics["allocs/op"]
+		if hadMem && hasMem && newAllocs > oldAllocs {
 			verdict = "REGRESSED"
 			regressions = append(regressions,
-				fmt.Sprintf("%s %s: %d → %d allocs/op",
-					r.Pkg, r.Name, prev.AllocsPerOp, r.AllocsPerOp))
+				fmt.Sprintf("%s %s: %.0f → %.0f allocs/op",
+					r.Pkg, r.Name, oldAllocs, newAllocs))
 		}
 		rows = append(rows, deltaRow{
 			name: r.Name, verdict: verdict,
 			oldNs: prev.NsPerOp, newNs: r.NsPerOp, deltaPct: deltaPct,
-			oldEv: prev.EventsPerSec, newEv: r.EventsPerSec,
-			oldQPS: prev.QPS, newQPS: r.QPS,
-			hasMem:    hasMem,
-			oldAllocs: prev.AllocsPerOp, newAllocs: r.AllocsPerOp,
-			oldB: prev.BPerOp, newB: r.BPerOp,
+			old: prev.Metrics, new: r.Metrics,
 		})
 	}
 	removed := make([]string, 0, len(old))
@@ -419,7 +439,47 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 	return nil
 }
 
-// renderText is the historical plain-text rendering.
+// metricCell renders one metric of a row as "old → new", with an em-dash
+// for a side that did not report it, or "" when neither did.
+func metricCell(r deltaRow, unit string) string {
+	side := func(m map[string]float64) string {
+		if v, ok := m[unit]; ok {
+			return fmt.Sprintf("%.4g", v)
+		}
+		return "—"
+	}
+	_, inOld := r.old[unit]
+	_, inNew := r.new[unit]
+	if !inOld && !inNew {
+		return ""
+	}
+	return side(r.old) + " → " + side(r.new)
+}
+
+// metricUnits returns the metric units of rows: first the lead units (in
+// order), then every other unit any row reports, sorted.
+func metricUnits(rows []deltaRow, lead ...string) []string {
+	seen := make(map[string]bool)
+	for _, u := range lead {
+		seen[u] = true
+	}
+	var extra []string
+	for _, r := range rows {
+		for _, m := range []map[string]float64{r.old, r.new} {
+			for u := range m {
+				if !seen[u] {
+					seen[u] = true
+					extra = append(extra, u)
+				}
+			}
+		}
+	}
+	sort.Strings(extra)
+	return append(lead, extra...)
+}
+
+// renderText is the plain-text rendering: one line per benchmark, with
+// every metric either record reports.
 func renderText(rows []deltaRow, w io.Writer) {
 	for _, r := range rows {
 		switch r.verdict {
@@ -428,51 +488,57 @@ func renderText(rows []deltaRow, w io.Writer) {
 		case "removed":
 			fmt.Fprintf(w, "removed   %-50s\n", r.name)
 		default:
-			mem := ""
-			if r.hasMem {
-				mem = fmt.Sprintf("  %.0f → %.0f B/op  %d → %d allocs/op",
-					r.oldB, r.newB, r.oldAllocs, r.newAllocs)
+			metrics := ""
+			for _, unit := range metricUnits([]deltaRow{r}) {
+				metrics += fmt.Sprintf("  %s %s", metricCell(r, unit), unit)
 			}
 			fmt.Fprintf(w, "%-9s %-50s %12.1f → %-12.1f ns/op  %+.1f%%%s\n",
-				r.verdict, r.name, r.oldNs, r.newNs, r.deltaPct, mem)
+				r.verdict, r.name, r.oldNs, r.newNs, r.deltaPct, metrics)
 		}
 	}
 }
 
+// markdownLead are the metric columns every markdown delta table carries:
+// the -benchmem pair and the throughput headlines. Other units any row
+// reports get columns after them.
+var markdownLead = []string{"B/op", "allocs/op", "events/sec", "qps"}
+
 // renderMarkdown emits the per-benchmark delta table for a GitHub job
 // summary: one row per benchmark, baseline vs run ns/op, the percentage
-// delta, and the events/sec columns where the benchmark records them.
+// delta, and one "baseline → run" column per metric.
 func renderMarkdown(rows []deltaRow, threshold float64, w io.Writer) {
+	units := metricUnits(rows, markdownLead...)
 	fmt.Fprintf(w, "### Benchmark delta vs baseline (threshold %.0f%% ns/op; any allocs/op growth)\n\n", threshold)
-	fmt.Fprintln(w, "| benchmark | baseline ns/op | run ns/op | Δ ns/op | B/op (baseline → run) | allocs/op (baseline → run) | events/sec (baseline → run) | qps (baseline → run) | verdict |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|---|")
+	fmt.Fprint(w, "| benchmark | baseline ns/op | run ns/op | Δ ns/op |")
+	for _, u := range units {
+		fmt.Fprintf(w, " %s (baseline → run) |", u)
+	}
+	fmt.Fprint(w, " verdict |\n|---|---:|---:|---:|")
+	for range units {
+		fmt.Fprint(w, "---:|")
+	}
+	fmt.Fprintln(w, "---|")
 	for _, r := range rows {
-		ev := ""
-		if r.oldEv > 0 || r.newEv > 0 {
-			ev = fmt.Sprintf("%.3g → %.3g", r.oldEv, r.newEv)
-		}
-		qps := ""
-		if r.oldQPS > 0 || r.newQPS > 0 {
-			qps = fmt.Sprintf("%.3g → %.3g", r.oldQPS, r.newQPS)
-		}
-		bops, allocs := "", ""
-		if r.hasMem {
-			bops = fmt.Sprintf("%.0f → %.0f", r.oldB, r.newB)
-			allocs = fmt.Sprintf("%d → %d", r.oldAllocs, r.newAllocs)
-		}
 		switch r.verdict {
 		case "new":
-			fmt.Fprintf(w, "| %s | — | %.1f | — | | | %s | %s | new |\n", r.name, r.newNs, ev, qps)
+			fmt.Fprintf(w, "| %s | — | %.1f | — |", r.name, r.newNs)
 		case "removed":
-			fmt.Fprintf(w, "| %s | — | — | — | | | | | removed |\n", r.name)
+			fmt.Fprintf(w, "| %s | — | — | — |", r.name)
 		default:
-			verdict := "ok"
-			if r.verdict == "REGRESSED" {
-				verdict = "**REGRESSED**"
-			}
-			fmt.Fprintf(w, "| %s | %.1f | %.1f | %+.1f%% | %s | %s | %s | %s | %s |\n",
-				r.name, r.oldNs, r.newNs, r.deltaPct, bops, allocs, ev, qps, verdict)
+			fmt.Fprintf(w, "| %s | %.1f | %.1f | %+.1f%% |", r.name, r.oldNs, r.newNs, r.deltaPct)
 		}
+		for _, u := range units {
+			if cell := metricCell(r, u); cell != "" {
+				fmt.Fprintf(w, " %s |", cell)
+			} else {
+				fmt.Fprint(w, " |")
+			}
+		}
+		verdict := r.verdict
+		if verdict == "REGRESSED" {
+			verdict = "**REGRESSED**"
+		}
+		fmt.Fprintf(w, " %s |\n", verdict)
 	}
 }
 
@@ -518,8 +584,26 @@ func renderMemMarkdown(rows []memRow, memThreshold float64, w io.Writer) {
 	}
 }
 
+// trendCell renders one run of a benchmark in the trend table: ns/op, then
+// every reported metric but the -benchmem pair (which -compare gates), in
+// unit order.
+func trendCell(rec Record) string {
+	cell := fmt.Sprintf("%.3g", rec.NsPerOp)
+	units := make([]string, 0, len(rec.Metrics))
+	for u := range rec.Metrics {
+		if u != "B/op" && u != "allocs/op" {
+			units = append(units, u)
+		}
+	}
+	sort.Strings(units)
+	for _, u := range units {
+		cell += fmt.Sprintf(" (%.3g %s)", rec.Metrics[u], u)
+	}
+	return cell
+}
+
 // trendFiles renders the multi-run perf trajectory: one markdown table of
-// ns/op (and events/sec where recorded) per benchmark across every record
+// ns/op (and the throughput metrics where recorded) per benchmark across every record
 // file given oldest → newest, plus a bytes-per-node table for the mem
 // footers. Rows are keyed by the newest file so retired benchmarks fall off
 // the dashboard; runs that predate a benchmark (or the mem section) show an
@@ -573,14 +657,7 @@ func trendFiles(paths []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "| %s |", r.Name)
 		for _, rr := range runs {
 			if rec, ok := rr.bench[benchKey{r.Pkg, r.Name}]; ok {
-				cell := fmt.Sprintf("%.3g", rec.NsPerOp)
-				if rec.EventsPerSec > 0 {
-					cell += fmt.Sprintf(" (%.3g ev/s)", rec.EventsPerSec)
-				}
-				if rec.QPS > 0 {
-					cell += fmt.Sprintf(" (%.3g qps)", rec.QPS)
-				}
-				fmt.Fprintf(stdout, " %s |", cell)
+				fmt.Fprintf(stdout, " %s |", trendCell(rec))
 			} else {
 				fmt.Fprint(stdout, " — |")
 			}

@@ -49,36 +49,37 @@ func TestParseAndWrite(t *testing.T) {
 	if first.Pkg != "repro/internal/core" || first.Name != "BenchmarkCoreStep" {
 		t.Errorf("record 0 = %+v", first)
 	}
-	if first.Iterations != 175795 || first.NsPerOp != 6696 || first.AllocsPerOp != 0 {
+	if first.Iterations != 175795 || first.NsPerOp != 6696 || first.Metrics["allocs/op"] != 0 {
 		t.Errorf("record 0 numbers = %+v", first)
 	}
-	if !first.HasMem {
-		t.Errorf("record 0 HasMem = false; a measured 0 allocs/op must be marked as present")
+	if _, ok := first.Metrics["allocs/op"]; !ok {
+		t.Errorf("record 0 has no allocs/op; a measured 0 allocs/op must be marked as present")
 	}
 	second := report.Benchmarks[1]
 	if second.Pkg != "repro" || second.Name != "BenchmarkSweepReplicas/parallel=8" {
 		t.Errorf("record 1 = %+v (the -GOMAXPROCS suffix must be stripped)", second)
 	}
-	if second.HasMem {
-		t.Errorf("record 1 HasMem = true despite no -benchmem columns")
+	if _, ok := second.Metrics["allocs/op"]; ok || len(second.Metrics) != 0 {
+		t.Errorf("record 1 = %+v has metrics despite printing none", second)
 	}
 	third := report.Benchmarks[2]
-	if third.Name != "BenchmarkThroughput" || third.BPerOp != 16 || third.AllocsPerOp != 1 {
+	if third.Name != "BenchmarkThroughput" || third.Metrics["MB/s"] != 64 ||
+		third.Metrics["B/op"] != 16 || third.Metrics["allocs/op"] != 1 {
 		t.Errorf("record 2 = %+v (memory stats must survive an MB/s column)", third)
 	}
 	fourth := report.Benchmarks[3]
-	if fourth.Name != "BenchmarkRuntime10k" || fourth.EventsPerSec != 188198 ||
-		fourth.BPerOp != 725360 || fourth.AllocsPerOp != 22 {
+	if fourth.Name != "BenchmarkRuntime10k" || fourth.Metrics["events/sec"] != 188198 ||
+		fourth.Metrics["B/op"] != 725360 || fourth.Metrics["allocs/op"] != 22 {
 		t.Errorf("record 3 = %+v (events/sec metric must be captured)", fourth)
 	}
 	fifth := report.Benchmarks[4]
-	if fifth.Name != "BenchmarkRuntime10k/par=max/evpar=max" || fifth.EventsPerWindow != 95.17 ||
-		fifth.EventsPerSec != 1.2e+06 || fifth.BPerOp != 725360 {
+	if fifth.Name != "BenchmarkRuntime10k/par=max/evpar=max" || fifth.Metrics["events/window"] != 95.17 ||
+		fifth.Metrics["events/sec"] != 1.2e+06 || fifth.Metrics["B/op"] != 725360 {
 		t.Errorf("record 4 = %+v (events/window metric must be captured between events/sec and B/op)", fifth)
 	}
 	sixth := report.Benchmarks[5]
-	if sixth.Pkg != "repro/cmd/gradsyncd" || sixth.Name != "BenchmarkSkewQuery/serial" ||
-		sixth.QPS != 3134468 || !sixth.HasMem || sixth.AllocsPerOp != 0 {
+	if _, hasAllocs := sixth.Metrics["allocs/op"]; sixth.Pkg != "repro/cmd/gradsyncd" ||
+		sixth.Name != "BenchmarkSkewQuery/serial" || sixth.Metrics["qps"] != 3134468 || !hasAllocs {
 		t.Errorf("record 5 = %+v (qps metric must be captured between events/window and B/op)", sixth)
 	}
 	if len(report.Mem) != 1 {
@@ -88,6 +89,95 @@ func TestParseAndWrite(t *testing.T) {
 	if mem.Case != "Runtime10k/par=max/evpar=max" || mem.N != 10000 ||
 		mem.LiveHeapMiB != 12.9 || mem.BytesPerNode != 1351 {
 		t.Errorf("mem record = %+v", mem)
+	}
+}
+
+// TestParseAnyMetricColumn pins the column-order independence of the
+// parser: a ReportMetric unit it has never heard of, sorting before the
+// -benchmem pair, must neither hide B/op and allocs/op (which would turn
+// the allocation gate off for that benchmark) nor be dropped itself.
+func TestParseAnyMetricColumn(t *testing.T) {
+	rec, ok, err := parseBenchLine("BenchmarkLookup-8 \t 1000000\t 1043 ns/op\t 5.000 misses/op\t 16 B/op\t 1 allocs/op")
+	if err != nil || !ok {
+		t.Fatalf("parseBenchLine: ok=%v err=%v", ok, err)
+	}
+	want := map[string]float64{"misses/op": 5, "B/op": 16, "allocs/op": 1}
+	if rec.Name != "BenchmarkLookup" || rec.Iterations != 1000000 || rec.NsPerOp != 1043 || len(rec.Metrics) != len(want) {
+		t.Fatalf("record = %+v", rec)
+	}
+	for unit, v := range want {
+		if got, ok := rec.Metrics[unit]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", unit, got, ok, v)
+		}
+	}
+	// The allocation gate sees the parsed pair.
+	dir := t.TempDir()
+	old := writeReport(t, dir, "old.json", Record{Pkg: "p", Name: "BenchmarkLookup", NsPerOp: 1043,
+		Metrics: map[string]float64{"misses/op": 5, "B/op": 0, "allocs/op": 0}})
+	niu := writeReport(t, dir, "new.json", Record{Pkg: "p", Name: "BenchmarkLookup", NsPerOp: rec.NsPerOp, Metrics: rec.Metrics})
+	var stdout bytes.Buffer
+	if err := run([]string{"-compare", old, niu}, strings.NewReader(""), &stdout); err == nil {
+		t.Fatalf("0 → 1 allocs/op behind a misses/op column passed the compare:\n%s", stdout.String())
+	}
+	for _, bad := range []string{
+		"BenchmarkA 10 5 ns/op 3",           // value without a unit
+		"BenchmarkA 10 5 ns/op x misses/op", // unparsable value
+	} {
+		if _, _, err := parseBenchLine(bad); err == nil {
+			t.Errorf("parseBenchLine(%q) accepted a malformed metric column", bad)
+		}
+	}
+	for _, skip := range []string{"BenchmarkA-8", "BenchmarkA: starting", "BenchmarkA-8 --- FAIL: x"} {
+		if _, ok, err := parseBenchLine(skip); ok || err != nil {
+			t.Errorf("parseBenchLine(%q) = ok %v err %v, want a skipped non-result line", skip, ok, err)
+		}
+	}
+}
+
+// TestLoadLegacyRecords: record files written before the metrics map (fixed
+// per-unit fields plus has_mem) load with those columns in Metrics, so
+// -compare and -trend keep working against the committed baseline and
+// archived runs.
+func TestLoadLegacyRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.json")
+	legacy := `{"benchmarks": [
+		{"pkg": "p", "name": "BenchmarkA", "iterations": 1, "ns_per_op": 10, "has_mem": true},
+		{"pkg": "p", "name": "BenchmarkB", "iterations": 1, "ns_per_op": 10, "events_per_sec": 2e6,
+		 "events_per_window": 95.5, "b_per_op": 32, "allocs_per_op": 1, "has_mem": true},
+		{"pkg": "p", "name": "BenchmarkC", "iterations": 1, "ns_per_op": 10, "qps": 3e6}
+	]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []map[string]float64{
+		{"B/op": 0, "allocs/op": 0},
+		{"events/sec": 2e6, "events/window": 95.5, "B/op": 32, "allocs/op": 1},
+		{"qps": 3e6},
+	}
+	for i, w := range want {
+		got := rep.Benchmarks[i].Metrics
+		if len(got) != len(w) {
+			t.Errorf("record %d metrics = %v, want %v", i, got, w)
+			continue
+		}
+		for unit, v := range w {
+			if g, ok := got[unit]; !ok || g != v {
+				t.Errorf("record %d %s = %v (present %v), want %v", i, unit, g, ok, v)
+			}
+		}
+	}
+	base, err := loadReport(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatalf("committed baseline does not load: %v", err)
+	}
+	for _, r := range base.Benchmarks {
+		if _, ok := r.Metrics["allocs/op"]; !ok {
+			t.Errorf("baseline %s lost its allocs/op column", r.Name)
+		}
 	}
 }
 
@@ -216,8 +306,8 @@ func TestTrendTable(t *testing.T) {
 	run2 := filepath.Join(dir, "2222.json")
 	writeFile(run2, Report{
 		Benchmarks: []Record{
-			{Pkg: "p", Name: "BenchmarkA", NsPerOp: 90, EventsPerSec: 2e6},
-			{Pkg: "p", Name: "BenchmarkNew", NsPerOp: 42, QPS: 3.1e6},
+			{Pkg: "p", Name: "BenchmarkA", NsPerOp: 90, Metrics: map[string]float64{"events/sec": 2e6, "B/op": 8, "allocs/op": 1}},
+			{Pkg: "p", Name: "BenchmarkNew", NsPerOp: 42, Metrics: map[string]float64{"qps": 3.1e6}},
 		},
 		Mem: []MemRecord{{Case: "ring", N: 10000, LiveHeapMiB: 12, BytesPerNode: 1150}},
 	})
@@ -228,7 +318,7 @@ func TestTrendTable(t *testing.T) {
 	got := stdout.String()
 	for _, want := range []string{
 		"| benchmark | 1111 | 2222 |",
-		"| BenchmarkA | 100 | 90 (2e+06 ev/s) |",
+		"| BenchmarkA | 100 | 90 (2e+06 events/sec) |",
 		"| BenchmarkNew | — | 42 (3.1e+06 qps) |",
 		"| case | 1111 | 2222 |",
 		"| ring | — | 1150 |",
@@ -311,9 +401,9 @@ func TestCompareRegressionFails(t *testing.T) {
 func TestCompareAllocRegressionFails(t *testing.T) {
 	dir := t.TempDir()
 	old := writeReport(t, dir, "old.json",
-		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, HasMem: true})
+		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, Metrics: map[string]float64{"B/op": 0, "allocs/op": 0}})
 	niu := writeReport(t, dir, "new.json",
-		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 101, BPerOp: 48, AllocsPerOp: 1, HasMem: true})
+		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 101, Metrics: map[string]float64{"B/op": 48, "allocs/op": 1}})
 	var stdout bytes.Buffer
 	err := run([]string{"-compare", old, niu}, strings.NewReader(""), &stdout)
 	if err == nil {
@@ -325,7 +415,7 @@ func TestCompareAllocRegressionFails(t *testing.T) {
 	// Fewer allocations never fail; absent memory data on either side
 	// disables the gate (old baselines predate -benchmem capture).
 	better := writeReport(t, dir, "better.json",
-		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, HasMem: true})
+		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, Metrics: map[string]float64{"B/op": 0, "allocs/op": 0}})
 	if err := run([]string{"-compare", niu, better}, strings.NewReader(""), &bytes.Buffer{}); err != nil {
 		t.Errorf("dropping 1 → 0 allocs/op failed the compare: %v", err)
 	}
@@ -348,10 +438,10 @@ func TestCompareImprovementNeverFails(t *testing.T) {
 func TestCompareMarkdownTable(t *testing.T) {
 	dir := t.TempDir()
 	old := writeReport(t, dir, "old.json",
-		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, EventsPerSec: 600000},
+		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, Metrics: map[string]float64{"events/sec": 600000}},
 		Record{Pkg: "p", Name: "BenchmarkGone", NsPerOp: 50})
 	niu := writeReport(t, dir, "new.json",
-		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 140, EventsPerSec: 450000},
+		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 140, Metrics: map[string]float64{"events/sec": 450000}},
 		Record{Pkg: "p", Name: "BenchmarkNew", NsPerOp: 10})
 	var stdout bytes.Buffer
 	err := run([]string{"-compare", "-markdown", old, niu}, strings.NewReader(""), &stdout)
@@ -361,7 +451,7 @@ func TestCompareMarkdownTable(t *testing.T) {
 	got := stdout.String()
 	for _, want := range []string{
 		"| benchmark |",
-		"| BenchmarkA | 100.0 | 140.0 | +40.0% |  |  | 6e+05 → 4.5e+05 |  | **REGRESSED** |",
+		"| BenchmarkA | 100.0 | 140.0 | +40.0% | | | 6e+05 → 4.5e+05 | | **REGRESSED** |",
 		"| BenchmarkNew | — | 10.0 | — |",
 		"| BenchmarkGone | — | — | — | | | | | removed |",
 	} {
