@@ -120,6 +120,8 @@ func appendStats(b []byte, st live.Stats) []byte {
 	b = strconv.AppendUint(b, st.Dropped, 10)
 	b = append(b, `,"unrouted":`...)
 	b = strconv.AppendUint(b, st.Unrouted, 10)
+	b = append(b, `,"rejected":`...)
+	b = strconv.AppendUint(b, st.Rejected, 10)
 	b = append(b, `,"reconnects":`...)
 	b = strconv.AppendUint(b, st.Reconnects, 10)
 	b = append(b, `,"peersDown":`...)

@@ -31,7 +31,7 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	leg := live.LegalityReport{Legal: true, Bound: 2, MaxLocalSkew: 0, SimNow: 1e-7}
 	stats := live.Stats{
 		SimNow: 9.5, Epoch: 12345, Enqueued: 10, Dropped: 1, Unrouted: 2,
-		Reconnects: 3, PeersDown: 1, Records: 99,
+		Rejected: 4, Reconnects: 3, PeersDown: 1, Records: 99,
 		TickNominalMs: 1, TickP50Ms: 1.0625, TickP99Ms: 2.125,
 	}
 	cases := []struct {

@@ -18,6 +18,7 @@ package live
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,7 @@ type Cluster struct {
 	started  bool
 	stopped  bool
 	unrouted uint64 // beacons to non-owned nodes with no attached peer route
+	rejected uint64 // inbound peer frames dropped by validation
 
 	// slab holds one published snapshot slot per node id; epoch counts
 	// publications cluster-wide, so an unchanged epoch certifies that every
@@ -466,14 +468,23 @@ func (c *Cluster) sendRemote(e Envelope) {
 }
 
 // deliverLocal hands an inbound envelope (from a TCP peer) to the addressed
-// owned node. Unknown or non-owned addressees are dropped with a count.
+// owned node. Unknown or non-owned addressees are dropped as unrouted. A
+// sender that is not a neighbour of the addressee, or that this process
+// hosts itself (its traffic never crosses a peer link), is dropped as
+// rejected.
 func (c *Cluster) deliverLocal(e Envelope) {
 	if e.To < 0 || e.To >= len(c.nodes) || c.nodes[e.To] == nil {
 		atomic.AddUint64(&c.unrouted, 1)
 		return
 	}
+	dst := c.nodes[e.To]
+	// st.peers is fixed at construction, so reading it here needs no lock.
+	if _, ok := slices.BinarySearch(dst.st.peers, e.From); !ok || c.isOwned[e.From] {
+		atomic.AddUint64(&c.rejected, 1)
+		return
+	}
 	select {
-	case c.nodes[e.To].inbox <- e:
+	case dst.inbox <- e:
 	case <-c.stopCh:
 	}
 }
@@ -634,6 +645,10 @@ type Stats struct {
 	Enqueued uint64  `json:"enqueued"`
 	Dropped  uint64  `json:"dropped"`
 	Unrouted uint64  `json:"unrouted"`
+	// Rejected counts inbound peer frames dropped by validation: frames
+	// ReadWire refuses, and beacons whose sender is not a neighbour of the
+	// addressee.
+	Rejected uint64 `json:"rejected"`
 	// Reconnects counts successful peer-link redials; PeersDown is the
 	// number of peer links currently disconnected and backing off.
 	Reconnects uint64 `json:"reconnects"`
@@ -654,6 +669,7 @@ func (c *Cluster) Stats() Stats {
 		SimNow:        c.SimNow(),
 		Epoch:         c.epoch.Load(),
 		Unrouted:      atomic.LoadUint64(&c.unrouted),
+		Rejected:      atomic.LoadUint64(&c.rejected),
 		TickNominalMs: float64(c.tickNominal) / float64(time.Millisecond),
 	}
 	for _, i := range c.owned {

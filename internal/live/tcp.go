@@ -266,15 +266,21 @@ func (c *Cluster) servePeerConn(conn net.Conn) {
 		if err != nil {
 			// Clean EOF, stop-triggered close and frame corruption all end
 			// the connection the same way; the dialer's periodic beacons are
-			// the retry mechanism.
+			// the retry mechanism. Rejected frames are counted.
+			if errors.Is(err, transport.ErrInvalidFrame) {
+				atomic.AddUint64(&c.rejected, 1)
+			}
 			return
 		}
 		if m.Kind != transport.WireBeacon {
 			continue
 		}
+		// The receiver credits its own configured link transit, never the
+		// sender's declared one: a peer could otherwise inflate M through
+		// the transit credit.
 		c.deliverLocal(Envelope{
 			From: m.From, To: m.To,
-			SentAt: m.SentAt, MinTransit: m.MinTransit, B: m.Beacon,
+			SentAt: m.SentAt, MinTransit: c.minTransit, B: m.Beacon,
 		})
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,7 +30,10 @@ import (
 // Beacon payload: uint32 from, uint32 to, then sentAt, minTransit, L, M as
 // IEEE-754 bits (math.Float64bits). Floats travel as raw bits, not decimal,
 // so a beacon decodes to exactly the float64 the sender held — the property
-// the byte-identical trace/replay contract needs end to end.
+// the byte-identical trace/replay contract needs end to end. A beacon's
+// floats must be finite and its transit non-negative: both ends reject
+// anything else, since one M = +Inf would pin its receiver in fast mode
+// and max-flooding would spread it.
 
 // Wire frame kinds.
 const (
@@ -41,6 +45,10 @@ const (
 
 // WireVersion is the current protocol version, carried in hello frames.
 const WireVersion byte = 1
+
+// ErrInvalidFrame is wrapped by every ReadWire error that rejects the bytes
+// received (as opposed to an I/O error), so a receiver can count them.
+var ErrInvalidFrame = errors.New("transport: invalid wire frame")
 
 // MaxFramePayload bounds the declared payload length a reader accepts.
 // Every current frame is tiny; the bound exists so a corrupt or hostile
@@ -79,6 +87,20 @@ func BeaconMsg(from, to int, sentAt, minTransit float64, b Beacon) WireMsg {
 	return WireMsg{Kind: WireBeacon, From: from, To: to, SentAt: sentAt, MinTransit: minTransit, Beacon: b}
 }
 
+// checkBeacon rejects beacon values no honest sender produces: a
+// non-finite send time, transit or clock, or a negative transit.
+func (m WireMsg) checkBeacon() error {
+	for _, v := range [...]float64{m.SentAt, m.MinTransit, m.Beacon.L, m.Beacon.M} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("beacon %d→%d carries a non-finite value", m.From, m.To)
+		}
+	}
+	if m.MinTransit < 0 {
+		return fmt.Errorf("beacon %d→%d has negative transit %v", m.From, m.To, m.MinTransit)
+	}
+	return nil
+}
+
 // AppendWire appends the frame encoding of m (length prefix included) to
 // buf and returns the extended slice. It is the allocation-free core of
 // WriteWire; senders with a scratch buffer call it directly.
@@ -95,6 +117,9 @@ func AppendWire(buf []byte, m WireMsg) ([]byte, error) {
 	case WireBeacon:
 		if m.From < 0 || m.From > math.MaxUint32 || m.To < 0 || m.To > math.MaxUint32 {
 			return buf, fmt.Errorf("transport: beacon frame with invalid endpoint %d→%d", m.From, m.To)
+		}
+		if err := m.checkBeacon(); err != nil {
+			return buf, fmt.Errorf("transport: %w", err)
 		}
 		buf = binary.BigEndian.AppendUint32(buf, beaconPayloadLen)
 		buf = append(buf, WireBeacon)
@@ -122,6 +147,8 @@ func WriteWire(w io.Writer, m WireMsg) error {
 
 // ReadWire reads one frame from r. io.EOF is returned untouched on a clean
 // close between frames; a close mid-frame surfaces as ErrUnexpectedEOF.
+// Malformed frames and beacons with non-finite values or a negative transit
+// are rejected with an error wrapping ErrInvalidFrame.
 func ReadWire(r io.Reader) (WireMsg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -129,7 +156,7 @@ func ReadWire(r io.Reader) (WireMsg, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFramePayload {
-		return WireMsg{}, fmt.Errorf("transport: wire frame payload length %d out of range (1..%d)", n, MaxFramePayload)
+		return WireMsg{}, fmt.Errorf("%w: payload length %d out of range (1..%d)", ErrInvalidFrame, n, MaxFramePayload)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -141,7 +168,7 @@ func ReadWire(r io.Reader) (WireMsg, error) {
 	switch payload[0] {
 	case WireHello:
 		if len(payload) != helloPayloadLen {
-			return WireMsg{}, fmt.Errorf("transport: hello frame has %d payload bytes, want %d", len(payload), helloPayloadLen)
+			return WireMsg{}, fmt.Errorf("%w: hello frame has %d payload bytes, want %d", ErrInvalidFrame, len(payload), helloPayloadLen)
 		}
 		return WireMsg{
 			Kind:    WireHello,
@@ -150,9 +177,9 @@ func ReadWire(r io.Reader) (WireMsg, error) {
 		}, nil
 	case WireBeacon:
 		if len(payload) != beaconPayloadLen {
-			return WireMsg{}, fmt.Errorf("transport: beacon frame has %d payload bytes, want %d", len(payload), beaconPayloadLen)
+			return WireMsg{}, fmt.Errorf("%w: beacon frame has %d payload bytes, want %d", ErrInvalidFrame, len(payload), beaconPayloadLen)
 		}
-		return WireMsg{
+		m := WireMsg{
 			Kind:       WireBeacon,
 			From:       int(binary.BigEndian.Uint32(payload[1:])),
 			To:         int(binary.BigEndian.Uint32(payload[5:])),
@@ -162,8 +189,12 @@ func ReadWire(r io.Reader) (WireMsg, error) {
 				L: math.Float64frombits(binary.BigEndian.Uint64(payload[25:])),
 				M: math.Float64frombits(binary.BigEndian.Uint64(payload[33:])),
 			},
-		}, nil
+		}
+		if err := m.checkBeacon(); err != nil {
+			return WireMsg{}, fmt.Errorf("%w: %w", ErrInvalidFrame, err)
+		}
+		return m, nil
 	default:
-		return WireMsg{}, fmt.Errorf("transport: unknown wire frame kind %d", payload[0])
+		return WireMsg{}, fmt.Errorf("%w: unknown wire frame kind %d", ErrInvalidFrame, payload[0])
 	}
 }
