@@ -183,8 +183,8 @@ type Cluster struct {
 	pumpWG   sync.WaitGroup
 	started  bool
 	stopped  bool
-	unrouted uint64 // beacons to non-owned nodes with no attached peer route
-	rejected uint64 // inbound peer frames dropped by validation
+	unrouted uint64        // beacons to non-owned nodes with no attached peer route
+	rejected atomic.Uint64 // inbound peer frames dropped by validation
 
 	// slab holds one published snapshot slot per node id; epoch counts
 	// publications cluster-wide, so an unchanged epoch certifies that every
@@ -468,10 +468,8 @@ func (c *Cluster) sendRemote(e Envelope) {
 }
 
 // deliverLocal hands an inbound envelope (from a TCP peer) to the addressed
-// owned node. Unknown or non-owned addressees are dropped as unrouted. A
-// sender that is not a neighbour of the addressee, or that this process
-// hosts itself (its traffic never crosses a peer link), is dropped as
-// rejected.
+// owned node. Unknown or non-owned addressees are dropped as unrouted, and
+// a sender that is not a neighbour of the addressee as rejected.
 func (c *Cluster) deliverLocal(e Envelope) {
 	if e.To < 0 || e.To >= len(c.nodes) || c.nodes[e.To] == nil {
 		atomic.AddUint64(&c.unrouted, 1)
@@ -479,8 +477,8 @@ func (c *Cluster) deliverLocal(e Envelope) {
 	}
 	dst := c.nodes[e.To]
 	// st.peers is fixed at construction, so reading it here needs no lock.
-	if _, ok := slices.BinarySearch(dst.st.peers, e.From); !ok || c.isOwned[e.From] {
-		atomic.AddUint64(&c.rejected, 1)
+	if _, ok := slices.BinarySearch(dst.st.peers, e.From); !ok {
+		c.rejected.Add(1)
 		return
 	}
 	select {
@@ -669,7 +667,7 @@ func (c *Cluster) Stats() Stats {
 		SimNow:        c.SimNow(),
 		Epoch:         c.epoch.Load(),
 		Unrouted:      atomic.LoadUint64(&c.unrouted),
-		Rejected:      atomic.LoadUint64(&c.rejected),
+		Rejected:      c.rejected.Load(),
 		TickNominalMs: float64(c.tickNominal) / float64(time.Millisecond),
 	}
 	for _, i := range c.owned {

@@ -268,7 +268,7 @@ func (c *Cluster) servePeerConn(conn net.Conn) {
 			// the connection the same way; the dialer's periodic beacons are
 			// the retry mechanism. Rejected frames are counted.
 			if errors.Is(err, transport.ErrInvalidFrame) {
-				atomic.AddUint64(&c.rejected, 1)
+				c.rejected.Add(1)
 			}
 			return
 		}
