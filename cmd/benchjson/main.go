@@ -44,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -475,7 +476,7 @@ func metricUnits(rows []deltaRow, lead ...string) []string {
 		}
 	}
 	sort.Strings(extra)
-	return append(lead, extra...)
+	return slices.Concat(lead, extra)
 }
 
 // renderText is the plain-text rendering: one line per benchmark, with
