@@ -66,47 +66,6 @@ type Record struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// legacyColumns are the fixed per-unit fields record files carried before
-// the metrics map. UnmarshalJSON folds them into Metrics, so the committed
-// baseline and archived runs stay comparable.
-type legacyColumns struct {
-	EventsPerSec    float64 `json:"events_per_sec"`
-	EventsPerWindow float64 `json:"events_per_window"`
-	QPS             float64 `json:"qps"`
-	BPerOp          float64 `json:"b_per_op"`
-	AllocsPerOp     float64 `json:"allocs_per_op"`
-	HasMem          bool    `json:"has_mem"`
-}
-
-// UnmarshalJSON reads a record in either layout.
-func (r *Record) UnmarshalJSON(data []byte) error {
-	type plain Record
-	if err := json.Unmarshal(data, (*plain)(r)); err != nil {
-		return err
-	}
-	var old legacyColumns
-	if err := json.Unmarshal(data, &old); err != nil {
-		return err
-	}
-	set := func(unit string, v float64, present bool) {
-		if !present {
-			return
-		}
-		if r.Metrics == nil {
-			r.Metrics = make(map[string]float64)
-		}
-		r.Metrics[unit] = v
-	}
-	// The legacy fields were omitempty, so zero meant "not reported" —
-	// except for the -benchmem pair, which has_mem marked.
-	set("events/sec", old.EventsPerSec, old.EventsPerSec != 0)
-	set("events/window", old.EventsPerWindow, old.EventsPerWindow != 0)
-	set("qps", old.QPS, old.QPS != 0)
-	set("B/op", old.BPerOp, old.HasMem)
-	set("allocs/op", old.AllocsPerOp, old.HasMem)
-	return nil
-}
-
 // MemRecord is one parsed `=== mem <case>: N=<n> live heap <x> MiB (<y>
 // B/node) ===` footer — the live-heap tracking line the scale tiers and the
 // Runtime benchmarks print after a forced GC with the network still
@@ -441,11 +400,17 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 }
 
 // metricCell renders one metric of a row as "old → new", with an em-dash
-// for a side that did not report it, or "" when neither did.
+// for a side that did not report it, or "" when neither did. The -benchmem
+// pair prints as exact integers, so a one-byte or one-alloc change shows;
+// every other unit prints to three significant digits.
 func metricCell(r deltaRow, unit string) string {
+	format := "%.3g"
+	if unit == "B/op" || unit == "allocs/op" {
+		format = "%.0f"
+	}
 	side := func(m map[string]float64) string {
 		if v, ok := m[unit]; ok {
-			return fmt.Sprintf("%.4g", v)
+			return fmt.Sprintf(format, v)
 		}
 		return "—"
 	}
@@ -608,9 +573,10 @@ func trendCell(rec Record) string {
 // file given oldest → newest, plus a bytes-per-node table for the mem
 // footers. Rows are keyed by the newest file so retired benchmarks fall off
 // the dashboard; runs that predate a benchmark (or the mem section) show an
-// em-dash. Columns are labeled by file basename — the nightly workflow names
-// the archived records after their run id, so the header doubles as the
-// run index.
+// em-dash, and record files from before the metrics map show ns/op alone
+// (their fixed per-unit fields are ignored). Columns are labeled by file
+// basename — the nightly workflow names the archived records after their
+// run id, so the header doubles as the run index.
 func trendFiles(paths []string, stdout io.Writer) error {
 	type runRecords struct {
 		label string

@@ -79,7 +79,8 @@ func TestParseAndWrite(t *testing.T) {
 	}
 	sixth := report.Benchmarks[5]
 	if _, hasAllocs := sixth.Metrics["allocs/op"]; sixth.Pkg != "repro/cmd/gradsyncd" ||
-		sixth.Name != "BenchmarkSkewQuery/serial" || sixth.Metrics["qps"] != 3134468 || !hasAllocs {
+		sixth.Name != "BenchmarkSkewQuery/serial" || sixth.Metrics["qps"] != 3134468 ||
+		!hasAllocs || sixth.Metrics["allocs/op"] != 0 {
 		t.Errorf("record 5 = %+v (qps metric must be captured between events/window and B/op)", sixth)
 	}
 	if len(report.Mem) != 1 {
@@ -134,49 +135,17 @@ func TestParseAnyMetricColumn(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyRecords: record files written before the metrics map (fixed
-// per-unit fields plus has_mem) load with those columns in Metrics, so
-// -compare and -trend keep working against the committed baseline and
-// archived runs.
-func TestLoadLegacyRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	legacy := `{"benchmarks": [
-		{"pkg": "p", "name": "BenchmarkA", "iterations": 1, "ns_per_op": 10, "has_mem": true},
-		{"pkg": "p", "name": "BenchmarkB", "iterations": 1, "ns_per_op": 10, "events_per_sec": 2e6,
-		 "events_per_window": 95.5, "b_per_op": 32, "allocs_per_op": 1, "has_mem": true},
-		{"pkg": "p", "name": "BenchmarkC", "iterations": 1, "ns_per_op": 10, "qps": 3e6}
-	]}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := loadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []map[string]float64{
-		{"B/op": 0, "allocs/op": 0},
-		{"events/sec": 2e6, "events/window": 95.5, "B/op": 32, "allocs/op": 1},
-		{"qps": 3e6},
-	}
-	for i, w := range want {
-		got := rep.Benchmarks[i].Metrics
-		if len(got) != len(w) {
-			t.Errorf("record %d metrics = %v, want %v", i, got, w)
-			continue
-		}
-		for unit, v := range w {
-			if g, ok := got[unit]; !ok || g != v {
-				t.Errorf("record %d %s = %v (present %v), want %v", i, unit, g, ok, v)
-			}
-		}
-	}
+// TestCommittedBaselineLoads: the baseline that `make bench-diff` and the
+// nightly compare against loads with its -benchmem pair present on every
+// record, so the allocation gate is armed for all of them.
+func TestCommittedBaselineLoads(t *testing.T) {
 	base, err := loadReport(filepath.Join("..", "..", "BENCH_baseline.json"))
 	if err != nil {
 		t.Fatalf("committed baseline does not load: %v", err)
 	}
 	for _, r := range base.Benchmarks {
 		if _, ok := r.Metrics["allocs/op"]; !ok {
-			t.Errorf("baseline %s lost its allocs/op column", r.Name)
+			t.Errorf("baseline %s has no allocs/op column", r.Name)
 		}
 	}
 }
@@ -439,9 +408,11 @@ func TestCompareMarkdownTable(t *testing.T) {
 	dir := t.TempDir()
 	old := writeReport(t, dir, "old.json",
 		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, Metrics: map[string]float64{"events/sec": 600000}},
+		Record{Pkg: "p", Name: "BenchmarkMem", NsPerOp: 100, Metrics: map[string]float64{"B/op": 725360, "allocs/op": 22}},
 		Record{Pkg: "p", Name: "BenchmarkGone", NsPerOp: 50})
 	niu := writeReport(t, dir, "new.json",
 		Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 140, Metrics: map[string]float64{"events/sec": 450000}},
+		Record{Pkg: "p", Name: "BenchmarkMem", NsPerOp: 100, Metrics: map[string]float64{"B/op": 725368, "allocs/op": 22}},
 		Record{Pkg: "p", Name: "BenchmarkNew", NsPerOp: 10})
 	var stdout bytes.Buffer
 	err := run([]string{"-compare", "-markdown", old, niu}, strings.NewReader(""), &stdout)
@@ -452,12 +423,20 @@ func TestCompareMarkdownTable(t *testing.T) {
 	for _, want := range []string{
 		"| benchmark |",
 		"| BenchmarkA | 100.0 | 140.0 | +40.0% | | | 6e+05 → 4.5e+05 | | **REGRESSED** |",
+		// The -benchmem pair is exact: an 8-byte change in a 6-digit
+		// B/op must not round away.
+		"| BenchmarkMem | 100.0 | 100.0 | +0.0% | 725360 → 725368 | 22 → 22 | | | ok |",
 		"| BenchmarkNew | — | 10.0 | — |",
 		"| BenchmarkGone | — | — | — | | | | | removed |",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("markdown output missing %q:\n%s", want, got)
 		}
+	}
+	var text bytes.Buffer
+	_ = run([]string{"-compare", old, niu}, strings.NewReader(""), &text) // fails on BenchmarkA, as above
+	if want := "725360 → 725368 B/op  22 → 22 allocs/op"; !strings.Contains(text.String(), want) {
+		t.Errorf("text output missing %q:\n%s", want, text.String())
 	}
 	// The markdown must be the whole stdout payload — the plain-text
 	// regression echo would corrupt the job-summary table.
