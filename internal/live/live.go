@@ -643,9 +643,10 @@ type Stats struct {
 	Enqueued uint64  `json:"enqueued"`
 	Dropped  uint64  `json:"dropped"`
 	Unrouted uint64  `json:"unrouted"`
-	// Rejected counts inbound peer frames dropped by validation: frames
-	// ReadWire refuses, and beacons whose sender is not a neighbour of the
-	// addressee.
+	// Rejected counts frames dropped by validation on accepted peer
+	// connections: frames ReadWire refuses, a first frame that is not a
+	// hello for this cluster's shape, and beacons whose sender is not a
+	// neighbour of the addressee.
 	Rejected uint64 `json:"rejected"`
 	// Reconnects counts successful peer-link redials; PeersDown is the
 	// number of peer links currently disconnected and backing off.

@@ -245,6 +245,11 @@ func (c *Cluster) servePeerConn(conn net.Conn) {
 	defer conn.Close()
 	hello, err := transport.ReadWire(conn)
 	if err != nil || checkHello(hello, c.cfg.N) != nil {
+		// A refused frame or a hello for another cluster shape is a
+		// rejected frame; a connection closed before its hello is not.
+		if err == nil || errors.Is(err, transport.ErrInvalidFrame) {
+			c.rejected.Add(1)
+		}
 		return
 	}
 	if err := transport.WriteWire(conn, transport.HelloMsg(c.cfg.N)); err != nil {

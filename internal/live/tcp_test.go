@@ -130,8 +130,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // may raise node 0's M: with no valid beacon applied, M stays finite and
 // equal to L. Frames ReadWire refuses (non-finite values, negative
 // transit) and beacons from a node that is not 0's neighbour are dropped
-// and counted; a neighbour's beacon declaring a huge transit is applied
-// with the cluster's own link transit instead.
+// and counted, as is a first frame that is not a matching hello; a
+// neighbour's beacon declaring a huge transit is applied with the cluster's
+// own link transit instead.
 func TestInboundFramesValidated(t *testing.T) {
 	c, err := NewCluster(Config{
 		N: 3, Edges: [][2]int{{0, 1}, {1, 2}}, Owned: []int{0},
@@ -162,12 +163,17 @@ func TestInboundFramesValidated(t *testing.T) {
 			t.Fatalf("%s: node 0 has L=%v M=%v, want M finite and equal to L", what, s.L, s.M)
 		}
 	}
-	dial := func() net.Conn {
+	connect := func() net.Conn {
 		t.Helper()
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		return conn
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		conn := connect()
 		if err := transport.WriteWire(conn, transport.HelloMsg(3)); err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +216,35 @@ func TestInboundFramesValidated(t *testing.T) {
 		waitFor(t, b.name+" to be rejected", func() bool { return c.Stats().Rejected == rejected })
 		conn.Close()
 		unraised(b.name)
+	}
+
+	// The first frame on a connection must be a hello for this cluster's
+	// shape; anything else ends the connection and counts. A connection
+	// closed before sending anything does not count.
+	connect().Close()
+	infFirst := append([]byte(nil), good...)
+	binary.BigEndian.PutUint64(infFirst[mField:], math.Float64bits(math.Inf(1)))
+	helloN4, err := transport.AppendWire(nil, transport.HelloMsg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, first := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"beacon before hello", good},
+		{"M=+Inf before hello", infFirst},
+		{"hello for 4 nodes", helloN4},
+		{"zero-length frame", make([]byte, 4)},
+	} {
+		conn := connect()
+		if _, err := conn.Write(first.frame); err != nil {
+			t.Fatal(err)
+		}
+		rejected++
+		waitFor(t, first.name+" to be rejected", func() bool { return c.Stats().Rejected == rejected })
+		conn.Close()
+		unraised(first.name)
 	}
 
 	// Well-formed frames share one connection.
