@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
+.PHONY: all build vet test race fuzz lint cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
 
 all: build test
 
@@ -47,6 +47,18 @@ cover:
 # topologies/scenarios at TickParallelism 8, all under the detector).
 race:
 	$(GO) test -race ./...
+
+# Fuzzes each target for 10 s. Plain `go test` only replays the seed
+# corpora; this searches past them. go test -fuzz takes one target in one
+# package per run, and a failing input lands in that package's
+# testdata/fuzz/ directory as a new seed to commit.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWire$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzRows$$' -fuzztime 10s ./internal/csr
+	$(GO) test -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 10s ./internal/csr
+	$(GO) test -run '^$$' -fuzz '^FuzzTopoChurn$$' -fuzztime 10s ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzShardRange$$' -fuzztime 10s ./internal/par
+	$(GO) test -run '^$$' -fuzz '^FuzzTriggerLevels$$' -fuzztime 10s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

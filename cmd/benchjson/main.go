@@ -27,6 +27,12 @@
 // live-heap wall-clock is noisy but per-node retention is not, so the memory
 // diet gets the same CI trend protection as ns/op and allocs/op.
 //
+// Every record file also carries its host: the `cpu:` header go test
+// prints, the GOMAXPROCS suffix it appends to benchmark names (stripped from
+// the names so records key across machines), and the Go version. -compare
+// prints both hosts and warns when the CPU model or GOMAXPROCS differ,
+// because then a delta measures the machines as much as the code.
+//
 // With -trend the command renders a markdown trend table across many record
 // files (oldest → newest) — the nightly workflow feeds it the last ~10
 // archived BENCH_sweep.json artifacts, turning the per-run snapshots into a
@@ -44,6 +50,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -79,10 +86,38 @@ type MemRecord struct {
 
 // Report is the emitted JSON document. Mem is omitted when the run printed
 // no footers, so record files from before the mem section stay loadable and
-// comparable (the mem gate only fires when both sides carry a case).
+// comparable (the mem gate only fires when both sides carry a case). Host
+// is nil in record files written before it existed.
 type Report struct {
+	Host       *Host       `json:"host,omitempty"`
 	Benchmarks []Record    `json:"benchmarks"`
 	Mem        []MemRecord `json:"mem,omitempty"`
+}
+
+// Host is the provenance of a record file.
+type Host struct {
+	// CPU is the model named by the `cpu:` header line go test prints.
+	CPU string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the -N suffix go test appends to benchmark names,
+	// taken from the first result line that has one (1 when none has).
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// GoVersion is the toolchain that built benchjson; `make bench-json`
+	// runs it with the go command that ran the benchmarks.
+	GoVersion string `json:"go_version,omitempty"`
+}
+
+// String renders the host for -compare; a nil Host is "unknown host".
+func (h *Host) String() string {
+	if h == nil {
+		return "unknown host"
+	}
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %d, %s", h.CPU, h.GOMAXPROCS, h.GoVersion)
+}
+
+// sameMachine reports whether both hosts name the same CPU model and
+// GOMAXPROCS. An unknown host matches nothing.
+func (h *Host) sameMachine(o *Host) bool {
+	return h != nil && o != nil && h.CPU == o.CPU && h.GOMAXPROCS == o.GOMAXPROCS
 }
 
 // memLine matches the shared mem-footer format anywhere in a line (test
@@ -150,7 +185,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // are collected alongside the benchmark lines; the last footer per case
 // wins (a benchmark printing one per b.N restart overwrites in place).
 func parse(r io.Reader) (*Report, error) {
-	report := &Report{}
+	report := &Report{Host: &Host{GoVersion: runtime.Version()}}
 	pkg := ""
 	memIdx := map[string]int{}
 	sc := bufio.NewScanner(r)
@@ -158,6 +193,10 @@ func parse(r io.Reader) (*Report, error) {
 		line := sc.Text()
 		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = strings.TrimSpace(p)
+			continue
+		}
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			report.Host.CPU = strings.TrimSpace(c)
 			continue
 		}
 		if m := memLine.FindStringSubmatch(line); m != nil {
@@ -188,10 +227,16 @@ func parse(r io.Reader) (*Report, error) {
 			continue
 		}
 		rec.Pkg = pkg
+		if m := procsSuffix.FindString(strings.Fields(line)[0]); m != "" && report.Host.GOMAXPROCS == 0 {
+			report.Host.GOMAXPROCS, _ = strconv.Atoi(m[1:]) // the regexp admits only digits
+		}
 		report.Benchmarks = append(report.Benchmarks, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if report.Host.GOMAXPROCS == 0 {
+		report.Host.GOMAXPROCS = 1 // go test prints no suffix at 1
 	}
 	return report, nil
 }
@@ -287,6 +332,7 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 	if err != nil {
 		return err
 	}
+	renderHosts(oldRep.Host, newRep.Host, markdown, stdout)
 	old := make(map[benchKey]Record, len(oldRep.Benchmarks))
 	for _, r := range oldRep.Benchmarks {
 		old[benchKey{r.Pkg, r.Name}] = r
@@ -397,6 +443,24 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 		fmt.Fprintf(stdout, "benchjson: %d matched benchmarks within threshold of baseline\n", matched)
 	}
 	return nil
+}
+
+// renderHosts prints the two records' hosts ahead of the delta table, and a
+// warning when they are not the same machine. It informs only: the gates
+// apply to cross-host comparisons unchanged.
+func renderHosts(oldHost, newHost *Host, markdown bool, w io.Writer) {
+	const warning = "the records do not come from one host (the CPU model or GOMAXPROCS differ, or a record names no host), so the deltas mix machine and code"
+	if markdown {
+		fmt.Fprintf(w, "Baseline host: %s. Run host: %s.\n\n", oldHost, newHost)
+		if !oldHost.sameMachine(newHost) {
+			fmt.Fprintf(w, "> **Warning:** %s.\n\n", warning)
+		}
+		return
+	}
+	fmt.Fprintf(w, "host old: %s\nhost new: %s\n", oldHost, newHost)
+	if !oldHost.sameMachine(newHost) {
+		fmt.Fprintf(w, "warning: %s\n", warning)
+	}
 }
 
 // metricCell renders one metric of a row as "old → new", with an em-dash

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,83 @@ func TestParseAndWrite(t *testing.T) {
 	if mem.Case != "Runtime10k/par=max/evpar=max" || mem.N != 10000 ||
 		mem.LiveHeapMiB != 12.9 || mem.BytesPerNode != 1351 {
 		t.Errorf("mem record = %+v", mem)
+	}
+}
+
+// TestParseHostProvenance pins the host a record file states: the cpu:
+// header, the GOMAXPROCS suffix stripped from the names, and the Go version.
+func TestParseHostProvenance(t *testing.T) {
+	report, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{CPU: "some cpu", GOMAXPROCS: 8, GoVersion: runtime.Version()}
+	if report.Host == nil || *report.Host != want {
+		t.Fatalf("host = %+v, want %+v", report.Host, want)
+	}
+	// go test prints no suffix at GOMAXPROCS 1.
+	report, err = parse(strings.NewReader("cpu: one core\nBenchmarkA \t 10\t 5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Host.GOMAXPROCS != 1 || report.Host.CPU != "one core" {
+		t.Errorf("host = %+v, want GOMAXPROCS 1 on cpu \"one core\"", report.Host)
+	}
+}
+
+// TestCompareHosts pins -compare's host lines: both hosts are printed, a
+// warning appears exactly when the CPU model or GOMAXPROCS differ (or a
+// record names no host), and the gates ignore it.
+func TestCompareHosts(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, h *Host, ns float64) string {
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(Report{Host: h, Benchmarks: []Record{{Pkg: "p", Name: "BenchmarkA", NsPerOp: ns}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	old := write("old.json", base, 100)
+	for _, c := range []struct {
+		name string
+		host *Host
+		warn bool
+	}{
+		{"same host, other Go", &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.25.0"}, false},
+		{"other CPU", &Host{CPU: "Xeon B", GOMAXPROCS: 2, GoVersion: "go1.24.0"}, true},
+		{"other GOMAXPROCS", &Host{CPU: "Xeon A", GOMAXPROCS: 8, GoVersion: "go1.24.0"}, true},
+		{"no host", nil, true},
+	} {
+		niu := write("new.json", c.host, 101)
+		for _, md := range []bool{false, true} {
+			args := []string{"-compare", old, niu}
+			if md {
+				args = []string{"-compare", "-markdown", old, niu}
+			}
+			var stdout bytes.Buffer
+			if err := run(args, strings.NewReader(""), &stdout); err != nil {
+				t.Errorf("%s (markdown %v): compare within threshold failed: %v", c.name, md, err)
+			}
+			got := stdout.String()
+			for _, h := range []*Host{base, c.host} {
+				if !strings.Contains(got, h.String()) {
+					t.Errorf("%s (markdown %v): output does not name host %s:\n%s", c.name, md, h, got)
+				}
+			}
+			if warned := strings.Contains(strings.ToLower(got), "warning"); warned != c.warn {
+				t.Errorf("%s (markdown %v): warning printed = %v, want %v:\n%s", c.name, md, warned, c.warn, got)
+			}
+		}
+	}
+	// The gates stay as they were: a cross-host 30% regression still fails.
+	slow := write("slow.json", &Host{CPU: "Xeon B", GOMAXPROCS: 8}, 130)
+	if err := run([]string{"-compare", old, slow}, strings.NewReader(""), &bytes.Buffer{}); err == nil {
+		t.Error("a cross-host 30% regression passed the compare")
 	}
 }
 

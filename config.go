@@ -325,11 +325,16 @@ type Config struct {
 	// EventParallelism shards the discrete-event drain itself — beacon
 	// fires and beacon deliveries — across this many shards drained in
 	// parallel windows bounded by the minimum link transit time (the
-	// conservative PDES safe horizon). ≤ 1 keeps the serial drain. Results
-	// are byte-identical for every value — the knob trades wall-clock only
-	// — so it is safe to set to runtime.NumCPU() for large networks, and
-	// it composes with TickParallelism (the two fan out different phases).
-	// See DESIGN.md §Sharded event drain.
+	// conservative PDES safe horizon). Windows may cross an integration
+	// tick; the crossed tick's per-node work then runs on the same shards,
+	// at each node's first event and, for the nodes no event touched, in a
+	// parallel completion phase when the tick fires. Other global events
+	// (topology transitions, scenario steps, handshake timers) stay serial.
+	// ≤ 1 keeps the serial drain. Results are byte-identical for every
+	// value — the knob trades wall-clock only — so it is safe to set to
+	// runtime.NumCPU() for large networks, and it composes with
+	// TickParallelism (the two fan out different phases). See DESIGN.md
+	// §Sharded event drain.
 	EventParallelism int
 	// Seed feeds all randomness; 0 is a valid fixed seed.
 	Seed int64

@@ -74,7 +74,7 @@ type Algorithm struct {
 	// event windows (runner.NodeStepper): one private counter block per
 	// *event* shard, folded by FinishTick. Commutative uint64 sums keyed by
 	// the node's fixed event shard keep the totals byte-identical no matter
-	// which window or sweep touches a node first.
+	// whether a window event or the completion phase steps a node.
 	evCtr []modeCounters
 
 	// Counters (diagnostics; tests assert on several).
@@ -542,8 +542,9 @@ func (a *Algorithm) CanStepNodes() bool { return !a.refTriggers }
 // the decide phase reads only the deciding node's own pre-tick state (l[u],
 // m[u], mult[u], u's estimates) — never another node's clocks — so no node's
 // decision can observe a neighbor's integration. shard is u's fixed event
-// shard: during a window the call runs on the worker owning that shard, so
-// the evCtr block is contention-free.
+// shard: inside a window and in the runner's completion phase alike, the
+// call runs on the worker owning that shard, so the evCtr block is
+// contention-free.
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
 	mult := a.decideMode(u, &a.evCtr[shard])
 	a.mult[u] = mult
@@ -658,17 +659,32 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 			top = a.sMax
 		}
 		ahead, behind := e-lu, lu-e
-		if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
-			fw = w
+		// Each helper runs only when its level-1 inequality holds: the
+		// inequalities are monotone in s, so a false level-1 test means the
+		// helper would return 0, which cannot raise a prefix maximum. In the
+		// steady state every edge sits inside the level-1 band and all four
+		// guards fail. The guards stay separate rather than one combined
+		// skip: an edge outside the band is ahead or behind, not both, so
+		// it still skips the two helpers of the other side.
+		if fastWitness1(ahead, kappa, cls.eps) {
+			if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
+				fw = w
+			}
 		}
-		if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
-			fb = b
+		if a.fastBlocked1(behind, kappa, cls.eps, cls.tau) {
+			if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
+				fb = b
+			}
 		}
-		if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
-			sw = w
+		if slowWitness1(behind, kappa, delta, cls.eps) {
+			if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
+				sw = w
+			}
 		}
-		if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
-			sb = b
+		if a.slowBlocked1(ahead, kappa, delta, cls.eps, cls.tau) {
+			if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
+				sb = b
+			}
 		}
 	}
 	return fw > fb, sw > sb
@@ -687,6 +703,10 @@ func seedLevel(q float64, top int) int {
 	return int(q)
 }
 
+// fastWitness1 is the Definition 4.5 witness condition at s = 1, written
+// as fastWitnessLevel evaluates it there.
+func fastWitness1(ahead, kappa, eps float64) bool { return ahead >= kappa-eps }
+
 // fastWitnessLevel returns the largest s ∈ [0, top] with est−L_u ≥ s·κ − ε
 // (the Definition 4.5 witness condition; ahead = est−L_u).
 func fastWitnessLevel(ahead, kappa, eps float64, top int) int {
@@ -698,6 +718,12 @@ func fastWitnessLevel(ahead, kappa, eps float64, top int) int {
 		s--
 	}
 	return s
+}
+
+// fastBlocked1 is the Definition 4.5 blocking condition at s = 1, written
+// as fastBlockedLevel evaluates it there.
+func (a *Algorithm) fastBlocked1(behind, kappa, eps, tau float64) bool {
+	return behind > kappa+2*a.p.Mu*tau+eps
 }
 
 // fastBlockedLevel returns the largest s ∈ [0, top] with
@@ -714,6 +740,12 @@ func (a *Algorithm) fastBlockedLevel(behind, kappa, eps, tau float64, top int) i
 	return s
 }
 
+// slowWitness1 is the Definition 4.6 witness condition at s = 1, written
+// as slowWitnessLevel evaluates it there.
+func slowWitness1(behind, kappa, delta, eps float64) bool {
+	return behind >= 1.5*kappa-delta-eps
+}
+
 // slowWitnessLevel returns the largest s ∈ [0, top] with
 // L_u−est ≥ (s+½)κ − δ − ε (the Definition 4.6 witness condition).
 func slowWitnessLevel(behind, kappa, delta, eps float64, top int) int {
@@ -725,6 +757,12 @@ func slowWitnessLevel(behind, kappa, delta, eps float64, top int) int {
 		s--
 	}
 	return s
+}
+
+// slowBlocked1 is the Definition 4.6 blocking condition at s = 1, written
+// as slowBlockedLevel evaluates it there.
+func (a *Algorithm) slowBlocked1(ahead, kappa, delta, eps, tau float64) bool {
+	return ahead > 1.5*kappa+delta+eps+a.p.Mu*(1+a.p.Rho)*tau
 }
 
 // slowBlockedLevel returns the largest s ∈ [0, top] with

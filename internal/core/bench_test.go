@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -62,13 +63,11 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStepMessaging measures one integration tick of the trigger
-// fold on a warmed 10⁴-node ring with messaging estimates — the layer whose
-// per-edge reads dominate the large-N ring's tick. The warm-up runs whole
-// beacon rounds, so every edge holds a certified sample; Step leaves the
-// hardware clocks (and hence sample ages) alone, so every op folds the same
-// live edges. The per-tick path must not allocate: expect 0 allocs/op.
-func BenchmarkCoreStepMessaging(b *testing.B) {
+// messagingRing wires a 10⁴-node ring running AOPT on messaging estimates,
+// starts every node at clock(u, κ) and runs one unit: four beacon rounds,
+// so every directed edge holds a certified sample.
+func messagingRing(b *testing.B, clock func(u int, kappa float64) float64) (*runner.Runtime, *core.Algorithm, *estimate.Messaging) {
+	b.Helper()
 	const n = 10000
 	rt, err := runner.New(runner.Config{
 		N: n, Tick: 0.02, BeaconInterval: 0.25,
@@ -95,14 +94,50 @@ func BenchmarkCoreStepMessaging(b *testing.B) {
 			b.Fatalf("appear: %v", err)
 		}
 	}
+	kappa := algo.EdgeKappa(0, 1)
+	for u := 0; u < n; u++ {
+		algo.SetLogical(u, clock(u, kappa))
+	}
 	if err := rt.Start(); err != nil {
 		b.Fatalf("start: %v", err)
 	}
-	rt.Run(1) // four beacon rounds: every directed edge holds a sample
-	dH := make([]float64, n)
-	for u := range dH {
-		dH[u] = 0.02
+	rt.Run(1)
+	return rt, algo, msg
+}
+
+// ringBand classifies the directed ring edges as the trigger fold sees
+// them: quiet when |est − L_u| < κ − ε, where every level-1 trigger
+// inequality fails, and loud when |est − L_u| ≥ 2.5κ, where both
+// inequalities of the edge's side hold at level 1 (eq. 9 puts every other
+// bound below 2κ).
+func ringBand(rt *runner.Runtime, algo *core.Algorithm, msg *estimate.Messaging) (quiet, loud, total int) {
+	n := rt.N()
+	for u := 0; u < n; u++ {
+		for _, v := range [2]int{(u + n - 1) % n, (u + 1) % n} {
+			total++
+			est, ok := msg.Estimate(u, v)
+			if !ok {
+				continue
+			}
+			gap := math.Abs(est - algo.Logical(u))
+			kappa := algo.EdgeKappa(u, v)
+			switch {
+			case gap < kappa-msg.Eps(u, v):
+				quiet++
+			case gap >= 2.5*kappa:
+				loud++
+			}
+		}
 	}
+	return quiet, loud, total
+}
+
+// benchFrozenStep times Step on the ring with zero hardware increments, so
+// every op folds the same clocks, estimates and sample ages, and checks
+// that the timed ops read live samples and left the edge classes as found.
+func benchFrozenStep(b *testing.B, rt *runner.Runtime, algo *core.Algorithm, msg *estimate.Messaging) {
+	dH := make([]float64, rt.N())
+	quiet, loud, _ := ringBand(rt, algo, msg)
 	t := rt.Engine.Now()
 	misses := msg.Misses
 	b.ReportAllocs()
@@ -115,6 +150,32 @@ func BenchmarkCoreStepMessaging(b *testing.B) {
 	if msg.Misses != misses {
 		b.Fatalf("%d estimate misses during the timed ticks; the fold did not read live samples", msg.Misses-misses)
 	}
+	if q, l, _ := ringBand(rt, algo, msg); q != quiet || l != loud {
+		b.Fatalf("the timed ticks moved the state: %d quiet and %d loud edges before, %d and %d after", quiet, loud, q, l)
+	}
+}
+
+// BenchmarkCoreStepMessaging measures one integration tick of the trigger
+// fold on a warmed 10⁴-node messaging ring in its steady state: every edge
+// inside the level-1 band, as in the large-N ring benchmark. The per-tick
+// path must not allocate: expect 0 allocs/op.
+func BenchmarkCoreStepMessaging(b *testing.B) {
+	rt, algo, msg := messagingRing(b, func(int, float64) float64 { return 0 })
+	if quiet, _, total := ringBand(rt, algo, msg); quiet != total {
+		b.Fatalf("%d of %d edges quiet; the steady ring must be quiet everywhere", quiet, total)
+	}
+	benchFrozenStep(b, rt, algo, msg)
+}
+
+// BenchmarkCoreStepMessagingLoud is the loud twin: neighbouring clocks
+// start 4κ apart, so after the warm-up every edge still sits at least 2.5κ
+// out and the fold evaluates its threshold helpers on every edge.
+func BenchmarkCoreStepMessagingLoud(b *testing.B) {
+	rt, algo, msg := messagingRing(b, func(u int, kappa float64) float64 { return float64(u%2) * 4 * kappa })
+	if _, loud, total := ringBand(rt, algo, msg); loud != total {
+		b.Fatalf("%d of %d edges loud; the loud ring must be loud everywhere", loud, total)
+	}
+	benchFrozenStep(b, rt, algo, msg)
 }
 
 // BenchmarkNeighborLevels measures per-node level sampling through the

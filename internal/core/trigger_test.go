@@ -196,8 +196,11 @@ func scanLevel(top int, pred func(s int) bool) int {
 }
 
 // checkLevels compares all four threshold helpers against the per-level
-// scan for one parameter tuple; it reports a description of the first
-// mismatch, or "" when all agree.
+// scan for one parameter tuple, and, for top ≥ 1, each helper's level-1
+// guard against the scan: evalTriggers skips a helper when its guard is
+// false, which is exact only if the guard is false precisely when the scan
+// finds no level. It reports a description of the first mismatch, or ""
+// when all agree.
 func checkLevels(ahead, kappa, delta, eps, tau, mu, rho float64, top int) (string, bool) {
 	if !(kappa > 0) || math.IsInf(kappa, 1) || math.IsNaN(ahead) || math.IsInf(ahead, 0) ||
 		!(eps >= 0) || !(delta >= 0) || !(tau >= 0) || !(mu > 0) || !(rho >= 0) ||
@@ -206,55 +209,94 @@ func checkLevels(ahead, kappa, delta, eps, tau, mu, rho float64, top int) (strin
 	}
 	a := &Algorithm{p: Params{Mu: mu, Rho: rho}}
 	behind := -ahead
-	if got, want := fastWitnessLevel(ahead, kappa, eps, top),
-		scanLevel(top, func(s int) bool { return ahead >= float64(s)*kappa-eps }); got != want {
-		return "fastWitness", true
-	}
-	if got, want := a.fastBlockedLevel(behind, kappa, eps, tau, top),
-		scanLevel(top, func(s int) bool { return behind > float64(s)*kappa+2*mu*tau+eps }); got != want {
-		return "fastBlocked", true
-	}
-	if got, want := slowWitnessLevel(behind, kappa, delta, eps, top),
-		scanLevel(top, func(s int) bool { return behind >= (float64(s)+0.5)*kappa-delta-eps }); got != want {
-		return "slowWitness", true
-	}
-	if got, want := a.slowBlockedLevel(ahead, kappa, delta, eps, tau, top),
-		scanLevel(top, func(s int) bool {
-			return ahead > (float64(s)+0.5)*kappa+delta+eps+mu*(1+rho)*tau
-		}); got != want {
-		return "slowBlocked", true
+	for _, c := range []struct {
+		name  string
+		got   int
+		want  int
+		guard bool
+	}{
+		{"fastWitness", fastWitnessLevel(ahead, kappa, eps, top),
+			scanLevel(top, func(s int) bool { return ahead >= float64(s)*kappa-eps }),
+			fastWitness1(ahead, kappa, eps)},
+		{"fastBlocked", a.fastBlockedLevel(behind, kappa, eps, tau, top),
+			scanLevel(top, func(s int) bool { return behind > float64(s)*kappa+2*mu*tau+eps }),
+			a.fastBlocked1(behind, kappa, eps, tau)},
+		{"slowWitness", slowWitnessLevel(behind, kappa, delta, eps, top),
+			scanLevel(top, func(s int) bool { return behind >= (float64(s)+0.5)*kappa-delta-eps }),
+			slowWitness1(behind, kappa, delta, eps)},
+		{"slowBlocked", a.slowBlockedLevel(ahead, kappa, delta, eps, tau, top),
+			scanLevel(top, func(s int) bool {
+				return ahead > (float64(s)+0.5)*kappa+delta+eps+mu*(1+rho)*tau
+			}),
+			a.slowBlocked1(ahead, kappa, delta, eps, tau)},
+	} {
+		if c.got != c.want {
+			return c.name, true
+		}
+		if top >= 1 && c.guard != (c.want > 0) {
+			return c.name + " level-1 guard", true
+		}
 	}
 	return "", true
 }
 
+// levelBoundary returns the clock difference ahead = est−L_u that sits
+// exactly on the level-s boundary of one of the four trigger inequalities
+// (cond 0–3: fast witness, fast blocked, slow witness, slow blocked),
+// computed with the inequality's own float expression.
+func levelBoundary(cond, s int, kappa, delta, eps, tau, mu, rho float64) float64 {
+	fs := float64(s)
+	switch cond {
+	case 0:
+		return fs*kappa - eps
+	case 1:
+		return -(fs*kappa + 2*mu*tau + eps)
+	case 2:
+		return -((fs+0.5)*kappa - delta - eps)
+	default:
+		return (fs+0.5)*kappa + delta + eps + mu*(1+rho)*tau
+	}
+}
+
 // TestTriggerLevelThresholdsMatchScan hammers the threshold inversion with
 // adversarial magnitudes, including values right at trigger boundaries
-// where the division seed and the comparison can round differently.
+// where the division seed and the comparison can round differently. A
+// third of the cases sit on (or one ulp around) an exact boundary of one
+// inequality, mostly at level 1, which is where a level-1 guard that
+// flips ≥ and > or adds its terms in another order goes wrong.
 func TestTriggerLevelThresholdsMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mags := []float64{1e-9, 1e-3, 0.21, 1, 42, 1e6, 1e12}
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 30000; i++ {
 		kappa := mags[rng.Intn(len(mags))] * (0.5 + rng.Float64())
 		top := rng.Intn(100)
+		delta, eps, tau := rng.Float64()*kappa, rng.Float64()*0.3, rng.Float64()*0.2
+		mu, rho := 0.01+rng.Float64()*0.09, rng.Float64()*0.01
 		var ahead float64
-		if rng.Intn(2) == 0 {
-			// Exactly on (or one ulp around) a witness boundary.
+		switch rng.Intn(3) {
+		case 0:
+			// Exactly on (or one ulp around) a multiple of κ.
 			ahead = float64(rng.Intn(top+2)) * kappa
-			switch rng.Intn(3) {
-			case 0:
-				ahead = math.Nextafter(ahead, math.Inf(1))
-			case 1:
-				ahead = math.Nextafter(ahead, math.Inf(-1))
+		case 1:
+			// Exactly on (or one ulp around) one inequality's boundary.
+			s := 1
+			if rng.Intn(2) == 0 {
+				s = 1 + rng.Intn(top+1)
 			}
-		} else {
+			ahead = levelBoundary(rng.Intn(4), s, kappa, delta, eps, tau, mu, rho)
+		default:
 			ahead = (rng.Float64()*2 - 1) * mags[rng.Intn(len(mags))]
 		}
-		desc, checked := checkLevels(ahead, kappa,
-			rng.Float64()*kappa, rng.Float64()*0.3, rng.Float64()*0.2,
-			0.01+rng.Float64()*0.09, rng.Float64()*0.01, top)
+		switch rng.Intn(4) {
+		case 0:
+			ahead = math.Nextafter(ahead, math.Inf(1))
+		case 1:
+			ahead = math.Nextafter(ahead, math.Inf(-1))
+		}
+		desc, checked := checkLevels(ahead, kappa, delta, eps, tau, mu, rho, top)
 		if checked && desc != "" {
-			t.Fatalf("case %d: %s threshold diverged from per-level scan (ahead=%v kappa=%v top=%d)",
-				i, desc, ahead, kappa, top)
+			t.Fatalf("case %d: %s diverged from per-level scan (ahead=%v kappa=%v delta=%v eps=%v tau=%v mu=%v rho=%v top=%d)",
+				i, desc, ahead, kappa, delta, eps, tau, mu, rho, top)
 		}
 	}
 }
@@ -268,10 +310,15 @@ func FuzzTriggerLevels(f *testing.F) {
 	f.Add(0.0, 0.84, 0.0, 0.2, 0.1, 0.05, 0.0016, uint8(96))
 	f.Add(-3.2, 2.5, 0.4, 0.01, 0.0, 0.02, 0.0, uint8(1))
 	f.Add(1e12, 1e-9, 0.0, 0.0, 0.0, 0.1, 0.009, uint8(255))
+	// The level-1 boundary of each inequality, where the guards decide.
+	kappa, delta, eps, tau, mu, rho := 0.84, 0.13, 0.2, 0.1, 0.05, 0.0016
+	for cond := 0; cond < 4; cond++ {
+		f.Add(levelBoundary(cond, 1, kappa, delta, eps, tau, mu, rho), kappa, delta, eps, tau, mu, rho, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, ahead, kappa, delta, eps, tau, mu, rho float64, topRaw uint8) {
 		top := int(topRaw)
 		if desc, checked := checkLevels(ahead, kappa, delta, eps, tau, mu, rho, top); checked && desc != "" {
-			t.Fatalf("%s threshold diverged from per-level scan (ahead=%v kappa=%v delta=%v eps=%v tau=%v mu=%v rho=%v top=%d)",
+			t.Fatalf("%s diverged from per-level scan (ahead=%v kappa=%v delta=%v eps=%v tau=%v mu=%v rho=%v top=%d)",
 				desc, ahead, kappa, delta, eps, tau, mu, rho, top)
 		}
 	})

@@ -45,12 +45,17 @@ type Algorithm interface {
 // algorithm that can apply one node's integration tick in isolation —
 // decide-then-integrate for a single node, byte-identical to its phased
 // Step — lets the runtime apply a crossed tick lazily at each node's next
-// event touch instead of at a global barrier. StepNode(u, shard, dh) must
-// read only node u's own state (plus tick-stable shared state) and tally
-// mode counters into the given event-shard block; FinishTick folds the
-// blocks after the sweep, in shard order, so counter totals stay
-// deterministic. CanStepNodes may return false to disable the path (e.g.
-// reference trigger engines with shared scratch).
+// event touch instead of at a global barrier. The nodes no event touched
+// are stepped in a completion phase when the tick fires, on every event
+// shard at once. Either way StepNode(u, shard, dh) is called with shard =
+// u mod K, on the worker that owns that event shard, while
+// Engine.InWindow() is true and other shards step their own nodes
+// concurrently. It must read only node u's own state (plus tick-stable
+// shared state) and tally mode counters into the given event-shard block;
+// FinishTick runs serially after the completion phase and folds the blocks
+// in shard order, so counter totals stay deterministic. CanStepNodes may
+// return false to disable the path (e.g. reference trigger engines with
+// shared scratch).
 type NodeStepper interface {
 	CanStepNodes() bool
 	StepNode(u, shard int, dh float64)
@@ -106,7 +111,9 @@ type Config struct {
 	// stretch (see DESIGN.md, "Sharded event drain"). Values ≤ 1 keep the
 	// serial drain. Results are byte-identical for every value; the knob
 	// trades wall-clock only. Global events — ticks, topology transitions,
-	// scenario steps, handshake timers — always stay serial.
+	// scenario steps, handshake timers — fire one at a time, with one
+	// exception inside them: a crossed tick finishes its per-node work (the
+	// nodes no window event touched) on all event shards in parallel.
 	EventParallelism int
 	// Seed feeds all randomness.
 	Seed int64
@@ -150,6 +157,9 @@ type Runtime struct {
 	tickT   sim.Time
 	tickDt  float64
 	driftFn func(shard, lo, hi int)
+	// finishFn is finishShard bound once, so completing a crossed tick
+	// allocates no method value.
+	finishFn func(shard int)
 
 	// wheel is the beacon wheel: a sharded event source that walks the
 	// nodes in staggered order (replacing first the N per-node tickers,
@@ -212,6 +222,7 @@ func New(cfg Config) (*Runtime, error) {
 		dH: make([]float64, cfg.N),
 	}
 	rt.driftFn = rt.driftShard
+	rt.finishFn = rt.finishShard
 	rt.driftOK = concurrentSchedule(rt.driftSrc)
 	if cfg.TickParallelism > 1 {
 		rt.pool = par.New(cfg.TickParallelism)
@@ -464,30 +475,29 @@ func (rt *Runtime) Run(until sim.Time) { rt.Engine.RunUntil(until) }
 // Algo returns the hosted algorithm.
 func (rt *Runtime) Algo() Algorithm { return rt.algo }
 
-// step is the integration tick. Phase 1 evaluates the adversary drift rates
-// and integrates the hardware clocks — sharded when a pool exists and the
-// schedule opted into concurrent evaluation, with lazily extended schedules
-// materialized serially first (drift.TickPreparer) so RNG draw order matches
-// the serial tick byte for byte. Phase 2 hands the increments to the
-// algorithm, whose Step shards its own phases through ParallelTick.
+// step is the integration tick. A barrier tick runs two phases. Phase 1
+// evaluates the adversary drift rates and integrates the hardware clocks —
+// sharded when a pool exists and the schedule opted into concurrent
+// evaluation, with lazily extended schedules materialized serially first
+// (drift.TickPreparer) so RNG draw order matches the serial tick byte for
+// byte. Phase 2 hands the increments to the algorithm, whose Step shards
+// its own phases through ParallelTick. A crossed tick instead completes:
+// the nodes no window event touched are stepped per event shard under
+// Engine.RunShards (finishShard), and FinishTick folds the counters.
 func (rt *Runtime) step(t sim.Time, dt float64) {
 	if rt.lazyActive {
-		// The tick was crossed: most nodes were stepped lazily at their first
-		// event touch. Sweep the untouched remainder (in ascending node order,
-		// like the barrier tick), fold the per-shard mode counters, and the
-		// tick is complete — byte-identical to the barrier path because
-		// applyNode mirrors driftShard + Step per node and every touched node
-		// saw exactly one application.
+		// The tick was crossed: many nodes were stepped lazily at their first
+		// event touch. The completion phase steps the untouched remainder on
+		// every event shard at once, then FinishTick folds the per-shard mode
+		// counters and the tick is complete — byte-identical to the barrier
+		// path because applyNode mirrors driftShard + Step per node, every
+		// node sees exactly one application, and no node's step reads
+		// another node's clocks.
 		if t != rt.lazyT {
 			panic(fmt.Sprintf("runner: crossed tick at %v but ticker fired at %v", rt.lazyT, t))
 		}
 		rt.lazyActive = false
-		for u := 0; u < rt.cfg.N; u++ {
-			if rt.nodeEpoch[u] != rt.epochTarget {
-				rt.nodeEpoch[u] = rt.epochTarget
-				rt.applyNode(u)
-			}
-		}
+		rt.Engine.RunShards(rt.finishFn)
 		rt.stepper.FinishTick()
 		rt.lastTick = t
 		return
@@ -503,6 +513,21 @@ func (rt *Runtime) step(t sim.Time, dt float64) {
 		rt.driftShard(0, 0, rt.cfg.N)
 	}
 	rt.algo.Step(t, rt.dH)
+}
+
+// finishShard is the crossed tick's completion phase on event shard s: it
+// steps the nodes u ≡ s (mod K) that no window event touched. This is the
+// window drain's own ownership, so shard s's worker is the only writer of
+// these nodes' clocks and epoch marks and of the stepper's shard-s counter
+// block, and the stepper sees StepNode(u, u mod K, dh) under InWindow(),
+// exactly as for a lazy touch.
+func (rt *Runtime) finishShard(s int) {
+	for u := s; u < rt.cfg.N; u += rt.evShards {
+		if rt.nodeEpoch[u] != rt.epochTarget {
+			rt.nodeEpoch[u] = rt.epochTarget
+			rt.applyNode(u)
+		}
+	}
 }
 
 // driftShard integrates the hardware clocks of nodes [lo, hi): reads are the

@@ -127,6 +127,8 @@ type Engine struct {
 	winHorizon     Time
 	drainFn        func(shard, lo, hi int)
 	flushFn        func(shard, lo, hi int)
+	eachShardFn    func(shard, lo, hi int)
+	shardFn        func(shard int) // RunShards callback in flight
 	shardStepped   []shardCount
 
 	// Tick-crossing state (SetCrossable): windows may extend past the
@@ -210,6 +212,7 @@ func NewEngine() *Engine {
 	e := &Engine{validate: testing.Testing(), shards: 1, shardStepped: make([]shardCount, 1)}
 	e.drainFn = e.drainShards
 	e.flushFn = e.flushShards
+	e.eachShardFn = e.eachShard
 	return e
 }
 
@@ -319,10 +322,42 @@ func (e *Engine) SetCrossable(tm *Timer, gate func(tickAt Time) (limit Time, ok 
 	e.crossTimer, e.crossGate, e.crossBegin = tm, gate, begin
 }
 
-// InWindow reports whether a parallel window drain is in flight. Sources
-// use it to route cross-shard effects to mailboxes; mutating the global
-// queue while it returns true is a contract violation and panics.
+// InWindow reports whether a parallel window phase is in flight: a window
+// drain, or a RunShards callback such as the runner's completion of a
+// crossed tick. Either way each event shard's work runs on that shard's
+// own worker, concurrently with the other shards. Sources use it to route
+// cross-shard effects to mailboxes; mutating the global queue while it
+// returns true is a contract violation and panics.
 func (e *Engine) InWindow() bool { return e.inWindow }
+
+// RunShards calls fn(s) once for every event shard s ∈ [0, K), concurrently
+// on the window worker pool, and returns after all of them finished. It is
+// a window phase without events: InWindow() is true for its duration, so
+// the global queue is locked against fn exactly as against window fires,
+// and fn(s) must write only state owned by shard s. Call it from serial
+// context (a global event), never from inside a window.
+func (e *Engine) RunShards(fn func(shard int)) {
+	if e.inWindow {
+		panic("sim: RunShards during a parallel window")
+	}
+	e.inWindow = true
+	if e.pool == nil {
+		fn(0)
+	} else {
+		e.shardFn = fn
+		e.pool.Run(e.shards, e.eachShardFn)
+		e.shardFn = nil
+	}
+	e.inWindow = false
+}
+
+// eachShard is RunShards' pool callback: the pool hands every worker a
+// range of event shards (one each, since the pool has K workers).
+func (e *Engine) eachShard(_, lo, hi int) {
+	for s := lo; s < hi; s++ {
+		e.shardFn(s)
+	}
+}
 
 // alloc takes a record slot from the free list, growing the slab only when
 // the pool is dry (steady state never grows).

@@ -623,3 +623,52 @@ func TestWindowRespectsGlobalFrontier(t *testing.T) {
 		}
 	}
 }
+
+// TestRunShards pins the window phase without events: fn runs once per
+// event shard, every call sees InWindow(), the global queue is locked
+// against it, and a nested call panics. Run under -race, the per-shard
+// writes and the serial read after the barrier must be clean.
+func TestRunShards(t *testing.T) {
+	for _, k := range []int{1, 2, 8} {
+		e := NewEngine()
+		e.SetEventParallelism(k)
+		calls := make([]shardCount, k)
+		outside := make([]shardCount, k)
+		e.RunShards(func(s int) {
+			calls[s].n++
+			if !e.InWindow() {
+				outside[s].n++
+			}
+		})
+		if e.InWindow() {
+			t.Fatalf("K=%d: InWindow still true after RunShards", k)
+		}
+		for s := range calls {
+			if calls[s].n != 1 || outside[s].n != 0 {
+				t.Errorf("K=%d shard %d: %d calls, %d outside the window flag; want 1 and 0", k, s, calls[s].n, outside[s].n)
+			}
+		}
+		// Shard 0 runs on the calling goroutine, so its panic reaches the
+		// caller; each case gets a fresh engine, since a panic leaves the
+		// window flag set.
+		for name, fn := range map[string]func(e *Engine){
+			"Schedule":  func(e *Engine) { e.Schedule(1, func(Time) {}) },
+			"RunShards": func(e *Engine) { e.RunShards(func(int) {}) },
+		} {
+			e := NewEngine()
+			e.SetEventParallelism(k)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("K=%d: %s inside RunShards did not panic", k, name)
+					}
+				}()
+				e.RunShards(func(s int) {
+					if s == 0 {
+						fn(e)
+					}
+				})
+			}()
+		}
+	}
+}
