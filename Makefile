@@ -54,6 +54,7 @@ race:
 # testdata/fuzz/ directory as a new seed to commit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWire$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineQueue$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRows$$' -fuzztime 10s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 10s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzTopoChurn$$' -fuzztime 10s ./internal/topo
@@ -65,13 +66,15 @@ bench:
 
 # Archives the hot-path and sweep-engine benchmarks as a JSON perf record
 # (the repo's perf trajectory): substrate micro-benchmarks at full
-# precision, the multi-seed sweep engine and the E15 scale tier (the
-# 10k-node ring with churn, whose events/sec is the throughput headline)
-# at one pass each, and the gradsyncd query-plane benchmarks (whose qps
-# metric and 0 allocs/op are the serving headline).
+# precision (core, topo, engine, transport delivery, estimates, pool), the
+# multi-seed sweep engine and the E15 scale tier (the 10k-node ring with
+# churn, whose events/sec is the throughput headline) at one pass each,
+# and the gradsyncd query-plane benchmarks (whose qps metric and 0
+# allocs/op are the serving headline).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep|BenchmarkNeighborLevels|BenchmarkBlockSyncStep|BenchmarkNeighbors|BenchmarkTopoChurn' -benchmem ./internal/core ./internal/baselines ./internal/topo > BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim >> BENCH_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkNetworkDeliver' -benchmem ./internal/transport >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMessagingInvalidate' -benchmem ./internal/estimate >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolRun' -benchmem ./internal/par >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep' -benchmem -benchtime=20x . >> BENCH_raw.txt

@@ -29,9 +29,10 @@
 //
 // Every record file also carries its host: the `cpu:` header go test
 // prints, the GOMAXPROCS suffix it appends to benchmark names (stripped from
-// the names so records key across machines), and the Go version. -compare
-// prints both hosts and warns when the CPU model or GOMAXPROCS differ,
-// because then a delta measures the machines as much as the code.
+// the names so records key across machines), the parsing host's CPU count
+// and the Go version. -compare prints both hosts and warns when the CPU
+// model, CPU count or GOMAXPROCS differ, because then a delta measures the
+// machines as much as the code.
 //
 // With -trend the command renders a markdown trend table across many record
 // files (oldest → newest) — the nightly workflow feeds it the last ~10
@@ -101,6 +102,9 @@ type Host struct {
 	// GOMAXPROCS is the -N suffix go test appends to benchmark names,
 	// taken from the first result line that has one (1 when none has).
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// NumCPU is runtime.NumCPU() of the host that parsed the run; `make
+	// bench-json` parses on the host that ran it. 0 in older records.
+	NumCPU int `json:"num_cpu,omitempty"`
 	// GoVersion is the toolchain that built benchjson; `make bench-json`
 	// runs it with the go command that ran the benchmarks.
 	GoVersion string `json:"go_version,omitempty"`
@@ -111,13 +115,15 @@ func (h *Host) String() string {
 	if h == nil {
 		return "unknown host"
 	}
-	return fmt.Sprintf("cpu %q, GOMAXPROCS %d, %s", h.CPU, h.GOMAXPROCS, h.GoVersion)
+	return fmt.Sprintf("cpu %q, %d CPUs, GOMAXPROCS %d, %s", h.CPU, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
 }
 
 // sameMachine reports whether both hosts name the same CPU model and
-// GOMAXPROCS. An unknown host matches nothing.
+// GOMAXPROCS, and the same CPU count when both records carry one. An
+// unknown host matches nothing.
 func (h *Host) sameMachine(o *Host) bool {
-	return h != nil && o != nil && h.CPU == o.CPU && h.GOMAXPROCS == o.GOMAXPROCS
+	return h != nil && o != nil && h.CPU == o.CPU && h.GOMAXPROCS == o.GOMAXPROCS &&
+		(h.NumCPU == 0 || o.NumCPU == 0 || h.NumCPU == o.NumCPU)
 }
 
 // memLine matches the shared mem-footer format anywhere in a line (test
@@ -185,7 +191,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // are collected alongside the benchmark lines; the last footer per case
 // wins (a benchmark printing one per b.N restart overwrites in place).
 func parse(r io.Reader) (*Report, error) {
-	report := &Report{Host: &Host{GoVersion: runtime.Version()}}
+	report := &Report{Host: &Host{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}}
 	pkg := ""
 	memIdx := map[string]int{}
 	sc := bufio.NewScanner(r)
@@ -449,7 +455,7 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 // warning when they are not the same machine. It informs only: the gates
 // apply to cross-host comparisons unchanged.
 func renderHosts(oldHost, newHost *Host, markdown bool, w io.Writer) {
-	const warning = "the records do not come from one host (the CPU model or GOMAXPROCS differ, or a record names no host), so the deltas mix machine and code"
+	const warning = "the records do not come from one host (the CPU model, CPU count or GOMAXPROCS differ, or a record names no host), so the deltas mix machine and code"
 	if markdown {
 		fmt.Fprintf(w, "Baseline host: %s. Run host: %s.\n\n", oldHost, newHost)
 		if !oldHost.sameMachine(newHost) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -101,7 +102,7 @@ func TestParseHostProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Host{CPU: "some cpu", GOMAXPROCS: 8, GoVersion: runtime.Version()}
+	want := Host{CPU: "some cpu", GOMAXPROCS: 8, NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	if report.Host == nil || *report.Host != want {
 		t.Fatalf("host = %+v, want %+v", report.Host, want)
 	}
@@ -110,14 +111,26 @@ func TestParseHostProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Host.GOMAXPROCS != 1 || report.Host.CPU != "one core" {
-		t.Errorf("host = %+v, want GOMAXPROCS 1 on cpu \"one core\"", report.Host)
+	if report.Host.GOMAXPROCS != 1 || report.Host.CPU != "one core" || report.Host.NumCPU != runtime.NumCPU() {
+		t.Errorf("host = %+v, want GOMAXPROCS 1 and %d CPUs on cpu \"one core\"", report.Host, runtime.NumCPU())
+	}
+	if s := report.Host.String(); !strings.Contains(s, fmt.Sprintf("%d CPUs", runtime.NumCPU())) {
+		t.Errorf("Host.String() = %q does not print the CPU count", s)
+	}
+	// The field round-trips under its JSON name.
+	data, err := json.Marshal(report.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), fmt.Sprintf(`"num_cpu":%d`, runtime.NumCPU())) {
+		t.Errorf("host JSON %s lacks num_cpu", data)
 	}
 }
 
 // TestCompareHosts pins -compare's host lines: both hosts are printed, a
-// warning appears exactly when the CPU model or GOMAXPROCS differ (or a
-// record names no host), and the gates ignore it.
+// warning appears exactly when the CPU model, CPU count or GOMAXPROCS
+// differ (or a record names no host), a record without a CPU count compares
+// as before the field existed, and the gates ignore it.
 func TestCompareHosts(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, h *Host, ns float64) string {
@@ -131,16 +144,18 @@ func TestCompareHosts(t *testing.T) {
 		}
 		return path
 	}
-	base := &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.24.0"}
+	base := &Host{CPU: "Xeon A", GOMAXPROCS: 2, NumCPU: 2, GoVersion: "go1.24.0"}
 	old := write("old.json", base, 100)
 	for _, c := range []struct {
 		name string
 		host *Host
 		warn bool
 	}{
-		{"same host, other Go", &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.25.0"}, false},
-		{"other CPU", &Host{CPU: "Xeon B", GOMAXPROCS: 2, GoVersion: "go1.24.0"}, true},
-		{"other GOMAXPROCS", &Host{CPU: "Xeon A", GOMAXPROCS: 8, GoVersion: "go1.24.0"}, true},
+		{"same host, other Go", &Host{CPU: "Xeon A", GOMAXPROCS: 2, NumCPU: 2, GoVersion: "go1.25.0"}, false},
+		{"other CPU", &Host{CPU: "Xeon B", GOMAXPROCS: 2, NumCPU: 2, GoVersion: "go1.24.0"}, true},
+		{"other GOMAXPROCS", &Host{CPU: "Xeon A", GOMAXPROCS: 8, NumCPU: 2, GoVersion: "go1.24.0"}, true},
+		{"other CPU count", &Host{CPU: "Xeon A", GOMAXPROCS: 2, NumCPU: 16, GoVersion: "go1.24.0"}, true},
+		{"record without a CPU count", &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.24.0"}, false},
 		{"no host", nil, true},
 	} {
 		niu := write("new.json", c.host, 101)

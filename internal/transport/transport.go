@@ -6,7 +6,6 @@
 package transport
 
 import (
-	"math"
 	"unsafe"
 
 	"repro/internal/sim"
@@ -90,40 +89,18 @@ func (s ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64
 	return p.Delay
 }
 
-// message is one pooled in-flight beacon record. Records are recycled
-// through a per-shard free list, so the steady-state send/deliver path
-// allocates nothing. Fields are packed to keep the record at 56 bytes
-// (int32 ids, uint32 seq) — in-flight slabs are a top-line memory consumer
-// at N=10⁷.
-type message struct {
-	from, to int32
-	// seq is the sender's beacon send counter, the last tie-break of the
-	// content key: it preserves FIFO among same-(from,to) same-deadline
-	// beacons and — unlike a global sequence — is identical at every shard
-	// count. uint32 wraps after 4.3·10⁹ sends per sender, orders of
-	// magnitude beyond any run, and a wrap could only reorder same-deadline
-	// same-pair messages.
-	seq        uint32
-	pos        int32 // index in netShard.heap; -1 while free
-	deadline   sim.Time
-	sentAt     sim.Time
-	minTransit float64
-	beacon     Beacon
-}
-
 // netShard owns the in-flight beacons addressed to the receivers it is
 // keyed to (shard = receiver mod K). During a parallel window only the
-// owning shard pops its heap; sends whose receiver lives on another shard
+// owning shard pops its queue; sends whose receiver lives on another shard
 // are staged in out[recvShard] and folded at the window barrier, so cell
 // (g, s) of the outbox matrix is written only by shard g in the drain phase
-// and read only by shard s in the flush phase — never both at once.
+// and read only by shard s in the flush phase — never both at once. Shards
+// pop and count concurrently, so the struct fills whole cache lines (192 B;
+// TestNetShardFillsCacheLines holds it to a multiple of 64).
 type netShard struct {
-	msgs          []message // pooled record slab
-	free          []int32   // recycled slots
-	heap          []int32   // 4-ary min-heap of slots, ordered by the content key
-	out           [][]message
+	q             deadlineQueue[Beacon]
+	out           [][]record[Beacon]
 	sent, dropped uint64
-	_             [2]uint64 // pad: shards bump counters concurrently
 }
 
 // Network schedules deliveries over a dynamic graph. A message is delivered
@@ -144,10 +121,6 @@ type netShard struct {
 // classes — deterministic and independent of the shard count — with beacons
 // due at the same instant delivered before controls (source registration
 // order) and global events before either.
-//
-// The slab/free-list/4-ary-heap machinery deliberately mirrors
-// internal/sim's event queue (see Engine); a change to either sift or
-// removal routine should be applied to both.
 type Network struct {
 	engine  *sim.Engine
 	dyn     *topo.Dynamic
@@ -163,30 +136,9 @@ type Network struct {
 	senderSeq []uint32
 	ctlSeq    []uint32
 
-	// ctlShards are the receiver-sharded pooled control queues, drained
-	// through the controlQueue serial source.
-	ctlShards []ctlShard
-}
-
-// control is one pooled in-flight control message.
-type control struct {
-	from, to   int32
-	seq        uint32 // sender's control send counter (content-key tie-break)
-	pos        int32  // index in ctlShard.heap; -1 while free
-	sentAt     sim.Time
-	deadline   sim.Time
-	minTransit float64
-	payload    any
-}
-
-// ctlShard owns the in-flight controls addressed to the receivers it is
-// keyed to (shard = receiver mod K). Controls are only pushed and popped in
-// serial contexts, so unlike netShard it needs no outboxes or counter
-// padding.
-type ctlShard struct {
-	ctls []control // pooled record slab
-	free []int32   // recycled slots
-	heap []int32   // 4-ary min-heap of slots, ordered by the content key
+	// ctls are the receiver-sharded control queues, drained through the
+	// controlQueue serial source.
+	ctls []deadlineQueue[any]
 }
 
 // NewNetwork wires a transport over the given graph and registers it as an
@@ -201,7 +153,7 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 	k := engine.EventShards()
 	n.shards = make([]netShard, k)
 	for s := range n.shards {
-		n.shards[s].out = make([][]message, k)
+		n.shards[s].out = make([][]record[Beacon], k)
 	}
 	base := rng.Uint64()
 	n.streams = make([]sim.Stream, dyn.N())
@@ -210,7 +162,7 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 	}
 	n.senderSeq = make([]uint32, dyn.N())
 	n.ctlSeq = make([]uint32, dyn.N())
-	n.ctlShards = make([]ctlShard, k)
+	n.ctls = make([]deadlineQueue[any], k)
 	engine.AddSource(n)
 	engine.AddSerialSource((*controlQueue)(n))
 	return n
@@ -242,32 +194,24 @@ func (n *Network) Dropped() uint64 {
 }
 
 // SlabBytes returns the bytes retained by the transport's pooled storage:
-// message and control slabs, their heaps, free lists and outboxes, plus the
-// per-sender streams and sequence counters. Capacities grow append-only from
+// beacon and control queues (slabs, runs and bucket rings) and outboxes,
+// plus the per-sender streams and sequence counters. Capacities follow
 // deterministic traffic, so for a fixed configuration the figure is exact
 // and reproducible — the transport's line in the memory-diet regression gate
 // (TestTransportSlabFootprintRing), complementing the whole-process live-heap
 // measurement.
 func (n *Network) SlabBytes() uint64 {
-	const slotBytes = 4 // heap/free entries are int32 slots
 	total := uint64(0)
-	msgSize := uint64(unsafe.Sizeof(message{}))
 	for s := range n.shards {
 		sh := &n.shards[s]
-		total += uint64(cap(sh.msgs)) * msgSize
-		total += uint64(cap(sh.free)+cap(sh.heap)) * slotBytes
+		total += sh.q.bytes()
 		for d := range sh.out {
-			total += uint64(cap(sh.out[d])) * msgSize
+			total += uint64(cap(sh.out[d])) * uint64(unsafe.Sizeof(record[Beacon]{}))
 		}
-	}
-	ctlSize := uint64(unsafe.Sizeof(control{}))
-	for s := range n.ctlShards {
-		sh := &n.ctlShards[s]
-		total += uint64(cap(sh.ctls)) * ctlSize
-		total += uint64(cap(sh.free)+cap(sh.heap)) * slotBytes
+		total += n.ctls[s].bytes()
 	}
 	total += uint64(len(n.streams)) * uint64(unsafe.Sizeof(sim.Stream{}))
-	total += uint64(cap(n.senderSeq)+cap(n.ctlSeq)) * slotBytes
+	total += uint64(cap(n.senderSeq)+cap(n.ctlSeq)) * 4
 	return total
 }
 
@@ -289,14 +233,13 @@ func (n *Network) SendBeaconAt(from, to int, b Beacon, at sim.Time) {
 	k := len(n.shards)
 	src := &n.shards[from%k]
 	src.sent++
-	m := message{
+	m := record[Beacon]{
 		from:       int32(from),
 		to:         int32(to),
 		seq:        n.senderSeq[from],
 		sentAt:     at,
 		minTransit: params.Delay - params.Uncertainty,
-		beacon:     b,
-		pos:        -1,
+		payload:    b,
 	}
 	n.senderSeq[from]++
 	delay := n.policy.Draw(&n.streams[from], from, to, params)
@@ -316,7 +259,7 @@ func (n *Network) SendBeaconAt(from, to int, b Beacon, at sim.Time) {
 		src.out[dst] = append(src.out[dst], m)
 		return
 	}
-	n.shards[dst].push(m)
+	n.shards[dst].q.push(m)
 }
 
 // SendControl transmits an arbitrary control payload (handshake messages)
@@ -343,7 +286,7 @@ func (n *Network) SendControl(from, to int, payload any) {
 	if delay > params.Delay {
 		delay = params.Delay
 	}
-	c := control{
+	c := record[any]{
 		from:       int32(from),
 		to:         int32(to),
 		seq:        n.ctlSeq[from],
@@ -353,7 +296,7 @@ func (n *Network) SendControl(from, to int, payload any) {
 		payload:    payload,
 	}
 	n.ctlSeq[from]++
-	n.ctlShards[to%len(n.ctlShards)].push(c)
+	n.ctls[to%len(n.ctls)].push(c)
 }
 
 // BroadcastBeacon sends the beacon to every neighbor currently visible to
@@ -374,308 +317,60 @@ func (n *Network) BroadcastBeaconAt(from int, b Beacon, scratch []int, at sim.Ti
 
 // Peek implements sim.Source: the earliest pending delivery deadline of the
 // shard, or +Inf when none.
-func (n *Network) Peek(shard int) sim.Time {
-	sh := &n.shards[shard]
-	if len(sh.heap) == 0 {
-		return math.Inf(1)
-	}
-	return sh.msgs[sh.heap[0]].deadline
-}
+func (n *Network) Peek(shard int) sim.Time { return n.shards[shard].q.peek() }
 
 // FireNext implements sim.Source: deliver the shard's earliest beacon. The
 // receiver is owned by this shard, so the handler chain (estimate samples,
 // the algorithm's per-receiver register) writes only shard-owned state.
 func (n *Network) FireNext(shard int, now sim.Time) {
 	sh := &n.shards[shard]
-	slot := sh.heap[0]
-	m := &sh.msgs[slot]
-	// Copy out before releasing: the handler may send, reusing the record.
+	m := sh.q.pop() // a copy: the handler may send, reusing the slot
 	from, to := int(m.from), int(m.to)
-	b := m.beacon
-	d := Delivery{
-		From:       from,
-		To:         to,
-		SentAt:     m.sentAt,
-		At:         now,
-		MinTransit: m.minTransit,
-	}
-	sh.removeAt(0)
-	sh.release(slot)
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		sh.dropped++
 		return
 	}
-	n.handler.OnBeacon(to, from, b, d)
+	n.handler.OnBeacon(to, from, m.payload, m.delivery(now))
 }
 
 // Flush implements sim.Source: fold every outbox staged for this shard into
 // its queue, in sender-shard order. The insertion order does not affect
-// delivery order — the heap sorts by the content key — it only has to be
+// delivery order — the queue orders by the content key — it only has to be
 // deterministic for the pooled slot assignment.
 func (n *Network) Flush(shard int) {
 	dst := &n.shards[shard]
 	for g := range n.shards {
 		staged := n.shards[g].out[shard]
 		for i := range staged {
-			dst.push(staged[i])
+			dst.q.push(staged[i])
 		}
 		n.shards[g].out[shard] = staged[:0]
 	}
 }
 
 // controlQueue is the Network's serial-source face for control deliveries:
-// the same receiver-sharded pooled-heap shape as beacons, but registered
-// with sim.Engine.AddSerialSource so every control fires one at a time in a
+// the same receiver-sharded queue shape as beacons, but registered with
+// sim.Engine.AddSerialSource so every control fires one at a time in a
 // serial context (handlers schedule global retry timers).
 type controlQueue Network
 
 // Peek implements sim.Source: the earliest pending control deadline of the
 // shard, or +Inf when none.
-func (q *controlQueue) Peek(shard int) sim.Time {
-	sh := &q.ctlShards[shard]
-	if len(sh.heap) == 0 {
-		return math.Inf(1)
-	}
-	return sh.ctls[sh.heap[0]].deadline
-}
+func (q *controlQueue) Peek(shard int) sim.Time { return q.ctls[shard].peek() }
 
 // FireNext implements sim.Source: deliver the shard's earliest control.
 // Always invoked on the engine's serial path.
 func (q *controlQueue) FireNext(shard int, now sim.Time) {
 	n := (*Network)(q)
-	sh := &q.ctlShards[shard]
-	slot := sh.heap[0]
-	c := &sh.ctls[slot]
+	c := q.ctls[shard].pop()
 	from, to := int(c.from), int(c.to)
-	payload := c.payload
-	d := Delivery{
-		From:       from,
-		To:         to,
-		SentAt:     c.sentAt,
-		At:         now,
-		MinTransit: c.minTransit,
-	}
-	// Release before handling: dropping the payload reference frees boxed
-	// controls, and the handler may send again, reusing the slot.
-	c.payload = nil
-	sh.removeAt(0)
-	sh.release(slot)
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		n.shards[to%len(n.shards)].dropped++
 		return
 	}
-	n.handler.OnControl(to, from, payload, d)
+	n.handler.OnControl(to, from, c.payload, c.delivery(now))
 }
 
 // Flush implements sim.Source: controls are never staged (SendControl panics
 // inside windows), so there is nothing to fold.
 func (q *controlQueue) Flush(int) {}
-
-// push inserts a message into the shard's pooled deadline queue.
-func (sh *netShard) push(m message) {
-	slot := sh.alloc()
-	r := &sh.msgs[slot]
-	*r = m
-	r.pos = int32(len(sh.heap))
-	sh.heap = append(sh.heap, slot)
-	sh.siftUp(int(r.pos))
-}
-
-// alloc takes a message slot from the free list, growing the slab only when
-// the pool is dry.
-func (sh *netShard) alloc() int32 {
-	if l := len(sh.free); l > 0 {
-		slot := sh.free[l-1]
-		sh.free = sh.free[:l-1]
-		return slot
-	}
-	sh.msgs = append(sh.msgs, message{pos: -1})
-	return int32(len(sh.msgs) - 1)
-}
-
-// release recycles a slot.
-func (sh *netShard) release(slot int32) {
-	sh.msgs[slot].pos = -1
-	sh.free = append(sh.free, slot)
-}
-
-// less orders slots by the content key (deadline, to, from, sender-seq):
-// a total order over distinct messages that depends only on the messages
-// themselves, so delivery order is identical at every shard count. Among
-// same-pair ties the sender-seq keeps FIFO send order.
-func (sh *netShard) less(a, b int32) bool {
-	ma, mb := &sh.msgs[a], &sh.msgs[b]
-	if ma.deadline != mb.deadline {
-		return ma.deadline < mb.deadline
-	}
-	if ma.to != mb.to {
-		return ma.to < mb.to
-	}
-	if ma.from != mb.from {
-		return ma.from < mb.from
-	}
-	return ma.seq < mb.seq
-}
-
-func (sh *netShard) siftUp(i int) {
-	h := sh.heap
-	slot := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !sh.less(slot, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		sh.msgs[h[i]].pos = int32(i)
-		i = p
-	}
-	h[i] = slot
-	sh.msgs[slot].pos = int32(i)
-}
-
-func (sh *netShard) siftDown(i int) {
-	h := sh.heap
-	l := len(h)
-	slot := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= l {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > l {
-			end = l
-		}
-		for j := c + 1; j < end; j++ {
-			if sh.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !sh.less(h[best], slot) {
-			break
-		}
-		h[i] = h[best]
-		sh.msgs[h[i]].pos = int32(i)
-		i = best
-	}
-	h[i] = slot
-	sh.msgs[slot].pos = int32(i)
-}
-
-func (sh *netShard) removeAt(i int) {
-	l := len(sh.heap) - 1
-	last := sh.heap[l]
-	sh.heap = sh.heap[:l]
-	if i == l {
-		return
-	}
-	sh.heap[i] = last
-	sh.msgs[last].pos = int32(i)
-	sh.siftDown(i)
-	if int(sh.msgs[last].pos) == i {
-		sh.siftUp(i)
-	}
-}
-
-// push inserts a control into the shard's pooled deadline queue.
-func (sh *ctlShard) push(c control) {
-	slot := sh.alloc()
-	r := &sh.ctls[slot]
-	*r = c
-	r.pos = int32(len(sh.heap))
-	sh.heap = append(sh.heap, slot)
-	sh.siftUp(int(r.pos))
-}
-
-func (sh *ctlShard) alloc() int32 {
-	if l := len(sh.free); l > 0 {
-		slot := sh.free[l-1]
-		sh.free = sh.free[:l-1]
-		return slot
-	}
-	sh.ctls = append(sh.ctls, control{pos: -1})
-	return int32(len(sh.ctls) - 1)
-}
-
-func (sh *ctlShard) release(slot int32) {
-	sh.ctls[slot].pos = -1
-	sh.free = append(sh.free, slot)
-}
-
-// less orders controls by the same content-key shape as beacons:
-// (deadline, to, from, sender-ctl-seq).
-func (sh *ctlShard) less(a, b int32) bool {
-	ca, cb := &sh.ctls[a], &sh.ctls[b]
-	if ca.deadline != cb.deadline {
-		return ca.deadline < cb.deadline
-	}
-	if ca.to != cb.to {
-		return ca.to < cb.to
-	}
-	if ca.from != cb.from {
-		return ca.from < cb.from
-	}
-	return ca.seq < cb.seq
-}
-
-func (sh *ctlShard) siftUp(i int) {
-	h := sh.heap
-	slot := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !sh.less(slot, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		sh.ctls[h[i]].pos = int32(i)
-		i = p
-	}
-	h[i] = slot
-	sh.ctls[slot].pos = int32(i)
-}
-
-func (sh *ctlShard) siftDown(i int) {
-	h := sh.heap
-	l := len(h)
-	slot := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= l {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > l {
-			end = l
-		}
-		for j := c + 1; j < end; j++ {
-			if sh.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !sh.less(h[best], slot) {
-			break
-		}
-		h[i] = h[best]
-		sh.ctls[h[i]].pos = int32(i)
-		i = best
-	}
-	h[i] = slot
-	sh.ctls[slot].pos = int32(i)
-}
-
-func (sh *ctlShard) removeAt(i int) {
-	l := len(sh.heap) - 1
-	last := sh.heap[l]
-	sh.heap = sh.heap[:l]
-	if i == l {
-		return
-	}
-	sh.heap[i] = last
-	sh.ctls[last].pos = int32(i)
-	sh.siftDown(i)
-	if int(sh.ctls[last].pos) == i {
-		sh.siftUp(i)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -184,7 +185,8 @@ func TestSameDeadlineFIFO(t *testing.T) {
 // TestMessagePoolRecycles checks the in-flight record pools: sustained
 // traffic must not grow the beacon or control slabs beyond the peak
 // in-flight population, and recycled records must not leak payloads across
-// messages.
+// messages — a control record is zeroed when it is popped, so no free slot
+// holds a payload reference.
 func TestMessagePoolRecycles(t *testing.T) {
 	eng, _, net, cap := setup(t, MaxDelay{})
 	for round := 0; round < 500; round++ {
@@ -194,10 +196,8 @@ func TestMessagePoolRecycles(t *testing.T) {
 	}
 	beaconSlab, ctlSlab := 0, 0
 	for s := range net.shards {
-		beaconSlab += len(net.shards[s].msgs)
-	}
-	for s := range net.ctlShards {
-		ctlSlab += len(net.ctlShards[s].ctls)
+		beaconSlab += len(net.shards[s].q.recs)
+		ctlSlab += len(net.ctls[s].recs)
 	}
 	if beaconSlab > 8 || ctlSlab > 8 {
 		t.Fatalf("slabs grew to %d beacon / %d control records for ≤2 in-flight messages — pool not recycling",
@@ -211,12 +211,21 @@ func TestMessagePoolRecycles(t *testing.T) {
 			t.Fatalf("payload %d = %v (recycled record aliased another message)", i, p)
 		}
 	}
-	// Released control records must have dropped their payload references.
-	for s := range net.ctlShards {
-		for slot := range net.ctlShards[s].ctls {
-			if net.ctlShards[s].ctls[slot].payload != nil {
+	for s := range net.ctls {
+		for slot, r := range net.ctls[s].recs {
+			if r.payload != nil {
 				t.Fatalf("free control record %d still holds a payload reference", slot)
 			}
 		}
+	}
+}
+
+// TestNetShardFillsCacheLines keeps adjacent shards off each other's cache
+// lines: during a window every shard pops its queue and bumps its counters
+// concurrently, and a shard size off a multiple of 64 B makes neighbours
+// false-share.
+func TestNetShardFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(netShard{}); size%64 != 0 {
+		t.Fatalf("netShard is %d B, want a multiple of 64", size)
 	}
 }

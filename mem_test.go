@@ -1,6 +1,7 @@
 package gradsync_test
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -64,33 +65,41 @@ func TestMemoryFootprintRing(t *testing.T) {
 }
 
 // TestTransportSlabFootprintRing extends the memory-diet gate to the
-// transport: the pooled slab bytes (messages, controls, heaps, free lists,
-// outboxes, per-sender streams and counters) reported by Network.SlabBytes
-// are exact and deterministic for a fixed configuration — traffic is
-// deterministic and slabs grow append-only — so the per-node figure is
-// pinned against a hard bound rather than a relative comparison. The bound
-// has ~1.5× headroom over the measured steady state (≈61 B/node on a ring:
-// in-flight beacons cover Delay/BeaconInterval of the per-node send rate,
-// plus 24 B of stream + counter state); packing regressions (message record
-// growth, outbox headroom creep) blow through it.
+// transport: the pooled slab bytes (beacon and control queues with their
+// slabs, runs and bucket rings, outboxes, per-sender streams and counters)
+// reported by Network.SlabBytes are exact and deterministic for a fixed
+// configuration — traffic is deterministic and slabs grow append-only — so
+// the per-node figure is pinned against a hard bound rather than a relative
+// comparison. It runs at EventParallelism 1, where one shard holds every
+// in-flight message and no outbox exists, and at 2, the benchmark's
+// setting, which adds a second queue per class and the cross-shard outboxes.
+// The bound has ~1.3–1.6× headroom over the measured steady state (≈59 and
+// ≈75 B/node on a ring: in-flight beacons cover Delay/BeaconInterval of the
+// per-node send rate, plus 24 B of stream + counter state); packing
+// regressions (record growth, outbox headroom creep) blow through it.
 func TestTransportSlabFootprintRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement builds a full network")
 	}
 	const n = 20000
-	net := gradsync.MustNew(gradsync.Config{
-		Topology:     gradsync.RingTopology(n),
-		DiameterHint: n / 2,
-		Drift:        gradsync.TwoGroupDrift(n / 2),
-		Estimates:    gradsync.MessagingEstimates(false),
-		Seed:         7,
-	})
-	net.RunFor(0.6) // a full beacon round at steady in-flight population
-	slab := net.Runtime().Net.SlabBytes()
-	perNode := float64(slab) / float64(n)
-	t.Logf("N=%d ring: transport slabs %.2f MiB (%.1f B/node)", n, float64(slab)/(1<<20), perNode)
-	const maxBytesPerNode = 96
-	if perNode > maxBytesPerNode {
-		t.Errorf("transport retains %.1f B/node, bound %d — per-node transport state regressed", perNode, maxBytesPerNode)
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("evpar=%d", k), func(t *testing.T) {
+			net := gradsync.MustNew(gradsync.Config{
+				Topology:         gradsync.RingTopology(n),
+				DiameterHint:     n / 2,
+				Drift:            gradsync.TwoGroupDrift(n / 2),
+				Estimates:        gradsync.MessagingEstimates(false),
+				Seed:             7,
+				EventParallelism: k,
+			})
+			net.RunFor(0.6) // a full beacon round at steady in-flight population
+			slab := net.Runtime().Net.SlabBytes()
+			perNode := float64(slab) / float64(n)
+			t.Logf("N=%d ring, EventParallelism %d: transport slabs %.2f MiB (%.1f B/node)", n, k, float64(slab)/(1<<20), perNode)
+			const maxBytesPerNode = 96
+			if perNode > maxBytesPerNode {
+				t.Errorf("transport retains %.1f B/node, bound %d — per-node transport state regressed", perNode, maxBytesPerNode)
+			}
+		})
 	}
 }
