@@ -1,7 +1,7 @@
 package gradsync_test
 
-// Golden fingerprints: the exact bits of three small full runs, pinned as
-// constants. The layout, shard and tick-crossing differentials compare two
+// Golden fingerprints: the exact bits of five small full runs, pinned as
+// constants: three AOPT runs and one run of each baseline. The layout, shard and tick-crossing differentials compare two
 // code paths of one tree against each other; these constants compare the
 // tree against the code that produced them, so a refactor of the storage
 // layout or the trigger fold that changes any clock, counter or message
@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	gradsync "repro"
+	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/scenario"
 )
@@ -27,12 +29,24 @@ type goldenCase struct {
 	name    string
 	horizon float64
 	build   func() gradsync.Config
-	// active requires FastTicks, MissingEstimates and Insertions all above
-	// zero, so the pinned bits cover the fast mode, the missing-estimate
-	// path and completed insertion handshakes.
+	// active requires the run to reach the paths its pin is meant to cover:
+	// for AOPT, FastTicks, MissingEstimates and Insertions all above zero
+	// (the fast mode, the missing-estimate path and completed insertion
+	// handshakes); for BlockSync, fast and slow ticks; for MaxSync, jumps.
 	active   bool
 	state    string // sha256 over the bits of every L_u, M_u, H_u
 	counters string
+}
+
+// sawtooth returns initial clocks that climb by gap per node and drop back
+// every period nodes, so some neighbours start far ahead and some far
+// behind: both gradient triggers fire from the first tick.
+func sawtooth(n, period int, gap float64) []float64 {
+	out := make([]float64, n)
+	for u := range out {
+		out[u] = float64(u%period) * gap
+	}
+	return out
 }
 
 // chords returns k distinct diameter chords (u, u+n/2) of an n-node ring.
@@ -113,6 +127,46 @@ func goldenCases() []goldenCase {
 			state:    "882a3df22d93d6a493c319454c48c1b05cb82381f5254e3b8f7b077a435e5a92",
 			counters: "fast=733 slow=71231 missing=1120 insertions=89 aborts=0 misses=1120 sent=25645 dropped=5",
 		},
+		{
+			// S is small against ε, so at times both BlockSync triggers hold
+			// at once and Listing 3's case order decides the mode.
+			name:    "ring-blocksync-sawtooth",
+			horizon: 30,
+			active:  true,
+			build: func() gradsync.Config {
+				return gradsync.Config{
+					Topology:         gradsync.RingTopology(24),
+					Algorithm:        gradsync.BlockSyncAlgo(0.5),
+					Drift:            gradsync.TwoGroupDrift(12),
+					Estimates:        gradsync.MessagingEstimates(false),
+					InitialClocks:    sawtooth(24, 6, 0.6),
+					TickParallelism:  2,
+					EventParallelism: 2,
+					Seed:             3,
+				}
+			},
+			state:    "3254feba9aa7cefb792e3e0125cc94b79f6f1b1895dfac1ff7d6a8fcd6ba5deb",
+			counters: "fast=17418 slow=18582 sent=5762 dropped=0",
+		},
+		{
+			name:    "ring-maxsync-sawtooth",
+			horizon: 30,
+			active:  true,
+			build: func() gradsync.Config {
+				return gradsync.Config{
+					Topology:         gradsync.RingTopology(24),
+					Algorithm:        gradsync.MaxSyncAlgo(),
+					Drift:            gradsync.TwoGroupDrift(12),
+					Estimates:        gradsync.MessagingEstimates(false),
+					InitialClocks:    sawtooth(24, 6, 0.6),
+					TickParallelism:  2,
+					EventParallelism: 2,
+					Seed:             3,
+				}
+			},
+			state:    "318023395cfe115d6cd0412fb5aaef2f09a034605eac6e2c901bd326337aa92b",
+			counters: "jumps=173 sent=5762 dropped=0",
+		},
 	}
 }
 
@@ -134,22 +188,36 @@ func goldenFingerprint(t *testing.T, c goldenCase) (state, counters string) {
 		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(rt.HW[u]))
 		h.Write(b[:])
 	}
-	a := net.Core()
-	var misses uint64
-	if m, ok := rt.Est.(*estimate.Messaging); ok {
-		misses = m.Misses
+	traffic := fmt.Sprintf("sent=%d dropped=%d", rt.Net.Sent(), rt.Net.Dropped())
+	switch a := rt.Algo().(type) {
+	case *core.Algorithm:
+		var misses uint64
+		if m, ok := rt.Est.(*estimate.Messaging); ok {
+			misses = m.Misses
+		}
+		if c.active && (a.FastTicks == 0 || a.MissingEstimates == 0 || a.Insertions == 0) {
+			t.Errorf("%s: want fast ticks, missing estimates and insertions all > 0, got %d/%d/%d",
+				c.name, a.FastTicks, a.MissingEstimates, a.Insertions)
+		}
+		counters = fmt.Sprintf("fast=%d slow=%d missing=%d insertions=%d aborts=%d misses=%d %s",
+			a.FastTicks, a.SlowTicks, a.MissingEstimates, a.Insertions, a.HandshakeAborts, misses, traffic)
+	case *baselines.BlockSync:
+		if c.active && (a.FastTicks == 0 || a.SlowTicks == 0) {
+			t.Errorf("%s: want fast and slow ticks > 0, got %d/%d", c.name, a.FastTicks, a.SlowTicks)
+		}
+		counters = fmt.Sprintf("fast=%d slow=%d %s", a.FastTicks, a.SlowTicks, traffic)
+	case *baselines.MaxSync:
+		if c.active && a.Jumps == 0 {
+			t.Errorf("%s: want jumps > 0", c.name)
+		}
+		counters = fmt.Sprintf("jumps=%d %s", a.Jumps, traffic)
+	default:
+		t.Fatalf("%s: no counters for algorithm %T", c.name, a)
 	}
-	if c.active && (a.FastTicks == 0 || a.MissingEstimates == 0 || a.Insertions == 0) {
-		t.Errorf("%s: want fast ticks, missing estimates and insertions all > 0, got %d/%d/%d",
-			c.name, a.FastTicks, a.MissingEstimates, a.Insertions)
-	}
-	counters = fmt.Sprintf("fast=%d slow=%d missing=%d insertions=%d aborts=%d misses=%d sent=%d dropped=%d",
-		a.FastTicks, a.SlowTicks, a.MissingEstimates, a.Insertions, a.HandshakeAborts,
-		misses, rt.Net.Sent(), rt.Net.Dropped())
 	return hex.EncodeToString(h.Sum(nil)), counters
 }
 
-// TestGoldenFingerprints pins the final clocks and counters of three small
+// TestGoldenFingerprints pins the final clocks and counters of five small
 // runs built through gradsync.New with both parallelism knobs at 2.
 func TestGoldenFingerprints(t *testing.T) {
 	for _, c := range goldenCases() {
