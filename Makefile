@@ -51,7 +51,9 @@ race:
 # Fuzzes each target for 10 s. Plain `go test` only replays the seed
 # corpora; this searches past them. go test -fuzz takes one target in one
 # package per run, and a failing input lands in that package's
-# testdata/fuzz/ directory as a new seed to commit.
+# testdata/fuzz/ directory as a new seed to commit. FuzzReplayTrace caps
+# minimization at 1 s: its JSON input turns up new coverage so often that
+# the default 60 s minimization of each find would use its whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWire$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineQueue$$' -fuzztime 10s ./internal/transport
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopoChurn$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRange$$' -fuzztime 10s ./internal/par
 	$(GO) test -run '^$$' -fuzz '^FuzzTriggerLevels$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/live
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

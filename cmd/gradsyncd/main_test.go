@@ -133,6 +133,25 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadNumbers checks that out-of-range flags make run return
+// an error before any node starts, instead of panicking on a node
+// goroutine or running with them.
+func TestRunRejectsBadNumbers(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tick", "-1"},
+		{"-tick", "1e-12"},
+		{"-timescale", "-5ms"},
+		{"-queue", "-1"},
+		{"-mu", "-1"},
+		{"-mu", "NaN"},
+		{"-s", "NaN"},
+	} {
+		if err := run(append(args, "-listen", "127.0.0.1:0")); err == nil {
+			t.Errorf("run %v returned no error", args)
+		}
+	}
+}
+
 func TestBuildEdges(t *testing.T) {
 	for _, tc := range []struct {
 		topo  string

@@ -26,14 +26,15 @@ func Sigma(mu, rho float64) float64 {
 }
 
 // ValidateRates checks the constraints the paper places on ρ and µ:
-// ρ ∈ (0,1), µ ≤ 1/10 (eq. 7) and σ > 1 (below eq. 8).
+// ρ ∈ (0,1), µ ≤ 1/10 (eq. 7) and σ > 1 (below eq. 8). Each check is
+// written as the negation of the legal range, so NaN fails it.
 func ValidateRates(mu, rho float64) error {
 	switch {
-	case rho <= 0 || rho >= 1:
+	case !(rho > 0 && rho < 1):
 		return fmt.Errorf("analysis: ρ must be in (0,1), got %v", rho)
-	case mu <= 0 || mu > 0.1:
+	case !(mu > 0 && mu <= 0.1):
 		return fmt.Errorf("analysis: µ must be in (0, 1/10], got %v (eq. 7)", mu)
-	case Sigma(mu, rho) <= 1:
+	case !(Sigma(mu, rho) > 1):
 		return fmt.Errorf("analysis: σ = (1−ρ)µ/(2ρ) = %v must exceed 1; increase µ or decrease ρ",
 			Sigma(mu, rho))
 	}

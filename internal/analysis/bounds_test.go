@@ -35,6 +35,8 @@ func TestValidateRates(t *testing.T) {
 		{"rho zero", 0.1, 0, true},
 		{"rho one", 0.1, 1, true},
 		{"sigma below one", 0.01, 0.01, true}, // σ = 0.99·0.01/0.02 < 1
+		{"mu NaN", math.NaN(), 0.001, true},
+		{"rho NaN", 0.1, math.NaN(), true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

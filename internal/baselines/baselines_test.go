@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/drift"
@@ -109,6 +110,14 @@ func TestBlockSyncValidation(t *testing.T) {
 	}
 	if _, err := NewBlockSync(2, 0, bMu); err == nil {
 		t.Error("zero rho accepted")
+	}
+	for _, bad := range [][3]float64{
+		{math.NaN(), bRho, bMu}, {math.Inf(1), bRho, bMu},
+		{2, math.NaN(), bMu}, {2, bRho, math.NaN()},
+	} {
+		if _, err := NewBlockSync(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("NewBlockSync(%v, %v, %v) accepted", bad[0], bad[1], bad[2])
+		}
 	}
 	if _, err := NewBlockSync(2, bRho, bMu); err != nil {
 		t.Errorf("valid config rejected: %v", err)

@@ -2,17 +2,19 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
 // BlockSync is the single-threshold gradient algorithm of [11] (Kuhn,
-// Locher, Oshman, SPAA 2009), expressed in the same trigger style as AOPT
-// but with exactly one level whose block size S replaces s·κ. The paper
-// proves its stable local skew is Θ(S) provided S ∈ Ω(√(ρ·D)); experiment
-// E3 sweeps S to expose that threshold empirically.
+// Locher, Oshman, SPAA 2009): AOPT's per-node rule with exactly one level,
+// whose block size S replaces κ (see BlockTriggers). The paper proves its
+// stable local skew is Θ(S) provided S ∈ Ω(√(ρ·D)); experiment E3 sweeps S
+// to expose that threshold empirically.
 type BlockSync struct {
 	// S is the block size (target local skew scale).
 	S float64
@@ -48,13 +50,14 @@ type blockCounters struct {
 
 var _ runner.Algorithm = (*BlockSync)(nil)
 
-// NewBlockSync constructs the baseline; S must be positive.
+// NewBlockSync constructs the baseline; S must be finite and positive, and
+// so must ρ and µ. The checks negate the legal range, so NaN fails them.
 func NewBlockSync(s, rho, mu float64) (*BlockSync, error) {
-	if s <= 0 {
-		return nil, fmt.Errorf("baselines: block size S must be positive, got %v", s)
+	if !(s > 0) || math.IsInf(s, 1) {
+		return nil, fmt.Errorf("baselines: block size S must be finite and positive, got %v", s)
 	}
-	if mu <= 0 || rho <= 0 {
-		return nil, fmt.Errorf("baselines: rho and mu must be positive")
+	if !(mu > 0 && rho > 0) || math.IsInf(mu, 1) || math.IsInf(rho, 1) {
+		return nil, fmt.Errorf("baselines: rho and mu must be finite and positive, got %v and %v", rho, mu)
 	}
 	return &BlockSync{S: s, Rho: rho, Mu: mu, Iota: 0.05}, nil
 }
@@ -86,15 +89,9 @@ func (b *BlockSync) OnEdgeUp(_, _ int, _ sim.Time) {}
 // OnEdgeDown implements runner.Algorithm.
 func (b *BlockSync) OnEdgeDown(_, _ int, _ sim.Time) {}
 
-// OnBeacon implements runner.Algorithm: max-estimate flooding as in AOPT,
-// with the one-tick discretization compensation on the transit credit.
+// OnBeacon implements runner.Algorithm: max-estimate flooding as in AOPT.
 func (b *BlockSync) OnBeacon(to, _ int, bc transport.Beacon, d transport.Delivery) {
-	credit := d.MinTransit - b.rt.Tick()
-	if credit < 0 {
-		credit = 0
-	}
-	cand := bc.M + (1-b.Rho)*credit
-	if cand > b.m[to] {
+	if cand := core.FloodCandidate(bc.M, d.MinTransit, b.rt.Tick(), b.Rho); cand > b.m[to] {
 		b.m[to] = cand
 	}
 }
@@ -128,73 +125,68 @@ func (b *BlockSync) decideShard(shard, lo, hi int) {
 
 // integrateShard runs the clock-integration phase for nodes [lo, hi).
 func (b *BlockSync) integrateShard(_, lo, hi int) {
-	oneMinus := (1 - b.Rho) / (1 + b.Rho)
+	mRate := (1 - b.Rho) / (1 + b.Rho)
 	dH := b.dHTick
 	for u := lo; u < hi; u++ {
-		b.l[u] += b.mult[u] * dH[u]
-		if b.m[u] <= b.l[u] {
-			b.m[u] = b.l[u]
-		} else {
-			b.m[u] += oneMinus * dH[u]
-			if b.m[u] < b.l[u] {
-				b.m[u] = b.l[u]
-			}
-		}
+		b.l[u], b.m[u] = core.Integrate(b.l[u], b.m[u], b.mult[u], dH[u], mRate)
 	}
 }
 
+// decideMode runs Listing 3 for node u on the single-threshold triggers.
 func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
 	lu := b.l[u]
-	delta := b.S / 20
+	f := NewBlockTriggers(b.S, b.Mu, b.Rho)
 	b.nbrs[shard] = b.rt.Dyn.Neighbors(u, b.nbrs[shard][:0])
-	nbrs := b.nbrs[shard]
-	fastWitness, fastBlocked := false, false
-	slowWitness, slowBlocked := false, false
-	for _, v := range nbrs {
+	for _, v := range b.nbrs[shard] {
 		est, ok := b.rt.Est.Estimate(u, v)
 		if !ok {
 			continue
 		}
 		eps := b.rt.Est.Eps(u, v)
-		lp, okP := b.rt.Dyn.Params(u, v)
-		if !okP {
+		lp, ok := b.rt.Dyn.Params(u, v)
+		if !ok {
 			continue
 		}
-		tau := lp.Tau
-		if est-lu >= b.S-eps {
-			fastWitness = true
-		}
-		if lu-est > b.S+2*b.Mu*tau+eps {
-			fastBlocked = true
-		}
-		if lu-est >= 1.5*b.S-delta-eps {
-			slowWitness = true
-		}
-		if est-lu > 1.5*b.S+delta+eps+b.Mu*(1+b.Rho)*tau {
-			slowBlocked = true
-		}
+		f.Add(lu, est, eps, lp.Tau)
 	}
-	switch {
-	case slowWitness && !slowBlocked:
-		c.slow++
-		return 1
-	case fastWitness && !fastBlocked:
+	fast, slow := f.Triggers()
+	mult, isFast := core.NextMode(fast, slow, lu, b.m[u], b.mult[u], b.Mu, b.Iota)
+	if isFast {
 		c.fast++
-		return 1 + b.Mu
-	case lu >= b.m[u]-1e-12:
+	} else {
 		c.slow++
-		return 1
-	case lu <= b.m[u]-b.Iota:
-		c.fast++
-		return 1 + b.Mu
-	default:
-		if b.mult[u] > 1 {
-			c.fast++
-		} else {
-			c.slow++
-		}
-		return b.mult[u]
 	}
+	return mult
+}
+
+// BlockTriggers folds one node's neighbour estimates into the fast and slow
+// triggers of [11]. They are AOPT's level-1 triggers (core.FastWitness1 and
+// its three siblings) with κ = S and δ = S/20, each holding when some
+// neighbour witnesses it and none blocks it. BlockSync and the live node
+// both decide through it.
+type BlockTriggers struct {
+	s, delta, mu, rho          float64
+	fastW, fastB, slowW, slowB bool
+}
+
+// NewBlockTriggers starts an empty fold for block size s.
+func NewBlockTriggers(s, mu, rho float64) BlockTriggers {
+	return BlockTriggers{s: s, delta: s / 20, mu: mu, rho: rho}
+}
+
+// Add folds in one neighbour's estimate est, of error bound eps and
+// detection delay tau, against the node's logical clock lu.
+func (f *BlockTriggers) Add(lu, est, eps, tau float64) {
+	ahead, behind := est-lu, lu-est
+	f.fastW = f.fastW || core.FastWitness1(ahead, f.s, eps)
+	f.fastB = f.fastB || core.FastBlocked1(behind, f.s, eps, tau, f.mu)
+	f.slowW = f.slowW || core.SlowWitness1(behind, f.s, f.delta, eps)
+	f.slowB = f.slowB || core.SlowBlocked1(ahead, f.s, f.delta, eps, tau, f.mu, f.rho)
+}
+
+// Triggers returns the fast and slow triggers over the neighbours added.
+func (f *BlockTriggers) Triggers() (fast, slow bool) {
+	return f.fastW && !f.fastB, f.slowW && !f.slowB
 }
 
 // Logical implements runner.Algorithm.

@@ -9,6 +9,7 @@ package baselines
 import (
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -52,16 +53,10 @@ func (m *MaxSync) OnEdgeUp(_, _ int, _ sim.Time) {}
 // OnEdgeDown implements runner.Algorithm.
 func (m *MaxSync) OnEdgeDown(_, _ int, _ sim.Time) {}
 
-// OnBeacon implements runner.Algorithm: adopt larger certified values. One
-// integration tick is subtracted from the transit credit to account for the
-// stepped clock integration.
+// OnBeacon implements runner.Algorithm: adopt larger certified values, with
+// AOPT's flooding credit applied to the sender's clock.
 func (m *MaxSync) OnBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
-	credit := d.MinTransit - m.rt.Tick()
-	if credit < 0 {
-		credit = 0
-	}
-	cand := b.L + (1-m.Rho)*credit
-	if cand > m.l[to] {
+	if cand := core.FloodCandidate(b.L, d.MinTransit, m.rt.Tick(), m.Rho); cand > m.l[to] {
 		m.l[to] = cand
 		// Atomic: beacon deliveries to different receivers may run on
 		// concurrent event shards; a commutative sum keeps the count

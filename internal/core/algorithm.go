@@ -50,16 +50,6 @@ type Algorithm struct {
 	// OverrideDeltaFraction for the E12 ablation.
 	deltaFraction float64
 
-	// refTriggers switches trigger evaluation to the reference double loop
-	// (the literal Definitions 4.5–4.7 scan over every level s). Only the
-	// differential and fuzz tests in trigger_test.go set it, to pin the
-	// single-pass engine to byte-identical decisions; production always
-	// uses the fold.
-	refTriggers bool
-
-	// evals is scratch for the reference trigger evaluation.
-	evals []edgeEval
-
 	// Sharded-tick machinery: Step fans its two phases over the runtime's
 	// tick shards (see Step). shardCtr gives each shard a private counter
 	// block; decideFn/integrateFn are method values built once in Init so
@@ -93,6 +83,15 @@ type Algorithm struct {
 type modeCounters struct {
 	fast, slow, conflicts, missing uint64
 	_                              [4]uint64
+}
+
+// count tallies one node-tick in the mode NextMode chose.
+func (c *modeCounters) count(fast bool) {
+	if fast {
+		c.fast++
+	} else {
+		c.slow++
+	}
 }
 
 var _ runner.Algorithm = (*Algorithm)(nil)
@@ -440,30 +439,12 @@ func (a *Algorithm) EdgeKappa(u, v int) float64 {
 	return a.kappaAt(dir, a.classes[a.recClass[dir]].kappa, a.l[u])
 }
 
-// OnBeacon implements runner.Algorithm: max-estimate flooding. The receiver
-// may credit the certified minimum transit at the minimum logical rate and
-// stay below the network maximum (Condition 4.3). One integration tick is
-// subtracted from the credit because clocks grow in discrete steps, so the
-// continuous-time argument only covers fully elapsed ticks.
-func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
-	credit := d.MinTransit - a.rt.Tick()
-	if credit < 0 {
-		credit = 0
-	}
-	cand := b.M + (1-a.p.Rho)*credit
-	if cand > a.m[to] {
+// OnBeacon implements runner.Algorithm: max-estimate flooding
+// (FloodCandidate).
+func (a *Algorithm) OnBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
+	if cand := FloodCandidate(b.M, d.MinTransit, a.rt.Tick(), a.p.Rho); cand > a.m[to] {
 		a.m[to] = cand
 	}
-}
-
-// edgeEval caches per-edge values for one reference trigger evaluation.
-type edgeEval struct {
-	level int
-	est   float64
-	kappa float64
-	delta float64
-	eps   float64
-	tau   float64
 }
 
 // Step implements runner.Algorithm: first decide every node's mode from the
@@ -476,18 +457,12 @@ type edgeEval struct {
 // and per-shard counters; after the barrier, the integrate phase touches
 // disjoint l/m ranges. Both fan out through the runtime's ParallelTick, so
 // results are byte-identical for every TickParallelism — pinned by the
-// differential tests in parallel_tick_test.go. The reference trigger path
-// stays serial: it shares one evals scratch buffer across nodes.
+// differential tests in parallel_tick_test.go.
 func (a *Algorithm) Step(_ sim.Time, dH []float64) {
 	a.dHTick = dH
-	if a.refTriggers {
-		a.decideShard(0, 0, a.n)
-		a.integrateShard(0, 0, a.n)
-	} else {
-		a.rt.ParallelTick(a.n, a.decideFn)
-		a.rt.ParallelTick(a.n, a.integrateFn)
-	}
-	a.mergeCounters()
+	a.rt.ParallelTick(a.n, a.decideFn)
+	a.rt.ParallelTick(a.n, a.integrateFn)
+	a.mergeCounters(a.shardCtr)
 }
 
 // decideShard runs the mode-decision phase for nodes [lo, hi).
@@ -500,28 +475,19 @@ func (a *Algorithm) decideShard(shard, lo, hi int) {
 
 // integrateShard runs the clock-integration phase for nodes [lo, hi).
 func (a *Algorithm) integrateShard(_, lo, hi int) {
-	oneMinus := (1 - a.p.Rho) / (1 + a.p.Rho)
+	mRate := (1 - a.p.Rho) / (1 + a.p.Rho)
 	dH := a.dHTick
 	for u := lo; u < hi; u++ {
-		a.l[u] += a.mult[u] * dH[u]
-		if a.m[u] <= a.l[u] {
-			// M_u = L_u: the estimate moves with the logical clock.
-			a.m[u] = a.l[u]
-		} else {
-			// M_u > L_u: advance at (1−ρ)/(1+ρ) times the hardware rate.
-			a.m[u] += oneMinus * dH[u]
-			if a.m[u] < a.l[u] {
-				a.m[u] = a.l[u]
-			}
-		}
+		a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], a.mult[u], dH[u], mRate)
 	}
 }
 
-// mergeCounters folds the per-shard tallies into the public counters, in
-// shard order, and clears the blocks for the next tick.
-func (a *Algorithm) mergeCounters() {
-	for i := range a.shardCtr {
-		c := &a.shardCtr[i]
+// mergeCounters folds per-shard tallies (the tick shards' after Step, the
+// event shards' after a crossed tick) into the public counters, in shard
+// order, and clears the blocks for the next tick.
+func (a *Algorithm) mergeCounters(blocks []modeCounters) {
+	for i := range blocks {
+		c := &blocks[i]
 		a.FastTicks += c.fast
 		a.SlowTicks += c.slow
 		a.TriggerConflicts += c.conflicts
@@ -530,11 +496,9 @@ func (a *Algorithm) mergeCounters() {
 	}
 }
 
-// CanStepNodes implements runner.NodeStepper: per-node tick application is
-// available on the production trigger engine. The reference double loop
-// shares one evals scratch buffer across nodes, so it cannot step nodes
-// concurrently and keeps tick crossing disabled.
-func (a *Algorithm) CanStepNodes() bool { return !a.refTriggers }
+// CanStepNodes implements runner.NodeStepper: every node's tick can be
+// applied on its own.
+func (a *Algorithm) CanStepNodes() bool { return true }
 
 // StepNode implements runner.NodeStepper: decide-then-integrate for one node
 // whose tick is being applied lazily inside a tick-crossing event window.
@@ -548,31 +512,12 @@ func (a *Algorithm) CanStepNodes() bool { return !a.refTriggers }
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
 	mult := a.decideMode(u, &a.evCtr[shard])
 	a.mult[u] = mult
-	a.l[u] += mult * dh
-	if a.m[u] <= a.l[u] {
-		// M_u = L_u: the estimate moves with the logical clock.
-		a.m[u] = a.l[u]
-	} else {
-		// M_u > L_u: advance at (1−ρ)/(1+ρ) times the hardware rate.
-		a.m[u] += (1 - a.p.Rho) / (1 + a.p.Rho) * dh
-		if a.m[u] < a.l[u] {
-			a.m[u] = a.l[u]
-		}
-	}
+	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, (1-a.p.Rho)/(1+a.p.Rho))
 }
 
 // FinishTick implements runner.NodeStepper: fold the per-event-shard tallies
 // of a lazily applied tick into the public counters, in shard order.
-func (a *Algorithm) FinishTick() {
-	for i := range a.evCtr {
-		c := &a.evCtr[i]
-		a.FastTicks += c.fast
-		a.SlowTicks += c.slow
-		a.TriggerConflicts += c.conflicts
-		a.MissingEstimates += c.missing
-		*c = modeCounters{}
-	}
-}
+func (a *Algorithm) FinishTick() { a.mergeCounters(a.evCtr) }
 
 // decideMode evaluates the triggers of Definitions 4.5–4.7 for node u and
 // returns the rate multiplier per Listing 3, tallying into the caller's
@@ -582,30 +527,9 @@ func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
 	if fast && slow {
 		c.conflicts++
 	}
-	switch {
-	case slow:
-		c.slow++
-		return 1
-	case fast:
-		c.fast++
-		return 1 + a.p.Mu
-	case a.l[u] >= a.m[u]-1e-12:
-		// Slow max-estimate trigger: L_u = M_u.
-		c.slow++
-		return 1
-	case a.l[u] <= a.m[u]-a.p.Iota:
-		// Fast max-estimate trigger.
-		c.fast++
-		return 1 + a.p.Mu
-	default:
-		// Free region: keep the current mode.
-		if a.mult[u] > 1 {
-			c.fast++
-		} else {
-			c.slow++
-		}
-		return a.mult[u]
-	}
+	mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, a.p.Iota)
+	c.count(isFast)
+	return mult
 }
 
 // evalTriggers decides the fast (Definition 4.5) and slow (Definition 4.6)
@@ -615,20 +539,18 @@ func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
 // that grows linearly in the level s, and the level-s neighbor filter
 // (lvl ≥ s) is itself downward closed — so each edge witnesses (or blocks)
 // exactly the levels s = 1..s_w for some per-edge threshold s_w derived from
-// its (est, κ, δ, ε, τ) tuple. The per-level witness/blocked aggregates the
-// reference double loop rebuilds for every s therefore collapse to prefix
-// maxima: one integer per condition. "∃s ≤ top: witness(s) ∧ ¬blocked(s)"
+// its (est, κ, δ, ε, τ) tuple. The per-level witness/blocked aggregates of a
+// literal scan over every s therefore collapse to prefix maxima: one integer
+// per condition. "∃s ≤ top: witness(s) ∧ ¬blocked(s)"
 // becomes W > B, because witness(s) ⇔ s ≤ W and blocked(s) ⇔ s ≤ B, and
 // W never exceeds top (each threshold is clamped by min(level, sMax)).
 //
 // The thresholds are seeded by inverting the inequalities and pinned to the
-// exact floating-point comparisons of the reference loop by the fix-up steps
-// in the *Level helpers, so the decisions are bit-identical — enforced by
-// the differential and fuzz tests in trigger_test.go.
+// exact floating-point comparisons of the literal scan by the fix-up steps
+// in the *Level helpers, so the decisions are bit-identical — enforced
+// against the reference scan in trigger_test.go by its differential and
+// fuzz tests.
 func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
-	if a.refTriggers {
-		return a.evalTriggersRef(u, c)
-	}
 	lu := a.l[u]
 	est := a.rt.Est
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
@@ -666,22 +588,22 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 		// guards fail. The guards stay separate rather than one combined
 		// skip: an edge outside the band is ahead or behind, not both, so
 		// it still skips the two helpers of the other side.
-		if fastWitness1(ahead, kappa, cls.eps) {
+		if FastWitness1(ahead, kappa, cls.eps) {
 			if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
 				fw = w
 			}
 		}
-		if a.fastBlocked1(behind, kappa, cls.eps, cls.tau) {
+		if FastBlocked1(behind, kappa, cls.eps, cls.tau, a.p.Mu) {
 			if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
 				fb = b
 			}
 		}
-		if slowWitness1(behind, kappa, delta, cls.eps) {
+		if SlowWitness1(behind, kappa, delta, cls.eps) {
 			if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
 				sw = w
 			}
 		}
-		if a.slowBlocked1(ahead, kappa, delta, cls.eps, cls.tau) {
+		if SlowBlocked1(ahead, kappa, delta, cls.eps, cls.tau, a.p.Mu, a.p.Rho) {
 			if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
 				sb = b
 			}
@@ -703,10 +625,6 @@ func seedLevel(q float64, top int) int {
 	return int(q)
 }
 
-// fastWitness1 is the Definition 4.5 witness condition at s = 1, written
-// as fastWitnessLevel evaluates it there.
-func fastWitness1(ahead, kappa, eps float64) bool { return ahead >= kappa-eps }
-
 // fastWitnessLevel returns the largest s ∈ [0, top] with est−L_u ≥ s·κ − ε
 // (the Definition 4.5 witness condition; ahead = est−L_u).
 func fastWitnessLevel(ahead, kappa, eps float64, top int) int {
@@ -718,12 +636,6 @@ func fastWitnessLevel(ahead, kappa, eps float64, top int) int {
 		s--
 	}
 	return s
-}
-
-// fastBlocked1 is the Definition 4.5 blocking condition at s = 1, written
-// as fastBlockedLevel evaluates it there.
-func (a *Algorithm) fastBlocked1(behind, kappa, eps, tau float64) bool {
-	return behind > kappa+2*a.p.Mu*tau+eps
 }
 
 // fastBlockedLevel returns the largest s ∈ [0, top] with
@@ -740,12 +652,6 @@ func (a *Algorithm) fastBlockedLevel(behind, kappa, eps, tau float64, top int) i
 	return s
 }
 
-// slowWitness1 is the Definition 4.6 witness condition at s = 1, written
-// as slowWitnessLevel evaluates it there.
-func slowWitness1(behind, kappa, delta, eps float64) bool {
-	return behind >= 1.5*kappa-delta-eps
-}
-
 // slowWitnessLevel returns the largest s ∈ [0, top] with
 // L_u−est ≥ (s+½)κ − δ − ε (the Definition 4.6 witness condition).
 func slowWitnessLevel(behind, kappa, delta, eps float64, top int) int {
@@ -757,12 +663,6 @@ func slowWitnessLevel(behind, kappa, delta, eps float64, top int) int {
 		s--
 	}
 	return s
-}
-
-// slowBlocked1 is the Definition 4.6 blocking condition at s = 1, written
-// as slowBlockedLevel evaluates it there.
-func (a *Algorithm) slowBlocked1(ahead, kappa, delta, eps, tau float64) bool {
-	return ahead > 1.5*kappa+delta+eps+a.p.Mu*(1+a.p.Rho)*tau
 }
 
 // slowBlockedLevel returns the largest s ∈ [0, top] with
@@ -777,104 +677,4 @@ func (a *Algorithm) slowBlockedLevel(ahead, kappa, delta, eps, tau float64, top 
 		s--
 	}
 	return s
-}
-
-// evalTriggersRef is the retained reference: gather per-edge values, then
-// scan every level s with the literal double loops. Kept as the oracle the
-// single-pass engine is differentially tested against. It shares the evals
-// scratch across nodes, which is why Step keeps the reference path serial.
-func (a *Algorithm) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
-	a.evals = a.evals[:0]
-	maxLevel := 0
-	// Estimate(u, v), not EstimateAt: the gather doubles as a check that
-	// the fold's index reads return what the pair lookups return.
-	peers, dirs := a.rt.Dyn.Row(u)
-	for i, dir := range dirs {
-		if a.recFlags[dir]&recUp == 0 {
-			continue
-		}
-		lvl := a.level(u, dir)
-		if lvl < 1 {
-			continue
-		}
-		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
-		if !ok {
-			c.missing++
-			continue
-		}
-		cls := &a.classes[a.recClass[dir]]
-		kappa := a.kappaAt(dir, cls.kappa, a.l[u])
-		a.evals = append(a.evals, edgeEval{
-			level: lvl, est: est,
-			kappa: kappa, delta: a.deltaAt(cls, kappa),
-			eps: cls.eps, tau: cls.tau,
-		})
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
-	}
-	return a.fastTriggerRef(u, maxLevel), a.slowTriggerRef(u, maxLevel)
-}
-
-// fastTriggerRef is Definition 4.5: ∃s with a level-s neighbor ahead by
-// ≥ s·κ − ε while no level-s neighbor is behind by > s·κ + 2µτ + ε.
-func (a *Algorithm) fastTriggerRef(u, maxLevel int) bool {
-	lu := a.l[u]
-	top := a.sMax
-	if maxLevel < top {
-		top = maxLevel
-	}
-	for s := 1; s <= top; s++ {
-		fs := float64(s)
-		witness, blocked := false, false
-		for i := range a.evals {
-			ev := &a.evals[i]
-			if ev.level < s {
-				continue
-			}
-			if ev.est-lu >= fs*ev.kappa-ev.eps {
-				witness = true
-			}
-			if lu-ev.est > fs*ev.kappa+2*a.p.Mu*ev.tau+ev.eps {
-				blocked = true
-				break
-			}
-		}
-		if witness && !blocked {
-			return true
-		}
-	}
-	return false
-}
-
-// slowTriggerRef is Definition 4.6: ∃s with a level-s neighbor behind by
-// ≥ (s+½)κ − δ − ε while no level-s neighbor is ahead by
-// > (s+½)κ + δ + ε + µ(1+ρ)τ.
-func (a *Algorithm) slowTriggerRef(u, maxLevel int) bool {
-	lu := a.l[u]
-	top := a.sMax
-	if maxLevel < top {
-		top = maxLevel
-	}
-	for s := 1; s <= top; s++ {
-		fs := float64(s) + 0.5
-		witness, blocked := false, false
-		for i := range a.evals {
-			ev := &a.evals[i]
-			if ev.level < s {
-				continue
-			}
-			if lu-ev.est >= fs*ev.kappa-ev.delta-ev.eps {
-				witness = true
-			}
-			if ev.est-lu > fs*ev.kappa+ev.delta+ev.eps+a.p.Mu*(1+a.p.Rho)*ev.tau {
-				blocked = true
-				break
-			}
-		}
-		if witness && !blocked {
-			return true
-		}
-	}
-	return false
 }

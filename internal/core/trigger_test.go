@@ -15,15 +15,157 @@ import (
 )
 
 // This file pins the single-pass trigger engine (evalTriggers) to the
-// reference per-level double loop (evalTriggersRef): the two must make
-// byte-identical mode decisions, and full runs driven by either must agree
-// on every counter and every clock. The fold is only correct because each
-// trigger condition is prefix-closed in the level s — these tests are the
-// evidence that claim survives floating point.
+// reference per-level double loop (evalTriggersRef, below): the two must
+// make byte-identical mode decisions, and full runs driven by either must
+// agree on every counter and every clock. The fold is only correct because
+// each trigger condition is prefix-closed in the level s — these tests are
+// the evidence that claim survives floating point.
+
+// edgeEval caches per-edge values for one reference trigger evaluation.
+type edgeEval struct {
+	level int
+	est   float64
+	kappa float64
+	delta float64
+	eps   float64
+	tau   float64
+}
+
+// refAlgo is AOPT deciding through the reference triggers: its Step
+// decides every node serially with evalTriggersRef, then integrates and
+// folds the counters as Algorithm.Step does. Everything else is the
+// embedded Algorithm's.
+type refAlgo struct {
+	*Algorithm
+	evals []edgeEval // scratch shared across nodes, hence the serial Step
+}
+
+// Step implements runner.Algorithm.
+func (r *refAlgo) Step(_ sim.Time, dH []float64) {
+	a := r.Algorithm
+	c := &a.shardCtr[0]
+	for u := 0; u < a.n; u++ {
+		fast, slow := r.evalTriggersRef(u, c)
+		if fast && slow {
+			c.conflicts++
+		}
+		mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, a.p.Iota)
+		c.count(isFast)
+		a.mult[u] = mult
+	}
+	a.dHTick = dH
+	a.integrateShard(0, 0, a.n)
+	a.mergeCounters(a.shardCtr)
+}
+
+// CanStepNodes keeps tick crossing off: the reference decides in Step only.
+func (r *refAlgo) CanStepNodes() bool { return false }
+
+// evalTriggersRef gathers per-edge values, then scans every level s with
+// the literal double loops.
+func (r *refAlgo) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
+	a := r.Algorithm
+	r.evals = r.evals[:0]
+	maxLevel := 0
+	// Estimate(u, v), not EstimateAt: the gather doubles as a check that
+	// the fold's index reads return what the pair lookups return.
+	peers, dirs := a.rt.Dyn.Row(u)
+	for i, dir := range dirs {
+		if a.recFlags[dir]&recUp == 0 {
+			continue
+		}
+		lvl := a.level(u, dir)
+		if lvl < 1 {
+			continue
+		}
+		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
+		if !ok {
+			c.missing++
+			continue
+		}
+		cls := &a.classes[a.recClass[dir]]
+		kappa := a.kappaAt(dir, cls.kappa, a.l[u])
+		r.evals = append(r.evals, edgeEval{
+			level: lvl, est: est,
+			kappa: kappa, delta: a.deltaAt(cls, kappa),
+			eps: cls.eps, tau: cls.tau,
+		})
+		if lvl > maxLevel {
+			maxLevel = lvl
+		}
+	}
+	return r.fastTriggerRef(u, maxLevel), r.slowTriggerRef(u, maxLevel)
+}
+
+// fastTriggerRef is Definition 4.5: ∃s with a level-s neighbor ahead by
+// ≥ s·κ − ε while no level-s neighbor is behind by > s·κ + 2µτ + ε.
+func (r *refAlgo) fastTriggerRef(u, maxLevel int) bool {
+	a := r.Algorithm
+	lu := a.l[u]
+	top := a.sMax
+	if maxLevel < top {
+		top = maxLevel
+	}
+	for s := 1; s <= top; s++ {
+		fs := float64(s)
+		witness, blocked := false, false
+		for i := range r.evals {
+			ev := &r.evals[i]
+			if ev.level < s {
+				continue
+			}
+			if ev.est-lu >= fs*ev.kappa-ev.eps {
+				witness = true
+			}
+			if lu-ev.est > fs*ev.kappa+2*a.p.Mu*ev.tau+ev.eps {
+				blocked = true
+				break
+			}
+		}
+		if witness && !blocked {
+			return true
+		}
+	}
+	return false
+}
+
+// slowTriggerRef is Definition 4.6: ∃s with a level-s neighbor behind by
+// ≥ (s+½)κ − δ − ε while no level-s neighbor is ahead by
+// > (s+½)κ + δ + ε + µ(1+ρ)τ.
+func (r *refAlgo) slowTriggerRef(u, maxLevel int) bool {
+	a := r.Algorithm
+	lu := a.l[u]
+	top := a.sMax
+	if maxLevel < top {
+		top = maxLevel
+	}
+	for s := 1; s <= top; s++ {
+		fs := float64(s) + 0.5
+		witness, blocked := false, false
+		for i := range r.evals {
+			ev := &r.evals[i]
+			if ev.level < s {
+				continue
+			}
+			if lu-ev.est >= fs*ev.kappa-ev.delta-ev.eps {
+				witness = true
+			}
+			if ev.est-lu > fs*ev.kappa+ev.delta+ev.eps+a.p.Mu*(1+a.p.Rho)*ev.tau {
+				blocked = true
+				break
+			}
+		}
+		if witness && !blocked {
+			return true
+		}
+	}
+	return false
+}
 
 // triggerHarness is newHarness with a controllable seed and estimate policy,
 // so the differential runs can replay the same adversary byte for byte.
-func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, policy estimate.ErrorPolicy) *harness {
+// With reference set, the runtime drives the algorithm through refAlgo.
+func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, policy estimate.ErrorPolicy, reference bool) *harness {
 	t.Helper()
 	rt, err := runner.New(runner.Config{
 		N:              n,
@@ -46,7 +188,11 @@ func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int
 		t.Fatal(err)
 	}
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) }, policy))
-	rt.Attach(algo)
+	if reference {
+		rt.Attach(&refAlgo{Algorithm: algo})
+	} else {
+		rt.Attach(algo)
+	}
 	return &harness{rt: rt, algo: algo}
 }
 
@@ -92,8 +238,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 		p.DecayRate = 0.5 + rng.Float64()
 	}
 	all := append(append([]topo.EdgeID(nil), core...), extra...)
-	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)})
-	h.algo.refTriggers = reference
+	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)}, reference)
 	h.algo.OverrideDeltaFraction(0.1 + rng.Float64()*0.8)
 	for u := 0; u < n; u++ {
 		h.algo.SetLogical(u, rng.Float64()*p.GTilde)
@@ -122,9 +267,11 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 }
 
 // TestTriggerEngineDifferential replays randomized full runs with the
-// single-pass engine and the reference double loop: mult decisions (hence
-// every logical clock, byte for byte) and the trigger counters must agree
-// exactly across random topologies, parameter draws, and insertion modes.
+// single-pass engine and, through refAlgo, the reference double loop: mult
+// decisions (hence every logical clock, byte for byte) and the trigger
+// counters must agree exactly across random topologies, parameter draws,
+// and insertion modes. Each run draws its RandomError numbers in the same
+// order, because both read one estimate per live edge in row order.
 func TestTriggerEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
@@ -157,7 +304,8 @@ func TestTriggerEngineDifferential(t *testing.T) {
 // Estimate calls repeatable, so both paths see identical inputs).
 func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 	edges := topo.Ring(7)
-	h := triggerHarness(t, 7, edges, testParams(), 11, estimate.Amplify{})
+	h := triggerHarness(t, 7, edges, testParams(), 11, estimate.Amplify{}, false)
+	ref := &refAlgo{Algorithm: h.algo}
 	h.appearAll(t, edges)
 	if err := h.rt.Start(); err != nil {
 		t.Fatal(err)
@@ -169,7 +317,7 @@ func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 		var c modeCounters
 		for u := 0; u < 7; u++ {
 			fastFold, slowFold := h.algo.evalTriggers(u, &c)
-			fastRef, slowRef := h.algo.evalTriggersRef(u, &c)
+			fastRef, slowRef := ref.evalTriggersRef(u, &c)
 			if fastFold != fastRef || slowFold != slowRef {
 				t.Logf("node %d: fold (%v,%v) vs ref (%v,%v)", u, fastFold, slowFold, fastRef, slowRef)
 				return false
@@ -217,18 +365,18 @@ func checkLevels(ahead, kappa, delta, eps, tau, mu, rho float64, top int) (strin
 	}{
 		{"fastWitness", fastWitnessLevel(ahead, kappa, eps, top),
 			scanLevel(top, func(s int) bool { return ahead >= float64(s)*kappa-eps }),
-			fastWitness1(ahead, kappa, eps)},
+			FastWitness1(ahead, kappa, eps)},
 		{"fastBlocked", a.fastBlockedLevel(behind, kappa, eps, tau, top),
 			scanLevel(top, func(s int) bool { return behind > float64(s)*kappa+2*mu*tau+eps }),
-			a.fastBlocked1(behind, kappa, eps, tau)},
+			FastBlocked1(behind, kappa, eps, tau, mu)},
 		{"slowWitness", slowWitnessLevel(behind, kappa, delta, eps, top),
 			scanLevel(top, func(s int) bool { return behind >= (float64(s)+0.5)*kappa-delta-eps }),
-			slowWitness1(behind, kappa, delta, eps)},
+			SlowWitness1(behind, kappa, delta, eps)},
 		{"slowBlocked", a.slowBlockedLevel(ahead, kappa, delta, eps, tau, top),
 			scanLevel(top, func(s int) bool {
 				return ahead > (float64(s)+0.5)*kappa+delta+eps+mu*(1+rho)*tau
 			}),
-			a.slowBlocked1(ahead, kappa, delta, eps, tau)},
+			SlowBlocked1(ahead, kappa, delta, eps, tau, mu, rho)},
 	} {
 		if c.got != c.want {
 			return c.name, true

@@ -10,14 +10,15 @@
 // Live runs are made reproducible by recording, not by controlling the
 // schedule: every state-machine input (integration ticks with their hardware
 // increments, delivered beacons) is appended to a trace, and Replay feeds the
-// same inputs through the same nodeState code under the deterministic sim
-// engine — producing a byte-identical final state (see trace.go, replay.go
+// same inputs through the same nodeState code in the recorded per-node
+// order — producing a byte-identical final state (see trace.go, replay.go
 // and DESIGN.md §Live transport).
 package live
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -77,9 +78,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() error {
-	if c.N < 1 {
-		return fmt.Errorf("live: config needs at least one node, got N=%d", c.N)
-	}
 	if c.S == 0 {
 		c.S = 1
 	}
@@ -108,13 +106,20 @@ func (c *Config) applyDefaults() error {
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 64
 	}
-	if c.Rates != nil && len(c.Rates) != c.N {
-		return fmt.Errorf("live: Rates has %d entries for %d nodes", len(c.Rates), c.N)
+	h := c.header()
+	if err := h.validate(); err != nil {
+		return err
 	}
-	for _, e := range c.Edges {
-		if e[0] < 0 || e[0] >= c.N || e[1] < 0 || e[1] >= c.N || e[0] == e[1] {
-			return fmt.Errorf("live: bad edge %v for N=%d", e, c.N)
-		}
+	// The node loops tick on a time.Ticker of Tick × TimeScale, which must be
+	// a positive Duration.
+	if d := c.Tick * float64(c.TimeScale); !(d >= 1 && d < math.MaxInt64) {
+		return fmt.Errorf("live: Tick × TimeScale = %v × %v is not a ticker interval of at least 1ns", c.Tick, c.TimeScale)
+	}
+	if c.QueueCapacity < 0 {
+		return fmt.Errorf("live: QueueCapacity must not be negative, got %d", c.QueueCapacity)
+	}
+	if c.Rates != nil && (len(c.Rates) != c.N || !finitePositive(c.Rates...)) {
+		return fmt.Errorf("live: Rates must hold %d finite positive entries, one per node", c.N)
 	}
 	for _, id := range c.Owned {
 		if id < 0 || id >= c.N {
@@ -122,13 +127,6 @@ func (c *Config) applyDefaults() error {
 		}
 	}
 	return nil
-}
-
-func (c *Config) params() params {
-	return params{
-		S: c.S, Rho: c.Rho, Mu: c.Mu, Iota: c.Iota,
-		Tick: c.Tick, BeaconInterval: c.BeaconInterval, Link: c.Link,
-	}
 }
 
 func (c *Config) header() TraceHeader {
@@ -258,7 +256,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		adj[e[0]] = append(adj[e[0]], e[1])
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}
-	p := cfg.params()
+	p := cfg.header().params()
 	c.nodes = make([]*liveNode, cfg.N)
 	for _, i := range c.owned {
 		sort.Ints(adj[i])

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 )
@@ -103,13 +104,29 @@ func TestLiveSkewBounded(t *testing.T) {
 	}
 }
 
+// TestClusterConfigValidation rejects every out-of-range field, NaN
+// included, at NewCluster, before a node goroutine can panic on it.
 func TestClusterConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{N: 0},
+		{N: maxNodes + 1},
 		{N: 4, Edges: [][2]int{{0, 4}}},
 		{N: 4, Edges: [][2]int{{1, 1}}},
 		{N: 4, Owned: []int{7}},
 		{N: 4, Rates: []float64{1, 1}},
+		{N: 2, Rates: []float64{1, nan}},
+		{N: 2, Rates: []float64{1, -1}},
+		{N: 2, Rates: []float64{inf, 1}},
+		{N: 4, S: -1}, {N: 4, S: nan}, {N: 4, S: inf},
+		{N: 4, Mu: -1}, {N: 4, Mu: nan},
+		{N: 4, Rho: -0.01}, {N: 4, Rho: nan},
+		{N: 4, Iota: -0.05}, {N: 4, Iota: nan},
+		{N: 4, Tick: -1}, {N: 4, Tick: nan}, {N: 4, Tick: inf},
+		{N: 4, Tick: 1e-12}, // Tick × TimeScale = 0.02 fs: a zero ticker interval
+		{N: 4, BeaconInterval: -0.25}, {N: 4, BeaconInterval: nan},
+		{N: 4, TimeScale: -5 * time.Millisecond},
+		{N: 4, QueueCapacity: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {

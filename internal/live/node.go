@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -22,8 +24,9 @@ import (
 // their recorded arguments, applied in the recorded per-node order.
 //
 // The step rule is the single-threshold gradient algorithm of [11]
-// (baselines.BlockSync) in per-node form: max-estimate flooding via beacons,
-// and a fast/slow mode decision from neighbor estimates served by the
+// (baselines.BlockSync) in per-node form, through the same functions the
+// simulator runs: core's flooding, Listing 3 switch and integration step,
+// and BlockSync's trigger fold over neighbor estimates served by the
 // node-local estimate store (estimate.LocalBeacons — the same certified
 // bound as the simulator's messaging layer).
 type nodeState struct {
@@ -75,11 +78,7 @@ type params struct {
 // the certified-minimum transit credit.
 func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float64) {
 	ns.est.Record(from, b.L, ns.hw, minTransit)
-	credit := minTransit - ns.tick
-	if credit < 0 {
-		credit = 0
-	}
-	if cand := b.M + (1-ns.rho)*credit; cand > ns.m {
+	if cand := core.FloodCandidate(b.M, minTransit, ns.tick, ns.rho); cand > ns.m {
 		ns.m = cand
 	}
 }
@@ -93,66 +92,27 @@ func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float6
 func (ns *nodeState) applyTick(dh float64) {
 	ns.hw += dh
 	ns.mult = ns.decideMode()
-	ns.l += ns.mult * dh
-	oneMinus := (1 - ns.rho) / (1 + ns.rho)
-	if ns.m <= ns.l {
-		ns.m = ns.l
-	} else {
-		ns.m += oneMinus * dh
-		if ns.m < ns.l {
-			ns.m = ns.l
-		}
-	}
+	ns.l, ns.m = core.Integrate(ns.l, ns.m, ns.mult, dh, (1-ns.rho)/(1+ns.rho))
 }
 
 // decideMode is baselines.BlockSync.decideMode in per-node form, with the
 // neighbor estimates served by the node-local store.
 func (ns *nodeState) decideMode() float64 {
-	lu := ns.l
-	delta := ns.s / 20
-	eps := ns.est.Eps()
-	tau := ns.link.Tau
-	fastWitness, fastBlocked := false, false
-	slowWitness, slowBlocked := false, false
+	f := baselines.NewBlockTriggers(ns.s, ns.mu, ns.rho)
+	eps, tau := ns.est.Eps(), ns.link.Tau
 	for _, v := range ns.peers {
-		est, ok := ns.est.Estimate(v, ns.hw)
-		if !ok {
-			continue
-		}
-		if est-lu >= ns.s-eps {
-			fastWitness = true
-		}
-		if lu-est > ns.s+2*ns.mu*tau+eps {
-			fastBlocked = true
-		}
-		if lu-est >= 1.5*ns.s-delta-eps {
-			slowWitness = true
-		}
-		if est-lu > 1.5*ns.s+delta+eps+ns.mu*(1+ns.rho)*tau {
-			slowBlocked = true
+		if est, ok := ns.est.Estimate(v, ns.hw); ok {
+			f.Add(ns.l, est, eps, tau)
 		}
 	}
-	switch {
-	case slowWitness && !slowBlocked:
-		ns.slow++
-		return 1
-	case fastWitness && !fastBlocked:
+	fast, slow := f.Triggers()
+	mult, isFast := core.NextMode(fast, slow, ns.l, ns.m, ns.mult, ns.mu, ns.iota)
+	if isFast {
 		ns.fast++
-		return 1 + ns.mu
-	case lu >= ns.m-1e-12:
+	} else {
 		ns.slow++
-		return 1
-	case lu <= ns.m-ns.iota:
-		ns.fast++
-		return 1 + ns.mu
-	default:
-		if ns.mult > 1 {
-			ns.fast++
-		} else {
-			ns.slow++
-		}
-		return ns.mult
 	}
+	return mult
 }
 
 // beacon snapshots the node's send payload.

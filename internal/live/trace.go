@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/topo"
@@ -47,6 +48,53 @@ type traceParams struct {
 
 func (tp traceParams) link() topo.LinkParams {
 	return topo.LinkParams{Eps: tp.Eps, Tau: tp.Tau, Delay: tp.Delay, Uncertainty: tp.Uncertainty}
+}
+
+func (h TraceHeader) params() params {
+	return params{
+		S: h.S, Rho: h.Rho, Mu: h.Mu, Iota: h.Iota,
+		Tick: h.Tick, BeaconInterval: h.BeaconInterval, Link: h.Link.link(),
+	}
+}
+
+// maxNodes bounds the node count of a cluster and of a replayed trace. A
+// process holds a 128-byte snapshot slot per node of the network, and per
+// hosted or replayed node about 0.4 KB of state and estimate store plus,
+// live, a goroutine and an inbox of QueueCapacity 48-byte envelopes (3 KB
+// at the default 64): about 250 MB at 2¹⁶ nodes. A larger count is a
+// corrupt header or a typo, rejected before anything is sized by it.
+const maxNodes = 1 << 16
+
+// validate checks what a trace header shares with a cluster Config: the
+// node count, the edges and the protocol parameters. NewCluster validates a
+// Config through the header it would record, so a trace can only describe
+// a network a cluster would have accepted. Each numeric check negates the
+// legal range, so NaN fails it.
+func (h *TraceHeader) validate() error {
+	switch {
+	case h.Version != 1:
+		return fmt.Errorf("trace version %d unsupported", h.Version)
+	case h.N < 1 || h.N > maxNodes:
+		return fmt.Errorf("live: node count %d outside [1, %d]", h.N, maxNodes)
+	case !finitePositive(h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval):
+		return fmt.Errorf("live: S, Mu, Rho, Iota, Tick and BeaconInterval must be finite and positive, got %v, %v, %v, %v, %v and %v",
+			h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval)
+	}
+	for _, e := range h.Edges {
+		if e[0] < 0 || e[0] >= h.N || e[1] < 0 || e[1] >= h.N || e[0] == e[1] {
+			return fmt.Errorf("live: bad edge %v for N=%d", e, h.N)
+		}
+	}
+	return nil
+}
+
+func finitePositive(vs ...float64) bool {
+	for _, v := range vs {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // TraceRecord is one recorded state-machine input. Every record touches the
@@ -142,11 +190,8 @@ func ReadTrace(rd io.Reader) (TraceHeader, []TraceRecord, error) {
 	if err := dec.Decode(&h); err != nil {
 		return h, nil, fmt.Errorf("trace header: %w", err)
 	}
-	if h.Version != 1 {
-		return h, nil, fmt.Errorf("trace version %d unsupported", h.Version)
-	}
-	if h.N < 1 {
-		return h, nil, fmt.Errorf("trace header: n=%d", h.N)
+	if err := h.validate(); err != nil {
+		return h, nil, fmt.Errorf("trace header: %w", err)
 	}
 	var recs []TraceRecord
 	for {

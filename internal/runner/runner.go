@@ -53,9 +53,10 @@ type Algorithm interface {
 // concurrently. It must read only node u's own state (plus tick-stable
 // shared state) and tally mode counters into the given event-shard block;
 // FinishTick runs serially after the completion phase and folds the blocks
-// in shard order, so counter totals stay deterministic. CanStepNodes may
-// return false to disable the path (e.g. reference trigger engines with
-// shared scratch).
+// in shard order, so counter totals stay deterministic. CanStepNodes
+// returning false keeps the path off, for an algorithm whose Step is not
+// the per-node StepNode applied to every node; a decorator forwards the
+// wrapped algorithm's answer.
 type NodeStepper interface {
 	CanStepNodes() bool
 	StepNode(u, shard int, dh float64)
@@ -200,13 +201,11 @@ func New(cfg Config) (*Runtime, error) {
 	engine.SetEventParallelism(cfg.EventParallelism)
 	rng := sim.NewRNG(cfg.Seed)
 	dyn := topo.NewDynamic(cfg.N, engine, rng.Split())
-	// The sharded drain windows on the minimum link transit time — the
-	// classic conservative-PDES lookahead: no beacon can cross a link in
-	// less, so events within a window cannot affect each other's shards.
-	// The per-shard bound (min over a shard's *incoming* pairs) refines the
-	// global ratchet, which stays installed as the fallback.
-	engine.SetLookahead(dyn.MinTransit)
-	engine.SetShardLookahead(dyn.InTransit)
+	// The sharded drain windows on the minimum link transit time into each
+	// shard — the classic conservative-PDES lookahead: no beacon can cross a
+	// link in less, so events within a window cannot affect each other's
+	// shards.
+	engine.SetLookahead(dyn.InTransit)
 	net := transport.NewNetwork(engine, dyn, rng.Split(), cfg.Delay)
 	rt := &Runtime{
 		Engine:   engine,
@@ -334,8 +333,7 @@ func (rt *Runtime) Start() error {
 // crossGate decides whether event windows may cross the integration tick
 // pending at tickAt, covering the stretch up to the following tick. Every
 // layer must certify quiescence:
-//   - the algorithm can step single nodes (NodeStepper, production trigger
-//     engine);
+//   - the algorithm can step single nodes (NodeStepper.CanStepNodes);
 //   - the estimate layer reads only querying-node state
 //     (estimate.NodeLocalLayer — Messaging yes, Oracle no), so an estimate
 //     taken between two nodes' lazy applications cannot observe the split;

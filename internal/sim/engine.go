@@ -112,24 +112,23 @@ type Engine struct {
 	// Sharded drain state. shards is the window parallelism K (1 = serial);
 	// sources fire in registration order at equal times, with serial sources
 	// (serialSrc) always stepped one item at a time outside windows.
-	// lookahead/shardLookahead return the conservative window width (min link
-	// transit, optionally per receiving shard); reference forces the serially
-	// merged drain at any K, retained as the differential oracle.
-	shards         int
-	pool           *par.Pool
-	sources        []Source
-	serialSrc      []bool
-	lookahead      func() float64
-	shardLookahead func(shard int) float64
-	reference      bool
-	inWindow       bool
-	winEnds        []Time
-	winHorizon     Time
-	drainFn        func(shard, lo, hi int)
-	flushFn        func(shard, lo, hi int)
-	eachShardFn    func(shard, lo, hi int)
-	shardFn        func(shard int) // RunShards callback in flight
-	shardStepped   []shardCount
+	// lookahead returns a receiving shard's conservative window width (the
+	// minimum link transit into it); reference forces the serially merged
+	// drain at any K, retained as the differential oracle.
+	shards       int
+	pool         *par.Pool
+	sources      []Source
+	serialSrc    []bool
+	lookahead    func(shard int) float64
+	reference    bool
+	inWindow     bool
+	winEnds      []Time
+	winHorizon   Time
+	drainFn      func(shard, lo, hi int)
+	flushFn      func(shard, lo, hi int)
+	eachShardFn  func(shard, lo, hi int)
+	shardFn      func(shard int) // RunShards callback in flight
+	shardStepped []shardCount
 
 	// Tick-crossing state (SetCrossable): windows may extend past the
 	// registered timer's pending event when the owner's gate allows it.
@@ -254,34 +253,25 @@ func (e *Engine) EventShards() int { return e.shards }
 
 // SetReferenceDrain forces the serially merged source drain at any K — the
 // retained reference implementation the differential tests compare the
-// windowed drain against (the same role the reference trigger loop plays
-// for the single-pass trigger engine). Under it the drain takes the K = 1
-// serial fireSource path, so the reference is that path, not a copy.
+// windowed drain against. Under it the drain takes the K = 1 serial
+// fireSource path, so the reference is that path, not a copy.
 func (e *Engine) SetReferenceDrain(on bool) { e.reference = on }
 
-// SetLookahead installs the conservative window bound: f returns the
-// minimum time any source item fired now can take to affect another shard
-// (the model's minimum link transit, Delay−Uncertainty). +Inf is sound when
-// no interaction is possible; values ≤ 0 disable windowing (the drain
-// degrades to serial steps). When SetShardLookahead is also installed it
-// takes precedence.
-func (e *Engine) SetLookahead(f func() float64) { e.lookahead = f }
-
-// SetShardLookahead installs a per-receiving-shard window bound: f(s) returns
-// the minimum transit time over every (sender shard → s) pair, so shard s's
-// window may extend to tmin + f(s) even when some other shard pair has a
-// faster link. Soundness: an item fired at t on shard g can affect shard s no
-// earlier than t + pair(g,s) ≥ tmin + f(s), and that holds for g = s too
-// because f(s) ≤ pair(s,s). Overrides SetLookahead when non-nil.
-func (e *Engine) SetShardLookahead(f func(shard int) float64) { e.shardLookahead = f }
+// SetLookahead installs the conservative window bound: f(s) returns the
+// minimum time any source item fired now can take to affect shard s — the
+// model's minimum link transit, Delay−Uncertainty, over every (sender
+// shard → s) pair — so shard s's window may extend to tmin + f(s) even when
+// some other shard pair has a faster link. Soundness: an item fired at t on
+// shard g can affect shard s no earlier than t + pair(g,s) ≥ tmin + f(s),
+// and that holds for g = s too because f(s) ≤ pair(s,s). +Inf is sound
+// when no interaction is possible; values ≤ 0 disable windowing (the drain
+// degrades to serial steps). Without a bound every window is unbounded.
+func (e *Engine) SetLookahead(f func(shard int) float64) { e.lookahead = f }
 
 // shardLa returns the effective lookahead for shard s.
 func (e *Engine) shardLa(s int) float64 {
-	if e.shardLookahead != nil {
-		return e.shardLookahead(s)
-	}
 	if e.lookahead != nil {
-		return e.lookahead()
+		return e.lookahead(s)
 	}
 	return math.Inf(1)
 }

@@ -153,7 +153,7 @@ func toyRun(k int, reference bool) toyOutcome {
 	e := NewEngine()
 	e.SetEventParallelism(k)
 	e.SetReferenceDrain(reference)
-	e.SetLookahead(func() float64 { return lookahead })
+	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	for i := 0; i < 60; i++ {
 		id := SplitMix64(uint64(i) * 977)
@@ -300,7 +300,7 @@ func toyCtlRun(k int, reference bool) (toyOutcome, [][]uint64, DrainStats) {
 	e := NewEngine()
 	e.SetEventParallelism(k)
 	e.SetReferenceDrain(reference)
-	e.SetLookahead(func() float64 { return lookahead })
+	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	ctl := newToyCtlSource(e, src)
 	for i := 0; i < 40; i++ {
@@ -530,7 +530,7 @@ func crossRun(k int, reference bool) (traces [][]uint64, snapshots []uint64, sta
 	e.SetReferenceDrain(reference)
 	// A lookahead far beyond the tick period: without crossing every window
 	// truncates at the next tick; with it, at the tick after that.
-	e.SetLookahead(func() float64 { return 10 })
+	e.SetLookahead(func(int) float64 { return 10 })
 	c := newCrossToy(e, owners)
 	tk := e.NewTicker(0.7, 0.7, c.tick)
 	e.SetCrossable(tk.Timer(), c.gate, c.begin)
@@ -601,7 +601,7 @@ func TestWindowRespectsGlobalFrontier(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		e := NewEngine()
 		e.SetEventParallelism(k)
-		e.SetLookahead(func() float64 { return 10 })
+		e.SetLookahead(func(int) float64 { return 10 })
 		src := newToySource(e, 4, 10)
 		// Ids chosen so no chains spawn (SplitMix64(id)%3 == 0 is not
 		// guaranteed, so give items far-future spawn room instead: the

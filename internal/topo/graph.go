@@ -119,19 +119,16 @@ type Dynamic struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	listener Listener
-	// minTransit is the minimum Delay−Uncertainty over every link ever
-	// declared — the conservative lookahead the sharded event drain windows
-	// on. It only ratchets down (a re-declare that raises a link's transit
-	// does not raise the bound), which keeps it sound without rescanning:
-	// the true minimum over declared links can never be below it.
-	minTransit float64
 	// Per-shard-pair transit bounds for the sharded drain (kShards = the
 	// engine's event parallelism; nodes map to shards by id mod kShards).
-	// pairTransit[g*kShards+s] is the ratcheted minimum Delay−Uncertainty
-	// over links from a node in shard g to a node in shard s; inMin[s] is the
-	// minimum over all incoming pairs — the bound InTransit feeds the drain.
-	// Both ratchet exactly like minTransit; RecomputeTransit rescans on
-	// demand after churn retires fast links.
+	// pairTransit[g*kShards+s] is the minimum Delay−Uncertainty over links
+	// ever declared from a node in shard g to a node in shard s; inMin[s] is
+	// the minimum over all incoming pairs — the conservative lookahead
+	// InTransit feeds the drain. Both only ratchet down (a re-declare that
+	// raises a link's transit does not raise them), which keeps them sound
+	// without rescanning: the true minimum over declared links can never be
+	// below them. RecomputeTransit rescans on demand after churn retires
+	// fast links.
 	kShards     int
 	pairTransit []float64
 	inMin       []float64
@@ -169,7 +166,6 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 		adj:         csr.NewRows(n),
 		classIdx:    make(map[LinkParams]int32),
 		churn:       make(map[int32]*churnState),
-		minTransit:  math.Inf(1),
 		kShards:     k,
 		pairTransit: make([]float64, k*k),
 		inMin:       make([]float64, k),
@@ -183,17 +179,12 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 	return d
 }
 
-// MinTransit returns the minimum Delay−Uncertainty over all links ever
-// declared, or +Inf when none exist. Monotone non-increasing over a run, so
-// it is always a sound (if conservative) window bound for the sharded event
-// drain: no message can cross a link faster.
-func (d *Dynamic) MinTransit() float64 { return d.minTransit }
-
-// InTransit returns the minimum Delay−Uncertainty over every link whose
-// receiver lives in event shard s (ratcheted like MinTransit, per
-// sender-shard pair), or +Inf when shard s has no incoming links. This is
-// the per-shard lookahead of the sharded drain: no message can reach a node
-// of shard s faster, from any shard — including s itself.
+// InTransit returns the minimum Delay−Uncertainty over every link ever
+// declared whose receiver lives in event shard s, or +Inf when shard s has
+// no incoming links. Monotone non-increasing between RecomputeTransit
+// calls, so it is always a sound (if conservative) window bound: the
+// per-shard lookahead of the sharded drain, since no message can reach a
+// node of shard s faster, from any shard — including s itself.
 func (d *Dynamic) InTransit(s int) float64 { return d.inMin[s] }
 
 // PairTransit returns the ratcheted minimum transit bound for links from
@@ -212,14 +203,13 @@ func (d *Dynamic) pairRatchet(from, to int, mt float64) {
 }
 
 // RecomputeTransit rescans every currently declared link and resets the
-// global and per-pair transit bounds to the true minima, undoing the ratchet
+// per-pair and per-shard transit bounds to the true minima, undoing the ratchet
 // for links that have since been undeclared or re-declared slower. Purely a
 // performance lever for the drain lookahead — window layout never affects
 // results — so callers invoke it explicitly (e.g. after churn retires a
 // fast edge class) from a serial context, never inside a window.
 func (d *Dynamic) RecomputeTransit() {
 	inf := math.Inf(1)
-	d.minTransit = inf
 	for i := range d.pairTransit {
 		d.pairTransit[i] = inf
 	}
@@ -228,9 +218,6 @@ func (d *Dynamic) RecomputeTransit() {
 	}
 	visit := func(u, v int, p LinkParams) {
 		mt := p.Delay - p.Uncertainty
-		if mt < d.minTransit {
-			d.minTransit = mt
-		}
 		d.pairRatchet(u, v, mt)
 		d.pairRatchet(v, u, mt)
 	}
@@ -285,9 +272,6 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
 	}
 	mt := p.Delay - p.Uncertainty
-	if mt < d.minTransit {
-		d.minTransit = mt
-	}
 	d.pairRatchet(a, b, mt)
 	d.pairRatchet(b, a, mt)
 	if slot, ok := d.idx[id.pack()]; ok {
@@ -328,9 +312,9 @@ func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
 
 // Undeclare removes a declared link entirely, returning its slot to the
 // free list. The link must be invisible to both endpoints; any in-flight
-// detection events are cancelled. MinTransit deliberately stays at its
-// ratcheted value (it is a sound lower bound, and rescanning would make the
-// drain lookahead depend on removal order).
+// detection events are cancelled. The transit bounds deliberately stay at
+// their ratcheted values (they are sound lower bounds, and rescanning would
+// make the drain lookahead depend on removal order).
 func (d *Dynamic) Undeclare(a, b int) error {
 	id := MakeEdgeID(a, b)
 	slot, ok := d.idx[id.pack()]

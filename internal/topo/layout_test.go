@@ -256,8 +256,8 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 		age, ok := p.ref.ageBoth(e.id.U, e.id.V, now)
 		return ok && age >= 0.05
 	}))
-	if p.soa.MinTransit() != p.ref.minTransit {
-		t.Fatalf("%s: MinTransit %v vs shadow %v", ctx, p.soa.MinTransit(), p.ref.minTransit)
+	if m := minInTransit(p.soa); m != p.ref.minTransit {
+		t.Fatalf("%s: min InTransit %v vs shadow %v", ctx, m, p.ref.minTransit)
 	}
 	for _, id := range sd {
 		for _, pair := range [][2]int{{id.U, id.V}, {id.V, id.U}} {

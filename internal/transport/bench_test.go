@@ -50,7 +50,10 @@ func BenchmarkNetworkDeliver(b *testing.B) {
 			if err := topo.Install(dyn, c.edges(c.n), topo.DefaultLinkParams()); err != nil {
 				b.Fatal(err)
 			}
-			eng.SetLookahead(dyn.MinTransit)
+			// Every link has the default parameters, so the minimum transit
+			// into each shard is theirs.
+			p := topo.DefaultLinkParams()
+			eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
 			net := transport.NewNetwork(eng, dyn, sim.NewRNG(2), c.policy)
 			h := &echo{net: net}
 			net.SetHandler(h)
