@@ -27,6 +27,10 @@ type Algorithm struct {
 	m    []float64 // max estimates M_u
 	mult []float64 // current rate multiplier (1 or 1+µ)
 
+	// mRate is (1−ρ)/(1+ρ), Integrate's rate for an M_u ahead of L_u,
+	// divided once here rather than for every node step.
+	mRate float64
+
 	// Edge records (Section 4.3.2; see soa.go): parallel slabs indexed by
 	// the topology's directed index of (node, peer), and the per-edge
 	// constants interned in classes.
@@ -101,7 +105,7 @@ func New(p Params) (*Algorithm, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	return &Algorithm{p: p, minKappa: math.Inf(1), deltaFraction: 0.5}, nil
+	return &Algorithm{p: p, minKappa: math.Inf(1), deltaFraction: 0.5, mRate: (1 - p.Rho) / (1 + p.Rho)}, nil
 }
 
 // MustNew is New for tests and examples with known-good parameters.
@@ -475,8 +479,7 @@ func (a *Algorithm) decideShard(shard, lo, hi int) {
 
 // integrateShard runs the clock-integration phase for nodes [lo, hi).
 func (a *Algorithm) integrateShard(_, lo, hi int) {
-	mRate := (1 - a.p.Rho) / (1 + a.p.Rho)
-	dH := a.dHTick
+	mRate, dH := a.mRate, a.dHTick
 	for u := lo; u < hi; u++ {
 		a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], a.mult[u], dH[u], mRate)
 	}
@@ -512,7 +515,7 @@ func (a *Algorithm) CanStepNodes() bool { return true }
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
 	mult := a.decideMode(u, &a.evCtr[shard])
 	a.mult[u] = mult
-	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, (1-a.p.Rho)/(1+a.p.Rho))
+	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, a.mRate)
 }
 
 // FinishTick implements runner.NodeStepper: fold the per-event-shard tallies

@@ -7,8 +7,8 @@ import (
 )
 
 // syntheticTrace builds a replayable trace without running a cluster: an
-// n-node ring whose even nodes tick at hardware rate 1+ρ/2 and odd nodes at
-// 1−ρ/2, and beacons from every neighbour once per interval, at a seeded
+// n-node ring whose even nodes tick at hardware rate 1−ρ/2 and odd nodes at
+// 1+ρ/2, and beacons from every neighbour once per interval, at a seeded
 // phase. A sender's logical clock runs at its own rate from a sawtooth of
 // offsets a little more than S apart, with seeded jitter, so a receiver
 // sees neighbours well ahead of and behind it at once and both gradient

@@ -106,8 +106,7 @@ func (c *Config) applyDefaults() error {
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 64
 	}
-	h := c.header()
-	if err := h.validate(); err != nil {
+	if err := c.header().validate(); err != nil {
 		return err
 	}
 	// The node loops tick on a time.Ticker of Tick × TimeScale, which must be

@@ -18,7 +18,7 @@ func ringEdges(n int) [][2]int {
 // TestLiveRingRecordReplay is the trace determinism contract of the live
 // mode: a real-time ring run (real goroutines, real tickers, real channel
 // transports — a genuinely nondeterministic schedule) records its trace, and
-// replaying that trace through the sim engine reproduces the exact final
+// replaying that trace through the node state machines reproduces the exact final
 // state, three times over.
 func TestLiveRingRecordReplay(t *testing.T) {
 	const n = 8

@@ -19,7 +19,7 @@ import (
 // fast/slow rule, with no reference to wall clocks, channels or goroutines.
 // Exactly this code runs in both execution harnesses — the live cluster
 // (driven by real time and real transports) and the trace replay (driven by
-// the sim engine) — which is what makes a recorded live run replay
+// the recorded inputs) — which is what makes a recorded live run replay
 // byte-identically: applyTick and applyBeacon are deterministic functions of
 // their recorded arguments, applied in the recorded per-node order.
 //

@@ -58,11 +58,13 @@ func (h TraceHeader) params() params {
 }
 
 // maxNodes bounds the node count of a cluster and of a replayed trace. A
-// process holds a 128-byte snapshot slot per node of the network, and per
-// hosted or replayed node about 0.4 KB of state and estimate store plus,
-// live, a goroutine and an inbox of QueueCapacity 48-byte envelopes (3 KB
-// at the default 64): about 250 MB at 2¹⁶ nodes. A larger count is a
-// corrupt header or a typo, rejected before anything is sized by it.
+// replay holds about half a kilobyte per node: state machine, estimate
+// store, snapshot and fingerprint line. A live process holds a 128-byte
+// snapshot slot per node of the network, and each node it hosts adds a
+// goroutine, an inbox and a send queue per in-process edge, each buffering
+// QueueCapacity 48-byte envelopes (3 KB at the default 64): on a ring,
+// about 10 KB per node, 0.6 GB at 2¹⁶ nodes. A larger count is a corrupt
+// header or a typo, rejected before anything is sized by it.
 const maxNodes = 1 << 16
 
 // validate checks what a trace header shares with a cluster Config: the
@@ -70,7 +72,7 @@ const maxNodes = 1 << 16
 // Config through the header it would record, so a trace can only describe
 // a network a cluster would have accepted. Each numeric check negates the
 // legal range, so NaN fails it.
-func (h *TraceHeader) validate() error {
+func (h TraceHeader) validate() error {
 	switch {
 	case h.Version != 1:
 		return fmt.Errorf("trace version %d unsupported", h.Version)

@@ -118,7 +118,7 @@ func (n *LiveNetwork) Stats() LiveStats { return n.c.Stats() }
 func (n *LiveNetwork) Fingerprint() string { return n.c.Fingerprint() }
 
 // ReplayLiveTrace deterministically re-executes a trace recorded by a live
-// run through the simulation engine.
+// run through the node state machines, in the recorded per-node order.
 func ReplayLiveTrace(r io.Reader) (LiveReplayResult, error) {
 	return live.ReplayTrace(r)
 }
