@@ -58,9 +58,10 @@ func syntheticTrace(seed int64, n int, horizon float64) (TraceHeader, []TraceRec
 }
 
 // TestReplayGolden pins the node state machine: the fingerprint of a
-// synthetic trace's replay and the summed mode counts. Any change to the
-// trigger rule, Listing 3's switch, the integration step or the flooding
-// credit as the live node runs them fails here.
+// synthetic trace's replay and the summed mode counts. The trace reaches
+// both triggers, their conflicts and the flooding credit, so a change to
+// the live node's trigger rule, Listing 3's switch, integration step or
+// flooding arithmetic moves them.
 func TestReplayGolden(t *testing.T) {
 	const (
 		wantFingerprint = "01b5832b678cc198c5791c61726954e14e8b7c6ef694613f9b017701f427bab4"
