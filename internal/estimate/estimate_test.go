@@ -262,6 +262,70 @@ func TestMessagingInvalidateDropsSample(t *testing.T) {
 	}
 }
 
+// TestMessagingAgeBoundAcrossOutage re-declares a link with a larger
+// Uncertainty while it is down. A sample's age bound is fixed when its
+// beacon arrives, so this is the case where a stored bound could go stale:
+// the query between the reappearance and the first new beacon must miss
+// rather than serve the invalidated pre-outage sample, and the new sample
+// must be served for the new, longer window.
+func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(2, eng, sim.NewRNG(1))
+	hw := 0.0
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
+	m := NewMessaging(2, dyn, func(int) float64 { return hw }, cfg)
+	narrow, wide := linkParams(), linkParams()
+	wide.Uncertainty = 2 * narrow.Uncertainty
+	lo, hi := maxSampleAgeHW(cfg, narrow), maxSampleAgeHW(cfg, wide)
+
+	if err := dyn.DeclareLink(0, 1, narrow); err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.AppearInstant(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{MinTransit: narrow.Delay - narrow.Uncertainty})
+	if _, ok := m.Estimate(0, 1); !ok {
+		t.Fatal("fresh sample not served")
+	}
+
+	// The outage: both ends observe the loss (within τ), and the receiver's
+	// sample is invalidated, as the runner's EdgeDown listener does. Only
+	// then does topo accept new parameters for the link.
+	if err := dyn.Disappear(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(1)
+	m.Invalidate(0, 1)
+	if err := dyn.DeclareLink(0, 1, wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.AppearInstant(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	hw = lo / 2 // an age inside either window
+	if e, ok := m.Estimate(0, 1); ok {
+		t.Fatalf("query before the new beacon served %v from the pre-outage sample", e)
+	}
+
+	hw = 10
+	minTransit := wide.Delay - wide.Uncertainty
+	m.RecordBeacon(0, 1, transport.Beacon{L: 12}, transport.Delivery{MinTransit: minTransit})
+	age := (lo + hi) / 2
+	hw = 10 + age
+	e, ok := m.Estimate(0, 1)
+	if !ok {
+		t.Fatalf("query at age %v, between the old bound %v and the new bound %v, missed", age, lo, hi)
+	}
+	if want := advanceSample(cfg, 12, minTransit, hw-10); math.Float64bits(e) != math.Float64bits(want) {
+		t.Errorf("estimate %v, want %v", e, want)
+	}
+	hw = 10 + 1.01*hi
+	if _, ok := m.Estimate(0, 1); ok {
+		t.Errorf("query past the new bound %v served", hi)
+	}
+}
+
 func TestMessagingStaleSampleRejected(t *testing.T) {
 	h := newMessagingHarness(t, 7)
 	h.eng.RunUntil(2)

@@ -13,9 +13,12 @@ import (
 // LocalBeacons outright and touches it from its own event loop only, so the
 // store needs no locks, no CSR rows and no concurrency contract.
 //
-// The estimate math is shared with Messaging (advanceSample, oneSidedBound,
-// maxSampleAgeHW), not duplicated: TestLocalBeaconsMatchesMessaging pins the
-// two layers to identical outputs for identical inputs, which is what makes
+// The estimate math is shared with Messaging (sampleBase, oneSidedBound,
+// maxSampleAgeHW), not duplicated. Messaging stores each sample
+// pre-advanced, while this store keeps the raw sample and evaluates
+// advanceSample whole at query time, so it is also the query-time reference
+// for Messaging's record: TestLocalBeaconsMatchesMessaging pins the two
+// layers to identical outputs for identical inputs, which is what makes
 // live-mode traces comparable to simulator runs.
 type LocalBeacons struct {
 	cfg  MessagingConfig

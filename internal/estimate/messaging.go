@@ -28,24 +28,28 @@ type MessagingConfig struct {
 }
 
 // Messaging is the protocol-based estimate layer. The receiver of a beacon
-// stores (L_sent, H_recv, certified minimum transit) and, when queried,
-// advances the sample at the certified minimum logical rate:
+// advances the last sample at the certified minimum logical rate:
 //
 //	L̃ᵛᵤ = L_sent + (1−ρ)·minTransit + (1−ρ)/(1+ρ)·(H_u(now) − H_u(recv))
 //
 // which is a guaranteed lower bound on L_v (the paper's η-relation, §3.1).
+// The estimate is affine in the receiver's hardware clock, and everything
+// but the age term is fixed at receipt, so the receiver stores the sample
+// pre-advanced (see sample) and a query is one multiply-add.
 type Messaging struct {
 	dyn *topo.Dynamic
 	cfg MessagingConfig
 	hw  func(int) float64
-	// The latest beacon sample of each directed edge, in parallel slabs
-	// indexed by the topology's directed index of (receiver, sender)
-	// (topo.Dynamic.Dir). They are sized when links are declared (declares
-	// are serial engine/scenario operations), so RecordBeacon — which runs
+	// mRate is (1−ρ)/(1+ρ), the rate a sample advances at, divided once
+	// here rather than in every query.
+	mRate float64
+	// The latest beacon sample of each directed edge, indexed by the
+	// topology's directed index of (receiver, sender) (topo.Dynamic.Dir).
+	// The slab is sized when links are declared (declares are serial
+	// engine/scenario operations), so RecordBeacon — which runs
 	// concurrently for distinct receivers under the sharded event drain —
 	// only writes the receiver's own entries.
-	smLSent, smHwAtRecv, smTransit []float64
-	smValid                        []uint8
+	samples []sample
 	// Misses counts estimate queries that found no certified sample. It is
 	// incremented atomically: Estimate runs concurrently for distinct u
 	// under the sharded tick, and an atomic sum is the one per-query effect
@@ -53,23 +57,37 @@ type Messaging struct {
 	Misses uint64
 }
 
+// sample is one directed edge's latest beacon, stored pre-advanced: base is
+// the estimate at receipt, L_sent plus the transit credit (sampleBase), so
+// the estimate at receiver hardware age a is base + mRate·a while
+// 0 ≤ a ≤ maxAge. maxAge is the certification window maxSampleAgeHW of
+// the link's parameters at receipt; a negative maxAge (noSample) marks an
+// entry that holds no sample, so no age is ever served from it.
+type sample struct {
+	base, hwAtRecv, maxAge float64
+}
+
+// noSample is the maxAge of an entry without a sample.
+const noSample = -1
+
 // NewMessaging creates the layer for n nodes. hw returns a node's current
-// hardware clock. The sample slabs cover every link already declared on
-// dyn; a declare hook grows them for later links.
+// hardware clock. The sample slab covers every link already declared on
+// dyn; a declare hook grows it for later links.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
-	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw}
+	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw, mRate: (1 - cfg.Rho) / (1 + cfg.Rho)}
 	m.grow()
 	dyn.OnDeclare(m.onDeclare)
 	return m
 }
 
-// grow sizes the sample slabs to the topology's directed-index range.
+// grow sizes the sample slab to the topology's directed-index range; new
+// entries hold no sample.
 func (m *Messaging) grow() {
-	n := m.dyn.DirCap()
-	m.smLSent = csr.Grow(m.smLSent, n)
-	m.smHwAtRecv = csr.Grow(m.smHwAtRecv, n)
-	m.smTransit = csr.Grow(m.smTransit, n)
-	m.smValid = csr.Grow(m.smValid, n)
+	old := len(m.samples)
+	m.samples = csr.Grow(m.samples, m.dyn.DirCap())
+	for i := old; i < len(m.samples); i++ {
+		m.samples[i].maxAge = noSample
+	}
 }
 
 // onDeclare starts a newly declared link with no sample in either
@@ -78,12 +96,17 @@ func (m *Messaging) grow() {
 func (m *Messaging) onDeclare(a, b int) {
 	m.grow()
 	dir, _ := m.dyn.Dir(a, b)
-	m.smValid[dir] = 0
-	m.smValid[dir^1] = 0
+	m.samples[dir].maxAge = noSample
+	m.samples[dir^1].maxAge = noSample
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
-// beacon delivery.
+// beacon delivery. The sample's age bound is fixed here, from the link's
+// parameters at receipt, and equals the bound a query would derive: the
+// runner delivers a beacon only to a receiver that sees the link, topo
+// refuses new parameters for a visible link, and edge loss invalidates the
+// receiver's sample (Invalidate), so the parameters cannot change while
+// the sample is served.
 func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
 	dir, ok := m.dyn.Dir(to, from)
 	if !ok {
@@ -93,10 +116,11 @@ func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.D
 		// mutation.
 		return
 	}
-	m.smLSent[dir] = b.L
-	m.smHwAtRecv[dir] = m.hw(to)
-	m.smTransit[dir] = d.MinTransit
-	m.smValid[dir] = 1
+	m.samples[dir] = sample{
+		base:     sampleBase(m.cfg, b.L, d.MinTransit),
+		hwAtRecv: m.hw(to),
+		maxAge:   maxSampleAgeHW(m.cfg, m.dyn.ParamsAt(dir)),
+	}
 }
 
 // Invalidate drops the sample for a directed edge (called on edge loss, so a
@@ -107,7 +131,7 @@ func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.D
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
 func (m *Messaging) Invalidate(u, v int) {
 	if dir, ok := m.dyn.Dir(u, v); ok {
-		m.smValid[dir] = 0
+		m.samples[dir].maxAge = noSample
 	}
 }
 
@@ -120,17 +144,25 @@ func maxSampleAgeHW(cfg MessagingConfig, p topo.LinkParams) float64 {
 	return real * (1 + cfg.Rho)
 }
 
-// advanceSample advances a stored beacon sample to the present: credit the
-// certified minimum transit (minus slop for discrete integration) and the
-// elapsed receiver hardware time, both at guaranteed-minimum logical rates.
-// This is the η-relation estimate both Messaging and LocalBeacons serve.
-func advanceSample(cfg MessagingConfig, lSent, minTransit, ageHW float64) float64 {
-	rho := cfg.Rho
+// sampleBase is a beacon sample's estimate at receipt: L_sent plus the
+// certified minimum transit (minus slop for discrete integration, since
+// clocks advance in steps), credited at the guaranteed-minimum logical rate.
+func sampleBase(cfg MessagingConfig, lSent, minTransit float64) float64 {
 	credit := minTransit - cfg.TickSlop
 	if credit < 0 {
 		credit = 0
 	}
-	return lSent + (1-rho)*credit + (1-rho)/(1+rho)*ageHW
+	return lSent + (1-cfg.Rho)*credit
+}
+
+// advanceSample advances a beacon sample to the present: its base plus the
+// elapsed receiver hardware time at the guaranteed-minimum logical rate.
+// This is the η-relation estimate both Messaging and LocalBeacons serve;
+// LocalBeacons evaluates it whole at query time, Messaging stores the base
+// at receipt, and Go's left-to-right sum makes the two bit-identical.
+func advanceSample(cfg MessagingConfig, lSent, minTransit, ageHW float64) float64 {
+	rho := cfg.Rho
+	return sampleBase(cfg, lSent, minTransit) + (1-rho)/(1+rho)*ageHW
 }
 
 // Estimate implements Layer.
@@ -142,23 +174,19 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 	return m.EstimateAt(u, v, dir)
 }
 
-// EstimateAt implements Layer: slab loads at dir, with no lookup.
+// EstimateAt implements Layer: one sample load at dir, with no lookup. The
+// Centered offset is added last, as LocalBeacons adds it, rather than folded
+// into the stored base, which would round the sum differently.
 func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
-	if m.smValid[dir] == 0 {
+	s := &m.samples[dir]
+	ageHW := m.hw(u) - s.hwAtRecv
+	if !(ageHW >= 0 && ageHW <= s.maxAge) {
 		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}
-	p := m.dyn.ParamsAt(dir)
-	ageHW := m.hw(u) - m.smHwAtRecv[dir]
-	if ageHW < 0 || ageHW > maxSampleAgeHW(m.cfg, p) {
-		atomic.AddUint64(&m.Misses, 1)
-		return 0, false
-	}
-	// The transit credit inside advanceSample covers only fully elapsed
-	// integration ticks (clocks advance in steps); TickSlop compensates.
-	est := advanceSample(m.cfg, m.smLSent[dir], m.smTransit[dir], ageHW)
+	est := s.base + m.mRate*ageHW
 	if m.cfg.Centered {
-		est += oneSidedBound(m.cfg, p) / 2
+		est += oneSidedBound(m.cfg, m.dyn.ParamsAt(dir)) / 2
 	}
 	return est, true
 }
