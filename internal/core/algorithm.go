@@ -399,13 +399,24 @@ func (a *Algorithm) deltaAt(cls *edgeClass, kappa float64) float64 {
 
 // level returns the highest s such that the peer is in N^s_self, per the
 // implicit representation of Section 4.3.2, for the record at dir.
+//
+// This head is small enough to inline into the trigger fold, and answers
+// the commonest record there, an edge present at time 0, without a call:
+// recPreInserted implies recUp, because only OnEdgeUp sets it and
+// OnEdgeDown clears both.
 func (a *Algorithm) level(self int, dir int32) int {
+	if a.recFlags[dir]&recPreInserted != 0 {
+		return analysis.InfLevel
+	}
+	return a.levelInserted(self, dir)
+}
+
+// levelInserted is level for a record that was not pre-inserted.
+func (a *Algorithm) levelInserted(self int, dir int32) int {
 	flags := a.recFlags[dir]
 	switch {
 	case flags&recUp == 0:
 		return 0
-	case flags&recPreInserted != 0:
-		return analysis.InfLevel
 	case flags&recHaveTimes == 0:
 		return 0
 	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[dir] == 0:
