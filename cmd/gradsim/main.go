@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -66,6 +67,15 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Written as negations of the legal ranges, so NaN fails them: a bad
+	// horizon or sampling interval would panic in the sampling ticker, and
+	// an infinite one would never finish.
+	if !(*horizon > 0 && *horizon < math.Inf(1)) {
+		return fmt.Errorf("-horizon must be positive and finite, got %v", *horizon)
+	}
+	if !(*sample >= 0 && *sample < math.Inf(1)) {
+		return fmt.Errorf("-sample must be non-negative and finite, got %v", *sample)
+	}
 
 	topology, err := buildTopology(*topoKind, *n)
 	if err != nil {
@@ -93,7 +103,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	interval := *sample
-	if interval <= 0 {
+	if interval == 0 {
 		interval = *horizon / 20
 	}
 

@@ -126,3 +126,32 @@ func TestRunMultiSeedParallelIdentical(t *testing.T) {
 		t.Errorf("-parallel 8 changed the report:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, got)
 	}
 }
+
+// TestRunRejectsBadNumbers checks that out-of-range and non-finite flags
+// make run return an error instead of panicking or running with them. A
+// single replica runs on the calling goroutine, so a panic is recovered
+// here and reported as a failure of its case.
+func TestRunRejectsBadNumbers(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tick", "NaN"}, {"-tick", "+Inf"}, {"-tick", "-Inf"}, {"-tick", "-1"},
+		{"-horizon", "-5"}, {"-horizon", "0"}, {"-horizon", "NaN"}, {"-horizon", "+Inf"},
+		{"-sample", "-1"}, {"-sample", "NaN"}, {"-sample", "+Inf"},
+		{"-gtilde", "NaN"}, {"-gtilde", "+Inf"}, {"-gtilde", "-Inf"},
+		{"-mu", "NaN"}, {"-rho", "NaN"},
+		{"-algo", "blocksync", "-blocksize", "NaN"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("gradsim %v panicked: %v", args, r)
+				}
+			}()
+			// A small, short scenario, so a flag that is wrongly accepted
+			// costs little; the flag under test comes last and wins.
+			base := []string{"-topo", "ring", "-n", "4", "-horizon", "1"}
+			if err := run(append(base, args...), io.Discard); err == nil {
+				t.Errorf("gradsim %v returned no error", args)
+			}
+		}()
+	}
+}

@@ -71,6 +71,7 @@ func (h *harness) appearAll(t *testing.T, edges []topo.EdgeID) {
 }
 
 func TestParamsValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name    string
 		p       Params
@@ -84,6 +85,22 @@ func TestParamsValidation(t *testing.T) {
 		{"kappa factor at 1", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: 1}, true},
 		{"custom without factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom}, true},
 		{"negative iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: -1}, true},
+		{"NaN gtilde", Params{Rho: tRho, Mu: tMu, GTilde: nan}, true},
+		{"+Inf gtilde", Params{Rho: tRho, Mu: tMu, GTilde: inf}, true},
+		{"-Inf gtilde", Params{Rho: tRho, Mu: tMu, GTilde: -inf}, true},
+		{"NaN kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: nan}, true},
+		{"+Inf kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: inf}, true},
+		{"-Inf kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: -inf}, true},
+		{"NaN iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: nan}, true},
+		{"+Inf iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: inf}, true},
+		{"-Inf iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: -inf}, true},
+		{"NaN decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: nan}, true},
+		{"+Inf decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: inf}, true},
+		{"-Inf decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: -inf}, true},
+		{"custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: 2}, false},
+		{"NaN custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: nan}, true},
+		{"+Inf custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: inf}, true},
+		{"-Inf custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: -inf}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
@@ -92,30 +93,33 @@ type Params struct {
 	DecayRate float64
 }
 
+// validate applies the defaults and checks the parameters. Each float check
+// is written as the negation of the legal range, so NaN fails it.
 func (p *Params) validate() error {
 	if err := analysis.ValidateRates(p.Mu, p.Rho); err != nil {
 		return err
 	}
+	inf := math.Inf(1)
 	if p.KappaFactor == 0 {
 		p.KappaFactor = 1.1
 	}
-	if p.KappaFactor <= 1 {
-		return fmt.Errorf("core: KappaFactor must exceed 1 (eq. 9 is strict), got %v", p.KappaFactor)
+	if !(p.KappaFactor > 1 && p.KappaFactor < inf) {
+		return fmt.Errorf("core: KappaFactor must be finite and exceed 1 (eq. 9 is strict), got %v", p.KappaFactor)
 	}
 	if p.Iota == 0 {
 		p.Iota = 0.05
 	}
-	if p.Iota <= 0 {
-		return fmt.Errorf("core: Iota must be positive, got %v", p.Iota)
+	if !(p.Iota > 0 && p.Iota < inf) {
+		return fmt.Errorf("core: Iota must be positive and finite, got %v", p.Iota)
 	}
 	if p.Insertion == 0 {
 		p.Insertion = InsertStatic
 	}
-	if p.Skew == nil && p.GTilde <= 0 {
-		return fmt.Errorf("core: GTilde must be positive when no dynamic skew estimator is set, got %v", p.GTilde)
+	if p.Skew == nil && !(p.GTilde > 0 && p.GTilde < inf) {
+		return fmt.Errorf("core: GTilde must be positive and finite when no dynamic skew estimator is set, got %v", p.GTilde)
 	}
-	if p.Insertion == InsertCustom && p.InsertionFactor <= 0 {
-		return fmt.Errorf("core: InsertCustom requires positive InsertionFactor")
+	if p.Insertion == InsertCustom && !(p.InsertionFactor > 0 && p.InsertionFactor < inf) {
+		return fmt.Errorf("core: InsertCustom requires a positive finite InsertionFactor, got %v", p.InsertionFactor)
 	}
 	if p.Insertion == InsertDynamic && p.B == 0 {
 		p.B = analysis.BMin(p.Rho)
@@ -123,8 +127,8 @@ func (p *Params) validate() error {
 	if p.DecayRate == 0 {
 		p.DecayRate = 0.1
 	}
-	if p.DecayRate < 0 {
-		return fmt.Errorf("core: DecayRate must be positive, got %v", p.DecayRate)
+	if !(p.DecayRate > 0 && p.DecayRate < inf) {
+		return fmt.Errorf("core: DecayRate must be positive and finite, got %v", p.DecayRate)
 	}
 	if p.MaxTriggerLevel < 0 {
 		return fmt.Errorf("core: MaxTriggerLevel must be non-negative, got %d", p.MaxTriggerLevel)

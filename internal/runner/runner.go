@@ -120,14 +120,16 @@ type Config struct {
 	Seed int64
 }
 
+// validate checks the configuration. Each float check is written as the
+// negation of the legal range, so NaN fails it.
 func (c Config) validate() error {
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("runner: N must be positive, got %d", c.N)
-	case c.Tick <= 0:
-		return fmt.Errorf("runner: Tick must be positive, got %v", c.Tick)
-	case c.BeaconInterval <= 0:
-		return fmt.Errorf("runner: BeaconInterval must be positive, got %v", c.BeaconInterval)
+	case !(c.Tick > 0 && c.Tick < math.Inf(1)):
+		return fmt.Errorf("runner: Tick must be positive and finite, got %v", c.Tick)
+	case !(c.BeaconInterval > 0 && c.BeaconInterval < math.Inf(1)):
+		return fmt.Errorf("runner: BeaconInterval must be positive and finite, got %v", c.BeaconInterval)
 	}
 	return nil
 }

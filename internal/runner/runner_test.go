@@ -83,6 +83,12 @@ func TestConfigValidation(t *testing.T) {
 		{"zero nodes", Config{N: 0, Tick: 0.1, BeaconInterval: 1}},
 		{"zero tick", Config{N: 2, Tick: 0, BeaconInterval: 1}},
 		{"zero beacons", Config{N: 2, Tick: 0.1, BeaconInterval: 0}},
+		{"NaN tick", Config{N: 2, Tick: math.NaN(), BeaconInterval: 1}},
+		{"+Inf tick", Config{N: 2, Tick: math.Inf(1), BeaconInterval: 1}},
+		{"-Inf tick", Config{N: 2, Tick: math.Inf(-1), BeaconInterval: 1}},
+		{"NaN beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.NaN()}},
+		{"+Inf beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.Inf(1)}},
+		{"-Inf beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.Inf(-1)}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
