@@ -63,6 +63,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRange$$' -fuzztime 10s ./internal/par
 	$(GO) test -run '^$$' -fuzz '^FuzzTriggerLevels$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/live
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 10s ./cmd/gradsyncd
+	$(GO) test -run '^$$' -fuzz '^FuzzClockQuery$$' -fuzztime 10s ./cmd/gradsyncd
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
