@@ -29,10 +29,11 @@
 //
 // Every record file also carries its host: the `cpu:` header go test
 // prints, the GOMAXPROCS suffix it appends to benchmark names (stripped from
-// the names so records key across machines), the parsing host's CPU count
-// and the Go version. -compare prints both hosts and warns when the CPU
-// model, CPU count or GOMAXPROCS differ, because then a delta measures the
-// machines as much as the code.
+// the names so records key across machines), the parsing host's CPU count,
+// the Go version and, when run at the root of a git checkout, the commit.
+// -compare prints both hosts and warns when the CPU model, CPU count or
+// GOMAXPROCS differ, because then a delta measures the machines as much as
+// the code.
 //
 // With -trend the command renders a markdown trend table across many record
 // files (oldest → newest) — the nightly workflow feeds it the last ~10
@@ -49,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -108,6 +110,9 @@ type Host struct {
 	// GoVersion is the toolchain that built benchjson; `make bench-json`
 	// runs it with the go command that ran the benchmarks.
 	GoVersion string `json:"go_version,omitempty"`
+	// Commit is the git HEAD of the tree benchjson wrote the record in
+	// (gitCommit), empty when that tree is not a git checkout.
+	Commit string `json:"commit,omitempty"`
 }
 
 // String renders the host for -compare; a nil Host is "unknown host".
@@ -115,7 +120,25 @@ func (h *Host) String() string {
 	if h == nil {
 		return "unknown host"
 	}
-	return fmt.Sprintf("cpu %q, %d CPUs, GOMAXPROCS %d, %s", h.CPU, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+	s := fmt.Sprintf("cpu %q, %d CPUs, GOMAXPROCS %d, %s", h.CPU, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
+	if h.Commit != "" {
+		s += ", commit " + h.Commit
+	}
+	return s
+}
+
+// gitCommit returns `git rev-parse HEAD` for dir when dir is the root of a
+// git checkout, and "" otherwise or when git fails. The build info cannot
+// supply the commit, because `go run` stamps no VCS information.
+func gitCommit(dir string) string {
+	if _, err := os.Stat(filepath.Join(dir, ".git")); err != nil {
+		return ""
+	}
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // sameMachine reports whether both hosts name the same CPU model and
@@ -173,6 +196,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(report.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark result lines found on stdin")
 	}
+	report.Host.Commit = gitCommit(".")
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -32,6 +33,9 @@ ok  	repro/cmd/gradsyncd	6.4s
 
 func TestParseAndWrite(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
+	// Run at the module root, as `make bench-json` does, so the record
+	// carries the commit when the tree is a git checkout.
+	t.Chdir("../..")
 	var stdout bytes.Buffer
 	if err := run([]string{"-out", out}, strings.NewReader(sample), &stdout); err != nil {
 		t.Fatalf("run: %v", err)
@@ -46,6 +50,21 @@ func TestParseAndWrite(t *testing.T) {
 	}
 	if len(report.Benchmarks) != 6 {
 		t.Fatalf("parsed %d records, want 6", len(report.Benchmarks))
+	}
+	wantCommit := ""
+	if _, err := os.Stat(".git"); err == nil {
+		if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+			wantCommit = strings.TrimSpace(string(head))
+		}
+	}
+	if report.Host == nil || report.Host.Commit != wantCommit {
+		t.Errorf("host = %+v, want commit %q", report.Host, wantCommit)
+	}
+	if wantCommit != "" && !strings.Contains(string(data), `"commit": "`+wantCommit+`"`) {
+		t.Errorf("record file does not carry the commit under its JSON name:\n%s", data)
+	}
+	if got := gitCommit(t.TempDir()); got != "" {
+		t.Errorf("gitCommit outside a checkout = %q, want empty", got)
 	}
 	first := report.Benchmarks[0]
 	if first.Pkg != "repro/internal/core" || first.Name != "BenchmarkCoreStep" {
@@ -130,7 +149,8 @@ func TestParseHostProvenance(t *testing.T) {
 // TestCompareHosts pins -compare's host lines: both hosts are printed, a
 // warning appears exactly when the CPU model, CPU count or GOMAXPROCS
 // differ (or a record names no host), a record without a CPU count compares
-// as before the field existed, and the gates ignore it.
+// as before the field existed, a commit is printed with its host but warns
+// of nothing, and the gates ignore it.
 func TestCompareHosts(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, h *Host, ns float64) string {
@@ -156,6 +176,7 @@ func TestCompareHosts(t *testing.T) {
 		{"other GOMAXPROCS", &Host{CPU: "Xeon A", GOMAXPROCS: 8, NumCPU: 2, GoVersion: "go1.24.0"}, true},
 		{"other CPU count", &Host{CPU: "Xeon A", GOMAXPROCS: 2, NumCPU: 16, GoVersion: "go1.24.0"}, true},
 		{"record without a CPU count", &Host{CPU: "Xeon A", GOMAXPROCS: 2, GoVersion: "go1.24.0"}, false},
+		{"same host, other commit", &Host{CPU: "Xeon A", GOMAXPROCS: 2, NumCPU: 2, GoVersion: "go1.24.0", Commit: "0123abcd"}, false},
 		{"no host", nil, true},
 	} {
 		niu := write("new.json", c.host, 101)
