@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
+.PHONY: all build vet test race fuzz lint inline cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
 
 all: build test
 
@@ -19,7 +19,7 @@ vet:
 # mdlint (in-repo, no dependency) verifies every local link in the markdown
 # docs resolves. The gofmt gate fails the target when gofmt would rewrite
 # any Go file in the tree (perfbench/ included).
-lint: vet
+lint: vet inline
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
@@ -33,6 +33,21 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# The trigger fold's hot helpers must stay inlined: the level head, the four
+# level-1 guards, Listing 3's mode switch, the clock step and the
+# certificate test of the decide step. The target reads the inliner's report
+# on internal/core (the build cache replays it) and fails when one of them
+# is no longer inlinable, or when the fold and the decide step stop
+# inlining the level head and the certificate test.
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in '\(\*Algorithm\)\.level' FastWitness1 FastBlocked1 SlowWitness1 SlowBlocked1 NextMode Integrate '\(\*Algorithm\)\.certified'; do \
+		echo "$$out" | grep -qE ": can inline $$f\$$" || { echo "inline: $$f no longer inlines"; exit 1; }; \
+	done; \
+	for f in '(*Algorithm).level' '(*Algorithm).certified'; do \
+		echo "$$out" | grep -qF "inlining call to $$f" || { echo "inline: no call to $$f is inlined"; exit 1; }; \
+	done
 
 # Coverage profile for the whole module; CI uploads coverage.out as an
 # artifact alongside BENCH_sweep.json.
@@ -77,7 +92,7 @@ bench:
 # and the gradsyncd query-plane benchmarks (whose qps metric and 0
 # allocs/op are the serving headline).
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep|BenchmarkNeighborLevels|BenchmarkBlockSyncStep|BenchmarkNeighbors|BenchmarkTopoChurn' -benchmem ./internal/core ./internal/baselines ./internal/topo > BENCH_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep|BenchmarkCoreTick|BenchmarkNeighborLevels|BenchmarkBlockSyncStep|BenchmarkNeighbors|BenchmarkTopoChurn' -benchmem ./internal/core ./internal/baselines ./internal/topo > BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkNetworkDeliver' -benchmem ./internal/transport >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMessagingInvalidate' -benchmem ./internal/estimate >> BENCH_raw.txt

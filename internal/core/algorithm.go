@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/analysis"
+	"repro/internal/estimate"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -48,6 +49,23 @@ type Algorithm struct {
 	minKappa float64
 	sMax     int
 
+	// Quiet-node certificates (cert.go). cert[u] is a value of u's hardware
+	// clock up to which u's decide is known to be NextMode(false, false, …)
+	// with every estimate served, so decideMode skips the fold while
+	// HW[u] ≤ cert[u]. The slab exists only when the estimate layer at Init
+	// is the messaging one (msg), whose estimates are affine in the querying
+	// node's hardware clock; other layers fold every tick. aheadThr and
+	// behindThr are the smallest level-1 thresholds on est−L_u and L_u−est
+	// over all interned edge classes; aheadGrowth bounds the rise of est−L_u
+	// over covered decides, and behindTime converts slack on L_u−est into
+	// hardware time.
+	msg         *estimate.Messaging
+	cert        []float64
+	aheadThr    float64
+	behindThr   float64
+	aheadGrowth float64
+	behindTime  float64
+
 	// deltaFraction positions δ_e inside its legal range
 	// (0, κ/2−2ε−2µτ); the default 0.5 is the midpoint. Values ≥ 1 violate
 	// the range and break Lemma 5.3 — settable only through
@@ -78,15 +96,19 @@ type Algorithm struct {
 	MissingEstimates uint64 // trigger evaluations lacking an estimate
 	Insertions       uint64 // completed computeInsertionTimes calls
 	HandshakeAborts  uint64 // handshake checks that found the edge gone
+
+	certTicks uint64 // node-ticks decided under a certificate, without the fold
 }
 
 // modeCounters is one shard's private tally for a tick phase; Step folds the
 // blocks into the public counters after the barrier, in shard order, so the
-// totals are byte-identical to the serial tick's. The padding keeps adjacent
-// shards' hot words on separate cache lines.
+// totals are byte-identical to the serial tick's. It also holds the shard's
+// certificate query, the estimate layer its messaging folds read through.
+// The padding keeps adjacent shards' hot words on separate cache lines.
 type modeCounters struct {
-	fast, slow, conflicts, missing uint64
-	_                              [4]uint64
+	fast, slow, conflicts, missing, cert uint64
+	q                                    certQuery
+	_                                    [7]uint64
 }
 
 // count tallies one node-tick in the mode NextMode chose.
@@ -105,7 +127,10 @@ func New(p Params) (*Algorithm, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	return &Algorithm{p: p, minKappa: math.Inf(1), deltaFraction: 0.5, mRate: (1 - p.Rho) / (1 + p.Rho)}, nil
+	return &Algorithm{
+		p: p, minKappa: math.Inf(1), deltaFraction: 0.5, mRate: (1 - p.Rho) / (1 + p.Rho),
+		aheadThr: math.Inf(1), behindThr: math.Inf(1),
+	}, nil
 }
 
 // MustNew is New for tests and examples with known-good parameters.
@@ -150,6 +175,7 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	a.decideFn = a.decideShard
 	a.integrateFn = a.integrateShard
 	a.refreshSMax()
+	a.initCerts()
 }
 
 // Logical implements runner.Algorithm.
@@ -166,6 +192,7 @@ func (a *Algorithm) Mult(u int) float64 { return a.mult[u] }
 func (a *Algorithm) SetLogical(u int, v float64) {
 	a.l[u] = v
 	a.m[u] = v
+	a.clearCert(u)
 }
 
 // gTilde returns node u's current global skew estimate.
@@ -251,6 +278,7 @@ func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
 		// sets immediately (N^s_u(0) = N_u(0) for all s).
 		a.recFlags[dir] |= recPreInserted
 		a.recFlags[dir] &^= recHaveTimes
+		a.clearCert(self) // the edge joins the fold at once
 		return
 	}
 	if self < peer { // leader of the edge
@@ -294,7 +322,7 @@ func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered si
 		g := a.gTilde(self, t)
 		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[dir]].delay
 		a.rt.Net.SendControl(self, peer, insertEdgeMsg{LIns: lIns, GTilde: g})
-		a.computeInsertionTimes(dir, lIns, g)
+		a.computeInsertionTimes(self, dir, lIns, g)
 	}
 	a.recCheck[dir] = a.rt.Engine.After(delta, attempt)
 }
@@ -325,7 +353,7 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 			return
 		}
 		if a.l[to]-a.recLAtUp[dir] >= needLogical {
-			a.computeInsertionTimes(dir, msg.LIns, msg.GTilde)
+			a.computeInsertionTimes(to, dir, msg.LIns, msg.GTilde)
 			return
 		}
 		if t-received < maxWait {
@@ -338,8 +366,10 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 }
 
 // computeInsertionTimes is Listing 2 (or, for InsertDecaying, the start of
-// the §5.5 weight-decay schedule) for the record at dir.
-func (a *Algorithm) computeInsertionTimes(dir int32, lIns, g float64) {
+// the §5.5 weight-decay schedule) for node u's record at dir. The edge can
+// now join u's fold as L_u advances, so u's certificate is cleared.
+func (a *Algorithm) computeInsertionTimes(u int, dir int32, lIns, g float64) {
+	a.clearCert(u)
 	cls := &a.classes[a.recClass[dir]]
 	if a.p.Insertion == InsertDecaying {
 		a.recT0[dir] = lIns
@@ -455,10 +485,14 @@ func (a *Algorithm) EdgeKappa(u, v int) float64 {
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding
-// (FloodCandidate).
-func (a *Algorithm) OnBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
+// (FloodCandidate), and the lowering of a live certificate for the sample
+// the beacon just left.
+func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
 	if cand := FloodCandidate(b.M, d.MinTransit, a.rt.Tick(), a.p.Rho); cand > a.m[to] {
 		a.m[to] = cand
+	}
+	if a.certified(to) {
+		a.lowerCert(to, from)
 	}
 }
 
@@ -482,9 +516,9 @@ func (a *Algorithm) Step(_ sim.Time, dH []float64) {
 
 // decideShard runs the mode-decision phase for nodes [lo, hi).
 func (a *Algorithm) decideShard(shard, lo, hi int) {
-	c := &a.shardCtr[shard]
+	c, dH := &a.shardCtr[shard], a.dHTick
 	for u := lo; u < hi; u++ {
-		a.mult[u] = a.decideMode(u, c)
+		a.mult[u] = a.decideMode(u, dH[u], c)
 	}
 }
 
@@ -506,6 +540,7 @@ func (a *Algorithm) mergeCounters(blocks []modeCounters) {
 		a.SlowTicks += c.slow
 		a.TriggerConflicts += c.conflicts
 		a.MissingEstimates += c.missing
+		a.certTicks += c.cert
 		*c = modeCounters{}
 	}
 }
@@ -524,7 +559,7 @@ func (a *Algorithm) CanStepNodes() bool { return true }
 // call runs on the worker owning that shard, so the evCtr block is
 // contention-free.
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
-	mult := a.decideMode(u, &a.evCtr[shard])
+	mult := a.decideMode(u, dh, &a.evCtr[shard])
 	a.mult[u] = mult
 	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, a.mRate)
 }
@@ -533,13 +568,20 @@ func (a *Algorithm) StepNode(u, shard int, dh float64) {
 // of a lazily applied tick into the public counters, in shard order.
 func (a *Algorithm) FinishTick() { a.mergeCounters(a.evCtr) }
 
-// decideMode evaluates the triggers of Definitions 4.5–4.7 for node u and
-// returns the rate multiplier per Listing 3, tallying into the caller's
-// shard counters.
-func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
-	fast, slow := a.evalTriggers(u, c)
-	if fast && slow {
-		c.conflicts++
+// decideMode evaluates the triggers of Definitions 4.5–4.7 for node u, whose
+// hardware clock advanced by dh this tick, and returns the rate multiplier
+// per Listing 3, tallying into the caller's shard counters. Under a
+// certificate both triggers are known false and every estimate served, so
+// the fold is skipped and the counters move exactly as it would move them.
+func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
+	var fast, slow bool
+	if a.certified(u) {
+		c.cert++
+	} else {
+		fast, slow = a.evalTriggers(u, dh, c)
+		if fast && slow {
+			c.conflicts++
+		}
 	}
 	mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, a.p.Iota)
 	c.count(isFast)
@@ -564,10 +606,22 @@ func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
 // in the *Level helpers, so the decisions are bit-identical — enforced
 // against the reference scan in trigger_test.go by its differential and
 // fuzz tests.
-func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
+//
+// On messaging estimates the same pass sets u's certificate (cert.go): the
+// fold reads its estimates through the shard's certQuery, which gathers the
+// extreme estimates and the earliest sample expiry, and it notes any edge
+// that refuses a certificate. dh is u's hardware increment this tick.
+func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow bool) {
 	lu := a.l[u]
 	est := a.rt.Est
+	var q *certQuery
+	if msg := a.certLayer(est); msg != nil {
+		q = &c.q
+		*q = certQuery{Messaging: msg, lo: math.Inf(1), hi: math.Inf(-1), until: math.Inf(1)}
+		est = q
+	}
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
+	refused := false       // an edge refuses u a certificate
 	// One contiguous scan of u's sorted topology row, whose entries index
 	// the record slabs and the estimate layer directly — no map probe,
 	// pointer chase or per-edge lookup.
@@ -578,6 +632,11 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 		}
 		lvl := a.level(u, dir)
 		if lvl < 1 {
+			// An edge still inserting joins the fold once L_u reaches its
+			// level-1 time, which no certificate bound foresees.
+			if a.recFlags[dir]&recHaveTimes != 0 {
+				refused = true
+			}
 			continue
 		}
 		// recUp mirrors topo's visibility bit (both flip in the same
@@ -585,10 +644,15 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 		e, ok := est.EstimateAt(u, int(peers[i]), dir)
 		if !ok {
 			c.missing++
+			refused = true
 			continue
 		}
 		cls := &a.classes[a.recClass[dir]]
 		kappa := a.kappaAt(dir, cls.kappa, lu)
+		// A decaying weight moves the edge's thresholds as L_u advances.
+		if kappa != cls.kappa {
+			refused = true
+		}
 		delta := a.deltaAt(cls, kappa)
 		top := lvl
 		if top > a.sMax {
@@ -621,6 +685,12 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 			if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
 				sb = b
 			}
+		}
+	}
+	if q != nil {
+		a.cert[u] = math.Inf(-1)
+		if !refused {
+			a.cert[u] = a.quietUntil(a.rt.HW[u], lu, q.hi-lu, lu-q.lo+(1+a.p.Mu)*dh, q.until)
 		}
 	}
 	return fw > fb, sw > sb

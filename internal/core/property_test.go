@@ -28,7 +28,7 @@ func TestTriggerExclusivityProperty(t *testing.T) {
 		}
 		var c modeCounters
 		for u := 0; u < 5; u++ {
-			h.algo.decideMode(u, &c)
+			h.algo.decideMode(u, 0, &c)
 		}
 		return c.conflicts == 0
 	}
@@ -53,7 +53,7 @@ func TestMaxModeEnvelopeProperty(t *testing.T) {
 		}
 		var c modeCounters
 		for u := 0; u < 4; u++ {
-			m := h.algo.decideMode(u, &c)
+			m := h.algo.decideMode(u, 0, &c)
 			if m != 1 && m != 1+tMu {
 				return false
 			}
@@ -85,7 +85,7 @@ func TestMaxNodeIsSlowProperty(t *testing.T) {
 				maxU, maxV = u, v
 			}
 		}
-		return h.algo.decideMode(maxU, &modeCounters{}) == 1
+		return h.algo.decideMode(maxU, 0, &modeCounters{}) == 1
 	}
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(f, cfg); err != nil {

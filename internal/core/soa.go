@@ -94,6 +94,7 @@ func (a *Algorithm) internClass(cls edgeClass) int32 {
 		ci = int32(len(a.classes))
 		a.classes = append(a.classes, cls)
 		a.classIdx[cls] = ci
+		a.noteThresholds(cls)
 	}
 	return ci
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,18 +163,43 @@ func (r *refAlgo) slowTriggerRef(u, maxLevel int) bool {
 	return false
 }
 
-// triggerHarness is newHarness with a controllable seed and estimate policy,
-// so the differential runs can replay the same adversary byte for byte.
-// With reference set, the runtime drives the algorithm through refAlgo.
-func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, policy estimate.ErrorPolicy, reference bool) *harness {
+// harnessSetup configures a trigger harness beyond its topology and
+// parameters.
+type harnessSetup struct {
+	// policy selects oracle estimates with these errors; nil selects
+	// messaging estimates, shifted to a symmetric error when centered.
+	policy   estimate.ErrorPolicy
+	centered bool
+	// drift is the hardware clock schedule; nil is TwoGroup at ρ.
+	drift drift.Schedule
+	// par is the Tick- and EventParallelism of the runtime, which the
+	// reference side ignores.
+	par int
+}
+
+// triggerHarness is newHarness with a controllable seed, estimate layer,
+// drift and parallelism, so the differential runs can replay the same
+// adversary byte for byte. With reference set, the runtime drives the
+// algorithm through refAlgo, on a serial drain.
+func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, hs harnessSetup, reference bool) *harness {
 	t.Helper()
+	ds := hs.drift
+	if ds == nil {
+		ds = drift.TwoGroup{Rho: p.Rho, Split: n / 2}
+	}
+	par := hs.par
+	if reference {
+		par = 1
+	}
 	rt, err := runner.New(runner.Config{
-		N:              n,
-		Tick:           0.02,
-		BeaconInterval: 0.25,
-		Drift:          drift.TwoGroup{Rho: p.Rho, Split: n / 2},
-		Delay:          transport.RandomDelay{},
-		Seed:           seed,
+		N:                n,
+		Tick:             0.02,
+		BeaconInterval:   0.25,
+		Drift:            ds,
+		Delay:            transport.RandomDelay{},
+		Seed:             seed,
+		TickParallelism:  par,
+		EventParallelism: par,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +213,13 @@ func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) }, policy))
+	if hs.policy != nil {
+		rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) }, hs.policy))
+	} else {
+		rt.SetEstimator(estimate.NewMessaging(n, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
+			Rho: p.Rho, Mu: p.Mu, BeaconInterval: 0.25, TickSlop: 0.04, Centered: hs.centered,
+		}))
+	}
 	if reference {
 		rt.Attach(&refAlgo{Algorithm: algo})
 	} else {
@@ -217,8 +249,9 @@ func diffTopology(n int, rng *rand.Rand) (core, extra []topo.EdgeID) {
 
 // runTriggerDifferential drives one full simulation — random topology,
 // random parameter draw, scripted churn on the chords so edges traverse the
-// whole insertion-level ladder — and returns the algorithm state.
-func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algorithm {
+// whole insertion-level ladder — and returns the algorithm state. hs selects
+// the estimate layer and the fold side's parallelism.
+func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, reference bool) *Algorithm {
 	t.Helper()
 	rng := rand.New(rand.NewSource(caseSeed))
 	n := 6 + rng.Intn(8)
@@ -238,7 +271,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 		p.DecayRate = 0.5 + rng.Float64()
 	}
 	all := append(append([]topo.EdgeID(nil), core...), extra...)
-	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)}, reference)
+	h := triggerHarness(t, n, all, p, caseSeed^0x7157, hs, reference)
 	h.algo.OverrideDeltaFraction(0.1 + rng.Float64()*0.8)
 	for u := 0; u < n; u++ {
 		h.algo.SetLogical(u, rng.Float64()*p.GTilde)
@@ -270,32 +303,80 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 // single-pass engine and, through refAlgo, the reference double loop: mult
 // decisions (hence every logical clock, byte for byte) and the trigger
 // counters must agree exactly across random topologies, parameter draws,
-// and insertion modes. Each run draws its RandomError numbers in the same
-// order, because both read one estimate per live edge in row order.
+// and insertion modes. On oracle estimates each run draws its RandomError
+// numbers in the same order, because both read one estimate per live edge
+// in row order. On messaging estimates, centered, uncentered and under a
+// drift far outside ρ, the fold side runs at Tick- and EventParallelism 2,
+// so quiet-node certificates are set and consumed on the barrier Step path
+// and the crossed-tick StepNode path, and it must skip the fold on some
+// node-ticks.
 func TestTriggerEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
 	}
-	for caseSeed := int64(1); caseSeed <= 12; caseSeed++ {
-		fold := runTriggerDifferential(t, caseSeed, false)
-		ref := runTriggerDifferential(t, caseSeed, true)
-		if fold.FastTicks != ref.FastTicks || fold.SlowTicks != ref.SlowTicks ||
-			fold.TriggerConflicts != ref.TriggerConflicts ||
-			fold.MissingEstimates != ref.MissingEstimates ||
-			fold.Insertions != ref.Insertions {
-			t.Errorf("seed %d: counters diverged: fold fast=%d slow=%d conflicts=%d missing=%d ins=%d, ref fast=%d slow=%d conflicts=%d missing=%d ins=%d",
-				caseSeed,
-				fold.FastTicks, fold.SlowTicks, fold.TriggerConflicts, fold.MissingEstimates, fold.Insertions,
-				ref.FastTicks, ref.SlowTicks, ref.TriggerConflicts, ref.MissingEstimates, ref.Insertions)
-		}
-		for u := 0; u < fold.n; u++ {
-			if fold.l[u] != ref.l[u] || fold.m[u] != ref.m[u] || fold.mult[u] != ref.mult[u] {
-				t.Errorf("seed %d node %d: state diverged: L %v vs %v, M %v vs %v, mult %v vs %v",
-					caseSeed, u, fold.l[u], ref.l[u], fold.m[u], ref.m[u], fold.mult[u], ref.mult[u])
-				break
+	for _, c := range []struct {
+		name  string
+		setup func(caseSeed int64) harnessSetup // fresh per run
+	}{
+		{"oracle", func(caseSeed int64) harnessSetup {
+			return harnessSetup{policy: estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)}}
+		}},
+		{"messaging", func(int64) harnessSetup { return harnessSetup{par: 2} }},
+		{"centered", func(int64) harnessSetup { return harnessSetup{centered: true, par: 2} }},
+		// Hardware rates alternate each tick between 0.5 and 1.5, far
+		// outside ρ: certificates are times on each node's own hardware
+		// clock and must stay exact under any schedule, including one where
+		// a tick's increment is a third of the last one's.
+		{"wild drift", func(int64) harnessSetup {
+			return harnessSetup{drift: drift.Flip{Rho: 0.5, Period: 0.02}, par: 2}
+		}},
+	} {
+		var certTicks, ticks uint64
+		for caseSeed := int64(1); caseSeed <= 12; caseSeed++ {
+			fold := runTriggerDifferential(t, caseSeed, c.setup(caseSeed), false)
+			ref := runTriggerDifferential(t, caseSeed, c.setup(caseSeed), true)
+			if d := diffAlgos(fold, ref); d != "" {
+				t.Errorf("%s seed %d: %s", c.name, caseSeed, d)
 			}
+			certTicks += fold.certTicks
+			ticks += fold.FastTicks + fold.SlowTicks
+		}
+		t.Logf("%s: %d of %d node-ticks decided under a certificate", c.name, certTicks, ticks)
+		if c.name != "oracle" && certTicks == 0 {
+			t.Errorf("%s: no node-tick was decided under a certificate", c.name)
 		}
 	}
+}
+
+// diffAlgos describes the first difference in clocks, modes or counters
+// between two runs, or returns "" when they agree exactly.
+func diffAlgos(fold, ref *Algorithm) string {
+	if fold.FastTicks != ref.FastTicks || fold.SlowTicks != ref.SlowTicks ||
+		fold.TriggerConflicts != ref.TriggerConflicts ||
+		fold.MissingEstimates != ref.MissingEstimates ||
+		fold.Insertions != ref.Insertions || fold.HandshakeAborts != ref.HandshakeAborts {
+		return fmt.Sprintf("counters diverged: fold fast=%d slow=%d conflicts=%d missing=%d ins=%d aborts=%d, ref fast=%d slow=%d conflicts=%d missing=%d ins=%d aborts=%d",
+			fold.FastTicks, fold.SlowTicks, fold.TriggerConflicts, fold.MissingEstimates, fold.Insertions, fold.HandshakeAborts,
+			ref.FastTicks, ref.SlowTicks, ref.TriggerConflicts, ref.MissingEstimates, ref.Insertions, ref.HandshakeAborts)
+	}
+	if m, n := missesOf(fold), missesOf(ref); m != n {
+		return fmt.Sprintf("estimate misses diverged: fold %d, ref %d", m, n)
+	}
+	for u := 0; u < fold.n; u++ {
+		if fold.l[u] != ref.l[u] || fold.m[u] != ref.m[u] || fold.mult[u] != ref.mult[u] {
+			return fmt.Sprintf("node %d state diverged: L %v vs %v, M %v vs %v, mult %v vs %v",
+				u, fold.l[u], ref.l[u], fold.m[u], ref.m[u], fold.mult[u], ref.mult[u])
+		}
+	}
+	return ""
+}
+
+// missesOf returns the messaging layer's miss count, or 0 on other layers.
+func missesOf(a *Algorithm) uint64 {
+	if m, ok := a.rt.Est.(*estimate.Messaging); ok {
+		return m.Misses
+	}
+	return 0
 }
 
 // TestTriggerSinglePassMatchesReferenceOnRandomClocks compares the two
@@ -304,7 +385,7 @@ func TestTriggerEngineDifferential(t *testing.T) {
 // Estimate calls repeatable, so both paths see identical inputs).
 func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 	edges := topo.Ring(7)
-	h := triggerHarness(t, 7, edges, testParams(), 11, estimate.Amplify{}, false)
+	h := triggerHarness(t, 7, edges, testParams(), 11, harnessSetup{policy: estimate.Amplify{}}, false)
 	ref := &refAlgo{Algorithm: h.algo}
 	h.appearAll(t, edges)
 	if err := h.rt.Start(); err != nil {
@@ -316,7 +397,7 @@ func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 		}
 		var c modeCounters
 		for u := 0; u < 7; u++ {
-			fastFold, slowFold := h.algo.evalTriggers(u, &c)
+			fastFold, slowFold := h.algo.evalTriggers(u, 0, &c)
 			fastRef, slowRef := ref.evalTriggersRef(u, &c)
 			if fastFold != fastRef || slowFold != slowRef {
 				t.Logf("node %d: fold (%v,%v) vs ref (%v,%v)", u, fastFold, slowFold, fastRef, slowRef)

@@ -208,9 +208,6 @@ func NewOracle(dyn *topo.Dynamic, clock func(int) float64, policy ErrorPolicy) *
 	return &Oracle{dyn: dyn, clock: clock, policy: policy}
 }
 
-// SetPolicy swaps the error adversary mid-run.
-func (o *Oracle) SetPolicy(p ErrorPolicy) { o.policy = p }
-
 // Estimate implements Layer.
 func (o *Oracle) Estimate(u, v int) (float64, bool) {
 	dir, ok := o.dyn.Dir(u, v)

@@ -326,6 +326,86 @@ func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
 	}
 }
 
+// TestMessagingAgeBoundInclusive pins EstimateAt's age test at both exact
+// boundaries: a query at age 0, as at receipt, and at age exactly maxAge is
+// served, and one ulp past maxAge misses and counts the miss.
+func TestMessagingAgeBoundInclusive(t *testing.T) {
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(2, eng, sim.NewRNG(1))
+	hw := 0.0
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
+	m := NewMessaging(2, dyn, func(int) float64 { return hw }, cfg)
+	p := linkParams()
+	if err := dyn.DeclareLink(0, 1, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.AppearInstant(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{MinTransit: p.Delay - p.Uncertainty})
+	maxAge := maxSampleAgeHW(cfg, p)
+	for _, age := range []float64{0, maxAge} {
+		hw = age // the sample arrived at hardware time 0, so the age is exact
+		if _, ok := m.Estimate(0, 1); !ok {
+			t.Errorf("query at age %v of a window of %v missed", age, maxAge)
+		}
+	}
+	hw = math.Nextafter(maxAge, math.Inf(1))
+	if _, ok := m.Estimate(0, 1); ok {
+		t.Errorf("query one ulp past the window of %v served", maxAge)
+	}
+	if m.Misses != 1 {
+		t.Errorf("Misses = %d, want 1", m.Misses)
+	}
+}
+
+// TestEstimateUntilServesThroughUntil checks EstimateUntil's expiry against
+// the age test it must predict, for samples received at hardware times of
+// many magnitudes, where hwAtRecv + maxAge rounds both ways: a query at
+// hardware time until is served with EstimateAt's value, and until lies
+// below the true end of the window by no more than its relative margin of
+// 1e-9, which stays far inside the window up to hardware times of 2²⁰.
+func TestEstimateUntilServesThroughUntil(t *testing.T) {
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(2, eng, sim.NewRNG(1))
+	hw := 0.0
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04, Centered: true}
+	m := NewMessaging(2, dyn, func(int) float64 { return hw }, cfg)
+	p := linkParams()
+	if err := dyn.DeclareLink(0, 1, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.AppearInstant(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	dir, _ := dyn.Dir(0, 1)
+	maxAge := maxSampleAgeHW(cfg, p)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		recv := math.Ldexp(1+rng.Float64(), rng.Intn(30)-10) // up to 2²⁰
+
+		hw = recv
+		m.RecordBeacon(0, 1, transport.Beacon{L: recv}, transport.Delivery{MinTransit: p.Delay - p.Uncertainty})
+		if _, until, ok := m.EstimateUntil(0, dir); !ok || until < recv {
+			t.Fatalf("at receipt (hw %v): ok=%v until=%v", recv, ok, until)
+		}
+		hw = recv + maxAge/2
+		_, until, _ := m.EstimateUntil(0, dir)
+		if end := recv + maxAge; !(until < end && until > end-1e-6*(1+end)) {
+			t.Fatalf("hw %v: until %v, want just below the window's end %v", recv, until, end)
+		}
+		hw = until
+		est, _, ok := m.EstimateUntil(0, dir)
+		want, wantOK := m.EstimateAt(0, 1, dir)
+		if !ok || !wantOK || est != want {
+			t.Fatalf("sample received at %v: query at until=%v served (%v, %v), EstimateAt (%v, %v)", recv, until, est, ok, want, wantOK)
+		}
+	}
+	if m.Misses != 0 {
+		t.Errorf("%d misses", m.Misses)
+	}
+}
+
 func TestMessagingStaleSampleRejected(t *testing.T) {
 	h := newMessagingHarness(t, 7)
 	h.eng.RunUntil(2)

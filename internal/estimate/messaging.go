@@ -174,22 +174,39 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 	return m.EstimateAt(u, v, dir)
 }
 
-// EstimateAt implements Layer: one sample load at dir, with no lookup. The
+// EstimateAt implements Layer: one sample load at dir, with no lookup.
+func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
+	est, _, ok := m.EstimateUntil(u, dir)
+	return est, ok
+}
+
+// EstimateUntil is EstimateAt plus until, a conservative last hardware time
+// of u at which the same sample is still served: every query at
+// hw(u) ≤ until passes the age test, until a new beacon or an invalidation
+// replaces the sample. until sits a rounding margin below hwAtRecv + maxAge,
+// so the inclusive float test ageHW ≤ maxAge holds for each such query. The
 // Centered offset is added last, as LocalBeacons adds it, rather than folded
 // into the stored base, which would round the sum differently.
-func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
+func (m *Messaging) EstimateUntil(u int, dir int32) (est, until float64, ok bool) {
 	s := &m.samples[dir]
 	ageHW := m.hw(u) - s.hwAtRecv
 	if !(ageHW >= 0 && ageHW <= s.maxAge) {
 		atomic.AddUint64(&m.Misses, 1)
-		return 0, false
+		return 0, 0, false
 	}
-	est := s.base + m.mRate*ageHW
+	est = s.base + m.mRate*ageHW
 	if m.cfg.Centered {
 		est += oneSidedBound(m.cfg, m.dyn.ParamsAt(dir)) / 2
 	}
-	return est, true
+	end := s.hwAtRecv + s.maxAge
+	return est, end - 1e-9*(1+math.Abs(end)), true
 }
+
+// Rate is the slope of every estimate in the receiver's hardware clock,
+// (1−ρ)/(1+ρ) of this layer's ρ: between beacons, a served estimate
+// advances by exactly Rate times the querying node's hardware increment,
+// up to rounding.
+func (m *Messaging) Rate() float64 { return m.mRate }
 
 // oneSidedBound is the worst-case L_v − L̃ᵛᵤ for an uncentered estimate:
 // actual transit up to Delay at the fastest logical rate versus credit for

@@ -149,8 +149,13 @@ type Runtime struct {
 	driftSrc  drift.Schedule
 	algo      Algorithm
 	messaging *estimate.Messaging // non-nil when the estimate layer is message-based
-	started   bool
-	dH        []float64
+	// estConcurrent and estNodeLocal are the layer's answers to the
+	// estimate.ConcurrentLayer and estimate.NodeLocalLayer contracts,
+	// resolved once by SetEstimator: the layer is fixed from Start on.
+	estConcurrent bool
+	estNodeLocal  bool
+	started       bool
+	dH            []float64
 
 	// pool is the sharded-tick worker team (nil when TickParallelism ≤ 1).
 	// tickT/tickDt carry the current tick into driftFn, a method value built
@@ -244,6 +249,19 @@ func (rt *Runtime) N() int { return rt.cfg.N }
 // Tick returns the integration step.
 func (rt *Runtime) Tick() float64 { return rt.cfg.Tick }
 
+// rateSpan bounds every hardware rate the runtime integrates to
+// [1−rateSpan, 1+rateSpan] = [0, 2] (drift.Clamp). Schedules keep their own
+// drift bound ρ < 1; this clamp is only the runtime's defensive envelope,
+// and the one bound on a tick's increment that holds for every schedule.
+const rateSpan = 1
+
+// MaxIncrement bounds the hardware increment of any one tick: the clamp's
+// top rate times the tick length. The ticker's dt is a difference of two
+// engine times, within a rounding unit of the engine clock of Tick; the
+// relative slack of 1e-6 covers that for the first 2⁵²·10⁻⁶ ≈ 4.5·10⁹
+// ticks of a run.
+func (rt *Runtime) MaxIncrement() float64 { return (1 + rateSpan) * rt.cfg.Tick * (1 + 1e-6) }
+
 // BeaconInterval returns the beacon period.
 func (rt *Runtime) BeaconInterval() float64 { return rt.cfg.BeaconInterval }
 
@@ -270,14 +288,20 @@ func (rt *Runtime) CutEdge(u, v int) error {
 }
 
 // SetEstimator installs the estimate layer. When the layer is the messaging
-// implementation, the runtime feeds it beacons and invalidations.
+// implementation, the runtime feeds it beacons and invalidations. The layer
+// is fixed from Start on, so calling SetEstimator after Start panics: state
+// derived from the old layer's answers, such as core's quiet-node
+// certificates, would outlive the swap.
 func (rt *Runtime) SetEstimator(l estimate.Layer) {
-	rt.Est = l
-	if m, ok := l.(*estimate.Messaging); ok {
-		rt.messaging = m
-	} else {
-		rt.messaging = nil
+	if rt.started {
+		panic("runner: SetEstimator after Start")
 	}
+	rt.Est = l
+	rt.messaging, _ = l.(*estimate.Messaging)
+	c, ok := l.(estimate.ConcurrentLayer)
+	rt.estConcurrent = ok && c.ConcurrentQueries()
+	nl, ok := l.(estimate.NodeLocalLayer)
+	rt.estNodeLocal = ok && nl.NodeLocalQueries()
 }
 
 // Attach installs the algorithm and wires all event routing.
@@ -349,7 +373,7 @@ func (rt *Runtime) Start() error {
 // handlers read multi-node clock state and require every tick applied.
 func (rt *Runtime) crossGate(tickAt sim.Time) (sim.Time, bool) {
 	st := rt.stepper
-	if st == nil || !st.CanStepNodes() || !rt.driftOK || !rt.estNodeLocal() {
+	if st == nil || !st.CanStepNodes() || !rt.driftOK || !rt.estNodeLocal {
 		return 0, false
 	}
 	cs, ok := rt.driftSrc.(drift.ConstantStretch)
@@ -397,7 +421,7 @@ func (rt *Runtime) touch(u int, at sim.Time) {
 // order and rounding), so a lazily applied tick is byte-identical to the
 // barrier tick.
 func (rt *Runtime) applyNode(u int) {
-	rate := drift.Clamp(rt.driftSrc.Rate(u, rt.lazyT), 1)
+	rate := drift.Clamp(rt.driftSrc.Rate(u, rt.lazyT), rateSpan)
 	dh := rate * rt.lazyDt
 	rt.dH[u] = dh
 	rt.HW[u] += dh
@@ -537,7 +561,7 @@ func (rt *Runtime) driftShard(_, lo, hi int) {
 	t, dt := rt.tickT, rt.tickDt
 	dH, hw := rt.dH, rt.HW
 	for u := lo; u < hi; u++ {
-		rate := drift.Clamp(rt.driftSrc.Rate(u, t), 1) // ρ<1 always; schedules self-limit
+		rate := drift.Clamp(rt.driftSrc.Rate(u, t), rateSpan)
 		dH[u] = rate * dt
 		hw[u] += dH[u]
 	}
@@ -570,26 +594,11 @@ func (rt *Runtime) ParallelTick(n int, fn func(shard, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if rt.pool == nil || !rt.estConcurrent() {
+	if rt.pool == nil || !rt.estConcurrent {
 		fn(0, 0, n)
 		return
 	}
 	rt.pool.Run(n, fn)
-}
-
-// estConcurrent is evaluated per fan-out, not cached: an Oracle layer's
-// safety can change when a test swaps its error policy mid-run.
-func (rt *Runtime) estConcurrent() bool {
-	c, ok := rt.Est.(estimate.ConcurrentLayer)
-	return ok && c.ConcurrentQueries()
-}
-
-// estNodeLocal reports whether the estimate layer certifies node-local
-// queries (estimate.NodeLocalLayer) — the tick-crossing requirement.
-// Evaluated per gate call, like estConcurrent, in case the layer is swapped.
-func (rt *Runtime) estNodeLocal() bool {
-	c, ok := rt.Est.(estimate.NodeLocalLayer)
-	return ok && c.NodeLocalQueries()
 }
 
 // listener forwards topology transitions to the estimate layer and algorithm.

@@ -121,6 +121,21 @@ func TestStartRequiresWiring(t *testing.T) {
 	}
 }
 
+// TestSetEstimatorAfterStartPanics pins the estimate layer from Start on:
+// state an algorithm derives from the layer's answers would outlive a swap.
+func TestSetEstimatorAfterStartPanics(t *testing.T) {
+	rt, _ := newTestRuntime(t, 2)
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetEstimator after Start did not panic")
+		}
+	}()
+	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(int) float64 { return 0 }, nil))
+}
+
 func TestHardwareClocksFollowDrift(t *testing.T) {
 	rt, _ := newTestRuntime(t, 4)
 	if err := rt.Start(); err != nil {

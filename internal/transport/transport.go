@@ -171,9 +171,6 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 // SetHandler installs the traffic handler.
 func (n *Network) SetHandler(h Handler) { n.handler = h }
 
-// SetPolicy replaces the delay adversary (usable mid-run).
-func (n *Network) SetPolicy(p DelayPolicy) { n.policy = p }
-
 // Sent returns the number of messages handed to the transport (diagnostic).
 func (n *Network) Sent() uint64 {
 	var sum uint64
