@@ -54,17 +54,25 @@ type Algorithm struct {
 	// with every estimate served, so decideMode skips the fold while
 	// HW[u] ≤ cert[u]. The slab exists only when the estimate layer at Init
 	// is the messaging one (msg), whose estimates are affine in the querying
-	// node's hardware clock; other layers fold every tick. aheadThr and
-	// behindThr are the smallest level-1 thresholds on est−L_u and L_u−est
-	// over all interned edge classes; aheadGrowth bounds the rise of est−L_u
-	// over covered decides, and behindTime converts slack on L_u−est into
-	// hardware time.
+	// node's hardware clock, or an oracle whose error draws can be skipped
+	// (orc); other layers fold every tick. aheadThr and behindThr are the
+	// smallest level-1 thresholds on est−L_u and L_u−est over all interned
+	// edge classes, and swing is twice their largest ε. On messaging,
+	// aheadGrowth bounds the rise of est−L_u over covered decides, and
+	// behindTime converts slack on L_u−est into hardware time. On the
+	// oracle, queries[u] is the number of estimates u's last fold drew,
+	// which each certified decide skips, and env is the tick's rate
+	// envelope.
 	msg         *estimate.Messaging
+	orc         *estimate.Oracle
 	cert        []float64
+	queries     []uint32
 	aheadThr    float64
 	behindThr   float64
+	swing       float64
 	aheadGrowth float64
 	behindTime  float64
+	env         envelope
 
 	// deltaFraction positions δ_e inside its legal range
 	// (0, κ/2−2ε−2µτ); the default 0.5 is the midpoint. Values ≥ 1 violate
@@ -103,11 +111,13 @@ type Algorithm struct {
 // modeCounters is one shard's private tally for a tick phase; Step folds the
 // blocks into the public counters after the barrier, in shard order, so the
 // totals are byte-identical to the serial tick's. It also holds the shard's
-// certificate query, the estimate layer its messaging folds read through.
-// The padding keeps adjacent shards' hot words on separate cache lines.
+// certificate queries, the estimate layers its messaging and oracle folds
+// read through. The padding keeps adjacent shards' hot words on separate
+// cache lines.
 type modeCounters struct {
 	fast, slow, conflicts, missing, cert uint64
 	q                                    certQuery
+	oq                                   oracleQuery
 	_                                    [7]uint64
 }
 
@@ -296,6 +306,9 @@ func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
 	a.recFlags[dir] &^= recUp | recPreInserted | recHaveTimes | recDecaying
 	a.rt.Engine.Cancel(a.recCheck[dir]) // stale or zero handles are safe no-ops
 	a.recCheck[dir] = 0
+	// The edge leaves the fold, which changes the number of queries an
+	// oracle certificate skips.
+	a.clearCert(self)
 }
 
 // scheduleLeaderCheck waits at least Δ and until the edge has been visible
@@ -441,6 +454,21 @@ func (a *Algorithm) level(self int, dir int32) int {
 	return a.levelInserted(self, dir)
 }
 
+// level1Time returns the logical time from which level reports at least 1
+// for the record at dir, which has insertion times and is not pre-inserted:
+// levelInserted's cases, each at its level-1 boundary.
+func (a *Algorithm) level1Time(dir int32) float64 {
+	flags := a.recFlags[dir]
+	switch {
+	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[dir] == 0:
+		return a.recT0[dir]
+	case flags&recDynamicGrid != 0 && a.recInsDur[dir] > 0:
+		return analysis.InsertionTimeDynamic(a.recT0[dir], a.recInsDur[dir], 1)
+	default:
+		return a.recT0[dir]
+	}
+}
+
 // levelInserted is level for a record that was not pre-inserted.
 func (a *Algorithm) levelInserted(self int, dir int32) int {
 	flags := a.recFlags[dir]
@@ -485,13 +513,14 @@ func (a *Algorithm) EdgeKappa(u, v int) float64 {
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding
-// (FloodCandidate), and the lowering of a live certificate for the sample
-// the beacon just left.
+// (FloodCandidate), and on messaging estimates the lowering of a live
+// certificate for the sample the beacon just left. Oracle estimates do not
+// read beacons, so their certificates stand.
 func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
 	if cand := FloodCandidate(b.M, d.MinTransit, a.rt.Tick(), a.p.Rho); cand > a.m[to] {
 		a.m[to] = cand
 	}
-	if a.certified(to) {
+	if a.msg != nil && a.certified(to) {
 		a.lowerCert(to, from)
 	}
 }
@@ -507,8 +536,15 @@ func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Deliv
 // disjoint l/m ranges. Both fan out through the runtime's ParallelTick, so
 // results are byte-identical for every TickParallelism — pinned by the
 // differential tests in parallel_tick_test.go.
-func (a *Algorithm) Step(_ sim.Time, dH []float64) {
+//
+// Oracle queries are not node-local, so the runner never crosses a tick on
+// them: every oracle fold runs here, after Step has read the tick's rate
+// envelope.
+func (a *Algorithm) Step(t sim.Time, dH []float64) {
 	a.dHTick = dH
+	if a.orc != nil {
+		a.env = a.readEnvelope(t)
+	}
 	a.rt.ParallelTick(a.n, a.decideFn)
 	a.rt.ParallelTick(a.n, a.integrateFn)
 	a.mergeCounters(a.shardCtr)
@@ -572,11 +608,15 @@ func (a *Algorithm) FinishTick() { a.mergeCounters(a.evCtr) }
 // hardware clock advanced by dh this tick, and returns the rate multiplier
 // per Listing 3, tallying into the caller's shard counters. Under a
 // certificate both triggers are known false and every estimate served, so
-// the fold is skipped and the counters move exactly as it would move them.
+// the fold is skipped, the counters move exactly as it would move them, and
+// on the oracle u's error draws advance past the queries it would make.
 func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
 	var fast, slow bool
 	if a.certified(u) {
 		c.cert++
+		if u < len(a.queries) {
+			a.orc.SkipQueries(u, a.queries[u])
+		}
 	} else {
 		fast, slow = a.evalTriggers(u, dh, c)
 		if fast && slow {
@@ -607,21 +647,31 @@ func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
 // against the reference scan in trigger_test.go by its differential and
 // fuzz tests.
 //
-// On messaging estimates the same pass sets u's certificate (cert.go): the
-// fold reads its estimates through the shard's certQuery, which gathers the
-// extreme estimates and the earliest sample expiry, and it notes any edge
-// that refuses a certificate. dh is u's hardware increment this tick.
+// On messaging and skippable oracle estimates the same pass sets u's
+// certificate (cert.go): the fold reads its estimates through the shard's
+// certQuery or oracleQuery, which gather the extreme estimates and the
+// earliest sample expiry or the query count, and it notes any edge that
+// refuses a certificate and the earliest level-1 time of an edge still
+// inserting. dh is u's hardware increment this tick.
 func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow bool) {
 	lu := a.l[u]
 	est := a.rt.Est
-	var q *certQuery
+	var (
+		q  *certQuery
+		oq *oracleQuery
+	)
 	if msg := a.certLayer(est); msg != nil {
 		q = &c.q
 		*q = certQuery{Messaging: msg, lo: math.Inf(1), hi: math.Inf(-1), until: math.Inf(1)}
 		est = q
+	} else if orc := a.oracleLayer(est); orc != nil {
+		oq = &c.oq
+		*oq = oracleQuery{Oracle: orc, lo: math.Inf(1), hi: math.Inf(-1)}
+		est = oq
 	}
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
 	refused := false       // an edge refuses u a certificate
+	join := math.Inf(1)    // the earliest level-1 time of an inserting edge
 	// One contiguous scan of u's sorted topology row, whose entries index
 	// the record slabs and the estimate layer directly — no map probe,
 	// pointer chase or per-edge lookup.
@@ -633,9 +683,9 @@ func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow
 		lvl := a.level(u, dir)
 		if lvl < 1 {
 			// An edge still inserting joins the fold once L_u reaches its
-			// level-1 time, which no certificate bound foresees.
+			// level-1 time, where a certificate must end.
 			if a.recFlags[dir]&recHaveTimes != 0 {
-				refused = true
+				join = min(join, a.level1Time(dir))
 			}
 			continue
 		}
@@ -687,10 +737,18 @@ func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow
 			}
 		}
 	}
-	if q != nil {
+	switch {
+	case q != nil:
 		a.cert[u] = math.Inf(-1)
 		if !refused {
-			a.cert[u] = a.quietUntil(a.rt.HW[u], lu, q.hi-lu, lu-q.lo+(1+a.p.Mu)*dh, q.until)
+			h := a.rt.HW[u]
+			a.cert[u] = a.quietUntil(h, lu, q.hi-lu, lu-q.lo+(1+a.p.Mu)*dh, min(q.until, a.joinCap(h, dh, lu, join)))
+		}
+	case oq != nil:
+		a.cert[u] = math.Inf(-1)
+		if !refused {
+			a.cert[u] = a.oracleQuietUntil(a.rt.HW[u], dh, lu, oq.hi-lu, lu-oq.lo, join)
+			a.queries[u] = oq.n
 		}
 	}
 	return fw > fb, sw > sb

@@ -1,18 +1,18 @@
-package core_test
+package core
 
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/estimate"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
 // benchRuntime wires a 32-node line running AOPT with the oracle estimate
 // layer and warms it up until all edges participate in trigger evaluation.
-func benchRuntime(b testing.TB) (*runner.Runtime, *core.Algorithm) {
+func benchRuntime(b testing.TB) (*runner.Runtime, *Algorithm) {
 	b.Helper()
 	const n = 32
 	rt, err := runner.New(runner.Config{
@@ -28,7 +28,7 @@ func benchRuntime(b testing.TB) (*runner.Runtime, *core.Algorithm) {
 			b.Fatalf("declare: %v", err)
 		}
 	}
-	algo := core.MustNew(core.Params{Rho: 0.1 / 60, Mu: 0.1, GTilde: 8})
+	algo := MustNew(Params{Rho: 0.1 / 60, Mu: 0.1, GTilde: 8})
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, algo.Logical, estimate.Amplify{}))
 	rt.Attach(algo)
 	for _, e := range topo.Line(n) {
@@ -45,8 +45,12 @@ func benchRuntime(b testing.TB) (*runner.Runtime, *core.Algorithm) {
 
 // BenchmarkCoreStep measures one integration tick of the AOPT trigger
 // evaluation (decideMode over every node plus clock integration) on a
-// 32-node line. The per-tick path must not allocate: run with -benchmem
-// and expect 0 allocs/op.
+// 32-node line. Step is called directly, so hardware clocks stay frozen and
+// a certificate taken on one op would cover every later one: each op
+// starts with the certificates cleared, so the timed work is the full fold
+// plus its certificate bookkeeping, and the benchmark fails if a timed
+// node-tick was certified. The per-tick path must not allocate: run with
+// -benchmem and expect 0 allocs/op.
 func BenchmarkCoreStep(b *testing.B) {
 	rt, algo := benchRuntime(b)
 	dH := make([]float64, rt.N())
@@ -54,12 +58,31 @@ func BenchmarkCoreStep(b *testing.B) {
 		dH[u] = 0.02
 	}
 	t := rt.Engine.Now()
+	certTicks := algo.certTicks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t += 0.02
+		algo.clearCerts()
 		algo.Step(t, dH)
 	}
+	b.StopTimer()
+	if algo.certTicks != certTicks {
+		b.Fatalf("%d node-ticks skipped the fold under a certificate", algo.certTicks-certTicks)
+	}
+}
+
+// BenchmarkCoreTickOracle advances a warmed 10⁴-node ring on oracle
+// estimates with per-node random errors, the default policy of the public
+// configuration and of geo-mobile-10k, by one integration tick per op
+// through rt.Run, so certificates are set, consumed and expire as in a full
+// run. It reports the share of node-ticks decided under a certificate;
+// expect 0 allocs/op.
+func BenchmarkCoreTickOracle(b *testing.B) {
+	rt, algo := warmRing(b, func(rt *runner.Runtime, algo *Algorithm) estimate.Layer {
+		return estimate.NewOracle(rt.Dyn, algo.Logical, estimate.NewPerNodeRandomError(rt.N(), sim.NewRNG(1)))
+	}, func(int, float64) float64 { return 0 })
+	benchTicks(b, rt, algo)
 }
 
 // BenchmarkNeighborLevels measures per-node level sampling through the
@@ -68,7 +91,7 @@ func BenchmarkCoreStep(b *testing.B) {
 // per-tick paths.
 func BenchmarkNeighborLevels(b *testing.B) {
 	rt, algo := benchRuntime(b)
-	var scratch []core.NeighborLevel
+	var scratch []NeighborLevel
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +103,7 @@ func BenchmarkNeighborLevels(b *testing.B) {
 // benchmark runs, so `go test` alone catches a regression.
 func TestAppendNeighborLevelsNoAllocs(t *testing.T) {
 	rt, algo := benchRuntime(t)
-	var scratch []core.NeighborLevel
+	var scratch []NeighborLevel
 	scratch = algo.AppendNeighborLevels(1, scratch[:0]) // grow once
 	allocs := testing.AllocsPerRun(100, func() {
 		scratch = algo.AppendNeighborLevels(1, scratch[:0])
@@ -92,4 +115,12 @@ func TestAppendNeighborLevelsNoAllocs(t *testing.T) {
 		t.Fatal("no visible neighbors sampled")
 	}
 	_ = rt
+}
+
+// clearCerts drops every node's certificate, so each node's next decide
+// folds.
+func (a *Algorithm) clearCerts() {
+	for u := range a.cert {
+		a.clearCert(u)
+	}
 }

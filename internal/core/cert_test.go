@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/drift"
+	"repro/internal/estimate"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -21,16 +25,28 @@ func certParams() Params {
 	return p
 }
 
-// lockstep builds the scenario through the fold (at parallelism 2) and
-// through refAlgo, sets the clocks and lets pre edges appear at time 0,
-// then advances both one tick at a time until horizon. Before every tick
+// messagingSetup selects uncentered messaging estimates and two-group drift.
+func messagingSetup() harnessSetup { return harnessSetup{} }
+
+// perNodeSetup selects per-node random oracle errors, each call with a fresh
+// stream from the same seed, and two-group drift.
+func perNodeSetup() harnessSetup {
+	return harnessSetup{policy: estimate.NewPerNodeRandomError(diffMaxNodes, sim.NewRNG(3))}
+}
+
+// lockstep builds the scenario from setup through the fold (at parallelism
+// 2) and through refAlgo, sets the clocks and lets pre edges appear at time
+// 0, then advances both one tick at a time until horizon. Before every tick
 // it calls before with the tick index on both sides, and after every tick
-// it compares the two runs.
-func lockstep(t *testing.T, n int, pre, later []topo.EdgeID, clocks []float64, horizon float64, before func(h *harness, tick int)) (fold, ref *harness) {
+// it compares the two runs, on oracle estimates every node's next error
+// draw included.
+func lockstep(t *testing.T, n int, pre, later []topo.EdgeID, clocks []float64, horizon float64, setup func() harnessSetup, before func(h *harness, tick int)) (fold, ref *harness) {
 	t.Helper()
 	edges := append(append([]topo.EdgeID(nil), pre...), later...)
-	fold = triggerHarness(t, n, edges, certParams(), 5, harnessSetup{par: 2}, false)
-	ref = triggerHarness(t, n, edges, certParams(), 5, harnessSetup{}, true)
+	fs, rs := setup(), setup()
+	fs.par = 2
+	fold = triggerHarness(t, n, edges, certParams(), 5, fs, false)
+	ref = triggerHarness(t, n, edges, certParams(), 5, rs, true)
 	for _, h := range []*harness{fold, ref} {
 		for u, l := range clocks {
 			h.algo.SetLogical(u, l)
@@ -52,6 +68,9 @@ func lockstep(t *testing.T, n int, pre, later []topo.EdgeID, clocks []float64, h
 		if d := diffAlgos(fold.algo, ref.algo); d != "" {
 			t.Fatalf("tick %d: %s", k, d)
 		}
+		if d := diffNextDraws(fs.policy, rs.policy); d != "" {
+			t.Fatalf("tick %d: %s", k, d)
+		}
 	}
 	return fold, ref
 }
@@ -63,14 +82,14 @@ func lockstep(t *testing.T, n int, pre, later []topo.EdgeID, clocks []float64, h
 // is a slow witness from level 1 on: on the tick node 2's decide first sees
 // the edge at level 1, node 2 must turn slow, as it does in the reference.
 // The test fails when the fold skips level-1 edges, and when a certificate
-// covers a node whose edge is still inserting.
+// taken while the edge was inserting reaches past its level-1 time.
 func TestInsertedEdgeFiresLevelOneGuard(t *testing.T) {
 	const u, v = 2, 3
 	pre := []topo.EdgeID{topo.MakeEdgeID(0, 1), topo.MakeEdgeID(1, 2)}
 	later := []topo.EdgeID{topo.MakeEdgeID(u, v)}
 	joined := map[*harness]int{}
 	fast := 1 + certParams().Mu
-	fold, ref := lockstep(t, 4, pre, later, []float64{3, 0.3, 0, -1.2}, 12, func(h *harness, k int) {
+	fold, ref := lockstep(t, 4, pre, later, []float64{3, 0.3, 0, -1.2}, 12, messagingSetup, func(h *harness, k int) {
 		if k == 25 {
 			if err := h.rt.Dyn.Appear(u, v); err != nil {
 				t.Fatal(err)
@@ -117,7 +136,7 @@ func TestInsertedEdgeFiresLevelOneGuard(t *testing.T) {
 func TestBeaconLowersCertificate(t *testing.T) {
 	line := topo.Line(4)
 	for drop := 150; drop < 160; drop++ {
-		fold, _ := lockstep(t, 4, line, nil, []float64{3, 0.3, 0, 0.2}, 5, func(h *harness, k int) {
+		fold, _ := lockstep(t, 4, line, nil, []float64{3, 0.3, 0, 0.2}, 5, messagingSetup, func(h *harness, k int) {
 			if k == drop {
 				h.algo.SetLogical(3, h.algo.Logical(3)-2)
 			}
@@ -128,5 +147,61 @@ func TestBeaconLowersCertificate(t *testing.T) {
 		if fold.algo.Mult(2) != 1 {
 			t.Fatalf("drop at tick %d: node 2 is not slow behind the dropped clock", drop)
 		}
+	}
+}
+
+// TestEdgeLossClearsOracleCertificate takes down the middle edge of a quiet
+// line on per-node random oracle errors, at several ticks, so the loss
+// lands inside live certificates of nodes 1 and 2. From then on their folds
+// draw one error fewer per tick, and a certificate that outlived the loss
+// would skip the old count: lockstep compares every node's next draw after
+// every tick.
+func TestEdgeLossClearsOracleCertificate(t *testing.T) {
+	line := topo.Line(4)
+	for cut := 40; cut < 48; cut++ {
+		fold, _ := lockstep(t, 4, line, nil, []float64{0, 0, 0, 0}, 3, perNodeSetup, func(h *harness, k int) {
+			if k == cut {
+				if err := h.rt.Dyn.Disappear(1, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if fold.algo.certTicks == 0 {
+			t.Fatalf("cut at tick %d: no node-tick was decided under a certificate", cut)
+		}
+	}
+}
+
+// TestOracleCertificateEndsWithStretch runs a line on per-node random
+// oracle errors with every hardware rate 1 until time 2, when node 3's
+// drops to 0.1. Node 0 starts far ahead, so node 1 runs fast on its trigger
+// and nodes 2 and 3 on their max estimates; node 2, 0.2 ahead of nodes 1
+// and 3, is quiet and decides under certificates. After the switch node 3
+// falls behind node 2 by about a unit per unit, until node 2's slow trigger
+// turns it slow. Certificates taken before the switch assume equal rates,
+// under which that takes ten times as long; node 2's first one, uncapped,
+// would cover the trigger's tick, which lockstep catches.
+func TestOracleCertificateEndsWithStretch(t *testing.T) {
+	const switchTick = 100
+	setup := func() harnessSetup {
+		hs := perNodeSetup()
+		hs.drift = drift.Switching{Inner: drift.PerNode{Rates: map[int]float64{3: 0.1}}, From: switchTick * 0.02, Until: math.Inf(1)}
+		return hs
+	}
+	var certBefore uint64
+	slowAfter := false
+	lockstep(t, 4, topo.Line(4), nil, []float64{10, 0, 0.2, 0}, 4, setup, func(h *harness, k int) {
+		if k == switchTick { // the reference side certifies nothing
+			certBefore = max(certBefore, h.algo.certTicks)
+		}
+		if k > switchTick && h.algo.Mult(2) == 1 {
+			slowAfter = true
+		}
+	})
+	if certBefore == 0 {
+		t.Fatal("no node-tick was decided under a certificate before the switch")
+	}
+	if !slowAfter {
+		t.Fatal("node 2 did not turn slow after the switch")
 	}
 }

@@ -13,10 +13,11 @@ import (
 // The messaging benchmarks live in package core so they can clear the
 // quiet-node certificates and read the certified tally.
 
-// messagingRing wires a 10⁴-node ring running AOPT on messaging estimates,
-// starts every node at clock(u, κ) and runs one unit: four beacon rounds,
-// so every directed edge holds a certified sample.
-func messagingRing(b *testing.B, clock func(u int, kappa float64) float64) (*runner.Runtime, *Algorithm, *estimate.Messaging) {
+// warmRing wires a 10⁴-node ring running AOPT on the estimate layer est
+// builds, starts every node at clock(u, κ) and runs one unit: on messaging
+// estimates four beacon rounds, so every directed edge holds a certified
+// sample.
+func warmRing(b *testing.B, est func(rt *runner.Runtime, algo *Algorithm) estimate.Layer, clock func(u int, kappa float64) float64) (*runner.Runtime, *Algorithm) {
 	b.Helper()
 	const n = 10000
 	rt, err := runner.New(runner.Config{
@@ -33,11 +34,8 @@ func messagingRing(b *testing.B, clock func(u int, kappa float64) float64) (*run
 			b.Fatalf("declare: %v", err)
 		}
 	}
-	msg := estimate.NewMessaging(n, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
-		Rho: 0.1 / 60, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04,
-	})
-	rt.SetEstimator(msg)
 	algo := MustNew(Params{Rho: 0.1 / 60, Mu: 0.1, GTilde: 8})
+	rt.SetEstimator(est(rt, algo))
 	rt.Attach(algo)
 	for _, e := range ring {
 		if err := rt.Dyn.AppearInstant(e.U, e.V); err != nil {
@@ -52,6 +50,19 @@ func messagingRing(b *testing.B, clock func(u int, kappa float64) float64) (*run
 		b.Fatalf("start: %v", err)
 	}
 	rt.Run(1)
+	return rt, algo
+}
+
+// messagingRing is warmRing on uncentered messaging estimates.
+func messagingRing(b *testing.B, clock func(u int, kappa float64) float64) (*runner.Runtime, *Algorithm, *estimate.Messaging) {
+	b.Helper()
+	var msg *estimate.Messaging
+	rt, algo := warmRing(b, func(rt *runner.Runtime, _ *Algorithm) estimate.Layer {
+		msg = estimate.NewMessaging(rt.N(), rt.Dyn, rt.Hardware, estimate.MessagingConfig{
+			Rho: 0.1 / 60, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04,
+		})
+		return msg
+	}, clock)
 	return rt, algo, msg
 }
 
@@ -97,9 +108,7 @@ func benchFrozenStep(b *testing.B, rt *runner.Runtime, algo *Algorithm, msg *est
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t += 0.02
-		for u := range algo.cert {
-			algo.cert[u] = math.Inf(-1)
-		}
+		algo.clearCerts()
 		algo.Step(t, dH)
 	}
 	b.StopTimer()
@@ -145,6 +154,12 @@ func BenchmarkCoreStepMessagingLoud(b *testing.B) {
 // the share of node-ticks decided under a certificate; expect 0 allocs/op.
 func BenchmarkCoreTickMessaging(b *testing.B) {
 	rt, algo, _ := messagingRing(b, func(int, float64) float64 { return 0 })
+	benchTicks(b, rt, algo)
+}
+
+// benchTicks times one integration tick per op through rt.Run and reports
+// the share of the timed node-ticks decided under a certificate.
+func benchTicks(b *testing.B, rt *runner.Runtime, algo *Algorithm) {
 	ticks, certTicks := algo.FastTicks+algo.SlowTicks, algo.certTicks
 	t := rt.Engine.Now()
 	b.ReportAllocs()

@@ -254,7 +254,7 @@ func diffTopology(n int, rng *rand.Rand) (core, extra []topo.EdgeID) {
 func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, reference bool) *Algorithm {
 	t.Helper()
 	rng := rand.New(rand.NewSource(caseSeed))
-	n := 6 + rng.Intn(8)
+	n := 6 + rng.Intn(diffMaxNodes-6)
 	core, extra := diffTopology(n, rng)
 	p := Params{
 		Rho:         tRho,
@@ -303,49 +303,97 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, refer
 // single-pass engine and, through refAlgo, the reference double loop: mult
 // decisions (hence every logical clock, byte for byte) and the trigger
 // counters must agree exactly across random topologies, parameter draws,
-// and insertion modes. On oracle estimates each run draws its RandomError
-// numbers in the same order, because both read one estimate per live edge
-// in row order. On messaging estimates, centered, uncentered and under a
-// drift far outside ρ, the fold side runs at Tick- and EventParallelism 2,
-// so quiet-node certificates are set and consumed on the barrier Step path
-// and the crossed-tick StepNode path, and it must skip the fold on some
-// node-ticks.
+// and insertion modes. On oracle estimates each run draws its error numbers
+// in the same order, because both read one estimate per live edge in row
+// order, and after the run every node's next draw must agree: a certified
+// decide must leave the draws where the fold would. On messaging
+// estimates, centered, uncentered and under a drift far outside ρ, and on
+// per-node random and anti-convergence oracle errors, under two-group drift
+// and under rates that flip every 25 ticks, the fold side runs at Tick- and
+// EventParallelism 2, so quiet-node certificates are set and consumed on
+// the barrier Step path and, on messaging, the crossed-tick StepNode path,
+// and it must skip the fold on some node-ticks. The shared-stream
+// RandomError cannot skip draws, so its family must certify none.
 func TestTriggerEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
 	}
+	// Rates alternate between 0.5 and 1.5 every half unit, 25 ticks:
+	// oracle certificates end at the stretch ends.
+	flip := drift.Flip{Rho: 0.5, Period: 0.5}
+	perNode := func(caseSeed int64) estimate.ErrorPolicy {
+		return estimate.NewPerNodeRandomError(diffMaxNodes, sim.NewRNG(caseSeed^0xe57))
+	}
 	for _, c := range []struct {
-		name  string
-		setup func(caseSeed int64) harnessSetup // fresh per run
+		name      string
+		setup     func(caseSeed int64) harnessSetup // fresh per run
+		certifies bool
 	}{
 		{"oracle", func(caseSeed int64) harnessSetup {
 			return harnessSetup{policy: estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)}}
-		}},
-		{"messaging", func(int64) harnessSetup { return harnessSetup{par: 2} }},
-		{"centered", func(int64) harnessSetup { return harnessSetup{centered: true, par: 2} }},
+		}, false},
+		{"per-node random", func(caseSeed int64) harnessSetup {
+			return harnessSetup{policy: perNode(caseSeed), par: 2}
+		}, true},
+		{"per-node random, flip", func(caseSeed int64) harnessSetup {
+			return harnessSetup{policy: perNode(caseSeed), drift: flip, par: 2}
+		}, true},
+		{"anti-convergence", func(int64) harnessSetup {
+			return harnessSetup{policy: estimate.AntiConvergence{}, par: 2}
+		}, true},
+		{"anti-convergence, flip", func(int64) harnessSetup {
+			return harnessSetup{policy: estimate.AntiConvergence{}, drift: flip, par: 2}
+		}, true},
+		{"messaging", func(int64) harnessSetup { return harnessSetup{par: 2} }, true},
+		{"centered", func(int64) harnessSetup { return harnessSetup{centered: true, par: 2} }, true},
 		// Hardware rates alternate each tick between 0.5 and 1.5, far
-		// outside ρ: certificates are times on each node's own hardware
-		// clock and must stay exact under any schedule, including one where
-		// a tick's increment is a third of the last one's.
+		// outside ρ: messaging certificates are times on each node's own
+		// hardware clock and must stay exact under any schedule, including
+		// one where a tick's increment is a third of the last one's.
 		{"wild drift", func(int64) harnessSetup {
 			return harnessSetup{drift: drift.Flip{Rho: 0.5, Period: 0.02}, par: 2}
-		}},
+		}, true},
 	} {
 		var certTicks, ticks uint64
 		for caseSeed := int64(1); caseSeed <= 12; caseSeed++ {
-			fold := runTriggerDifferential(t, caseSeed, c.setup(caseSeed), false)
-			ref := runTriggerDifferential(t, caseSeed, c.setup(caseSeed), true)
+			fs, rs := c.setup(caseSeed), c.setup(caseSeed)
+			fold := runTriggerDifferential(t, caseSeed, fs, false)
+			ref := runTriggerDifferential(t, caseSeed, rs, true)
 			if d := diffAlgos(fold, ref); d != "" {
+				t.Errorf("%s seed %d: %s", c.name, caseSeed, d)
+			}
+			if d := diffNextDraws(fs.policy, rs.policy); d != "" {
 				t.Errorf("%s seed %d: %s", c.name, caseSeed, d)
 			}
 			certTicks += fold.certTicks
 			ticks += fold.FastTicks + fold.SlowTicks
 		}
 		t.Logf("%s: %d of %d node-ticks decided under a certificate", c.name, certTicks, ticks)
-		if c.name != "oracle" && certTicks == 0 {
+		if c.certifies && certTicks == 0 {
 			t.Errorf("%s: no node-tick was decided under a certificate", c.name)
 		}
+		if !c.certifies && certTicks != 0 {
+			t.Errorf("%s: %d node-ticks were decided under a certificate", c.name, certTicks)
+		}
 	}
+}
+
+// diffMaxNodes bounds the node count of runTriggerDifferential's topologies.
+const diffMaxNodes = 14
+
+// diffNextDraws describes the first node whose next oracle error differs
+// between two runs' policies, or returns "" when every node's agrees (and
+// on messaging runs, which have no policy).
+func diffNextDraws(fold, ref estimate.ErrorPolicy) string {
+	if fold == nil {
+		return ""
+	}
+	for u := 0; u < diffMaxNodes; u++ {
+		if f, r := fold.Err(u, 0, 0, 0, 1), ref.Err(u, 0, 0, 0, 1); f != r {
+			return fmt.Sprintf("node %d's next error draw diverged: fold %v, ref %v", u, f, r)
+		}
+	}
+	return ""
 }
 
 // diffAlgos describes the first difference in clocks, modes or counters

@@ -65,6 +65,17 @@ type ErrorPolicy interface {
 	Err(u, v int, trueU, trueV, eps float64) float64
 }
 
+// ErrorSkipper is implemented by error policies that can leave querying node
+// u's draws where k more Err(u, …) calls would leave them, without making
+// the calls. A caller that knows k queries' answers fall within bounds it
+// can use may then leave them out. The stateless policies skip by doing
+// nothing and PerNodeRandomError by advancing u's stream; RandomError's
+// shared stream cannot skip one node's draws, so it does not implement
+// this.
+type ErrorSkipper interface {
+	SkipErrs(u int, k uint32)
+}
+
 // ConcurrentPolicy marks error policies whose Err is safe and
 // order-independent under concurrent calls with distinct u (the querying
 // node). The Oracle layer is concurrent exactly when its policy is; a policy
@@ -82,6 +93,9 @@ func (ZeroError) Err(_, _ int, _, _, _ float64) float64 { return 0 }
 
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (ZeroError) ConcurrentErrs() bool { return true }
+
+// SkipErrs implements ErrorSkipper (stateless).
+func (ZeroError) SkipErrs(int, uint32) {}
 
 // RandomError draws the error uniformly from [−ε, +ε] out of one shared
 // stream, so the draw a query receives depends on global query order. That
@@ -142,6 +156,15 @@ func (p *PerNodeRandomError) Err(u, _ int, _, _, eps float64) float64 {
 // across shards.
 func (*PerNodeRandomError) ConcurrentErrs() bool { return true }
 
+// SkipErrs implements ErrorSkipper: each draw advances u's SplitMix counter
+// by one SplitMixGamma, so k draws advance it by k of them (mod 2⁶⁴).
+func (p *PerNodeRandomError) SkipErrs(u int, k uint32) {
+	if u < 0 || u >= len(p.states) {
+		return
+	}
+	p.states[u] += uint64(k) * sim.SplitMixGamma
+}
+
 // HoldBack always reports −ε (estimates lag behind the truth).
 type HoldBack struct{}
 
@@ -151,6 +174,9 @@ func (HoldBack) Err(_, _ int, _, _, eps float64) float64 { return -eps }
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (HoldBack) ConcurrentErrs() bool { return true }
 
+// SkipErrs implements ErrorSkipper (stateless).
+func (HoldBack) SkipErrs(int, uint32) {}
+
 // PushForward always reports +ε.
 type PushForward struct{}
 
@@ -159,6 +185,9 @@ func (PushForward) Err(_, _ int, _, _, eps float64) float64 { return eps }
 
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (PushForward) ConcurrentErrs() bool { return true }
+
+// SkipErrs implements ErrorSkipper (stateless).
+func (PushForward) SkipErrs(int, uint32) {}
 
 // AntiConvergence chooses the sign that makes the neighbor look closer to u
 // than it truly is: nodes ahead appear less ahead and nodes behind appear
@@ -177,6 +206,9 @@ func (AntiConvergence) Err(_, _ int, trueU, trueV, eps float64) float64 {
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (AntiConvergence) ConcurrentErrs() bool { return true }
 
+// SkipErrs implements ErrorSkipper (stateless).
+func (AntiConvergence) SkipErrs(int, uint32) {}
+
 // Amplify chooses the sign that makes the neighbor look farther from u than
 // it truly is, over-triggering corrections (stress for stability).
 type Amplify struct{}
@@ -192,11 +224,17 @@ func (Amplify) Err(_, _ int, trueU, trueV, eps float64) float64 {
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (Amplify) ConcurrentErrs() bool { return true }
 
+// SkipErrs implements ErrorSkipper (stateless).
+func (Amplify) SkipErrs(int, uint32) {}
+
 // Oracle is the abstract-model estimate layer.
 type Oracle struct {
 	dyn    *topo.Dynamic
 	clock  func(int) float64
 	policy ErrorPolicy
+	// skip is the policy's ErrorSkipper face, resolved once here; nil when
+	// the policy cannot skip draws.
+	skip ErrorSkipper
 }
 
 // NewOracle builds an oracle layer. clock must return the current true
@@ -205,8 +243,19 @@ func NewOracle(dyn *topo.Dynamic, clock func(int) float64, policy ErrorPolicy) *
 	if policy == nil {
 		policy = ZeroError{}
 	}
-	return &Oracle{dyn: dyn, clock: clock, policy: policy}
+	skip, _ := policy.(ErrorSkipper)
+	return &Oracle{dyn: dyn, clock: clock, policy: policy, skip: skip}
 }
+
+// Skippable reports whether SkipQueries is available: the error policy can
+// leave one node's draws where skipped queries would leave them.
+func (o *Oracle) Skippable() bool { return o.skip != nil }
+
+// SkipQueries leaves node u's error draws where k EstimateAt calls by u
+// would leave them, without computing an estimate. The oracle clamps every
+// error to ±ε, so a caller that skips queries knows each skipped answer
+// lies within ε of the neighbour's true clock. It requires Skippable.
+func (o *Oracle) SkipQueries(u int, k uint32) { o.skip.SkipErrs(u, k) }
 
 // Estimate implements Layer.
 func (o *Oracle) Estimate(u, v int) (float64, bool) {

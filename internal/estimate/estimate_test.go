@@ -127,6 +127,51 @@ func TestOraclePerNodeRandomErrorWithinBoundAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestOracleSkipQueries pins the skippable error draws: on per-node random
+// errors, k queries by node 0 skipped through SkipQueries leave its stream
+// where k answered queries leave it, and node 1's stream untouched; the
+// stateless policies are skippable, and the shared-stream RandomError is
+// not.
+func TestOracleSkipQueries(t *testing.T) {
+	_, dyn := twoNodeGraph(t)
+	clocks := []float64{0, 5}
+	clock := func(u int) float64 { return clocks[u] }
+	for _, k := range []uint32{0, 1, 3, 1000} {
+		asked := NewOracle(dyn, clock, NewPerNodeRandomError(2, sim.NewRNG(2)))
+		skipped := NewOracle(dyn, clock, NewPerNodeRandomError(2, sim.NewRNG(2)))
+		if !skipped.Skippable() {
+			t.Fatal("per-node random errors must be skippable")
+		}
+		for i := uint32(0); i < k; i++ {
+			asked.Estimate(0, 1)
+		}
+		skipped.SkipQueries(0, k)
+		for i := 0; i < 5; i++ {
+			for u := 0; u < 2; u++ {
+				a, _ := asked.Estimate(u, 1-u)
+				b, _ := skipped.Estimate(u, 1-u)
+				if a != b {
+					t.Fatalf("k=%d: node %d's estimate %d after the skip differs: %v asked, %v skipped", k, u, i, a, b)
+				}
+			}
+		}
+	}
+	for _, p := range []ErrorPolicy{nil, ZeroError{}, HoldBack{}, PushForward{}, AntiConvergence{}, Amplify{}} {
+		o := NewOracle(dyn, clock, p)
+		if !o.Skippable() {
+			t.Fatalf("stateless policy %T must be skippable", p)
+		}
+		before, _ := o.Estimate(0, 1)
+		o.SkipQueries(0, 7)
+		if after, _ := o.Estimate(0, 1); after != before {
+			t.Fatalf("stateless policy %T answered %v after a skip, %v before", p, after, before)
+		}
+	}
+	if NewOracle(dyn, clock, RandomError{RNG: sim.NewRNG(2)}).Skippable() {
+		t.Fatal("shared-stream RandomError must not be skippable")
+	}
+}
+
 func TestOracleUnavailableOnDeadEdge(t *testing.T) {
 	eng, dyn := twoNodeGraph(t)
 	o := NewOracle(dyn, func(int) float64 { return 0 }, nil)

@@ -174,10 +174,21 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 	return m.EstimateAt(u, v, dir)
 }
 
-// EstimateAt implements Layer: one sample load at dir, with no lookup.
+// EstimateAt implements Layer: one sample load at dir, with no lookup. The
+// Centered offset is added last, as LocalBeacons adds it, rather than folded
+// into the stored base, which would round the sum differently.
 func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
-	est, _, ok := m.EstimateUntil(u, dir)
-	return est, ok
+	s := &m.samples[dir]
+	ageHW := m.hw(u) - s.hwAtRecv
+	if !(ageHW >= 0 && ageHW <= s.maxAge) {
+		atomic.AddUint64(&m.Misses, 1)
+		return 0, false
+	}
+	est := s.base + m.mRate*ageHW
+	if m.cfg.Centered {
+		est += oneSidedBound(m.cfg, m.dyn.ParamsAt(dir)) / 2
+	}
+	return est, true
 }
 
 // EstimateUntil is EstimateAt plus until, a conservative last hardware time
@@ -185,19 +196,12 @@ func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
 // hw(u) ≤ until passes the age test, until a new beacon or an invalidation
 // replaces the sample. until sits a rounding margin below hwAtRecv + maxAge,
 // so the inclusive float test ageHW ≤ maxAge holds for each such query. The
-// Centered offset is added last, as LocalBeacons adds it, rather than folded
-// into the stored base, which would round the sum differently.
+// estimate is EstimateAt's own answer, so the two agree bit for bit.
 func (m *Messaging) EstimateUntil(u int, dir int32) (est, until float64, ok bool) {
-	s := &m.samples[dir]
-	ageHW := m.hw(u) - s.hwAtRecv
-	if !(ageHW >= 0 && ageHW <= s.maxAge) {
-		atomic.AddUint64(&m.Misses, 1)
+	if est, ok = m.EstimateAt(u, 0, dir); !ok {
 		return 0, 0, false
 	}
-	est = s.base + m.mRate*ageHW
-	if m.cfg.Centered {
-		est += oneSidedBound(m.cfg, m.dyn.ParamsAt(dir)) / 2
-	}
+	s := &m.samples[dir]
 	end := s.hwAtRecv + s.maxAge
 	return est, end - 1e-9*(1+math.Abs(end)), true
 }

@@ -48,14 +48,17 @@ func (s *beaconSink) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		if err := transport.WriteWire(conn, transport.HelloMsg(s.n)); err != nil {
-			conn.Close()
-			continue
-		}
+		// Publish the connection before the reply: ConnectPeer returns once
+		// it reads the reply, and a KillConn straight after must find the
+		// connection to sever.
 		s.mu.Lock()
 		s.conn = conn
 		s.accepts++
 		s.mu.Unlock()
+		if err := transport.WriteWire(conn, transport.HelloMsg(s.n)); err != nil {
+			conn.Close()
+			continue
+		}
 		go func() {
 			for {
 				m, err := transport.ReadWire(conn)

@@ -145,7 +145,9 @@ type Runtime struct {
 	// HW holds the hardware clocks, integrated by the runtime.
 	HW []float64
 
-	cfg       Config
+	cfg Config
+	// driftSrc is the schedule, fixed for the runtime's life: an algorithm
+	// may rely on the rate envelope for as long as the stretch it reports.
 	driftSrc  drift.Schedule
 	algo      Algorithm
 	messaging *estimate.Messaging // non-nil when the estimate layer is message-based
@@ -168,6 +170,16 @@ type Runtime struct {
 	// finishFn is finishShard bound once, so completing a crossed tick
 	// allocates no method value.
 	finishFn func(shard int)
+
+	// The rate envelope (RateEnvelope): the lowest and highest clamped rate
+	// of the last barrier tick and the end of the constant-rate stretch
+	// from its time. stretch is the schedule's drift.ConstantStretch face,
+	// nil when it certifies none; envShard holds each tick shard's extremes
+	// until the drift phase's barrier merges them.
+	stretch      drift.ConstantStretch
+	envLo, envHi float64
+	envUntil     sim.Time
+	envShard     []rateRange
 
 	// wheel is the beacon wheel: a sharded event source that walks the
 	// nodes in staggered order (replacing first the N per-node tickers,
@@ -230,9 +242,12 @@ func New(cfg Config) (*Runtime, error) {
 	rt.driftFn = rt.driftShard
 	rt.finishFn = rt.finishShard
 	rt.driftOK = concurrentSchedule(rt.driftSrc)
+	rt.stretch, _ = rt.driftSrc.(drift.ConstantStretch)
+	rt.envUntil = math.Inf(-1)
 	if cfg.TickParallelism > 1 {
 		rt.pool = par.New(cfg.TickParallelism)
 	}
+	rt.envShard = make([]rateRange, rt.TickShards())
 	return rt, nil
 }
 
@@ -376,12 +391,11 @@ func (rt *Runtime) crossGate(tickAt sim.Time) (sim.Time, bool) {
 	if st == nil || !st.CanStepNodes() || !rt.driftOK || !rt.estNodeLocal {
 		return 0, false
 	}
-	cs, ok := rt.driftSrc.(drift.ConstantStretch)
-	if !ok {
+	if rt.stretch == nil {
 		return 0, false
 	}
 	limit := tickAt + rt.cfg.Tick
-	if cs.RatesConstantUntil(tickAt) < limit {
+	if rt.stretch.RatesConstantUntil(tickAt) < limit {
 		return 0, false
 	}
 	return limit, true
@@ -528,6 +542,9 @@ func (rt *Runtime) step(t sim.Time, dt float64) {
 	}
 	rt.lastTick = t
 	rt.tickT, rt.tickDt = t, dt
+	for s := range rt.envShard {
+		rt.envShard[s] = rateRange{lo: math.Inf(1), hi: math.Inf(-1)}
+	}
 	if rt.pool != nil && rt.driftOK {
 		if p, ok := rt.driftSrc.(drift.TickPreparer); ok {
 			p.PrepareTick(t, rt.cfg.N)
@@ -536,7 +553,40 @@ func (rt *Runtime) step(t sim.Time, dt float64) {
 	} else {
 		rt.driftShard(0, 0, rt.cfg.N)
 	}
+	rt.measureEnvelope(t)
 	rt.algo.Step(t, rt.dH)
+}
+
+// rateRange is one tick shard's lowest and highest clamped rate, padded so
+// the shards' concurrent writes never share a cache line.
+type rateRange struct {
+	lo, hi float64
+	_      [6]uint64
+}
+
+// measureEnvelope merges the shards' rate extremes of the barrier tick at t
+// and asks the schedule how long its rates stay constant from t. A schedule
+// that certifies no stretch gets the empty stretch [t, t).
+func (rt *Runtime) measureEnvelope(t sim.Time) {
+	rt.envLo, rt.envHi = math.Inf(1), math.Inf(-1)
+	for _, r := range rt.envShard {
+		rt.envLo, rt.envHi = min(rt.envLo, r.lo), max(rt.envHi, r.hi)
+	}
+	rt.envUntil = t
+	if rt.stretch != nil {
+		rt.envUntil = rt.stretch.RatesConstantUntil(t)
+	}
+}
+
+// RateEnvelope bounds the hardware rates ahead: lo and hi are the lowest and
+// highest clamped rate that the last barrier tick, at time t, integrated,
+// and every node keeps its rate of that tick on [t, until), the schedule's
+// constant-rate stretch (drift.ConstantStretch). So every tick the ticker
+// fires before until integrates each node at a rate within [lo, hi],
+// whether the tick is a barrier or a crossed one. A schedule that certifies
+// no stretch reports until = t, and before the first tick until is −Inf.
+func (rt *Runtime) RateEnvelope() (lo, hi float64, until sim.Time) {
+	return rt.envLo, rt.envHi, rt.envUntil
 }
 
 // finishShard is the crossed tick's completion phase on event shard s: it
@@ -556,21 +606,23 @@ func (rt *Runtime) finishShard(s int) {
 
 // driftShard integrates the hardware clocks of nodes [lo, hi): reads are the
 // tick time and the (tick-stable) schedule, writes touch only the shard's
-// own dH/HW entries.
-func (rt *Runtime) driftShard(_, lo, hi int) {
+// own dH/HW entries and its envShard slot.
+func (rt *Runtime) driftShard(shard, lo, hi int) {
 	t, dt := rt.tickT, rt.tickDt
 	dH, hw := rt.dH, rt.HW
+	env := rateRange{lo: math.Inf(1), hi: math.Inf(-1)}
 	for u := lo; u < hi; u++ {
 		rate := drift.Clamp(rt.driftSrc.Rate(u, t), rateSpan)
+		if rate < env.lo {
+			env.lo = rate
+		}
+		if rate > env.hi {
+			env.hi = rate
+		}
 		dH[u] = rate * dt
 		hw[u] += dH[u]
 	}
-}
-
-// SetDrift swaps the drift adversary mid-run.
-func (rt *Runtime) SetDrift(s drift.Schedule) {
-	rt.driftSrc = s
-	rt.driftOK = concurrentSchedule(s)
+	rt.envShard[shard] = env
 }
 
 // TickShards returns the number of shards ParallelTick may split node work

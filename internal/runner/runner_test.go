@@ -200,21 +200,6 @@ func TestControlMessagesForwarded(t *testing.T) {
 	}
 }
 
-func TestSetDriftMidRun(t *testing.T) {
-	rt, _ := newTestRuntime(t, 2)
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run(10)
-	h0 := rt.Hardware(0)
-	rt.SetDrift(drift.Constant{R: 0.99})
-	rt.Run(20)
-	gained := rt.Hardware(0) - h0
-	if gained > 10*0.99+0.2 {
-		t.Errorf("hardware gained %v after slowdown, want ≈ 9.9", gained)
-	}
-}
-
 func TestMessagingLayerReceivesInvalidations(t *testing.T) {
 	rt, err := New(Config{N: 2, Tick: 0.1, BeaconInterval: 0.5, Seed: 5})
 	if err != nil {
@@ -315,6 +300,72 @@ func TestBeaconWheelKeepsPerNodeCadence(t *testing.T) {
 			if math.Abs(at-want) > 1e-9 {
 				t.Fatalf("node %d beacon %d sent at %v, want %v (offset %v, period %v)",
 					u, k, at, want, offset, interval)
+			}
+		}
+	}
+}
+
+// envAlgo is fakeAlgo that records, on every tick, the tick time and the
+// rate envelope Step sees.
+type envAlgo struct {
+	fakeAlgo
+	t             sim.Time
+	lo, hi, until float64
+}
+
+func (e *envAlgo) Step(t sim.Time, dH []float64) {
+	e.t = t
+	e.lo, e.hi, e.until = e.rt.RateEnvelope()
+	e.fakeAlgo.Step(t, dH)
+}
+
+// TestRateEnvelope pins what RateEnvelope reports to a barrier tick's Step:
+// the extremes of the clamped rates the tick integrated, and the end of the
+// schedule's constant-rate stretch from the tick's time (the tick time
+// itself when the schedule certifies none). It runs every schedule on a
+// serial tick and on more tick shards than nodes, where the empty shards
+// must not leak stale extremes.
+func TestRateEnvelope(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		sched func() drift.Schedule
+		until func(t float64) float64
+	}{
+		{"two-group", func() drift.Schedule { return drift.TwoGroup{Rho: 0.1, Split: 2} }, func(float64) float64 { return inf }},
+		{"flip", func() drift.Schedule { return drift.Flip{Rho: 0.2, Period: 0.35} }, func(t float64) float64 {
+			return (math.Floor(t/0.35) + 1) * 0.35
+		}},
+		{"sinusoid", func() drift.Schedule { return drift.Sinusoid{Rho: 0.1, Period: 3, PhasePerNode: 0.1} }, func(t float64) float64 { return t }},
+		{"clamped", func() drift.Schedule { return drift.PerNode{Rates: map[int]float64{0: 2.5, 1: -0.5}} }, func(float64) float64 { return inf }},
+		{"random walk", func() drift.Schedule { return drift.NewRandomWalk(0.1, 0.3, 3, sim.NewRNG(1)) }, func(t float64) float64 { return t }},
+	} {
+		for _, par := range []int{1, 5} {
+			sched := c.sched()
+			rt, err := New(Config{N: 3, Tick: 0.1, BeaconInterval: 0.5, Drift: sched, TickParallelism: par, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, until := rt.RateEnvelope(); until != math.Inf(-1) {
+				t.Errorf("%s: before the first tick the stretch ends at %v, want -Inf", c.name, until)
+			}
+			algo := &envAlgo{}
+			rt.SetEstimator(estimate.NewOracle(rt.Dyn, algo.Logical, nil))
+			rt.Attach(algo)
+			if err := rt.Start(); err != nil {
+				t.Fatal(err)
+			}
+			rt.Run(1.05)
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for u := 0; u < rt.N(); u++ {
+				r := drift.Clamp(sched.Rate(u, algo.t), rateSpan)
+				lo, hi = min(lo, r), max(hi, r)
+			}
+			if algo.lo != lo || algo.hi != hi || lo == hi {
+				t.Errorf("%s, par %d: rates in [%v, %v] at %v, want [%v, %v] and unequal", c.name, par, algo.lo, algo.hi, algo.t, lo, hi)
+			}
+			if want := c.until(algo.t); algo.until != want {
+				t.Errorf("%s, par %d: the stretch from the tick at %v ends at %v, want %v", c.name, par, algo.t, algo.until, want)
 			}
 		}
 	}
