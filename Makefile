@@ -39,7 +39,10 @@ test:
 # certificate test of the decide step. The target reads the inliner's report
 # on internal/core (the build cache replays it) and fails when one of them
 # is no longer inlinable, or when the fold and the decide step stop
-# inlining the level head and the certificate test.
+# inlining the level head and the certificate test. On internal/transport
+# it fails unless transport.go inlines topo's index-keyed reads (SeesAt,
+# ParamsAt) on the send and delivery paths and the queue's entry, the key
+# copy of a bucket walk, stays inlinable.
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in '\(\*Algorithm\)\.level' FastWitness1 FastBlocked1 SlowWitness1 SlowBlocked1 NextMode Integrate '\(\*Algorithm\)\.certified'; do \
@@ -48,6 +51,11 @@ inline:
 	for f in '(*Algorithm).level' '(*Algorithm).certified'; do \
 		echo "$$out" | grep -qF "inlining call to $$f" || { echo "inline: no call to $$f is inlined"; exit 1; }; \
 	done
+	@out=$$($(GO) build -gcflags=-m ./internal/transport 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in SeesAt ParamsAt; do \
+		echo "$$out" | grep -qE "transport\.go:[0-9:]+ inlining call to topo\.\(\*Dynamic\)\.$$f\$$" || { echo "inline: transport.go no longer inlines $$f"; exit 1; }; \
+	done; \
+	echo "$$out" | grep -qE ': can inline \(\*deadlineQueue\[.*\]\)\.entry$$' || { echo "inline: the queue's entry no longer inlines"; exit 1; }
 
 # Coverage profile for the whole module; CI uploads coverage.out as an
 # artifact alongside BENCH_sweep.json.
@@ -73,7 +81,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWire$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineQueue$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRows$$' -fuzztime 10s ./internal/csr
-	$(GO) test -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 10s ./internal/csr
 	$(GO) test -run '^$$' -fuzz '^FuzzTopoChurn$$' -fuzztime 10s ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRange$$' -fuzztime 10s ./internal/par
 	$(GO) test -run '^$$' -fuzz '^FuzzTriggerLevels$$' -fuzztime 10s ./internal/core

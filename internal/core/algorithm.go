@@ -179,7 +179,7 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	}
 	a.classIdx = make(map[edgeClass]int32)
 	a.growRecs()
-	rt.Dyn.OnDeclare(a.onDeclare)
+	rt.Dyn.OnDeclare(a.growRecs)
 	a.shardCtr = make([]modeCounters, rt.TickShards())
 	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
 	a.decideFn = a.decideShard
@@ -347,8 +347,8 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	if !ok {
 		return
 	}
-	dir, ok := a.rt.Dyn.Dir(to, from)
-	if !ok || a.recFlags[dir]&recUp == 0 {
+	dir := d.Dir
+	if a.recFlags[dir]&recUp == 0 {
 		a.HandshakeAborts++
 		return
 	}
@@ -521,7 +521,7 @@ func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Deliv
 		a.m[to] = cand
 	}
 	if a.msg != nil && a.certified(to) {
-		a.lowerCert(to, from)
+		a.lowerCert(to, d.Dir)
 	}
 }
 

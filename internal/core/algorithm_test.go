@@ -541,88 +541,3 @@ func TestRedeclaredLinkRederivesConstants(t *testing.T) {
 		}
 	}
 }
-
-// TestReusedSlotStartsFresh frees a topology slot (Undeclare) and declares a
-// different pair onto it: the new edge must start with no beacon sample and
-// a fresh algorithm record, although both slabs are keyed by the reused
-// directed indices and the old pair left a valid sample behind.
-func TestReusedSlotStartsFresh(t *testing.T) {
-	rt, err := runner.New(runner.Config{N: 4, Tick: 0.02, BeaconInterval: 0.25, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Dyn.DeclareLink(0, 1, testLink()); err != nil {
-		t.Fatal(err)
-	}
-	msg := estimate.NewMessaging(4, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
-		Rho: tRho, Mu: tMu, BeaconInterval: 0.25, TickSlop: 0.04,
-	})
-	rt.SetEstimator(msg)
-	algo := MustNew(testParams())
-	rt.Attach(algo)
-	if err := rt.Dyn.AppearInstant(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run(2)
-	if _, ok := msg.Estimate(0, 1); !ok {
-		t.Fatal("no estimate on the original edge")
-	}
-	oldDir, _ := rt.Dyn.Dir(0, 1)
-	oldEps := msg.Eps(0, 1)
-	if err := rt.Dyn.Disappear(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	rt.Run(3)
-	// Beacons in flight at the loss land after the invalidation and leave
-	// valid samples behind.
-	for _, e := range [][2]int{{0, 1}, {1, 0}} {
-		msg.RecordBeacon(e[0], e[1], transport.Beacon{L: 3}, transport.Delivery{At: 3, MinTransit: 0.05})
-	}
-	if err := rt.Dyn.Undeclare(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// A noisier link: its certified ε differs from the old pair's.
-	noisy := testLink()
-	noisy.Uncertainty = 0.08
-	if err := rt.Dyn.DeclareLink(2, 3, noisy); err != nil {
-		t.Fatal(err)
-	}
-	if dir, _ := rt.Dyn.Dir(2, 3); dir != oldDir {
-		t.Fatalf("new pair got directed index %d, want the freed %d", dir, oldDir)
-	}
-	if _, ok := algo.recView(2, 3); ok {
-		t.Fatal("new pair inherited the old pair's record before appearing")
-	}
-	if k := algo.EdgeKappa(2, 3); k != 0 {
-		t.Fatalf("new pair reports κ = %v before appearing", k)
-	}
-	if err := rt.Dyn.AppearInstant(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range [][2]int{{2, 3}, {3, 2}} {
-		misses := msg.Misses
-		if v, ok := msg.Estimate(e[0], e[1]); ok {
-			t.Errorf("Estimate(%d,%d) = %v from the old pair's sample", e[0], e[1], v)
-		}
-		if msg.Misses != misses+1 {
-			t.Errorf("Estimate(%d,%d) without a sample did not count a miss", e[0], e[1])
-		}
-		rec, ok := algo.recView(e[0], e[1])
-		switch {
-		case !ok || !rec.up:
-			t.Errorf("record (%d,%d) not up after the appearance", e[0], e[1])
-		case rec.preInserted || rec.haveTimes || rec.decaying:
-			t.Errorf("record (%d,%d) carries the old pair's insertion state: %+v", e[0], e[1], rec)
-		case rec.upSince != rt.Engine.Now() || rec.eps != msg.Eps(e[0], e[1]) || rec.eps == oldEps:
-			t.Errorf("record (%d,%d) = %+v, want upSince %v and ε %v", e[0], e[1], rec, rt.Engine.Now(), msg.Eps(e[0], e[1]))
-		}
-	}
-	// The first beacon across the new edge restores estimates.
-	rt.Run(4)
-	if _, ok := msg.Estimate(2, 3); !ok {
-		t.Fatal("no estimate once beacons cross the new edge")
-	}
-}

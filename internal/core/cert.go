@@ -247,12 +247,11 @@ func (a *Algorithm) joinCap(h, dh, lu, join float64) float64 {
 }
 
 // lowerCert lowers node u's live messaging certificate for the sample a
-// beacon from v has just left, in O(1) and without reading an edge record:
-// the query runs at age 0, so it never misses.
-func (a *Algorithm) lowerCert(u, v int) {
+// beacon has just left at u's directed index dir, in O(1) and without
+// reading an edge record: the query runs at age 0, so it never misses.
+func (a *Algorithm) lowerCert(u int, dir int32) {
 	msg := a.certLayer(a.rt.Est)
-	dir, ok := a.rt.Dyn.Dir(u, v)
-	if msg == nil || !ok {
+	if msg == nil {
 		return
 	}
 	e, until, ok := msg.EstimateUntil(u, dir)

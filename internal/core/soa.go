@@ -15,11 +15,11 @@ package core
 // pre-sorted and whose entries are the directed indices themselves, and
 // reads records and estimates (estimate.Layer.EstimateAt) by index.
 //
-// Record lifecycle: topo's declare hook (onDeclare) sizes the slabs and
-// resets both records of a newly declared link, so a slot Undeclare freed
-// and a different pair reuses starts fresh. Records persist across
-// edge-down (the paper's T_s := ⊥ is a flags clear, not a removal); recSeen
-// marks a record whose edge has appeared since its declare.
+// Record lifecycle: topo's declare hook (growRecs) sizes the slabs, so a
+// newly declared link starts with the zero records at their end; topo never
+// reuses an index for another pair. Records persist across edge-down (the
+// paper's T_s := ⊥ is a flags clear, not a removal); recSeen marks a record
+// whose edge has appeared since its declare.
 //
 // Concurrency: the decide phase runs evalTriggers concurrently for
 // distinct nodes. The topo row and the slabs are only read there, except
@@ -54,7 +54,8 @@ type edgeClass struct {
 	delta float64 // slow-trigger slack δ_e
 }
 
-// growRecs sizes the record slabs to the topology's directed-index range.
+// growRecs sizes the record slabs to the topology's directed-index range;
+// it is the topology's declare hook.
 func (a *Algorithm) growRecs() {
 	n := a.rt.Dyn.DirCap()
 	a.recClass = csr.Grow(a.recClass, n)
@@ -65,26 +66,6 @@ func (a *Algorithm) growRecs() {
 	a.recInsDur = csr.Grow(a.recInsDur, n)
 	a.recKappa0 = csr.Grow(a.recKappa0, n)
 	a.recCheck = csr.Grow(a.recCheck, n)
-}
-
-// onDeclare is the topology's declare hook: it gives both directions of a
-// newly declared link fresh records. The slot may be one Undeclare freed;
-// its old records are inert by then (Undeclare requires the link down at
-// both ends, and edge-down cancelled any pending handshake check), so
-// clearing them is all a reset takes.
-func (a *Algorithm) onDeclare(u, v int) {
-	a.growRecs()
-	dir, _ := a.rt.Dyn.Dir(u, v)
-	for _, d := range [2]int32{dir, dir ^ 1} {
-		a.recClass[d] = 0
-		a.recFlags[d] = 0
-		a.recSince[d] = 0
-		a.recLAtUp[d] = 0
-		a.recT0[d] = 0
-		a.recInsDur[d] = 0
-		a.recKappa0[d] = 0
-		a.recCheck[d] = 0
-	}
 }
 
 // internClass returns the class table index of cls, adding it if new.

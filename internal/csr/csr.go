@@ -1,12 +1,10 @@
-// Package csr provides the two flat building blocks of the
-// structure-of-arrays memory layout (DESIGN.md §Structure-of-arrays layout):
+// Package csr provides the flat building blocks of the structure-of-arrays
+// memory layout (DESIGN.md §Structure-of-arrays layout):
 //
 //   - Rows: a CSR-style dynamic adjacency structure mapping
 //     (row, key) → val with int32 ids, packed per-row storage with small
 //     over-allocation slack, and amortized relocation/compaction on churn.
-//   - FreeList: a stable-slot allocator for flat per-edge slabs, with a
-//     liveness bitset that makes index reuse while live a panic; Grow sizes
-//     the slabs to it.
+//   - Grow: the resize step of a flat slab indexed by stable slots.
 //
 // Both are deliberately free of interior pointers: a Rows over E edges costs
 // three int32 headers per row plus 2×4 bytes per packed entry, against
@@ -182,55 +180,6 @@ func (r *Rows) maybeCompact() {
 	r.dead = 0
 }
 
-// FreeList allocates stable int32 slots for flat slabs: Alloc returns the
-// most recently freed slot, or extends the high-water mark. The liveness
-// bitset turns use-after-free and double-free into panics — the "no index
-// reuse while live" invariant the fuzz tests hammer.
-type FreeList struct {
-	free []int32
-	n    int32 // high-water mark: slots ever allocated are [0, n)
-	live []uint64
-}
-
-// Alloc returns a slot that is not live. Callers must grow their parallel
-// arrays to Cap() after Alloc (the returned slot is always < Cap()).
-func (f *FreeList) Alloc() int32 {
-	var s int32
-	if k := len(f.free); k > 0 {
-		s = f.free[k-1]
-		f.free = f.free[:k-1]
-	} else {
-		s = f.n
-		f.n++
-		if int(s>>6) >= len(f.live) {
-			f.live = append(f.live, 0)
-		}
-	}
-	if f.live[s>>6]&(1<<(uint(s)&63)) != 0 {
-		panic(fmt.Sprintf("csr: free list handed out live slot %d", s))
-	}
-	f.live[s>>6] |= 1 << (uint(s) & 63)
-	return s
-}
-
-// Free returns a slot to the list. Freeing a slot that is not live panics.
-func (f *FreeList) Free(s int32) {
-	if s < 0 || s >= f.n || f.live[s>>6]&(1<<(uint(s)&63)) == 0 {
-		panic(fmt.Sprintf("csr: free of dead slot %d", s))
-	}
-	f.live[s>>6] &^= 1 << (uint(s) & 63)
-	f.free = append(f.free, s)
-}
-
-// Live reports whether slot s is currently allocated.
-func (f *FreeList) Live(s int32) bool {
-	return s >= 0 && s < f.n && f.live[s>>6]&(1<<(uint(s)&63)) != 0
-}
-
-// Cap returns the high-water slot count: every slot ever returned by Alloc
-// is < Cap(), so parallel slabs sized to Cap() are always in bounds.
-func (f *FreeList) Cap() int { return int(f.n) }
-
 // Grow returns s extended with zero values to length n, or s itself when
 // it is already that long — the resize step of a slab indexed by slots
 // (append's amortized growth, no temporary for the zeros).
@@ -239,9 +188,4 @@ func Grow[T any](s []T, n int) []T {
 		return s
 	}
 	return append(s, make([]T, n-len(s))...)
-}
-
-// LiveCount returns the number of currently allocated slots.
-func (f *FreeList) LiveCount() int {
-	return int(f.n) - len(f.free)
 }

@@ -142,82 +142,6 @@ func TestRowsCompactionAmortized(t *testing.T) {
 	}
 }
 
-func TestFreeListInvariants(t *testing.T) {
-	var f FreeList
-	a := f.Alloc()
-	b := f.Alloc()
-	if a == b {
-		t.Fatalf("Alloc returned the same slot twice: %d", a)
-	}
-	if !f.Live(a) || !f.Live(b) {
-		t.Fatal("allocated slots not live")
-	}
-	if f.LiveCount() != 2 || f.Cap() != 2 {
-		t.Fatalf("LiveCount/Cap = %d/%d, want 2/2", f.LiveCount(), f.Cap())
-	}
-	f.Free(a)
-	if f.Live(a) {
-		t.Fatal("freed slot still live")
-	}
-	if got := f.Alloc(); got != a {
-		t.Fatalf("Alloc after Free = %d, want recycled slot %d", got, a)
-	}
-
-	// Double-free panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("double Free did not panic")
-			}
-		}()
-		f.Free(b)
-		f.Free(b)
-	}()
-	// Free of a never-allocated slot panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Free of out-of-range slot did not panic")
-			}
-		}()
-		f.Free(99)
-	}()
-}
-
-// TestFreeListNoReuseWhileLive runs a random alloc/free script and asserts
-// no slot is ever handed out twice without an intervening Free.
-func TestFreeListNoReuseWhileLive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var f FreeList
-	live := make(map[int32]bool)
-	var slots []int32
-	for op := 0; op < 20000; op++ {
-		if len(slots) == 0 || rng.Intn(2) == 0 {
-			s := f.Alloc()
-			if live[s] {
-				t.Fatalf("op %d: slot %d allocated while live", op, s)
-			}
-			live[s] = true
-			slots = append(slots, s)
-		} else {
-			i := rng.Intn(len(slots))
-			s := slots[i]
-			slots[i] = slots[len(slots)-1]
-			slots = slots[:len(slots)-1]
-			f.Free(s)
-			delete(live, s)
-		}
-		if f.LiveCount() != len(live) {
-			t.Fatalf("op %d: LiveCount = %d, want %d", op, f.LiveCount(), len(live))
-		}
-		for s := range live {
-			if !f.Live(s) {
-				t.Fatalf("op %d: live slot %d reported dead", op, s)
-			}
-		}
-	}
-}
-
 // FuzzRows feeds arbitrary operation scripts through the CSR structure and
 // the map oracle, checking equality after every step.
 func FuzzRows(f *testing.F) {
@@ -245,35 +169,5 @@ func FuzzRows(f *testing.F) {
 			}
 		}
 		checkEqual(t, r, ref)
-	})
-}
-
-// FuzzFreeList drives alloc/free scripts and checks the liveness invariants.
-func FuzzFreeList(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 1, 1})
-	f.Fuzz(func(t *testing.T, script []byte) {
-		var fl FreeList
-		live := make(map[int32]bool)
-		var slots []int32
-		for _, b := range script {
-			if b&1 == 0 || len(slots) == 0 {
-				s := fl.Alloc()
-				if live[s] {
-					t.Fatalf("slot %d allocated while live", s)
-				}
-				live[s] = true
-				slots = append(slots, s)
-			} else {
-				i := int(b>>1) % len(slots)
-				s := slots[i]
-				slots[i] = slots[len(slots)-1]
-				slots = slots[:len(slots)-1]
-				fl.Free(s)
-				delete(live, s)
-			}
-		}
-		if fl.LiveCount() != len(live) {
-			t.Fatalf("LiveCount = %d, want %d", fl.LiveCount(), len(live))
-		}
 	})
 }

@@ -238,7 +238,7 @@ func newMessagingHarness(t *testing.T, seed int64) *messagingHarness {
 	for u := 0; u < 2; u++ {
 		u := u
 		eng.NewTicker(float64(u)*hBInt/2, hBInt, func(sim.Time, float64) {
-			h.net.BroadcastBeacon(u, transport.Beacon{L: h.lg[u]}, nil)
+			h.net.BroadcastBeacon(u, transport.Beacon{L: h.lg[u]})
 		})
 	}
 	return h
@@ -329,7 +329,8 @@ func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
 	if err := dyn.AppearInstant(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{MinTransit: narrow.Delay - narrow.Uncertainty})
+	dir, _ := dyn.Dir(0, 1)
+	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{Dir: dir, MinTransit: narrow.Delay - narrow.Uncertainty})
 	if _, ok := m.Estimate(0, 1); !ok {
 		t.Fatal("fresh sample not served")
 	}
@@ -355,7 +356,7 @@ func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
 
 	hw = 10
 	minTransit := wide.Delay - wide.Uncertainty
-	m.RecordBeacon(0, 1, transport.Beacon{L: 12}, transport.Delivery{MinTransit: minTransit})
+	m.RecordBeacon(0, 1, transport.Beacon{L: 12}, transport.Delivery{Dir: dir, MinTransit: minTransit})
 	age := (lo + hi) / 2
 	hw = 10 + age
 	e, ok := m.Estimate(0, 1)
@@ -387,7 +388,8 @@ func TestMessagingAgeBoundInclusive(t *testing.T) {
 	if err := dyn.AppearInstant(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{MinTransit: p.Delay - p.Uncertainty})
+	dir, _ := dyn.Dir(0, 1)
+	m.RecordBeacon(0, 1, transport.Beacon{L: 1}, transport.Delivery{Dir: dir, MinTransit: p.Delay - p.Uncertainty})
 	maxAge := maxSampleAgeHW(cfg, p)
 	for _, age := range []float64{0, maxAge} {
 		hw = age // the sample arrived at hardware time 0, so the age is exact
@@ -430,7 +432,7 @@ func TestEstimateUntilServesThroughUntil(t *testing.T) {
 		recv := math.Ldexp(1+rng.Float64(), rng.Intn(30)-10) // up to 2²⁰
 
 		hw = recv
-		m.RecordBeacon(0, 1, transport.Beacon{L: recv}, transport.Delivery{MinTransit: p.Delay - p.Uncertainty})
+		m.RecordBeacon(0, 1, transport.Beacon{L: recv}, transport.Delivery{Dir: dir, MinTransit: p.Delay - p.Uncertainty})
 		if _, until, ok := m.EstimateUntil(0, dir); !ok || until < recv {
 			t.Fatalf("at receipt (hw %v): ok=%v until=%v", recv, ok, until)
 		}

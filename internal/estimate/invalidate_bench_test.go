@@ -26,7 +26,8 @@ func BenchmarkMessagingInvalidate(b *testing.B) {
 			// Ring samples: every node holds beacons from both neighbors, so
 			// the invalidated node's row has the degree the scale tiers see.
 			// Links must be declared first — Messaging registers its sample
-			// slots at declare time and drops beacons on undeclared edges.
+			// slots at declare time, and a delivery carries the receiver's
+			// directed index.
 			for u := 0; u < n; u++ {
 				if err := dyn.DeclareLink(u, (u+1)%n, topo.DefaultLinkParams()); err != nil {
 					b.Fatalf("declare: %v", err)
@@ -34,7 +35,8 @@ func BenchmarkMessagingInvalidate(b *testing.B) {
 			}
 			for u := 0; u < n; u++ {
 				for _, v := range []int{(u + 1) % n, (u + n - 1) % n} {
-					m.RecordBeacon(u, v, transport.Beacon{L: 1}, transport.Delivery{MinTransit: 0.1})
+					dir, _ := dyn.Dir(u, v)
+					m.RecordBeacon(u, v, transport.Beacon{L: 1}, transport.Delivery{Dir: dir, MinTransit: 0.1})
 				}
 			}
 			u := n / 2

@@ -42,7 +42,8 @@ func TestLocalBeaconsMatchesMessaging(t *testing.T) {
 		local := NewLocalBeacons(cfg, link)
 
 		record := func(from int, lSent, minTransit float64) {
-			msg.RecordBeacon(u, from, transport.Beacon{L: lSent}, transport.Delivery{MinTransit: minTransit})
+			dir, _ := dyn.Dir(u, from)
+			msg.RecordBeacon(u, from, transport.Beacon{L: lSent}, transport.Delivery{Dir: dir, MinTransit: minTransit})
 			local.Record(from, lSent, hw[u], minTransit)
 		}
 		check := func(stage string, peer int) {

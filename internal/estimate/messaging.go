@@ -76,12 +76,13 @@ const noSample = -1
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw, mRate: (1 - cfg.Rho) / (1 + cfg.Rho)}
 	m.grow()
-	dyn.OnDeclare(m.onDeclare)
+	dyn.OnDeclare(m.grow)
 	return m
 }
 
 // grow sizes the sample slab to the topology's directed-index range; new
-// entries hold no sample.
+// entries hold no sample. It is the topology's declare hook: a newly
+// declared link takes the next two indices, which no pair used before.
 func (m *Messaging) grow() {
 	old := len(m.samples)
 	m.samples = csr.Grow(m.samples, m.dyn.DirCap())
@@ -90,36 +91,19 @@ func (m *Messaging) grow() {
 	}
 }
 
-// onDeclare starts a newly declared link with no sample in either
-// direction. The link may reuse a slot Undeclare freed, or revive an
-// undeclared pair; either way a sample recorded before is stale.
-func (m *Messaging) onDeclare(a, b int) {
-	m.grow()
-	dir, _ := m.dyn.Dir(a, b)
-	m.samples[dir].maxAge = noSample
-	m.samples[dir^1].maxAge = noSample
-}
-
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
-// beacon delivery. The sample's age bound is fixed here, from the link's
-// parameters at receipt, and equals the bound a query would derive: the
-// runner delivers a beacon only to a receiver that sees the link, topo
-// refuses new parameters for a visible link, and edge loss invalidates the
-// receiver's sample (Invalidate), so the parameters cannot change while
-// the sample is served.
-func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
-	dir, ok := m.dyn.Dir(to, from)
-	if !ok {
-		// A beacon on an undeclared link is unobservable: Estimate requires
-		// a declared link, and a later declare starts without a sample.
-		// Dropping it keeps this concurrent path free of structural
-		// mutation.
-		return
-	}
-	m.samples[dir] = sample{
+// beacon delivery. The sample lands at d.Dir, the receiver's directed index
+// of (to, from), which the transport resolved at send time. The sample's
+// age bound is fixed here, from the link's parameters at receipt, and
+// equals the bound a query would derive: the runner delivers a beacon only
+// to a receiver that sees the link, topo refuses new parameters for a
+// visible link, and edge loss invalidates the receiver's sample
+// (Invalidate), so the parameters cannot change while the sample is served.
+func (m *Messaging) RecordBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
+	m.samples[d.Dir] = sample{
 		base:     sampleBase(m.cfg, b.L, d.MinTransit),
 		hwAtRecv: m.hw(to),
-		maxAge:   maxSampleAgeHW(m.cfg, m.dyn.ParamsAt(dir)),
+		maxAge:   maxSampleAgeHW(m.cfg, m.dyn.ParamsAt(d.Dir)),
 	}
 }
 

@@ -459,10 +459,9 @@ type wheelSource struct {
 // wheelShard is one shard's wheel cursor: the owned node sequence is
 // u = shard + idx·K, and cycle counts completed walks of the whole wheel.
 type wheelShard struct {
-	cycle   uint64
-	idx     int32
-	scratch []int
-	_       [4]uint64 // pad: cursors advance concurrently during windows
+	cycle uint64
+	idx   int32
+	_     [6]uint64 // pad to 64 B: cursors advance concurrently during windows
 }
 
 func newWheelSource(rt *Runtime) *wheelSource {
@@ -494,7 +493,7 @@ func (w *wheelSource) FireNext(shard int, now sim.Time) {
 	// A crossed tick must be applied to u before its clocks are read.
 	w.rt.touch(u, now)
 	b := transport.Beacon{L: w.rt.algo.Logical(u), M: w.rt.algo.MaxEstimate(u)}
-	ws.scratch = w.rt.Net.BroadcastBeaconAt(u, b, ws.scratch, now)
+	w.rt.Net.BroadcastBeaconAt(u, b, now)
 	if u+w.k < w.n {
 		ws.idx++
 	} else {

@@ -108,12 +108,14 @@ const (
 // sorted row.
 //
 // The directed index dir = 2·slot + side names the directed edge (u, v),
-// side 0 when u is the smaller endpoint. It is the one key of per-directed-
-// edge state in the whole stack: the algorithm's edge records and the
-// estimate layers' samples are slabs indexed by it, and a caller walking
-// Row(u) reads them without any further lookup (SeesAt, ParamsAt). A slot
-// is stable while its link is declared; Undeclare frees it for reuse, and
-// the OnDeclare hooks tell the index-keyed layers to reset it.
+// side 0 when u is the smaller endpoint, so dir^1 names (v, u). It is the
+// one key of per-directed-edge state in the whole stack: the algorithm's
+// edge records and the estimate layers' samples are slabs indexed by it,
+// and a caller walking Row(u) reads them without any further lookup
+// (SeesAt, ParamsAt). A declared link is never removed, so an index names
+// one pair for the life of the graph: one resolved earlier, such as a
+// beacon's at send time, still names it. A new link takes the next slot,
+// and the OnDeclare hooks grow the index-keyed slabs to it.
 type Dynamic struct {
 	n        int
 	engine   *sim.Engine
@@ -134,11 +136,9 @@ type Dynamic struct {
 	inMin       []float64
 	// onDeclare hooks run after each newly declared link (never for
 	// re-declares); the layers keyed by directed index use them to size
-	// their slabs and reset a reused slot, so beacon ingestion and the
-	// trigger fold stay structurally read-only.
-	onDeclare []func(a, b int)
-	// slots numbers the declared links.
-	slots csr.FreeList
+	// their slabs, so beacon ingestion and the trigger fold stay
+	// structurally read-only.
+	onDeclare []func()
 
 	idx      map[uint64]int32 // packed canonical EdgeID → slot; control path only
 	adj      *csr.Rows        // (node, peer) → directed index
@@ -202,12 +202,12 @@ func (d *Dynamic) pairRatchet(from, to int, mt float64) {
 	}
 }
 
-// RecomputeTransit rescans every currently declared link and resets the
-// per-pair and per-shard transit bounds to the true minima, undoing the ratchet
-// for links that have since been undeclared or re-declared slower. Purely a
-// performance lever for the drain lookahead — window layout never affects
-// results — so callers invoke it explicitly (e.g. after churn retires a
-// fast edge class) from a serial context, never inside a window.
+// RecomputeTransit rescans every declared link and resets the per-pair and
+// per-shard transit bounds to the true minima, undoing the ratchet for links
+// that have since been re-declared slower. Purely a performance lever for
+// the drain lookahead — window layout never affects results — so callers
+// invoke it explicitly (e.g. after churn retires a fast edge class) from a
+// serial context, never inside a window.
 func (d *Dynamic) RecomputeTransit() {
 	inf := math.Inf(1)
 	for i := range d.pairTransit {
@@ -221,7 +221,7 @@ func (d *Dynamic) RecomputeTransit() {
 		d.pairRatchet(u, v, mt)
 		d.pairRatchet(v, u, mt)
 	}
-	for _, slot := range d.idx {
+	for slot := range d.eU {
 		visit(int(d.eU[slot]), int(d.eV[slot]), d.classes[d.eClass[slot]])
 	}
 }
@@ -230,12 +230,12 @@ func (d *Dynamic) RecomputeTransit() {
 func (d *Dynamic) SetListener(l Listener) { d.listener = l }
 
 // OnDeclare registers a hook invoked after every newly declared link (not
-// for re-declares) with its canonical endpoints a < b. The link may occupy
-// a slot Undeclare freed, so a hook keyed by directed index must reset
-// both of the link's indices. Declares only happen in serial contexts
+// for re-declares). The link's two directed indices are the two below the
+// new DirCap, so a slab keyed by directed index grows to DirCap and starts
+// them at its zero state. Declares only happen in serial contexts
 // (construction and global scenario events), so hooks may mutate shared
 // structures.
-func (d *Dynamic) OnDeclare(fn func(a, b int)) { d.onDeclare = append(d.onDeclare, fn) }
+func (d *Dynamic) OnDeclare(fn func()) { d.onDeclare = append(d.onDeclare, fn) }
 
 // N returns the number of nodes.
 func (d *Dynamic) N() int { return d.n }
@@ -278,24 +278,17 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		d.eClass[slot] = d.classOf(p)
 		return nil
 	}
-	slot := d.slots.Alloc()
-	if int(slot) == len(d.eU) {
-		d.eU = append(d.eU, 0)
-		d.eV = append(d.eV, 0)
-		d.eClass = append(d.eClass, 0)
-		d.eUp = append(d.eUp, 0)
-		d.eSince = append(d.eSince, [2]sim.Time{})
-	}
-	d.eU[slot] = int32(id.U)
-	d.eV[slot] = int32(id.V)
-	d.eClass[slot] = d.classOf(p)
-	d.eUp[slot] = 0
-	d.eSince[slot] = [2]sim.Time{}
+	slot := int32(len(d.eU))
+	d.eU = append(d.eU, int32(id.U))
+	d.eV = append(d.eV, int32(id.V))
+	d.eClass = append(d.eClass, d.classOf(p))
+	d.eUp = append(d.eUp, 0)
+	d.eSince = append(d.eSince, [2]sim.Time{})
 	d.adj.Insert(id.U, int32(id.V), 2*slot)
 	d.adj.Insert(id.V, int32(id.U), 2*slot+1)
 	d.idx[id.pack()] = slot
 	for _, fn := range d.onDeclare {
-		fn(id.U, id.V)
+		fn()
 	}
 	return nil
 }
@@ -308,32 +301,6 @@ func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
 		return LinkParams{}, false, false
 	}
 	return d.classes[d.eClass[slot]], d.eUp[slot] != 0, true
-}
-
-// Undeclare removes a declared link entirely, returning its slot to the
-// free list. The link must be invisible to both endpoints; any in-flight
-// detection events are cancelled. The transit bounds deliberately stay at
-// their ratcheted values (they are sound lower bounds, and rescanning would
-// make the drain lookahead depend on removal order).
-func (d *Dynamic) Undeclare(a, b int) error {
-	id := MakeEdgeID(a, b)
-	slot, ok := d.idx[id.pack()]
-	if !ok {
-		return fmt.Errorf("topo: Undeclare of undeclared link {%d,%d}", a, b)
-	}
-	if d.eUp[slot] != 0 {
-		return fmt.Errorf("topo: Undeclare of visible link {%d,%d}", a, b)
-	}
-	if cs := d.churn[slot]; cs != nil {
-		d.engine.Cancel(cs.pending[0])
-		d.engine.Cancel(cs.pending[1])
-		delete(d.churn, slot)
-	}
-	delete(d.idx, id.pack())
-	d.adj.Remove(id.U, int32(id.V))
-	d.adj.Remove(id.V, int32(id.U))
-	d.slots.Free(slot)
-	return nil
 }
 
 // Params returns the link parameters for {a,b}.
@@ -354,12 +321,12 @@ func (d *Dynamic) Dir(u, v int) (dir int32, ok bool) {
 
 // DirCap bounds every directed index handed out so far: slabs keyed by
 // directed index are in range when sized to DirCap.
-func (d *Dynamic) DirCap() int { return 2 * d.slots.Cap() }
+func (d *Dynamic) DirCap() int { return 2 * len(d.eU) }
 
 // Row returns u's declared peers in ascending order and, in parallel, the
 // directed index of each (u, peer): the adjacency walk, with no per-peer
 // lookup. The slices alias internal storage and are only valid until the
-// next declare or undeclare.
+// next declare.
 func (d *Dynamic) Row(u int) (peers, dirs []int32) { return d.adj.Row(u) }
 
 // SeesAt is Sees for the directed index of a declared link.
@@ -541,10 +508,8 @@ func (d *Dynamic) Neighbors(u int, dst []int) []int {
 // apart from the pairs they are free to toggle.
 func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-		if d.slots.Live(slot) {
-			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-		}
+	for slot := range d.eU {
+		dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 	}
 	sortEdges(dst[start:])
 	return dst
@@ -553,8 +518,8 @@ func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 // EdgesBothUp appends to dst all edges visible in both directions, sorted.
 func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-		if d.slots.Live(slot) && d.eUp[slot] == upU|upV {
+	for slot := range d.eU {
+		if d.eUp[slot] == upU|upV {
 			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
@@ -566,11 +531,8 @@ func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 // sorted.
 func (d *Dynamic) StableEdges(now sim.Time, minAge float64, dst []EdgeID) []EdgeID {
 	start := len(dst)
-	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-		if !d.slots.Live(slot) {
-			continue
-		}
-		if age, ok := d.ageBothSlot(slot, now); ok && age >= minAge {
+	for slot := range d.eU {
+		if age, ok := d.ageBothSlot(int32(slot), now); ok && age >= minAge {
 			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}

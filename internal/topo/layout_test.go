@@ -1,13 +1,13 @@
 package topo
 
 // Differential for the structure-of-arrays graph: randomized churn scripts
-// of declares, appears, disappears, undeclares and time advances run on
-// Dynamic and, in lockstep, on shadowGraph — a map-of-pointers model with
-// one heap object per edge and per-node adjacency maps, kept here as the
-// executable specification of Dynamic's observable behaviour. The shadow
-// draws its slots from its own free list in the same order, so directed
-// indices agree, and its detection lags from an identically seeded RNG in
-// the same order, so lagged transitions land at the same times.
+// of declares, appears, disappears and time advances run on Dynamic and, in
+// lockstep, on shadowGraph — a map-of-pointers model with one heap object
+// per edge and per-node adjacency maps, kept here as the executable
+// specification of Dynamic's observable behaviour. The shadow numbers its
+// slots in declare order, so directed indices agree, and draws its
+// detection lags from an identically seeded RNG in the same order, so
+// lagged transitions land at the same times.
 
 import (
 	"fmt"
@@ -16,7 +16,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/csr"
 	"repro/internal/sim"
 )
 
@@ -47,7 +46,7 @@ type shadowGraph struct {
 	rng        *sim.RNG
 	edges      map[EdgeID]*shadowEdge
 	adj        []map[int]*shadowEdge
-	slots      csr.FreeList
+	slots      int32 // links declared so far
 	minTransit float64
 }
 
@@ -83,28 +82,11 @@ func (g *shadowGraph) declare(a, b int, p LinkParams) error {
 		e.params = p
 		return nil
 	}
-	e = &shadowEdge{id: id, slot: g.slots.Alloc(), params: p}
+	e = &shadowEdge{id: id, slot: g.slots, params: p}
+	g.slots++
 	g.edges[id] = e
 	g.adj[id.U][id.V] = e
 	g.adj[id.V][id.U] = e
-	return nil
-}
-
-func (g *shadowGraph) undeclare(a, b int) error {
-	id := MakeEdgeID(a, b)
-	e, ok := g.edges[id]
-	if !ok {
-		return fmt.Errorf("undeclared link {%d,%d}", a, b)
-	}
-	if e.up[0] || e.up[1] {
-		return fmt.Errorf("visible link {%d,%d}", a, b)
-	}
-	g.engine.Cancel(e.pending[0])
-	g.engine.Cancel(e.pending[1])
-	delete(g.edges, id)
-	delete(g.adj[id.U], id.V)
-	delete(g.adj[id.V], id.U)
-	g.slots.Free(e.slot)
 	return nil
 }
 
@@ -298,7 +280,7 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			}
 		}
 	}
-	if got, want := p.soa.DirCap(), 2*p.ref.slots.Cap(); got != want || got != 2*p.soa.slots.Cap() {
+	if got, want := p.soa.DirCap(), 2*int(p.ref.slots); got != want || got != 2*len(sd) {
 		t.Fatalf("%s: DirCap %d, shadow %d", ctx, got, want)
 	}
 	entries := 0
@@ -351,11 +333,11 @@ func runLayoutScript(t *testing.T, script []byte) {
 		if a == b {
 			continue
 		}
-		op := script[i+2] % 6
+		op := script[i+2] % 5
 		ctx := ""
 		switch op {
 		case 0, 1:
-			lp := params[int(script[i+2]/6)%len(params)]
+			lp := params[int(script[i+2]/5)%len(params)]
 			agree(i, "DeclareLink", a, b, p.soa.DeclareLink(a, b, lp), p.ref.declare(a, b, lp))
 			ctx = "declare"
 		case 2:
@@ -365,9 +347,6 @@ func runLayoutScript(t *testing.T, script []byte) {
 			agree(i, "Disappear", a, b, p.soa.Disappear(a, b), p.ref.toggle(a, b, false, false))
 			ctx = "disappear"
 		case 4:
-			agree(i, "Undeclare", a, b, p.soa.Undeclare(a, b), p.ref.undeclare(a, b))
-			ctx = "undeclare"
-		case 5:
 			dt := 0.01 + float64(script[i+2]>>3)/256.0
 			p.soaEng.RunUntil(p.soaEng.Now() + dt)
 			p.refEng.RunUntil(p.refEng.Now() + dt)
@@ -381,11 +360,10 @@ func runLayoutScript(t *testing.T, script []byte) {
 	p.check(t, "drain")
 }
 
-// TestLayoutDifferentialChurn runs random declare/appear/disappear/undeclare
-// scripts (with interleaved time advances, so lagged detections land) on
-// Dynamic and the map-backed shadow, asserting observable equality after
-// every step. Enough operations that slot free-list recycling and CSR row
-// relocation/compaction all trigger.
+// TestLayoutDifferentialChurn runs random declare/appear/disappear scripts
+// (with interleaved time advances, so lagged detections land) on Dynamic
+// and the map-backed shadow, asserting observable equality after every
+// step. Enough operations that CSR row relocation triggers.
 func TestLayoutDifferentialChurn(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -398,83 +376,14 @@ func TestLayoutDifferentialChurn(t *testing.T) {
 // FuzzTopoChurn lets the fuzzer hunt for operation interleavings where
 // Dynamic and the map-backed shadow disagree.
 func FuzzTopoChurn(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 1, 2, 0, 1, 5, 0, 1, 3, 0, 1, 4})
-	f.Add([]byte{3, 4, 6, 3, 4, 2, 3, 4, 2, 3, 4, 3, 3, 4, 5})
+	f.Add([]byte{0, 1, 0, 0, 1, 2, 0, 1, 4, 0, 1, 3, 0, 1, 4})
+	f.Add([]byte{3, 4, 5, 3, 4, 2, 3, 4, 2, 3, 4, 3, 3, 4, 4})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*600 {
 			script = script[:3*600]
 		}
 		runLayoutScript(t, script)
 	})
-}
-
-// TestUndeclare pins the free-list lifecycle: undeclare requires the edge to
-// be fully down, frees the slot for reuse, and drops it from every view.
-func TestUndeclare(t *testing.T) {
-	engine := sim.NewEngine()
-	d := NewDynamic(4, engine, sim.NewRNG(1))
-	if err := d.DeclareLink(0, 1, DefaultLinkParams()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AppearInstant(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Undeclare(0, 1); err == nil {
-		t.Fatal("Undeclare of a visible link succeeded")
-	}
-	if err := d.Disappear(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	engine.RunUntil(engine.Now() + 1)
-	if err := d.Undeclare(0, 1); err != nil {
-		t.Fatalf("Undeclare of a down link failed: %v", err)
-	}
-	if err := d.Undeclare(0, 1); err == nil {
-		t.Fatal("double Undeclare succeeded")
-	}
-	if _, ok := d.Params(0, 1); ok {
-		t.Fatal("Params after Undeclare succeeded")
-	}
-	if d.Sees(0, 1) || d.Sees(1, 0) {
-		t.Fatal("Sees after Undeclare")
-	}
-	if got := d.DeclaredEdges(nil); len(got) != 0 {
-		t.Fatalf("DeclaredEdges after Undeclare = %v", got)
-	}
-	// The freed slot is recycled by the next declare.
-	if err := d.DeclareLink(2, 3, DefaultLinkParams()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AppearInstant(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !d.BothUp(2, 3) {
-		t.Fatal("recycled edge not up")
-	}
-	if d.Sees(0, 1) {
-		t.Fatal("recycled slot leaked old pair's visibility")
-	}
-}
-
-// TestUndeclareCancelsPendingDetection: an in-flight appearance detection
-// must not resurrect an undeclared edge.
-func TestUndeclareCancelsPendingDetection(t *testing.T) {
-	engine := sim.NewEngine()
-	d := NewDynamic(2, engine, sim.NewRNG(1))
-	if err := d.DeclareLink(0, 1, LinkParams{Eps: 0.2, Tau: 0.5, Delay: 0.1, Uncertainty: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Appear(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Undeclare while both detections are still pending.
-	if err := d.Undeclare(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	engine.RunUntil(2)
-	if d.Sees(0, 1) || d.Sees(1, 0) {
-		t.Fatal("cancelled detection still fired")
-	}
 }
 
 // TestRedeclareVisibleLink pins DeclareLink's contract: re-declaring a link

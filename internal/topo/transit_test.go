@@ -2,9 +2,9 @@ package topo
 
 // Fuzz-style differential for the K×K per-shard-pair transit matrix that
 // bounds the sharded event drain's windows: randomized scripts of declares,
-// re-declares (parameter updates while down), undeclares and explicit
-// recomputes are shadowed by a brute-force model that rescans the currently
-// declared edge set from scratch. Between recomputes the incremental ratchet
+// re-declares (parameter updates while down) and explicit recomputes are
+// shadowed by a brute-force model that rescans the declared edge set from
+// scratch. Between recomputes the incremental ratchet
 // must stay a sound lower bound (smaller-or-equal lookahead = narrower
 // windows = safe); immediately after RecomputeTransit it must match the
 // brute-force minima exactly.
@@ -72,8 +72,9 @@ func minInTransit(d *Dynamic) float64 {
 }
 
 // checkSound verifies the ratchet invariant: every incremental bound is ≤ the
-// brute-force minimum over the edges declared right now (undeclared fast
-// edges may keep the ratchet lower — conservative, never higher).
+// brute-force minimum over the edges' current parameters (a fast edge
+// re-declared slower may keep the ratchet lower — conservative, never
+// higher).
 func checkSound(t *testing.T, step int, d *Dynamic, b *bruteTransit) {
 	t.Helper()
 	b.recompute()
@@ -114,8 +115,8 @@ func checkExact(t *testing.T, step int, d *Dynamic, b *bruteTransit) {
 	}
 }
 
-// TestPairTransitFuzz runs randomized declare/undeclare/recompute scripts at
-// several shard counts against the brute-force shadow.
+// TestPairTransitFuzz runs randomized declare/recompute scripts at several
+// shard counts against the brute-force shadow.
 func TestPairTransitFuzz(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		for seed := int64(0); seed < 6; seed++ {
@@ -137,7 +138,7 @@ func TestPairTransitFuzz(t *testing.T) {
 			}
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(10); {
-				case op < 6: // declare or re-declare (params update while down)
+				case op < 9: // declare or re-declare (params update while down)
 					u := rng.Intn(n)
 					v := rng.Intn(n)
 					if u == v {
@@ -148,22 +149,6 @@ func TestPairTransitFuzz(t *testing.T) {
 						t.Fatalf("step %d: DeclareLink(%d,%d): %v", step, u, v, err)
 					}
 					b.edges[MakeEdgeID(u, v)] = p
-					checkSound(t, step, d, b)
-				case op < 9: // undeclare a random currently declared edge
-					var pick EdgeID
-					found := false
-					for id := range b.edges {
-						pick = id
-						found = true
-						break
-					}
-					if !found {
-						continue
-					}
-					if err := d.Undeclare(pick.U, pick.V); err != nil {
-						t.Fatalf("step %d: Undeclare(%d,%d): %v", step, pick.U, pick.V, err)
-					}
-					delete(b.edges, pick)
 					checkSound(t, step, d, b)
 				default:
 					d.RecomputeTransit()

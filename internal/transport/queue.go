@@ -10,7 +10,7 @@ import (
 
 // record is one pooled in-flight message: a beacon (P = Beacon) or a control
 // (P = any). Fields are packed to keep the record at 56 bytes (int32 ids,
-// uint32 seq, int32 link) — in-flight slabs are a top-line memory consumer
+// uint32 seq, int32 dir) — in-flight slabs are a top-line memory consumer
 // at N=10⁷.
 type record[P any] struct {
 	from, to int32
@@ -21,9 +21,10 @@ type record[P any] struct {
 	// orders of magnitude beyond any run, and a wrap could only reorder
 	// same-deadline same-pair messages.
 	seq uint32
-	// next links the record into a calendar bucket, the overflow list or
-	// the free list; 0 ends a list (slab slot 0 is never used).
-	next       int32
+	// dir is the receiver's directed index of (to, from), resolved once at
+	// send time. topo never reuses an index for another pair, so it still
+	// names this link at delivery.
+	dir        int32
 	deadline   sim.Time
 	sentAt     sim.Time
 	minTransit float64
@@ -102,7 +103,9 @@ const maxBucket = 1 << 61
 // CACM 31(10), 1988): every message spends at most Delay in flight, so the
 // pending deadlines span one short window ahead of the clock, and a ring of
 // buckets of fixed width makes push and pop O(1). Records stay in a pooled
-// slab and are filed into their bucket's singly linked list. The head bucket
+// slab and are filed into their bucket's singly linked list, whose links sit
+// in a slab of their own: walking a bucket follows a dense 4-byte chain and
+// loads each record's key independently of the next link. The head bucket
 // is the sorted run: when it empties, the next non-empty bucket is copied
 // out, sorted descending by the content key and popped from its end. A push
 // at or below the head bucket that is a new minimum is appended to the run;
@@ -119,6 +122,7 @@ const maxBucket = 1 << 61
 // first push of a second distinct deadline.
 type deadlineQueue[P any] struct {
 	recs []record[P] // pooled slab; slot 0 is the nil link
+	next []int32     // each slot's bucket, overflow or free-list link; 0 ends a list
 	free int32       // head of the free list
 	over int32       // head of the overflow list
 	run  []entry     // the head bucket, sorted by key, min last
@@ -157,13 +161,13 @@ func (q *deadlineQueue[P]) entry(slot int32) entry {
 func (q *deadlineQueue[P]) push(r record[P]) {
 	slot := q.free
 	if slot != 0 {
-		q.free = q.recs[slot].next
+		q.free = q.next[slot]
 	} else {
 		if len(q.recs) == 0 {
-			q.recs = append(q.recs, record[P]{})
+			q.recs, q.next = append(q.recs, record[P]{}), append(q.next, 0)
 		}
 		slot = int32(len(q.recs))
-		q.recs = append(q.recs, record[P]{})
+		q.recs, q.next = append(q.recs, record[P]{}), append(q.next, 0)
 	}
 	q.recs[slot] = r
 	b := q.bucket(r.deadline)
@@ -194,8 +198,8 @@ func (q *deadlineQueue[P]) pop() record[P] {
 	slot := q.run[last].slot
 	q.run = q.run[:last]
 	r := q.recs[slot]
-	q.recs[slot] = record[P]{next: q.free}
-	q.free = slot
+	q.recs[slot] = record[P]{}
+	q.next[slot], q.free = q.free, slot
 	q.n--
 	if len(q.add) > 0 && (last == 0 || q.run[last-1].after(q.add[0])) {
 		q.merge()
@@ -225,14 +229,14 @@ func (q *deadlineQueue[P]) merge() {
 func (q *deadlineQueue[P]) file(slot int32, b int64) {
 	if b-q.cur <= int64(len(q.ring)) {
 		head := &q.ring[b&int64(len(q.ring)-1)]
-		q.recs[slot].next, *head = *head, slot
+		q.next[slot], *head = *head, slot
 		q.inRing++
 		return
 	}
 	if q.inOver == 0 || b < q.overMin {
 		q.overMin = b
 	}
-	q.recs[slot].next, q.over = q.over, slot
+	q.next[slot], q.over = q.over, slot
 	q.inOver++
 }
 
@@ -249,7 +253,7 @@ func (q *deadlineQueue[P]) advance() {
 	}
 	q.cur++
 	head := &q.ring[q.cur&mask]
-	for s := *head; s != 0; s = q.recs[s].next {
+	for s := *head; s != 0; s = q.next[s] {
 		q.run = append(q.run, q.entry(s))
 	}
 	*head = 0
@@ -265,7 +269,7 @@ func (q *deadlineQueue[P]) relink() {
 	s := q.over
 	q.over, q.inOver = 0, 0
 	for s != 0 {
-		next := q.recs[s].next
+		next := q.next[s]
 		q.file(s, q.bucket(q.recs[s].deadline))
 		s = next
 	}
@@ -278,20 +282,20 @@ func (q *deadlineQueue[P]) relink() {
 func (q *deadlineQueue[P]) regrid() {
 	for _, part := range [2][]entry{q.run, q.add} {
 		for _, e := range part {
-			q.recs[e.slot].next, q.over = q.over, e.slot
+			q.next[e.slot], q.over = q.over, e.slot
 		}
 	}
 	q.run, q.add = q.run[:0], q.add[:0]
 	for i, s := range q.ring {
 		for s != 0 {
-			next := q.recs[s].next
-			q.recs[s].next, q.over = q.over, s
+			next := q.next[s]
+			q.next[s], q.over = q.over, s
 			s = next
 		}
 		q.ring[i] = 0
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for s := q.over; s != 0; s = q.recs[s].next {
+	for s := q.over; s != 0; s = q.next[s] {
 		lo, hi = min(lo, q.recs[s].deadline), max(hi, q.recs[s].deadline)
 	}
 	nb := 2 // one bucket could split the span across its horizon
@@ -310,13 +314,14 @@ func (q *deadlineQueue[P]) regrid() {
 	q.advance()
 }
 
-// bytes returns the queue's retained storage: slab, run, add list and ring.
+// bytes returns the queue's retained storage: slab, link slab, run, add
+// list and ring.
 func (q *deadlineQueue[P]) bytes() uint64 {
 	return uint64(cap(q.recs))*uint64(unsafe.Sizeof(record[P]{})) +
-		uint64(cap(q.run)+cap(q.add))*uint64(unsafe.Sizeof(entry{})) + uint64(cap(q.ring))*4
+		uint64(cap(q.run)+cap(q.add))*uint64(unsafe.Sizeof(entry{})) + uint64(cap(q.next)+cap(q.ring))*4
 }
 
 // delivery is the receiver-facing metadata of a record delivered at now.
 func (r *record[P]) delivery(now sim.Time) Delivery {
-	return Delivery{From: int(r.from), To: int(r.to), SentAt: r.sentAt, At: now, MinTransit: r.minTransit}
+	return Delivery{From: int(r.from), To: int(r.to), Dir: r.dir, SentAt: r.sentAt, At: now, MinTransit: r.minTransit}
 }

@@ -21,9 +21,12 @@ type Beacon struct {
 
 // Delivery carries the metadata a receiver may legitimately use: when the
 // message arrived and the certified minimum transit time (Delay−Uncertainty
-// for the edge). The actual delay is intentionally not exposed.
+// for the edge). The actual delay is intentionally not exposed. Dir is the
+// receiver's directed index of (To, From) (topo.Dynamic.Dir), resolved when
+// the message was sent, so the receiver's index-keyed state needs no lookup.
 type Delivery struct {
 	From, To   int
+	Dir        int32
 	SentAt     sim.Time
 	At         sim.Time
 	MinTransit float64
@@ -95,12 +98,13 @@ func (s ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64
 // are staged in out[recvShard] and folded at the window barrier, so cell
 // (g, s) of the outbox matrix is written only by shard g in the drain phase
 // and read only by shard s in the flush phase — never both at once. Shards
-// pop and count concurrently, so the struct fills whole cache lines (192 B;
-// TestNetShardFillsCacheLines holds it to a multiple of 64).
+// pop and count concurrently, so the struct is padded to whole cache lines
+// (256 B; TestNetShardFillsCacheLines holds it to a multiple of 64).
 type netShard struct {
 	q             deadlineQueue[Beacon]
 	out           [][]record[Beacon]
 	sent, dropped uint64
+	_             [40]byte
 }
 
 // Network schedules deliveries over a dynamic graph. A message is delivered
@@ -216,37 +220,40 @@ func (n *Network) SlabBytes() uint64 {
 // at the current engine time. Delivery happens after the drawn delay,
 // provided the receiver sees the sender then.
 func (n *Network) SendBeacon(from, to int, b Beacon) {
-	n.SendBeaconAt(from, to, b, n.engine.Now())
+	if dir, ok := n.dyn.Dir(from, to); ok {
+		n.sendBeacon(from, to, dir, b, n.engine.Now())
+	}
 }
 
-// SendBeaconAt is SendBeacon with an explicit send time: the beacon wheel
-// passes its slot time, which during a parallel window is the event's own
-// time (the engine clock is not advanced per-item inside a window).
-func (n *Network) SendBeaconAt(from, to int, b Beacon, at sim.Time) {
-	params, ok := n.dyn.Params(from, to)
-	if !ok {
-		return
-	}
+// transit draws the delay of a send over the link with directed index dir
+// of (from, to), clamped into the link's legal window, and returns the
+// deadline and the certified minimum transit.
+func (n *Network) transit(from, to int, dir int32, at sim.Time) (deadline sim.Time, minTransit float64) {
+	p := n.dyn.ParamsAt(dir)
+	minTransit = p.Delay - p.Uncertainty
+	delay := min(max(n.policy.Draw(&n.streams[from], from, to, p), minTransit), p.Delay)
+	return at + delay, minTransit
+}
+
+// sendBeacon sends over the declared link whose directed index of
+// (from, to) is dir, with send time at: the beacon wheel passes its slot
+// time, which during a parallel window is the event's own time (the engine
+// clock is not advanced per-item inside a window). The record carries the
+// receiver's index of (to, from), dir^1.
+func (n *Network) sendBeacon(from, to int, dir int32, b Beacon, at sim.Time) {
 	k := len(n.shards)
 	src := &n.shards[from%k]
 	src.sent++
 	m := record[Beacon]{
-		from:       int32(from),
-		to:         int32(to),
-		seq:        n.senderSeq[from],
-		sentAt:     at,
-		minTransit: params.Delay - params.Uncertainty,
-		payload:    b,
+		from:    int32(from),
+		to:      int32(to),
+		seq:     n.senderSeq[from],
+		dir:     dir ^ 1,
+		sentAt:  at,
+		payload: b,
 	}
 	n.senderSeq[from]++
-	delay := n.policy.Draw(&n.streams[from], from, to, params)
-	if delay < m.minTransit {
-		delay = m.minTransit
-	}
-	if delay > params.Delay {
-		delay = params.Delay
-	}
-	m.deadline = at + delay
+	m.deadline, m.minTransit = n.transit(from, to, dir, at)
 	dst := to % k
 	if n.engine.InWindow() && dst != from%k {
 		// Cross-shard send inside a window: stage for the barrier fold. The
@@ -269,47 +276,41 @@ func (n *Network) SendControl(from, to int, payload any) {
 	if n.engine.InWindow() {
 		panic("transport: SendControl during a parallel window")
 	}
-	params, ok := n.dyn.Params(from, to)
+	dir, ok := n.dyn.Dir(from, to)
 	if !ok {
 		return
 	}
 	n.shards[from%len(n.shards)].sent++
 	at := n.engine.Now()
-	minTransit := params.Delay - params.Uncertainty
-	delay := n.policy.Draw(&n.streams[from], from, to, params)
-	if delay < minTransit {
-		delay = minTransit
-	}
-	if delay > params.Delay {
-		delay = params.Delay
-	}
 	c := record[any]{
-		from:       int32(from),
-		to:         int32(to),
-		seq:        n.ctlSeq[from],
-		sentAt:     at,
-		deadline:   at + delay,
-		minTransit: minTransit,
-		payload:    payload,
+		from:    int32(from),
+		to:      int32(to),
+		seq:     n.ctlSeq[from],
+		dir:     dir ^ 1,
+		sentAt:  at,
+		payload: payload,
 	}
+	c.deadline, c.minTransit = n.transit(from, to, dir, at)
 	n.ctlSeq[from]++
 	n.ctls[to%len(n.ctls)].push(c)
 }
 
 // BroadcastBeacon sends the beacon to every neighbor currently visible to
 // from, stamped at the current engine time.
-func (n *Network) BroadcastBeacon(from int, b Beacon, scratch []int) []int {
-	return n.BroadcastBeaconAt(from, b, scratch, n.engine.Now())
+func (n *Network) BroadcastBeacon(from int, b Beacon) {
+	n.BroadcastBeaconAt(from, b, n.engine.Now())
 }
 
 // BroadcastBeaconAt is BroadcastBeacon with an explicit send time (see
-// SendBeaconAt).
-func (n *Network) BroadcastBeaconAt(from int, b Beacon, scratch []int, at sim.Time) []int {
-	scratch = n.dyn.Neighbors(from, scratch[:0])
-	for _, to := range scratch {
-		n.SendBeaconAt(from, to, b, at)
+// sendBeacon). It walks from's adjacency row, whose entries are the
+// directed indices themselves, so no peer costs a lookup.
+func (n *Network) BroadcastBeaconAt(from int, b Beacon, at sim.Time) {
+	peers, dirs := n.dyn.Row(from)
+	for i, to := range peers {
+		if dir := dirs[i]; n.dyn.SeesAt(dir) {
+			n.sendBeacon(from, int(to), dir, b, at)
+		}
 	}
-	return scratch
 }
 
 // Peek implements sim.Source: the earliest pending delivery deadline of the
@@ -322,12 +323,11 @@ func (n *Network) Peek(shard int) sim.Time { return n.shards[shard].q.peek() }
 func (n *Network) FireNext(shard int, now sim.Time) {
 	sh := &n.shards[shard]
 	m := sh.q.pop() // a copy: the handler may send, reusing the slot
-	from, to := int(m.from), int(m.to)
-	if n.handler == nil || !n.dyn.Sees(to, from) {
+	if n.handler == nil || !n.dyn.SeesAt(m.dir) {
 		sh.dropped++
 		return
 	}
-	n.handler.OnBeacon(to, from, m.payload, m.delivery(now))
+	n.handler.OnBeacon(int(m.to), int(m.from), m.payload, m.delivery(now))
 }
 
 // Flush implements sim.Source: fold every outbox staged for this shard into
@@ -360,12 +360,11 @@ func (q *controlQueue) Peek(shard int) sim.Time { return q.ctls[shard].peek() }
 func (q *controlQueue) FireNext(shard int, now sim.Time) {
 	n := (*Network)(q)
 	c := q.ctls[shard].pop()
-	from, to := int(c.from), int(c.to)
-	if n.handler == nil || !n.dyn.Sees(to, from) {
-		n.shards[to%len(n.shards)].dropped++
+	if n.handler == nil || !n.dyn.SeesAt(c.dir) {
+		n.shards[int(c.to)%len(n.shards)].dropped++
 		return
 	}
-	n.handler.OnControl(to, from, c.payload, c.delivery(now))
+	n.handler.OnControl(int(c.to), int(c.from), c.payload, c.delivery(now))
 }
 
 // Flush implements sim.Source: controls are never staged (SendControl panics

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -106,7 +107,7 @@ func TestSendOnUndeclaredLinkIsNoop(t *testing.T) {
 
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
 	eng, _, net, cap := setup(t, MinDelay{})
-	net.BroadcastBeacon(1, Beacon{L: 1}, nil)
+	net.BroadcastBeacon(1, Beacon{L: 1})
 	eng.RunUntil(1)
 	if len(cap.beacons) != 2 {
 		t.Fatalf("broadcast delivered %d beacons, want 2", len(cap.beacons))
@@ -227,5 +228,82 @@ func TestMessagePoolRecycles(t *testing.T) {
 func TestNetShardFillsCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(netShard{}); size%64 != 0 {
 		t.Fatalf("netShard is %d B, want a multiple of 64", size)
+	}
+}
+
+// indexCheck checks every delivery's carried index against a fresh lookup of
+// the pair, and answers a beacon with L hops left with one of L−1, so at
+// EventParallelism 2 some sends are staged cross-shard inside windows.
+type indexCheck struct {
+	t         *testing.T
+	net       *Network
+	dyn       *topo.Dynamic
+	delivered atomic.Uint64
+}
+
+func (c *indexCheck) check(kind string, to, from int, d Delivery) {
+	c.delivered.Add(1)
+	dir, ok := c.dyn.Dir(to, from)
+	if !ok || d.Dir != dir || !c.dyn.Sees(to, from) || d.To != to || d.From != from {
+		c.t.Errorf("%s %d → %d at %v carries index %d: Dir = (%d, %v), Sees = %v",
+			kind, from, to, d.At, d.Dir, dir, ok, c.dyn.Sees(to, from))
+	}
+}
+
+func (c *indexCheck) OnBeacon(to, from int, b Beacon, d Delivery) {
+	c.check("beacon", to, from, d)
+	if b.L > 0 {
+		c.net.SendBeacon(to, from, Beacon{L: b.L - 1})
+	}
+}
+
+func (c *indexCheck) OnControl(to, from int, _ any, d Delivery) { c.check("control", to, from, d) }
+
+// TestCarriedIndexUnderChurn flaps links with a detection delay τ > 0 while
+// beacons and controls are in flight, so links change visibility at each end
+// at different times between send and delivery. Every delivery must carry
+// the receiver's directed index of (to, from) and reach a receiver that sees
+// the sender, and every send must be delivered, dropped or still pending.
+func TestCarriedIndexUnderChurn(t *testing.T) {
+	const n = 16
+	p := topo.LinkParams{Eps: 0.2, Tau: 0.15, Delay: 0.2, Uncertainty: 0.1}
+	edges := topo.Ring(n)
+	for u := 0; u < n; u += 3 {
+		edges = append(edges, topo.MakeEdgeID(u, (u+n/2)%n))
+	}
+	for _, k := range []int{1, 2} {
+		eng := sim.NewEngine()
+		eng.SetEventParallelism(k)
+		dyn := topo.NewDynamic(n, eng, sim.NewRNG(3))
+		if err := topo.Install(dyn, edges, p); err != nil {
+			t.Fatal(err)
+		}
+		eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
+		net := NewNetwork(eng, dyn, sim.NewRNG(4), RandomDelay{})
+		c := &indexCheck{t: t, net: net, dyn: dyn}
+		net.SetHandler(c)
+		rng := sim.NewRNG(5)
+		for step := 0; step < 300; step++ {
+			net.BroadcastBeacon(rng.Intn(n), Beacon{L: 3})
+			e := edges[rng.Intn(len(edges))]
+			net.SendControl(e.V, e.U, step)
+			e = edges[rng.Intn(len(edges))]
+			if dyn.Sees(e.U, e.V) || dyn.Sees(e.V, e.U) {
+				_ = dyn.Disappear(e.U, e.V)
+			} else {
+				_ = dyn.Appear(e.U, e.V)
+			}
+			eng.RunUntil(eng.Now() + 0.03)
+			pending := uint64(0)
+			for s := range net.shards {
+				pending += uint64(net.shards[s].q.n + net.ctls[s].n)
+			}
+			if got, want := net.Sent(), c.delivered.Load()+net.Dropped()+pending; got != want {
+				t.Fatalf("k=%d step %d: sent %d, delivered + dropped + pending = %d", k, step, got, want)
+			}
+		}
+		if net.Dropped() == 0 || c.delivered.Load() == 0 {
+			t.Fatalf("k=%d: %d delivered and %d dropped, want some of each", k, c.delivered.Load(), net.Dropped())
+		}
 	}
 }
