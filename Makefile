@@ -24,7 +24,7 @@ lint: vet inline
 		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet -tags large ./...
-	$(GO) run ./cmd/mdlint *.md
+	$(GO) run ./cmd/mdlint *.md .claude/skills/verify/SKILL.md
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... && staticcheck -tags large ./...; \
 	else \

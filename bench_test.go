@@ -226,6 +226,6 @@ func BenchmarkSweepReplicas(b *testing.B) {
 // that do no work, so any measured time is Map bookkeeping.
 func BenchmarkSweepPoolOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sweep.Each(64, 8, func(int) {})
+		sweep.Map(64, 8, func(int) struct{} { return struct{}{} })
 	}
 }

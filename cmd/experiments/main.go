@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -49,6 +50,22 @@ func run(args []string, stdout io.Writer) error {
 		filter = make(map[string]bool)
 		for _, id := range strings.Split(*only, ",") {
 			filter[strings.ToUpper(strings.TrimSpace(id))] = true
+		}
+		var valid, unknown []string
+		known := make(map[string]bool)
+		for _, entry := range experiments.All() {
+			valid = append(valid, entry.ID)
+			known[entry.ID] = true
+		}
+		for id := range filter {
+			if !known[id] {
+				unknown = append(unknown, id)
+			}
+		}
+		if len(unknown) > 0 {
+			sort.Strings(unknown)
+			return fmt.Errorf("-only names unknown experiments %s; valid ids are %s",
+				strings.Join(unknown, ","), strings.Join(valid, ","))
 		}
 	}
 

@@ -53,12 +53,21 @@ func TestRunUnknownFlag(t *testing.T) {
 	}
 }
 
+// TestRunFilterUnknownID: an -only id that names no experiment (a typo
+// such as E3 for E03) is an error naming it and listing the valid ids, and
+// nothing runs.
 func TestRunFilterUnknownID(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-quick", "-only", "E99"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
+	err := run([]string{"-quick", "-only", "E06,e99,E3"}, &out)
+	if err == nil {
+		t.Fatalf("unknown ids accepted:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "0 experiments") {
-		t.Errorf("expected zero experiments for unknown id:\n%s", out.String())
+	for _, want := range []string{"E3,E99", "E01", "E16"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("ran experiments despite the unknown ids:\n%s", out.String())
 	}
 }

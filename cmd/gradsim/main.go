@@ -97,7 +97,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	events, err := parseEdgeOps(*edgeOps)
+	events, err := parseEdgeOps(*edgeOps, topology.N())
 	if err != nil {
 		return err
 	}
@@ -352,8 +352,11 @@ func buildEstimates(spec string) (gradsync.Estimates, error) {
 	return gradsync.Estimates{}, fmt.Errorf("unknown estimates spec %q", spec)
 }
 
-// parseEdgeOps parses "add:0,15@100;cut:3,4@200".
-func parseEdgeOps(spec string) ([]edgeEvent, error) {
+// parseEdgeOps parses "add:0,15@100;cut:3,4@200" for a network of n nodes.
+// It rejects, before anything runs, what the run could not carry out: a
+// time that is negative or not finite, a node id outside [0, n) and a
+// self-loop.
+func parseEdgeOps(spec string, n int) ([]edgeEvent, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -382,6 +385,16 @@ func parseEdgeOps(spec string) ([]edgeEvent, error) {
 		at, err := strconv.ParseFloat(atStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad time in %q: %w", part, err)
+		}
+		// Negated so NaN fails it too.
+		if !(at >= 0 && at < math.Inf(1)) {
+			return nil, fmt.Errorf("bad time in %q: must be non-negative and finite", part)
+		}
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("bad node id in %q: ids must be in [0, %d)", part, n)
+		}
+		if u == v {
+			return nil, fmt.Errorf("bad edge op %q: self-loop", part)
 		}
 		switch op {
 		case "add":

@@ -22,10 +22,17 @@ func TestParseEdgeOps(t *testing.T) {
 		{"bad op", "frob:0,1@5", 0, true},
 		{"bad node", "add:x,1@5", 0, true},
 		{"bad time", "add:0,1@x", 0, true},
+		{"NaN time", "add:0,5@NaN", 0, true},
+		{"infinite time", "cut:0,5@+Inf", 0, true},
+		{"negative time", "add:0,5@-3", 0, true},
+		{"node past n", "add:0,99@5", 0, true},
+		{"negative node", "add:-1,3@5", 0, true},
+		{"self-loop", "add:3,3@5", 0, true},
+		{"last node", "cut:0,15@0", 1, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseEdgeOps(tc.spec)
+			got, err := parseEdgeOps(tc.spec, 16)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
 			}
@@ -34,7 +41,7 @@ func TestParseEdgeOps(t *testing.T) {
 			}
 		})
 	}
-	ops, err := parseEdgeOps("add:0,15@100;cut:3,4@200")
+	ops, err := parseEdgeOps("add:0,15@100;cut:3,4@200", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +146,8 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		{"-gtilde", "NaN"}, {"-gtilde", "+Inf"}, {"-gtilde", "-Inf"},
 		{"-mu", "NaN"}, {"-rho", "NaN"},
 		{"-algo", "blocksync", "-blocksize", "NaN"},
+		{"-edges", "add:0,2@NaN"}, {"-edges", "add:0,2@-3"},
+		{"-edges", "add:0,9@0.5"}, {"-edges", "add:3,3@0.5"},
 	} {
 		func() {
 			defer func() {

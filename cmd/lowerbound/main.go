@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -31,9 +32,15 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
+	if *n < 2 {
+		return fmt.Errorf("-n must be at least 2, got %d", *n)
+	}
 	k := *n / 2
 	offset := *offsetPerNode * float64(*n)
+	// Negated so NaN fails it too.
+	if !(*offsetPerNode > 0 && offset < math.Inf(1)) {
+		return fmt.Errorf("-offset must be positive and finite, got %v", *offsetPerNode)
+	}
 	var edges [][2]int
 	for i := 0; i+1 < *n; i++ {
 		if i+1 == k {
@@ -66,6 +73,9 @@ func run(args []string, w io.Writer) error {
 	}
 	rateGap := (1+rho)*(1+mu) - (1 - rho)
 	threshold := net.GradientBoundHops(1)
+	if offset <= threshold {
+		return fmt.Errorf("initial offset n·offset = %.3f must exceed the one-hop gradient bound %.3f; raise -n or -offset", offset, threshold)
+	}
 	tMin := (offset - threshold) / rateGap
 
 	fmt.Fprintf(w, "two segments of %d nodes, offset %.1f; new edge {%d,%d} appears at t=%.0f\n",

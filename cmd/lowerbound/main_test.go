@@ -30,3 +30,26 @@ func TestRunBadFlag(t *testing.T) {
 		t.Error("unknown flag accepted")
 	}
 }
+
+// TestRunRejectsBadNumbers: a too-small network, an offset that is not
+// positive and finite, and an initial offset at or below the one-hop
+// gradient bound (3.696 at the defaults) are errors, not panics.
+func TestRunRejectsBadNumbers(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "2"}, {"-n", "3"}, {"-n", "1"}, {"-n", "-4"},
+		{"-n", "8", "-offset", "0.4"},
+		{"-offset", "NaN"}, {"-offset", "+Inf"}, {"-offset", "0"}, {"-offset", "-1"},
+		{"-offset", "1e308"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("lowerbound %v panicked: %v", args, r)
+				}
+			}()
+			if err := run(args, io.Discard); err == nil {
+				t.Errorf("lowerbound %v returned no error", args)
+			}
+		}()
+	}
+}

@@ -344,19 +344,6 @@ func (n *Network) AdjacentSkew() float64 {
 	return worst
 }
 
-// StableAdjacentSkew returns the maximum adjacent skew over edges that have
-// been continuously visible to both endpoints for at least minAge.
-func (n *Network) StableAdjacentSkew(minAge float64) float64 {
-	n.edgeScratch = n.rt.Dyn.StableEdges(n.Now(), minAge, n.edgeScratch[:0])
-	worst := 0.0
-	for _, e := range n.edgeScratch {
-		if s := n.SkewBetween(e.U, e.V); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // SkewByDistance returns, for each hop distance d ≥ 1 over edges stable for
 // minAge, the maximum skew between node pairs at that distance.
 func (n *Network) SkewByDistance(minAge float64) map[int]float64 {

@@ -60,12 +60,6 @@ func DeltaRange(kappa, eps, tau, mu float64) (lo, hi float64) {
 	return 0, kappa/2 - 2*eps - 2*mu*tau
 }
 
-// Delta returns the midpoint of the legal δ_e range.
-func Delta(kappa, eps, tau, mu float64) float64 {
-	lo, hi := DeltaRange(kappa, eps, tau, mu)
-	return (lo + hi) / 2
-}
-
 // BMin returns the smallest B allowed by eq. (12): 320·2⁷/(1−ρ)².
 func BMin(rho float64) float64 {
 	return 320 * 128 / ((1 - rho) * (1 - rho))
@@ -197,16 +191,6 @@ func StandardSeq(gHat, sigma float64) GradientSeq {
 		}
 		return 2 * gHat / math.Pow(sigma, float64(e))
 	}
-}
-
-// Theta returns Θ_s = C_{s−1}/((1+ρ)µ) of eq. (24).
-func Theta(seq GradientSeq, s int, mu, rho float64) float64 {
-	return seq(s-1) / ((1 + rho) * mu)
-}
-
-// Lambda returns Λ_s = C_{s−1}/(2(1−ρ)µ) of Theorem 5.18.
-func Lambda(seq GradientSeq, s int, mu, rho float64) float64 {
-	return seq(s-1) / (2 * (1 - rho) * mu)
 }
 
 // StableLevel returns s(p) = max{2 + ⌈log_σ(4Ĝ/κ_p)⌉, 1} of Corollary 7.10.

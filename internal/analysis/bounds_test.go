@@ -62,10 +62,6 @@ func TestKappaAndDelta(t *testing.T) {
 	if lo != 0 || hi <= 0 {
 		t.Errorf("DeltaRange = (%v, %v); want positive-width interval from 0", lo, hi)
 	}
-	d := Delta(k, eps, tau, tMu)
-	if d <= lo || d >= hi {
-		t.Errorf("Delta = %v outside (%v, %v)", d, lo, hi)
-	}
 }
 
 func TestBRange(t *testing.T) {
@@ -242,18 +238,6 @@ func TestGlobalDecayRatePositive(t *testing.T) {
 	// µ(1−ρ) − 2ρ exact value.
 	if got, want := GlobalDecayRate(0.1, 0.01), 0.1*0.99-0.02; math.Abs(got-want) > 1e-12 {
 		t.Errorf("GlobalDecayRate = %v, want %v", got, want)
-	}
-}
-
-func TestThetaLambda(t *testing.T) {
-	seq := StandardSeq(10, 3)
-	th := Theta(seq, 2, tMu, tRho)
-	if want := seq(1) / ((1 + tRho) * tMu); math.Abs(th-want) > 1e-12 {
-		t.Errorf("Theta = %v, want %v", th, want)
-	}
-	la := Lambda(seq, 2, tMu, tRho)
-	if want := seq(1) / (2 * (1 - tRho) * tMu); math.Abs(la-want) > 1e-12 {
-		t.Errorf("Lambda = %v, want %v", la, want)
 	}
 }
 

@@ -85,17 +85,15 @@ func BenchmarkCoreTickOracle(b *testing.B) {
 	benchTicks(b, rt, algo)
 }
 
-// BenchmarkNeighborLevels measures per-node level sampling through the
-// append-into-slice variant with a reused scratch buffer; 0 allocs/op. The
-// map-returning NeighborLevels allocates on every call and must stay off
-// per-tick paths.
+// BenchmarkNeighborLevels measures per-node level sampling through
+// appendNeighborLevels with a reused scratch buffer; 0 allocs/op.
 func BenchmarkNeighborLevels(b *testing.B) {
 	rt, algo := benchRuntime(b)
-	var scratch []NeighborLevel
+	var scratch []neighborLevel
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = algo.AppendNeighborLevels(i%rt.N(), scratch[:0])
+		scratch = appendNeighborLevels(algo, i%rt.N(), scratch[:0])
 	}
 }
 
@@ -103,13 +101,13 @@ func BenchmarkNeighborLevels(b *testing.B) {
 // benchmark runs, so `go test` alone catches a regression.
 func TestAppendNeighborLevelsNoAllocs(t *testing.T) {
 	rt, algo := benchRuntime(t)
-	var scratch []NeighborLevel
-	scratch = algo.AppendNeighborLevels(1, scratch[:0]) // grow once
+	var scratch []neighborLevel
+	scratch = appendNeighborLevels(algo, 1, scratch[:0]) // grow once
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch = algo.AppendNeighborLevels(1, scratch[:0])
+		scratch = appendNeighborLevels(algo, 1, scratch[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendNeighborLevels allocates %v per call, want 0", allocs)
+		t.Fatalf("appendNeighborLevels allocates %v per call, want 0", allocs)
 	}
 	if len(scratch) == 0 {
 		t.Fatal("no visible neighbors sampled")

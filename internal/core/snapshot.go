@@ -32,37 +32,6 @@ func (a *Algorithm) Snapshot() *analysis.Snapshot {
 	return snap
 }
 
-// NeighborLevel is one (peer, level) entry of a node's visible adjacency.
-type NeighborLevel struct {
-	Peer  int
-	Level int
-}
-
-// AppendNeighborLevels appends the level of every visible edge at node u to
-// dst in ascending peer order and returns the slice. With a reused scratch
-// buffer it is allocation-free (pinned by BenchmarkNeighborLevels); callers
-// that sample levels every tick must use this instead of NeighborLevels.
-func (a *Algorithm) AppendNeighborLevels(u int, dst []NeighborLevel) []NeighborLevel {
-	peers, dirs := a.rt.Dyn.Row(u)
-	for i, dir := range dirs {
-		if a.recFlags[dir]&recUp != 0 {
-			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.level(u, dir)})
-		}
-	}
-	return dst
-}
-
-// NeighborLevels reports, for diagnostics, the level of every visible edge
-// at node u as a peer→level map. It allocates the map (and, transiently,
-// the pair slice) on every call — use AppendNeighborLevels on hot paths.
-func (a *Algorithm) NeighborLevels(u int) map[int]int {
-	out := make(map[int]int)
-	for _, nl := range a.AppendNeighborLevels(u, nil) {
-		out[nl.Peer] = nl.Level
-	}
-	return out
-}
-
 // InsertionInfo exposes the agreed insertion schedule of edge {u,v} as seen
 // by u: the grid base T₀ and the duration I (ok is false while no schedule
 // is agreed). Used by the Section 7 experiments to compare insertion

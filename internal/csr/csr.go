@@ -1,9 +1,10 @@
 // Package csr provides the flat building blocks of the structure-of-arrays
 // memory layout (DESIGN.md §Structure-of-arrays layout):
 //
-//   - Rows: a CSR-style dynamic adjacency structure mapping
+//   - Rows: a CSR-style insert-only adjacency structure mapping
 //     (row, key) → val with int32 ids, packed per-row storage with small
-//     over-allocation slack, and amortized relocation/compaction on churn.
+//     over-allocation slack, and amortized relocation/compaction as rows
+//     grow.
 //   - Grow: the resize step of a flat slab indexed by stable slots.
 //
 // Both are deliberately free of interior pointers: a Rows over E edges costs
@@ -12,10 +13,10 @@
 // contiguous, so O(deg) hot loops stream cache lines instead of chasing heap
 // objects.
 //
-// Concurrency contract: Find/Row/Len are safe to call concurrently with each
-// other (they only read); Insert/Remove mutate shared arrays and must run in
-// serial contexts (global engine events — declares, edge transitions), never
-// inside a sharded tick or drain window.
+// Concurrency contract: Find and Row are safe to call concurrently with each
+// other (they only read); Insert mutates shared arrays and must run in
+// serial contexts (global engine events — declares), never inside a sharded
+// tick or drain window.
 package csr
 
 import "fmt"
@@ -31,7 +32,7 @@ type Rows struct {
 	keys  []int32
 	vals  []int32
 	live  int32 // total live entries
-	dead  int32 // arena entries abandoned by relocation or freed by Remove
+	dead  int32 // arena entries abandoned by relocation
 
 	// Rebuilds counts full compactions; tests assert amortization.
 	Rebuilds int
@@ -46,12 +47,6 @@ func NewRows(n int) *Rows {
 		count: make([]int32, n),
 	}
 }
-
-// NumRows returns the number of rows.
-func (r *Rows) NumRows() int { return len(r.off) }
-
-// Len returns the total number of live entries.
-func (r *Rows) Len() int { return int(r.live) }
 
 // slack is the over-allocation a row receives when it is (re)located:
 // enough that the next relocation is a constant factor of inserts away.
@@ -79,7 +74,7 @@ func (r *Rows) Find(row int, key int32) (int32, bool) {
 }
 
 // Row returns the live keys and values of a row as slices into the packed
-// arrays. The slices are invalidated by the next Insert or Remove on any row.
+// arrays. The slices are invalidated by the next Insert on any row.
 func (r *Rows) Row(row int) (keys, vals []int32) {
 	o, c := r.off[row], r.count[row]
 	return r.keys[o : o+c], r.vals[o : o+c]
@@ -109,28 +104,6 @@ func (r *Rows) Insert(row int, key, val int32) {
 	r.live++
 }
 
-// Remove deletes key from row, reporting whether it was present.
-func (r *Rows) Remove(row int, key int32) bool {
-	o, c := r.off[row], r.count[row]
-	for i := int32(0); i < c; i++ {
-		k := r.keys[o+i]
-		if k < key {
-			continue
-		}
-		if k > key {
-			return false
-		}
-		copy(r.keys[o+i:o+c-1], r.keys[o+i+1:o+c])
-		copy(r.vals[o+i:o+c-1], r.vals[o+i+1:o+c])
-		r.count[row] = c - 1
-		r.live--
-		r.dead++
-		r.maybeCompact()
-		return true
-	}
-	return false
-}
-
 // relocate moves a full row to the arena tail with fresh slack. The old
 // storage becomes garbage until the next compaction; per-row geometric slack
 // keeps the number of relocations per row logarithmic in its degree.
@@ -150,9 +123,9 @@ func (r *Rows) relocate(row int) {
 }
 
 // maybeCompact rebuilds the arena in row-major order once the garbage left
-// by relocations and removals exceeds the live data (plus a floor so tiny
-// structures never compact). Amortized: a compaction of cost O(rows+live)
-// requires Ω(live) prior churn.
+// by relocations exceeds the live data (plus a floor so tiny structures
+// never compact). Amortized: a compaction of cost O(rows+live) requires
+// Ω(live) prior relocation.
 func (r *Rows) maybeCompact() {
 	if r.dead <= r.live+64 {
 		return

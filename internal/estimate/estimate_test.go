@@ -15,13 +15,24 @@ func linkParams() topo.LinkParams {
 	return topo.LinkParams{Eps: 0.2, Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}
 }
 
+// install declares every edge with p and makes it visible instantly.
+func install(t *testing.T, d *topo.Dynamic, edges []topo.EdgeID, p topo.LinkParams) {
+	t.Helper()
+	for _, e := range edges {
+		if err := d.DeclareLink(e.U, e.V, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AppearInstant(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func twoNodeGraph(t *testing.T) (*sim.Engine, *topo.Dynamic) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := topo.NewDynamic(2, eng, sim.NewRNG(1))
-	if err := topo.Install(d, topo.Line(2), linkParams()); err != nil {
-		t.Fatal(err)
-	}
+	install(t, d, topo.Line(2), linkParams())
 	return eng, d
 }
 
@@ -210,9 +221,7 @@ func newMessagingHarness(t *testing.T, seed int64) *messagingHarness {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed)
 	dyn := topo.NewDynamic(2, eng, rng.Split())
-	if err := topo.Install(dyn, topo.Line(2), linkParams()); err != nil {
-		t.Fatal(err)
-	}
+	install(t, dyn, topo.Line(2), linkParams())
 	h := &messagingHarness{
 		eng:   eng,
 		dyn:   dyn,
@@ -237,8 +246,8 @@ func newMessagingHarness(t *testing.T, seed int64) *messagingHarness {
 	})
 	for u := 0; u < 2; u++ {
 		u := u
-		eng.NewTicker(float64(u)*hBInt/2, hBInt, func(sim.Time, float64) {
-			h.net.BroadcastBeacon(u, transport.Beacon{L: h.lg[u]})
+		eng.NewTicker(float64(u)*hBInt/2, hBInt, func(now sim.Time, _ float64) {
+			h.net.BroadcastBeaconAt(u, transport.Beacon{L: h.lg[u]}, now)
 		})
 	}
 	return h

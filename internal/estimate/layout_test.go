@@ -41,8 +41,8 @@ func (o *beaconOracle) declare(u, v int, p topo.LinkParams) error {
 	_, had := o.dyn.Params(u, v)
 	err := o.dyn.DeclareLink(u, v, p)
 	if err == nil && !had {
-		o.local[u].Invalidate(v)
-		o.local[v].Invalidate(u)
+		invalidateLocal(o.local[u], v)
+		invalidateLocal(o.local[v], u)
 	}
 	return err
 }
@@ -145,7 +145,7 @@ func runMessagingScript(t *testing.T, n int, seed int64) {
 			oracle.local[u].Record(v, b.L, hw(u), d.MinTransit)
 			soa.RecordBeacon(u, v, b, d)
 		case 4:
-			oracle.local[u].Invalidate(v)
+			invalidateLocal(oracle.local[u], v)
 			soa.Invalidate(u, v)
 		case 5:
 			eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0, 0.2)))
@@ -159,7 +159,7 @@ func runMessagingScript(t *testing.T, n int, seed int64) {
 const rbsGolden = "3c8cadfde520b126279503785ad5ed8fad198dc9745abc557381459ee40cc8b5"
 
 // rbsObserve appends one step's observables of r to h: for every ordered
-// pair u ≠ v, CoListeners, the Estimate bits and ok, and the Eps bits.
+// pair u ≠ v, coListeners, the Estimate bits and ok, and the Eps bits.
 func rbsObserve(h hash.Hash, r *RBS, n int) {
 	var b [8]byte
 	put := func(v uint64) {
@@ -178,7 +178,7 @@ func rbsObserve(h hash.Hash, r *RBS, n int) {
 			if u == v {
 				continue
 			}
-			flag(r.CoListeners(u, v))
+			flag(coListeners(r, u, v))
 			e, ok := r.Estimate(u, v)
 			put(math.Float64bits(e))
 			flag(ok)
@@ -189,7 +189,7 @@ func rbsObserve(h hash.Hash, r *RBS, n int) {
 
 // TestRBSLayoutDifferential runs RBS on one engine with overlapping
 // listener groups (so the CSR dedup path is exercised) and a randomized
-// invalidation stream, and hashes every step's CoListeners, Estimate and
+// invalidation stream, and hashes every step's coListeners, Estimate and
 // Eps observables plus each seed's Broadcasts. The hash must equal
 // rbsGolden, which the flat slabs and the retired map-backed store both
 // produced.
@@ -211,8 +211,8 @@ func TestRBSLayoutDifferential(t *testing.T) {
 		rng := sim.NewRNG(seed ^ 0x7b5)
 		for step := 0; step < 40; step++ {
 			eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0.05, 0.4)))
-			if rng.Bool(0.3) {
-				r.Invalidate(rng.Intn(n), rng.Intn(n))
+			if rng.Float64() < 0.3 {
+				invalidateRBS(r, rng.Intn(n), rng.Intn(n))
 			}
 			rbsObserve(sum, r, n)
 		}

@@ -73,14 +73,6 @@ func (l *LocalBeacons) Record(peer int, lSent, hwAtRecv, minTransit float64) {
 	l.samples[i] = localSample{lSent: lSent, hwAtRecv: hwAtRecv, minTransit: minTransit, valid: true}
 }
 
-// Invalidate drops the sample for peer (edge loss), so a stale pre-outage
-// sample is never reused after a reappearance.
-func (l *LocalBeacons) Invalidate(peer int) {
-	if i, ok := l.find(peer); ok {
-		l.samples[i].valid = false
-	}
-}
-
 // Estimate returns the owner's current estimate of peer's logical clock,
 // given the owner's current hardware clock. ok is false when no beacon has
 // arrived yet or the last sample is too old to stay certified — the same

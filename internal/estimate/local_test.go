@@ -9,6 +9,14 @@ import (
 	"repro/internal/transport"
 )
 
+// invalidateLocal drops l's sample for peer, as an edge loss would: the
+// reference Messaging.Invalidate is held against.
+func invalidateLocal(l *LocalBeacons, peer int) {
+	if i, ok := l.find(peer); ok {
+		l.samples[i].valid = false
+	}
+}
+
 // TestLocalBeaconsMatchesMessaging pins the node-local store to the shared
 // Messaging layer: identical sample streams must yield bit-identical
 // estimates, eps and staleness verdicts. This is the contract that makes
@@ -84,7 +92,7 @@ func TestLocalBeaconsMatchesMessaging(t *testing.T) {
 		record(0, 1.21, link.Delay-link.Uncertainty)
 		check("refreshed", 0)
 		msg.Invalidate(u, 0)
-		local.Invalidate(0)
+		invalidateLocal(local, 0)
 		check("invalidated", 0)
 	}
 }
@@ -102,7 +110,7 @@ func TestLocalBeaconsSampleCount(t *testing.T) {
 	if l.SampleCount() != 3 {
 		t.Fatalf("after 3 records: %d samples", l.SampleCount())
 	}
-	l.Invalidate(3)
+	invalidateLocal(l, 3)
 	if l.SampleCount() != 2 {
 		t.Fatalf("after invalidate: %d samples", l.SampleCount())
 	}

@@ -221,20 +221,7 @@ func (r *RBS) Eps(u, v int) float64 {
 	return (1-rho)*jit + fast*jit + (fast-slowAdvance)*stale
 }
 
-// Invalidate drops u's sample about v (edge loss).
-func (r *RBS) Invalidate(u, v int) {
-	if slot, ok := r.rows.Find(u, int32(v)); ok {
-		r.rbValid[slot] = 0
-	}
-}
-
 // ConcurrentQueries implements ConcurrentLayer: queries only read anchored
 // samples and clocks; samples are written by broadcast events, never inside
 // an integration tick.
 func (r *RBS) ConcurrentQueries() bool { return true }
-
-// CoListeners reports whether u and v share a reference source.
-func (r *RBS) CoListeners(u, v int) bool {
-	_, ok := r.rows.Find(u, int32(v))
-	return ok
-}

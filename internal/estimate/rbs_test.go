@@ -14,6 +14,19 @@ const (
 	rTick = 0.005
 )
 
+// invalidateRBS drops u's sample about v, as an edge loss would.
+func invalidateRBS(r *RBS, u, v int) {
+	if slot, ok := r.rows.Find(u, int32(v)); ok {
+		r.rbValid[slot] = 0
+	}
+}
+
+// coListeners reports whether u and v share a reference source.
+func coListeners(r *RBS, u, v int) bool {
+	_, ok := r.rows.Find(u, int32(v))
+	return ok
+}
+
 // rbsHarness drives 3 nodes with drifting hardware and logical clocks and
 // two overlapping broadcast groups {0,1} and {1,2}.
 type rbsHarness struct {
@@ -32,9 +45,7 @@ func newRBSHarness(t *testing.T, cfg RBSConfig) *rbsHarness {
 	rng := sim.NewRNG(5)
 	dyn := topo.NewDynamic(3, eng, rng.Split())
 	lp := topo.LinkParams{Eps: 0.2, Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}
-	if err := topo.Install(dyn, topo.Line(3), lp); err != nil {
-		t.Fatal(err)
-	}
+	install(t, dyn, topo.Line(3), lp)
 	h := &rbsHarness{
 		eng:   eng,
 		dyn:   dyn,
@@ -88,10 +99,10 @@ func TestRBSConfigValidation(t *testing.T) {
 
 func TestRBSCoListenerStructure(t *testing.T) {
 	h := newRBSHarness(t, rbsCfg())
-	if !h.layer.CoListeners(0, 1) || !h.layer.CoListeners(1, 2) {
+	if !coListeners(h.layer, 0, 1) || !coListeners(h.layer, 1, 2) {
 		t.Error("group members not co-listeners")
 	}
-	if h.layer.CoListeners(0, 2) {
+	if coListeners(h.layer, 0, 2) {
 		t.Error("nodes 0 and 2 share no source but are co-listeners")
 	}
 	h.eng.RunUntil(5)
@@ -137,9 +148,7 @@ func TestRBSBeatsMessagingOnNoisyLinks(t *testing.T) {
 	noisy := topo.LinkParams{Eps: 0.2, Tau: 0.1, Delay: 0.5, Uncertainty: 0.45}
 	eng2 := sim.NewEngine()
 	dyn2 := topo.NewDynamic(2, eng2, sim.NewRNG(1))
-	if err := topo.Install(dyn2, topo.Line(2), noisy); err != nil {
-		t.Fatal(err)
-	}
+	install(t, dyn2, topo.Line(2), noisy)
 	msg := NewMessaging(2, dyn2, func(int) float64 { return 0 }, MessagingConfig{
 		Rho: rRho, Mu: rMu, BeaconInterval: 0.5, TickSlop: 2 * rTick,
 	})
@@ -156,7 +165,7 @@ func TestRBSInvalidateAndStaleness(t *testing.T) {
 	if _, ok := h.layer.Estimate(0, 1); !ok {
 		t.Fatal("no estimate after several broadcast rounds")
 	}
-	h.layer.Invalidate(0, 1)
+	invalidateRBS(h.layer, 0, 1)
 	if _, ok := h.layer.Estimate(0, 1); ok {
 		t.Fatal("estimate survived invalidation")
 	}

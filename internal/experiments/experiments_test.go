@@ -145,7 +145,7 @@ func TestMergeScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.bridge.Len() == 0 {
+	if len(out.bridge.Points) == 0 {
 		t.Fatal("no bridge samples recorded")
 	}
 	// The bridge starts near the offset.

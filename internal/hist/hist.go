@@ -75,9 +75,6 @@ func (h *Hist) Add(v int64) {
 	h.total++
 }
 
-// Count returns the number of recorded values.
-func (h *Hist) Count() uint64 { return h.total }
-
 // Merge folds o into h.
 func (h *Hist) Merge(o *Hist) {
 	for i, c := range o.counts {
@@ -144,16 +141,4 @@ func (a *Atomic) Quantile(q float64) int64 {
 		total += c
 	}
 	return quantile(counts[:], total, q)
-}
-
-// Snapshot copies the current counters into a plain Hist (same consistency
-// caveat as Quantile).
-func (a *Atomic) Snapshot() *Hist {
-	h := &Hist{}
-	for i := range a.counts {
-		c := a.counts[i].Load()
-		h.counts[i] = c
-		h.total += c
-	}
-	return h
 }

@@ -507,12 +507,6 @@ func (c *Cluster) N() int { return len(c.nodes) }
 // Owned returns the sorted ids this process hosts.
 func (c *Cluster) Owned() []int { return c.owned }
 
-// Edges returns the configured estimate graph.
-func (c *Cluster) Edges() [][2]int { return c.cfg.Edges }
-
-// S returns the resolved block size (the daemon's legality bound is 2·S).
-func (c *Cluster) S() float64 { return c.cfg.S }
-
 // SimNow returns the cluster's current sim time (0 before Start).
 func (c *Cluster) SimNow() float64 {
 	if !c.started {

@@ -126,9 +126,6 @@ func (q *SendQueue) Len() int {
 	return q.n
 }
 
-// Cap returns the fixed capacity.
-func (q *SendQueue) Cap() int { return len(q.buf) }
-
 // Enqueued returns the number of envelopes accepted so far (lock-free).
 func (q *SendQueue) Enqueued() uint64 { return q.enqueued.Load() }
 

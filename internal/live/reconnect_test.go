@@ -128,9 +128,9 @@ func TestPeerReconnectAfterFailure(t *testing.T) {
 	sink.KillConn()
 	// The link must notice the failure (a write error), go down, and redial.
 	deadline := time.Now().Add(10 * time.Second)
-	for p.Reconnects() == 0 {
+	for p.reconnects.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer never reconnected: down=%v stats=%+v", p.Down(), c.Stats())
+			t.Fatalf("peer never reconnected: down=%v stats=%+v", p.down.Load(), c.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -146,7 +146,7 @@ func TestPeerReconnectAfterFailure(t *testing.T) {
 	if st.Dropped == 0 {
 		t.Fatalf("beacons sent into the dead link were not counted dropped: %+v", st)
 	}
-	if p.Down() {
+	if p.down.Load() {
 		t.Fatal("peer still marked down after frames flowed")
 	}
 }
@@ -177,7 +177,7 @@ func TestPeerBackoffCapsAndSheds(t *testing.T) {
 	defer c.Stop()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for !p.Down() {
+	for !p.down.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("peer never noticed the dead link")
 		}

@@ -199,12 +199,6 @@ func (p *Peer) writeLoop(conn net.Conn) {
 	}
 }
 
-// Down reports whether the link is currently disconnected and backing off.
-func (p *Peer) Down() bool { return p.down.Load() }
-
-// Reconnects returns how many times the link has been re-established.
-func (p *Peer) Reconnects() uint64 { return p.reconnects.Load() }
-
 // Close shuts the link down: the queue stops accepting, the writer drains
 // out, and the connection closes. Idempotent.
 func (p *Peer) Close() {

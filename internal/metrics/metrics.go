@@ -25,57 +25,6 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{T: t, V: v}) }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Max returns the maximum value (NaN when empty).
-func (s *Series) Max() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	best := math.Inf(-1)
-	for _, p := range s.Points {
-		if p.V > best {
-			best = p.V
-		}
-	}
-	return best
-}
-
-// Min returns the minimum value (NaN when empty).
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	best := math.Inf(1)
-	for _, p := range s.Points {
-		if p.V < best {
-			best = p.V
-		}
-	}
-	return best
-}
-
-// Last returns the final value (NaN when empty).
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
-// Mean returns the arithmetic mean of the values (NaN when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
 // MaxAfter returns the maximum value at sample times ≥ t0 (NaN if none).
 func (s *Series) MaxAfter(t0 float64) float64 {
 	best := math.NaN()
@@ -213,19 +162,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, r := range t.Rows {
 		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (quotes are not needed
-// for the numeric content the harness emits).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

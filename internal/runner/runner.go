@@ -277,9 +277,6 @@ const rateSpan = 1
 // ticks of a run.
 func (rt *Runtime) MaxIncrement() float64 { return (1 + rateSpan) * rt.cfg.Tick * (1 + 1e-6) }
 
-// BeaconInterval returns the beacon period.
-func (rt *Runtime) BeaconInterval() float64 { return rt.cfg.BeaconInterval }
-
 // Hardware returns node u's current hardware clock (for estimate layers).
 func (rt *Runtime) Hardware(u int) float64 { return rt.HW[u] }
 

@@ -69,9 +69,6 @@ type Op struct {
 // AddAt schedules edge {u,v} to appear at time t.
 func AddAt(t float64, u, v int) Op { return Op{At: t, U: u, V: v, Add: true} }
 
-// CutAt schedules edge {u,v} to disappear at time t.
-func CutAt(t float64, u, v int) Op { return Op{At: t, U: u, V: v} }
-
 // Script replays a fixed list of edge operations — the deterministic
 // backbone for experiments that place specific edges at specific times
 // (e.g. the Section 7 insertion-adaptation runs).

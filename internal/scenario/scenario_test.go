@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/drift"
@@ -37,6 +38,16 @@ func testRuntime(t *testing.T, n int, sc runner.Scenario, seed int64) *runner.Ru
 		t.Fatalf("start: %v", err)
 	}
 	return rt
+}
+
+// extraEvents runs rt d more time units and returns how many global events
+// fired beyond the integration ticks: scenario steps and the topology
+// detections they schedule.
+func extraEvents(rt *runner.Runtime, d float64) int64 {
+	before := rt.Engine.DrainStats().GlobalEvents
+	rt.Run(rt.Engine.Now() + d)
+	ticks := int64(math.Round(d / rt.Tick()))
+	return int64(rt.Engine.DrainStats().GlobalEvents-before) - ticks
 }
 
 func TestChurnTogglesOnlyChords(t *testing.T) {
@@ -86,8 +97,8 @@ func TestChurnStopsAtUntilAndKeepsCallerPairs(t *testing.T) {
 		t.Errorf("churn kept toggling after Until: %d → %d", at20, ch.Toggles)
 	}
 	// Expired churn must also stop burning engine events.
-	if pending := rt.Engine.Pending(); pending > 40 {
-		t.Errorf("engine still carries %d pending events; expired churn should have stopped rescheduling", pending)
+	if extra := extraEvents(rt, 100); extra != 0 {
+		t.Errorf("%d global events beyond the ticks after Until; expired churn should have stopped rescheduling", extra)
 	}
 	if pairs[0] != (Pair{6, 2}) || pairs[1] != (Pair{5, 1}) {
 		t.Errorf("caller's Pairs slice was mutated: %v", pairs)
@@ -104,7 +115,7 @@ func TestChurnRejectsBadPeriod(t *testing.T) {
 }
 
 func TestScriptAppliesOpsInOrder(t *testing.T) {
-	sc := NewScript(AddAt(5, 0, 3), CutAt(10, 0, 3), AddAt(15, 0, 3))
+	sc := NewScript(AddAt(5, 0, 3), Op{At: 10, U: 0, V: 3}, AddAt(15, 0, 3))
 	rt := testRuntime(t, 6, sc, 1)
 	rt.Run(7)
 	if !rt.Dyn.BothUp(0, 3) {
@@ -112,7 +123,7 @@ func TestScriptAppliesOpsInOrder(t *testing.T) {
 	}
 	rt.Run(12)
 	if rt.Dyn.BothUp(0, 3) {
-		t.Fatal("scripted edge still up after CutAt fired")
+		t.Fatal("scripted edge still up after the cut fired")
 	}
 	rt.Run(20)
 	if sc.Err != nil {
@@ -328,8 +339,8 @@ func TestChurnWavesStopsAtUntil(t *testing.T) {
 		t.Errorf("waves kept toggling after Until: %d → %d", at20, w.Toggles)
 	}
 	// Expired waves must also stop burning engine events.
-	if pending := rt.Engine.Pending(); pending > 40 {
-		t.Errorf("engine still carries %d pending events after expiry", pending)
+	if extra := extraEvents(rt, 100); extra != 0 {
+		t.Errorf("%d global events beyond the ticks after expiry", extra)
 	}
 }
 

@@ -103,24 +103,21 @@ type Engine struct {
 	free    []int32    // recycled slots
 	heap    []int32    // 4-ary min-heap of slots, ordered by (at, seq)
 	nextSeq uint64
-	stopped bool
 
 	// validate enables the debug-build checks (past-time scheduling panics
-	// instead of clamping). Defaults to true under `go test`.
+	// instead of clamping). It is on under `go test` and off otherwise.
 	validate bool
 
 	// Sharded drain state. shards is the window parallelism K (1 = serial);
 	// sources fire in registration order at equal times, with serial sources
 	// (serialSrc) always stepped one item at a time outside windows.
 	// lookahead returns a receiving shard's conservative window width (the
-	// minimum link transit into it); reference forces the serially merged
-	// drain at any K, retained as the differential oracle.
+	// minimum link transit into it).
 	shards       int
 	pool         *par.Pool
 	sources      []Source
 	serialSrc    []bool
 	lookahead    func(shard int) float64
-	reference    bool
 	inWindow     bool
 	winEnds      []Time
 	winHorizon   Time
@@ -158,7 +155,7 @@ type DrainStats struct {
 	// SerialSteps counts source items fired one at a time outside windows:
 	// every serial-source item (control deliveries), plus parallel-source
 	// items stepped serially because the lookahead was degenerate. (With
-	// K = 1 or the reference drain no windows open and nothing is tallied.)
+	// K = 1 no windows open and nothing is tallied.)
 	SerialSteps uint64
 	// GlobalEvents counts global-heap fires (ticks, topology transitions,
 	// scenario events, handshake timers).
@@ -206,7 +203,7 @@ func (s *DrainStats) MeanEventsPerWindow() float64 {
 func (e *Engine) DrainStats() DrainStats { return e.stats }
 
 // NewEngine returns an engine with the clock at time 0. Validation (see
-// SetValidate) starts enabled under `go test` and disabled otherwise.
+// Schedule) is enabled under `go test` and disabled otherwise.
 func NewEngine() *Engine {
 	e := &Engine{validate: testing.Testing(), shards: 1, shardStepped: make([]shardCount, 1)}
 	e.drainFn = e.drainShards
@@ -217,16 +214,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// SetValidate toggles the debug validation hook and returns the previous
-// setting. With validation on (the default under `go test`), scheduling in
-// the past panics; with it off, past times clamp to Now. Non-finite times
-// panic regardless.
-func (e *Engine) SetValidate(on bool) bool {
-	prev := e.validate
-	e.validate = on
-	return prev
-}
 
 // SetEventParallelism sets the number of shards K the sharded drain fans
 // Sources across. Values ≤ 1 keep the serial drain. Must be called before
@@ -250,12 +237,6 @@ func (e *Engine) SetEventParallelism(k int) {
 
 // EventShards returns the sharded-drain parallelism K (≥ 1).
 func (e *Engine) EventShards() int { return e.shards }
-
-// SetReferenceDrain forces the serially merged source drain at any K — the
-// retained reference implementation the differential tests compare the
-// windowed drain against. Under it the drain takes the K = 1 serial
-// fireSource path, so the reference is that path, not a copy.
-func (e *Engine) SetReferenceDrain(on bool) { e.reference = on }
 
 // SetLookahead installs the conservative window bound: f(s) returns the
 // minimum time any source item fired now can take to affect shard s — the
@@ -386,8 +367,8 @@ func (e *Engine) lookup(h Handle) (int32, bool) {
 }
 
 // checkTime rejects non-finite event times. NaN breaks heap ordering; ±Inf
-// wedges PeekNext and would poison the sharded drain's window frontier
-// while never firing.
+// wedges the global frontier and would poison the sharded drain's window
+// bound while never firing.
 func checkTime(op string, at Time) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("sim: %s called with non-finite time %v", op, at))
@@ -396,9 +377,8 @@ func checkTime(op string, at Time) {
 
 // Schedule registers fn to run at absolute time at. Non-finite times (NaN
 // or ±Inf) always panic. Scheduling in the past (before Now) is an error in
-// the caller: with validation on (the default under `go test`, see
-// SetValidate) it panics; with validation off the engine clamps it to Now
-// so the event still fires.
+// the caller: with validation on (under `go test`) it panics; with it off
+// (every other build) the engine clamps it to Now so the event still fires.
 func (e *Engine) Schedule(at Time, fn func(t Time)) Handle {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
@@ -444,13 +424,6 @@ func (e *Engine) Cancel(h Handle) {
 	e.release(slot)
 }
 
-// Active reports whether the handle still refers to a pending event (it does
-// not once the event fires, is cancelled, or the handle is zero).
-func (e *Engine) Active(h Handle) bool {
-	_, ok := e.lookup(h)
-	return ok
-}
-
 // reschedule moves a pending event to a new time in place — the record and
 // its heap slot are reused — or schedules fn fresh when the handle is stale.
 // Either way the event counts as newly scheduled for FIFO tie-breaking, and
@@ -483,25 +456,21 @@ func (e *Engine) reschedule(h Handle, at Time, fn func(t Time)) Handle {
 	return h
 }
 
-// Stop makes the current Run call return after the in-flight event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // RunUntil executes events in time order until all queues (the global heap
 // and every registered Source) are drained past horizon. The clock ends at
-// horizon (or at the time Run was stopped).
+// horizon.
 //
 // With Sources registered the drain interleaves three step kinds, always in
 // global (time, priority) order: global events fire serially and win ties;
-// source items fire serially when K = 1, under SetReferenceDrain, or when
-// they belong to a serial source; and with K ≥ 2 parallel-source items drain
-// in windows [tmin, wEnd(s)) with a per-shard end
+// source items fire serially when K = 1 or when they belong to a serial
+// source; and with K ≥ 2 parallel-source items drain in windows
+// [tmin, wEnd(s)) with a per-shard end
 // wEnd(s) = min(next global event, tmin + lookahead(s)), after which every
 // source's cross-shard mailboxes are folded at the window barrier and the
 // clock advances to min over shards of wEnd(s), clamped back to the earliest
 // pending serial-source item (see AddSerialSource) and to the next-other
 // global when a tick was crossed (see SetCrossable).
 func (e *Engine) RunUntil(horizon Time) {
-	e.stopped = false
 	if len(e.sources) == 0 {
 		e.drainGlobal(horizon)
 		return
@@ -509,7 +478,7 @@ func (e *Engine) RunUntil(horizon Time) {
 	if e.winEnds == nil || len(e.winEnds) != e.shards {
 		e.winEnds = make([]Time, e.shards)
 	}
-	for !e.stopped {
+	for {
 		gAt := math.Inf(1)
 		if len(e.heap) > 0 {
 			gAt = e.recs[e.heap[0]].at
@@ -525,8 +494,8 @@ func (e *Engine) RunUntil(horizon Time) {
 			e.fireGlobal()
 			continue
 		}
-		if isSerial || e.pool == nil || e.reference {
-			if isSerial && e.pool != nil && !e.reference {
+		if isSerial || e.pool == nil {
+			if isSerial && e.pool != nil {
 				e.stats.SerialSteps++
 			}
 			e.fireSource(src, shard, srcMin)
@@ -574,7 +543,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		}
 		e.runWindow(tmin, minEnd, serialMin, gAtEff, horizon)
 	}
-	if !e.stopped && e.now < horizon {
+	if e.now < horizon {
 		e.now = horizon
 	}
 }
@@ -583,13 +552,10 @@ func (e *Engine) RunUntil(horizon Time) {
 // loop, kept on its own path so global-only workloads pay nothing for the
 // sharded machinery.
 func (e *Engine) drainGlobal(horizon Time) {
-	for len(e.heap) > 0 && !e.stopped {
-		if e.recs[e.heap[0]].at > horizon {
-			break
-		}
+	for len(e.heap) > 0 && e.recs[e.heap[0]].at <= horizon {
 		e.fireGlobal()
 	}
-	if !e.stopped && e.now < horizon {
+	if e.now < horizon {
 		e.now = horizon
 	}
 }
@@ -652,7 +618,7 @@ func (e *Engine) peekSources() (Time, Source, int, bool, Time) {
 	return best, bs, bsh, bser, serialMin
 }
 
-// fireSource executes one source item serially (K = 1, reference mode, or a
+// fireSource executes one source item serially (K = 1, a serial source, or a
 // degenerate window).
 func (e *Engine) fireSource(s Source, shard int, at Time) {
 	if at > e.now {
@@ -753,19 +719,6 @@ func (e *Engine) flushShards(_, lo, hi int) {
 	}
 }
 
-// Pending returns the number of events currently queued on the global heap
-// (source items are not included).
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// PeekNext returns the time of the earliest pending global event, or +Inf
-// if none.
-func (e *Engine) PeekNext() Time {
-	if len(e.heap) == 0 {
-		return math.Inf(1)
-	}
-	return e.recs[e.heap[0]].at
-}
-
 // less orders slots by (at, seq); the seq tie-break preserves the FIFO
 // contract for events scheduled at equal times.
 func (e *Engine) less(a, b int32) bool {
@@ -858,7 +811,7 @@ type Timer struct {
 }
 
 // NewTimer binds fn to a reusable timer. The timer starts un-armed; call
-// Reset or After to schedule it.
+// Reset to schedule it.
 func (e *Engine) NewTimer(fn func(t Time)) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer called with nil function")
@@ -874,17 +827,11 @@ func (t *Timer) Reset(at Time) {
 	t.h = t.engine.reschedule(t.h, at, t.fireFn)
 }
 
-// After arms the timer to fire d time units from now.
-func (t *Timer) After(d float64) { t.Reset(t.engine.now + d) }
-
 // Stop disarms the timer; a stopped timer can be re-armed with Reset.
 func (t *Timer) Stop() {
 	t.engine.Cancel(t.h)
 	t.h = 0
 }
-
-// Pending reports whether the timer is currently armed.
-func (t *Timer) Pending() bool { return t.engine.Active(t.h) }
 
 func (t *Timer) fire(now Time) {
 	t.h = 0

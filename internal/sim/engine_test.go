@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// active reports whether h still names a pending event (it does not once
+// the event fires, is cancelled, or the handle is zero).
+func active(e *Engine, h Handle) bool {
+	_, ok := e.lookup(h)
+	return ok
+}
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []Time
@@ -56,8 +63,8 @@ func TestEngineHorizonExcludesLaterEvents(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Fatalf("%d events pending, want 1", len(e.heap))
 	}
 	e.RunUntil(4)
 	if fired != 2 {
@@ -70,7 +77,7 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func(Time) { fired = true })
 	e.Cancel(ev)
-	if e.Active(ev) {
+	if active(e, ev) {
 		t.Error("handle still active after Cancel")
 	}
 	e.RunUntil(2)
@@ -88,14 +95,14 @@ func TestTimerResetMovesPendingEvent(t *testing.T) {
 	tm := e.NewTimer(func(now Time) { fired = append(fired, now) })
 	tm.Reset(5)
 	tm.Reset(2) // supersedes the first arming; only one firing results
-	if !tm.Pending() {
+	if !active(e, tm.h) {
 		t.Fatal("armed timer not pending")
 	}
 	e.RunUntil(10)
 	if len(fired) != 1 || fired[0] != 2 {
 		t.Fatalf("fired = %v, want [2]", fired)
 	}
-	if tm.Pending() {
+	if active(e, tm.h) {
 		t.Error("fired timer still pending")
 	}
 	// Re-arming after a firing works (the record is re-acquired from the pool).
@@ -112,7 +119,7 @@ func TestTimerStop(t *testing.T) {
 	tm := e.NewTimer(func(Time) { count++ })
 	tm.Reset(1)
 	tm.Stop()
-	if tm.Pending() {
+	if active(e, tm.h) {
 		t.Error("stopped timer still pending")
 	}
 	e.RunUntil(5)
@@ -179,9 +186,10 @@ func TestEngineScheduleInsidePastClampsToNow(t *testing.T) {
 	// With validation off (the release-build behavior) past times clamp to
 	// Now so the event still fires.
 	e := NewEngine()
-	if prev := e.SetValidate(false); !prev {
-		t.Fatal("validation should default to on under go test")
+	if !e.validate {
+		t.Fatal("validation should be on under go test")
 	}
+	e.validate = false
 	var firedAt Time = -1
 	e.Schedule(5, func(now Time) {
 		e.Schedule(1, func(now2 Time) { firedAt = now2 })
@@ -193,10 +201,11 @@ func TestEngineScheduleInsidePastClampsToNow(t *testing.T) {
 }
 
 func TestEngineRejectsNonFiniteTimes(t *testing.T) {
-	// NaN and ±Inf must panic in every build: an +Inf event would wedge
-	// PeekNext (and the sharded drain's window frontier) while never firing.
+	// NaN and ±Inf must panic in every build: an +Inf event would wedge the
+	// global frontier (and the sharded drain's window bound) while never
+	// firing.
 	e := NewEngine()
-	e.SetValidate(false) // non-finite rejection is not gated on validation
+	e.validate = false // non-finite rejection is not gated on validation
 	for _, at := range []Time{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
@@ -217,24 +226,8 @@ func TestEngineRejectsNonFiniteTimes(t *testing.T) {
 			tm.Reset(at)
 		}()
 	}
-	if got := e.PeekNext(); math.IsInf(got, 1) && e.Pending() > 0 {
-		t.Fatalf("pending queue wedged at +Inf: PeekNext = %v", got)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(1, func(Time) { count++; e.Stop() })
-	e.Schedule(2, func(Time) { count++ })
-	e.RunUntil(10)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (engine stopped)", count)
-	}
-	// A later run resumes.
-	e.RunUntil(10)
-	if count != 2 {
-		t.Fatalf("count = %d after resume, want 2", count)
+	if len(e.heap) > 0 && math.IsInf(e.recs[e.heap[0]].at, 1) {
+		t.Fatal("pending queue wedged at +Inf")
 	}
 }
 
@@ -345,7 +338,7 @@ func TestTimerResetInsideOwnFire(t *testing.T) {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
 	}
-	if tm.Pending() {
+	if active(e, tm.h) {
 		t.Fatal("timer still pending after its last fire declined to re-arm")
 	}
 }
@@ -378,18 +371,6 @@ func TestZeroDurationAfterFIFO(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestPeekNext(t *testing.T) {
-	e := NewEngine()
-	if !math.IsInf(e.PeekNext(), 1) {
-		t.Fatal("PeekNext on empty queue should be +Inf")
-	}
-	e.Schedule(7, func(Time) {})
-	e.Schedule(3, func(Time) {})
-	if e.PeekNext() != 3 {
-		t.Fatalf("PeekNext = %v, want 3", e.PeekNext())
 	}
 }
 

@@ -147,8 +147,8 @@ func TestEngineDifferentialVsReference(t *testing.T) {
 					trial, i, engineFired, refFired)
 			}
 		}
-		if e.Pending() != 0 || len(ref.events) != 0 {
-			t.Fatalf("trial %d: leftover events: engine %d, reference %d", trial, e.Pending(), len(ref.events))
+		if len(e.heap) != 0 || len(ref.events) != 0 {
+			t.Fatalf("trial %d: leftover events: engine %d, reference %d", trial, len(e.heap), len(ref.events))
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestPoolCancelledHandleNeverFires(t *testing.T) {
 	kept := 0
 	fresh := e.Schedule(2, func(Time) { kept++ })
 	e.Cancel(stale)
-	if !e.Active(fresh) {
+	if !active(e, fresh) {
 		t.Fatal("stale Cancel killed a recycled record's new event")
 	}
 	e.RunUntil(3)

@@ -31,12 +31,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
-
-// NormFloat64 returns a standard normal sample.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Uint64 returns a uniform 64-bit value (seed material for derived
 // compact streams, e.g. the per-node estimate-error states).
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }

@@ -2,9 +2,9 @@ package sim
 
 // Differential test for the sharded event drain at the engine level: a toy
 // Source with self-propagating, cross-shard-spawning items is drained at
-// K = 1 (serial), K = 2 and K = 8 (windowed), and K = 8 in reference mode
-// (serially merged), interleaved with global events that snapshot progress
-// and inject new items. Every mode must agree bit for bit on the per-owner
+// K = 1 (serial, the reference) and at K = 2 and K = 8 (windowed),
+// interleaved with global events that snapshot progress and inject new
+// items. Every mode must agree bit for bit on the per-owner
 // fire traces, the global snapshots, the event count and the final clock.
 // Under `make race` the K = 8 runs are also the detector's workout for the
 // drain/flush barrier discipline.
@@ -144,7 +144,7 @@ type toyOutcome struct {
 	now       Time
 }
 
-func toyRun(k int, reference bool) toyOutcome {
+func toyRun(k int) toyOutcome {
 	const (
 		owners    = 13
 		lookahead = 0.05
@@ -152,7 +152,6 @@ func toyRun(k int, reference bool) toyOutcome {
 	)
 	e := NewEngine()
 	e.SetEventParallelism(k)
-	e.SetReferenceDrain(reference)
 	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	for i := 0; i < 60; i++ {
@@ -214,16 +213,15 @@ func (a toyOutcome) diff(t *testing.T, b toyOutcome, mode string) {
 }
 
 // TestWindowedDrainDifferential is the engine-level analogue of the
-// queue_test reference model, for the sharded drain: serial, windowed and
-// reference-merged runs of the same item population must be bit-identical.
+// queue_test reference model, for the sharded drain: serial and windowed
+// runs of the same item population must be bit-identical.
 func TestWindowedDrainDifferential(t *testing.T) {
-	serial := toyRun(1, false)
+	serial := toyRun(1)
 	if len(serial.snapshots) == 0 || serial.stepped == 0 {
 		t.Fatal("toy run executed nothing; test harness broken")
 	}
-	serial.diff(t, toyRun(2, false), "K=2 windowed")
-	serial.diff(t, toyRun(8, false), "K=8 windowed")
-	serial.diff(t, toyRun(8, true), "K=8 reference")
+	serial.diff(t, toyRun(2), "K=2 windowed")
+	serial.diff(t, toyRun(8), "K=8 windowed")
 }
 
 // toyCtlSource is a serial source mimicking the transport's control queue:
@@ -291,7 +289,7 @@ func (c *toyCtlSource) inject(it toyItem) {
 }
 
 // toyCtlRun drains the combined parallel + serial source population.
-func toyCtlRun(k int, reference bool) (toyOutcome, [][]uint64, DrainStats) {
+func toyCtlRun(k int) (toyOutcome, [][]uint64, DrainStats) {
 	const (
 		owners    = 11
 		lookahead = 0.05
@@ -299,7 +297,6 @@ func toyCtlRun(k int, reference bool) (toyOutcome, [][]uint64, DrainStats) {
 	)
 	e := NewEngine()
 	e.SetEventParallelism(k)
-	e.SetReferenceDrain(reference)
 	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	ctl := newToyCtlSource(e, src)
@@ -329,8 +326,8 @@ func toyCtlRun(k int, reference bool) (toyOutcome, [][]uint64, DrainStats) {
 }
 
 // TestSerialSourceDifferential pins the serial-source discipline: with a
-// control queue riding alongside the windowed source, serial, windowed and
-// reference runs must agree bit for bit — on the windowed traces, the global
+// control queue riding alongside the windowed source, serial and windowed
+// runs must agree bit for bit — on the windowed traces, the global
 // snapshots AND the per-owner control traces — and the windowed run must
 // actually have exercised the serial path and the control clamp.
 func TestSerialSourceDifferential(t *testing.T) {
@@ -347,7 +344,7 @@ func TestSerialSourceDifferential(t *testing.T) {
 			}
 		}
 	}
-	serial, serialCtl, _ := toyCtlRun(1, false)
+	serial, serialCtl, _ := toyCtlRun(1)
 	if len(serialCtl) == 0 {
 		t.Fatal("no control traces; harness broken")
 	}
@@ -359,7 +356,7 @@ func TestSerialSourceDifferential(t *testing.T) {
 		t.Fatal("no controls fired; harness broken")
 	}
 	for _, k := range []int{2, 8} {
-		got, gotCtl, stats := toyCtlRun(k, false)
+		got, gotCtl, stats := toyCtlRun(k)
 		serial.diff(t, got, "windowed")
 		diffCtl("windowed", serialCtl, gotCtl)
 		if stats.SerialSteps == 0 {
@@ -369,9 +366,6 @@ func TestSerialSourceDifferential(t *testing.T) {
 			t.Errorf("K=%d: no window was clamped by a pending control", k)
 		}
 	}
-	ref, refCtl, _ := toyCtlRun(8, true)
-	serial.diff(t, ref, "reference")
-	diffCtl("reference", serialCtl, refCtl)
 }
 
 // crossToy is the engine-level model of the runner's lazy tick application:
@@ -523,11 +517,10 @@ func (c *crossToy) Flush(shard int) {
 	}
 }
 
-func crossRun(k int, reference bool) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
+func crossRun(k int) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
 	const owners = 13
 	e := NewEngine()
 	e.SetEventParallelism(k)
-	e.SetReferenceDrain(reference)
 	// A lookahead far beyond the tick period: without crossing every window
 	// truncates at the next tick; with it, at the tick after that.
 	e.SetLookahead(func(int) float64 { return 10 })
@@ -551,11 +544,11 @@ func crossRun(k int, reference bool) (traces [][]uint64, snapshots []uint64, sta
 }
 
 // TestTickCrossingDifferentialEngine pins the crossing machinery at the
-// engine level: serial, windowed and reference runs of the lazy-tick toy
+// engine level: serial and windowed runs of the lazy-tick toy
 // must agree bit for bit on fired clock readings and post-tick clock
 // snapshots, and the windowed runs must actually have crossed ticks.
 func TestTickCrossingDifferentialEngine(t *testing.T) {
-	serialTr, serialSnap, serialStats := crossRun(1, false)
+	serialTr, serialSnap, serialStats := crossRun(1)
 	if serialStats.CrossedTicks != 0 {
 		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", serialStats.CrossedTicks)
 	}
@@ -581,16 +574,11 @@ func TestTickCrossingDifferentialEngine(t *testing.T) {
 		}
 	}
 	for _, k := range []int{2, 8} {
-		tr, snap, stats := crossRun(k, false)
+		tr, snap, stats := crossRun(k)
 		check("windowed", tr, snap)
 		if stats.CrossedTicks == 0 {
 			t.Errorf("K=%d: no ticks crossed; gate or window layout broken", k)
 		}
-	}
-	tr, snap, refStats := crossRun(8, true)
-	check("reference", tr, snap)
-	if refStats.CrossedTicks != 0 {
-		t.Errorf("reference run crossed %d ticks; crossing must be disabled under SetReferenceDrain", refStats.CrossedTicks)
 	}
 }
 

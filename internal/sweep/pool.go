@@ -48,11 +48,3 @@ func Map[T any](n, parallelism int, fn func(i int) T) []T {
 	wg.Wait()
 	return out
 }
-
-// Each is Map without results.
-func Each(n, parallelism int, fn func(i int)) {
-	Map(n, parallelism, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}

@@ -6,18 +6,8 @@ import (
 	"sort"
 )
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of vals using linear
-// interpolation between order statistics. It sorts a copy, so callers'
-// slices are untouched; an empty input returns NaN.
-func Quantile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
+// quantileSorted returns the q-quantile (0 ≤ q ≤ 1) of sorted values using
+// linear interpolation between order statistics.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]

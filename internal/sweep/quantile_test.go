@@ -2,8 +2,20 @@ package sweep
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
+
+// quantile returns the q-quantile of an unsorted copy of vals (NaN when
+// empty), through the interpolation TailOf uses.
+func quantile(vals []float64, q float64) float64 {
+	if len(vals) == 0 {
+		return math.NaN()
+	}
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
 
 func TestQuantileInterpolates(t *testing.T) {
 	vals := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
@@ -14,20 +26,13 @@ func TestQuantileInterpolates(t *testing.T) {
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {1.0 / 3.0, 2},
 	}
 	for _, c := range cases {
-		if got := Quantile(vals, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantile(vals, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
-	}
-	// Input must be left unsorted.
-	if vals[0] != 4 {
-		t.Error("Quantile mutated its input")
 	}
 }
 
 func TestQuantileEmpty(t *testing.T) {
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
 	tail := TailOf(nil)
 	if !math.IsNaN(tail.P50) || !math.IsNaN(tail.P99) {
 		t.Error("TailOf(nil) should be all NaN")

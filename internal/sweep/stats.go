@@ -47,15 +47,6 @@ func Summarize(vals []float64) Summary {
 	return s
 }
 
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval for the mean, 0 when N < 2.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
-
 // String renders "mean±std" in the compact %.4g style the result tables
 // use; a degenerate spread (single replica, or all replicas equal) renders
 // as the plain mean.

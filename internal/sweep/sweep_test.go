@@ -62,7 +62,7 @@ func TestMapOrderIndependentOfParallelism(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	Each(64, 4, func(int) {
+	Map(64, 4, func(int) struct{} {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -73,6 +73,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 			_ = sim.SplitMix64(uint64(i))
 		}
 		cur.Add(-1)
+		return struct{}{}
 	})
 	if p := peak.Load(); p > 4 {
 		t.Errorf("observed %d concurrent workers, want ≤ 4", p)
@@ -86,9 +87,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if math.Abs(s.Std-1.2909944487358056) > 1e-12 {
 		t.Errorf("sample stddev = %v", s.Std)
-	}
-	if ci := s.CI95(); math.Abs(ci-1.96*s.Std/2) > 1e-12 {
-		t.Errorf("CI95 = %v", ci)
 	}
 	if got := Summarize(nil); !math.IsNaN(got.Mean) {
 		t.Errorf("empty summary mean = %v, want NaN", got.Mean)

@@ -1,13 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
-
-// Builder produces the initial edge list of a topology over n nodes.
-type Builder func(n int) []EdgeID
+import "repro/internal/sim"
 
 // Line returns the path 0–1–…–(n−1).
 func Line(n int) []EdgeID {
@@ -92,98 +85,4 @@ func RandomConnected(n int, extra float64, rng *sim.RNG) []EdgeID {
 		add(rng.Intn(n), rng.Intn(n))
 	}
 	return edges
-}
-
-// Install declares every edge with the same parameters and makes it visible
-// instantly, which matches the paper's time-0 assumption that all neighbor
-// sets start fully populated.
-func Install(d *Dynamic, edges []EdgeID, p LinkParams) error {
-	for _, e := range edges {
-		if err := d.DeclareLink(e.U, e.V, p); err != nil {
-			return fmt.Errorf("declare %v: %w", e, err)
-		}
-		if err := d.AppearInstant(e.U, e.V); err != nil {
-			return fmt.Errorf("appear %v: %w", e, err)
-		}
-	}
-	return nil
-}
-
-// Churn randomly toggles non-core edges of a graph while keeping a protected
-// core (typically a spanning tree) alive, so the network stays connected and
-// the stable subgraph is well defined.
-type Churn struct {
-	dyn    *Dynamic
-	rng    *sim.RNG
-	engine *sim.Engine
-	params LinkParams
-	// core edges are never touched.
-	core map[EdgeID]bool
-	// pool is the set of togglable node pairs.
-	pool []EdgeID
-	// up tracks which pool edges are currently requested up.
-	up map[EdgeID]bool
-	// Interval is the mean time between churn events.
-	interval float64
-	ticker   sim.Handle
-	stopped  bool
-	// Toggles counts executed churn operations.
-	Toggles int
-}
-
-// NewChurn creates a churn driver. pool pairs must already be declared or
-// will be declared with params on first use; core edges are protected.
-func NewChurn(d *Dynamic, engine *sim.Engine, rng *sim.RNG, core []EdgeID, pool []EdgeID, params LinkParams, interval float64) *Churn {
-	c := &Churn{
-		dyn:      d,
-		rng:      rng,
-		engine:   engine,
-		params:   params,
-		core:     make(map[EdgeID]bool, len(core)),
-		pool:     append([]EdgeID(nil), pool...),
-		up:       make(map[EdgeID]bool),
-		interval: interval,
-	}
-	for _, e := range core {
-		c.core[e] = true
-	}
-	return c
-}
-
-// Start begins churning at the given time.
-func (c *Churn) Start(at sim.Time) {
-	c.ticker = c.engine.Schedule(at, c.step)
-}
-
-// Stop halts churning.
-func (c *Churn) Stop() {
-	c.stopped = true
-	c.engine.Cancel(c.ticker)
-}
-
-func (c *Churn) step(t sim.Time) {
-	if c.stopped || len(c.pool) == 0 {
-		return
-	}
-	e := c.pool[c.rng.Intn(len(c.pool))]
-	if !c.core[e] {
-		if c.up[e] {
-			if err := c.dyn.Disappear(e.U, e.V); err == nil {
-				c.up[e] = false
-				c.Toggles++
-			}
-		} else {
-			if _, ok := c.dyn.Params(e.U, e.V); !ok {
-				if err := c.dyn.DeclareLink(e.U, e.V, c.params); err != nil {
-					return
-				}
-			}
-			if err := c.dyn.Appear(e.U, e.V); err == nil {
-				c.up[e] = true
-				c.Toggles++
-			}
-		}
-	}
-	delay := c.rng.Uniform(0.5*c.interval, 1.5*c.interval)
-	c.ticker = c.engine.After(delay, c.step)
 }

@@ -61,14 +61,6 @@ func MakeEdgeID(a, b int) EdgeID {
 	return EdgeID{U: a, V: b}
 }
 
-// Other returns the endpoint of e that is not u.
-func (e EdgeID) Other(u int) int {
-	if u == e.U {
-		return e.V
-	}
-	return e.U
-}
-
 // pack is the compact index-map key for a canonical edge (U < V).
 func (e EdgeID) pack() uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.V)) }
 
@@ -104,8 +96,8 @@ const (
 // times), per-node adjacency is a csr.Rows mapping peer → directed index,
 // and the only remaining keyed lookup — Declare and the scenario edge
 // toggles — goes through one compact packed-EdgeID → slot map off the hot
-// path. Hot reads (Sees, Params, Neighbors, AgeBoth) scan one contiguous
-// sorted row.
+// path. Hot reads (Sees, Params, Neighbors) scan one contiguous sorted
+// row.
 //
 // The directed index dir = 2·slot + side names the directed edge (u, v),
 // side 0 when u is the smaller endpoint, so dir^1 names (v, u). It is the
@@ -121,19 +113,16 @@ type Dynamic struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	listener Listener
-	// Per-shard-pair transit bounds for the sharded drain (kShards = the
+	// Per-shard transit bounds for the sharded drain (kShards = the
 	// engine's event parallelism; nodes map to shards by id mod kShards).
-	// pairTransit[g*kShards+s] is the minimum Delay−Uncertainty over links
-	// ever declared from a node in shard g to a node in shard s; inMin[s] is
-	// the minimum over all incoming pairs — the conservative lookahead
-	// InTransit feeds the drain. Both only ratchet down (a re-declare that
-	// raises a link's transit does not raise them), which keeps them sound
+	// inMin[s] is the minimum Delay−Uncertainty over every link version
+	// ever declared into a node of shard s: the conservative lookahead
+	// InTransit feeds the drain. It only ratchets down (a re-declare that
+	// raises a link's transit does not raise it), which keeps it sound
 	// without rescanning: the true minimum over declared links can never be
-	// below them. RecomputeTransit rescans on demand after churn retires
-	// fast links.
-	kShards     int
-	pairTransit []float64
-	inMin       []float64
+	// below it.
+	kShards int
+	inMin   []float64
 	// onDeclare hooks run after each newly declared link (never for
 	// re-declares); the layers keyed by directed index use them to size
 	// their slabs, so beacon ingestion and the trigger fold stay
@@ -159,19 +148,15 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 		k = engine.EventShards()
 	}
 	d := &Dynamic{
-		n:           n,
-		engine:      engine,
-		rng:         rng,
-		idx:         make(map[uint64]int32),
-		adj:         csr.NewRows(n),
-		classIdx:    make(map[LinkParams]int32),
-		churn:       make(map[int32]*churnState),
-		kShards:     k,
-		pairTransit: make([]float64, k*k),
-		inMin:       make([]float64, k),
-	}
-	for i := range d.pairTransit {
-		d.pairTransit[i] = math.Inf(1)
+		n:        n,
+		engine:   engine,
+		rng:      rng,
+		idx:      make(map[uint64]int32),
+		adj:      csr.NewRows(n),
+		classIdx: make(map[LinkParams]int32),
+		churn:    make(map[int32]*churnState),
+		kShards:  k,
+		inMin:    make([]float64, k),
 	}
 	for i := range d.inMin {
 		d.inMin[i] = math.Inf(1)
@@ -179,50 +164,18 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 	return d
 }
 
-// InTransit returns the minimum Delay−Uncertainty over every link ever
-// declared whose receiver lives in event shard s, or +Inf when shard s has
-// no incoming links. Monotone non-increasing between RecomputeTransit
-// calls, so it is always a sound (if conservative) window bound: the
-// per-shard lookahead of the sharded drain, since no message can reach a
-// node of shard s faster, from any shard — including s itself.
+// InTransit returns the minimum Delay−Uncertainty over every link version
+// ever declared whose receiver lives in event shard s, or +Inf when shard s
+// has no incoming links. It never increases, so it is always a sound (if
+// conservative) window bound: the per-shard lookahead of the sharded drain,
+// since no message can reach a node of shard s faster, from any shard —
+// including s itself.
 func (d *Dynamic) InTransit(s int) float64 { return d.inMin[s] }
 
-// PairTransit returns the ratcheted minimum transit bound for links from
-// sender shard g to receiver shard s (+Inf when no such link was declared).
-func (d *Dynamic) PairTransit(g, s int) float64 { return d.pairTransit[g*d.kShards+s] }
-
-// pairRatchet folds one directed link bound into the K×K matrix.
-func (d *Dynamic) pairRatchet(from, to int, mt float64) {
-	g, s := from%d.kShards, to%d.kShards
-	if i := g*d.kShards + s; mt < d.pairTransit[i] {
-		d.pairTransit[i] = mt
-		if mt < d.inMin[s] {
-			d.inMin[s] = mt
-		}
-	}
-}
-
-// RecomputeTransit rescans every declared link and resets the per-pair and
-// per-shard transit bounds to the true minima, undoing the ratchet for links
-// that have since been re-declared slower. Purely a performance lever for
-// the drain lookahead — window layout never affects results — so callers
-// invoke it explicitly (e.g. after churn retires a fast edge class) from a
-// serial context, never inside a window.
-func (d *Dynamic) RecomputeTransit() {
-	inf := math.Inf(1)
-	for i := range d.pairTransit {
-		d.pairTransit[i] = inf
-	}
-	for i := range d.inMin {
-		d.inMin[i] = inf
-	}
-	visit := func(u, v int, p LinkParams) {
-		mt := p.Delay - p.Uncertainty
-		d.pairRatchet(u, v, mt)
-		d.pairRatchet(v, u, mt)
-	}
-	for slot := range d.eU {
-		visit(int(d.eU[slot]), int(d.eV[slot]), d.classes[d.eClass[slot]])
+// ratchetIn folds a link's transit bound into its receiving shard's minimum.
+func (d *Dynamic) ratchetIn(to int, mt float64) {
+	if s := to % d.kShards; mt < d.inMin[s] {
+		d.inMin[s] = mt
 	}
 }
 
@@ -272,8 +225,8 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
 	}
 	mt := p.Delay - p.Uncertainty
-	d.pairRatchet(a, b, mt)
-	d.pairRatchet(b, a, mt)
+	d.ratchetIn(b, mt)
+	d.ratchetIn(a, mt)
 	if slot, ok := d.idx[id.pack()]; ok {
 		d.eClass[slot] = d.classOf(p)
 		return nil
@@ -457,31 +410,8 @@ func (d *Dynamic) BothUp(u, v int) bool {
 	return d.eUp[dir>>1] == upU|upV
 }
 
-// UpSince returns the time the directed edge (u,v) last became visible; the
-// second result is false if the edge is currently down for u.
-func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
-	dir, ok := d.adj.Find(u, int32(v))
-	if !ok {
-		return 0, false
-	}
-	slot, s := dir>>1, dir&1
-	if d.eUp[slot]&(upU<<s) == 0 {
-		return 0, false
-	}
-	return d.eSince[slot][s], true
-}
-
-// AgeBoth returns how long {u,v} has been continuously visible to both
-// endpoints, or false if it is not currently both-up.
-func (d *Dynamic) AgeBoth(u, v int, now sim.Time) (float64, bool) {
-	dir, ok := d.adj.Find(u, int32(v))
-	if !ok {
-		return 0, false
-	}
-	return d.ageBothSlot(dir>>1, now)
-}
-
-// ageBothSlot is AgeBoth for an already-resolved slot.
+// ageBothSlot returns how long the link in slot has been continuously
+// visible to both endpoints, or false if it is not currently both-up.
 func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
 	if d.eUp[slot] != upU|upV {
 		return 0, false
@@ -527,19 +457,6 @@ func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 	return dst
 }
 
-// StableEdges appends all edges both-up continuously for at least minAge,
-// sorted.
-func (d *Dynamic) StableEdges(now sim.Time, minAge float64, dst []EdgeID) []EdgeID {
-	start := len(dst)
-	for slot := range d.eU {
-		if age, ok := d.ageBothSlot(int32(slot), now); ok && age >= minAge {
-			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-		}
-	}
-	sortEdges(dst[start:])
-	return dst
-}
-
 func sortEdges(edges []EdgeID) {
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].U != edges[j].U {
@@ -574,64 +491,4 @@ func (d *Dynamic) HopDistances(src int, now sim.Time, minAge float64) []int {
 		}
 	}
 	return dist
-}
-
-// WeightedDistances runs Dijkstra from src over stable both-up edges using a
-// per-edge weight function (e.g. the algorithm's κ_e). Unreachable nodes get
-// +Inf.
-func (d *Dynamic) WeightedDistances(src int, now sim.Time, minAge float64, weight func(EdgeID, LinkParams) float64) []float64 {
-	const inf = math.MaxFloat64
-	dist := make([]float64, d.n)
-	done := make([]bool, d.n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, inf
-		for i := range dist {
-			if !done[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		done[u] = true
-		peers, dirs := d.adj.Row(u)
-		for i, v := range peers {
-			slot := dirs[i] >> 1
-			if age, ok := d.ageBothSlot(slot, now); !ok || age < minAge {
-				continue
-			}
-			w := weight(MakeEdgeID(u, int(v)), d.classes[d.eClass[slot]])
-			if nd := dist[u] + w; nd < dist[v] {
-				dist[v] = nd
-			}
-		}
-	}
-	for i := range dist {
-		if dist[i] == inf {
-			dist[i] = math.Inf(1)
-		}
-	}
-	return dist
-}
-
-// HopDiameter returns the maximum finite BFS eccentricity over stable edges,
-// and whether the stable subgraph is connected.
-func (d *Dynamic) HopDiameter(now sim.Time, minAge float64) (int, bool) {
-	diam := 0
-	for u := 0; u < d.n; u++ {
-		dist := d.HopDistances(u, now, minAge)
-		for _, v := range dist {
-			if v < 0 {
-				return 0, false
-			}
-			if v > diam {
-				diam = v
-			}
-		}
-	}
-	return diam, true
 }

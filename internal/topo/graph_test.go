@@ -24,6 +24,46 @@ func (r *recordingListener) EdgeDown(self, peer int, t sim.Time) {
 	r.downs = append(r.downs, [3]float64{float64(self), float64(peer), t})
 }
 
+// install declares every edge with the same parameters and makes it visible
+// instantly, the paper's time-0 assumption that all neighbor sets start
+// fully populated.
+func install(t *testing.T, d *Dynamic, edges []EdgeID, p LinkParams) {
+	t.Helper()
+	for _, e := range edges {
+		if err := d.DeclareLink(e.U, e.V, p); err != nil {
+			t.Fatalf("declare %v: %v", e, err)
+		}
+		if err := d.AppearInstant(e.U, e.V); err != nil {
+			t.Fatalf("appear %v: %v", e, err)
+		}
+	}
+}
+
+// ageBoth returns how long {u,v} has been continuously visible to both
+// endpoints, or false if it is not currently both-up.
+func ageBoth(d *Dynamic, u, v int, now sim.Time) (float64, bool) {
+	dir, ok := d.Dir(u, v)
+	if !ok {
+		return 0, false
+	}
+	return d.ageBothSlot(dir>>1, now)
+}
+
+// hopDiameter returns the maximum BFS eccentricity over edges at least
+// minAge old, and whether that subgraph is connected.
+func hopDiameter(d *Dynamic, now sim.Time, minAge float64) (int, bool) {
+	diam := 0
+	for u := 0; u < d.N(); u++ {
+		for _, v := range d.HopDistances(u, now, minAge) {
+			if v < 0 {
+				return 0, false
+			}
+			diam = max(diam, v)
+		}
+	}
+	return diam, true
+}
+
 func TestLinkParamsValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -50,9 +90,8 @@ func TestMakeEdgeIDCanonical(t *testing.T) {
 	if MakeEdgeID(3, 1) != (EdgeID{U: 1, V: 3}) {
 		t.Error("MakeEdgeID did not canonicalize order")
 	}
-	e := MakeEdgeID(1, 3)
-	if e.Other(1) != 3 || e.Other(3) != 1 {
-		t.Error("Other returned wrong endpoint")
+	if MakeEdgeID(1, 3) != (EdgeID{U: 1, V: 3}) {
+		t.Error("MakeEdgeID reordered a canonical pair")
 	}
 }
 
@@ -114,9 +153,9 @@ func TestDisappearAndAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(10)
-	age, ok := d.AgeBoth(0, 1, eng.Now())
+	age, ok := ageBoth(d, 0, 1, eng.Now())
 	if !ok || age != 10 {
-		t.Fatalf("AgeBoth = %v, %v; want 10, true", age, ok)
+		t.Fatalf("ageBoth = %v, %v; want 10, true", age, ok)
 	}
 	if err := d.Disappear(0, 1); err != nil {
 		t.Fatal(err)
@@ -128,8 +167,8 @@ func TestDisappearAndAge(t *testing.T) {
 	if len(lis.downs) != 2 {
 		t.Fatalf("got %d down events, want 2", len(lis.downs))
 	}
-	if _, ok := d.AgeBoth(0, 1, eng.Now()); ok {
-		t.Fatal("AgeBoth should report not-up after disappearance")
+	if _, ok := ageBoth(d, 0, 1, eng.Now()); ok {
+		t.Fatal("ageBoth should report not-up after disappearance")
 	}
 }
 
@@ -173,36 +212,32 @@ func TestSelfLoopAndRangeErrors(t *testing.T) {
 func TestNeighborsAndStableEdges(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDynamic(4, eng, sim.NewRNG(1))
-	if err := Install(d, Line(4), testParams()); err != nil {
-		t.Fatal(err)
-	}
+	install(t, d, Line(4), testParams())
 	eng.RunUntil(5)
 	nbrs := d.Neighbors(1, nil)
 	if len(nbrs) != 2 {
 		t.Fatalf("node 1 neighbors = %v, want 2 entries", nbrs)
 	}
-	stable := d.StableEdges(eng.Now(), 4, nil)
-	if len(stable) != 3 {
-		t.Fatalf("stable edges = %v, want all 3", stable)
+	// Every edge is 5 old: all are stable at minAge 4, none at minAge 6.
+	if dist := d.HopDistances(0, eng.Now(), 4); dist[3] != 3 {
+		t.Fatalf("hop distances over edges ≥ 4 old = %v, want the whole line", dist)
 	}
-	if got := d.StableEdges(eng.Now(), 6, nil); len(got) != 0 {
-		t.Fatalf("edges older than run reported stable: %v", got)
+	if dist := d.HopDistances(0, eng.Now(), 6); dist[1] != -1 {
+		t.Fatalf("edges younger than 6 reported stable: %v", dist)
 	}
 }
 
 func TestHopDistancesAndDiameter(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDynamic(5, eng, sim.NewRNG(1))
-	if err := Install(d, Line(5), testParams()); err != nil {
-		t.Fatal(err)
-	}
+	install(t, d, Line(5), testParams())
 	dist := d.HopDistances(0, eng.Now(), 0)
 	for i, v := range dist {
 		if v != i {
 			t.Fatalf("dist[%d] = %d, want %d", i, v, i)
 		}
 	}
-	diam, conn := d.HopDiameter(eng.Now(), 0)
+	diam, conn := hopDiameter(d, eng.Now(), 0)
 	if !conn || diam != 4 {
 		t.Fatalf("diameter = %d, connected = %v; want 4, true", diam, conn)
 	}
@@ -211,20 +246,8 @@ func TestHopDistancesAndDiameter(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(1)
-	if _, conn := d.HopDiameter(eng.Now(), 0); conn {
+	if _, conn := hopDiameter(d, eng.Now(), 0); conn {
 		t.Fatal("graph reported connected after cut")
-	}
-}
-
-func TestWeightedDistances(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDynamic(3, eng, sim.NewRNG(1))
-	if err := Install(d, Line(3), testParams()); err != nil {
-		t.Fatal(err)
-	}
-	dist := d.WeightedDistances(0, eng.Now(), 0, func(EdgeID, LinkParams) float64 { return 2.5 })
-	if dist[2] != 5 {
-		t.Fatalf("weighted dist to node 2 = %v, want 5", dist[2])
 	}
 }
 
@@ -263,45 +286,12 @@ func TestRandomConnectedIsConnected(t *testing.T) {
 		edges := RandomConnected(n, 0.5, rng)
 		eng := sim.NewEngine()
 		d := NewDynamic(n, eng, rng)
-		if err := Install(d, edges, testParams()); err != nil {
-			return false
-		}
-		_, conn := d.HopDiameter(eng.Now(), 0)
+		install(t, d, edges, testParams())
+		_, conn := hopDiameter(d, eng.Now(), 0)
 		return conn
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChurnPreservesCore(t *testing.T) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(13)
-	d := NewDynamic(8, eng, rng)
-	core := Line(8)
-	if err := Install(d, core, testParams()); err != nil {
-		t.Fatal(err)
-	}
-	var pool []EdgeID
-	for i := 0; i < 8; i++ {
-		for j := i + 2; j < 8; j++ {
-			pool = append(pool, MakeEdgeID(i, j))
-		}
-	}
-	c := NewChurn(d, eng, rng, core, pool, testParams(), 0.5)
-	c.Start(0)
-	eng.RunUntil(100)
-	c.Stop()
-	if c.Toggles == 0 {
-		t.Fatal("churn driver never toggled an edge")
-	}
-	for _, e := range core {
-		if !d.BothUp(e.U, e.V) {
-			t.Fatalf("core edge %v lost during churn", e)
-		}
-	}
-	if _, conn := d.HopDiameter(eng.Now(), 0); !conn {
-		t.Fatal("network disconnected despite protected core")
 	}
 }

@@ -221,10 +221,20 @@ func equalEdges(t *testing.T, ctx, what string, got, want []EdgeID) {
 	}
 }
 
+// upSince returns the time the directed edge (u,v) last became visible;
+// the second result is false if the edge is currently down for u.
+func upSince(d *Dynamic, u, v int) (sim.Time, bool) {
+	dir, ok := d.Dir(u, v)
+	if !ok || d.eUp[dir>>1]&(upU<<(dir&1)) == 0 {
+		return 0, false
+	}
+	return d.eSince[dir>>1][dir&1], true
+}
+
 // check asserts full observable equality of the graph and the shadow at the
-// current time: declared, both-up and stable edges, and per-pair
-// Sees/BothUp/UpSince/AgeBoth/Params/Dir/Neighbors for every declared pair
-// and endpoint.
+// current time: declared and both-up edges, and per-pair
+// Sees/BothUp/up-since/age/Params/Dir/Neighbors for every declared pair and
+// endpoint.
 func (p *layoutPair) check(t *testing.T, ctx string) {
 	t.Helper()
 	now := p.soaEng.Now()
@@ -234,10 +244,6 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 	sd := p.soa.DeclaredEdges(nil)
 	equalEdges(t, ctx, "declared", sd, p.ref.edgesWhere(func(*shadowEdge) bool { return true }))
 	equalEdges(t, ctx, "both-up", p.soa.EdgesBothUp(nil), p.ref.edgesWhere(func(e *shadowEdge) bool { return e.up[0] && e.up[1] }))
-	equalEdges(t, ctx, "stable", p.soa.StableEdges(now, 0.05, nil), p.ref.edgesWhere(func(e *shadowEdge) bool {
-		age, ok := p.ref.ageBoth(e.id.U, e.id.V, now)
-		return ok && age >= 0.05
-	}))
 	if m := minInTransit(p.soa); m != p.ref.minTransit {
 		t.Fatalf("%s: min InTransit %v vs shadow %v", ctx, m, p.ref.minTransit)
 	}
@@ -250,15 +256,15 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			if got, want := p.soa.BothUp(u, v), p.ref.bothUp(u, v); got != want {
 				t.Fatalf("%s: BothUp(%d,%d) = %v, shadow %v", ctx, u, v, got, want)
 			}
-			gt, gok := p.soa.UpSince(u, v)
+			gt, gok := upSince(p.soa, u, v)
 			wt, wok := p.ref.upSince(u, v)
 			if gt != wt || gok != wok {
-				t.Fatalf("%s: UpSince(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, gt, gok, wt, wok)
+				t.Fatalf("%s: upSince(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, gt, gok, wt, wok)
 			}
-			ga, gaok := p.soa.AgeBoth(u, v, now)
+			ga, gaok := ageBoth(p.soa, u, v, now)
 			wa, waok := p.ref.ageBoth(u, v, now)
 			if ga != wa || gaok != waok {
-				t.Fatalf("%s: AgeBoth(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, ga, gaok, wa, waok)
+				t.Fatalf("%s: ageBoth(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, ga, gaok, wa, waok)
 			}
 			gp, gpok := p.soa.Params(u, v)
 			wp, wpok := p.ref.params(u, v)
@@ -386,6 +392,12 @@ func FuzzTopoChurn(f *testing.F) {
 	})
 }
 
+// upHook is a Listener that calls fn at every up transition.
+type upHook func()
+
+func (h upHook) EdgeUp(int, int, sim.Time) { h() }
+func (upHook) EdgeDown(int, int, sim.Time) {}
+
 // TestRedeclareVisibleLink pins DeclareLink's contract: re-declaring a link
 // either endpoint sees is an error when the parameters change (and leaves
 // the old ones in force), a no-op when they do not, and an update once both
@@ -399,18 +411,26 @@ func TestRedeclareVisibleLink(t *testing.T) {
 	if err := d.DeclareLink(0, 1, narrow); err != nil {
 		t.Fatal(err)
 	}
+	// At the first detection exactly one endpoint sees the link.
+	ups := 0
+	d.SetListener(upHook(func() {
+		if ups++; ups > 1 {
+			return
+		}
+		if d.Sees(0, 1) == d.Sees(1, 0) {
+			t.Error("want exactly one endpoint to see the link")
+		}
+		if err := d.DeclareLink(1, 0, wide); err == nil {
+			t.Error("re-declare with new parameters while visible to one endpoint succeeded")
+		}
+	}))
 	if err := d.Appear(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Run to the first detection: one endpoint sees the link.
-	engine.RunUntil(engine.PeekNext())
-	if d.Sees(0, 1) == d.Sees(1, 0) {
-		t.Fatal("want exactly one endpoint to see the link")
-	}
-	if err := d.DeclareLink(1, 0, wide); err == nil {
-		t.Fatal("re-declare with new parameters while visible to one endpoint succeeded")
-	}
 	engine.RunUntil(engine.Now() + 1)
+	if ups != 2 {
+		t.Fatalf("%d detections, want 2", ups)
+	}
 	if err := d.DeclareLink(0, 1, wide); err == nil {
 		t.Fatal("re-declare with new parameters while visible succeeded")
 	}

@@ -1,32 +1,31 @@
-package transport_test
+package transport
 
 import (
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/transport"
 )
 
 // echo answers every delivered beacon with one back to its sender, so the
 // in-flight population stays at its seeded size.
 type echo struct {
-	net        *transport.Network
+	net        *Network
 	deliveries int
 }
 
-func (e *echo) OnBeacon(to, from int, b transport.Beacon, _ transport.Delivery) {
+func (e *echo) OnBeacon(to, from int, b Beacon, _ Delivery) {
 	e.deliveries++
-	e.net.SendBeacon(to, from, b)
+	sendOne(e.net, to, from, b)
 }
 
-func (e *echo) OnControl(int, int, any, transport.Delivery) {}
+func (e *echo) OnControl(int, int, any, Delivery) {}
 
 // deliverCase is one set-up of BenchmarkNetworkDeliver.
 type deliverCase struct {
 	name   string
 	edges  func(int) []topo.EdgeID
-	policy transport.DelayPolicy
+	policy DelayPolicy
 	k, n   int
 }
 
@@ -36,9 +35,9 @@ type deliverCase struct {
 // one deadline, and the hub's half of each wave lands in one shard's queue
 // while that queue is empty.
 var deliverCases = []deliverCase{
-	{"ring/inflight=3000", topo.Ring, transport.RandomDelay{}, 1, 1500},
-	{"ring/inflight=30000", topo.Ring, transport.RandomDelay{}, 1, 15000},
-	{"star/inflight=30000", topo.Star, transport.MaxDelay{}, 2, 15001},
+	{"ring/inflight=3000", topo.Ring, RandomDelay{}, 1, 1500},
+	{"ring/inflight=30000", topo.Ring, RandomDelay{}, 1, 15000},
+	{"star/inflight=30000", topo.Star, MaxDelay{}, 2, 15001},
 }
 
 // warm builds the case's network, seeds one beacon per neighbour from every
@@ -49,18 +48,16 @@ func (c deliverCase) warm(tb testing.TB) (*sim.Engine, *echo) {
 	eng := sim.NewEngine()
 	eng.SetEventParallelism(c.k)
 	dyn := topo.NewDynamic(c.n, eng, sim.NewRNG(1))
-	if err := topo.Install(dyn, c.edges(c.n), topo.DefaultLinkParams()); err != nil {
-		tb.Fatal(err)
-	}
+	install(tb, dyn, c.edges(c.n), topo.DefaultLinkParams())
 	// Every link has the default parameters, so the minimum transit into
 	// each shard is theirs.
 	p := topo.DefaultLinkParams()
 	eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
-	net := transport.NewNetwork(eng, dyn, sim.NewRNG(2), c.policy)
+	net := NewNetwork(eng, dyn, sim.NewRNG(2), c.policy)
 	h := &echo{net: net}
 	net.SetHandler(h)
 	for u := 0; u < c.n; u++ {
-		net.BroadcastBeacon(u, transport.Beacon{L: float64(u)})
+		net.BroadcastBeaconAt(u, Beacon{L: float64(u)}, eng.Now())
 	}
 	eng.RunUntil(1)
 	h.deliveries = 0

@@ -216,15 +216,6 @@ func (n *Network) SlabBytes() uint64 {
 	return total
 }
 
-// SendBeacon transmits a beacon from → to if the link is declared, stamped
-// at the current engine time. Delivery happens after the drawn delay,
-// provided the receiver sees the sender then.
-func (n *Network) SendBeacon(from, to int, b Beacon) {
-	if dir, ok := n.dyn.Dir(from, to); ok {
-		n.sendBeacon(from, to, dir, b, n.engine.Now())
-	}
-}
-
 // transit draws the delay of a send over the link with directed index dir
 // of (from, to), clamped into the link's legal window, and returns the
 // deadline and the certified minimum transit.
@@ -295,15 +286,11 @@ func (n *Network) SendControl(from, to int, payload any) {
 	n.ctls[to%len(n.ctls)].push(c)
 }
 
-// BroadcastBeacon sends the beacon to every neighbor currently visible to
-// from, stamped at the current engine time.
-func (n *Network) BroadcastBeacon(from int, b Beacon) {
-	n.BroadcastBeaconAt(from, b, n.engine.Now())
-}
-
-// BroadcastBeaconAt is BroadcastBeacon with an explicit send time (see
-// sendBeacon). It walks from's adjacency row, whose entries are the
-// directed indices themselves, so no peer costs a lookup.
+// BroadcastBeaconAt sends the beacon to every neighbor currently visible to
+// from, with send time at (see sendBeacon). Delivery happens after the drawn
+// delay, provided the receiver sees the sender then. It walks from's
+// adjacency row, whose entries are the directed indices themselves, so no
+// peer costs a lookup.
 func (n *Network) BroadcastBeaconAt(from int, b Beacon, at sim.Time) {
 	peers, dirs := n.dyn.Row(from)
 	for i, to := range peers {

@@ -32,13 +32,33 @@ func (c *capture) OnControl(to, from int, payload any, d Delivery) {
 	c.payloads = append(c.payloads, payload)
 }
 
+// install declares every edge with p and makes it visible instantly.
+func install(tb testing.TB, d *topo.Dynamic, edges []topo.EdgeID, p topo.LinkParams) {
+	tb.Helper()
+	for _, e := range edges {
+		if err := d.DeclareLink(e.U, e.V, p); err != nil {
+			tb.Fatal(err)
+		}
+		if err := d.AppearInstant(e.U, e.V); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// sendOne transmits a beacon from → to if the link is declared, stamped at
+// the engine's current time: a one-peer send for tests that address a
+// single receiver.
+func sendOne(n *Network, from, to int, b Beacon) {
+	if dir, ok := n.dyn.Dir(from, to); ok {
+		n.sendBeacon(from, to, dir, b, n.engine.Now())
+	}
+}
+
 func setup(t *testing.T, policy DelayPolicy) (*sim.Engine, *topo.Dynamic, *Network, *capture) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := topo.NewDynamic(3, eng, sim.NewRNG(1))
-	if err := topo.Install(d, topo.Line(3), params()); err != nil {
-		t.Fatal(err)
-	}
+	install(t, d, topo.Line(3), params())
 	net := NewNetwork(eng, d, sim.NewRNG(2), policy)
 	cap := &capture{}
 	net.SetHandler(cap)
@@ -47,7 +67,7 @@ func setup(t *testing.T, policy DelayPolicy) (*sim.Engine, *topo.Dynamic, *Netwo
 
 func TestBeaconDeliveredWithinWindow(t *testing.T) {
 	eng, _, net, cap := setup(t, RandomDelay{})
-	net.SendBeacon(0, 1, Beacon{L: 5, M: 6})
+	sendOne(net, 0, 1, Beacon{L: 5, M: 6})
 	eng.RunUntil(1)
 	if len(cap.beacons) != 1 {
 		t.Fatalf("delivered %d beacons, want 1", len(cap.beacons))
@@ -82,7 +102,7 @@ func TestControlPayloadRoundTrip(t *testing.T) {
 
 func TestNoDeliveryToInvisibleReceiver(t *testing.T) {
 	eng, dyn, net, cap := setup(t, MaxDelay{})
-	net.SendBeacon(0, 1, Beacon{})
+	sendOne(net, 0, 1, Beacon{})
 	// Edge goes down before the delivery time; receiver must not get it.
 	if err := dyn.Disappear(0, 1); err != nil {
 		t.Fatal(err)
@@ -98,16 +118,16 @@ func TestNoDeliveryToInvisibleReceiver(t *testing.T) {
 
 func TestSendOnUndeclaredLinkIsNoop(t *testing.T) {
 	eng, _, net, cap := setup(t, MaxDelay{})
-	net.SendBeacon(0, 2, Beacon{}) // 0–2 not a line edge
+	net.SendControl(0, 2, 1) // 0–2 not a line edge
 	eng.RunUntil(1)
-	if len(cap.beacons) != 0 || net.Sent() != 0 {
+	if len(cap.controls) != 0 || net.Sent() != 0 {
 		t.Fatal("message sent over undeclared link")
 	}
 }
 
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
 	eng, _, net, cap := setup(t, MinDelay{})
-	net.BroadcastBeacon(1, Beacon{L: 1})
+	net.BroadcastBeaconAt(1, Beacon{L: 1}, eng.Now())
 	eng.RunUntil(1)
 	if len(cap.beacons) != 2 {
 		t.Fatalf("broadcast delivered %d beacons, want 2", len(cap.beacons))
@@ -171,7 +191,7 @@ func TestSameDeadlineFIFO(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		net.SendControl(0, 1, i)
 	}
-	net.SendBeacon(0, 1, Beacon{L: 42})
+	sendOne(net, 0, 1, Beacon{L: 42})
 	eng.RunUntil(1)
 	if len(cap.payloads) != 8 || len(cap.values) != 1 {
 		t.Fatalf("delivered %d controls and %d beacons, want 8 and 1", len(cap.payloads), len(cap.values))
@@ -192,7 +212,7 @@ func TestMessagePoolRecycles(t *testing.T) {
 	eng, _, net, cap := setup(t, MaxDelay{})
 	for round := 0; round < 500; round++ {
 		net.SendControl(0, 1, round)
-		net.SendBeacon(1, 0, Beacon{L: float64(round)})
+		sendOne(net, 1, 0, Beacon{L: float64(round)})
 		eng.RunUntil(eng.Now() + 1)
 	}
 	beaconSlab, ctlSlab := 0, 0
@@ -253,7 +273,7 @@ func (c *indexCheck) check(kind string, to, from int, d Delivery) {
 func (c *indexCheck) OnBeacon(to, from int, b Beacon, d Delivery) {
 	c.check("beacon", to, from, d)
 	if b.L > 0 {
-		c.net.SendBeacon(to, from, Beacon{L: b.L - 1})
+		sendOne(c.net, to, from, Beacon{L: b.L - 1})
 	}
 }
 
@@ -275,16 +295,14 @@ func TestCarriedIndexUnderChurn(t *testing.T) {
 		eng := sim.NewEngine()
 		eng.SetEventParallelism(k)
 		dyn := topo.NewDynamic(n, eng, sim.NewRNG(3))
-		if err := topo.Install(dyn, edges, p); err != nil {
-			t.Fatal(err)
-		}
+		install(t, dyn, edges, p)
 		eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
 		net := NewNetwork(eng, dyn, sim.NewRNG(4), RandomDelay{})
 		c := &indexCheck{t: t, net: net, dyn: dyn}
 		net.SetHandler(c)
 		rng := sim.NewRNG(5)
 		for step := 0; step < 300; step++ {
-			net.BroadcastBeacon(rng.Intn(n), Beacon{L: 3})
+			net.BroadcastBeaconAt(rng.Intn(n), Beacon{L: 3}, eng.Now())
 			e := edges[rng.Intn(len(edges))]
 			net.SendControl(e.V, e.U, step)
 			e = edges[rng.Intn(len(edges))]

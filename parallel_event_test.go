@@ -4,11 +4,10 @@ package gradsync_test
 // mirroring parallel_tick_test.go: full randomized runs — random topology,
 // scenario, drift adversary, estimate layer, algorithm and parameters —
 // must produce byte-identical state whether beacon fires and deliveries
-// drain serially, in 2 or 8 parallel window shards, or through the retained
-// serially-merged reference drain (sim.Engine.SetReferenceDrain). The
-// 8-shard replays also run under `make race`, so the window discipline
-// (shard-owned writes, mailbox staging, barrier folds) is checked by the
-// detector, not just asserted.
+// drain serially (the K = 1 engine, which is the reference) or in 2 or 8
+// parallel window shards. The 8-shard replays also run under `make race`,
+// so the window discipline (shard-owned writes, mailbox staging, barrier
+// folds) is checked by the detector, not just asserted.
 
 import (
 	"testing"
@@ -18,7 +17,7 @@ import (
 )
 
 // TestShardedDrainDifferential replays randomized full runs at event-shard
-// counts 1, 2 and 8 — plus 8 in reference mode — and requires bit-identical
+// counts 1, 2 and 8 and requires bit-identical
 // clocks, max estimates, event counts and algorithm counters. Shard count 8
 // on small N also covers the K > N boundary (idle trailing wheel shards).
 func TestShardedDrainDifferential(t *testing.T) {
@@ -28,24 +27,18 @@ func TestShardedDrainDifferential(t *testing.T) {
 	for caseSeed := int64(101); caseSeed <= 110; caseSeed++ {
 		c := randomTickCase(caseSeed)
 		t.Run(c.name, func(t *testing.T) {
-			run := func(evPar int, reference bool) tickFingerprint {
+			run := func(evPar int) tickFingerprint {
 				cfg := c.build(1)
 				cfg.EventParallelism = evPar
 				net := gradsync.MustNew(cfg)
-				if reference {
-					net.Runtime().Engine.SetReferenceDrain(true)
-				}
 				net.RunFor(c.horizon)
 				return fingerprint(net)
 			}
-			serial := run(1, false)
+			serial := run(1)
 			for _, evPar := range []int{2, 8} {
-				if d := serial.diff(run(evPar, false)); d != "" {
+				if d := serial.diff(run(evPar)); d != "" {
 					t.Fatalf("EventParallelism %d diverged from serial: %s", evPar, d)
 				}
-			}
-			if d := serial.diff(run(8, true)); d != "" {
-				t.Fatalf("reference drain at 8 shards diverged from serial: %s", d)
 			}
 		})
 	}
@@ -54,8 +47,8 @@ func TestShardedDrainDifferential(t *testing.T) {
 // TestTickCrossingDifferential pins the tick-crossing window extension on
 // the full stack: a messaging-estimate run under a constant-stretch drift
 // adversary — the configuration where every quiescence gate opens — must be
-// bit-identical across every (EventParallelism, TickParallelism) combination
-// and the reference drain, while the parallel runs actually cross ticks.
+// bit-identical across every (EventParallelism, TickParallelism) combination,
+// while the parallel runs actually cross ticks.
 func TestTickCrossingDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
@@ -72,22 +65,19 @@ func TestTickCrossingDifferential(t *testing.T) {
 			Seed:             17,
 		}
 	}
-	run := func(tickPar, evPar int, reference bool) (tickFingerprint, uint64) {
+	run := func(tickPar, evPar int) (tickFingerprint, uint64) {
 		net := gradsync.MustNew(build(tickPar, evPar))
-		if reference {
-			net.Runtime().Engine.SetReferenceDrain(true)
-		}
 		net.RunFor(12)
 		return fingerprint(net), net.Runtime().Engine.DrainStats().CrossedTicks
 	}
-	serial, crossed := run(1, 1, false)
+	serial, crossed := run(1, 1)
 	if crossed != 0 {
 		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", crossed)
 	}
 	anyCrossed := false
 	for _, tickPar := range []int{1, 8} {
 		for _, evPar := range []int{2, 8} {
-			fp, crossed := run(tickPar, evPar, false)
+			fp, crossed := run(tickPar, evPar)
 			if d := serial.diff(fp); d != "" {
 				t.Fatalf("EventParallelism %d × TickParallelism %d diverged from serial: %s", evPar, tickPar, d)
 			}
@@ -98,10 +88,6 @@ func TestTickCrossingDifferential(t *testing.T) {
 	}
 	if !anyCrossed {
 		t.Error("no parallel run crossed a tick; the quiescence gate never opened")
-	}
-	fp, _ := run(1, 8, true)
-	if d := serial.diff(fp); d != "" {
-		t.Fatalf("reference drain diverged from serial: %s", d)
 	}
 	// Oracle estimates read the queried node's true clock — not node-local —
 	// so the gate must stay closed.
