@@ -67,9 +67,14 @@ cover:
 # shards node work across a worker pool; the race target proves both
 # concurrent paths clean (the determinism tests run replicated experiments
 # at parallelism 8, and the sharded-tick differential replays random
-# topologies/scenarios at TickParallelism 8, all under the detector).
+# topologies/scenarios at TickParallelism 8, all under the detector). The
+# second pass repeats internal/sim's window and RunShards tests ten times:
+# they are the engine's concurrent drains (every window pooled) and take
+# well under a second each, so the repeats widen the interleavings the
+# detector sees at little cost.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource|RunShards' ./internal/sim
 
 # Fuzzes each target for 10 s. Plain `go test` only replays the seed
 # corpora; this searches past them. go test -fuzz takes one target in one

@@ -134,15 +134,17 @@ func BenchmarkE16ExtremeScaleQuick(b *testing.B) {
 // machine-independent so records diff across hosts, and the outputs are
 // byte-identical across all three — only the wall-clock may differ).
 // The messaging rung swaps the oracle estimate layer for the beacon
-// protocol: only it carries drain traffic (the oracle sends no messages, so
-// its drain windows are empty), which makes it the rung whose events/window
-// metric tracks the window-widening machinery — sharded serial controls,
-// per-pair lookahead, and tick crossing all fire on it. Its shard count is
-// pinned at 8 rather than NumCPU: the drain's window structure (and so the
-// events/window figure) is a function of the logical shard count, and a
-// fixed K keeps that figure comparable across hosts — including single-core
-// runners, where "max" degrades to the serial drain and reports no windows
-// at all.
+// protocol. Oracle rungs drain messages too, because every node still
+// beacons its M: the 2000-node oracle ring of TestShardedDrainScaleRing
+// drains 212 windows of 447 items in 4 units. But only the messaging rung
+// crosses ticks (the oracle layer is not node-local), so it is the rung
+// whose events/window metric tracks the window-widening machinery —
+// sharded serial controls, per-pair lookahead, and tick crossing all fire
+// on it. Its shard count is pinned at 8 rather than NumCPU: the drain's
+// window structure (and so the events/window figure) is a function of the
+// logical shard count, and a fixed K keeps that figure comparable across
+// hosts — including single-core runners, where "max" degrades to the
+// serial drain and reports no windows at all.
 func BenchmarkRuntime10k(b *testing.B) {
 	for _, v := range []struct {
 		name      string

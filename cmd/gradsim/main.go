@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func run(args []string, w io.Writer) error {
 		insertions    uint64
 		aborts        uint64
 		conflicts     uint64
-		errs          []string
+		opErrs        []error // edge ops the network refused
 		err           error
 	}
 	runReplica := func(seed int64) *replica {
@@ -149,14 +150,12 @@ func run(args []string, w io.Writer) error {
 		for _, ev := range events {
 			ev := ev
 			net.At(ev.at, func(float64) {
-				var err error
-				if ev.add {
-					err = net.AddEdge(ev.u, ev.v)
-				} else {
-					err = net.CutEdge(ev.u, ev.v)
+				op, apply := "add", net.AddEdge
+				if !ev.add {
+					op, apply = "cut", net.CutEdge
 				}
-				if err != nil {
-					rep.errs = append(rep.errs, fmt.Sprintf("edge op at t=%v: %v", ev.at, err))
+				if err := apply(ev.u, ev.v); err != nil {
+					rep.opErrs = append(rep.opErrs, fmt.Errorf("edge op %s:%d,%d@%v: %w", op, ev.u, ev.v, ev.at, err))
 				}
 			})
 		}
@@ -192,11 +191,14 @@ func run(args []string, w io.Writer) error {
 		return rep
 	})
 	for i, rep := range reps {
-		if rep.err != nil {
-			return fmt.Errorf("replica %d (seed %d): %w", i, roots[i], rep.err)
+		err := rep.err
+		if err == nil {
+			// A refused edge op means the run was not the scenario asked
+			// for, so it fails the command instead of only warning.
+			err = errors.Join(rep.opErrs...)
 		}
-		for _, e := range rep.errs {
-			fmt.Fprintf(os.Stderr, "gradsim: replica %d: %s\n", i, e)
+		if err != nil {
+			return fmt.Errorf("replica %d (seed %d): %w", i, roots[i], err)
 		}
 	}
 

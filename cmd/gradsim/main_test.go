@@ -164,3 +164,13 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		}()
 	}
 }
+
+// TestRunFailsOnRefusedEdgeOp pins that an edge op the network refuses —
+// here a cut of a link the line never had — fails the run with an error
+// naming the op, instead of a warning on standard error and exit status 0.
+func TestRunFailsOnRefusedEdgeOp(t *testing.T) {
+	err := run([]string{"-n", "8", "-horizon", "10", "-sample", "5", "-edges", "cut:0,5@5"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "cut:0,5@5") {
+		t.Fatalf("run returned %v, want an error naming cut:0,5@5", err)
+	}
+}

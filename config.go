@@ -2,6 +2,7 @@ package gradsync
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/drift"
 	"repro/internal/estimate"
@@ -63,7 +64,8 @@ func GridTopology(w, h int) Topology { return Topology{kind: "grid", n: w * h, w
 // TorusTopology is a w×h grid with wraparound.
 func TorusTopology(w, h int) Topology { return Topology{kind: "torus", n: w * h, w: w, h: h} }
 
-// RandomTopology is a random connected graph with ~n·(1+extra) edges.
+// RandomTopology is a random connected graph with ~n·(1+extra) edges;
+// extra must be non-negative and finite.
 func RandomTopology(n int, extra float64) Topology {
 	return Topology{kind: "random", n: n, extra: extra}
 }
@@ -131,12 +133,27 @@ func SinusoidDrift(period float64) Drift {
 // FlipDrift alternates each node between ±ρ with the given period.
 func FlipDrift(period float64) Drift { return Drift{kind: "flip", period: period} }
 
-// RandomWalkDrift resamples per-node rates every step time units.
+// RandomWalkDrift resamples per-node rates every step time units; step must
+// be positive and finite.
 func RandomWalkDrift(step float64) Drift { return Drift{kind: "walk", period: step} }
 
 // WindowedDrift applies inner only during [from, until); outside, rate 1.
 func WindowedDrift(inner Drift, from, until float64) Drift {
 	return Drift{kind: "window", inner: &inner, from: from, until: until}
+}
+
+// validate rejects parameters no schedule can run on, written as negations
+// of the legal ranges so that NaN fails them.
+func (d Drift) validate() error {
+	switch d.kind {
+	case "walk":
+		if !(d.period > 0 && d.period < math.Inf(1)) {
+			return fmt.Errorf("gradsync: RandomWalkDrift step must be positive and finite, got %v", d.period)
+		}
+	case "window":
+		return d.inner.validate()
+	}
+	return nil
 }
 
 func (d Drift) build(rho float64, n int, rng *sim.RNG) drift.Schedule {
@@ -345,6 +362,13 @@ type Config struct {
 func (c *Config) applyDefaults() error {
 	if c.Topology.n <= 0 {
 		return fmt.Errorf("gradsync: config needs a topology with at least one node")
+	}
+	// Written as the negation of the legal range, so NaN fails it.
+	if t := c.Topology; t.kind == "random" && !(t.extra >= 0 && t.extra < math.Inf(1)) {
+		return fmt.Errorf("gradsync: RandomTopology extra must be non-negative and finite, got %v", t.extra)
+	}
+	if err := c.Drift.validate(); err != nil {
+		return err
 	}
 	if c.Link == (Link{}) {
 		c.Link = DefaultLink()

@@ -30,6 +30,17 @@ func TestConfigErrors(t *testing.T) {
 	}{
 		{"no topology", Config{}, "topology"},
 		{"bad initial clocks", Config{Topology: LineTopology(4), InitialClocks: []float64{1, 2}}, "InitialClocks"},
+		// A walk step of 0 or below used to panic in drift.NewRandomWalk, and
+		// a NaN step passed its check and then panicked indexing the path.
+		{"walk step zero", Config{Topology: LineTopology(4), Drift: RandomWalkDrift(0)}, "RandomWalkDrift"},
+		{"walk step negative", Config{Topology: LineTopology(4), Drift: RandomWalkDrift(-1)}, "RandomWalkDrift"},
+		{"walk step NaN", Config{Topology: LineTopology(4), Drift: RandomWalkDrift(math.NaN())}, "RandomWalkDrift"},
+		{"walk step +Inf", Config{Topology: LineTopology(4), Drift: RandomWalkDrift(math.Inf(1))}, "RandomWalkDrift"},
+		{"windowed walk step NaN", Config{Topology: LineTopology(4), Drift: WindowedDrift(RandomWalkDrift(math.NaN()), 0, 1)}, "RandomWalkDrift"},
+		{"random extra negative", Config{Topology: RandomTopology(7, -1)}, "RandomTopology"},
+		{"random extra NaN", Config{Topology: RandomTopology(7, math.NaN())}, "RandomTopology"},
+		{"random extra +Inf", Config{Topology: RandomTopology(7, math.Inf(1))}, "RandomTopology"},
+		{"random extra -Inf", Config{Topology: RandomTopology(7, math.Inf(-1))}, "RandomTopology"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,6 +60,19 @@ func TestConfigErrors(t *testing.T) {
 	// but misconfigured AOPT params must surface.
 	if _, err := New(Config{Topology: LineTopology(4), Mu: 0.1, Rho: 0.09}); err == nil {
 		t.Error("σ < 1 configuration accepted")
+	}
+}
+
+// TestRandomTopologyHugeExtra is the regression test for a hang: New with
+// RandomTopology(7, 1e16) made 7·10¹⁶ random pair draws, although the
+// complete graph's 21 edges were all drawn after a few dozen.
+func TestRandomTopologyHugeExtra(t *testing.T) {
+	net, err := New(Config{Topology: RandomTopology(7, 1e16), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(net.edges); got != 21 {
+		t.Errorf("%d edges, want the complete graph's 21", got)
 	}
 }
 

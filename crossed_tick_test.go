@@ -5,7 +5,7 @@ package gradsync_test
 // at once, through sim.Engine.RunShards. A NodeStepper decorator — such as
 // the timing decorator of the perfbench module — relies on three facts
 // about every StepNode call it sees: shard == u mod K, the engine reports
-// InWindow(), and so the call runs on the worker that owns shard u mod K.
+// InWindow(), and so a shard's calls run on one goroutine at a time.
 // This test pins that contract with a recording decorator under the race
 // detector (`make race`), together with exactly-once stepping per tick and
 // bit-identity with the serial drain.
@@ -25,7 +25,7 @@ import (
 )
 
 // shardTally is one event shard's record of the StepNode calls for its
-// nodes. Only the worker owning the shard writes it during a window phase;
+// nodes. Only the goroutine running the shard writes it during a window phase;
 // FinishTick reads it on the engine goroutine after the barrier.
 type shardTally struct {
 	calls, wrongShard, outsideWindow uint64

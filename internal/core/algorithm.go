@@ -591,9 +591,9 @@ func (a *Algorithm) CanStepNodes() bool { return true }
 // the decide phase reads only the deciding node's own pre-tick state (l[u],
 // m[u], mult[u], u's estimates) — never another node's clocks — so no node's
 // decision can observe a neighbor's integration. shard is u's fixed event
-// shard: inside a window and in the runner's completion phase alike, the
-// call runs on the worker owning that shard, so the evCtr block is
-// contention-free.
+// shard: inside a window and in the runner's completion phase alike, a
+// shard's calls run on one goroutine at a time, so the evCtr block has one
+// writer at a time and needs no synchronization.
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
 	mult := a.decideMode(u, dh, &a.evCtr[shard])
 	a.mult[u] = mult

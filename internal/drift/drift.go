@@ -189,8 +189,8 @@ type RandomWalk struct {
 
 // NewRandomWalk builds a random-walk schedule for n nodes.
 func NewRandomWalk(rho, step float64, n int, rng *sim.RNG) *RandomWalk {
-	if step <= 0 {
-		panic(fmt.Sprintf("drift: random walk step must be positive, got %v", step))
+	if !(step > 0 && step < math.Inf(1)) {
+		panic(fmt.Sprintf("drift: random walk step must be positive and finite, got %v", step))
 	}
 	return &RandomWalk{rho: rho, step: step, rates: make([][]float64, n), rng: rng}
 }

@@ -115,8 +115,8 @@ func runScaleTier(r *Result, spec Spec, tierID int64, tierTitle string, horizon 
 		// heap figures this is machine-dependent and stays out of the
 		// deterministic report body.
 		ds := net.Runtime().Engine.DrainStats()
-		r.MemNotef("%s: drain windows %d mean events/window %.1f serial %d crossed ticks %d trunc global/control/lookahead %d/%d/%d",
-			c.name, ds.Windows, ds.MeanEventsPerWindow(), ds.SerialSteps, ds.CrossedTicks,
+		r.MemNotef("%s: drain windows %d (inline %d) mean events/window %.1f serial %d crossed ticks %d trunc global/control/lookahead %d/%d/%d",
+			c.name, ds.Windows, ds.InlineWindows, ds.MeanEventsPerWindow(), ds.SerialSteps, ds.CrossedTicks,
 			ds.TruncGlobal, ds.TruncControl, ds.TruncLookahead)
 		runtime.KeepAlive(net)
 

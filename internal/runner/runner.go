@@ -48,8 +48,8 @@ type Algorithm interface {
 // event touch instead of at a global barrier. The nodes no event touched
 // are stepped in a completion phase when the tick fires, on every event
 // shard at once. Either way StepNode(u, shard, dh) is called with shard =
-// u mod K, on the worker that owns that event shard, while
-// Engine.InWindow() is true and other shards step their own nodes
+// u mod K while Engine.InWindow() is true. A shard's calls run on one
+// goroutine at a time, and other shards may step their own nodes
 // concurrently. It must read only node u's own state (plus tick-stable
 // shared state) and tally mode counters into the given event-shard block;
 // FinishTick runs serially after the completion phase and folds the blocks

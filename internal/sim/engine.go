@@ -107,6 +107,13 @@ type Engine struct {
 	// validate enables the debug-build checks (past-time scheduling panics
 	// instead of clamping). It is on under `go test` and off otherwise.
 	validate bool
+	// inlineItems is the window executor's size rule: a window whose
+	// estimated item count is below it runs on the calling goroutine (see
+	// runWindow). NewEngine sets it to inlineWindowItems; like validate it
+	// has no setter, and only package tests change it — to 0, which fans
+	// out every window, or +Inf, which runs every window of finite advance
+	// inline once the clock has left 0.
+	inlineItems float64
 
 	// Sharded drain state. shards is the window parallelism K (1 = serial);
 	// sources fire in registration order at equal times, with serial sources
@@ -149,9 +156,12 @@ type Engine struct {
 // bodies.
 type DrainStats struct {
 	// Windows is the number of parallel drain windows opened; WindowEvents
-	// the total source items fired inside them.
-	Windows      uint64
-	WindowEvents uint64
+	// the total source items fired inside them. InlineWindows counts the
+	// windows among them that ran on the calling goroutine instead of the
+	// worker pool (see runWindow).
+	Windows       uint64
+	WindowEvents  uint64
+	InlineWindows uint64
 	// SerialSteps counts source items fired one at a time outside windows:
 	// every serial-source item (control deliveries), plus parallel-source
 	// items stepped serially because the lookahead was degenerate. (With
@@ -205,7 +215,12 @@ func (e *Engine) DrainStats() DrainStats { return e.stats }
 // NewEngine returns an engine with the clock at time 0. Validation (see
 // Schedule) is enabled under `go test` and disabled otherwise.
 func NewEngine() *Engine {
-	e := &Engine{validate: testing.Testing(), shards: 1, shardStepped: make([]shardCount, 1)}
+	e := &Engine{
+		validate:     testing.Testing(),
+		inlineItems:  inlineWindowItems,
+		shards:       1,
+		shardStepped: make([]shardCount, 1),
+	}
 	e.drainFn = e.drainShards
 	e.flushFn = e.flushShards
 	e.eachShardFn = e.eachShard
@@ -295,8 +310,10 @@ func (e *Engine) SetCrossable(tm *Timer, gate func(tickAt Time) (limit Time, ok 
 
 // InWindow reports whether a parallel window phase is in flight: a window
 // drain, or a RunShards callback such as the runner's completion of a
-// crossed tick. Either way each event shard's work runs on that shard's
-// own worker, concurrently with the other shards. Sources use it to route
+// crossed tick. Either way a shard's items run on one goroutine at a time,
+// possibly concurrently with other shards' items: a pooled window hands
+// each shard to one pool worker, and an inline window runs the shards one
+// after another on the calling goroutine. Sources use it to route
 // cross-shard effects to mailboxes; mutating the global queue while it
 // returns true is a contract violation and panics.
 func (e *Engine) InWindow() bool { return e.inWindow }
@@ -628,14 +645,40 @@ func (e *Engine) fireSource(s Source, shard int, at Time) {
 	s.FireNext(shard, at)
 }
 
-// runWindow drains every source item in [tmin, winEnds[s]) per shard in
-// parallel, then folds cross-shard mailboxes at the barrier. Two pool
-// fan-outs: the drain phase (shards fire their own items, staging remote
-// effects) and the flush phase (shards fold the mailboxes addressed to
-// them). Shard s's window never reaches winEnds[s], so items a flush
-// materializes — which land at ≥ tmin + lookahead(s) ≥ winEnds[s] by the
-// Source contract — can never have been missed by the window they were
-// created in.
+// inlineWindowItems is the window size, in estimated source items, below
+// which runWindow drains and flushes on the calling goroutine instead of
+// making its two pool fan-outs. Per-window wall times at K = 2, each
+// executor forced for two whole runs on a 2-vCPU Xeon VM, size it. On
+// geo-mobile-10k inline won every size bucket, from 1.4–1.7 µs against
+// 5.7–5.8 µs pooled for one item to 79–86 µs against 92–101 µs for 256–511
+// items; 98.2% of geo's windows hold under 256 items and none 512. Oracle
+// rings with chord churn broke even at 1,024–2,047 items, and
+// ring-messaging-100k's windows of 16,384–65,535 items ran 1.7–1.8 times
+// faster pooled. On another 2-vCPU host, 256–511-item windows ran 15–22%
+// faster pooled. 256 is the lower of the two crossovers; values up to
+// about 2,000 would split the two benchmark workloads much the same way.
+// DESIGN.md ("Window executor") has the full measurement.
+const inlineWindowItems = 256
+
+// runWindow drains every source item in [tmin, winEnds[s]) per shard, then
+// folds cross-shard mailboxes at the barrier: a drain phase (shards fire
+// their own items, staging remote effects) and a flush phase (shards fold
+// the mailboxes addressed to them). Shard s's window never reaches
+// winEnds[s], so items a flush materializes — which land at
+// ≥ tmin + lookahead(s) ≥ winEnds[s] by the Source contract — can never
+// have been missed by the window they were created in.
+//
+// The two phases run on one of two executors. A window the size rule
+// expects to hold fewer than inlineItems source items runs both phases on
+// the calling goroutine, every shard in index order; any other window fans
+// each phase out over the pool, one shard per worker. The estimate is the
+// run's source-item rate so far, (Stepped − GlobalEvents)/Now(), times the
+// window's advance minEnd − tmin; at Now() = 0 there is no rate yet and the
+// window fans out. Both executors produce the same run: same-window items
+// of different shards commute by the Source contract, so the order in which
+// shards drain — concurrent or sequential — is unobservable, and InWindow,
+// the mailboxes and every DrainStats counter but InlineWindows behave the
+// same.
 //
 // After the barrier the clock advances to minEnd = min over shards of
 // winEnds[s], clamped back to the earliest pending serial-source item: that
@@ -649,8 +692,16 @@ func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
 	}
 	e.winHorizon = horizon
 	e.inWindow = true
-	e.pool.Run(e.shards, e.drainFn)
-	e.pool.Run(e.shards, e.flushFn)
+	// Written so that Now() = 0 (0 < 0), an unbounded advance and a NaN
+	// estimate all fail the test and fan out.
+	if float64(e.Stepped-e.stats.GlobalEvents)*(minEnd-tmin) < e.inlineItems*e.now {
+		e.drainShards(0, 0, e.shards)
+		e.flushShards(0, 0, e.shards)
+		e.stats.InlineWindows++
+	} else {
+		e.pool.Run(e.shards, e.drainFn)
+		e.pool.Run(e.shards, e.flushFn)
+	}
 	e.inWindow = false
 	fired := uint64(0)
 	for i := range e.shardStepped {

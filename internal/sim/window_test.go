@@ -6,10 +6,12 @@ package sim
 // interleaved with global events that snapshot progress and inject new
 // items. Every mode must agree bit for bit on the per-owner
 // fire traces, the global snapshots, the event count and the final clock.
-// Under `make race` the K = 8 runs are also the detector's workout for the
-// drain/flush barrier discipline.
+// Each windowed run goes through both window executors (see executors);
+// under `make race` the pooled K = 8 runs are the detector's workout for
+// the drain/flush barrier discipline.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -136,21 +138,35 @@ func (s *toySource) fired() int {
 	return total
 }
 
+// executors are the two settings of the engine's window-executor size rule
+// the differentials run windowed drains under: 0 fans every window out over
+// the pool, so the shards drain concurrently; +Inf runs every window after
+// time 0 on the calling goroutine, shard after shard.
+var executors = []struct {
+	name        string
+	inlineItems float64
+}{
+	{"pooled", 0},
+	{"inline", math.Inf(1)},
+}
+
 // toyRun drains one full configuration and returns its observables.
 type toyOutcome struct {
 	traces    [][]uint64
 	snapshots []int // fired count at each global ticker event
 	stepped   uint64
 	now       Time
+	stats     DrainStats
 }
 
-func toyRun(k int) toyOutcome {
+func toyRun(k int, inlineItems float64) toyOutcome {
 	const (
 		owners    = 13
 		lookahead = 0.05
 		horizon   = 40.0
 	)
 	e := NewEngine()
+	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
 	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
@@ -181,6 +197,7 @@ func toyRun(k int) toyOutcome {
 	out.traces = src.trace
 	out.stepped = e.Stepped
 	out.now = e.Now()
+	out.stats = e.DrainStats()
 	return out
 }
 
@@ -212,16 +229,39 @@ func (a toyOutcome) diff(t *testing.T, b toyOutcome, mode string) {
 	}
 }
 
+// checkExecutor fails unless a windowed run went through the executor it
+// was set to: no inline window when pooled, and some when inline (the
+// windows at time 0 fan out under either setting).
+func checkExecutor(t *testing.T, mode string, inlineItems float64, st DrainStats) {
+	t.Helper()
+	if st.Windows == 0 {
+		t.Fatalf("%s: no windows opened; harness broken", mode)
+	}
+	if inlineItems == 0 && st.InlineWindows != 0 {
+		t.Errorf("%s: %d of %d windows ran inline, want none", mode, st.InlineWindows, st.Windows)
+	}
+	if inlineItems != 0 && st.InlineWindows == 0 {
+		t.Errorf("%s: no window ran inline", mode)
+	}
+}
+
 // TestWindowedDrainDifferential is the engine-level analogue of the
 // queue_test reference model, for the sharded drain: serial and windowed
-// runs of the same item population must be bit-identical.
+// runs of the same item population must be bit-identical, under either
+// window executor.
 func TestWindowedDrainDifferential(t *testing.T) {
-	serial := toyRun(1)
+	serial := toyRun(1, 0)
 	if len(serial.snapshots) == 0 || serial.stepped == 0 {
 		t.Fatal("toy run executed nothing; test harness broken")
 	}
-	serial.diff(t, toyRun(2), "K=2 windowed")
-	serial.diff(t, toyRun(8), "K=8 windowed")
+	for _, k := range []int{2, 8} {
+		for _, ex := range executors {
+			mode := fmt.Sprintf("K=%d %s", k, ex.name)
+			got := toyRun(k, ex.inlineItems)
+			serial.diff(t, got, mode)
+			checkExecutor(t, mode, ex.inlineItems, got.stats)
+		}
+	}
 }
 
 // toyCtlSource is a serial source mimicking the transport's control queue:
@@ -289,13 +329,14 @@ func (c *toyCtlSource) inject(it toyItem) {
 }
 
 // toyCtlRun drains the combined parallel + serial source population.
-func toyCtlRun(k int) (toyOutcome, [][]uint64, DrainStats) {
+func toyCtlRun(k int, inlineItems float64) (toyOutcome, [][]uint64) {
 	const (
 		owners    = 11
 		lookahead = 0.05
 		horizon   = 35.0
 	)
 	e := NewEngine()
+	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
 	e.SetLookahead(func(int) float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
@@ -322,7 +363,24 @@ func toyCtlRun(k int) (toyOutcome, [][]uint64, DrainStats) {
 	out.traces = src.trace
 	out.stepped = e.Stepped
 	out.now = e.Now()
-	return out, ctl.trace, e.DrainStats()
+	out.stats = e.DrainStats()
+	return out, ctl.trace
+}
+
+// diffCtl fails unless two runs fired the same control ids per owner, in
+// the same order.
+func diffCtl(t *testing.T, mode string, a, b [][]uint64) {
+	t.Helper()
+	for o := range a {
+		if len(a[o]) != len(b[o]) {
+			t.Fatalf("%s: owner %d got %d control fires, want %d", mode, o, len(b[o]), len(a[o]))
+		}
+		for i := range a[o] {
+			if a[o][i] != b[o][i] {
+				t.Fatalf("%s: owner %d control %d = %x, want %x", mode, o, i, b[o][i], a[o][i])
+			}
+		}
+	}
 }
 
 // TestSerialSourceDifferential pins the serial-source discipline: with a
@@ -331,20 +389,7 @@ func toyCtlRun(k int) (toyOutcome, [][]uint64, DrainStats) {
 // snapshots AND the per-owner control traces — and the windowed run must
 // actually have exercised the serial path and the control clamp.
 func TestSerialSourceDifferential(t *testing.T) {
-	diffCtl := func(mode string, a, b [][]uint64) {
-		t.Helper()
-		for o := range a {
-			if len(a[o]) != len(b[o]) {
-				t.Fatalf("%s: owner %d got %d control fires, want %d", mode, o, len(b[o]), len(a[o]))
-			}
-			for i := range a[o] {
-				if a[o][i] != b[o][i] {
-					t.Fatalf("%s: owner %d control %d = %x, want %x", mode, o, i, b[o][i], a[o][i])
-				}
-			}
-		}
-	}
-	serial, serialCtl, _ := toyCtlRun(1)
+	serial, serialCtl := toyCtlRun(1, 0)
 	if len(serialCtl) == 0 {
 		t.Fatal("no control traces; harness broken")
 	}
@@ -356,14 +401,92 @@ func TestSerialSourceDifferential(t *testing.T) {
 		t.Fatal("no controls fired; harness broken")
 	}
 	for _, k := range []int{2, 8} {
-		got, gotCtl, stats := toyCtlRun(k)
-		serial.diff(t, got, "windowed")
-		diffCtl("windowed", serialCtl, gotCtl)
-		if stats.SerialSteps == 0 {
-			t.Errorf("K=%d: no serial steps recorded; controls did not take the serial path", k)
+		for _, ex := range executors {
+			mode := fmt.Sprintf("K=%d %s", k, ex.name)
+			got, gotCtl := toyCtlRun(k, ex.inlineItems)
+			serial.diff(t, got, mode)
+			diffCtl(t, mode, serialCtl, gotCtl)
+			checkExecutor(t, mode, ex.inlineItems, got.stats)
+			if got.stats.SerialSteps == 0 {
+				t.Errorf("%s: no serial steps recorded; controls did not take the serial path", mode)
+			}
+			if got.stats.TruncControl == 0 {
+				t.Errorf("%s: no window was clamped by a pending control", mode)
+			}
 		}
-		if stats.TruncControl == 0 {
-			t.Errorf("K=%d: no window was clamped by a pending control", k)
+	}
+}
+
+// randomToyRun drains a population drawn from seed — shard count, owners,
+// per-shard lookaheads, item times, control injections, the ticker period
+// and the run's horizon chunks — with the executor size rule set to
+// inlineItems. Items start after time 0, so under +Inf every window runs
+// inline.
+func randomToyRun(seed int64, inlineItems float64) (toyOutcome, [][]uint64) {
+	rng := NewRNG(seed)
+	k := 2 + rng.Intn(7)
+	owners := k + rng.Intn(24)
+	// Spawns land at least spawn after their fire, and every shard's
+	// lookahead is at most spawn, so the Source contract holds.
+	spawn := rng.Uniform(0.02, 0.3)
+	la := make([]float64, k)
+	for s := range la {
+		la[s] = spawn * rng.Uniform(0.2, 1)
+	}
+	e := NewEngine()
+	e.inlineItems = inlineItems
+	e.SetEventParallelism(k)
+	e.SetLookahead(func(s int) float64 { return la[s] })
+	src := newToySource(e, owners, spawn)
+	ctl := newToyCtlSource(e, src)
+	for i, n := 0, 10+rng.Intn(90); i < n; i++ {
+		src.inject(toyItem{at: rng.Uniform(0.001, 8), owner: int32(rng.Intn(owners)), id: rng.Uint64()})
+	}
+	var out toyOutcome
+	period := rng.Uniform(0.1, 1.5)
+	// Ticks fire in the same order under both executors, so the draws
+	// below do too.
+	e.NewTicker(period, period, func(t Time, _ float64) {
+		out.snapshots = append(out.snapshots, src.fired())
+		if rng.Intn(3) == 0 {
+			ctl.inject(toyItem{at: t + rng.Uniform(0, 2*spawn), owner: int32(rng.Intn(owners)), id: rng.Uint64()})
+		}
+	})
+	h := 0.0
+	for i := 0; i < 4; i++ {
+		h += rng.Uniform(0.01, 6)
+		e.RunUntil(h)
+	}
+	out.traces = src.trace
+	out.stepped = e.Stepped
+	out.now = e.Now()
+	out.stats = e.DrainStats()
+	return out, ctl.trace
+}
+
+// TestWindowExecutorDifferential runs random populations once with every
+// window fanned out over the pool and once with every window on the calling
+// goroutine. The two runs must agree on every owner's fire order, the
+// control traces, the global snapshots, the event count, the final clock
+// and every DrainStats counter but InlineWindows.
+func TestWindowExecutorDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 64; seed++ {
+		mode := fmt.Sprintf("seed %d", seed)
+		pooled, pooledCtl := randomToyRun(seed, 0)
+		inline, inlineCtl := randomToyRun(seed, math.Inf(1))
+		pooled.diff(t, inline, mode)
+		diffCtl(t, mode, pooledCtl, inlineCtl)
+		ps, is := pooled.stats, inline.stats
+		if ps.Windows == 0 {
+			t.Fatalf("%s: no windows opened; harness broken", mode)
+		}
+		if ps.InlineWindows != 0 || is.InlineWindows != is.Windows {
+			t.Errorf("%s: %d of %d pooled windows and %d of %d inline windows ran inline, want none and all",
+				mode, ps.InlineWindows, ps.Windows, is.InlineWindows, is.Windows)
+		}
+		is.InlineWindows = 0
+		if ps != is {
+			t.Errorf("%s: DrainStats differ:\npooled %+v\ninline %+v", mode, ps, is)
 		}
 	}
 }
@@ -517,9 +640,10 @@ func (c *crossToy) Flush(shard int) {
 	}
 }
 
-func crossRun(k int) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
+func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
 	const owners = 13
 	e := NewEngine()
+	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
 	// A lookahead far beyond the tick period: without crossing every window
 	// truncates at the next tick; with it, at the tick after that.
@@ -548,7 +672,7 @@ func crossRun(k int) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
 // must agree bit for bit on fired clock readings and post-tick clock
 // snapshots, and the windowed runs must actually have crossed ticks.
 func TestTickCrossingDifferentialEngine(t *testing.T) {
-	serialTr, serialSnap, serialStats := crossRun(1)
+	serialTr, serialSnap, serialStats := crossRun(1, 0)
 	if serialStats.CrossedTicks != 0 {
 		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", serialStats.CrossedTicks)
 	}
@@ -574,40 +698,104 @@ func TestTickCrossingDifferentialEngine(t *testing.T) {
 		}
 	}
 	for _, k := range []int{2, 8} {
-		tr, snap, stats := crossRun(k)
-		check("windowed", tr, snap)
-		if stats.CrossedTicks == 0 {
-			t.Errorf("K=%d: no ticks crossed; gate or window layout broken", k)
+		for _, ex := range executors {
+			mode := fmt.Sprintf("K=%d %s", k, ex.name)
+			tr, snap, stats := crossRun(k, ex.inlineItems)
+			check(mode, tr, snap)
+			checkExecutor(t, mode, ex.inlineItems, stats)
+			if stats.CrossedTicks == 0 {
+				t.Errorf("%s: no ticks crossed; gate or window layout broken", mode)
+			}
 		}
 	}
 }
 
 // TestWindowRespectsGlobalFrontier pins the ordering contract directly: a
 // global event at time g observes every source item with time < g as fired
-// and none at ≥ g, for every shard count.
+// and none at ≥ g, for every shard count and window executor.
 func TestWindowRespectsGlobalFrontier(t *testing.T) {
 	for _, k := range []int{1, 4} {
-		e := NewEngine()
-		e.SetEventParallelism(k)
-		e.SetLookahead(func(int) float64 { return 10 })
-		src := newToySource(e, 4, 10)
-		// Ids chosen so no chains spawn (SplitMix64(id)%3 == 0 is not
-		// guaranteed, so give items far-future spawn room instead: the
-		// lookahead of 10 pushes any successor past the horizon).
-		src.inject(toyItem{at: 1, owner: 0, id: 1})
-		src.inject(toyItem{at: 2, owner: 1, id: 2})
-		src.inject(toyItem{at: 2, owner: 2, id: 3})
-		src.inject(toyItem{at: 3, owner: 3, id: 4})
-		var at2 int
-		e.Schedule(2, func(Time) { at2 = src.fired() })
-		e.RunUntil(5)
-		// The item strictly before 2 must be in; the two at exactly 2 fire
-		// after the global event; the one at 3 later still.
-		if at2 != 1 {
-			t.Errorf("K=%d: global event at t=2 saw %d fired items, want 1 (globals win ties)", k, at2)
+		for _, ex := range executors {
+			e := NewEngine()
+			e.inlineItems = ex.inlineItems
+			e.SetEventParallelism(k)
+			e.SetLookahead(func(int) float64 { return 10 })
+			src := newToySource(e, 4, 10)
+			// Ids chosen so no chains spawn (SplitMix64(id)%3 == 0 is not
+			// guaranteed, so give items far-future spawn room instead: the
+			// lookahead of 10 pushes any successor past the horizon).
+			src.inject(toyItem{at: 1, owner: 0, id: 1})
+			src.inject(toyItem{at: 2, owner: 1, id: 2})
+			src.inject(toyItem{at: 2, owner: 2, id: 3})
+			src.inject(toyItem{at: 3, owner: 3, id: 4})
+			var at2 int
+			e.Schedule(2, func(Time) { at2 = src.fired() })
+			e.RunUntil(5)
+			// The item strictly before 2 must be in; the two at exactly 2 fire
+			// after the global event; the one at 3 later still.
+			if at2 != 1 {
+				t.Errorf("K=%d %s: global event at t=2 saw %d fired items, want 1 (globals win ties)", k, ex.name, at2)
+			}
+			if got := src.fired(); got != 4 {
+				t.Errorf("K=%d %s: %d items fired by horizon, want 4", k, ex.name, got)
+			}
 		}
-		if got := src.fired(); got != 4 {
-			t.Errorf("K=%d: %d items fired by horizon, want 4", k, got)
+	}
+}
+
+// oneShotSource holds a single item, at time at on shard 0, whose fire
+// calls fn.
+type oneShotSource struct {
+	at Time
+	fn func()
+}
+
+func (s *oneShotSource) Peek(shard int) Time {
+	if shard != 0 {
+		return math.Inf(1)
+	}
+	return s.at
+}
+
+func (s *oneShotSource) FireNext(int, Time) {
+	s.at = math.Inf(1)
+	s.fn()
+}
+
+func (s *oneShotSource) Flush(int) {}
+
+// TestWindowLocksGlobalQueue pins the window guards under both executors:
+// an item fired inside a window sees InWindow(), and scheduling or
+// cancelling a global event from it panics. The item sits on shard 0,
+// which runs on the calling goroutine under either executor, so the panic
+// reaches the test.
+func TestWindowLocksGlobalQueue(t *testing.T) {
+	for _, ex := range executors {
+		for name, op := range map[string]func(e *Engine, h Handle){
+			"Schedule": func(e *Engine, _ Handle) { e.Schedule(5, func(Time) {}) },
+			"Cancel":   func(e *Engine, h Handle) { e.Cancel(h) },
+		} {
+			e := NewEngine()
+			e.inlineItems = ex.inlineItems
+			e.SetEventParallelism(2)
+			e.SetLookahead(func(int) float64 { return 1 })
+			h := e.Schedule(10, func(Time) {})
+			inWindow := false
+			e.AddSource(&oneShotSource{at: 1, fn: func() {
+				inWindow = e.InWindow()
+				op(e, h)
+			}})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s inside a window did not panic", ex.name, name)
+					}
+				}()
+				e.RunUntil(2)
+			}()
+			if !inWindow {
+				t.Errorf("%s: the window's item did not see InWindow()", ex.name)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package topo
 
-import "repro/internal/sim"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 // Line returns the path 0–1–…–(n−1).
 func Line(n int) []EdgeID {
@@ -64,7 +68,9 @@ func Torus(w, h int) []EdgeID {
 }
 
 // RandomConnected returns a random spanning tree plus extra random edges,
-// giving a connected graph with roughly n·(1+extra) edges.
+// giving a connected graph with roughly n·(1+extra) edges. It makes
+// ⌊extra·n⌋ random pair draws, and stops early once every one of the
+// n(n−1)/2 pairs is an edge, since further draws can only repeat one.
 func RandomConnected(n int, extra float64, rng *sim.RNG) []EdgeID {
 	seen := make(map[EdgeID]bool)
 	var edges []EdgeID
@@ -81,7 +87,10 @@ func RandomConnected(n int, extra float64, rng *sim.RNG) []EdgeID {
 	for i := 1; i < n; i++ {
 		add(perm[i], perm[rng.Intn(i)])
 	}
-	for i := 0; i < int(extra*float64(n)); i++ {
+	// Counted in float64, so a draw count beyond the int range still ends
+	// at the complete graph.
+	draws, full := math.Floor(extra*float64(n)), n*(n-1)/2
+	for i := 0.0; i < draws && len(edges) < full; i++ {
 		add(rng.Intn(n), rng.Intn(n))
 	}
 	return edges

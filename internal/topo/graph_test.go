@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -293,5 +294,17 @@ func TestRandomConnectedIsConnected(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomConnectedStopsAtCompleteGraph is the regression test for a hang:
+// an extra of 10¹⁶ asked for 7·10¹⁶ pair draws on 7 nodes, although all 21
+// pairs are edges after a few dozen. Draw counts past the int range, +Inf
+// included, must end at the complete graph too.
+func TestRandomConnectedStopsAtCompleteGraph(t *testing.T) {
+	for _, extra := range []float64{1e16, 1e300, math.Inf(1)} {
+		if got := len(RandomConnected(7, extra, sim.NewRNG(3))); got != 21 {
+			t.Errorf("extra %g: %d edges, want the complete graph's 21", extra, got)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	gradsync "repro"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestShardedDrainDifferential replays randomized full runs at event-shard
@@ -152,7 +153,10 @@ func TestHandshakeStormParallelWindows(t *testing.T) {
 // TestShardedDrainScaleRing is the at-scale replay: a 2000-node ring with
 // chord churn — the E15/E16 shape — compared serial vs 8 event shards
 // stacked on 8 tick shards, so the two fan-outs are exercised together the
-// way the scale tiers run them.
+// way the scale tiers run them. Its windows are large enough that the
+// engine fans most of them out over the pool instead of running them
+// inline, so under `make race` this is the end-to-end replay of concurrent
+// drains; the test fails if none was pooled.
 func TestShardedDrainScaleRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale replay takes a few seconds")
@@ -163,7 +167,7 @@ func TestShardedDrainScaleRing(t *testing.T) {
 		u := i * (n / 2) / 16
 		pairs = append(pairs, scenario.Pair{u, u + n/2})
 	}
-	run := func(tickPar, evPar int) tickFingerprint {
+	run := func(tickPar, evPar int) (tickFingerprint, sim.DrainStats) {
 		net := gradsync.MustNew(gradsync.Config{
 			Topology:         gradsync.RingTopology(n),
 			DiameterHint:     n / 2,
@@ -174,10 +178,15 @@ func TestShardedDrainScaleRing(t *testing.T) {
 			Seed:             1,
 		})
 		net.RunFor(4)
-		return fingerprint(net)
+		return fingerprint(net), net.Runtime().Engine.DrainStats()
 	}
-	serial := run(1, 1)
-	if d := serial.diff(run(8, 8)); d != "" {
+	serial, _ := run(1, 1)
+	fp, st := run(8, 8)
+	if d := serial.diff(fp); d != "" {
 		t.Fatalf("EventParallelism 8 × TickParallelism 8 diverged from serial at N=%d: %s", n, d)
 	}
+	if st.InlineWindows >= st.Windows {
+		t.Errorf("all %d windows ran inline; none exercised the concurrent drain", st.Windows)
+	}
+	t.Logf("%d windows, %d inline, %.1f items/window", st.Windows, st.InlineWindows, st.MeanEventsPerWindow())
 }
