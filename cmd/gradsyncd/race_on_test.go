@@ -3,5 +3,5 @@
 package main
 
 // raceEnabled reports whether the race detector is compiled in (see
-// race_off.go for why alloc assertions key on it).
+// race_off_test.go for why alloc assertions key on it).
 const raceEnabled = true

@@ -110,7 +110,6 @@ type Drift struct {
 	period       float64
 	from, until  float64
 	inner        *Drift
-	fixedRate    float64
 	phasePerNode float64
 }
 
@@ -145,12 +144,19 @@ func WindowedDrift(inner Drift, from, until float64) Drift {
 // validate rejects parameters no schedule can run on, written as negations
 // of the legal ranges so that NaN fails them.
 func (d Drift) validate() error {
+	inf := math.Inf(1)
 	switch d.kind {
-	case "walk":
-		if !(d.period > 0 && d.period < math.Inf(1)) {
-			return fmt.Errorf("gradsync: RandomWalkDrift step must be positive and finite, got %v", d.period)
+	case "sin", "flip", "walk":
+		if !(d.period > 0 && d.period < inf) {
+			name := map[string]string{"sin": "SinusoidDrift period", "flip": "FlipDrift period", "walk": "RandomWalkDrift step"}[d.kind]
+			return fmt.Errorf("gradsync: %s must be positive and finite, got %v", name, d.period)
 		}
 	case "window":
+		// A bound may be infinite, leaving the window open at that end, so
+		// the legal range is [−∞, +∞] and only NaN fails.
+		if !(d.from >= -inf && d.until >= -inf) {
+			return fmt.Errorf("gradsync: WindowedDrift bounds must not be NaN, got [%v, %v)", d.from, d.until)
+		}
 		return d.inner.validate()
 	}
 	return nil
@@ -397,6 +403,11 @@ func (c *Config) applyDefaults() error {
 	if len(c.InitialClocks) > 0 && len(c.InitialClocks) != c.Topology.n {
 		return fmt.Errorf("gradsync: InitialClocks has %d entries for %d nodes",
 			len(c.InitialClocks), c.Topology.n)
+	}
+	for u, v := range c.InitialClocks {
+		if !(v > -math.Inf(1) && v < math.Inf(1)) {
+			return fmt.Errorf("gradsync: InitialClocks[%d] must be finite, got %v", u, v)
+		}
 	}
 	return nil
 }

@@ -41,6 +41,27 @@ func TestConfigErrors(t *testing.T) {
 		{"random extra NaN", Config{Topology: RandomTopology(7, math.NaN())}, "RandomTopology"},
 		{"random extra +Inf", Config{Topology: RandomTopology(7, math.Inf(1))}, "RandomTopology"},
 		{"random extra -Inf", Config{Topology: RandomTopology(7, math.Inf(-1))}, "RandomTopology"},
+		// A NaN period made every sinusoid rate NaN while GlobalSkew read 0;
+		// a NaN flip period ran every node at 1−ρ, and a period of 0 or
+		// below ran either schedule without drift.
+		{"sinusoid period NaN", Config{Topology: LineTopology(4), Drift: SinusoidDrift(math.NaN())}, "SinusoidDrift"},
+		{"sinusoid period zero", Config{Topology: LineTopology(4), Drift: SinusoidDrift(0)}, "SinusoidDrift"},
+		{"sinusoid period +Inf", Config{Topology: LineTopology(4), Drift: SinusoidDrift(math.Inf(1))}, "SinusoidDrift"},
+		{"flip period NaN", Config{Topology: LineTopology(4), Drift: FlipDrift(math.NaN())}, "FlipDrift"},
+		{"flip period negative", Config{Topology: LineTopology(4), Drift: FlipDrift(-1)}, "FlipDrift"},
+		{"flip period +Inf", Config{Topology: LineTopology(4), Drift: FlipDrift(math.Inf(1))}, "FlipDrift"},
+		{"windowed flip period NaN", Config{Topology: LineTopology(4), Drift: WindowedDrift(FlipDrift(math.NaN()), 0, 1)}, "FlipDrift"},
+		{"window from NaN", Config{Topology: LineTopology(4), Drift: WindowedDrift(TwoGroupDrift(2), math.NaN(), 1)}, "WindowedDrift"},
+		{"window until NaN", Config{Topology: LineTopology(4), Drift: WindowedDrift(TwoGroupDrift(2), 0, math.NaN())}, "WindowedDrift"},
+		// A NaN clock stayed NaN while GlobalSkew and AdjacentSkew read 0.
+		{"initial clock NaN", Config{Topology: LineTopology(4), InitialClocks: []float64{0, math.NaN(), 0, 0}}, "InitialClocks"},
+		{"initial clock +Inf", Config{Topology: LineTopology(4), InitialClocks: []float64{0, 0, math.Inf(1), 0}}, "InitialClocks"},
+		{"initial clock -Inf", Config{Topology: LineTopology(4), InitialClocks: []float64{math.Inf(-1), 0, 0, 0}}, "InitialClocks"},
+		// Eps = +Inf ran with κ = +Inf; Delay = +Inf with messaging
+		// estimates ran with κ and ε NaN.
+		{"link eps +Inf", Config{Topology: LineTopology(4), Link: Link{Eps: math.Inf(1), Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}}, "Eps"},
+		{"link delay +Inf", Config{Topology: LineTopology(4), Estimates: MessagingEstimates(false), GTilde: 10,
+			Link: Link{Eps: 0.2, Tau: 0.1, Delay: math.Inf(1), Uncertainty: 0.05}}, "Delay"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -146,8 +146,8 @@ func TestBlockSyncContainsSkew(t *testing.T) {
 		}
 	}
 	// Steady-state local skew should stay around the block threshold.
-	if worstAdj > 2*b.S {
-		t.Errorf("adjacent skew %v far above block size %v", worstAdj, b.S)
+	if worstAdj > 2*b.s {
+		t.Errorf("adjacent skew %v far above block size %v", worstAdj, b.s)
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 // stable local skew is Θ(S) provided S ∈ Ω(√(ρ·D)); experiment E3 sweeps S
 // to expose that threshold empirically.
 type BlockSync struct {
-	// S is the block size (target local skew scale).
-	S float64
-	// Rho, Mu, Iota as in the core algorithm.
-	Rho, Mu, Iota float64
+	// s is the block size (target local skew scale); rho and mu are as in
+	// the core algorithm.
+	s, rho, mu float64
 
 	rt   *runner.Runtime
 	l    []float64
@@ -59,7 +58,7 @@ func NewBlockSync(s, rho, mu float64) (*BlockSync, error) {
 	if !(mu > 0 && rho > 0) || math.IsInf(mu, 1) || math.IsInf(rho, 1) {
 		return nil, fmt.Errorf("baselines: rho and mu must be finite and positive, got %v and %v", rho, mu)
 	}
-	return &BlockSync{S: s, Rho: rho, Mu: mu, Iota: 0.05}, nil
+	return &BlockSync{s: s, rho: rho, mu: mu}, nil
 }
 
 // Name implements runner.Algorithm.
@@ -91,7 +90,7 @@ func (b *BlockSync) OnEdgeDown(_, _ int, _ sim.Time) {}
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding as in AOPT.
 func (b *BlockSync) OnBeacon(to, _ int, bc transport.Beacon, d transport.Delivery) {
-	if cand := core.FloodCandidate(bc.M, d.MinTransit, b.rt.Tick(), b.Rho); cand > b.m[to] {
+	if cand := core.FloodCandidate(bc.M, d.MinTransit, b.rt.Tick(), b.rho); cand > b.m[to] {
 		b.m[to] = cand
 	}
 }
@@ -125,7 +124,7 @@ func (b *BlockSync) decideShard(shard, lo, hi int) {
 
 // integrateShard runs the clock-integration phase for nodes [lo, hi).
 func (b *BlockSync) integrateShard(_, lo, hi int) {
-	mRate := (1 - b.Rho) / (1 + b.Rho)
+	mRate := (1 - b.rho) / (1 + b.rho)
 	dH := b.dHTick
 	for u := lo; u < hi; u++ {
 		b.l[u], b.m[u] = core.Integrate(b.l[u], b.m[u], b.mult[u], dH[u], mRate)
@@ -135,7 +134,7 @@ func (b *BlockSync) integrateShard(_, lo, hi int) {
 // decideMode runs Listing 3 for node u on the single-threshold triggers.
 func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
 	lu := b.l[u]
-	f := NewBlockTriggers(b.S, b.Mu, b.Rho)
+	f := NewBlockTriggers(b.s, b.mu, b.rho)
 	b.nbrs[shard] = b.rt.Dyn.Neighbors(u, b.nbrs[shard][:0])
 	for _, v := range b.nbrs[shard] {
 		est, ok := b.rt.Est.Estimate(u, v)
@@ -150,7 +149,7 @@ func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
 		f.Add(lu, est, eps, lp.Tau)
 	}
 	fast, slow := f.Triggers()
-	mult, isFast := core.NextMode(fast, slow, lu, b.m[u], b.mult[u], b.Mu, b.Iota)
+	mult, isFast := core.NextMode(fast, slow, lu, b.m[u], b.mult[u], b.mu, core.Iota)
 	if isFast {
 		c.fast++
 	} else {

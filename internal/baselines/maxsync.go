@@ -20,7 +20,7 @@ import (
 // its own value. Global skew stays O(D); adjacent skew can reach the global
 // skew, which is the weakness gradient algorithms fix.
 type MaxSync struct {
-	Rho float64
+	rho float64
 
 	rt *runner.Runtime
 	l  []float64
@@ -35,7 +35,7 @@ type MaxSync struct {
 var _ runner.Algorithm = (*MaxSync)(nil)
 
 // NewMaxSync constructs the baseline.
-func NewMaxSync(rho float64) *MaxSync { return &MaxSync{Rho: rho} }
+func NewMaxSync(rho float64) *MaxSync { return &MaxSync{rho: rho} }
 
 // Name implements runner.Algorithm.
 func (m *MaxSync) Name() string { return "maxsync" }
@@ -56,7 +56,7 @@ func (m *MaxSync) OnEdgeDown(_, _ int, _ sim.Time) {}
 // OnBeacon implements runner.Algorithm: adopt larger certified values, with
 // AOPT's flooding credit applied to the sender's clock.
 func (m *MaxSync) OnBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
-	if cand := core.FloodCandidate(b.L, d.MinTransit, m.rt.Tick(), m.Rho); cand > m.l[to] {
+	if cand := core.FloodCandidate(b.L, d.MinTransit, m.rt.Tick(), m.rho); cand > m.l[to] {
 		m.l[to] = cand
 		// Atomic: beacon deliveries to different receivers may run on
 		// concurrent event shards; a commutative sum keeps the count

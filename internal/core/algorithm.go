@@ -217,10 +217,6 @@ func (a *Algorithm) gTilde(u int, t sim.Time) float64 {
 // s > (G̃ + 2ε)/κ_min the witness conditions are unsatisfiable because no
 // estimate can be further than G̃+ε from L_u.
 func (a *Algorithm) refreshSMax() {
-	if a.p.MaxTriggerLevel > 0 {
-		a.sMax = a.p.MaxTriggerLevel
-		return
-	}
 	g := a.p.GTilde
 	if a.p.Skew != nil {
 		g = a.p.Skew.GTilde(0, 0)
@@ -421,7 +417,7 @@ func (a *Algorithm) kappaAt(dir int32, kappa, l float64) float64 {
 	if l <= a.recT0[dir] {
 		return a.recKappa0[dir]
 	}
-	k := a.recKappa0[dir] - (l-a.recT0[dir])*a.p.DecayRate*a.p.Mu
+	k := a.recKappa0[dir] - (l-a.recT0[dir])*a.p.decayRate*a.p.Mu
 	if k <= kappa {
 		// Decay finished: the edge behaves like a fully inserted one.
 		a.recFlags[dir] &^= recDecaying
@@ -623,7 +619,7 @@ func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
 			c.conflicts++
 		}
 	}
-	mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, a.p.Iota)
+	mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, Iota)
 	c.count(isFast)
 	return mult
 }

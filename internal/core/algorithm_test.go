@@ -81,22 +81,15 @@ func TestParamsValidation(t *testing.T) {
 		{"mu above 1/10", Params{Rho: tRho, Mu: 0.2, GTilde: 5}, true},
 		{"sigma below 1", Params{Rho: 0.09, Mu: 0.1, GTilde: 5}, true},
 		{"no gtilde", Params{Rho: tRho, Mu: tMu}, true},
-		{"gtilde via estimator", Params{Rho: tRho, Mu: tMu, Skew: StaticSkew{G: 5}}, false},
+		{"gtilde via estimator", Params{Rho: tRho, Mu: tMu, Skew: staticSkew(5)}, false},
 		{"kappa factor at 1", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: 1}, true},
 		{"custom without factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom}, true},
-		{"negative iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: -1}, true},
 		{"NaN gtilde", Params{Rho: tRho, Mu: tMu, GTilde: nan}, true},
 		{"+Inf gtilde", Params{Rho: tRho, Mu: tMu, GTilde: inf}, true},
 		{"-Inf gtilde", Params{Rho: tRho, Mu: tMu, GTilde: -inf}, true},
 		{"NaN kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: nan}, true},
 		{"+Inf kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: inf}, true},
 		{"-Inf kappa factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, KappaFactor: -inf}, true},
-		{"NaN iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: nan}, true},
-		{"+Inf iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: inf}, true},
-		{"-Inf iota", Params{Rho: tRho, Mu: tMu, GTilde: 5, Iota: -inf}, true},
-		{"NaN decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: nan}, true},
-		{"+Inf decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: inf}, true},
-		{"-Inf decay rate", Params{Rho: tRho, Mu: tMu, GTilde: 5, DecayRate: -inf}, true},
 		{"custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: 2}, false},
 		{"NaN custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: nan}, true},
 		{"+Inf custom factor", Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertCustom, InsertionFactor: inf}, true},
@@ -112,10 +105,13 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// staticSkew is a constant SkewEstimator, the estimator form of eq. (6)'s
+// fixed G̃.
+type staticSkew float64
+
+func (s staticSkew) GTilde(int, sim.Time) float64 { return float64(s) }
+
 func TestSkewEstimators(t *testing.T) {
-	if got := (StaticSkew{G: 7}).GTilde(3, 100); got != 7 {
-		t.Errorf("StaticSkew = %v, want 7", got)
-	}
 	o := OracleSkew{Spread: func() float64 { return 4 }, Margin: 1.5, Floor: 1}
 	if got := o.GTilde(0, 0); got != 7 {
 		t.Errorf("OracleSkew = %v, want 1.5·4+1 = 7", got)
@@ -125,7 +121,7 @@ func TestSkewEstimators(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	a := MustNew(Params{Rho: tRho, Mu: tMu, GTilde: 5})
 	p := a.Params()
-	if p.KappaFactor != 1.1 || p.Iota != 0.05 || p.Insertion != InsertStatic {
+	if p.KappaFactor != 1.1 || p.decayRate != 0.1 || p.Insertion != InsertStatic {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 	b := MustNew(Params{Rho: tRho, Mu: tMu, GTilde: 5, Insertion: InsertDynamic})
@@ -451,7 +447,7 @@ func TestDecayingInsertionLifecycle(t *testing.T) {
 	// Run until the decay completes: weight settles at κ_e. Use the
 	// validated parameters (defaults applied), not the input copy.
 	vp := h.algo.Params()
-	needed := rec.kappa0 / (vp.DecayRate * vp.Mu)
+	needed := rec.kappa0 / (vp.decayRate * vp.Mu)
 	h.rt.Run(h.rt.Engine.Now() + needed)
 	if got := h.algo.EdgeKappa(0, 1); got != finalKappa {
 		t.Fatalf("final weight = %v, want κ_e = %v", got, finalKappa)

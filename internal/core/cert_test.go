@@ -172,6 +172,21 @@ func TestEdgeLossClearsOracleCertificate(t *testing.T) {
 	}
 }
 
+// perNode assigns each node an individually fixed rate, missing entries
+// running at rate 1; the rates never change.
+type perNode struct {
+	Rates map[int]float64
+}
+
+func (p perNode) Rate(u int, _ sim.Time) float64 {
+	if r, ok := p.Rates[u]; ok {
+		return r
+	}
+	return 1
+}
+
+func (perNode) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
+
 // TestOracleCertificateEndsWithStretch runs a line on per-node random
 // oracle errors with every hardware rate 1 until time 2, when node 3's
 // drops to 0.1. Node 0 starts far ahead, so node 1 runs fast on its trigger
@@ -185,7 +200,7 @@ func TestOracleCertificateEndsWithStretch(t *testing.T) {
 	const switchTick = 100
 	setup := func() harnessSetup {
 		hs := perNodeSetup()
-		hs.drift = drift.Switching{Inner: drift.PerNode{Rates: map[int]float64{3: 0.1}}, From: switchTick * 0.02, Until: math.Inf(1)}
+		hs.drift = drift.Switching{Inner: perNode{Rates: map[int]float64{3: 0.1}}, From: switchTick * 0.02, Until: math.Inf(1)}
 		return hs
 	}
 	var certBefore uint64

@@ -35,17 +35,12 @@ const (
 
 // SkewEstimator supplies the global skew estimates G̃_u(t) of eq. (5). The
 // paper requires G̃_u(t) ≥ G(t) at all times but does not construct an
-// estimator; implementations here are the static constant of eq. (6) and a
-// margin-scaled oracle (see DESIGN.md on substitutions).
+// estimator; the implementation here is a margin-scaled oracle, and the
+// static constant of eq. (6) is Params.GTilde (see DESIGN.md on
+// substitutions).
 type SkewEstimator interface {
 	GTilde(u int, t sim.Time) float64
 }
-
-// StaticSkew is the fixed a-priori bound G̃ of eq. (6).
-type StaticSkew struct{ G float64 }
-
-// GTilde implements SkewEstimator.
-func (s StaticSkew) GTilde(int, sim.Time) float64 { return s.G }
 
 // OracleSkew returns Margin·G(t) + Floor using ground-truth clock access;
 // with Margin ≥ 1 it satisfies validity (eq. 5) pointwise. Spread must
@@ -70,9 +65,6 @@ type Params struct {
 	// KappaFactor scales edge weights above the eq. (9) minimum:
 	// κ_e = KappaFactor·4(ε_e + µτ_e). Must be > 1. Default 1.1.
 	KappaFactor float64
-	// Iota is the ι separation of the max-estimate triggers
-	// (Definition 4.4/4.7). Default 0.05.
-	Iota float64
 	// GTilde is the static global skew estimate G̃ (eq. 6); required unless
 	// Skew is set.
 	GTilde float64
@@ -84,14 +76,16 @@ type Params struct {
 	InsertionFactor float64
 	// B is the eq. (12) constant for InsertDynamic; 0 means BMin(ρ).
 	B float64
-	// MaxTriggerLevel caps the level loop of the triggers; 0 derives it
-	// from G̃ and the smallest edge weight.
-	MaxTriggerLevel int
-	// DecayRate sets the κ decay speed of InsertDecaying as a fraction of
-	// µ per logical time unit; 0 means 0.1 (insertion completes within
-	// ≈ 10·G̃/µ logical time, comparable to eq. (10)).
-	DecayRate float64
+	// decayRate sets the κ decay speed of InsertDecaying as a fraction of
+	// µ per logical time unit. validate defaults it to 0.1 (insertion
+	// completes within ≈ 10·G̃/µ logical time, comparable to eq. (10));
+	// only package tests set it, to finish decays within short runs.
+	decayRate float64
 }
+
+// Iota is the ι separation of the max-estimate triggers (Definitions 4.4
+// and 4.7) that A^OPT and the baselines pass to NextMode.
+const Iota = 0.05
 
 // validate applies the defaults and checks the parameters. Each float check
 // is written as the negation of the legal range, so NaN fails it.
@@ -106,12 +100,6 @@ func (p *Params) validate() error {
 	if !(p.KappaFactor > 1 && p.KappaFactor < inf) {
 		return fmt.Errorf("core: KappaFactor must be finite and exceed 1 (eq. 9 is strict), got %v", p.KappaFactor)
 	}
-	if p.Iota == 0 {
-		p.Iota = 0.05
-	}
-	if !(p.Iota > 0 && p.Iota < inf) {
-		return fmt.Errorf("core: Iota must be positive and finite, got %v", p.Iota)
-	}
 	if p.Insertion == 0 {
 		p.Insertion = InsertStatic
 	}
@@ -124,14 +112,8 @@ func (p *Params) validate() error {
 	if p.Insertion == InsertDynamic && p.B == 0 {
 		p.B = analysis.BMin(p.Rho)
 	}
-	if p.DecayRate == 0 {
-		p.DecayRate = 0.1
-	}
-	if !(p.DecayRate > 0 && p.DecayRate < inf) {
-		return fmt.Errorf("core: DecayRate must be positive and finite, got %v", p.DecayRate)
-	}
-	if p.MaxTriggerLevel < 0 {
-		return fmt.Errorf("core: MaxTriggerLevel must be non-negative, got %d", p.MaxTriggerLevel)
+	if p.decayRate == 0 {
+		p.decayRate = 0.1
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ func (r *refAlgo) Step(_ sim.Time, dH []float64) {
 		if fast && slow {
 			c.conflicts++
 		}
-		mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, a.p.Iota)
+		mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, Iota)
 		c.count(isFast)
 		a.mult[u] = mult
 	}
@@ -268,7 +268,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, refer
 		p.B = 6000
 	case 2:
 		p.Insertion = InsertDecaying
-		p.DecayRate = 0.5 + rng.Float64()
+		p.decayRate = 0.5 + rng.Float64()
 	}
 	all := append(append([]topo.EdgeID(nil), core...), extra...)
 	h := triggerHarness(t, n, all, p, caseSeed^0x7157, hs, reference)

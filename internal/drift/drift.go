@@ -12,22 +12,14 @@ import (
 
 // Schedule assigns a drift-bounded rate to every node at every time. Rate
 // must return values in [1−ρ, 1+ρ] for the ρ the schedule was built with;
-// Clamp in this package enforces the envelope defensively.
+// Clamp in this package enforces the envelope defensively. The sharded
+// integration tick calls Rate concurrently for distinct nodes within one
+// tick, after PrepareTick when the schedule also implements TickPreparer,
+// so Rate must not race and its values must not depend on call order.
+// Every schedule in this package meets that.
 type Schedule interface {
 	// Rate returns the hardware clock rate of node u at time t.
 	Rate(u int, t sim.Time) float64
-}
-
-// ConcurrentSchedule is the opt-in contract of the sharded integration tick:
-// a schedule whose ConcurrentRates returns true promises that Rate may be
-// called concurrently for distinct nodes within one tick — after PrepareTick
-// ran, when the schedule also implements TickPreparer — without races and
-// with values independent of call order. Every schedule in this package
-// satisfies the contract; the runner falls back to serial rate evaluation
-// for schedules that do not implement it, so a stateful external Schedule
-// stays correct by default.
-type ConcurrentSchedule interface {
-	ConcurrentRates() bool
 }
 
 // TickPreparer is implemented by schedules with lazily extended internal
@@ -70,9 +62,6 @@ type Constant struct{ R float64 }
 // Rate implements Schedule.
 func (c Constant) Rate(int, sim.Time) float64 { return c.R }
 
-// ConcurrentRates implements ConcurrentSchedule (stateless).
-func (Constant) ConcurrentRates() bool { return true }
-
 // RatesConstantUntil implements ConstantStretch: rates never change.
 func (Constant) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
 
@@ -95,9 +84,6 @@ func (g TwoGroup) Rate(u int, _ sim.Time) float64 {
 	return 1 - g.Rho
 }
 
-// ConcurrentRates implements ConcurrentSchedule (stateless).
-func (TwoGroup) ConcurrentRates() bool { return true }
-
 // RatesConstantUntil implements ConstantStretch: rates are time-independent.
 func (TwoGroup) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
 
@@ -117,9 +103,6 @@ func (l Linear) Rate(u int, _ sim.Time) float64 {
 	return 1 + l.Rho*(1-2*frac)
 }
 
-// ConcurrentRates implements ConcurrentSchedule (stateless).
-func (Linear) ConcurrentRates() bool { return true }
-
 // RatesConstantUntil implements ConstantStretch: rates are time-independent.
 func (Linear) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
 
@@ -138,9 +121,6 @@ func (s Sinusoid) Rate(u int, t sim.Time) float64 {
 	}
 	return 1 + s.Rho*math.Sin(2*math.Pi*(t/s.Period+float64(u)*s.PhasePerNode))
 }
-
-// ConcurrentRates implements ConcurrentSchedule (stateless).
-func (Sinusoid) ConcurrentRates() bool { return true }
 
 // RatesConstantUntil implements ConstantStretch: rates vary continuously, so
 // no non-empty stretch can be certified.
@@ -164,9 +144,6 @@ func (f Flip) Rate(u int, t sim.Time) float64 {
 	}
 	return 1 - f.Rho
 }
-
-// ConcurrentRates implements ConcurrentSchedule (stateless).
-func (Flip) ConcurrentRates() bool { return true }
 
 // RatesConstantUntil implements ConstantStretch: every node's rate is
 // piecewise constant between the shared period boundaries.
@@ -214,12 +191,6 @@ func (w *RandomWalk) Rate(u int, t sim.Time) float64 {
 	return 1 + path[idx]
 }
 
-// ConcurrentRates implements ConcurrentSchedule: safe once PrepareTick has
-// materialized every path for the tick, because the concurrent Rate calls
-// then only read (the redundant same-value slice-header store hits only the
-// caller's own index).
-func (*RandomWalk) ConcurrentRates() bool { return true }
-
 // PrepareTick implements TickPreparer: it extends every node's path up to
 // the segment covering t, drawing from the shared RNG in ascending node
 // order — exactly the order the serial tick's Rate loop has always used, so
@@ -248,16 +219,6 @@ func (s Switching) Rate(u int, t sim.Time) float64 {
 		return s.Inner.Rate(u, t)
 	}
 	return 1
-}
-
-// ConcurrentRates implements ConcurrentSchedule by delegating to the wrapped
-// schedule; an inner schedule without the contract keeps the whole window
-// serial.
-func (s Switching) ConcurrentRates() bool {
-	if c, ok := s.Inner.(ConcurrentSchedule); ok {
-		return c.ConcurrentRates()
-	}
-	return false
 }
 
 // RatesConstantUntil implements ConstantStretch, boundary-aware: outside the
@@ -299,23 +260,3 @@ func (s Switching) PrepareTick(t sim.Time, n int) {
 		p.PrepareTick(t, n)
 	}
 }
-
-// PerNode assigns each node an individually fixed rate; missing entries run
-// at rate 1.
-type PerNode struct {
-	Rates map[int]float64
-}
-
-// Rate implements Schedule.
-func (p PerNode) Rate(u int, _ sim.Time) float64 {
-	if r, ok := p.Rates[u]; ok {
-		return r
-	}
-	return 1
-}
-
-// ConcurrentRates implements ConcurrentSchedule (concurrent map reads only).
-func (PerNode) ConcurrentRates() bool { return true }
-
-// RatesConstantUntil implements ConstantStretch: rates are time-independent.
-func (PerNode) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }

@@ -37,13 +37,26 @@ func TestSchedulesRespectEnvelope(t *testing.T) {
 		{"flip", Flip{Rho: rho, Period: 5}},
 		{"randomwalk", NewRandomWalk(rho, 1, 8, rng)},
 		{"switching", Switching{Inner: TwoGroup{Rho: rho, Split: 4}, From: 10, Until: 20}},
-		{"pernode", PerNode{Rates: map[int]float64{0: 1 + rho, 1: 1 - rho}}},
+		{"pernode", perNode{Rates: map[int]float64{0: 1 + rho, 1: 1 - rho}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			checkEnvelope(t, tc.s, 8, 100)
 		})
 	}
+}
+
+// perNode assigns each node an individually fixed rate; missing entries run
+// at rate 1.
+type perNode struct {
+	Rates map[int]float64
+}
+
+func (p perNode) Rate(u int, _ sim.Time) float64 {
+	if r, ok := p.Rates[u]; ok {
+		return r
+	}
+	return 1
 }
 
 func TestTwoGroupSplit(t *testing.T) {

@@ -45,20 +45,6 @@ type ConcurrentLayer interface {
 	ConcurrentQueries() bool
 }
 
-// NodeLocalLayer is the stronger opt-in contract tick-crossing event windows
-// require: a layer whose NodeLocalQueries returns true promises that
-// Estimate(u, v), EstimateAt(u, v, dir) and Eps(u, v) read only state owned
-// by the querying node u (u's own samples — the slab entries at u's
-// directed indices — and u's hardware clock) plus tick-stable topology —
-// never another node's clock. Under that promise an estimate query stays
-// correct when u's pending integration tick has been applied lazily while
-// v's has not: no cross-node clock read can observe the half-applied pair.
-// Oracle reads v's true clock, so it deliberately does not implement this
-// interface, which keeps tick crossing disabled for oracle-backed runs.
-type NodeLocalLayer interface {
-	NodeLocalQueries() bool
-}
-
 // ErrorPolicy chooses the oracle's estimate error within [−ε, +ε]. It plays
 // the role of the estimate-layer adversary.
 type ErrorPolicy interface {

@@ -211,7 +211,7 @@ func TestRBSLayoutDifferential(t *testing.T) {
 		rng := sim.NewRNG(seed ^ 0x7b5)
 		for step := 0; step < 40; step++ {
 			eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0.05, 0.4)))
-			if rng.Float64() < 0.3 {
+			if rng.Uniform(0, 1) < 0.3 {
 				invalidateRBS(r, rng.Intn(n), rng.Intn(n))
 			}
 			rbsObserve(sum, r, n)

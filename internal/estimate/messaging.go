@@ -231,9 +231,3 @@ func (m *Messaging) Eps(u, v int) float64 {
 // written by beacon deliveries and invalidations, which are engine events —
 // never inside an integration tick.
 func (m *Messaging) ConcurrentQueries() bool { return true }
-
-// NodeLocalQueries implements NodeLocalLayer: everything Estimate,
-// EstimateAt and Eps read for querying node u — u's samples, the hardware
-// clock hw(u), link parameters — is u-local or tick-stable, so queries stay correct while
-// integration ticks are applied lazily per node (tick-crossing windows).
-func (m *Messaging) NodeLocalQueries() bool { return true }

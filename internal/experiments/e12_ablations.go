@@ -30,13 +30,12 @@ func E12Ablations(spec Spec) *Result {
 	n := 12
 	offset := 12.0
 	factors := []struct {
-		name   string
-		algo   gradsync.Algo
-		factor float64
+		name string
+		algo gradsync.Algo
 	}{
-		{"I=0.2·G̃/µ (too fast)", gradsync.AOPTCustomInsertion(0.2), 0.2},
-		{"I=2·G̃/µ", gradsync.AOPTCustomInsertion(2), 2},
-		{"paper eq.(10) ≈ 22·G̃/µ·…", gradsync.AOPT(), 0},
+		{"I=0.2·G̃/µ (too fast)", gradsync.AOPTCustomInsertion(0.2)},
+		{"I=2·G̃/µ", gradsync.AOPTCustomInsertion(2)},
+		{"paper eq.(10) ≈ 22·G̃/µ·…", gradsync.AOPT()},
 	}
 	r.Table = metrics.NewTable("merge edge under different insertion durations (n=12, offset 12)",
 		"insertion", "worstPairRatio", "violates")

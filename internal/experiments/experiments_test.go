@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	gradsync "repro"
 )
 
 // TestSuiteQuickAllPass runs the entire reproduction suite at bench scale;
@@ -141,7 +143,7 @@ func TestSplitLineTopology(t *testing.T) {
 }
 
 func TestMergeScenarioRuns(t *testing.T) {
-	out, err := runMerge(8, 6, mergeAOPT(), 1, 40)
+	out, err := runMerge(8, 6, gradsync.AOPT(), 1, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

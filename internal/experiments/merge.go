@@ -95,6 +95,3 @@ func offsetHalves(n int, offset float64) []float64 {
 	}
 	return init
 }
-
-// mergeAOPT returns the default algorithm for merge-scenario tests.
-func mergeAOPT() gradsync.Algo { return gradsync.AOPT() }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/topo"
 )
 
 func ringEdges(n int) [][2]int {
@@ -127,6 +129,9 @@ func TestClusterConfigValidation(t *testing.T) {
 		{N: 4, BeaconInterval: -0.25}, {N: 4, BeaconInterval: nan},
 		{N: 4, TimeScale: -5 * time.Millisecond},
 		{N: 4, QueueCapacity: -1},
+		{N: 4, Link: topo.LinkParams{Eps: nan, Tau: 0.05, Delay: 0.05, Uncertainty: 0.05}},
+		{N: 4, Link: topo.LinkParams{Eps: -1, Tau: 0.05, Delay: 0.05, Uncertainty: 0.05}},
+		{N: 4, Link: topo.LinkParams{Eps: 0.05, Tau: 0.05, Delay: inf, Uncertainty: 0.05}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg); err == nil {

@@ -68,10 +68,11 @@ func (h TraceHeader) params() params {
 const maxNodes = 1 << 16
 
 // validate checks what a trace header shares with a cluster Config: the
-// node count, the edges and the protocol parameters. NewCluster validates a
-// Config through the header it would record, so a trace can only describe
-// a network a cluster would have accepted. Each numeric check negates the
-// legal range, so NaN fails it.
+// node count, the edges, the protocol parameters and the link parameters
+// (through topo.LinkParams.Validate). NewCluster validates a Config through
+// the header it would record, so a trace can only describe a network a
+// cluster would have accepted. Each numeric check negates the legal range,
+// so NaN fails it.
 func (h TraceHeader) validate() error {
 	switch {
 	case h.Version != 1:
@@ -81,6 +82,9 @@ func (h TraceHeader) validate() error {
 	case !finitePositive(h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval):
 		return fmt.Errorf("live: S, Mu, Rho, Iota, Tick and BeaconInterval must be finite and positive, got %v, %v, %v, %v, %v and %v",
 			h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval)
+	}
+	if err := h.Link.link().Validate(); err != nil {
+		return fmt.Errorf("live: %w", err)
 	}
 	for _, e := range h.Edges {
 		if e[0] < 0 || e[0] >= h.N || e[1] < 0 || e[1] >= h.N || e[0] == e[1] {

@@ -107,6 +107,18 @@ func TestReplayRejectsTamperedTrace(t *testing.T) {
 	if _, err := Replay(h, gap); err == nil {
 		t.Fatal("replay accepted a trace with a per-node sequence gap")
 	}
+
+	for _, link := range []traceParams{
+		{Eps: math.NaN(), Tau: 0.05, Delay: 0.05, Uncertainty: 0.05},
+		{Eps: -1, Tau: 0.05, Delay: 0.05, Uncertainty: 0.05},
+		{Eps: 0.05, Tau: 0.05, Delay: math.Inf(1), Uncertainty: 0.05},
+	} {
+		bad := h
+		bad.Link = link
+		if _, err := Replay(bad, good); err == nil {
+			t.Errorf("replay accepted a header with link %+v", link)
+		}
+	}
 }
 
 // FuzzReplayTrace feeds arbitrary bytes to the trace decoder and replay:

@@ -95,10 +95,9 @@ type Config struct {
 	// decide and integrate phases). Values ≤ 1 keep the serial tick. Within
 	// a tick every cross-node read is of pre-tick state and every write goes
 	// to the owning shard's node range, so results are byte-identical for
-	// every value; the knob trades wall-clock only. Phases fall back to the
-	// serial path when the drift schedule or estimate layer does not opt
-	// into the concurrency contract (drift.ConcurrentSchedule,
-	// estimate.ConcurrentLayer).
+	// every value; the knob trades wall-clock only. The decide phase falls
+	// back to the serial path when the estimate layer does not opt into the
+	// concurrency contract (estimate.ConcurrentLayer).
 	TickParallelism int
 	// EventParallelism shards the discrete-event drain itself: beacon-wheel
 	// fires (keyed by sending node), beacon deliveries and control
@@ -151,11 +150,10 @@ type Runtime struct {
 	driftSrc  drift.Schedule
 	algo      Algorithm
 	messaging *estimate.Messaging // non-nil when the estimate layer is message-based
-	// estConcurrent and estNodeLocal are the layer's answers to the
-	// estimate.ConcurrentLayer and estimate.NodeLocalLayer contracts,
-	// resolved once by SetEstimator: the layer is fixed from Start on.
+	// estConcurrent is the layer's answer to the estimate.ConcurrentLayer
+	// contract, resolved once by SetEstimator: the layer is fixed from
+	// Start on.
 	estConcurrent bool
-	estNodeLocal  bool
 	started       bool
 	dH            []float64
 
@@ -163,7 +161,6 @@ type Runtime struct {
 	// tickT/tickDt carry the current tick into driftFn, a method value built
 	// once in New so the hot tick never allocates a closure.
 	pool    *par.Pool
-	driftOK bool // driftSrc honors drift.ConcurrentSchedule
 	tickT   sim.Time
 	tickDt  float64
 	driftFn func(shard, lo, hi int)
@@ -241,7 +238,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.driftFn = rt.driftShard
 	rt.finishFn = rt.finishShard
-	rt.driftOK = concurrentSchedule(rt.driftSrc)
 	rt.stretch, _ = rt.driftSrc.(drift.ConstantStretch)
 	rt.envUntil = math.Inf(-1)
 	if cfg.TickParallelism > 1 {
@@ -249,13 +245,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.envShard = make([]rateRange, rt.TickShards())
 	return rt, nil
-}
-
-// concurrentSchedule reports whether the schedule opted into concurrent
-// per-node rate evaluation.
-func concurrentSchedule(s drift.Schedule) bool {
-	c, ok := s.(drift.ConcurrentSchedule)
-	return ok && c.ConcurrentRates()
 }
 
 // N returns the node count.
@@ -312,8 +301,6 @@ func (rt *Runtime) SetEstimator(l estimate.Layer) {
 	rt.messaging, _ = l.(*estimate.Messaging)
 	c, ok := l.(estimate.ConcurrentLayer)
 	rt.estConcurrent = ok && c.ConcurrentQueries()
-	nl, ok := l.(estimate.NodeLocalLayer)
-	rt.estNodeLocal = ok && nl.NodeLocalQueries()
 }
 
 // Attach installs the algorithm and wires all event routing.
@@ -372,12 +359,14 @@ func (rt *Runtime) Start() error {
 // pending at tickAt, covering the stretch up to the following tick. Every
 // layer must certify quiescence:
 //   - the algorithm can step single nodes (NodeStepper.CanStepNodes);
-//   - the estimate layer reads only querying-node state
-//     (estimate.NodeLocalLayer — Messaging yes, Oracle no), so an estimate
-//     taken between two nodes' lazy applications cannot observe the split;
-//   - the drift schedule supports concurrent rate reads and certifies
-//     constant rates over [tickAt, tickAt+Tick) (drift.ConstantStretch), so
-//     the lazily evaluated Rate(u, tickAt) matches the barrier tick's.
+//   - the estimate layer is the messaging layer, whose queries for node u
+//     read only u's samples, u's hardware clock and tick-stable topology,
+//     so an estimate taken between two nodes' lazy applications cannot
+//     observe the split; the oracle reads the peer's true clock, so
+//     crossing stays off for oracle-backed runs;
+//   - the drift schedule certifies constant rates over [tickAt, tickAt+Tick)
+//     (drift.ConstantStretch), so the lazily evaluated Rate(u, tickAt)
+//     matches the barrier tick's.
 //
 // The engine adds its own conditions: no serial-source (control) item
 // pending before the limit, and no other global event (scenario step,
@@ -385,7 +374,7 @@ func (rt *Runtime) Start() error {
 // handlers read multi-node clock state and require every tick applied.
 func (rt *Runtime) crossGate(tickAt sim.Time) (sim.Time, bool) {
 	st := rt.stepper
-	if st == nil || !st.CanStepNodes() || !rt.driftOK || !rt.estNodeLocal {
+	if st == nil || !st.CanStepNodes() || rt.messaging == nil {
 		return 0, false
 	}
 	if rt.stretch == nil {
@@ -511,13 +500,12 @@ func (rt *Runtime) Algo() Algorithm { return rt.algo }
 
 // step is the integration tick. A barrier tick runs two phases. Phase 1
 // evaluates the adversary drift rates and integrates the hardware clocks —
-// sharded when a pool exists and the schedule opted into concurrent
-// evaluation, with lazily extended schedules materialized serially first
-// (drift.TickPreparer) so RNG draw order matches the serial tick byte for
-// byte. Phase 2 hands the increments to the algorithm, whose Step shards
-// its own phases through ParallelTick. A crossed tick instead completes:
-// the nodes no window event touched are stepped per event shard under
-// Engine.RunShards (finishShard), and FinishTick folds the counters.
+// sharded when a pool exists, with lazily extended schedules materialized
+// serially first (drift.TickPreparer) so RNG draw order matches the serial
+// tick byte for byte. Phase 2 hands the increments to the algorithm, whose
+// Step shards its own phases through ParallelTick. A crossed tick instead
+// completes: the nodes no window event touched are stepped per event shard
+// under Engine.RunShards (finishShard), and FinishTick folds the counters.
 func (rt *Runtime) step(t sim.Time, dt float64) {
 	if rt.lazyActive {
 		// The tick was crossed: many nodes were stepped lazily at their first
@@ -541,7 +529,7 @@ func (rt *Runtime) step(t sim.Time, dt float64) {
 	for s := range rt.envShard {
 		rt.envShard[s] = rateRange{lo: math.Inf(1), hi: math.Inf(-1)}
 	}
-	if rt.pool != nil && rt.driftOK {
+	if rt.pool != nil {
 		if p, ok := rt.driftSrc.(drift.TickPreparer); ok {
 			p.PrepareTick(t, rt.cfg.N)
 		}

@@ -319,6 +319,21 @@ func (e *envAlgo) Step(t sim.Time, dH []float64) {
 	e.fakeAlgo.Step(t, dH)
 }
 
+// perNode assigns each node an individually fixed rate, missing entries
+// running at rate 1; the rates never change.
+type perNode struct {
+	Rates map[int]float64
+}
+
+func (p perNode) Rate(u int, _ sim.Time) float64 {
+	if r, ok := p.Rates[u]; ok {
+		return r
+	}
+	return 1
+}
+
+func (perNode) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
+
 // TestRateEnvelope pins what RateEnvelope reports to a barrier tick's Step:
 // the extremes of the clamped rates the tick integrated, and the end of the
 // schedule's constant-rate stretch from the tick's time (the tick time
@@ -337,7 +352,7 @@ func TestRateEnvelope(t *testing.T) {
 			return (math.Floor(t/0.35) + 1) * 0.35
 		}},
 		{"sinusoid", func() drift.Schedule { return drift.Sinusoid{Rho: 0.1, Period: 3, PhasePerNode: 0.1} }, func(t float64) float64 { return t }},
-		{"clamped", func() drift.Schedule { return drift.PerNode{Rates: map[int]float64{0: 2.5, 1: -0.5}} }, func(float64) float64 { return inf }},
+		{"clamped", func() drift.Schedule { return perNode{Rates: map[int]float64{0: 2.5, 1: -0.5}} }, func(float64) float64 { return inf }},
 		{"random walk", func() drift.Schedule { return drift.NewRandomWalk(0.1, 0.3, 3, sim.NewRNG(1)) }, func(t float64) float64 { return t }},
 	} {
 		for _, par := range []int{1, 5} {

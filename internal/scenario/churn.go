@@ -24,8 +24,6 @@ type Churn struct {
 	Poisson bool
 	// Pairs overrides the candidate pool (nil = all undeclared pairs).
 	Pairs []Pair
-	// Until stops the churn process at that time; 0 means never.
-	Until float64
 
 	// Toggles counts applied transitions; Err records the first failure.
 	Toggles int
@@ -35,7 +33,6 @@ type Churn struct {
 	rng  *sim.RNG
 	pool []Pair
 	up   map[Pair]bool
-	tk   *sim.Ticker
 }
 
 var _ runner.Scenario = (*Churn)(nil)
@@ -65,27 +62,15 @@ func (c *Churn) Install(rt *runner.Runtime, rng *sim.RNG) {
 		rt.Engine.After(rng.Exp(c.Every), c.poissonStep)
 		return
 	}
-	c.tk = rt.Engine.NewTicker(c.Every, c.Every, func(t sim.Time, _ float64) { c.toggle(t) })
+	rt.Engine.NewTicker(c.Every, c.Every, func(sim.Time, float64) { c.toggle() })
 }
 
-func (c *Churn) expired(t sim.Time) bool { return c.Until > 0 && t > c.Until }
-
-func (c *Churn) poissonStep(t sim.Time) {
-	if c.expired(t) {
-		return
-	}
-	c.toggle(t)
+func (c *Churn) poissonStep(sim.Time) {
+	c.toggle()
 	c.rt.Engine.After(c.rng.Exp(c.Every), c.poissonStep)
 }
 
-func (c *Churn) toggle(t sim.Time) {
-	if c.expired(t) {
-		if c.tk != nil {
-			c.tk.Stop()
-			c.tk = nil
-		}
-		return
-	}
+func (c *Churn) toggle() {
 	p := c.pool[c.rng.Intn(len(c.pool))]
 	applied, err := togglePair(c.rt, c.up, p, "churn")
 	if err != nil {

@@ -29,8 +29,6 @@ type ChurnWaves struct {
 	Spacing float64
 	// Pairs overrides the candidate pool (nil = all undeclared pairs).
 	Pairs []Pair
-	// Until stops new waves after that time; 0 means never.
-	Until float64
 
 	// Waves counts started waves, Toggles applied transitions; Err records
 	// the first failure.
@@ -85,10 +83,7 @@ func (c *ChurnWaves) Install(rt *runner.Runtime, rng *sim.RNG) {
 // toggle of the wave in flight, re-arming the shared timer either way.
 func (c *ChurnWaves) fire(t sim.Time) {
 	if c.next >= len(c.burst) {
-		// Between waves: start the next one unless expired.
-		if c.Until > 0 && t > c.Until {
-			return
-		}
+		// Between waves: start the next one.
 		c.burst = c.burst[:0]
 		for i := 0; i < c.BurstSize; i++ {
 			c.burst = append(c.burst, c.pool[c.rng.Intn(len(c.pool))])

@@ -14,10 +14,8 @@ import (
 type FlashCrowd struct {
 	// At is the burst time.
 	At float64
-	// Pairs lists the edges to add; nil draws Count random undeclared
-	// pairs at install time.
-	Pairs []Pair
-	// Count sizes the random burst when Pairs is nil (default 4).
+	// Count is the number of random undeclared pairs drawn at install time
+	// (default 4).
 	Count int
 
 	// Added counts applied insertions; Err records the first failure.
@@ -29,29 +27,25 @@ var _ runner.Scenario = (*FlashCrowd)(nil)
 
 // Install implements runner.Scenario.
 func (f *FlashCrowd) Install(rt *runner.Runtime, rng *sim.RNG) {
-	pairs := f.Pairs
-	if pairs == nil {
-		count := f.Count
-		if count <= 0 {
-			count = 4
-		}
-		pool := freePairs(rt)
-		if len(pool) == 0 {
-			f.Err = fmt.Errorf("scenario flashcrowd: no undeclared pairs to draw from")
-			return
-		}
-		if count > len(pool) {
-			count = len(pool)
-		}
-		// Draw a deterministic sample without replacement.
-		perm := rng.Perm(len(pool))
-		for _, i := range perm[:count] {
-			pairs = append(pairs, pool[i])
-		}
+	count := f.Count
+	if count <= 0 {
+		count = 4
+	}
+	pool := freePairs(rt)
+	if len(pool) == 0 {
+		f.Err = fmt.Errorf("scenario flashcrowd: no undeclared pairs to draw from")
+		return
+	}
+	if count > len(pool) {
+		count = len(pool)
+	}
+	// Draw a deterministic sample without replacement.
+	var pairs []Pair
+	for _, i := range rng.Perm(len(pool))[:count] {
+		pairs = append(pairs, pool[i])
 	}
 	rt.Engine.Schedule(f.At, func(sim.Time) {
 		for _, p := range pairs {
-			p := canon(p)
 			if err := rt.AddEdge(p[0], p[1]); err != nil {
 				if f.Err == nil {
 					f.Err = edgeErrf("flashcrowd", p[0], p[1], err)

@@ -31,9 +31,6 @@ type PreferentialAttachment struct {
 	JoinEvery float64
 	// M is the number of attachment edges per joining node (default 2).
 	M int
-	// Until stops further joins after that time; 0 means grow until every
-	// node has joined.
-	Until float64
 
 	// Joins counts joined nodes, Attached the edges created; Err records
 	// the first failure.
@@ -100,9 +97,6 @@ func (p *PreferentialAttachment) Install(rt *runner.Runtime, rng *sim.RNG) {
 // fire joins the next node: draw M distinct degree-weighted targets among
 // the joined nodes and attach, then re-arm for the following join.
 func (p *PreferentialAttachment) fire(t sim.Time) {
-	if p.Until > 0 && t > p.Until {
-		return
-	}
 	u := p.next
 	p.next++
 	attached := 0

@@ -100,19 +100,6 @@ func TestPreferentialAttachmentPrefersHubs(t *testing.T) {
 	}
 }
 
-func TestPreferentialAttachmentUntilStopsJoins(t *testing.T) {
-	const n, seeds = 20, 5
-	p := &PreferentialAttachment{Seeds: seeds, JoinEvery: 2, Until: 9}
-	rt := prefRuntime(t, n, seeds, p, 3)
-	rt.Run(100)
-	if p.Err != nil {
-		t.Fatalf("prefattach error: %v", p.Err)
-	}
-	if p.Joins == 0 || p.Joins >= n-seeds {
-		t.Fatalf("Until=9 with JoinEvery=2 should stop growth partway, joined %d of %d", p.Joins, n-seeds)
-	}
-}
-
 func TestPreferentialAttachmentRejectsBadPeriod(t *testing.T) {
 	p := &PreferentialAttachment{}
 	rt := prefRuntime(t, 8, 4, p, 1)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/drift"
@@ -40,16 +39,6 @@ func testRuntime(t *testing.T, n int, sc runner.Scenario, seed int64) *runner.Ru
 	return rt
 }
 
-// extraEvents runs rt d more time units and returns how many global events
-// fired beyond the integration ticks: scenario steps and the topology
-// detections they schedule.
-func extraEvents(rt *runner.Runtime, d float64) int64 {
-	before := rt.Engine.DrainStats().GlobalEvents
-	rt.Run(rt.Engine.Now() + d)
-	ticks := int64(math.Round(d / rt.Tick()))
-	return int64(rt.Engine.DrainStats().GlobalEvents-before) - ticks
-}
-
 func TestChurnTogglesOnlyChords(t *testing.T) {
 	ch := &Churn{Every: 2}
 	rt := testRuntime(t, 8, ch, 7)
@@ -80,25 +69,16 @@ func TestChurnPoissonRuns(t *testing.T) {
 	}
 }
 
-func TestChurnStopsAtUntilAndKeepsCallerPairs(t *testing.T) {
+func TestChurnKeepsCallerPairs(t *testing.T) {
 	pairs := []Pair{{6, 2}, {5, 1}} // deliberately non-canonical order
-	ch := &Churn{Every: 2, Until: 20, Pairs: pairs}
+	ch := &Churn{Every: 2, Pairs: pairs}
 	rt := testRuntime(t, 8, ch, 7)
 	rt.Run(21)
 	if ch.Err != nil {
 		t.Fatalf("churn error: %v", ch.Err)
 	}
-	at20 := ch.Toggles
-	if at20 == 0 {
-		t.Fatal("churn never ran before Until")
-	}
-	rt.Run(200)
-	if ch.Toggles != at20 {
-		t.Errorf("churn kept toggling after Until: %d → %d", at20, ch.Toggles)
-	}
-	// Expired churn must also stop burning engine events.
-	if extra := extraEvents(rt, 100); extra != 0 {
-		t.Errorf("%d global events beyond the ticks after Until; expired churn should have stopped rescheduling", extra)
+	if ch.Toggles == 0 {
+		t.Fatal("churn never ran")
 	}
 	if pairs[0] != (Pair{6, 2}) || pairs[1] != (Pair{5, 1}) {
 		t.Errorf("caller's Pairs slice was mutated: %v", pairs)
@@ -320,27 +300,6 @@ func TestChurnWavesBurstsAndProtectsCore(t *testing.T) {
 		if !rt.Dyn.BothUp(e.U, e.V) {
 			t.Errorf("core edge {%d,%d} was touched by churn waves", e.U, e.V)
 		}
-	}
-}
-
-func TestChurnWavesStopsAtUntil(t *testing.T) {
-	w := &ChurnWaves{WaveEvery: 5, BurstSize: 3, Spacing: 0.2, Until: 20}
-	rt := testRuntime(t, 8, w, 3)
-	rt.Run(21)
-	if w.Err != nil {
-		t.Fatalf("churnwaves error: %v", w.Err)
-	}
-	at20 := w.Toggles
-	if at20 == 0 {
-		t.Fatal("waves never ran before Until")
-	}
-	rt.Run(200)
-	if w.Toggles != at20 {
-		t.Errorf("waves kept toggling after Until: %d → %d", at20, w.Toggles)
-	}
-	// Expired waves must also stop burning engine events.
-	if extra := extraEvents(rt, 100); extra != 0 {
-		t.Errorf("%d global events beyond the ticks after expiry", extra)
 	}
 }
 

@@ -406,13 +406,13 @@ func TestEngineOrderingProperty(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Float64() != b.Float64() {
+		if a.Uniform(0, 1) != b.Uniform(0, 1) {
 			t.Fatal("same-seed RNGs diverged")
 		}
 	}
 	c, d := NewRNG(42).Split(), NewRNG(42).Split()
 	for i := 0; i < 100; i++ {
-		if c.Float64() != d.Float64() {
+		if c.Uniform(0, 1) != d.Uniform(0, 1) {
 			t.Fatal("split children of same-seed RNGs diverged")
 		}
 	}

@@ -14,9 +14,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
-
 // Uniform returns a uniform value in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi < lo {

@@ -33,18 +33,19 @@ func DefaultLinkParams() LinkParams {
 	return LinkParams{Eps: 0.2, Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}
 }
 
-// Validate reports whether the parameters are internally consistent.
+// Validate checks each parameter against its legal range: Eps ∈ (0, ∞),
+// Tau ∈ [0, ∞), Delay ∈ (0, ∞) and Uncertainty ∈ [0, Delay]. Each check
+// negates the range, so NaN and +Inf fail it.
 func (p LinkParams) Validate() error {
+	inf := math.Inf(1)
 	switch {
-	case math.IsNaN(p.Eps) || math.IsNaN(p.Tau) || math.IsNaN(p.Delay) || math.IsNaN(p.Uncertainty):
-		return fmt.Errorf("topo: link parameters must not be NaN, got %+v", p)
-	case p.Eps <= 0:
-		return fmt.Errorf("topo: Eps must be positive, got %v", p.Eps)
-	case p.Tau < 0:
-		return fmt.Errorf("topo: Tau must be non-negative, got %v", p.Tau)
-	case p.Delay <= 0:
-		return fmt.Errorf("topo: Delay must be positive, got %v", p.Delay)
-	case p.Uncertainty < 0 || p.Uncertainty > p.Delay:
+	case !(p.Eps > 0 && p.Eps < inf):
+		return fmt.Errorf("topo: Eps must be positive and finite, got %v", p.Eps)
+	case !(p.Tau >= 0 && p.Tau < inf):
+		return fmt.Errorf("topo: Tau must be non-negative and finite, got %v", p.Tau)
+	case !(p.Delay > 0 && p.Delay < inf):
+		return fmt.Errorf("topo: Delay must be positive and finite, got %v", p.Delay)
+	case !(p.Uncertainty >= 0 && p.Uncertainty <= p.Delay):
 		return fmt.Errorf("topo: Uncertainty must be in [0, Delay], got %v", p.Uncertainty)
 	}
 	return nil

@@ -66,6 +66,7 @@ func hopDiameter(d *Dynamic, now sim.Time, minAge float64) (int, bool) {
 }
 
 func TestLinkParamsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name    string
 		p       LinkParams
@@ -76,6 +77,15 @@ func TestLinkParamsValidate(t *testing.T) {
 		{"negative tau", LinkParams{Eps: 0.1, Tau: -1, Delay: 0.1}, true},
 		{"zero delay", LinkParams{Eps: 0.1, Tau: 0.1, Delay: 0}, true},
 		{"uncertainty above delay", LinkParams{Eps: 0.1, Tau: 0.1, Delay: 0.1, Uncertainty: 0.2}, true},
+		{"NaN eps", LinkParams{Eps: nan, Tau: 0.1, Delay: 0.1}, true},
+		{"+Inf eps", LinkParams{Eps: inf, Tau: 0.1, Delay: 0.1}, true},
+		{"NaN tau", LinkParams{Eps: 0.1, Tau: nan, Delay: 0.1}, true},
+		{"+Inf tau", LinkParams{Eps: 0.1, Tau: inf, Delay: 0.1}, true},
+		{"NaN delay", LinkParams{Eps: 0.1, Tau: 0.1, Delay: nan}, true},
+		{"+Inf delay", LinkParams{Eps: 0.1, Tau: 0.1, Delay: inf, Uncertainty: 0.05}, true},
+		{"NaN uncertainty", LinkParams{Eps: 0.1, Tau: 0.1, Delay: 0.1, Uncertainty: nan}, true},
+		{"negative uncertainty", LinkParams{Eps: 0.1, Tau: 0.1, Delay: 0.1, Uncertainty: -0.01}, true},
+		{"uncertainty at delay", LinkParams{Eps: 0.1, Tau: 0, Delay: 0.1, Uncertainty: 0.1}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

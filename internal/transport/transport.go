@@ -76,17 +76,14 @@ func (MinDelay) Draw(_ *sim.Stream, _, _ int, p topo.LinkParams) float64 {
 
 // ShiftDelay is the classic shifting adversary: messages travelling towards
 // higher node ids get minimum delay, messages towards lower ids get maximum
-// delay (or the reverse if TowardLow is set). Combined with a matching drift
-// schedule this hides accumulated skew from the algorithm, which is how the
-// Section 8 lower-bound execution is realized operationally.
-type ShiftDelay struct {
-	TowardLow bool
-}
+// delay. Combined with a matching drift schedule this hides accumulated
+// skew from the algorithm, which is how the Section 8 lower-bound execution
+// is realized operationally.
+type ShiftDelay struct{}
 
 // Draw implements DelayPolicy.
-func (s ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64 {
-	towardHigh := to > from
-	if towardHigh != s.TowardLow {
+func (ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64 {
+	if to > from {
 		return p.Delay - p.Uncertainty
 	}
 	return p.Delay

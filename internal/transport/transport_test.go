@@ -155,7 +155,6 @@ func TestDelayPolicies(t *testing.T) {
 		{"min", MinDelay{}, 0, 1, p.Delay - p.Uncertainty},
 		{"shift toward high is fast", ShiftDelay{}, 0, 1, p.Delay - p.Uncertainty},
 		{"shift toward low is slow", ShiftDelay{}, 1, 0, p.Delay},
-		{"shift reversed", ShiftDelay{TowardLow: true}, 1, 0, p.Delay - p.Uncertainty},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

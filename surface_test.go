@@ -1,42 +1,59 @@
 package gradsync_test
 
-// The test-only surface guard. An exported identifier of an internal/
-// package that only tests reach is production code nothing runs: a knob,
-// a second implementation or a helper that drifts from the path the
-// simulator takes. This test parses the module with go/parser and go/ast
-// only (like cmd/mdlint, no type checker) and fails on each such
-// declaration, naming file:line:
+// The test-only surface guard. A declaration that only tests reach is
+// production code nothing runs: a knob, a second implementation or a helper
+// that drifts from the path the simulator takes. This test type-checks the
+// non-test files of every package of the module with go/types, perfbench/
+// included, once for the default build and once with -tags large, and fails
+// on each such declaration, naming file:line:
 //
-//   - an exported function, type, var or const of an internal/ package
-//     that no non-test file references outside its own declaration;
-//   - an exported method of an internal/ package whose name appears in no
-//     non-test selector (so a method reached only through an interface
-//     still counts as used).
+//   - an exported function, type, var or const of an internal/ package, or
+//     an unexported one of any package but perfbench/'s own, that no
+//     non-test code uses outside its own declaration;
+//   - an exported method of an internal/ package that no non-test code
+//     uses, unless non-test code uses a module interface method of its
+//     name, or an interface of an imported standard-library package
+//     declares that name.
 //
-// Every .go file is parsed whatever its build tags, perfbench/ included:
-// the benchmark drives internal APIs, so its non-test files count as
-// references. An identifier that a ROADMAP item or a cross-package test
-// needs before production code calls it goes on surfaceAllow with the
-// reason; an entry fails once its identifier is referenced or gone.
+// A use is an identifier that go/types resolves to the declaration (the
+// selector of a field or method selection included). Uses are keyed by the
+// declaration's position, which the methods and fields of an instance of a
+// generic type share with the generic declaration, so a call through an
+// instantiation counts without mapping objects to their Origin. The type
+// named in a method's receiver is not a use. perfbench/ drives internal
+// APIs, so its non-test files count as uses. A declaration that a ROADMAP
+// item or a cross-package test needs before production code uses it goes
+// on surfaceAllow with the reason; an entry fails once its declaration is
+// used or gone.
+//
+// The same index resolves the backticked `pkg.Name` and `pkg.Name.Member`
+// tokens of the living docs, so a doc that names a deleted declaration
+// fails too.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// surfaceAllow names the unreferenced identifiers that stay, each with the
+// surfaceAllow names the unused declarations that stay, each with the
 // ROADMAP item or the cross-package test that needs it. Keys are
-// "pkg.Name" for package-level identifiers and "pkg.Type.Name" for
-// methods, pkg being the directory under internal/.
+// "pkg.Name" for package-level declarations and "pkg.Type.Name" for
+// methods, pkg being the directory under internal/ (or, outside internal/,
+// the package's directory, "gradsync" for the root).
 var surfaceAllow = map[string]string{
 	"analysis.Snapshot.CheckLegality": "ROADMAP legality item: E15/E16 check Definition 5.13 at every node",
 	"analysis.Snapshot.MaxXi":         "ROADMAP legality item: the DFS oracle of the distance-transform differential",
@@ -46,53 +63,78 @@ var surfaceAllow = map[string]string{
 }
 
 // maxSurfaceAllow caps the allowlist so it cannot become a second surface.
-const maxSurfaceAllow = 8
+const maxSurfaceAllow = 5
+
+// surfaceTags are the build tag sets the guard type-checks.
+var surfaceTags = [][]string{nil, {"large"}}
+
+// surfaceDocs are the living docs whose backticked names must resolve.
+// CHANGES.md and ROADMAP.md are history and name deleted code on purpose.
+var surfaceDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 func TestTestOnlySurface(t *testing.T) {
 	if len(surfaceAllow) > maxSurfaceAllow {
 		t.Fatalf("surfaceAllow has %d entries, at most %d allowed", len(surfaceAllow), maxSurfaceAllow)
 	}
-	problems, err := checkSurface(".", surfaceAllow)
+	idx, err := loadSurface(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	problems := idx.problems(surfaceAllow)
+	for _, doc := range surfaceDocs {
+		p, err := idx.checkDoc(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems = append(problems, p...)
 	}
 	for _, p := range problems {
 		t.Error(p)
 	}
 }
 
-// surfaceDecl is one exported declaration of an internal/ package.
+// surfaceDecl is one declaration under the guard.
 type surfaceDecl struct {
 	id       string    // allowlist key
-	dir      string    // package directory, slash-separated, relative to the root
-	name     string    // declared name
+	exported bool      // exported name
 	method   bool      // declared with a receiver
-	pos      token.Pos // the name's position, for the report
-	from, to token.Pos // the declaration's extent
+	name     string    // declared name
+	from, to token.Pos // the declaration's extent; uses inside it do not count
 }
 
-// surfaceRef names the package-level identifier name of package dir.
-type surfaceRef struct {
-	dir  string
-	name string
+// surfaceIndex is the type-checked module: the declarations under the
+// guard, keyed by their name's position (each file is parsed once, so a
+// position names one declaration in every tag set), and what non-test code
+// uses.
+type surfaceIndex struct {
+	fset  *token.FileSet
+	decls map[token.Pos]surfaceDecl
+	uses  map[token.Pos][]token.Pos // a declaration's position → its uses
+	// ifaceNames holds the names of the module interface methods that
+	// non-test code uses and of every method an interface of an imported
+	// standard-library package declares.
+	ifaceNames map[string]bool
+	// pkgs maps a package name ("gradsync" for the root) to its
+	// default-build package; main packages are left out.
+	pkgs map[string]*types.Package
 }
 
-// checkSurface parses the module under root and returns one problem line
-// per unreferenced exported declaration of an internal/ package that allow
-// does not name, and one per allowlist entry with no reason or whose
-// identifier is referenced or gone.
-func checkSurface(root string, allow map[string]string) ([]string, error) {
+// surfacePkg is one module package of one tag set.
+type surfacePkg struct {
+	dir     string // slash-separated, relative to the root
+	files   []*ast.File
+	imports []string
+}
+
+// loadSurface type-checks the non-test files of every package under root
+// for each tag set of surfaceTags. Module packages are checked from source
+// in import order; the standard library comes from export data.
+func loadSurface(root string) (*surfaceIndex, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	type parsed struct {
-		dir string
-		f   *ast.File
-	}
-	var files []parsed
-	pkgName := map[string]string{} // dir → package name of its non-test files
+	dirs := map[string][]string{} // dir → its non-test .go file names
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -104,103 +146,246 @@ func checkSurface(root string, allow map[string]string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], d.Name())
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(rel)
-		files = append(files, parsed{dir, f})
-		pkgName[dir] = f.Name.Name
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var decls []surfaceDecl
-	bare := map[surfaceRef][]token.Pos{} // same-package uses
-	qualified := map[surfaceRef]bool{}   // pkg.Name uses from other packages
-	selectors := map[string]bool{}       // every other selector name
-	for _, p := range files {
-		if p.dir == "internal" || strings.HasPrefix(p.dir, "internal/") {
-			decls = append(decls, exportedDecls(p.dir, p.f)...)
-		}
-		imports := map[string]string{} // local name → directory
-		for _, spec := range p.f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			dir := "."
-			if path != modPath {
-				rest, ok := strings.CutPrefix(path, modPath+"/")
+	idx := &surfaceIndex{
+		fset:       token.NewFileSet(),
+		decls:      map[token.Pos]surfaceDecl{},
+		uses:       map[token.Pos][]token.Pos{},
+		ifaceNames: map[string]bool{"Error": true}, // the universe's error
+		pkgs:       map[string]*types.Package{},
+	}
+	std := importer.ForCompiler(idx.fset, "gc", nil)
+	parsed := map[string]*ast.File{}
+	stdSeen := map[*types.Package]bool{}
+	for pass, tags := range surfaceTags {
+		ctx := build.Default
+		ctx.BuildTags = tags
+		pkgs := map[string]*surfacePkg{} // import path → package
+		for osDir, names := range dirs {
+			rel, err := filepath.Rel(root, osDir)
+			if err != nil {
+				return nil, err
+			}
+			p := &surfacePkg{dir: filepath.ToSlash(rel)}
+			for _, name := range names {
+				ok, err := ctx.MatchFile(osDir, name)
+				if err != nil {
+					return nil, err
+				}
 				if !ok {
 					continue
 				}
-				dir = rest
+				path := filepath.Join(osDir, name)
+				f := parsed[path]
+				if f == nil {
+					if f, err = parser.ParseFile(idx.fset, path, nil, parser.SkipObjectResolution); err != nil {
+						return nil, err
+					}
+					parsed[path] = f
+				}
+				p.files = append(p.files, f)
+				for _, spec := range f.Imports {
+					imp, _ := strconv.Unquote(spec.Path.Value)
+					p.imports = append(p.imports, imp)
+				}
 			}
-			local := pkgName[dir]
-			if local == "" {
-				local = path[strings.LastIndex(path, "/")+1:]
+			if len(p.files) == 0 {
+				continue
 			}
-			if spec.Name != nil {
-				local = spec.Name.Name
+			importPath := modPath
+			if p.dir != "." {
+				importPath += "/" + p.dir
 			}
-			imports[local] = dir
+			pkgs[importPath] = p
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						qualified[surfaceRef{dir, n.Sel.Name}] = true
-						return false
+
+		checked := map[string]*types.Package{}
+		conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+			if pkg, ok := checked[path]; ok {
+				return pkg, nil
+			}
+			return std.Import(path)
+		})}
+		for _, path := range importOrder(pkgs) {
+			p := pkgs[path]
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			pkg, err := conf.Check(path, idx.fset, p.files, info)
+			if err != nil {
+				return nil, err
+			}
+			checked[path] = pkg
+			if pass == 0 && pkg.Name() != "main" {
+				idx.pkgs[pkg.Name()] = pkg
+			}
+			for _, f := range p.files {
+				idx.addDecls(p.dir, f)
+			}
+			idx.addUses(info, p.files, pkgs)
+			for _, imp := range pkg.Imports() {
+				if pkgs[imp.Path()] == nil && !stdSeen[imp] {
+					stdSeen[imp] = true
+					addInterfaceNames(imp, idx.ifaceNames)
+				}
+			}
+		}
+	}
+	return idx, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importOrder lists the import paths of pkgs so that each package follows
+// the module packages it imports.
+func importOrder(pkgs map[string]*surfacePkg) []string {
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	var order []string
+	seen := map[string]bool{}
+	var visit func(path string)
+	visit = func(path string) {
+		if seen[path] || pkgs[path] == nil {
+			return
+		}
+		seen[path] = true
+		for _, imp := range pkgs[path].imports {
+			visit(imp)
+		}
+		order = append(order, path)
+	}
+	for _, path := range paths {
+		visit(path)
+	}
+	return order
+}
+
+// addDecls indexes the declarations of one file of package dir that the
+// guard covers: the exported package-level names and methods of internal/
+// packages, and the unexported package-level names of every package but
+// perfbench/'s.
+func (idx *surfaceIndex) addDecls(dir string, f *ast.File) {
+	internal := dir == "internal" || strings.HasPrefix(dir, "internal/")
+	bench := dir == "perfbench" || strings.HasPrefix(dir, "perfbench/")
+	key := strings.TrimPrefix(dir, "internal/")
+	if dir == "." {
+		key = f.Name.Name
+	}
+	add := func(id string, name *ast.Ident, method bool, node ast.Node) {
+		exported := name.IsExported()
+		if (exported && !internal) || (!exported && (method || bench || name.Name == "_")) {
+			return
+		}
+		idx.decls[name.Pos()] = surfaceDecl{id: key + "." + id, exported: exported, method: method,
+			name: name.Name, from: node.Pos(), to: node.End()}
+	}
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			switch {
+			case decl.Recv != nil:
+				add(receiverName(decl.Recv.List[0].Type)+"."+decl.Name.Name, decl.Name, true, decl)
+			case decl.Name.Name != "init" && (decl.Name.Name != "main" || f.Name.Name != "main"):
+				add(decl.Name.Name, decl.Name, false, decl)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add(spec.Name.Name, spec.Name, false, spec)
+				case *ast.ValueSpec:
+					for _, name := range spec.Names {
+						add(name.Name, name, false, spec)
 					}
 				}
-				selectors[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				key := surfaceRef{p.dir, n.Name}
-				bare[key] = append(bare[key], n.Pos())
 			}
-			return true
 		}
-		ast.Inspect(p.f, visit)
 	}
+}
 
+// addUses records what one package's non-test files use: the position of
+// each module declaration an identifier resolves to, outside method
+// receivers, and the names of the module interface methods among them.
+func (idx *surfaceIndex) addUses(info *types.Info, files []*ast.File, pkgs map[string]*surfacePkg) {
+	recv := map[*ast.Ident]bool{}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recv[id] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		if recv[id] || obj.Pkg() == nil || pkgs[obj.Pkg().Path()] == nil {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
+				idx.ifaceNames[fn.Name()] = true
+			}
+		}
+		idx.uses[obj.Pos()] = append(idx.uses[obj.Pos()], id.Pos())
+	}
+}
+
+// addInterfaceNames adds the method names of every exported interface of
+// a standard-library package.
+func addInterfaceNames(pkg *types.Package, names map[string]bool) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := range iface.NumMethods() {
+				names[iface.Method(i).Name()] = true
+			}
+		}
+	}
+}
+
+// problems returns one line per unused declaration that allow does not
+// name, and one per allowlist entry with no reason or whose declaration is
+// used or gone.
+func (idx *surfaceIndex) problems(allow map[string]string) []string {
 	var problems []string
 	declared := map[string]bool{}
-	for _, d := range decls {
+	for pos, d := range idx.decls {
 		declared[d.id] = true
-		used := false
-		if d.method {
-			used = selectors[d.name]
-		} else {
-			key := surfaceRef{d.dir, d.name}
-			used = qualified[key]
-			for _, pos := range bare[key] {
-				if pos < d.from || pos >= d.to {
-					used = true
-					break
-				}
-			}
+		used := d.method && idx.ifaceNames[d.name]
+		for _, at := range idx.uses[pos] {
+			used = used || at < d.from || at >= d.to
 		}
 		_, allowed := allow[d.id]
 		switch {
 		case allowed && used:
-			problems = append(problems, fmt.Sprintf("surfaceAllow: %s is referenced now; delete its entry", d.id))
+			problems = append(problems, fmt.Sprintf("surfaceAllow: %s is used now; delete its entry", d.id))
 		case !allowed && !used:
-			kind := "no non-test file references it"
-			if d.method {
-				kind = "its name appears in no non-test selector"
+			kind, why := "unexported", "no non-test code uses it"
+			if d.exported {
+				kind = "exported"
 			}
-			problems = append(problems, fmt.Sprintf("%s: exported %s: %s", fset.Position(d.pos), d.id, kind))
+			if d.method {
+				why = "no non-test code uses it or an interface method of its name"
+			}
+			problems = append(problems, fmt.Sprintf("%s: %s %s: %s", idx.fset.Position(pos), kind, d.id, why))
 		}
 	}
 	for id, reason := range allow {
@@ -212,41 +397,54 @@ func checkSurface(root string, allow map[string]string) ([]string, error) {
 		}
 	}
 	sort.Strings(problems)
-	return problems, nil
+	return problems
 }
 
-// exportedDecls lists the exported declarations of one file of package dir.
-func exportedDecls(dir string, f *ast.File) []surfaceDecl {
-	pkg := strings.TrimPrefix(dir, "internal/")
-	var out []surfaceDecl
-	add := func(id string, name *ast.Ident, method bool, node ast.Node) {
-		if name.IsExported() {
-			out = append(out, surfaceDecl{id: id, dir: dir, name: name.Name, method: method,
-				pos: name.Pos(), from: node.Pos(), to: node.End()})
-		}
+var (
+	// docFence matches a fenced code block.
+	docFence = regexp.MustCompile("(?ms)^```.*?^```")
+	// docSpan matches an inline code span.
+	docSpan = regexp.MustCompile("`[^`]+`")
+	// docName matches pkg.Name and pkg.Name.Member inside a span, not
+	// preceded by a selector, a path or a word.
+	docName = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+)
+
+// checkDoc returns one problem line per backticked pkg.Name[.Member]
+// token of the markdown file at path that names a module package but no
+// declaration of it, members being the fields and methods of Name's type.
+func (idx *surfaceIndex) checkDoc(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			if decl.Recv == nil {
-				add(pkg+"."+decl.Name.Name, decl.Name, false, decl)
+	text := docFence.ReplaceAllStringFunc(string(data), func(s string) string {
+		return strings.Repeat("\n", strings.Count(s, "\n"))
+	})
+	var problems []string
+	for _, span := range docSpan.FindAllStringIndex(text, -1) {
+		for _, m := range docName.FindAllStringSubmatch(text[span[0]:span[1]], -1) {
+			pkg := idx.pkgs[m[1]]
+			if pkg == nil {
 				continue
 			}
-			add(pkg+"."+receiverName(decl.Recv.List[0].Type)+"."+decl.Name.Name, decl.Name, true, decl)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					add(pkg+"."+spec.Name.Name, spec.Name, false, spec)
-				case *ast.ValueSpec:
-					for _, name := range spec.Names {
-						add(pkg+"."+name.Name, name, false, spec)
-					}
+			obj := pkg.Scope().Lookup(m[2])
+			found := obj != nil
+			if found && m[3] != "" {
+				member, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, m[3])
+				found = member != nil
+			}
+			if !found {
+				name := m[1] + "." + m[2]
+				if m[3] != "" {
+					name += "." + m[3]
 				}
+				line := 1 + strings.Count(text[:span[0]], "\n")
+				problems = append(problems, fmt.Sprintf("%s:%d: %s names no declaration", path, line, name))
 			}
 		}
 	}
-	return out
+	return problems, nil
 }
 
 // receiverName strips pointers and type parameters from a receiver type.
@@ -286,11 +484,16 @@ func modulePath(goMod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", goMod)
 }
 
-// TestSurfaceFixture runs checkSurface on a small module in a temp dir:
-// a function only a _test.go file calls and a method no selector names
-// are flagged; a method called only through an interface and a function
-// only perfbench/ calls are not; and an allowlist entry fails when it has
-// no reason, when its identifier is referenced, or when it is gone.
+// TestSurfaceFixture runs the guard on a small module in a temp dir. It
+// flags a function only a _test.go file calls, a method no non-test code
+// calls, a method whose only same-named non-test selector is a field, a
+// type that only a receiver names, an unexported function only a _test.go
+// file calls and a function of a -tags large file. It does not flag a
+// method called only through an interface, a function only perfbench/
+// calls or a method of a generic type called through an instantiation. An
+// allowlist entry fails when it has no reason, when its declaration is
+// used, or when it is gone; and a doc token fails when it names no
+// declaration or no member.
 func TestSurfaceFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -307,17 +510,31 @@ func NoReason() {}
 
 func Used() {}
 
-type T struct{}
+type T struct{ Masked int }
 
 func (T) ViaIface() {}
 
 func (T) Dead() {}
+
+func (T) Masked2() {}
+
+type OnlyRecv struct{}
+
+func (OnlyRecv) ViaIface() {}
+
+func onlyTestHelper() {}
+
+type Queue[P any] struct{ items []P }
+
+func (q *Queue[P]) Push(p P) { q.items = append(q.items, p) }
+
+func Masking(t T) int { return t.Masked }
 `,
 		"internal/a/a_test.go": `package a
 
 import "testing"
 
-func TestOnly(t *testing.T) { OnlyTest(); T{}.Dead() }
+func TestOnly(t *testing.T) { OnlyTest(); T{}.Dead(); T{}.Masked2(); onlyTestHelper(); _ = OnlyRecv{} }
 `,
 		"cmd/app/main.go": `package main
 
@@ -325,11 +542,22 @@ import "fix/internal/a"
 
 type viaIface interface{ ViaIface() }
 
+type masked struct{ Masked2 int }
+
 func main() {
 	var v viaIface = a.T{}
 	v.ViaIface()
 	a.Used()
+	var q a.Queue[int]
+	q.Push(1)
+	_ = a.Masking(a.T{}) + masked{}.Masked2
 }
+`,
+		"internal/a/large.go": `//go:build large
+
+package a
+
+func OnlyLarge() {}
 `,
 		"perfbench/main.go": `package main
 
@@ -337,6 +565,8 @@ import "fix/internal/a"
 
 func main() { a.ForBench() }
 `,
+		"README.md": "`a.Used` and `a.T.ViaIface` and `a.T.Masked` resolve; `a.Gone` and `a.T.Gone` do not.\n" +
+			"```\na.Fenced\n```\n`b.Other` names no module package.\n",
 	}
 	for name, body := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -350,19 +580,31 @@ func main() { a.ForBench() }
 	allow := map[string]string{
 		"a.Allowed":  "a ROADMAP item needs it",
 		"a.NoReason": " ",
-		"a.Used":     "referenced since",
+		"a.Used":     "used since",
 		"a.Gone":     "deleted since",
 	}
-	problems, err := checkSurface(root, allow)
+	idx, err := loadSurface(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	problems := idx.problems(allow)
+	docProblems, err := idx.checkDoc(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems = append(problems, docProblems...)
 	want := []string{
-		"exported a.OnlyTest: no non-test file references it",
-		"exported a.T.Dead: its name appears in no non-test selector",
+		"exported a.OnlyTest: no non-test code uses it",
+		"exported a.T.Dead: no non-test code uses it or an interface method of its name",
+		"exported a.T.Masked2: no non-test code uses it or an interface method of its name",
+		"exported a.OnlyRecv: no non-test code uses it",
+		"unexported a.onlyTestHelper: no non-test code uses it",
+		"exported a.OnlyLarge: no non-test code uses it",
 		"surfaceAllow: a.Gone is not declared",
 		"surfaceAllow: a.NoReason has no reason",
-		"surfaceAllow: a.Used is referenced now",
+		"surfaceAllow: a.Used is used now",
+		"README.md:1: a.Gone names no declaration",
+		"README.md:1: a.T.Gone names no declaration",
 	}
 	if len(problems) != len(want) {
 		t.Fatalf("got %d problems, want %d:\n%s", len(problems), len(want), strings.Join(problems, "\n"))
