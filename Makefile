@@ -71,10 +71,13 @@ cover:
 # second pass repeats internal/sim's window and RunShards tests ten times:
 # they are the engine's concurrent drains (every window pooled) and take
 # well under a second each, so the repeats widen the interleavings the
-# detector sees at little cost.
+# detector sees at little cost. The third pass repeats the random walk's
+# tests ten times: the sharded tick extends distinct nodes' walk paths
+# concurrently, and only the per-node streams keep those calls apart.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource|RunShards' ./internal/sim
+	$(GO) test -race -count=10 -run RandomWalk ./internal/drift
 
 # Fuzzes each target for 10 s. Plain `go test` only replays the seed
 # corpora; this searches past them. go test -fuzz takes one target in one

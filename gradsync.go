@@ -241,8 +241,7 @@ func (n *Network) deriveGTilde() float64 {
 	if len(n.cfg.InitialClocks) > 0 {
 		spread0 = metrics.GlobalSkew(n.cfg.InitialClocks)
 	}
-	iota := 0.05
-	return 1.4*(spread0+float64(diam)*perHop+iota) + 0.5
+	return 1.4*(spread0+float64(diam)*perHop+core.Iota) + 0.5
 }
 
 func (n *Network) initialHopDiameter() int {

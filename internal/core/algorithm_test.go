@@ -56,7 +56,7 @@ func newHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, ds drift.Sch
 		t.Fatal(err)
 	}
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) },
-		estimate.RandomError{RNG: sim.NewRNG(3)}))
+		estimate.NewPerNodeRandomError(n, sim.NewRNG(3))))
 	rt.Attach(algo)
 	return &harness{rt: rt, algo: algo}
 }

@@ -54,11 +54,10 @@ import (
 )
 
 // initCerts allocates the certificate slab when the estimate layer is the
-// messaging one, whose slope r must not exceed 1 for the ahead bound, or an
-// oracle whose error policy can skip draws, which also gets the query-count
-// slab. The messaging layer must read node clocks through rt.Hardware, as
-// every caller in the repository builds it: a certificate is a time on
-// rt.HW[u].
+// messaging one, whose slope r must not exceed 1 for the ahead bound, or the
+// oracle, which also gets the query-count slab. The messaging layer must
+// read node clocks through rt.Hardware, as every caller in the repository
+// builds it: a certificate is a time on rt.HW[u].
 func (a *Algorithm) initCerts() {
 	switch est := a.rt.Est.(type) {
 	case *estimate.Messaging:
@@ -69,9 +68,6 @@ func (a *Algorithm) initCerts() {
 		a.aheadGrowth = a.rt.MaxIncrement()
 		a.behindTime = 1 / (1 + a.p.Mu - est.Rate())
 	case *estimate.Oracle:
-		if !est.Skippable() {
-			return
-		}
 		a.orc = est
 		a.queries = make([]uint32, a.n)
 	default:

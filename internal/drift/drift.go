@@ -14,22 +14,11 @@ import (
 // must return values in [1−ρ, 1+ρ] for the ρ the schedule was built with;
 // Clamp in this package enforces the envelope defensively. The sharded
 // integration tick calls Rate concurrently for distinct nodes within one
-// tick, after PrepareTick when the schedule also implements TickPreparer,
-// so Rate must not race and its values must not depend on call order.
+// tick, so Rate must not race and its values must not depend on call order.
 // Every schedule in this package meets that.
 type Schedule interface {
 	// Rate returns the hardware clock rate of node u at time t.
 	Rate(u int, t sim.Time) float64
-}
-
-// TickPreparer is implemented by schedules with lazily extended internal
-// state (RandomWalk's piecewise-constant paths). The runner calls
-// PrepareTick(t, n) once, serially, before fanning Rate(u, t) for u ∈ [0, n)
-// across shards, so all RNG draws happen in the fixed ascending-node order
-// the serial tick has always used and the concurrent reads hit only
-// materialized state.
-type TickPreparer interface {
-	PrepareTick(t sim.Time, n int)
 }
 
 // ConstantStretch is the opt-in introspection contract of tick-crossing
@@ -56,17 +45,17 @@ func Clamp(r, rho float64) float64 {
 	return r
 }
 
-// Constant gives every node the same fixed rate.
-type Constant struct{ R float64 }
+// constant gives every node the same fixed rate.
+type constant struct{ r float64 }
 
 // Rate implements Schedule.
-func (c Constant) Rate(int, sim.Time) float64 { return c.R }
+func (c constant) Rate(int, sim.Time) float64 { return c.r }
 
 // RatesConstantUntil implements ConstantStretch: rates never change.
-func (Constant) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
+func (constant) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
 
 // Perfect is the drift-free schedule (rate 1 everywhere).
-func Perfect() Schedule { return Constant{R: 1} }
+func Perfect() Schedule { return constant{r: 1} }
 
 // TwoGroup splits nodes at a boundary index: nodes with id < Split run at
 // 1+ρ, the rest at 1−ρ. This is the classic skew-building adversary used in
@@ -156,20 +145,30 @@ func (f Flip) RatesConstantUntil(t sim.Time) sim.Time {
 
 // RandomWalk gives each node an independent bounded random-walk rate,
 // resampled every Step time units. It is deterministic for a fixed seed.
+// Node u's path is drawn from its own stream, so Rate may extend different
+// nodes' paths concurrently, and each node's path is the same whatever
+// order the nodes are queried in.
 type RandomWalk struct {
 	rho  float64
 	step float64
-	// rates[u] is the piecewise-constant path of node u, extended lazily.
-	rates [][]float64
-	rng   *sim.RNG
+	// rates[u] is the piecewise-constant path of node u, extended lazily
+	// from streams[u].
+	rates   [][]float64
+	streams []sim.Stream
 }
 
-// NewRandomWalk builds a random-walk schedule for n nodes.
+// NewRandomWalk builds a random-walk schedule for n nodes, deriving one
+// stream per node from a single draw off rng.
 func NewRandomWalk(rho, step float64, n int, rng *sim.RNG) *RandomWalk {
 	if !(step > 0 && step < math.Inf(1)) {
 		panic(fmt.Sprintf("drift: random walk step must be positive and finite, got %v", step))
 	}
-	return &RandomWalk{rho: rho, step: step, rates: make([][]float64, n), rng: rng}
+	base := rng.Uint64()
+	streams := make([]sim.Stream, n)
+	for u := range streams {
+		streams[u] = sim.NewStream(base, u)
+	}
+	return &RandomWalk{rho: rho, step: step, rates: make([][]float64, n), streams: streams}
 }
 
 // Rate implements Schedule.
@@ -184,24 +183,11 @@ func (w *RandomWalk) Rate(u int, t sim.Time) float64 {
 		if len(path) > 0 {
 			prev = path[len(path)-1]
 		}
-		next := Clamp(1+prev+w.rng.Uniform(-0.3, 0.3)*w.rho, w.rho) - 1
+		next := Clamp(1+prev+w.streams[u].Uniform(-0.3, 0.3)*w.rho, w.rho) - 1
 		path = append(path, next)
 	}
 	w.rates[u] = path
 	return 1 + path[idx]
-}
-
-// PrepareTick implements TickPreparer: it extends every node's path up to
-// the segment covering t, drawing from the shared RNG in ascending node
-// order — exactly the order the serial tick's Rate loop has always used, so
-// prepared and unprepared runs are byte-identical.
-func (w *RandomWalk) PrepareTick(t sim.Time, n int) {
-	if n > len(w.rates) {
-		n = len(w.rates)
-	}
-	for u := 0; u < n; u++ {
-		w.Rate(u, t)
-	}
 }
 
 // Switching wraps another schedule and switches it on only during
@@ -245,18 +231,4 @@ func (s Switching) RatesConstantUntil(t sim.Time) sim.Time {
 		b = s.Until
 	}
 	return b
-}
-
-// PrepareTick implements TickPreparer by forwarding to the wrapped schedule,
-// but only inside [From, Until) — exactly when a serial tick would invoke
-// Inner.Rate. Forwarding while the window is closed would draw lazy inner
-// state (RandomWalk segments) earlier than the serial order does and break
-// byte-identity across parallelism.
-func (s Switching) PrepareTick(t sim.Time, n int) {
-	if t < s.From || t >= s.Until {
-		return
-	}
-	if p, ok := s.Inner.(TickPreparer); ok {
-		p.PrepareTick(t, n)
-	}
 }

@@ -2,6 +2,7 @@ package drift
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestSchedulesRespectEnvelope(t *testing.T) {
 		name string
 		s    Schedule
 	}{
-		{"constant", Constant{R: 1 + rho}},
+		{"constant", constant{r: 1 + rho}},
 		{"perfect", Perfect()},
 		{"twogroup", TwoGroup{Rho: rho, Split: 4}},
 		{"linear", Linear{Rho: rho, N: 8}},
@@ -89,7 +90,7 @@ func TestLinearEndpoints(t *testing.T) {
 }
 
 func TestSwitchingWindow(t *testing.T) {
-	s := Switching{Inner: Constant{R: 1 + rho}, From: 10, Until: 20}
+	s := Switching{Inner: constant{r: 1 + rho}, From: 10, Until: 20}
 	if got := s.Rate(0, 5); got != 1 {
 		t.Errorf("before window rate = %v, want 1", got)
 	}
@@ -116,6 +117,51 @@ func TestRandomWalkDeterministicAndConsistent(t *testing.T) {
 	v2 := a.Rate(0, 3.9)
 	if v1 != v2 {
 		t.Errorf("values within one step differ: %v vs %v", v1, v2)
+	}
+}
+
+// TestRandomWalkOrderIndependent builds three walks from one seed and
+// extends them tick by tick in ascending node order, in descending node
+// order, and from four goroutines over disjoint node sets, as the sharded
+// tick calls Rate. Each node's path must be the same in all three.
+func TestRandomWalkOrderIndependent(t *testing.T) {
+	const n, ticks, workers = 13, 60, 4
+	walk := func() *RandomWalk { return NewRandomWalk(rho, 1.5, n, sim.NewRNG(9)) }
+	asc, desc, conc := walk(), walk(), walk()
+	for i := 0; i < ticks; i++ {
+		x := float64(i) * 0.5
+		for u := 0; u < n; u++ {
+			asc.Rate(u, x)
+		}
+		for u := n - 1; u >= 0; u-- {
+			desc.Rate(u, x)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ticks; i++ {
+				for u := g; u < n; u += workers {
+					conc.Rate(u, float64(i)*0.5)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, w := range []struct {
+		name string
+		w    *RandomWalk
+	}{{"descending", desc}, {"concurrent", conc}} {
+		for u := 0; u < n; u++ {
+			for i := 0; i < ticks; i++ {
+				x := float64(i) * 0.5
+				if got, want := w.w.Rate(u, x), asc.Rate(u, x); got != want {
+					t.Fatalf("%s order: node %d's rate at %v is %v, ascending order gave %v", w.name, u, x, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -80,22 +80,6 @@ func TestOracleAntiConvergenceBehindNode(t *testing.T) {
 	}
 }
 
-func TestOracleRandomErrorWithinBound(t *testing.T) {
-	_, dyn := twoNodeGraph(t)
-	clocks := []float64{0, 5}
-	o := NewOracle(dyn, func(u int) float64 { return clocks[u] }, RandomError{RNG: sim.NewRNG(2)})
-	eps := linkParams().Eps
-	for i := 0; i < 200; i++ {
-		got, ok := o.Estimate(0, 1)
-		if !ok {
-			t.Fatal("estimate unavailable")
-		}
-		if math.Abs(got-5) > eps+1e-12 {
-			t.Fatalf("estimate error %v exceeds ε=%v", got-5, eps)
-		}
-	}
-}
-
 func TestOraclePerNodeRandomErrorWithinBoundAndDeterministic(t *testing.T) {
 	_, dyn := twoNodeGraph(t)
 	clocks := []float64{0, 5}
@@ -128,21 +112,12 @@ func TestOraclePerNodeRandomErrorWithinBoundAndDeterministic(t *testing.T) {
 	if !varied {
 		t.Fatal("per-node random policy returned a constant sequence")
 	}
-	// The shared-stream policy must stay serial-only; the per-node one opts
-	// into the sharded tick.
-	if _, ok := any(RandomError{}).(ConcurrentPolicy); ok {
-		t.Fatal("shared-stream RandomError must not implement ConcurrentPolicy")
-	}
-	if c, ok := any(&PerNodeRandomError{}).(ConcurrentPolicy); !ok || !c.ConcurrentErrs() {
-		t.Fatal("PerNodeRandomError must opt into concurrent queries")
-	}
 }
 
-// TestOracleSkipQueries pins the skippable error draws: on per-node random
+// TestOracleSkipQueries pins the skipped error draws: on per-node random
 // errors, k queries by node 0 skipped through SkipQueries leave its stream
-// where k answered queries leave it, and node 1's stream untouched; the
-// stateless policies are skippable, and the shared-stream RandomError is
-// not.
+// where k answered queries leave it, and node 1's stream untouched; on the
+// stateless policies a skip changes no answer.
 func TestOracleSkipQueries(t *testing.T) {
 	_, dyn := twoNodeGraph(t)
 	clocks := []float64{0, 5}
@@ -150,9 +125,6 @@ func TestOracleSkipQueries(t *testing.T) {
 	for _, k := range []uint32{0, 1, 3, 1000} {
 		asked := NewOracle(dyn, clock, NewPerNodeRandomError(2, sim.NewRNG(2)))
 		skipped := NewOracle(dyn, clock, NewPerNodeRandomError(2, sim.NewRNG(2)))
-		if !skipped.Skippable() {
-			t.Fatal("per-node random errors must be skippable")
-		}
 		for i := uint32(0); i < k; i++ {
 			asked.Estimate(0, 1)
 		}
@@ -169,17 +141,11 @@ func TestOracleSkipQueries(t *testing.T) {
 	}
 	for _, p := range []ErrorPolicy{nil, ZeroError{}, HoldBack{}, PushForward{}, AntiConvergence{}, Amplify{}} {
 		o := NewOracle(dyn, clock, p)
-		if !o.Skippable() {
-			t.Fatalf("stateless policy %T must be skippable", p)
-		}
 		before, _ := o.Estimate(0, 1)
 		o.SkipQueries(0, 7)
 		if after, _ := o.Estimate(0, 1); after != before {
 			t.Fatalf("stateless policy %T answered %v after a skip, %v before", p, after, before)
 		}
-	}
-	if NewOracle(dyn, clock, RandomError{RNG: sim.NewRNG(2)}).Skippable() {
-		t.Fatal("shared-stream RandomError must not be skippable")
 	}
 }
 
@@ -511,3 +477,5 @@ func TestOracleErrorClampedProperty(t *testing.T) {
 type badPolicy struct{}
 
 func (badPolicy) Err(_, _ int, _, _, eps float64) float64 { return 10 * eps }
+
+func (badPolicy) SkipErrs(int, uint32) {}

@@ -225,9 +225,3 @@ func (m *Messaging) Eps(u, v int) float64 {
 	}
 	return b
 }
-
-// ConcurrentQueries implements ConcurrentLayer: a query for node u reads
-// only u's own samples, u's hardware clock and the (tick-stable) topology; the sole shared write is the atomic miss counter. Samples are
-// written by beacon deliveries and invalidations, which are engine events —
-// never inside an integration tick.
-func (m *Messaging) ConcurrentQueries() bool { return true }

@@ -220,8 +220,3 @@ func (r *RBS) Eps(u, v int) float64 {
 	stale := r.cfg.Interval + r.cfg.ExchangeDelay + jit
 	return (1-rho)*jit + fast*jit + (fast-slowAdvance)*stale
 }
-
-// ConcurrentQueries implements ConcurrentLayer: queries only read anchored
-// samples and clocks; samples are written by broadcast events, never inside
-// an integration tick.
-func (r *RBS) ConcurrentQueries() bool { return true }

@@ -55,7 +55,7 @@ func E09Weighted(spec Spec) *Result {
 	}
 	algo := core.MustNew(core.Params{Rho: rho, Mu: mu, GTilde: gTilde})
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) },
-		estimate.RandomError{RNG: sim.NewRNG(spec.SeedFor(1))}))
+		estimate.NewPerNodeRandomError(n, sim.NewRNG(spec.SeedFor(1)))))
 	rt.Attach(algo)
 
 	// Legal initial ramp: each edge starts at 60% of twice its weight

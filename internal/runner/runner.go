@@ -95,9 +95,8 @@ type Config struct {
 	// decide and integrate phases). Values ≤ 1 keep the serial tick. Within
 	// a tick every cross-node read is of pre-tick state and every write goes
 	// to the owning shard's node range, so results are byte-identical for
-	// every value; the knob trades wall-clock only. The decide phase falls
-	// back to the serial path when the estimate layer does not opt into the
-	// concurrency contract (estimate.ConcurrentLayer).
+	// every value; the knob trades wall-clock only. The drift schedule and
+	// the estimate layer must allow that (drift.Schedule, estimate.Layer).
 	TickParallelism int
 	// EventParallelism shards the discrete-event drain itself: beacon-wheel
 	// fires (keyed by sending node), beacon deliveries and control
@@ -150,12 +149,8 @@ type Runtime struct {
 	driftSrc  drift.Schedule
 	algo      Algorithm
 	messaging *estimate.Messaging // non-nil when the estimate layer is message-based
-	// estConcurrent is the layer's answer to the estimate.ConcurrentLayer
-	// contract, resolved once by SetEstimator: the layer is fixed from
-	// Start on.
-	estConcurrent bool
-	started       bool
-	dH            []float64
+	started   bool
+	dH        []float64
 
 	// pool is the sharded-tick worker team (nil when TickParallelism ≤ 1).
 	// tickT/tickDt carry the current tick into driftFn, a method value built
@@ -299,8 +294,6 @@ func (rt *Runtime) SetEstimator(l estimate.Layer) {
 	}
 	rt.Est = l
 	rt.messaging, _ = l.(*estimate.Messaging)
-	c, ok := l.(estimate.ConcurrentLayer)
-	rt.estConcurrent = ok && c.ConcurrentQueries()
 }
 
 // Attach installs the algorithm and wires all event routing.
@@ -499,13 +492,12 @@ func (rt *Runtime) Run(until sim.Time) { rt.Engine.RunUntil(until) }
 func (rt *Runtime) Algo() Algorithm { return rt.algo }
 
 // step is the integration tick. A barrier tick runs two phases. Phase 1
-// evaluates the adversary drift rates and integrates the hardware clocks —
-// sharded when a pool exists, with lazily extended schedules materialized
-// serially first (drift.TickPreparer) so RNG draw order matches the serial
-// tick byte for byte. Phase 2 hands the increments to the algorithm, whose
-// Step shards its own phases through ParallelTick. A crossed tick instead
-// completes: the nodes no window event touched are stepped per event shard
-// under Engine.RunShards (finishShard), and FinishTick folds the counters.
+// evaluates the adversary drift rates and integrates the hardware clocks,
+// sharded when a pool exists. Phase 2 hands the increments to the
+// algorithm, whose Step shards its own phases through ParallelTick. A
+// crossed tick instead completes: the nodes no window event touched are
+// stepped per event shard under Engine.RunShards (finishShard), and
+// FinishTick folds the counters.
 func (rt *Runtime) step(t sim.Time, dt float64) {
 	if rt.lazyActive {
 		// The tick was crossed: many nodes were stepped lazily at their first
@@ -530,9 +522,6 @@ func (rt *Runtime) step(t sim.Time, dt float64) {
 		rt.envShard[s] = rateRange{lo: math.Inf(1), hi: math.Inf(-1)}
 	}
 	if rt.pool != nil {
-		if p, ok := rt.driftSrc.(drift.TickPreparer); ok {
-			p.PrepareTick(t, rt.cfg.N)
-		}
 		rt.pool.Run(rt.cfg.N, rt.driftFn)
 	} else {
 		rt.driftShard(0, 0, rt.cfg.N)
@@ -621,16 +610,15 @@ func (rt *Runtime) TickShards() int {
 
 // ParallelTick runs fn over the shard partition of [0, n) with a barrier —
 // the fan-out primitive the hosted algorithm's Step phases use. It degrades
-// to one inline shard when no pool is configured or the estimate layer did
-// not opt into concurrent queries (estimate.ConcurrentLayer), so algorithms
-// never need their own fallback. The concurrency contract of par.Pool.Run
-// applies: fn must write only inside [lo, hi) and per-shard state, and read
-// only state no shard writes during the call.
+// to one inline shard when no pool is configured, so algorithms never need
+// their own fallback. The concurrency contract of par.Pool.Run applies: fn
+// must write only inside [lo, hi) and per-shard state, and read only state
+// no shard writes during the call.
 func (rt *Runtime) ParallelTick(n int, fn func(shard, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if rt.pool == nil || !rt.estConcurrent {
+	if rt.pool == nil {
 		fn(0, 0, n)
 		return
 	}

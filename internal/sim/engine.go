@@ -179,25 +179,6 @@ type DrainStats struct {
 	// CrossedTicks counts windows that extended past a pending tick barrier
 	// (SetCrossable).
 	CrossedTicks uint64
-	// WidthHist is a log₂ histogram of effective window widths: bucket i
-	// covers widths in [2^(i−widthHistZero), 2^(i+1−widthHistZero)), with
-	// under/overflows clamped to the end buckets.
-	WidthHist [20]uint64
-}
-
-// widthHistZero is the bucket index of widths in [1, 2).
-const widthHistZero = 14
-
-func (s *DrainStats) recordWidth(w float64) {
-	_, exp := math.Frexp(w) // w = f·2^exp with f ∈ [0.5, 1)
-	b := exp - 1 + widthHistZero
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(s.WidthHist) {
-		b = len(s.WidthHist) - 1
-	}
-	s.WidthHist[b]++
 }
 
 // MeanEventsPerWindow returns the average number of source items drained per
@@ -721,7 +702,6 @@ func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
 	default:
 		e.stats.TruncLookahead++
 	}
-	e.stats.recordWidth(adv - tmin)
 	if adv > horizon {
 		adv = horizon
 	}

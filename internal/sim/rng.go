@@ -29,7 +29,7 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Uint64 returns a uniform 64-bit value (seed material for derived
-// compact streams, e.g. the per-node estimate-error states).
+// compact streams, e.g. the base of an array of per-node Streams).
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // SplitMixGamma is the SplitMix64 stream increment — the golden-ratio odd
@@ -40,8 +40,8 @@ const SplitMixGamma = 0x9e3779b97f4a7c15
 // SplitMix64 is the SplitMix64 step: advance x by SplitMixGamma and return
 // the finalized (bijectively mixed) output. It is the canonical mixer for
 // deriving well-separated deterministic streams from structured inputs —
-// the sweep layer's seed derivation and the estimate layer's per-node
-// error streams both build on it; keep the one implementation here.
+// the sweep layer's seed derivation and Stream both build on it; keep the
+// one implementation here.
 func SplitMix64(x uint64) uint64 {
 	x += SplitMixGamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -50,12 +50,14 @@ func SplitMix64(x uint64) uint64 {
 }
 
 // Stream is a compact SplitMix64 value stream: 8 bytes of state, advanced
-// by value. Arrays of Streams give each entity (node, link sender) its own
-// deterministic sequence whose draws depend only on the entity's identity
-// and draw count — never on the global interleaving of other entities'
-// draws — which is what lets the sharded event drain consume randomness
-// concurrently and still match the serial reference bit for bit. The same
-// idiom predates this type in the estimate layer's per-node error states.
+// by value. Arrays of Streams give each entity its own deterministic
+// sequence whose draws depend only on the entity's identity and draw count
+// — never on the global interleaving of other entities' draws. The
+// randomized adversaries all draw this way: the transport's per-sender
+// delays, the oracle's per-node estimate errors and the random walk's
+// per-node rate paths. That is what lets the sharded tick and event drain
+// consume randomness concurrently and still match the serial run bit for
+// bit.
 type Stream struct {
 	state uint64
 }
@@ -85,6 +87,10 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	}
 	return lo + (hi-lo)*s.Float64()
 }
+
+// Skip leaves the stream where k more draws would leave it, in one step:
+// each draw advances the state by SplitMixGamma (mod 2⁶⁴).
+func (s *Stream) Skip(k uint64) { s.state += k * SplitMixGamma }
 
 // Exp returns an exponential sample with the given mean (Poisson event
 // gaps). A non-positive mean returns 0.

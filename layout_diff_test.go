@@ -2,11 +2,11 @@ package gradsync_test
 
 // This file pins the full-run outcome of the structure-of-arrays storage:
 // the randomized runs that pin the sharded tick must hash to golden
-// constants taken while the retired map-backed reference layout still
-// existed and asserted on both layouts, so the one remaining layout keeps
-// producing exactly what both did — and must stay identical under the
-// sharded tick and sharded event drain, so the layout composes with both
-// concurrency fan-outs. The 8-shard replays also run under `make race`,
+// constants, most of them taken while the retired map-backed reference
+// layout still existed and asserted on both layouts (see layoutGolden), so
+// the one remaining layout keeps producing exactly what both did — and
+// must stay identical under the sharded tick and sharded event drain, so
+// the layout composes with both concurrency fan-outs. The 8-shard replays also run under `make race`,
 // putting the slab read paths in front of the detector.
 
 import (
@@ -19,17 +19,20 @@ import (
 )
 
 // layoutGolden maps each randomTickCase seed to the sha256 of its
-// tickFingerprint (see tickFingerprint.sum).
+// tickFingerprint (see tickFingerprint.sum). Seeds 102, 106, 108 and 109 run
+// the random walk, whose paths are drawn from per-node streams; their
+// constants were taken after that change, so only the other eight still
+// tie the slab layout to the retired map-backed one.
 var layoutGolden = map[int64]string{
 	101: "9db688c0c8b24946623a12d2a82612cc35acc652c028457adf96a59c1a15b037",
-	102: "77bf184e2acdd007fbd3e1039e2c41c689ad879df20a40aa434e6f3d2be8c803",
+	102: "8952f2caf648232bf2c980924473be4f82ed1066a2226aabcd46cf8412801413",
 	103: "79208a352d17c5e297d68063f7b7f8616bcd2ad265981f2f5eea44462ac6a9c0",
 	104: "06b80e60aef3fec5e9da7fc5ea9319cec24508d1c386f4637576cf48e10e369e",
 	105: "8468d777ac7bf084447d0a58f51fb401e89e61b4dbf911260da094d4f358e683",
-	106: "ab6a2f370b046cbb9db5f235048c83e25cc79feb68cef1dc5463483c5a95d6e7",
+	106: "b70506bb22f111c2e9eade28d9fc593bbd89e232c88ecfd5df5ec41a7e2a9e7a",
 	107: "8a5e99476b03fadcb170ffcba31f366ccefb7d41fbb854dc4263dc478f36cb6c",
-	108: "50cb895990858512044a1361b5cb7121a1e174111437cbca7f12ee2d19660a64",
-	109: "e039e00b0f3b3568cebb673a8f67b546d11dfc76691cd855c1872b55a70845b3",
+	108: "67ef278215e67580dbc882398dd3a1dd93d50623d22c9ba25169ad5242470176",
+	109: "70945c6d341fb54a8c9f35152c9e2b45a736aa88e8e274e030bc5bfc783f42f9",
 	110: "aaa3098af078418bf57463d31792ca2bf1586c869c5ef73b69978cd0c1f5becc",
 	111: "2f09654f9c776e8014cec7215150486815aca804cfde289a0d5dce0ac3053d85",
 	112: "bebfd63c62a0bdcf0369c647a5f143806d30a9e5bfcb31348c9e0e0ded750d99",
@@ -58,8 +61,7 @@ func (a tickFingerprint) sum() string {
 // drift adversary, estimate layer, algorithm all drawn per case — at
 // tick/event shard counts (1,1), (2,2) and (8,8). Clocks, max estimates,
 // event counts and every algorithm counter must match bit-for-bit across
-// the shard counts and hash to the case's golden constant, which both the
-// slab layout and the retired map-backed layout produced.
+// the shard counts and hash to the case's golden constant.
 func TestLayoutDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")

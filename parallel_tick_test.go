@@ -62,7 +62,7 @@ func randomTickCase(caseSeed int64) tickCase {
 	case "flip":
 		driftSpec = gradsync.FlipDrift(5 + rng.Float64()*20)
 	case "walk":
-		// The lazily extended schedule: exercises drift.TickPreparer.
+		// The lazily extended schedule, drawn from per-node streams.
 		driftSpec = gradsync.RandomWalkDrift(2 + rng.Float64()*4)
 	default:
 		driftSpec = gradsync.WindowedDrift(gradsync.RandomWalkDrift(3), 5, 25)
