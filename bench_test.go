@@ -132,7 +132,11 @@ func BenchmarkE16ExtremeScaleQuick(b *testing.B) {
 // so the record separates the sharded-tick speedup from the sharded-drain
 // speedup on top of it ("max" is NumCPU, the E15/E16 default; the name is
 // machine-independent so records diff across hosts, and the outputs are
-// byte-identical across all three — only the wall-clock may differ).
+// byte-identical across all three — only the wall-clock may differ). At
+// 10⁴ nodes the par=max/evpar=1 rung no longer fans the tick out: below
+// 12,000 nodes the runtime ticks on one goroutine whatever TickParallelism
+// says, so that rung times the serial tick, and only BenchmarkRuntime100k's
+// rungs still record the sharded-tick speedup.
 // The messaging rung swaps the oracle estimate layer for the beacon
 // protocol. Oracle rungs drain messages too, because every node still
 // beacons its M: the 2000-node oracle ring of TestShardedDrainScaleRing

@@ -37,7 +37,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "root random seed")
 	seeds := fs.Int("seeds", 1, "independent replicas per experiment, aggregated as mean±std")
 	parallel := fs.Int("parallel", 0, "replica worker pool size (0 = GOMAXPROCS); does not affect results")
-	tickpar := fs.Int("tickpar", 0, "integration-tick shards for the scale tiers E15/E16 (0 = NumCPU); does not affect results")
+	tickpar := fs.Int("tickpar", 0, "integration-tick shards for the scale tiers E15/E16 (0 = NumCPU; networks under 12000 nodes tick serially); does not affect results")
 	evpar := fs.Int("evpar", 0, "event-drain shards for the scale tiers E15/E16 (0 = NumCPU); does not affect results")
 	only := fs.String("only", "", "comma-separated experiment ids (e.g. E03,E05)")
 	out := fs.String("out", "", "also write the report to this file")

@@ -60,7 +60,7 @@ func run(args []string, w io.Writer) error {
 		seeds     = fs.Int("seeds", 1, "independent replicas of the scenario, aggregated as mean±std")
 		parallel  = fs.Int("parallel", 0, "replica worker pool size (0 = GOMAXPROCS); does not affect results")
 		tick      = fs.Float64("tick", 0.02, "integration step")
-		tickpar   = fs.Int("tickpar", 1, "integration-tick worker shards (1 = serial; results identical for every value)")
+		tickpar   = fs.Int("tickpar", 1, "integration-tick worker shards (1 = serial; networks under 12000 nodes always tick serially; results identical for every value)")
 		evpar     = fs.Int("evpar", 1, "event-drain shards (1 = serial; results identical for every value)")
 		edgeOps   = fs.String("edges", "", "dynamic edge ops, e.g. add:0,15@100;cut:3,4@200")
 		csv       = fs.Bool("csv", false, "emit CSV instead of a table")

@@ -218,7 +218,10 @@ func goldenFingerprint(t *testing.T, c goldenCase) (state, counters string) {
 }
 
 // TestGoldenFingerprints pins the final clocks and counters of five small
-// runs built through gradsync.New with both parallelism knobs at 2.
+// runs built through gradsync.New with both parallelism knobs at 2. The
+// drain runs on 2 event shards; the tick, at these sizes, on the calling
+// goroutine (runner's size rule), and internal/runner's
+// TestPooledTickDifferential replays these setups on a forced tick pool.
 func TestGoldenFingerprints(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {

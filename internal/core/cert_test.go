@@ -35,11 +35,12 @@ func perNodeSetup() harnessSetup {
 }
 
 // lockstep builds the scenario from setup through the fold (at parallelism
-// 2) and through refAlgo, sets the clocks and lets pre edges appear at time
-// 0, then advances both one tick at a time until horizon. Before every tick
-// it calls before with the tick index on both sides, and after every tick
-// it compares the two runs, on oracle estimates every node's next error
-// draw included.
+// 2: a serial tick, since runner builds no tick pool at these sizes, and
+// two event shards) and through refAlgo, sets the clocks and lets pre edges
+// appear at time 0, then advances both one tick at a time until horizon.
+// Before every tick it calls before with the tick index on both sides, and
+// after every tick it compares the two runs, on oracle estimates every
+// node's next error draw included.
 func lockstep(t *testing.T, n int, pre, later []topo.EdgeID, clocks []float64, horizon float64, setup func() harnessSetup, before func(h *harness, tick int)) (fold, ref *harness) {
 	t.Helper()
 	edges := append(append([]topo.EdgeID(nil), pre...), later...)

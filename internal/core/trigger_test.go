@@ -173,7 +173,9 @@ type harnessSetup struct {
 	// drift is the hardware clock schedule; nil is TwoGroup at ρ.
 	drift drift.Schedule
 	// par is the Tick- and EventParallelism of the runtime, which the
-	// reference side ignores.
+	// reference side ignores. These networks are far below runner's
+	// inlineTickNodes, so the tick runs on one goroutine at any par; par
+	// shards the event drain.
 	par int
 }
 
@@ -310,10 +312,15 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, refer
 // messaging estimates, centered, uncentered and under a drift far outside
 // ρ, and on per-node random and anti-convergence oracle errors, under
 // two-group drift and under rates that flip every 25 ticks, the fold side
-// runs at Tick- and EventParallelism 2, so quiet-node certificates are set
-// and consumed on the barrier Step path and, on messaging, the crossed-tick
+// runs at Tick- and EventParallelism 2: its barrier ticks run the serial
+// tick (runner's size rule builds no tick pool at these sizes) and its
+// drain runs on 2 event shards, so quiet-node certificates are set and
+// consumed on the barrier Step path and, on messaging, the crossed-tick
 // StepNode path. The "oracle" family runs per-node random errors on the
-// serial tick. Every family must skip the fold on some node-ticks.
+// serial drain. Every family must skip the fold on some node-ticks.
+// internal/runner's TestPooledTickDifferential replays these estimate
+// layers, and rates that flip every 25 ticks and every tick (within ρ), on
+// a forced tick pool.
 func TestTriggerEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")

@@ -147,14 +147,24 @@ func (f Flip) RatesConstantUntil(t sim.Time) sim.Time {
 // resampled every Step time units. It is deterministic for a fixed seed.
 // Node u's path is drawn from its own stream, so Rate may extend different
 // nodes' paths concurrently, and each node's path is the same whatever
-// order the nodes are queried in.
+// order the nodes are queried in. It keeps only each node's latest segment:
+// the runtime queries every node at nondecreasing times, and a query for an
+// earlier segment replays the node's path from the start of its stream.
 type RandomWalk struct {
 	rho  float64
 	step float64
-	// rates[u] is the piecewise-constant path of node u, extended lazily
-	// from streams[u].
-	rates   [][]float64
-	streams []sim.Stream
+	base uint64
+	// nodes[u] is node u's walk at the latest segment a query reached.
+	nodes []walkNode
+}
+
+// walkNode is one node's walk at segment seg (−1 before the first draw):
+// off is that segment's rate minus 1, and s the node's stream after the
+// seg+1 draws that produced it.
+type walkNode struct {
+	seg int
+	off float64
+	s   sim.Stream
 }
 
 // NewRandomWalk builds a random-walk schedule for n nodes, deriving one
@@ -163,31 +173,33 @@ func NewRandomWalk(rho, step float64, n int, rng *sim.RNG) *RandomWalk {
 	if !(step > 0 && step < math.Inf(1)) {
 		panic(fmt.Sprintf("drift: random walk step must be positive and finite, got %v", step))
 	}
-	base := rng.Uint64()
-	streams := make([]sim.Stream, n)
-	for u := range streams {
-		streams[u] = sim.NewStream(base, u)
+	w := &RandomWalk{rho: rho, step: step, base: rng.Uint64(), nodes: make([]walkNode, n)}
+	for u := range w.nodes {
+		w.nodes[u] = w.start(u)
 	}
-	return &RandomWalk{rho: rho, step: step, rates: make([][]float64, n), streams: streams}
+	return w
+}
+
+// start is node u's walk before its first draw.
+func (w *RandomWalk) start(u int) walkNode {
+	return walkNode{seg: -1, s: sim.NewStream(w.base, u)}
 }
 
 // Rate implements Schedule.
 func (w *RandomWalk) Rate(u int, t sim.Time) float64 {
-	if u < 0 || u >= len(w.rates) {
+	if u < 0 || u >= len(w.nodes) {
 		return 1
 	}
-	idx := int(t / w.step)
-	path := w.rates[u]
-	for len(path) <= idx {
-		prev := 0.0
-		if len(path) > 0 {
-			prev = path[len(path)-1]
-		}
-		next := Clamp(1+prev+w.streams[u].Uniform(-0.3, 0.3)*w.rho, w.rho) - 1
-		path = append(path, next)
+	seg := int(t / w.step)
+	n := &w.nodes[u]
+	if seg < n.seg {
+		replay := w.start(u)
+		n = &replay
 	}
-	w.rates[u] = path
-	return 1 + path[idx]
+	for ; n.seg < seg; n.seg++ {
+		n.off = Clamp(1+n.off+n.s.Uniform(-0.3, 0.3)*w.rho, w.rho) - 1
+	}
+	return 1 + n.off
 }
 
 // Switching wraps another schedule and switches it on only during

@@ -2,6 +2,7 @@ package drift
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,42 @@ func TestRandomWalkOrderIndependent(t *testing.T) {
 				if got, want := w.w.Rate(u, x), asc.Rate(u, x); got != want {
 					t.Fatalf("%s order: node %d's rate at %v is %v, ascending order gave %v", w.name, u, x, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestRandomWalkRetainsOneSegment walks 100 nodes through 10⁴ segments, as
+// the runtime queries them, and requires the live heap to stay flat: a walk
+// that kept every segment would hold 8 MB. Earlier-time queries afterwards
+// must still return the values first drawn for those segments.
+func TestRandomWalkRetainsOneSegment(t *testing.T) {
+	const n, steps = 100, 10000
+	w := NewRandomWalk(rho, 1, n, sim.NewRNG(4))
+	first := make([][3]float64, n) // segments 0, 1 and steps/2
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i <= steps; i++ {
+		for u := 0; u < n; u++ {
+			r := w.Rate(u, float64(i)+0.5)
+			switch i {
+			case 0, 1:
+				first[u][i] = r
+			case steps / 2:
+				first[u][2] = r
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("live heap grew by %d B over %d segments of %d nodes; want O(n)", grown, steps, n)
+	}
+	for u := n - 1; u >= 0; u-- {
+		for j, x := range []float64{0.25, 1.75, steps/2 + 0.25} {
+			if got := w.Rate(u, x); got != first[u][j] {
+				t.Fatalf("node %d's rate at %v is %v on a second query, first %v", u, x, got, first[u][j])
 			}
 		}
 	}

@@ -91,40 +91,6 @@ func TestScenarioDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestScaleTierDeterministicAcrossTickParallelism extends the determinism
-// net to the sharded integration tick: the scale tiers (the experiments that
-// run it by default) must emit byte-identical reports whether every network
-// ticks serially or across 8 shards — on top of the replica-pool axis the
-// test above covers. A cross-shard read of post-tick state, a shard-order-
-// dependent counter fold, or a query-order-dependent adversary draw all
-// show up as a diff here.
-func TestScaleTierDeterministicAcrossTickParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tier replays take a few seconds")
-	}
-	for _, entry := range All() {
-		switch entry.ID {
-		case "E15", "E16":
-		default:
-			continue
-		}
-		entry := entry
-		t.Run(entry.ID, func(t *testing.T) {
-			t.Parallel()
-			spec := Spec{Quick: true, Seed: 1, Seeds: 2, Parallelism: 2}
-
-			spec.TickParallelism = 1
-			serial := RunReplicated(entry.Run, spec).String()
-
-			spec.TickParallelism = 8
-			if sharded := RunReplicated(entry.Run, spec).String(); sharded != serial {
-				t.Errorf("%s: TickParallelism=8 output differs from TickParallelism=1:\n--- serial ---\n%s\n--- sharded ---\n%s",
-					entry.ID, serial, sharded)
-			}
-		})
-	}
-}
-
 // TestScaleTierDeterministicAcrossEventParallelism is the same net for the
 // sharded event drain: the scale tiers must emit byte-identical reports
 // whether beacon fires and deliveries drain serially or across 2 or 8

@@ -92,11 +92,14 @@ type Config struct {
 	// TickParallelism is the number of worker shards the integration tick
 	// fans per-node work across (drift-rate evaluation, hardware-clock
 	// integration, and — through ParallelTick — the hosted algorithm's
-	// decide and integrate phases). Values ≤ 1 keep the serial tick. Within
-	// a tick every cross-node read is of pre-tick state and every write goes
-	// to the owning shard's node range, so results are byte-identical for
-	// every value; the knob trades wall-clock only. The drift schedule and
-	// the estimate layer must allow that (drift.Schedule, estimate.Layer).
+	// decide and integrate phases). Values ≤ 1 keep the serial tick, and so
+	// does a network of fewer than inlineTickNodes (12,000) nodes, whose tick
+	// runs faster on the calling goroutine than fanned out (TickShards then
+	// reports 1). Within a tick every cross-node read is of pre-tick state
+	// and every write goes to the owning shard's node range, so results are
+	// byte-identical for every value; the knob trades wall-clock only. The
+	// drift schedule and the estimate layer must allow that (drift.Schedule,
+	// estimate.Layer).
 	TickParallelism int
 	// EventParallelism shards the discrete-event drain itself: beacon-wheel
 	// fires (keyed by sending node), beacon deliveries and control
@@ -152,7 +155,8 @@ type Runtime struct {
 	started   bool
 	dH        []float64
 
-	// pool is the sharded-tick worker team (nil when TickParallelism ≤ 1).
+	// pool is the sharded-tick worker team (nil when the tick runs on the
+	// calling goroutine: TickParallelism ≤ 1 or N < inlineTickNodes).
 	// tickT/tickDt carry the current tick into driftFn, a method value built
 	// once in New so the hot tick never allocates a closure.
 	pool    *par.Pool
@@ -235,12 +239,39 @@ func New(cfg Config) (*Runtime, error) {
 	rt.finishFn = rt.finishShard
 	rt.stretch, _ = rt.driftSrc.(drift.ConstantStretch)
 	rt.envUntil = math.Inf(-1)
-	if cfg.TickParallelism > 1 {
+	if cfg.TickParallelism > 1 && cfg.N >= poolNodes {
 		rt.pool = par.New(cfg.TickParallelism)
 	}
 	rt.envShard = make([]rateRange, rt.TickShards())
 	return rt, nil
 }
+
+// inlineTickNodes is the network size, in nodes, below which New builds no
+// tick pool: the drift phase and every ParallelTick phase run on the calling
+// goroutine, exactly as at TickParallelism 1. Each of a barrier tick's three
+// fan-outs (drift, decide, integrate) costs a wake-up and a barrier and
+// moves the per-node state the phase touches to the other worker's core and
+// back, which on small networks costs more than the second core saves. A
+// sweep of N at K = 2 on a 2-vCPU Xeon VM sizes it, alternating whole runs
+// with every tick inline and every tick pooled (3 to 7 pairs per point;
+// median change inline vs pooled): geometric mobility with churn waves ran
+// +15% to +16% at 5·10³ and 10⁴ nodes, +9% at 1.2·10⁴, −3% to +3% from
+// 1.5·10⁴ to 3·10⁴ and −15% at 6·10⁴; oracle rings with chord churn ran −1%
+// and −3% at 10⁴ and 1.2·10⁴, then −7% to −16% from 1.4·10⁴ up. Messaging
+// rings, whose windows mostly cross the tick, show no difference the sweep
+// resolves below the constant: 12 pairs each at 5·10³ and 10⁴ nodes read
+// medians of +0.9% and +1.8%, inline ahead in 7 of 12, with quartiles on
+// both sides of zero; above it they ran −3% to −8% and −21% at 10⁵. The
+// oracle ring's crossover is the lowest, and the constant sits at it:
+// geo-mobile-10k ticks inline, and ring-messaging-100k keeps its pool.
+// DESIGN.md ("Tick executor") has the full measurement.
+const inlineTickNodes = 12_000
+
+// poolNodes is the size rule's threshold, inlineTickNodes. Like sim.Engine's
+// inlineItems it has no setter: only this package's tests change it
+// (export_test.go), to 0, which builds the pool at every size so the small
+// differentials keep replaying concurrent ticks.
+var poolNodes = inlineTickNodes
 
 // N returns the node count.
 func (rt *Runtime) N() int { return rt.cfg.N }
@@ -412,11 +443,11 @@ func (rt *Runtime) touch(u int, at sim.Time) {
 // integration at the certified-constant rate, then the algorithm's fused
 // decide-and-integrate. Mirrors driftShard + Step exactly (same operation
 // order and rounding), so a lazily applied tick is byte-identical to the
-// barrier tick.
+// barrier tick. It leaves dH[u] alone: only a barrier tick's Step reads dH,
+// and driftShard rewrites every entry before that.
 func (rt *Runtime) applyNode(u int) {
 	rate := drift.Clamp(rt.driftSrc.Rate(u, rt.lazyT), rateSpan)
 	dh := rate * rt.lazyDt
-	rt.dH[u] = dh
 	rt.HW[u] += dh
 	rt.stepper.StepNode(u, u%rt.evShards, dh)
 }
@@ -599,8 +630,8 @@ func (rt *Runtime) driftShard(shard, lo, hi int) {
 }
 
 // TickShards returns the number of shards ParallelTick may split node work
-// into (≥ 1); algorithms size per-shard scratch (mode counters, neighbor
-// buffers) by it at Init.
+// into (≥ 1; 1 when New built no pool); algorithms size per-shard scratch
+// (mode counters, neighbor buffers) by it at Init.
 func (rt *Runtime) TickShards() int {
 	if rt.pool == nil {
 		return 1
@@ -610,10 +641,11 @@ func (rt *Runtime) TickShards() int {
 
 // ParallelTick runs fn over the shard partition of [0, n) with a barrier —
 // the fan-out primitive the hosted algorithm's Step phases use. It degrades
-// to one inline shard when no pool is configured, so algorithms never need
-// their own fallback. The concurrency contract of par.Pool.Run applies: fn
-// must write only inside [lo, hi) and per-shard state, and read only state
-// no shard writes during the call.
+// to one inline shard when New built no pool (TickParallelism ≤ 1 or fewer
+// than inlineTickNodes nodes), so algorithms never need their own fallback.
+// The concurrency contract of par.Pool.Run applies: fn must write only
+// inside [lo, hi) and per-shard state, and read only state no shard writes
+// during the call.
 func (rt *Runtime) ParallelTick(n int, fn func(shard, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -341,6 +341,7 @@ func (perNode) RatesConstantUntil(sim.Time) sim.Time { return math.Inf(1) }
 // serial tick and on more tick shards than nodes, where the empty shards
 // must not leak stale extremes.
 func TestRateEnvelope(t *testing.T) {
+	PoolEveryTick(t)
 	inf := math.Inf(1)
 	for _, c := range []struct {
 		name  string
@@ -382,6 +383,29 @@ func TestRateEnvelope(t *testing.T) {
 			if want := c.until(algo.t); algo.until != want {
 				t.Errorf("%s, par %d: the stretch from the tick at %v ends at %v, want %v", c.name, par, algo.t, algo.until, want)
 			}
+		}
+	}
+}
+
+// TestTickPoolSizeRule pins New's tick executor: at TickParallelism 8 a
+// network one node short of inlineTickNodes ticks on the calling goroutine
+// and one of inlineTickNodes nodes fans its tick over eight shards, while
+// TickParallelism 1 never builds a pool.
+func TestTickPoolSizeRule(t *testing.T) {
+	for _, c := range []struct{ n, par, want int }{
+		{inlineTickNodes - 1, 8, 1},
+		{inlineTickNodes, 8, 8},
+		{inlineTickNodes, 1, 1},
+	} {
+		rt, err := New(Config{N: c.n, Tick: 0.1, BeaconInterval: 0.5, TickParallelism: c.par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.TickShards(); got != c.want {
+			t.Errorf("N=%d at TickParallelism %d: %d tick shards, want %d", c.n, c.par, got, c.want)
+		}
+		if rt.pool != nil {
+			rt.pool.Close()
 		}
 	}
 }

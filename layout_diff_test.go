@@ -5,9 +5,12 @@ package gradsync_test
 // constants, most of them taken while the retired map-backed reference
 // layout still existed and asserted on both layouts (see layoutGolden), so
 // the one remaining layout keeps producing exactly what both did — and
-// must stay identical under the sharded tick and sharded event drain, so
-// the layout composes with both concurrency fan-outs. The 8-shard replays also run under `make race`,
-// putting the slab read paths in front of the detector.
+// must stay identical under the sharded event drain, so the layout
+// composes with its fan-out. These networks are below runner's
+// inlineTickNodes, so their tick runs on one goroutine at every
+// TickParallelism; internal/runner's TestPooledTickDifferential composes
+// the layout with the tick pool. The 8-shard replays also run under
+// `make race`, putting the slab read paths in front of the detector.
 
 import (
 	"crypto/sha256"
@@ -59,9 +62,10 @@ func (a tickFingerprint) sum() string {
 
 // TestLayoutDifferential replays randomized full runs — topology, scenario,
 // drift adversary, estimate layer, algorithm all drawn per case — at
-// tick/event shard counts (1,1), (2,2) and (8,8). Clocks, max estimates,
-// event counts and every algorithm counter must match bit-for-bit across
-// the shard counts and hash to the case's golden constant.
+// tick/event parallelism (1,1), (2,2) and (8,8), the tick on one shard
+// throughout. Clocks, max estimates, event counts and every algorithm
+// counter must match bit-for-bit across the shard counts and hash to the
+// case's golden constant.
 func TestLayoutDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")

@@ -48,43 +48,40 @@ func TestShardedDrainDifferential(t *testing.T) {
 // TestTickCrossingDifferential pins the tick-crossing window extension on
 // the full stack: a messaging-estimate run under a constant-stretch drift
 // adversary — the configuration where every quiescence gate opens — must be
-// bit-identical across every (EventParallelism, TickParallelism) combination,
-// while the parallel runs actually cross ticks.
+// bit-identical at every EventParallelism, while the parallel runs actually
+// cross ticks. At 120 nodes the tick runs on one goroutine whatever
+// TickParallelism says (runner's size rule), so the runs leave it at 1;
+// internal/runner's TestPooledTickDifferential crosses ticks under a forced
+// tick pool.
 func TestTickCrossingDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replays take a few seconds")
 	}
 	const n = 120
-	build := func(tickPar, evPar int) gradsync.Config {
-		return gradsync.Config{
+	run := func(evPar int) (tickFingerprint, uint64) {
+		net := gradsync.MustNew(gradsync.Config{
 			Topology:         gradsync.RingTopology(n),
 			Drift:            gradsync.TwoGroupDrift(n / 2),
 			Estimates:        gradsync.MessagingEstimates(false),
 			Scenario:         &scenario.Churn{Every: 2.5},
-			TickParallelism:  tickPar,
 			EventParallelism: evPar,
 			Seed:             17,
-		}
-	}
-	run := func(tickPar, evPar int) (tickFingerprint, uint64) {
-		net := gradsync.MustNew(build(tickPar, evPar))
+		})
 		net.RunFor(12)
 		return fingerprint(net), net.Runtime().Engine.DrainStats().CrossedTicks
 	}
-	serial, crossed := run(1, 1)
+	serial, crossed := run(1)
 	if crossed != 0 {
 		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", crossed)
 	}
 	anyCrossed := false
-	for _, tickPar := range []int{1, 8} {
-		for _, evPar := range []int{2, 8} {
-			fp, crossed := run(tickPar, evPar)
-			if d := serial.diff(fp); d != "" {
-				t.Fatalf("EventParallelism %d × TickParallelism %d diverged from serial: %s", evPar, tickPar, d)
-			}
-			if crossed > 0 {
-				anyCrossed = true
-			}
+	for _, evPar := range []int{2, 8} {
+		fp, crossed := run(evPar)
+		if d := serial.diff(fp); d != "" {
+			t.Fatalf("EventParallelism %d diverged from serial: %s", evPar, d)
+		}
+		if crossed > 0 {
+			anyCrossed = true
 		}
 	}
 	if !anyCrossed {
@@ -151,9 +148,10 @@ func TestHandshakeStormParallelWindows(t *testing.T) {
 }
 
 // TestShardedDrainScaleRing is the at-scale replay: a 2000-node ring with
-// chord churn — the E15/E16 shape — compared serial vs 8 event shards
-// stacked on 8 tick shards, so the two fan-outs are exercised together the
-// way the scale tiers run them. Its windows are large enough that the
+// chord churn — the E15/E16 shape — compared serial vs 8 event shards at
+// TickParallelism 8, which at this size ticks on one goroutine, as the
+// quick scale tiers do (TestShardedTickScaleRing stacks the two fan-outs
+// above the tick pool's threshold). Its windows are large enough that the
 // engine fans most of them out over the pool instead of running them
 // inline, so under `make race` this is the end-to-end replay of concurrent
 // drains; the test fails if none was pooled.
@@ -162,11 +160,7 @@ func TestShardedDrainScaleRing(t *testing.T) {
 		t.Skip("scale replay takes a few seconds")
 	}
 	const n = 2000
-	pairs := make([]scenario.Pair, 0, 16)
-	for i := 0; i < 16; i++ {
-		u := i * (n / 2) / 16
-		pairs = append(pairs, scenario.Pair{u, u + n/2})
-	}
+	pairs := chords(n, 16)
 	run := func(tickPar, evPar int) (tickFingerprint, sim.DrainStats) {
 		net := gradsync.MustNew(gradsync.Config{
 			Topology:         gradsync.RingTopology(n),

@@ -1,14 +1,18 @@
 package gradsync_test
 
 // This file is the determinism net for the sharded integration tick
-// (runner.Config.TickParallelism): full randomized runs — random topology,
-// scenario, drift adversary, estimate layer, algorithm and parameters — must
-// produce byte-identical state for every shard count, including the serial
-// tick. It is the same style of evidence trigger_test.go gives for the
-// single-pass trigger engine: not a unit claim but a whole-system replay
-// diff. The 8-shard replays also run under `make race`, so the disjointness
+// (runner.Config.TickParallelism) at the production size rule: a network
+// of fewer than 12,000 nodes (runner's inlineTickNodes) ticks on the calling
+// goroutine whatever the knob says, and a larger one fans its tick out.
+// Full runs must produce byte-identical state for every shard count,
+// including the serial tick. It is the same style of evidence
+// trigger_test.go gives for the single-pass trigger engine: not a unit
+// claim but a whole-system replay diff. The replays above the threshold
+// (TestShardedTickScale*) also run under `make race`, so the disjointness
 // argument (pre-tick reads, per-shard writes) is checked by the detector,
-// not just asserted.
+// not just asserted. randomTickCase's small random networks tick serially
+// here; internal/runner's TestPooledTickDifferential forces the pool on
+// the same space.
 
 import (
 	"fmt"
@@ -173,61 +177,119 @@ func (a tickFingerprint) diff(b tickFingerprint) string {
 	return ""
 }
 
-// TestShardedTickDifferential replays randomized full runs at shard counts
-// 1, 2 and 8 and requires bit-identical clocks, max estimates, event counts
-// and algorithm counters. Shard count 8 on small N also covers the
-// N < workers boundary (trailing empty shards).
+// TestShardedTickDifferential pins the size rule over the random space:
+// every case, built at TickParallelism 8, must tick on a single shard. Its
+// networks are far below runner's inlineTickNodes, so each runs the
+// TickParallelism 1 tick and a replay at another shard count could only
+// compare the serial tick with itself; internal/runner's
+// TestPooledTickDifferential forces the pool on this space instead.
 func TestShardedTickDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential replays take a few seconds")
-	}
 	for caseSeed := int64(1); caseSeed <= 14; caseSeed++ {
 		c := randomTickCase(caseSeed)
 		t.Run(c.name, func(t *testing.T) {
-			run := func(tickPar int) tickFingerprint {
-				net := gradsync.MustNew(c.build(tickPar))
-				net.RunFor(c.horizon)
-				return fingerprint(net)
-			}
-			serial := run(1)
-			for _, tickPar := range []int{2, 8} {
-				if d := serial.diff(run(tickPar)); d != "" {
-					t.Fatalf("TickParallelism %d diverged from serial: %s", tickPar, d)
-				}
+			net := gradsync.MustNew(c.build(8))
+			if got := net.Runtime().TickShards(); got != 1 {
+				t.Fatalf("TickParallelism 8 on %d nodes built %d tick shards, want 1", net.N(), got)
 			}
 		})
 	}
 }
 
-// TestShardedTickScaleRing is the at-scale replay: a 2000-node ring with
-// chord churn — the E15/E16 shape — compared serial vs 8 shards, so shard
-// boundaries fall inside real per-node work rather than toy graphs. Under
-// `make race` this is also the detector's main workout for the sharded
-// phases.
-func TestShardedTickScaleRing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale replay takes a few seconds")
-	}
-	const n = 2000
-	pairs := make([]scenario.Pair, 0, 16)
-	for i := 0; i < 16; i++ {
-		u := i * (n / 2) / 16
-		pairs = append(pairs, scenario.Pair{u, u + n/2})
-	}
+// scaleTickNodes is runner's inlineTickNodes, the smallest network that
+// fans its tick out; shardedTickReplay fails if the two part ways.
+const scaleTickNodes = 12_000
+
+// shardedTickReplay runs build serially and at TickParallelism 8 for the
+// horizon and requires bit-identical fingerprints. It fails unless the
+// sharded run really built eight tick shards, so a replay that slips below
+// the size rule's threshold cannot pass by comparing the serial tick with
+// itself.
+func shardedTickReplay(t *testing.T, build func(tickPar int) gradsync.Config, horizon float64) {
+	t.Helper()
 	run := func(tickPar int) tickFingerprint {
-		net := gradsync.MustNew(gradsync.Config{
-			Topology:        gradsync.RingTopology(n),
-			DiameterHint:    n / 2,
-			Drift:           gradsync.TwoGroupDrift(n / 2),
-			Scenario:        &scenario.Churn{Every: 1.5, Pairs: pairs},
-			TickParallelism: tickPar,
-			Seed:            1,
-		})
-		net.RunFor(4)
+		net := gradsync.MustNew(build(tickPar))
+		if got := net.Runtime().TickShards(); got != tickPar {
+			t.Fatalf("TickParallelism %d on %d nodes built %d tick shards", tickPar, net.N(), got)
+		}
+		net.RunFor(horizon)
 		return fingerprint(net)
 	}
 	serial := run(1)
 	if d := serial.diff(run(8)); d != "" {
-		t.Fatalf("TickParallelism 8 diverged from serial at N=%d: %s", n, d)
+		t.Fatalf("TickParallelism 8 diverged from serial: %s", d)
 	}
+}
+
+// TestShardedTickScaleRing is the at-scale replay: a ring of scaleTickNodes
+// nodes with chord churn — the E15/E16 shape — compared serial vs 8 tick
+// shards stacked on 8 event shards, the way the scale tiers run them, so
+// shard boundaries fall inside real per-node work rather than toy graphs.
+// Its oracle estimates keep every tick a barrier tick. Under `make race`
+// this is also the detector's main workout for the sharded phases.
+func TestShardedTickScaleRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale replay takes a few seconds")
+	}
+	const n = scaleTickNodes
+	pairs := chords(n, 16)
+	shardedTickReplay(t, func(tickPar int) gradsync.Config {
+		return gradsync.Config{
+			Topology:         gradsync.RingTopology(n),
+			DiameterHint:     n / 2,
+			Drift:            gradsync.TwoGroupDrift(n / 2),
+			Scenario:         &scenario.Churn{Every: 0.5, Pairs: pairs},
+			TickParallelism:  tickPar,
+			EventParallelism: tickPar,
+			Seed:             1,
+		}
+	}, 1.2)
+}
+
+// TestShardedTickScaleMessagingRing is the same replay on messaging
+// estimates, whose concurrent queries count their misses atomically. The
+// drain stays serial, so no window crosses a tick and every tick fans out.
+func TestShardedTickScaleMessagingRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale replay takes a few seconds")
+	}
+	const n = scaleTickNodes
+	pairs := chords(n, 16)
+	shardedTickReplay(t, func(tickPar int) gradsync.Config {
+		return gradsync.Config{
+			Topology:        gradsync.RingTopology(n),
+			DiameterHint:    n / 2,
+			Drift:           gradsync.TwoGroupDrift(n / 2),
+			Estimates:       gradsync.MessagingEstimates(false),
+			Scenario:        &scenario.Churn{Every: 0.5, Pairs: pairs},
+			TickParallelism: tickPar,
+			Seed:            2,
+		}
+	}, 1.2)
+}
+
+// TestShardedTickScaleGeometric replays geo-mobile's shape above the
+// threshold: random-geometric mobility on oracle estimates with per-node
+// random errors, so the decide phase reads neighbor rows that hops keep
+// rewriting between ticks, and every query draws from its node's stream.
+func TestShardedTickScaleGeometric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale replay takes a few seconds")
+	}
+	const n = scaleTickNodes
+	radius := 1 / (0.45 * float64(n))
+	pairs := (&scenario.RandomGeometric{Radius: radius}).InitialEdges(n)
+	edges := make([][2]int, len(pairs))
+	for i, p := range pairs {
+		edges[i] = [2]int(p)
+	}
+	shardedTickReplay(t, func(tickPar int) gradsync.Config {
+		return gradsync.Config{
+			Topology:        gradsync.CustomTopology(n, edges),
+			DiameterHint:    n/4 + 2,
+			Drift:           gradsync.TwoGroupDrift(n / 2),
+			Scenario:        &scenario.RandomGeometric{Radius: radius, StepEvery: 0.01},
+			TickParallelism: tickPar,
+			Seed:            3,
+		}
+	}, 1.2)
 }
