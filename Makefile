@@ -68,26 +68,29 @@ cover:
 # concurrent paths clean (the determinism tests run replicated experiments
 # at parallelism 8, and the sharded-tick differentials replay random
 # topologies/scenarios at TickParallelism 8, all under the detector). The
-# second pass repeats internal/sim's window and RunShards tests ten times:
-# they are the engine's concurrent drains (every window pooled) and take
-# well under a second each, so the repeats widen the interleavings the
-# detector sees at little cost. The third pass repeats the random walk's
-# tests ten times: the sharded tick extends distinct nodes' walk paths
-# concurrently, and only the per-node streams keep those calls apart. A
-# network below 12,000 nodes ticks on one goroutine whatever
-# TickParallelism says, so few tests still replay pooled ticks: the root
-# package's TestShardedTickScale* (ring, messaging ring and geometric
-# mobility at 12,000 nodes), and internal/runner's tests that force the
-# pool on small networks (TestPooledTickDifferential,
+# second pass repeats internal/sim's window and tick-crossing tests ten
+# times: they are the engine's concurrent drains (every window pooled, and
+# crossed ticks stepped per shard inside them) and take well under a second
+# each, so the repeats widen the interleavings the detector sees at little
+# cost. The third pass repeats the random walk's tests ten times: the
+# sharded tick extends distinct nodes' walk paths concurrently, and only the
+# per-node streams keep those calls apart. A network below 12,000 nodes
+# ticks on one goroutine whatever TickParallelism says, so few tests still
+# replay pooled ticks: the root package's TestShardedTickScale* (ring,
+# messaging ring and geometric mobility at 12,000 nodes), and
+# internal/runner's tests that force the pool on small networks
+# (TestPooledTickDifferential,
 # TestScaleTierDeterministicAcrossTickParallelism, TestRateEnvelope). The
 # golden, layout, drain and trigger differentials run their small networks
-# on the serial tick. The fourth pass repeats the scale replays and the
-# random pooled differential three times (about a minute on 2 vCPUs).
+# on the serial tick. The fourth pass repeats the scale replays, the random
+# pooled differential and the root crossing tests (a crossed tick's
+# StepNode calls on the event shards, checked by a recording decorator)
+# three times (about a minute on 2 vCPUs).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource|RunShards' ./internal/sim
+	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource' ./internal/sim
 	$(GO) test -race -count=10 -run RandomWalk ./internal/drift
-	$(GO) test -race -count=3 -run 'ShardedTickScale|PooledTick' . ./internal/runner
+	$(GO) test -race -count=3 -run 'ShardedTickScale|PooledTick|CrossedTick|TickCrossing|CrossingArmed' . ./internal/runner
 
 # Fuzzes each target for 10 s. Plain `go test` only replays the seed
 # corpora; this searches past them. go test -fuzz takes one target in one

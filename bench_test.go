@@ -127,16 +127,14 @@ func BenchmarkE16ExtremeScaleQuick(b *testing.B) {
 // time unit on a 10 000-node ring with chord churn running (50 integration
 // ticks, 40k beacons, their deliveries, and the churn handshakes). The
 // ns/op trajectory of this benchmark is the substrate's headline number in
-// BENCH_sweep.json. The subbenches step through the two fan-out axes:
-// everything serial, tick shards only, then tick + event shards together —
-// so the record separates the sharded-tick speedup from the sharded-drain
-// speedup on top of it ("max" is NumCPU, the E15/E16 default; the name is
-// machine-independent so records diff across hosts, and the outputs are
-// byte-identical across all three — only the wall-clock may differ). At
-// 10⁴ nodes the par=max/evpar=1 rung no longer fans the tick out: below
+// BENCH_sweep.json. The first two subbenches run everything serial, then
+// tick and event shards together ("max" is NumCPU, the E15/E16 default; the
+// name is machine-independent so records diff across hosts, and the outputs
+// are byte-identical across both — only the wall-clock may differ). Below
 // 12,000 nodes the runtime ticks on one goroutine whatever TickParallelism
-// says, so that rung times the serial tick, and only BenchmarkRuntime100k's
-// rungs still record the sharded-tick speedup.
+// says, so at 10⁴ nodes the second rung records the sharded-drain speedup
+// alone, and a tick-shards-only rung would time the serial runtime again;
+// BenchmarkRuntime100k's rungs record the sharded-tick speedup.
 // The messaging rung swaps the oracle estimate layer for the beacon
 // protocol. Oracle rungs drain messages too, because every node still
 // beacons its M: the 2000-node oracle ring of TestShardedDrainScaleRing
@@ -157,7 +155,6 @@ func BenchmarkRuntime10k(b *testing.B) {
 		messaging bool
 	}{
 		{"par=1/evpar=1", 1, 1, false},
-		{"par=max/evpar=1", runtime.NumCPU(), 1, false},
 		{"par=max/evpar=max", runtime.NumCPU(), runtime.NumCPU(), false},
 		{"par=max/evpar=8/messaging", runtime.NumCPU(), 8, true},
 	} {

@@ -351,9 +351,10 @@ type Config struct {
 	// parallel windows bounded by the minimum link transit time (the
 	// conservative PDES safe horizon). Windows may cross an integration
 	// tick; the crossed tick's per-node work then runs on the same shards,
-	// at each node's first event and, for the nodes no event touched, in a
-	// parallel completion phase when the tick fires. Other global events
-	// (topology transitions, scenario steps, handshake timers) stay serial.
+	// once per shard: inside the window that reaches the tick on that shard,
+	// or, for a shard no window reached, serially as the tick fires. Other
+	// global events (topology transitions, scenario steps, handshake timers)
+	// stay serial.
 	// ≤ 1 keeps the serial drain. Results are byte-identical for every
 	// value — the knob trades wall-clock only — so it is safe to set to
 	// runtime.NumCPU() for large networks, and it composes with

@@ -1,20 +1,25 @@
 package gradsync_test
 
-// The completion phase of a crossed tick (runner.Runtime.step under tick
-// crossing) steps the nodes no window event touched on every event shard
-// at once, through sim.Engine.RunShards. A NodeStepper decorator — such as
-// the timing decorator of the perfbench module — relies on three facts
-// about every StepNode call it sees: shard == u mod K, the engine reports
-// InWindow(), and so a shard's calls run on one goroutine at a time.
-// This test pins that contract with a recording decorator under the race
-// detector (`make race`), together with exactly-once stepping per tick and
-// bit-identity with the serial drain.
+// A crossed tick is applied one event shard at a time
+// (sim.Engine.SetCrossable): inside the window drain, just before the
+// shard's first event at or after the tick, and for each shard no window
+// reached, serially just before the tick itself fires. A NodeStepper
+// decorator — such as the timing decorator of the perfbench module —
+// relies on three facts about every StepNode call it sees: shard == u mod
+// K, the engine reports InWindow(), and so a shard's calls run on one
+// goroutine at a time. TestCrossedTickCompletionContract pins that contract
+// with a recording decorator under the race detector (`make race`),
+// together with exactly-once stepping per tick and bit-identity with the
+// serial drain. TestCrossingArmedAtRunBoundary pins that the remaining
+// shards are stepped only when the crossed tick fires, not at an earlier
+// global event.
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
+	gradsync "repro"
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/estimate"
@@ -25,15 +30,15 @@ import (
 )
 
 // shardTally is one event shard's record of the StepNode calls for its
-// nodes. Only the goroutine running the shard writes it during a window phase;
-// FinishTick reads it on the engine goroutine after the barrier.
+// nodes. Only the goroutine running the shard writes it while the shard is
+// stepped; FinishTick reads it on the engine goroutine afterwards.
 type shardTally struct {
 	calls, wrongShard, outsideWindow uint64
 	_                                [5]uint64
 }
 
 // stepRecorder is a runner.NodeStepper decorator over AOPT that checks the
-// completion-phase contract on every call. Embedding forwards the rest of
+// crossed-tick contract on every call. Embedding forwards the rest of
 // runner.Algorithm and runner.NodeStepper.
 type stepRecorder struct {
 	*core.Algorithm
@@ -59,7 +64,7 @@ func (r *stepRecorder) StepNode(u, shard int, dh float64) {
 }
 
 // FinishTick runs serially once a crossed tick is complete: every node must
-// have been stepped exactly once, lazily or by the completion phase.
+// have been stepped exactly once, inside a window or as the tick fired.
 func (r *stepRecorder) FinishTick() {
 	for u, c := range r.stepped {
 		if c != 1 && len(r.bad) < 5 {
@@ -141,9 +146,10 @@ func stepperFingerprint(rt *runner.Runtime, a *core.Algorithm) tickFingerprint {
 
 // TestCrossedTickCompletionContract runs the recording decorator at event
 // shard counts 2 and 8 and checks every StepNode call: shard == u mod K,
-// InWindow() true (the completion phase runs as a window phase), each node
-// stepped exactly once per crossed tick, ticks actually crossed, and the
-// final state bit-identical to the serial drain's.
+// InWindow() true (the shards stepped as the tick fires run as a window
+// phase too), each node stepped exactly once per crossed tick, ticks
+// actually crossed, and the final state bit-identical to the serial
+// drain's.
 func TestCrossedTickCompletionContract(t *testing.T) {
 	const (
 		n       = 301 // not a multiple of either shard count
@@ -158,7 +164,7 @@ func TestCrossedTickCompletionContract(t *testing.T) {
 		rt, rec := crossedRing(t, n, k, horizon)
 		crossed := rt.Engine.DrainStats().CrossedTicks
 		if crossed == 0 {
-			t.Fatalf("K=%d: no tick crossed; the completion phase never ran", k)
+			t.Fatalf("K=%d: no tick crossed", k)
 		}
 		var calls, wrong, outside uint64
 		for _, s := range rec.shards {
@@ -179,6 +185,63 @@ func TestCrossedTickCompletionContract(t *testing.T) {
 		}
 		if d := want.diff(stepperFingerprint(rt, rec.Algorithm)); d != "" {
 			t.Errorf("K=%d: final state diverged from the serial drain: %s", k, d)
+		}
+	}
+}
+
+// TestCrossingArmedAtRunBoundary pins where a crossed tick completes. A
+// window may cross a tick and then stop at the run horizon just before it,
+// which leaves the crossing armed with no shard stepped. A caller may then
+// schedule a global event before the tick, here with Network.At: it fires
+// first and must read the clocks as they stand before the tick, as in the
+// serial drain, so the remaining shards may be stepped only as the crossed
+// tick's own event fires. 300 short runs of 0.013 units, each followed by
+// such a probe, with a chord added every 50 runs, must agree bit for bit at
+// event shard counts 1, 2 and 8, on every probe reading and on the final
+// state.
+func TestCrossingArmedAtRunBoundary(t *testing.T) {
+	const n = 200
+	run := func(evPar int) (reads []uint64, fp tickFingerprint, crossed uint64) {
+		net := gradsync.MustNew(gradsync.Config{
+			Topology:         gradsync.RingTopology(n),
+			Drift:            gradsync.TwoGroupDrift(n / 2),
+			Estimates:        gradsync.MessagingEstimates(false),
+			EventParallelism: evPar,
+			Seed:             29,
+		})
+		for r := 0; r < 300; r++ {
+			net.RunFor(0.013)
+			net.At(net.Now()+0.0005, func(float64) {
+				reads = append(reads, math.Float64bits(net.Logical(0)), math.Float64bits(net.Logical(n/2+1)))
+			})
+			if r%50 == 49 {
+				if err := net.AddEdge(r/50, r/50+n/2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		net.RunFor(0.013)
+		return reads, fingerprint(net), net.Runtime().Engine.DrainStats().CrossedTicks
+	}
+	serialReads, serial, crossed := run(1)
+	if crossed != 0 {
+		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", crossed)
+	}
+	for _, evPar := range []int{2, 8} {
+		reads, fp, crossed := run(evPar)
+		if crossed == 0 {
+			t.Errorf("EventParallelism %d: no tick crossed", evPar)
+		}
+		if len(reads) != len(serialReads) {
+			t.Fatalf("EventParallelism %d: %d probe readings, want %d", evPar, len(reads), len(serialReads))
+		}
+		for i := range reads {
+			if reads[i] != serialReads[i] {
+				t.Fatalf("EventParallelism %d: probe reading %d = %x, want %x", evPar, i, reads[i], serialReads[i])
+			}
+		}
+		if d := serial.diff(fp); d != "" {
+			t.Errorf("EventParallelism %d diverged from serial: %s", evPar, d)
 		}
 	}
 }

@@ -81,21 +81,18 @@ type Algorithm struct {
 	deltaFraction float64
 
 	// Sharded-tick machinery: Step fans its two phases over the runtime's
-	// tick shards (see Step). shardCtr gives each shard a private counter
-	// block; decideFn/integrateFn are method values built once in Init so
-	// the per-tick fan-out never allocates; dHTick carries the current
-	// tick's hardware increments into the phase bodies.
-	shardCtr    []modeCounters
+	// tick shards (see Step), and a crossed tick runs StepNode on the event
+	// shards. ctr gives each shard of either kind a private counter block,
+	// max(tick shards, event shards) of them: a barrier Step and a crossed
+	// tick never run at once, and Step and FinishTick each fold every block,
+	// whose uint64 sums are the same in any order. decideFn/integrateFn are
+	// method values built once in Init so the per-tick fan-out never
+	// allocates; dHTick carries the current tick's hardware increments into
+	// the phase bodies.
+	ctr         []modeCounters
 	decideFn    func(shard, lo, hi int)
 	integrateFn func(shard, lo, hi int)
 	dHTick      []float64
-
-	// evCtr mirrors shardCtr for the lazily applied ticks of tick-crossing
-	// event windows (runner.NodeStepper): one private counter block per
-	// *event* shard, folded by FinishTick. Commutative uint64 sums keyed by
-	// the node's fixed event shard keep the totals byte-identical no matter
-	// whether a window event or the completion phase steps a node.
-	evCtr []modeCounters
 
 	// Counters (diagnostics; tests assert on several).
 	FastTicks        uint64 // node-ticks spent in fast mode
@@ -180,8 +177,7 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	a.classIdx = make(map[edgeClass]int32)
 	a.growRecs()
 	rt.Dyn.OnDeclare(a.growRecs)
-	a.shardCtr = make([]modeCounters, rt.TickShards())
-	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
+	a.ctr = make([]modeCounters, max(rt.TickShards(), rt.Engine.EventShards()))
 	a.decideFn = a.decideShard
 	a.integrateFn = a.integrateShard
 	a.refreshSMax()
@@ -543,12 +539,12 @@ func (a *Algorithm) Step(t sim.Time, dH []float64) {
 	}
 	a.rt.ParallelTick(a.n, a.decideFn)
 	a.rt.ParallelTick(a.n, a.integrateFn)
-	a.mergeCounters(a.shardCtr)
+	a.mergeCounters()
 }
 
 // decideShard runs the mode-decision phase for nodes [lo, hi).
 func (a *Algorithm) decideShard(shard, lo, hi int) {
-	c, dH := &a.shardCtr[shard], a.dHTick
+	c, dH := &a.ctr[shard], a.dHTick
 	for u := lo; u < hi; u++ {
 		a.mult[u] = a.decideMode(u, dH[u], c)
 	}
@@ -562,12 +558,12 @@ func (a *Algorithm) integrateShard(_, lo, hi int) {
 	}
 }
 
-// mergeCounters folds per-shard tallies (the tick shards' after Step, the
-// event shards' after a crossed tick) into the public counters, in shard
-// order, and clears the blocks for the next tick.
-func (a *Algorithm) mergeCounters(blocks []modeCounters) {
-	for i := range blocks {
-		c := &blocks[i]
+// mergeCounters folds the per-shard tallies (the tick shards' after Step,
+// the event shards' after a crossed tick) into the public counters, in
+// shard order, and clears the blocks for the next tick.
+func (a *Algorithm) mergeCounters() {
+	for i := range a.ctr {
+		c := &a.ctr[i]
 		a.FastTicks += c.fast
 		a.SlowTicks += c.slow
 		a.TriggerConflicts += c.conflicts
@@ -582,23 +578,23 @@ func (a *Algorithm) mergeCounters(blocks []modeCounters) {
 func (a *Algorithm) CanStepNodes() bool { return true }
 
 // StepNode implements runner.NodeStepper: decide-then-integrate for one node
-// whose tick is being applied lazily inside a tick-crossing event window.
-// Fusing the phases per node is byte-identical to the phased Step because
-// the decide phase reads only the deciding node's own pre-tick state (l[u],
-// m[u], mult[u], u's estimates) — never another node's clocks — so no node's
+// of an event shard to which the runtime applies a crossed tick. Fusing the
+// phases per node is byte-identical to the phased Step because the decide
+// phase reads only the deciding node's own pre-tick state (l[u], m[u],
+// mult[u], u's estimates) — never another node's clocks — so no node's
 // decision can observe a neighbor's integration. shard is u's fixed event
-// shard: inside a window and in the runner's completion phase alike, a
-// shard's calls run on one goroutine at a time, so the evCtr block has one
-// writer at a time and needs no synchronization.
+// shard: inside a window and as the tick fires alike, a shard's calls run
+// on one goroutine at a time, so its counter block has one writer at a time
+// and needs no synchronization.
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
-	mult := a.decideMode(u, dh, &a.evCtr[shard])
+	mult := a.decideMode(u, dh, &a.ctr[shard])
 	a.mult[u] = mult
 	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, a.mRate)
 }
 
 // FinishTick implements runner.NodeStepper: fold the per-event-shard tallies
-// of a lazily applied tick into the public counters, in shard order.
-func (a *Algorithm) FinishTick() { a.mergeCounters(a.evCtr) }
+// of a crossed tick into the public counters, in shard order.
+func (a *Algorithm) FinishTick() { a.mergeCounters() }
 
 // decideMode evaluates the triggers of Definitions 4.5–4.7 for node u, whose
 // hardware clock advanced by dh this tick, and returns the rate multiplier

@@ -44,7 +44,7 @@ type refAlgo struct {
 // Step implements runner.Algorithm.
 func (r *refAlgo) Step(_ sim.Time, dH []float64) {
 	a := r.Algorithm
-	c := &a.shardCtr[0]
+	c := &a.ctr[0]
 	for u := 0; u < a.n; u++ {
 		fast, slow := r.evalTriggersRef(u, c)
 		if fast && slow {
@@ -56,7 +56,7 @@ func (r *refAlgo) Step(_ sim.Time, dH []float64) {
 	}
 	a.dHTick = dH
 	a.integrateShard(0, 0, a.n)
-	a.mergeCounters(a.shardCtr)
+	a.mergeCounters()
 }
 
 // CanStepNodes keeps tick crossing off: the reference decides in Step only.

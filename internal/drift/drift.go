@@ -28,8 +28,8 @@ type Schedule interface {
 // and disables crossing at t. Schedules that cannot certify a stretch —
 // lazily materialized paths like RandomWalk — simply do not implement the
 // interface. The runner only crosses an integration tick at T when the
-// stretch covers [T, T+Tick), so the lazily applied tick uses the same
-// Rate(u, T) values a barrier tick would have.
+// stretch covers [T, T+Tick), so the crossed tick, applied one event shard
+// at a time, uses the same Rate(u, T) values a barrier tick would have.
 type ConstantStretch interface {
 	RatesConstantUntil(t sim.Time) sim.Time
 }

@@ -44,19 +44,19 @@ type Algorithm interface {
 // NodeStepper is the opt-in contract of tick-crossing event windows: an
 // algorithm that can apply one node's integration tick in isolation —
 // decide-then-integrate for a single node, byte-identical to its phased
-// Step — lets the runtime apply a crossed tick lazily at each node's next
-// event touch instead of at a global barrier. The nodes no event touched
-// are stepped in a completion phase when the tick fires, on every event
-// shard at once. Either way StepNode(u, shard, dh) is called with shard =
-// u mod K while Engine.InWindow() is true. A shard's calls run on one
-// goroutine at a time, and other shards may step their own nodes
-// concurrently. It must read only node u's own state (plus tick-stable
-// shared state) and tally mode counters into the given event-shard block;
-// FinishTick runs serially after the completion phase and folds the blocks
-// in shard order, so counter totals stay deterministic. CanStepNodes
-// returning false keeps the path off, for an algorithm whose Step is not
-// the per-node StepNode applied to every node; a decorator forwards the
-// wrapped algorithm's answer.
+// Step — lets the runtime apply a crossed tick one event shard at a time
+// instead of at a global barrier: in the window drain just before the
+// shard's first event at or after the tick, or, for a shard no window
+// reached, just before the tick fires. Either way StepNode(u, shard, dh) is
+// called with shard = u mod K while Engine.InWindow() is true. A shard's
+// calls run on one goroutine at a time, and other shards may step their
+// own nodes concurrently. It must read only node u's own state (plus
+// tick-stable shared state) and tally mode counters into the given
+// event-shard block; FinishTick runs serially once every shard is stepped
+// and folds the blocks in shard order, so counter totals stay
+// deterministic. CanStepNodes returning false keeps the path off, for an
+// algorithm whose Step is not the per-node StepNode applied to every node;
+// a decorator forwards the wrapped algorithm's answer.
 type NodeStepper interface {
 	CanStepNodes() bool
 	StepNode(u, shard int, dh float64)
@@ -113,9 +113,9 @@ type Config struct {
 	// stretch (see DESIGN.md, "Sharded event drain"). Values ≤ 1 keep the
 	// serial drain. Results are byte-identical for every value; the knob
 	// trades wall-clock only. Global events — ticks, topology transitions,
-	// scenario steps, handshake timers — fire one at a time, with one
-	// exception inside them: a crossed tick finishes its per-node work (the
-	// nodes no window event touched) on all event shards in parallel.
+	// scenario steps, handshake timers — fire one at a time. A crossed tick's
+	// per-node work runs per event shard: inside the windows that reach the
+	// tick, and for the shards none reached, serially as the tick fires.
 	EventParallelism int
 	// Seed feeds all randomness.
 	Seed int64
@@ -163,9 +163,6 @@ type Runtime struct {
 	tickT   sim.Time
 	tickDt  float64
 	driftFn func(shard, lo, hi int)
-	// finishFn is finishShard bound once, so completing a crossed tick
-	// allocates no method value.
-	finishFn func(shard int)
 
 	// The rate envelope (RateEnvelope): the lowest and highest clamped rate
 	// of the last barrier tick and the end of the constant-rate stretch
@@ -184,20 +181,16 @@ type Runtime struct {
 	wheel *wheelSource
 
 	// Tick-crossing state. stepper is the algorithm's NodeStepper face (nil
-	// when not implemented); evShards caches the engine's event shard count.
-	// While lazyActive, the tick at lazyT (with hardware increment factor
-	// lazyDt) has been crossed by at least one event window and is applied
-	// per node at first touch: nodeEpoch[u] == epochTarget marks u as
-	// already stepped. lastTick mirrors the tick ticker's previous fire
-	// time so lazyDt reproduces the exact dt the barrier tick would see.
-	stepper     NodeStepper
-	evShards    int
-	lazyActive  bool
-	lazyT       sim.Time
-	lazyDt      float64
-	lastTick    sim.Time
-	epochTarget uint32
-	nodeEpoch   []uint32
+	// when not implemented). While crossed, the tick at crossT (with
+	// hardware increment factor crossDt) has been crossed by at least one
+	// event window, and the engine applies it one event shard at a time
+	// (stepShard). lastTick mirrors the tick ticker's previous fire time so
+	// crossDt reproduces the exact dt the barrier tick would see.
+	stepper  NodeStepper
+	crossed  bool
+	crossT   sim.Time
+	crossDt  float64
+	lastTick sim.Time
 }
 
 // New builds a runtime. The estimate layer and algorithm are attached
@@ -236,7 +229,6 @@ func New(cfg Config) (*Runtime, error) {
 		dH: make([]float64, cfg.N),
 	}
 	rt.driftFn = rt.driftShard
-	rt.finishFn = rt.finishShard
 	rt.stretch, _ = rt.driftSrc.(drift.ConstantStretch)
 	rt.envUntil = math.Inf(-1)
 	if cfg.TickParallelism > 1 && cfg.N >= poolNodes {
@@ -362,12 +354,10 @@ func (rt *Runtime) Start() error {
 	tk := rt.Engine.NewTicker(rt.cfg.Tick, rt.cfg.Tick, rt.step)
 	// Tick-crossing: event windows may extend past a pending integration
 	// tick when the whole stack certifies the stretch quiescent (see
-	// crossGate); the crossed tick is then applied lazily per node at first
-	// touch. The engine calls the gate only on the parallel window path, so
-	// K = 1 and the reference drain never cross.
-	rt.evShards = rt.Engine.EventShards()
-	rt.nodeEpoch = make([]uint32, rt.cfg.N)
-	rt.Engine.SetCrossable(tk.Timer(), rt.crossGate, rt.beginCross)
+	// crossGate); the engine then applies the crossed tick one event shard
+	// at a time (stepShard). The engine calls the gate only on the parallel
+	// window path, so K = 1 and the reference drain never cross.
+	rt.Engine.SetCrossable(tk.Timer(), rt.crossGate, rt.beginCross, rt.stepShard)
 	// Beacon wheel: slot k fires at BeaconInterval·k/N and beacons node
 	// k mod N, giving every node the period BeaconInterval at the same
 	// staggered offsets (u/N · interval) the per-node tickers used. It
@@ -385,12 +375,12 @@ func (rt *Runtime) Start() error {
 //   - the algorithm can step single nodes (NodeStepper.CanStepNodes);
 //   - the estimate layer is the messaging layer, whose queries for node u
 //     read only u's samples, u's hardware clock and tick-stable topology,
-//     so an estimate taken between two nodes' lazy applications cannot
-//     observe the split; the oracle reads the peer's true clock, so
+//     so an estimate taken between two shards' applications of the tick
+//     cannot observe the split; the oracle reads the peer's true clock, so
 //     crossing stays off for oracle-backed runs;
 //   - the drift schedule certifies constant rates over [tickAt, tickAt+Tick)
-//     (drift.ConstantStretch), so the lazily evaluated Rate(u, tickAt)
-//     matches the barrier tick's.
+//     (drift.ConstantStretch), so Rate(u, tickAt), evaluated when u's shard
+//     is stepped, matches the barrier tick's.
 //
 // The engine adds its own conditions: no serial-source (control) item
 // pending before the limit, and no other global event (scenario step,
@@ -411,45 +401,32 @@ func (rt *Runtime) crossGate(tickAt sim.Time) (sim.Time, bool) {
 	return limit, true
 }
 
-// beginCross arms lazy application of the tick pending at tickAt. Idempotent
-// per tick: several windows can cross the same pending tick, and only the
-// first may bump the epoch — a second bump would unmark already-stepped
-// nodes and double-apply the tick.
+// beginCross arms the tick pending at tickAt, which the first event window
+// crossing it calls serially before it opens.
 func (rt *Runtime) beginCross(tickAt sim.Time) {
-	if rt.lazyActive && rt.lazyT == tickAt {
-		return
-	}
-	rt.lazyActive = true
-	rt.lazyT = tickAt
-	rt.lazyDt = tickAt - rt.lastTick
-	rt.epochTarget++
+	rt.crossed = true
+	rt.crossT = tickAt
+	rt.crossDt = tickAt - rt.lastTick
 }
 
-// touch applies the crossed tick to node u if the event at hand is at or
-// past the tick and u has not been stepped yet. Called at the top of every
-// per-node event (wheel fire, beacon delivery) — during windows it runs on
-// the worker owning u's event shard, so the epoch marks and the node's
-// clocks are single-writer; the window barriers publish them to later
-// phases.
-func (rt *Runtime) touch(u int, at sim.Time) {
-	if !rt.lazyActive || at < rt.lazyT || rt.nodeEpoch[u] == rt.epochTarget {
-		return
+// stepShard applies the crossed tick to event shard s: for every node
+// u ≡ s (mod K), hardware-clock integration at the certified-constant rate,
+// then the algorithm's fused decide-and-integrate. The engine calls it once
+// per shard, under InWindow() on the goroutine that owns the shard, so the
+// nodes' clocks and the stepper's shard-s counter block have one writer.
+// It mirrors driftShard + Step exactly (same operation order and rounding),
+// so a crossed tick is byte-identical to the barrier tick: Listing 3 decides
+// each node from its own pre-tick state, and every event of these nodes at
+// or after the tick comes after the step. It leaves dH alone: only a
+// barrier tick's Step reads dH, and driftShard rewrites every entry before
+// that.
+func (rt *Runtime) stepShard(s int) {
+	for u, k := s, rt.Engine.EventShards(); u < rt.cfg.N; u += k {
+		rate := drift.Clamp(rt.driftSrc.Rate(u, rt.crossT), rateSpan)
+		dh := rate * rt.crossDt
+		rt.HW[u] += dh
+		rt.stepper.StepNode(u, s, dh)
 	}
-	rt.nodeEpoch[u] = rt.epochTarget
-	rt.applyNode(u)
-}
-
-// applyNode performs node u's share of the crossed tick: hardware-clock
-// integration at the certified-constant rate, then the algorithm's fused
-// decide-and-integrate. Mirrors driftShard + Step exactly (same operation
-// order and rounding), so a lazily applied tick is byte-identical to the
-// barrier tick. It leaves dH[u] alone: only a barrier tick's Step reads dH,
-// and driftShard rewrites every entry before that.
-func (rt *Runtime) applyNode(u int) {
-	rate := drift.Clamp(rt.driftSrc.Rate(u, rt.lazyT), rateSpan)
-	dh := rate * rt.lazyDt
-	rt.HW[u] += dh
-	rt.stepper.StepNode(u, u%rt.evShards, dh)
 }
 
 // wheelSource is the beacon wheel as a sharded event source. Shard s owns
@@ -500,8 +477,6 @@ func (w *wheelSource) Peek(shard int) sim.Time {
 func (w *wheelSource) FireNext(shard int, now sim.Time) {
 	ws := &w.sh[shard]
 	u := shard + int(ws.idx)*w.k
-	// A crossed tick must be applied to u before its clocks are read.
-	w.rt.touch(u, now)
 	b := transport.Beacon{L: w.rt.algo.Logical(u), M: w.rt.algo.MaxEstimate(u)}
 	w.rt.Net.BroadcastBeaconAt(u, b, now)
 	if u+w.k < w.n {
@@ -526,23 +501,14 @@ func (rt *Runtime) Algo() Algorithm { return rt.algo }
 // evaluates the adversary drift rates and integrates the hardware clocks,
 // sharded when a pool exists. Phase 2 hands the increments to the
 // algorithm, whose Step shards its own phases through ParallelTick. A
-// crossed tick instead completes: the nodes no window event touched are
-// stepped per event shard under Engine.RunShards (finishShard), and
-// FinishTick folds the counters.
+// crossed tick has already been applied to every event shard (stepShard)
+// when it fires, so it only folds the counters (FinishTick).
 func (rt *Runtime) step(t sim.Time, dt float64) {
-	if rt.lazyActive {
-		// The tick was crossed: many nodes were stepped lazily at their first
-		// event touch. The completion phase steps the untouched remainder on
-		// every event shard at once, then FinishTick folds the per-shard mode
-		// counters and the tick is complete — byte-identical to the barrier
-		// path because applyNode mirrors driftShard + Step per node, every
-		// node sees exactly one application, and no node's step reads
-		// another node's clocks.
-		if t != rt.lazyT {
-			panic(fmt.Sprintf("runner: crossed tick at %v but ticker fired at %v", rt.lazyT, t))
+	if rt.crossed {
+		if t != rt.crossT {
+			panic(fmt.Sprintf("runner: crossed tick at %v but ticker fired at %v", rt.crossT, t))
 		}
-		rt.lazyActive = false
-		rt.Engine.RunShards(rt.finishFn)
+		rt.crossed = false
 		rt.stepper.FinishTick()
 		rt.lastTick = t
 		return
@@ -591,21 +557,6 @@ func (rt *Runtime) measureEnvelope(t sim.Time) {
 // no stretch reports until = t, and before the first tick until is −Inf.
 func (rt *Runtime) RateEnvelope() (lo, hi float64, until sim.Time) {
 	return rt.envLo, rt.envHi, rt.envUntil
-}
-
-// finishShard is the crossed tick's completion phase on event shard s: it
-// steps the nodes u ≡ s (mod K) that no window event touched. This is the
-// window drain's own ownership, so shard s's worker is the only writer of
-// these nodes' clocks and epoch marks and of the stepper's shard-s counter
-// block, and the stepper sees StepNode(u, u mod K, dh) under InWindow(),
-// exactly as for a lazy touch.
-func (rt *Runtime) finishShard(s int) {
-	for u := s; u < rt.cfg.N; u += rt.evShards {
-		if rt.nodeEpoch[u] != rt.epochTarget {
-			rt.nodeEpoch[u] = rt.epochTarget
-			rt.applyNode(u)
-		}
-	}
 }
 
 // driftShard integrates the hardware clocks of nodes [lo, hi): reads are the
@@ -675,9 +626,6 @@ func (l listener) EdgeDown(self, peer int, t sim.Time) {
 type handler struct{ rt *Runtime }
 
 func (h handler) OnBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
-	// A crossed tick must be applied to the receiver before the sample is
-	// stamped (RecordBeacon reads HW[to]) and the algorithm reacts.
-	h.rt.touch(to, d.At)
 	if h.rt.messaging != nil {
 		h.rt.messaging.RecordBeacon(to, from, b, d)
 	}

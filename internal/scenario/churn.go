@@ -32,7 +32,6 @@ type Churn struct {
 	rt   *runner.Runtime
 	rng  *sim.RNG
 	pool []Pair
-	up   map[Pair]bool
 }
 
 var _ runner.Scenario = (*Churn)(nil)
@@ -57,7 +56,6 @@ func (c *Churn) Install(rt *runner.Runtime, rng *sim.RNG) {
 		c.Err = fmt.Errorf("scenario churn: empty chord pool (all %d-node pairs declared)", rt.N())
 		return
 	}
-	c.up = make(map[Pair]bool, len(c.pool))
 	if c.Poisson {
 		rt.Engine.After(rng.Exp(c.Every), c.poissonStep)
 		return
@@ -72,14 +70,11 @@ func (c *Churn) poissonStep(sim.Time) {
 
 func (c *Churn) toggle() {
 	p := c.pool[c.rng.Intn(len(c.pool))]
-	applied, err := togglePair(c.rt, c.up, p, "churn")
-	if err != nil {
+	if err := togglePair(c.rt, p, "churn"); err != nil {
 		if c.Err == nil {
 			c.Err = err
 		}
 		return
 	}
-	if applied {
-		c.Toggles++
-	}
+	c.Toggles++
 }

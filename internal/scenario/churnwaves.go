@@ -39,7 +39,6 @@ type ChurnWaves struct {
 	rt    *runner.Runtime
 	rng   *sim.RNG
 	pool  []Pair
-	up    map[Pair]bool
 	burst []Pair // pairs of the wave in flight
 	next  int    // next burst index to toggle
 	timer *sim.Timer
@@ -73,7 +72,6 @@ func (c *ChurnWaves) Install(rt *runner.Runtime, rng *sim.RNG) {
 		c.Err = fmt.Errorf("scenario churnwaves: empty pair pool (all %d-node pairs declared)", rt.N())
 		return
 	}
-	c.up = make(map[Pair]bool, len(c.pool))
 	c.burst = make([]Pair, 0, c.BurstSize)
 	c.timer = rt.Engine.NewTimer(c.fire)
 	c.timer.Reset(c.WaveEvery)
@@ -101,17 +99,14 @@ func (c *ChurnWaves) fire(t sim.Time) {
 	}
 }
 
-// toggle flips one pair via the shared resync-and-flip helper (repeated
-// draws inside one wave make the resync essential).
+// toggle flips one pair against the live graph (togglePair); a pair drawn
+// twice in one wave flips back.
 func (c *ChurnWaves) toggle(p Pair) {
-	applied, err := togglePair(c.rt, c.up, p, "churnwaves")
-	if err != nil {
+	if err := togglePair(c.rt, p, "churnwaves"); err != nil {
 		if c.Err == nil {
 			c.Err = err
 		}
 		return
 	}
-	if applied {
-		c.Toggles++
-	}
+	c.Toggles++
 }

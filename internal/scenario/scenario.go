@@ -135,24 +135,21 @@ func edgeErrf(kind string, u, v int, err error) error {
 	return fmt.Errorf("scenario %s: edge {%d,%d}: %w", kind, u, v, err)
 }
 
-// togglePair flips one pool pair against the live graph, first resyncing
-// the generator's mirror: a composed generator may have flipped the pair
-// since the last visit, and a stale mirror would count phantom toggles
-// (transitions the topo layer no-ops). Returns whether the flip was
-// applied; the error is already wrapped with scenario context.
-func togglePair(rt *runner.Runtime, up map[Pair]bool, p Pair, kind string) (bool, error) {
-	if both := rt.Dyn.BothUp(p[0], p[1]); both != up[p] {
-		up[p] = both
-	}
+// togglePair flips one pool pair against the live graph: it cuts the edge
+// when both endpoints see it up and adds it otherwise. Reading the graph
+// itself, not a generator-side mirror, keeps a pair that a composed
+// generator flipped since the last visit from producing a phantom toggle (a
+// transition the topo layer no-ops). The error is already wrapped with
+// scenario context.
+func togglePair(rt *runner.Runtime, p Pair, kind string) error {
 	var err error
-	if up[p] {
+	if rt.Dyn.BothUp(p[0], p[1]) {
 		err = rt.CutEdge(p[0], p[1])
 	} else {
 		err = rt.AddEdge(p[0], p[1])
 	}
 	if err != nil {
-		return false, edgeErrf(kind, p[0], p[1], err)
+		return edgeErrf(kind, p[0], p[1], err)
 	}
-	up[p] = !up[p]
-	return true, nil
+	return nil
 }

@@ -86,11 +86,15 @@ type Source interface {
 	Flush(shard int)
 }
 
-// shardCount is a per-shard event counter padded to its own cache line so
-// concurrent window drains never false-share.
+// shardCount is a shard's window state, padded to its own cache line so
+// concurrent window drains never false-share: n counts the items the shard
+// fired in the window, and ticked records that step(shard) already ran for
+// the armed crossed tick (SetCrossable). Only the shard's own drain writes
+// them; the engine reads and resets them serially, between windows.
 type shardCount struct {
-	n uint64
-	_ [7]uint64
+	n      uint64
+	ticked bool
+	_      [6]uint64
 }
 
 // Engine owns the simulated clock, the global event queue and the sharded
@@ -130,15 +134,16 @@ type Engine struct {
 	winHorizon   Time
 	drainFn      func(shard, lo, hi int)
 	flushFn      func(shard, lo, hi int)
-	eachShardFn  func(shard, lo, hi int)
-	shardFn      func(shard int) // RunShards callback in flight
 	shardStepped []shardCount
 
 	// Tick-crossing state (SetCrossable): windows may extend past the
 	// registered timer's pending event when the owner's gate allows it.
+	// crossAt is the time of the armed crossed tick, +Inf when none is.
 	crossTimer *Timer
 	crossGate  func(tickAt Time) (limit Time, ok bool)
 	crossBegin func(tickAt Time)
+	crossStep  func(shard int)
+	crossAt    Time
 
 	stats DrainStats
 
@@ -201,10 +206,10 @@ func NewEngine() *Engine {
 		inlineItems:  inlineWindowItems,
 		shards:       1,
 		shardStepped: make([]shardCount, 1),
+		crossAt:      math.Inf(1),
 	}
 	e.drainFn = e.drainShards
 	e.flushFn = e.flushShards
-	e.eachShardFn = e.eachShard
 	return e
 }
 
@@ -278,55 +283,31 @@ func (e *Engine) AddSerialSource(s Source) {
 // SetCrossable lets parallel windows extend past tm's pending event (the
 // integration tick in the reproduced system). When tm's event is the earliest
 // global and gate(tickAt) allows it, the window end extends to
-// min(limit, next other global), and begin(tickAt) is invoked — serially,
-// before the window opens — so the owner can switch to lazy tick application
-// for items the window fires past tickAt. begin must be idempotent per
-// tickAt: several windows may cross the same pending tick. Crossing is
-// refused while any serial-source item is pending before limit, so crossed
-// stretches never contain a serial fire. The crossed event itself still fires
-// at its own timestamp as the next global once the clock passes it.
-func (e *Engine) SetCrossable(tm *Timer, gate func(tickAt Time) (limit Time, ok bool), begin func(tickAt Time)) {
-	e.crossTimer, e.crossGate, e.crossBegin = tm, gate, begin
+// min(limit, next other global). The first window to cross a pending tick
+// arms it: begin(tickAt) runs serially, before that window opens, and later
+// windows crossing the same tick find it armed. The armed tick is then
+// applied one event shard at a time: step(s) runs once for every shard s,
+// inside a window just before the shard's first item at or after tickAt, and
+// for each shard no window reached, serially just before the crossed event
+// itself fires. Either way InWindow() is true and step(s) must write only
+// state owned by shard s, like the shard's items. Crossing is refused while
+// any serial-source item is pending before limit, so crossed stretches never
+// contain a serial fire. The crossed event still fires at its own timestamp
+// as the next global once the clock passes it.
+func (e *Engine) SetCrossable(tm *Timer, gate func(tickAt Time) (limit Time, ok bool), begin func(tickAt Time), step func(shard int)) {
+	e.crossTimer, e.crossGate, e.crossBegin, e.crossStep = tm, gate, begin, step
 }
 
 // InWindow reports whether a parallel window phase is in flight: a window
-// drain, or a RunShards callback such as the runner's completion of a
-// crossed tick. Either way a shard's items run on one goroutine at a time,
-// possibly concurrently with other shards' items: a pooled window hands
-// each shard to one pool worker, and an inline window runs the shards one
-// after another on the calling goroutine. Sources use it to route
-// cross-shard effects to mailboxes; mutating the global queue while it
-// returns true is a contract violation and panics.
+// drain, or the serial step of a crossed tick's remaining shards just before
+// the tick fires (SetCrossable). Either way a shard's items run on one
+// goroutine at a time, possibly concurrently with other shards' items: a
+// pooled window hands each shard to one pool worker, and an inline window
+// and the crossed tick's step run the shards one after another on the
+// calling goroutine. Sources use it to route cross-shard effects to
+// mailboxes; mutating the global queue while it returns true is a contract
+// violation and panics.
 func (e *Engine) InWindow() bool { return e.inWindow }
-
-// RunShards calls fn(s) once for every event shard s ∈ [0, K), concurrently
-// on the window worker pool, and returns after all of them finished. It is
-// a window phase without events: InWindow() is true for its duration, so
-// the global queue is locked against fn exactly as against window fires,
-// and fn(s) must write only state owned by shard s. Call it from serial
-// context (a global event), never from inside a window.
-func (e *Engine) RunShards(fn func(shard int)) {
-	if e.inWindow {
-		panic("sim: RunShards during a parallel window")
-	}
-	e.inWindow = true
-	if e.pool == nil {
-		fn(0)
-	} else {
-		e.shardFn = fn
-		e.pool.Run(e.shards, e.eachShardFn)
-		e.shardFn = nil
-	}
-	e.inWindow = false
-}
-
-// eachShard is RunShards' pool callback: the pool hands every worker a
-// range of event shards (one each, since the pool has K workers).
-func (e *Engine) eachShard(_, lo, hi int) {
-	for s := lo; s < hi; s++ {
-		e.shardFn(s)
-	}
-}
 
 // alloc takes a record slot from the free list, growing the slab only when
 // the pool is dry (steady state never grows).
@@ -500,9 +481,10 @@ func (e *Engine) RunUntil(horizon Time) {
 			continue
 		}
 		// Tick crossing: when the earliest global is the crossable timer and
-		// its owner's gate allows a lazy stretch, the window may extend past
-		// it up to min(gate limit, next other global) — but never past a
-		// pending serial item, whose handler needs every tick applied.
+		// its owner's gate allows it, the window may extend past it up to
+		// min(gate limit, next other global) — but never past a pending
+		// serial item, whose handler needs every tick applied. The first
+		// window to cross the tick arms it and clears every shard's flag.
 		gAtEff := gAt
 		if e.crossTimer != nil {
 			if slot, ok := e.lookup(e.crossTimer.h); ok && e.heap[0] == slot {
@@ -513,7 +495,13 @@ func (e *Engine) RunUntil(horizon Time) {
 					}
 					if eff > gAt {
 						gAtEff = eff
-						e.crossBegin(gAt)
+						if e.crossAt != gAt {
+							e.crossAt = gAt
+							for s := range e.shardStepped {
+								e.shardStepped[s].ticked = false
+							}
+							e.crossBegin(gAt)
+						}
 						e.stats.CrossedTicks++
 					}
 				}
@@ -562,9 +550,15 @@ func (e *Engine) drainGlobal(horizon Time) {
 // receives the event's own timestamp: normally that equals the clock after
 // the forward-only advance (Schedule clamps past times at insert), but a
 // crossed tick legitimately fires with its original time below Now, and its
-// handler must see the tick time, not the advanced clock.
+// handler must see the tick time, not the advanced clock. When the event is
+// the armed crossed tick's, the shards no window stepped are stepped first.
 func (e *Engine) fireGlobal() {
 	slot := e.heap[0]
+	if e.crossAt < math.Inf(1) {
+		if cs, ok := e.lookup(e.crossTimer.h); ok && cs == slot {
+			e.finishCross()
+		}
+	}
 	r := &e.recs[slot]
 	at, fn := r.at, r.fn
 	e.removeAt(0)
@@ -576,6 +570,21 @@ func (e *Engine) fireGlobal() {
 	e.Stepped++
 	e.stats.GlobalEvents++
 	fn(at)
+}
+
+// finishCross steps, on the calling goroutine in shard order, every shard no
+// window reached since the crossed tick was armed, and disarms it. It runs as
+// a window phase without events: InWindow() is true, so the global queue is
+// locked against step exactly as against window fires.
+func (e *Engine) finishCross() {
+	e.inWindow = true
+	for s := range e.shardStepped {
+		if !e.shardStepped[s].ticked {
+			e.crossStep(s)
+		}
+	}
+	e.inWindow = false
+	e.crossAt = math.Inf(1)
 }
 
 // secondGlobal returns the time of the earliest global event other than the
@@ -712,11 +721,17 @@ func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
 
 // drainShards fires, per shard, every source item strictly before the
 // shard's window end (and not beyond the run horizon), merging the shard's
-// sources by (time, registration order).
+// sources by (time, registration order). Before the shard's first item at or
+// after an armed crossed tick it steps the shard (SetCrossable).
 func (e *Engine) drainShards(_, lo, hi int) {
 	horizon := e.winHorizon
 	for sh := lo; sh < hi; sh++ {
 		wEnd := e.winEnds[sh]
+		c := &e.shardStepped[sh]
+		tickAt := e.crossAt
+		if c.ticked {
+			tickAt = math.Inf(1)
+		}
 		fired := uint64(0)
 		for {
 			best := math.Inf(1)
@@ -734,10 +749,15 @@ func (e *Engine) drainShards(_, lo, hi int) {
 			if bs == nil || best >= wEnd || best > horizon {
 				break
 			}
+			if best >= tickAt {
+				c.ticked = true
+				tickAt = math.Inf(1)
+				e.crossStep(sh)
+			}
 			bs.FireNext(sh, best)
 			fired++
 		}
-		e.shardStepped[sh].n += fired
+		c.n += fired
 	}
 }
 

@@ -491,37 +491,55 @@ func TestWindowExecutorDifferential(t *testing.T) {
 	}
 }
 
-// crossToy is the engine-level model of the runner's lazy tick application:
-// each owner has a clock integrated at a per-owner constant rate on a global
+// crossToy is the engine-level model of the runner's crossed tick: each
+// owner has a clock integrated at a per-owner constant rate on a global
 // ticker, items read their owner's clock when they fire, and the harness
-// implements the tick-crossing contract — gate always allows, a crossed tick
-// is applied per owner at first touch, the ticker sweep finishes stragglers.
-// The fired (id, clock-bits) traces must match the serial run exactly, which
-// fails if a lazy application is missed, doubled, or uses the wrong dt.
+// implements the tick-crossing contract — the gate always allows, and a
+// crossed tick is applied one event shard at a time by step, to every owner
+// o ≡ shard (mod K). The fired (id, clock-bits) traces must match the serial
+// run exactly, which fails if a shard step is missed, doubled, comes after
+// one of the shard's items at or past the tick, or uses the wrong dt.
 type crossToy struct {
 	engine    *Engine
 	k, owners int
-	sh        []toyShard
+	sh        []crossShard
 	clock     []float64
 	trace     [][]uint64 // per owner: id, Float64bits(clock) pairs
 
-	lastTick   Time
-	lazyActive bool
-	lazyT      Time
-	lazyDt     float64
-	epoch      uint32
-	ownerEpoch []uint32
-	snapshots  []uint64 // per tick per owner: Float64bits(clock)
+	lastTick  Time
+	armed     bool // begin ran and the crossed tick has not fired yet
+	crossT    Time
+	crossDt   float64
+	stepped   []uint8  // per owner: applications of the armed tick
+	snapshots []uint64 // per tick or probe, per owner: Float64bits(clock)
+	tally     crossTally
+}
+
+// crossShard is one crossToy shard: its queue and outbox, and its record of
+// the crossed tick's steps. pending marks a step that no item of the shard
+// has followed yet; the engine's drain fires an item right after each step
+// it makes, so a step still pending when the tick fires was made there.
+type crossShard struct {
+	toyShard
+	pending          bool
+	inDrain, outside int
+}
+
+// crossTally sums a crossRun's shard steps: where they ran, how many ran
+// outside InWindow(), and how many owners a completed crossed tick stepped
+// other than once.
+type crossTally struct {
+	ticks, inDrain, atFire, outside, wrongCount int
 }
 
 func newCrossToy(e *Engine, owners int) *crossToy {
 	k := e.EventShards()
 	c := &crossToy{
 		engine: e, k: k, owners: owners,
-		clock:      make([]float64, owners),
-		trace:      make([][]uint64, owners),
-		ownerEpoch: make([]uint32, owners),
-		sh:         make([]toyShard, k),
+		clock:   make([]float64, owners),
+		trace:   make([][]uint64, owners),
+		stepped: make([]uint8, owners),
+		sh:      make([]crossShard, k),
 	}
 	for i := range c.sh {
 		c.sh[i].out = make([][]toyItem, k)
@@ -535,31 +553,43 @@ func (c *crossToy) rate(o int) float64 { return 1 + 0.01*float64(o%7) }
 func (c *crossToy) gate(tickAt Time) (Time, bool) { return tickAt + 0.7, true }
 
 func (c *crossToy) begin(tickAt Time) {
-	if c.lazyActive && c.lazyT == tickAt {
-		return
-	}
-	c.lazyActive = true
-	c.lazyT = tickAt
-	c.lazyDt = tickAt - c.lastTick
-	c.epoch++
+	c.armed = true
+	c.crossT = tickAt
+	c.crossDt = tickAt - c.lastTick
 }
 
-func (c *crossToy) touch(o int, at Time) {
-	if !c.lazyActive || at < c.lazyT || c.ownerEpoch[o] == c.epoch {
-		return
+// step applies the armed tick to every owner of shard s.
+func (c *crossToy) step(s int) {
+	sh := &c.sh[s]
+	if !c.engine.InWindow() {
+		sh.outside++
 	}
-	c.ownerEpoch[o] = c.epoch
-	c.clock[o] += c.rate(o) * c.lazyDt
+	for o := s; o < c.owners; o += c.k {
+		c.stepped[o]++
+		c.clock[o] += c.rate(o) * c.crossDt
+	}
+	sh.pending = true
 }
 
 func (c *crossToy) tick(t Time, _ float64) {
-	if c.lazyActive {
-		c.lazyActive = false
-		for o := 0; o < c.owners; o++ {
-			if c.ownerEpoch[o] != c.epoch {
-				c.ownerEpoch[o] = c.epoch
-				c.clock[o] += c.rate(o) * c.lazyDt
+	if c.armed {
+		// Every shard no window reached was stepped just before this fire.
+		c.armed = false
+		c.tally.ticks++
+		if t != c.crossT {
+			c.tally.wrongCount += c.owners
+		}
+		for s := range c.sh {
+			if c.sh[s].pending {
+				c.sh[s].pending = false
+				c.tally.atFire++
 			}
+		}
+		for o, n := range c.stepped {
+			if n != 1 {
+				c.tally.wrongCount++
+			}
+			c.stepped[o] = 0
 		}
 	} else {
 		dt := t - c.lastTick
@@ -568,6 +598,10 @@ func (c *crossToy) tick(t Time, _ float64) {
 		}
 	}
 	c.lastTick = t
+	c.snapshot()
+}
+
+func (c *crossToy) snapshot() {
 	for o := 0; o < c.owners; o++ {
 		c.snapshots = append(c.snapshots, math.Float64bits(c.clock[o]))
 	}
@@ -604,13 +638,14 @@ func (c *crossToy) Peek(shard int) Time {
 
 func (c *crossToy) FireNext(shard int, now Time) {
 	sh := &c.sh[shard]
+	if sh.pending {
+		sh.pending = false
+		sh.inDrain++
+	}
 	i := c.minIdx(shard)
 	it := sh.items[i]
 	sh.items[i] = sh.items[len(sh.items)-1]
 	sh.items = sh.items[:len(sh.items)-1]
-	// The lazy contract: apply a crossed tick to the owner before reading
-	// its clock.
-	c.touch(int(it.owner), now)
 	c.trace[it.owner] = append(c.trace[it.owner], it.id, math.Float64bits(c.clock[it.owner]))
 	r := SplitMix64(it.id)
 	if r%4 == 0 {
@@ -640,7 +675,7 @@ func (c *crossToy) Flush(shard int) {
 	}
 }
 
-func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64, stats DrainStats) {
+func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64, stats DrainStats, tally crossTally) {
 	const owners = 13
 	e := NewEngine()
 	e.inlineItems = inlineItems
@@ -650,7 +685,7 @@ func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64
 	e.SetLookahead(func(int) float64 { return 10 })
 	c := newCrossToy(e, owners)
 	tk := e.NewTicker(0.7, 0.7, c.tick)
-	e.SetCrossable(tk.Timer(), c.gate, c.begin)
+	e.SetCrossable(tk.Timer(), c.gate, c.begin, c.step)
 	for i := 0; i < 80; i++ {
 		id := SplitMix64(uint64(i)*69427 + 3)
 		c.sh[int(id>>16)%owners%c.k].items = append(c.sh[int(id>>16)%owners%c.k].items, toyItem{
@@ -659,21 +694,43 @@ func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64
 			id:    id,
 		})
 	}
-	// Chunked horizons leave crossed-but-unfired ticks pending at run
-	// boundaries (the harmless-arming case).
+	// Items at exactly a tick's time, accumulated as the ticker accumulates
+	// it: the serial drain fires the tick first, so a crossed tick must be
+	// stepped before them.
+	at := 0.0
+	for i := 1; i <= 40; i++ {
+		at += 0.7
+		if i%3 == 0 {
+			o := (i * 5) % owners
+			c.sh[o%c.k].items = append(c.sh[o%c.k].items, toyItem{at: at, owner: int32(o), id: SplitMix64(uint64(i) * 7919)})
+		}
+	}
+	// Chunked horizons leave crossed-but-unfired ticks armed at run
+	// boundaries. A probe scheduled just after each boundary, before the
+	// armed tick, then fires first and snapshots every clock: no shard may
+	// have been stepped for a tick that has not fired, so it must read the
+	// serial run's clocks.
 	for _, h := range []Time{5.3, 5.35, 17.9, 40} {
 		e.RunUntil(h)
+		e.Schedule(h+0.02, func(Time) { c.snapshot() })
 	}
-	return c.trace, c.snapshots, e.DrainStats()
+	for s := range c.sh {
+		c.tally.inDrain += c.sh[s].inDrain
+		c.tally.outside += c.sh[s].outside
+	}
+	return c.trace, c.snapshots, e.DrainStats(), c.tally
 }
 
 // TestTickCrossingDifferentialEngine pins the crossing machinery at the
-// engine level: serial and windowed runs of the lazy-tick toy
-// must agree bit for bit on fired clock readings and post-tick clock
-// snapshots, and the windowed runs must actually have crossed ticks.
+// engine level: serial and windowed runs of the crossed-tick toy must agree
+// bit for bit on fired clock readings and on the clock snapshots at every
+// tick and probe, and the windowed runs must actually have crossed ticks.
+// Every shard step must run under InWindow(), every completed crossed tick
+// must step each owner exactly once, and under both window executors some
+// shards must be stepped inside a drain and some at the tick's fire.
 func TestTickCrossingDifferentialEngine(t *testing.T) {
-	serialTr, serialSnap, serialStats := crossRun(1, 0)
-	if serialStats.CrossedTicks != 0 {
+	serialTr, serialSnap, serialStats, serialTally := crossRun(1, 0)
+	if serialStats.CrossedTicks != 0 || serialTally.ticks != 0 {
 		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", serialStats.CrossedTicks)
 	}
 	check := func(mode string, tr [][]uint64, snap []uint64) {
@@ -700,11 +757,22 @@ func TestTickCrossingDifferentialEngine(t *testing.T) {
 	for _, k := range []int{2, 8} {
 		for _, ex := range executors {
 			mode := fmt.Sprintf("K=%d %s", k, ex.name)
-			tr, snap, stats := crossRun(k, ex.inlineItems)
+			tr, snap, stats, tally := crossRun(k, ex.inlineItems)
 			check(mode, tr, snap)
 			checkExecutor(t, mode, ex.inlineItems, stats)
-			if stats.CrossedTicks == 0 {
+			if stats.CrossedTicks == 0 || tally.ticks == 0 {
 				t.Errorf("%s: no ticks crossed; gate or window layout broken", mode)
+			}
+			if tally.wrongCount != 0 || tally.outside != 0 {
+				t.Errorf("%s: %d owner-ticks not stepped exactly once, %d shard steps outside InWindow()",
+					mode, tally.wrongCount, tally.outside)
+			}
+			if tally.inDrain+tally.atFire != tally.ticks*k {
+				t.Errorf("%s: %d shard steps in drains and %d at fires over %d crossed ticks, want %d in all",
+					mode, tally.inDrain, tally.atFire, tally.ticks, tally.ticks*k)
+			}
+			if tally.inDrain == 0 || tally.atFire == 0 {
+				t.Errorf("%s: %d shard steps in drains and %d at fires; want both paths", mode, tally.inDrain, tally.atFire)
 			}
 		}
 	}
@@ -796,55 +864,6 @@ func TestWindowLocksGlobalQueue(t *testing.T) {
 			if !inWindow {
 				t.Errorf("%s: the window's item did not see InWindow()", ex.name)
 			}
-		}
-	}
-}
-
-// TestRunShards pins the window phase without events: fn runs once per
-// event shard, every call sees InWindow(), the global queue is locked
-// against it, and a nested call panics. Run under -race, the per-shard
-// writes and the serial read after the barrier must be clean.
-func TestRunShards(t *testing.T) {
-	for _, k := range []int{1, 2, 8} {
-		e := NewEngine()
-		e.SetEventParallelism(k)
-		calls := make([]shardCount, k)
-		outside := make([]shardCount, k)
-		e.RunShards(func(s int) {
-			calls[s].n++
-			if !e.InWindow() {
-				outside[s].n++
-			}
-		})
-		if e.InWindow() {
-			t.Fatalf("K=%d: InWindow still true after RunShards", k)
-		}
-		for s := range calls {
-			if calls[s].n != 1 || outside[s].n != 0 {
-				t.Errorf("K=%d shard %d: %d calls, %d outside the window flag; want 1 and 0", k, s, calls[s].n, outside[s].n)
-			}
-		}
-		// Shard 0 runs on the calling goroutine, so its panic reaches the
-		// caller; each case gets a fresh engine, since a panic leaves the
-		// window flag set.
-		for name, fn := range map[string]func(e *Engine){
-			"Schedule":  func(e *Engine) { e.Schedule(1, func(Time) {}) },
-			"RunShards": func(e *Engine) { e.RunShards(func(int) {}) },
-		} {
-			e := NewEngine()
-			e.SetEventParallelism(k)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("K=%d: %s inside RunShards did not panic", k, name)
-					}
-				}()
-				e.RunShards(func(s int) {
-					if s == 0 {
-						fn(e)
-					}
-				})
-			}()
 		}
 	}
 }
