@@ -117,8 +117,10 @@ bench:
 # precision (core, topo, engine, transport delivery, estimates, pool), the
 # multi-seed sweep engine and the E15 scale tier (the 10k-node ring with
 # churn, whose events/sec is the throughput headline) at one pass each,
-# and the gradsyncd query-plane benchmarks (whose qps metric and 0
-# allocs/op are the serving headline).
+# the set-up of the repository benchmark's two network shapes
+# (BenchmarkNewNetwork: gradsync.New alone, topology build included), and
+# the gradsyncd query-plane benchmarks (whose qps metric and 0 allocs/op
+# are the serving headline).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkCoreStep|BenchmarkCoreTick|BenchmarkNeighborLevels|BenchmarkBlockSyncStep|BenchmarkNeighbors|BenchmarkTopoChurn' -benchmem ./internal/core ./internal/baselines ./internal/topo > BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim >> BENCH_raw.txt
@@ -127,6 +129,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolRun' -benchmem ./internal/par >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep' -benchmem -benchtime=20x . >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkRuntime10k' -benchmem -benchtime=1x . >> BENCH_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkNewNetwork' -benchmem . >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewQuery|BenchmarkClockQuery' -benchmem ./cmd/gradsyncd >> BENCH_raw.txt
 	$(GO) run ./cmd/benchjson -out BENCH_sweep.json < BENCH_raw.txt
 	rm -f BENCH_raw.txt

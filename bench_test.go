@@ -207,6 +207,57 @@ func BenchmarkRuntime10k(b *testing.B) {
 	}
 }
 
+// BenchmarkNewNetwork times set-up alone: gradsync.New, topology build and
+// scenario install included, on the shapes of the repository benchmark's
+// two workloads, at TickParallelism and EventParallelism 1. The ring is
+// 10⁵ nodes on messaging estimates with 64 churned diameter chords; its
+// set-up is mostly declaring and showing its links. The geometric network
+// is 10⁴ mobile nodes under churn waves on the oracle, and its set-up also
+// derives the initial radius graph. Each op starts from a collected heap,
+// as each benchmark run's set-up does.
+func BenchmarkNewNetwork(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		cfg  func() gradsync.Config
+	}{
+		{"ring=100000", func() gradsync.Config {
+			const n = 100000
+			return gradsync.Config{
+				Topology:     gradsync.RingTopology(n),
+				DiameterHint: n / 2,
+				Drift:        gradsync.TwoGroupDrift(n / 2),
+				Estimates:    gradsync.MessagingEstimates(false),
+				Scenario:     &scenario.Churn{Every: 1.5, Pairs: chords(n, 64)},
+				Seed:         1,
+			}
+		}},
+		{"geometric=10000", func() gradsync.Config {
+			const n = 10000
+			radius := 1 / (0.45 * float64(n))
+			return gradsync.Config{
+				Topology:     gradsync.CustomTopology(n, (&scenario.RandomGeometric{Radius: radius}).InitialEdges(n)),
+				DiameterHint: n/4 + 2,
+				Drift:        gradsync.TwoGroupDrift(n / 2),
+				Scenario: scenario.Compose(&scenario.RandomGeometric{Radius: radius, StepEvery: 0.002},
+					&scenario.ChurnWaves{WaveEvery: 4, BurstSize: 6, Spacing: 0.3, Pairs: chords(n, 48)}),
+				Seed: 1,
+			}
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				if _, err := gradsync.New(v.cfg()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSweepReplicas measures the multi-seed sweep engine at several
 // worker-pool sizes on one experiment (8 replicas of E01 at bench scale).
 // The parallel=k/parallel=1 wall-clock ratio is the speedup headline; the

@@ -62,6 +62,10 @@ func TestConfigErrors(t *testing.T) {
 		{"link eps +Inf", Config{Topology: LineTopology(4), Link: Link{Eps: math.Inf(1), Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}}, "Eps"},
 		{"link delay +Inf", Config{Topology: LineTopology(4), Estimates: MessagingEstimates(false), GTilde: 10,
 			Link: Link{Eps: 0.2, Tau: 0.1, Delay: math.Inf(1), Uncertainty: 0.05}}, "Delay"},
+		// A subnormal step was accepted, and RunFor(2) asked for about
+		// 10³¹⁹ steps.
+		{"tick subnormal", Config{Topology: LineTopology(4), Tick: 2e-319}, "Tick"},
+		{"beacon interval subnormal", Config{Topology: LineTopology(4), BeaconInterval: 2e-319}, "BeaconInterval"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -238,16 +238,14 @@ func (a *Algorithm) handshakeDelta(delay, tau float64) float64 {
 	return (1+p.Rho)*(1+p.Mu)*(delay+tau)/(1-p.Rho) + tau
 }
 
-// deriveClass derives the per-edge constants of edge {u,v} (Section 4.3.1)
-// from the link's current parameters and the estimate layer's ε, lowering
-// the trigger level cap when the edge is the lightest seen so far. It runs
-// at every appearance, so a link re-declared while down is weighed by its
-// new parameters (eq. 9 must hold for the ε the estimates now carry).
-func (a *Algorithm) deriveClass(u, v int) (edgeClass, bool) {
-	lp, ok := a.rt.Dyn.Params(u, v)
-	if !ok {
-		return edgeClass{}, false
-	}
+// deriveClass derives the per-edge constants of edge {u,v}, whose directed
+// index is dir (Section 4.3.1), from the link's current parameters and the
+// estimate layer's ε, lowering the trigger level cap when the edge is the
+// lightest seen so far. It runs at every appearance, so a link re-declared
+// while down is weighed by its new parameters (eq. 9 must hold for the ε
+// the estimates now carry).
+func (a *Algorithm) deriveClass(u, v int, dir int32) edgeClass {
+	lp := a.rt.Dyn.ParamsAt(dir)
 	eps := a.rt.Est.Eps(u, v)
 	kappa := analysis.Kappa(eps, lp.Tau, a.p.Mu, a.p.KappaFactor)
 	_, deltaHi := analysis.DeltaRange(kappa, eps, lp.Tau, a.p.Mu)
@@ -261,7 +259,7 @@ func (a *Algorithm) deriveClass(u, v int) (edgeClass, bool) {
 		delay: lp.Delay,
 		kappa: kappa,
 		delta: a.deltaFraction * deltaHi,
-	}, true
+	}
 }
 
 // OnEdgeUp implements runner.Algorithm; it is Listing 1's discovery path.
@@ -270,8 +268,7 @@ func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
 	if !ok {
 		return
 	}
-	cls, _ := a.deriveClass(self, peer)
-	a.recClass[dir] = a.internClass(cls)
+	a.recClass[dir] = a.internClass(a.deriveClass(self, peer, dir))
 	a.recFlags[dir] |= recUp | recSeen
 	a.recSince[dir] = t
 	a.recLAtUp[dir] = a.l[self]

@@ -69,7 +69,11 @@ func (a *Algorithm) growRecs() {
 }
 
 // internClass returns the class table index of cls, adding it if new.
+// Uniform links match the last class interned and skip the hash.
 func (a *Algorithm) internClass(cls edgeClass) int32 {
+	if last := len(a.classes) - 1; last >= 0 && a.classes[last] == cls {
+		return int32(last)
+	}
 	ci, have := a.classIdx[cls]
 	if !have {
 		ci = int32(len(a.classes))

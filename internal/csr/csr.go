@@ -13,10 +13,10 @@
 // contiguous, so O(deg) hot loops stream cache lines instead of chasing heap
 // objects.
 //
-// Concurrency contract: Find and Row are safe to call concurrently with each
-// other (they only read); Insert mutates shared arrays and must run in
-// serial contexts (global engine events — declares), never inside a sharded
-// tick or drain window.
+// Concurrency contract: Find, Len and Row are safe to call concurrently
+// with each other (they only read); Insert mutates shared arrays and must
+// run in serial contexts (global engine events — declares), never inside a
+// sharded tick or drain window.
 package csr
 
 import "fmt"
@@ -72,6 +72,9 @@ func (r *Rows) Find(row int, key int32) (int32, bool) {
 	}
 	return 0, false
 }
+
+// Len returns the number of live entries in row.
+func (r *Rows) Len(row int) int { return int(r.count[row]) }
 
 // Row returns the live keys and values of a row as slices into the packed
 // arrays. The slices are invalidated by the next Insert on any row.

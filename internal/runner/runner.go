@@ -121,16 +121,22 @@ type Config struct {
 	Seed int64
 }
 
+// minStep is the shortest Tick or BeaconInterval a run accepts: 10⁹ steps
+// per simulated unit. By t = 10⁶ the engine clock's spacing is already
+// 1.2e-10, so much shorter steps would stop advancing the clock, and a
+// RunFor would never return.
+const minStep = 1e-9
+
 // validate checks the configuration. Each float check is written as the
 // negation of the legal range, so NaN fails it.
 func (c Config) validate() error {
 	switch {
 	case c.N <= 0:
 		return fmt.Errorf("runner: N must be positive, got %d", c.N)
-	case !(c.Tick > 0 && c.Tick < math.Inf(1)):
-		return fmt.Errorf("runner: Tick must be positive and finite, got %v", c.Tick)
-	case !(c.BeaconInterval > 0 && c.BeaconInterval < math.Inf(1)):
-		return fmt.Errorf("runner: BeaconInterval must be positive and finite, got %v", c.BeaconInterval)
+	case !(c.Tick >= minStep && c.Tick < math.Inf(1)):
+		return fmt.Errorf("runner: Tick must be finite and at least %v, got %v", minStep, c.Tick)
+	case !(c.BeaconInterval >= minStep && c.BeaconInterval < math.Inf(1)):
+		return fmt.Errorf("runner: BeaconInterval must be finite and at least %v, got %v", minStep, c.BeaconInterval)
 	}
 	return nil
 }

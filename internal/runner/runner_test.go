@@ -89,6 +89,11 @@ func TestConfigValidation(t *testing.T) {
 		{"NaN beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.NaN()}},
 		{"+Inf beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.Inf(1)}},
 		{"-Inf beacons", Config{N: 2, Tick: 0.1, BeaconInterval: math.Inf(-1)}},
+		// A subnormal step was accepted, and RunFor asked for about 10³¹⁹
+		// steps.
+		{"subnormal tick", Config{N: 2, Tick: 2e-319, BeaconInterval: 1}},
+		{"subnormal beacons", Config{N: 2, Tick: 0.1, BeaconInterval: 2e-319}},
+		{"tick below 1e-9", Config{N: 2, Tick: 9e-10, BeaconInterval: 1}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // RandomGeometric is a mobility scenario: nodes live on the unit torus and
@@ -61,7 +61,6 @@ type RandomGeometric struct {
 	isMoved []bool
 	cand    []int32
 	changes []geoChange
-	edgeIDs []topo.EdgeID
 }
 
 // geoChange is one pending edge reconciliation, canonical u < v.
@@ -283,14 +282,13 @@ func (g *RandomGeometric) Install(rt *runner.Runtime, rng *sim.RNG) {
 	// started from a different initial topology still reconciles correctly
 	// (the first step's full sweep aligns it with the radius graph).
 	// EdgesBothUp iterates declared edges, O(E log E) — not O(N²).
-	g.edgeIDs = rt.Dyn.EdgesBothUp(g.edgeIDs[:0])
 	g.nbr = make([][]int32, n)
-	for _, id := range g.edgeIDs {
+	for _, id := range rt.Dyn.EdgesBothUp(nil) {
 		g.nbr[id.U] = append(g.nbr[id.U], int32(id.V))
 		g.nbr[id.V] = append(g.nbr[id.V], int32(id.U))
 	}
-	for u := range g.nbr {
-		sort.Slice(g.nbr[u], func(i, j int) bool { return g.nbr[u][i] < g.nbr[u][j] })
+	for _, row := range g.nbr {
+		slices.Sort(row)
 	}
 	g.isMoved = make([]bool, n)
 	rt.Engine.NewTicker(g.StepEvery, g.StepEvery, func(sim.Time, float64) { g.step() })
@@ -386,7 +384,7 @@ func (g *RandomGeometric) refresh() {
 		}
 		g.synced = true
 	} else {
-		sort.Slice(g.moved, func(i, j int) bool { return g.moved[i] < g.moved[j] })
+		slices.Sort(g.moved)
 		w := 0
 		for i, u := range g.moved { // dedupe (a companion list may repeat)
 			if i > 0 && u == g.moved[i-1] {

@@ -30,11 +30,12 @@ func BenchmarkNeighbors(b *testing.B) {
 }
 
 // BenchmarkTopoChurn pins the cost of one edge transition cycle
-// (Disappear, drain detections, Appear, drain detections) on a 10⁴-node
-// ring. The first flap of an edge allocates its lazy
-// churnState (two apply closures); the warm-up loop pays that for every
-// chord, so the measured steady state must be 0 allocs/op — a regression
-// here means a per-transition allocation crept into the free-list/CSR path.
+// (Appear, drain detections, Disappear, drain detections) on a 10⁴-node
+// ring. A lagged transition takes a cell from the pool and returns it when
+// it fires, and the pending map reuses its entries; the pool makes its two
+// cells, and their fire closures, in the warm-up loop. So the measured
+// steady state must be 0 allocs/op: a regression here means a
+// per-transition allocation crept into the slot lookup or the cell pool.
 func BenchmarkTopoChurn(b *testing.B) {
 	const n = 10000
 	engine := sim.NewEngine()
@@ -67,7 +68,7 @@ func BenchmarkTopoChurn(b *testing.B) {
 		}
 		engine.RunUntil(engine.Now() + 0.2)
 	}
-	for _, id := range chords { // warm-up: allocate every chord's churnState
+	for _, id := range chords { // warm-up: the pool makes its cells
 		cycle(id)
 	}
 	b.ReportAllocs()

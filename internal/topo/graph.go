@@ -62,9 +62,6 @@ func MakeEdgeID(a, b int) EdgeID {
 	return EdgeID{U: a, V: b}
 }
 
-// pack is the compact index-map key for a canonical edge (U < V).
-func (e EdgeID) pack() uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.V)) }
-
 // Listener receives per-endpoint visibility transitions. self is the node
 // whose directed edge (self, peer) changed.
 type Listener interface {
@@ -72,14 +69,15 @@ type Listener interface {
 	EdgeDown(self, peer int, t sim.Time)
 }
 
-// churnState is the transition bookkeeping of one edge. It is created
-// lazily on the first scheduled (lagged) transition, so edges that never
-// churn — the overwhelming majority at scale — pay nothing for it, and a
-// steady-state flap cycle reuses the two apply closures without allocating.
-type churnState struct {
-	pending [2]sim.Handle
-	want    [2]bool
-	apply   [2]func(sim.Time)
+// cell is one lagged transition in flight: directed index dir turns
+// visible (up) or not when the engine event handle fires. fire is bound
+// once, when the cell is made; a cell that fires or is superseded goes back
+// to the pool, so steady-state churn allocates nothing.
+type cell struct {
+	dir    int32
+	up     bool
+	handle sim.Handle
+	fire   func(sim.Time)
 }
 
 // Side-visibility bits of the eUp bytes: bit side is the
@@ -94,11 +92,10 @@ const (
 // The layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
 // layout): every declared edge owns a stable int32 slot in flat parallel
 // slabs (endpoints, interned parameter class, visibility bits, up-since
-// times), per-node adjacency is a csr.Rows mapping peer → directed index,
-// and the only remaining keyed lookup — Declare and the scenario edge
-// toggles — goes through one compact packed-EdgeID → slot map off the hot
-// path. Hot reads (Sees, Params, Neighbors) scan one contiguous sorted
-// row.
+// times), and per-node adjacency is a csr.Rows mapping peer → directed
+// index. Reads (Sees, Params, Neighbors) scan one contiguous sorted row;
+// declares and toggles find a pair's slot by searching the shorter of its
+// endpoints' rows, so no keyed map shadows the rows.
 //
 // The directed index dir = 2·slot + side names the directed edge (u, v),
 // side 0 when u is the smaller endpoint, so dir^1 names (v, u). It is the
@@ -109,6 +106,11 @@ const (
 // one pair for the life of the graph: one resolved earlier, such as a
 // beacon's at send time, still names it. A new link takes the next slot,
 // and the OnDeclare hooks grow the index-keyed slabs to it.
+//
+// Lagged transitions hold a cell each from a pool, and pending maps a
+// directed index to its cell only while the transition is in flight. So
+// the transition state alive after a drain is bounded by the transitions
+// pending at once, not by how many links ever churned.
 type Dynamic struct {
 	n        int
 	engine   *sim.Engine
@@ -130,15 +132,15 @@ type Dynamic struct {
 	// structurally read-only.
 	onDeclare []func()
 
-	idx      map[uint64]int32 // packed canonical EdgeID → slot; control path only
-	adj      *csr.Rows        // (node, peer) → directed index
+	adj      *csr.Rows // (node, peer) → directed index
 	eU, eV   []int32
 	eClass   []int32 // index into classes
 	eUp      []uint8 // upU | upV visibility bits
 	eSince   [][2]sim.Time
 	classes  []LinkParams // interned parameter classes
 	classIdx map[LinkParams]int32
-	churn    map[int32]*churnState // lazily allocated transition state
+	pending  map[int32]*cell // directed index → its lagged transition in flight
+	free     []*cell         // cells no transition holds
 }
 
 // NewDynamic creates a graph over n nodes with no edges. The listener may be
@@ -152,10 +154,9 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 		n:        n,
 		engine:   engine,
 		rng:      rng,
-		idx:      make(map[uint64]int32),
 		adj:      csr.NewRows(n),
 		classIdx: make(map[LinkParams]int32),
-		churn:    make(map[int32]*churnState),
+		pending:  make(map[int32]*cell),
 		kShards:  k,
 		inMin:    make([]float64, k),
 	}
@@ -194,8 +195,12 @@ func (d *Dynamic) OnDeclare(fn func()) { d.onDeclare = append(d.onDeclare, fn) }
 // N returns the number of nodes.
 func (d *Dynamic) N() int { return d.n }
 
-// classOf interns the parameter class, returning its index.
+// classOf interns the parameter class, returning its index. Uniform links
+// match the last class interned and skip the hash.
 func (d *Dynamic) classOf(p LinkParams) int32 {
+	if last := len(d.classes) - 1; last >= 0 && d.classes[last] == p {
+		return int32(last)
+	}
 	if ci, ok := d.classIdx[p]; ok {
 		return ci
 	}
@@ -221,18 +226,19 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	id := MakeEdgeID(a, b)
-	if old, visible, ok := d.declared(id); ok && visible && old != p {
+	slot, ok := d.slotOf(a, b)
+	if ok && d.eUp[slot] != 0 && d.classes[d.eClass[slot]] != p {
 		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
 	}
 	mt := p.Delay - p.Uncertainty
 	d.ratchetIn(b, mt)
 	d.ratchetIn(a, mt)
-	if slot, ok := d.idx[id.pack()]; ok {
+	if ok {
 		d.eClass[slot] = d.classOf(p)
 		return nil
 	}
-	slot := int32(len(d.eU))
+	id := MakeEdgeID(a, b)
+	slot = int32(len(d.eU))
 	d.eU = append(d.eU, int32(id.U))
 	d.eV = append(d.eV, int32(id.V))
 	d.eClass = append(d.eClass, d.classOf(p))
@@ -240,21 +246,21 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	d.eSince = append(d.eSince, [2]sim.Time{})
 	d.adj.Insert(id.U, int32(id.V), 2*slot)
 	d.adj.Insert(id.V, int32(id.U), 2*slot+1)
-	d.idx[id.pack()] = slot
 	for _, fn := range d.onDeclare {
 		fn()
 	}
 	return nil
 }
 
-// declared returns the parameters of a declared link and whether either
-// endpoint currently sees it.
-func (d *Dynamic) declared(id EdgeID) (p LinkParams, visible, ok bool) {
-	slot, ok := d.idx[id.pack()]
-	if !ok {
-		return LinkParams{}, false, false
+// slotOf returns the slot of the declared link {a,b}. It searches the
+// shorter of the two endpoints' rows, so a hub's row is searched from the
+// leaf side.
+func (d *Dynamic) slotOf(a, b int) (int32, bool) {
+	if d.adj.Len(b) < d.adj.Len(a) {
+		a, b = b, a
 	}
-	return d.classes[d.eClass[slot]], d.eUp[slot] != 0, true
+	dir, ok := d.adj.Find(a, int32(b))
+	return dir >> 1, ok
 }
 
 // Params returns the link parameters for {a,b}.
@@ -313,18 +319,17 @@ func (d *Dynamic) Disappear(a, b int) error {
 }
 
 func (d *Dynamic) toggle(a, b int, up, instant bool, op string) error {
-	id := MakeEdgeID(a, b)
-	slot, ok := d.idx[id.pack()]
+	slot, ok := d.slotOf(a, b)
 	if !ok {
 		return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
 	}
 	tau := d.classes[d.eClass[slot]].Tau
-	for side := 0; side < 2; side++ {
+	for side := int32(0); side < 2; side++ {
 		lag := 0.0
 		if !instant {
 			lag = d.detectionLag(tau)
 		}
-		d.transition(slot, side, up, lag)
+		d.transition(2*slot+side, up, lag)
 	}
 	return nil
 }
@@ -336,40 +341,66 @@ func (d *Dynamic) detectionLag(tau float64) float64 {
 	return d.rng.Uniform(0, tau)
 }
 
-// transition schedules the visibility flip of one side of an edge after
-// lag time units. An outstanding pending transition for that side is
-// superseded. The lag-0 path applies inline and touches no churn state, so
-// static initial topologies never allocate it; a lagged transition creates
-// the edge's churnState (and its two apply closures) once, after which
-// steady-state flapping is allocation-free.
-func (d *Dynamic) transition(slot int32, side int, up bool, lag float64) {
-	cs := d.churn[slot]
-	if cs != nil {
-		d.engine.Cancel(cs.pending[side]) // no-op for the zero or stale handle
-		cs.pending[side] = 0
+// transition schedules the visibility flip of directed index dir after lag
+// time units. A transition still pending for dir is superseded: its event
+// is cancelled before anything new is scheduled. The lag-0 path applies
+// inline, so static initial topologies take no cell; a lagged transition
+// takes one from the pool (making it only when the pool is empty) and keeps
+// it until it fires or is superseded.
+func (d *Dynamic) transition(dir int32, up bool, lag float64) {
+	c := d.pending[dir]
+	if c != nil {
+		d.engine.Cancel(c.handle)
 	}
 	if lag <= 0 {
-		d.apply(slot, side, up, d.engine.Now())
+		if c != nil {
+			d.release(c)
+		}
+		d.apply(dir, up, d.engine.Now())
 		return
 	}
-	if cs == nil {
-		cs = &churnState{}
-		d.churn[slot] = cs
+	if c == nil {
+		c = d.acquire(dir)
 	}
-	if cs.apply[side] == nil {
-		s, sd := slot, side
-		cs.apply[side] = func(t sim.Time) {
-			cs.pending[sd] = 0
-			d.apply(s, sd, cs.want[sd], t)
-		}
-	}
-	cs.want[side] = up
-	cs.pending[side] = d.engine.After(lag, cs.apply[side])
+	c.up = up
+	c.handle = d.engine.After(lag, c.fire)
 }
 
-// apply flips the visibility of one side of an edge and notifies the
+// acquire takes a cell from the pool, or makes one, and files it as dir's
+// pending transition.
+func (d *Dynamic) acquire(dir int32) *cell {
+	var c *cell
+	if k := len(d.free); k > 0 {
+		c = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		c = &cell{}
+		c.fire = func(t sim.Time) { d.fire(c, t) }
+	}
+	c.dir = dir
+	d.pending[dir] = c
+	return c
+}
+
+// release returns a cell whose transition fired or was superseded to the
+// pool.
+func (d *Dynamic) release(c *cell) {
+	delete(d.pending, c.dir)
+	d.free = append(d.free, c)
+}
+
+// fire applies a cell's transition when its event fires. The cell goes
+// back to the pool first, because the listener may schedule again.
+func (d *Dynamic) fire(c *cell, t sim.Time) {
+	dir, up := c.dir, c.up
+	d.release(c)
+	d.apply(dir, up, t)
+}
+
+// apply flips the visibility of directed index dir and notifies the
 // listener.
-func (d *Dynamic) apply(slot int32, side int, up bool, t sim.Time) {
+func (d *Dynamic) apply(dir int32, up bool, t sim.Time) {
+	slot, side := dir>>1, dir&1
 	bit := upU << side
 	if (d.eUp[slot]&bit != 0) == up {
 		return

@@ -318,3 +318,48 @@ func TestRandomConnectedStopsAtCompleteGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestTransitionCellsBoundedByPending flaps 5,000 distinct chords of a ring
+// once each, up and then down, with τ > 0 so every transition is lagged and
+// takes a cell. A toggle lands every 0.01 units, so only the last ten
+// toggles, at most 20 cells, can still be in flight. After the drain no cell
+// is pending, and the pool holds no more cells than were pending at once,
+// although every chord churned.
+func TestTransitionCellsBoundedByPending(t *testing.T) {
+	const n, chords = 10000, 5000
+	engine := sim.NewEngine()
+	d := NewDynamic(n, engine, sim.NewRNG(1))
+	install(t, d, Ring(n), testParams())
+	peak := 0
+	toggled := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, len(d.pending))
+		engine.RunUntil(engine.Now() + 0.01)
+	}
+	for u := 0; u < chords; u++ {
+		if err := d.DeclareLink(u, u+n/2, testParams()); err != nil {
+			t.Fatal(err)
+		}
+		toggled(d.Appear(u, u+n/2))
+	}
+	for u := 0; u < chords; u++ {
+		toggled(d.Disappear(u, u+n/2))
+	}
+	engine.RunUntil(engine.Now() + 1)
+	if k := len(d.pending); k != 0 {
+		t.Fatalf("%d transition cells pending after the drain", k)
+	}
+	if peak == 0 || peak > 20 {
+		t.Fatalf("at most %d cells pending at once, want 1..20", peak)
+	}
+	t.Logf("%d chords churned: at most %d cells pending at once, %d in the pool", chords, peak, len(d.free))
+	if made := len(d.free); made > peak {
+		t.Fatalf("pool holds %d cells after %d chords churned, but at most %d were pending at once", made, chords, peak)
+	}
+	if got := len(d.EdgesBothUp(nil)); got != n {
+		t.Fatalf("%d links up after the flaps, want the ring's %d", got, n)
+	}
+}

@@ -194,11 +194,13 @@ func (g *shadowGraph) edgesWhere(keep func(*shadowEdge) bool) []EdgeID {
 
 // layoutPair drives Dynamic and the shadow in lockstep on two engines: same
 // node count, same scripted operations, and the same lag draws in the same
-// order.
+// order. peak is the most transition cells Dynamic has held pending at
+// once, sampled after every operation.
 type layoutPair struct {
 	soaEng, refEng *sim.Engine
 	soa            *Dynamic
 	ref            *shadowGraph
+	peak           int
 }
 
 func newLayoutPair(n int, seed int64) *layoutPair {
@@ -313,14 +315,64 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 	if entries != 2*len(sd) {
 		t.Fatalf("%s: rows hold %d entries for %d declared links", ctx, entries, len(sd))
 	}
+	p.checkCells(t, ctx)
+}
+
+// checkCells asserts that a directed index holds a transition cell exactly
+// while the shadow has a lagged transition pending for it, and that the
+// pool has made no more cells than were ever pending at once. Transitions
+// only become pending in a toggle, which check follows, so sampling the
+// peak here sees it.
+func (p *layoutPair) checkCells(t *testing.T, ctx string) {
+	t.Helper()
+	held := 0
+	for _, e := range p.ref.edges {
+		for side := 0; side < 2; side++ {
+			dir := 2*e.slot + int32(side)
+			c := p.soa.pending[dir]
+			if (c != nil) != (e.pending[side] != 0) {
+				t.Fatalf("%s: dir %d of %v holds cell %v, shadow pending %v", ctx, dir, e.id, c != nil, e.pending[side] != 0)
+			}
+			if c != nil {
+				if c.dir != dir {
+					t.Fatalf("%s: cell filed under dir %d names dir %d", ctx, dir, c.dir)
+				}
+				held++
+			}
+		}
+	}
+	if held != len(p.soa.pending) {
+		t.Fatalf("%s: %d cells pending, %d of them for declared links", ctx, len(p.soa.pending), held)
+	}
+	p.peak = max(p.peak, held)
+	if made := held + len(p.soa.free); made > p.peak {
+		t.Fatalf("%s: pool made %d cells, but at most %d were pending at once", ctx, made, p.peak)
+	}
 }
 
 // runLayoutScript executes one churn script step-by-step, checking equality
 // after every operation and after every engine advance. Byte values map to
 // operations over a small node universe, so the fuzz target can share it.
-func runLayoutScript(t *testing.T, script []byte) {
+// A hub script runs on a star-shaped universe: three pairs in four join
+// node 0 to one of 32 leaves, the hub first or last, so node 0's row grows
+// long and slot lookups run on it from the hub's end and from the leaves'.
+func runLayoutScript(t *testing.T, script []byte, hub bool) {
 	t.Helper()
-	const n = 9
+	n := 9
+	pair := func(x, y byte) (int, int) { return int(x) % n, int(y) % n }
+	if hub {
+		n = 33
+		pair = func(x, y byte) (int, int) {
+			a, b := 0, 1+int(y)%(n-1)
+			if x >= 192 { // a leaf pair
+				a = 1 + int(x)%(n-1)
+			}
+			if x&1 == 1 {
+				a, b = b, a
+			}
+			return a, b
+		}
+	}
 	p := newLayoutPair(n, 42)
 	params := []LinkParams{
 		DefaultLinkParams(),
@@ -334,8 +386,7 @@ func runLayoutScript(t *testing.T, script []byte) {
 		}
 	}
 	for i := 0; i+2 < len(script); i += 3 {
-		a := int(script[i]) % n
-		b := int(script[i+1]) % n
+		a, b := pair(script[i], script[i+1])
 		if a == b {
 			continue
 		}
@@ -360,35 +411,46 @@ func runLayoutScript(t *testing.T, script []byte) {
 		}
 		p.check(t, ctx)
 	}
-	// Drain all pending detections and compare the settled state.
+	// Drain all pending detections and compare the settled state. Every
+	// cell is back in the pool.
 	p.soaEng.RunUntil(p.soaEng.Now() + 1)
 	p.refEng.RunUntil(p.refEng.Now() + 1)
 	p.check(t, "drain")
+	if k := len(p.soa.pending); k != 0 {
+		t.Fatalf("%d transition cells still pending after the drain", k)
+	}
 }
 
 // TestLayoutDifferentialChurn runs random declare/appear/disappear scripts
 // (with interleaved time advances, so lagged detections land) on Dynamic
 // and the map-backed shadow, asserting observable equality after every
-// step. Enough operations that CSR row relocation triggers.
+// step. Enough operations that CSR row relocation triggers. The hub scripts
+// grow one long row.
 func TestLayoutDifferentialChurn(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		script := make([]byte, 3*400)
-		rng.Read(script)
-		runLayoutScript(t, script)
+	for _, hub := range []bool{false, true} {
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			script := make([]byte, 3*400)
+			rng.Read(script)
+			runLayoutScript(t, script, hub)
+		}
 	}
 }
 
 // FuzzTopoChurn lets the fuzzer hunt for operation interleavings where
-// Dynamic and the map-backed shadow disagree.
+// Dynamic and the map-backed shadow disagree, on either node universe.
 func FuzzTopoChurn(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 1, 2, 0, 1, 4, 0, 1, 3, 0, 1, 4})
-	f.Add([]byte{3, 4, 5, 3, 4, 2, 3, 4, 2, 3, 4, 3, 3, 4, 4})
-	f.Fuzz(func(t *testing.T, script []byte) {
+	f.Add(false, []byte{0, 1, 0, 0, 1, 2, 0, 1, 4, 0, 1, 3, 0, 1, 4})
+	f.Add(false, []byte{3, 4, 5, 3, 4, 2, 3, 4, 2, 3, 4, 3, 3, 4, 4})
+	// The hub declares and flaps links to leaves 3, 4 and 5, naming itself
+	// first and last; then a leaf pair.
+	f.Add(true, []byte{0, 2, 0, 1, 3, 0, 0, 4, 0, 0, 2, 2, 1, 3, 2, 0, 4, 2, 0, 2, 4,
+		1, 2, 3, 0, 3, 3, 200, 2, 0, 200, 2, 2, 0, 2, 4})
+	f.Fuzz(func(t *testing.T, hub bool, script []byte) {
 		if len(script) > 3*600 {
 			script = script[:3*600]
 		}
-		runLayoutScript(t, script)
+		runLayoutScript(t, script, hub)
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	gradsync "repro"
+	"repro/internal/scenario"
 )
 
 // measureRingHeap builds a ring network, runs it just long enough to
@@ -36,8 +37,8 @@ func measureRingHeap(t *testing.T, n int) int64 {
 
 // TestMemoryFootprintRing is the memory-diet regression gate: a messaging
 // ring must hold at most maxBytesPerNode of live heap per node. The
-// structure-of-arrays layout measures ≈380 B/node at the default N; the
-// bound sits between that and the ≈461 B/node the layout held before its
+// structure-of-arrays layout measures ≈350 B/node at the default N; the
+// bound sits above that and below the ≈461 B/node the layout held before its
 // records and samples were keyed by topo's directed index, so a return of
 // per-edge maps or a per-record field regrowth fails it. Default N is
 // CI-sized; set GRADSYNC_MEM_N (e.g. 1000000) to reproduce the figures
@@ -61,6 +62,55 @@ func TestMemoryFootprintRing(t *testing.T) {
 	const maxBytesPerNode = 440
 	if perNode > maxBytesPerNode {
 		t.Errorf("ring holds %.0f B/node of live heap, bound %d — the memory diet regressed", perNode, maxBytesPerNode)
+	}
+}
+
+// TestMemoryFootprintGeometricChurn is the memory gate for topology churn:
+// a mobile random-geometric network under churn waves, run until its nodes
+// have hopped about ten times each, so most of its links have flapped. Its
+// live heap must stay within maxBytesPerNode. It measures ≈975 B/node. A
+// per-link record of past churn grows with that history and fails the
+// bound: the transition state kept for every link that ever flapped, with a
+// packed pair → slot map beside the adjacency rows, measured ≈1,650 B/node.
+// Transition state held only while a transition is pending does not. Run
+// with -v for the figures.
+func TestMemoryFootprintGeometricChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory measurement builds a full network")
+	}
+	const n = 2048
+	radius := 1 / (0.45 * float64(n))
+	geo := &scenario.RandomGeometric{Radius: radius, StepEvery: 0.002}
+	waves := &scenario.ChurnWaves{WaveEvery: 4, BurstSize: 6, Spacing: 0.3, Pairs: chords(n, 48)}
+	initial := (&scenario.RandomGeometric{Radius: radius}).InitialEdges(n)
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net := gradsync.MustNew(gradsync.Config{
+		Topology:     gradsync.CustomTopology(n, initial),
+		DiameterHint: n/4 + 2,
+		Drift:        gradsync.TwoGroupDrift(n / 2),
+		Scenario:     scenario.Compose(geo, waves),
+		Seed:         7,
+	})
+	net.RunFor(40) // 20,000 hops: about ten per node
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	declared := len(net.Runtime().Dyn.DeclaredEdges(nil))
+	runtime.KeepAlive(net)
+	if geo.Err != nil || waves.Err != nil {
+		t.Fatalf("scenario failed: %v, %v", geo.Err, waves.Err)
+	}
+	t.Logf("N=%d geometric churn: %d initial and %d declared links, %d edge events, %.0f B/node of live heap",
+		n, len(initial), declared, geo.EdgeEvents+waves.Toggles, perNode)
+	if geo.EdgeEvents < declared {
+		t.Fatalf("only %d edge events for %d declared links: too little churn to measure", geo.EdgeEvents, declared)
+	}
+	const maxBytesPerNode = 1250
+	if perNode > maxBytesPerNode {
+		t.Errorf("churning geometric network holds %.0f B/node of live heap, bound %d — topology state grows with churn history", perNode, maxBytesPerNode)
 	}
 }
 
