@@ -73,8 +73,9 @@ cover:
 # crossed ticks stepped per shard inside them) and take well under a second
 # each, so the repeats widen the interleavings the detector sees at little
 # cost. The third pass repeats the random walk's tests ten times: the
-# sharded tick extends distinct nodes' walk paths concurrently, and only the
-# per-node streams keep those calls apart. A network below 12,000 nodes
+# sharded tick and the event shards stepping a crossed tick extend distinct
+# nodes' walk paths concurrently, and only the per-node streams keep those
+# calls apart. A network below 12,000 nodes
 # ticks on one goroutine whatever TickParallelism says, so few tests still
 # replay pooled ticks: the root package's TestShardedTickScale* (ring,
 # messaging ring and geometric mobility at 12,000 nodes), and
@@ -83,9 +84,12 @@ cover:
 # TestScaleTierDeterministicAcrossTickParallelism, TestRateEnvelope). The
 # golden, layout, drain and trigger differentials run their small networks
 # on the serial tick. The fourth pass repeats the scale replays, the random
-# pooled differential and the root crossing tests (a crossed tick's
-# StepNode calls on the event shards, checked by a recording decorator)
-# three times (about a minute on 2 vCPUs).
+# pooled differential and the root crossing tests three times (about a
+# minute on 2 vCPUs): a crossed tick's StepNode calls on the event shards,
+# checked by a recording decorator, and TestTickCrossingDifferential's one
+# case per drift schedule. Its random-walk case is the end-to-end run in
+# which the event shards' goroutines call RandomWalk.Rate for their own
+# nodes concurrently.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource' ./internal/sim

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -200,29 +201,22 @@ func parseRange(s string, n int) ([]int, error) {
 	return ids, nil
 }
 
+// buildEdges returns the named topology over n nodes, built by topo's
+// builders, as gradsync.StartLive builds it.
 func buildEdges(topoName string, n int) ([][2]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("need at least one node, got -n %d", n)
 	}
-	var edges [][2]int
-	switch topoName {
-	case "ring":
-		for i := 0; i < n; i++ {
-			edges = append(edges, [2]int{i, (i + 1) % n})
-		}
-		if n == 2 {
-			edges = edges[:1]
-		}
-	case "line":
-		for i := 0; i+1 < n; i++ {
-			edges = append(edges, [2]int{i, i + 1})
-		}
-	case "star":
-		for i := 1; i < n; i++ {
-			edges = append(edges, [2]int{0, i})
-		}
-	default:
+	build, ok := map[string]func(int) []topo.EdgeID{
+		"ring": topo.Ring, "line": topo.Line, "star": topo.Star,
+	}[topoName]
+	if !ok {
 		return nil, fmt.Errorf("unknown topology %q (want ring, line or star)", topoName)
+	}
+	ids := build(n)
+	edges := make([][2]int, len(ids))
+	for i, id := range ids {
+		edges[i] = [2]int{id.U, id.V}
 	}
 	return edges, nil
 }

@@ -158,7 +158,7 @@ func TestBuildEdges(t *testing.T) {
 		n     int
 		edges int
 	}{
-		{"ring", 5, 5}, {"ring", 2, 1}, {"line", 5, 4}, {"star", 5, 4},
+		{"ring", 5, 5}, {"ring", 2, 1}, {"ring", 1, 0}, {"line", 5, 4}, {"star", 5, 4},
 	} {
 		edges, err := buildEdges(tc.topo, tc.n)
 		if err != nil || len(edges) != tc.edges {

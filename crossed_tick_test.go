@@ -76,9 +76,9 @@ func (r *stepRecorder) FinishTick() {
 	r.Algorithm.FinishTick()
 }
 
-// crossedRing runs an n-node messaging ring under two-group drift — the
-// configuration whose every tick-crossing gate opens — with the recorder
-// attached, at the given event-shard count.
+// crossedRing runs an n-node messaging ring under two-group drift, a
+// configuration that crosses ticks, with the recorder attached, at the
+// given event-shard count.
 func crossedRing(t *testing.T, n, evPar int, horizon float64) (*runner.Runtime, *stepRecorder) {
 	t.Helper()
 	const (

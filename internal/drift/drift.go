@@ -21,15 +21,15 @@ type Schedule interface {
 	Rate(u int, t sim.Time) float64
 }
 
-// ConstantStretch is the opt-in introspection contract of tick-crossing
-// event windows: RatesConstantUntil(t) returns a time b ≥ t such that every
-// node's rate is constant on [t, b) — no node's Rate(u, ·) changes value
-// anywhere in the stretch. Returning t (an empty stretch) is always sound
-// and disables crossing at t. Schedules that cannot certify a stretch —
-// lazily materialized paths like RandomWalk — simply do not implement the
-// interface. The runner only crosses an integration tick at T when the
-// stretch covers [T, T+Tick), so the crossed tick, applied one event shard
-// at a time, uses the same Rate(u, T) values a barrier tick would have.
+// ConstantStretch is the opt-in introspection contract of the runner's rate
+// envelope (runner.Runtime.RateEnvelope): RatesConstantUntil(t) returns a
+// time b ≥ t such that every node's rate is constant on [t, b) — no node's
+// Rate(u, ·) changes value anywhere in the stretch. Returning t (an empty
+// stretch) is always sound and certifies nothing. Schedules that cannot
+// certify a stretch — lazily materialized paths like RandomWalk — simply do
+// not implement the interface. The envelope promises that every tick before
+// b integrates each node at a rate within the extremes the barrier tick at t
+// measured, and oracle-backed quiet-node certificates end with the stretch.
 type ConstantStretch interface {
 	RatesConstantUntil(t sim.Time) sim.Time
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // syntheticTrace builds a replayable trace without running a cluster: an
@@ -19,7 +21,7 @@ func syntheticTrace(seed int64, n int, horizon float64) (TraceHeader, []TraceRec
 	rng := rand.New(rand.NewSource(seed))
 	h := TraceHeader{
 		Version: 1, N: n,
-		S: 0.3, Rho: 0.1 / 60, Mu: 0.1, Iota: 0.05,
+		S: 0.3, Rho: 0.1 / 60, Mu: 0.1,
 		Tick: 0.05, BeaconInterval: 0.25,
 		Link: traceParams{Eps: 0.05, Tau: 0.05, Delay: 0.05, Uncertainty: 0.05},
 	}
@@ -41,7 +43,7 @@ func syntheticTrace(seed int64, n int, horizon float64) (TraceHeader, []TraceRec
 				l := t*rate(v) + offset(v) + (rng.Float64()-0.5)*h.S
 				in = append(in, TraceRecord{
 					Kind: RecBeacon, T: t, Node: u, From: v,
-					LSent: l, MSent: l + rng.Float64()*2*h.Iota,
+					LSent: l, MSent: l + rng.Float64()*2*core.Iota,
 					MinTransit: rng.Float64() * 2 * h.Tick,
 				})
 			}

@@ -46,8 +46,6 @@ type Config struct {
 	Mu float64
 	// Rho is the hardware drift bound ρ; 0 → µ/60.
 	Rho float64
-	// Iota is the max-estimate chase threshold ι; 0 → 0.05.
-	Iota float64
 	// Tick is the integration step in sim units; 0 → 0.05.
 	Tick float64
 	// BeaconInterval is the beacon period in sim units; 0 → 0.25.
@@ -86,9 +84,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Rho == 0 {
 		c.Rho = c.Mu / 60
-	}
-	if c.Iota == 0 {
-		c.Iota = 0.05
 	}
 	if c.Tick == 0 {
 		c.Tick = 0.05
@@ -131,7 +126,7 @@ func (c *Config) applyDefaults() error {
 func (c *Config) header() TraceHeader {
 	return TraceHeader{
 		Version: 1, N: c.N, Edges: c.Edges,
-		S: c.S, Rho: c.Rho, Mu: c.Mu, Iota: c.Iota,
+		S: c.S, Rho: c.Rho, Mu: c.Mu,
 		Tick: c.Tick, BeaconInterval: c.BeaconInterval,
 		Link: traceParams{
 			Eps: c.Link.Eps, Tau: c.Link.Tau,
@@ -141,10 +136,9 @@ func (c *Config) header() TraceHeader {
 }
 
 // liveNode pairs a node's state machine with its live-mode plumbing. The
-// node's own loop goroutine is the only writer of st, seq and the schedules;
-// the mutex exists for concurrent readers (daemon queries, fingerprinting).
+// node's own loop goroutine is the only reader and writer of st, seq and the
+// schedules; every other goroutine reads the node through its snapshot slot.
 type liveNode struct {
-	mu          sync.Mutex
 	st          *nodeState
 	seq         uint64
 	lastTickSim float64
@@ -152,9 +146,8 @@ type liveNode struct {
 	rate        float64
 	inbox       chan Envelope
 	// pub is this node's slot in the cluster snapshot slab: the loop
-	// goroutine publishes after every applied input, and queries read it
-	// without ever touching mu (see snapshot.go and DESIGN.md §Live
-	// transport).
+	// goroutine publishes after every applied input, and queries and
+	// Fingerprint read it (see snapshot.go and DESIGN.md §Live transport).
 	pub *snapSlot
 	// out is parallel to st.peers; nil entries are non-owned neighbors whose
 	// traffic routes through a TCP peer instead of an in-process queue.
@@ -395,7 +388,6 @@ func (c *Cluster) nodeLoop(n *liveNode) {
 
 func (c *Cluster) applyTick(n *liveNode) {
 	simNow := c.simNow()
-	n.mu.Lock()
 	dh := (simNow - n.lastTickSim) * n.rate
 	if dh < 0 {
 		dh = 0
@@ -414,7 +406,6 @@ func (c *Cluster) applyTick(n *liveNode) {
 			n.nextBeacon = simNow + c.cfg.BeaconInterval
 		}
 	}
-	n.mu.Unlock()
 	c.epoch.Add(1)
 	if c.rec != nil {
 		c.rec.Append(rec)
@@ -434,7 +425,6 @@ func (c *Cluster) applyTick(n *liveNode) {
 
 func (c *Cluster) applyBeacon(n *liveNode, e Envelope) {
 	simNow := c.simNow()
-	n.mu.Lock()
 	n.st.applyBeacon(e.From, e.B, e.MinTransit)
 	rec := TraceRecord{
 		Kind: RecBeacon, T: simNow, Node: n.st.id, Seq: n.seq,
@@ -443,7 +433,6 @@ func (c *Cluster) applyBeacon(n *liveNode, e Envelope) {
 	}
 	n.seq++
 	n.pub.publish(n.st, n.seq)
-	n.mu.Unlock()
 	c.epoch.Add(1)
 	if c.rec != nil {
 		c.rec.Append(rec)
@@ -527,7 +516,7 @@ func (c *Cluster) Owns(i int) bool {
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
 // Snapshot reads one owned node's published state. Wait-free: the read never
-// touches the node's mutex or its goroutine, only the snapshot slab.
+// touches the node's goroutine, only the snapshot slab.
 func (c *Cluster) Snapshot(i int) (NodeSnapshot, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return NodeSnapshot{}, fmt.Errorf("live: node %d out of range [0,%d)", i, len(c.nodes))
@@ -690,21 +679,9 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// Fingerprint hashes the owned nodes' state in id order (exact float64 bits;
-// see fingerprintStates). Meaningful after Stop — on a running cluster the
-// per-node locks give a cut, not a quiescent state. When this process owns
-// all nodes, the fingerprint is directly comparable to Replay's fingerprint
-// of the same run's trace.
-func (c *Cluster) Fingerprint() string {
-	states := make([]*nodeState, 0, len(c.owned))
-	for _, i := range c.owned {
-		n := c.nodes[i]
-		n.mu.Lock()
-		states = append(states, n.st)
-	}
-	fp := fingerprintStates(states)
-	for _, i := range c.owned {
-		c.nodes[i].mu.Unlock()
-	}
-	return fp
-}
+// Fingerprint hashes the owned nodes' published snapshots in id order (exact
+// float64 bits; see fingerprint). Meaningful after Stop — on a running
+// cluster the snapshots give a per-node cut, not a quiescent state. When
+// this process owns all nodes, the fingerprint is directly comparable to
+// Replay's fingerprint of the same run's trace.
+func (c *Cluster) Fingerprint() string { return fingerprint(c.Snapshots()) }

@@ -123,7 +123,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		{N: 4, S: -1}, {N: 4, S: nan}, {N: 4, S: inf},
 		{N: 4, Mu: -1}, {N: 4, Mu: nan},
 		{N: 4, Rho: -0.01}, {N: 4, Rho: nan},
-		{N: 4, Iota: -0.05}, {N: 4, Iota: nan},
 		{N: 4, Tick: -1}, {N: 4, Tick: nan}, {N: 4, Tick: inf},
 		{N: 4, Tick: 1e-12}, // Tick × TimeScale = 0.02 fs: a zero ticker interval
 		{N: 4, BeaconInterval: -0.25}, {N: 4, BeaconInterval: nan},

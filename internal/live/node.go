@@ -1,12 +1,6 @@
 package live
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/estimate"
@@ -38,10 +32,10 @@ type nodeState struct {
 
 	fast, slow uint64 // mode tick counters
 
-	s, rho, mu, iota, tick float64
-	link                   topo.LinkParams
-	est                    *estimate.LocalBeacons
-	peers                  []int // sorted neighbor ids
+	s, rho, mu, tick float64
+	link             topo.LinkParams
+	est              *estimate.LocalBeacons
+	peers            []int // sorted neighbor ids
 }
 
 func newNodeState(id int, peers []int, p params) *nodeState {
@@ -51,7 +45,6 @@ func newNodeState(id int, peers []int, p params) *nodeState {
 		s:    p.S,
 		rho:  p.Rho,
 		mu:   p.Mu,
-		iota: p.Iota,
 		tick: p.Tick,
 		link: p.Link,
 		est: estimate.NewLocalBeacons(estimate.MessagingConfig{
@@ -67,7 +60,7 @@ func newNodeState(id int, peers []int, p params) *nodeState {
 // params is the shared parameter block of every node (extracted from Config
 // by the cluster and from the trace header by the replay).
 type params struct {
-	S, Rho, Mu, Iota     float64
+	S, Rho, Mu           float64
 	Tick, BeaconInterval float64
 	Link                 topo.LinkParams
 }
@@ -106,7 +99,7 @@ func (ns *nodeState) decideMode() float64 {
 		}
 	}
 	fast, slow := f.Triggers()
-	mult, isFast := core.NextMode(fast, slow, ns.l, ns.m, ns.mult, ns.mu, ns.iota)
+	mult, isFast := core.NextMode(fast, slow, ns.l, ns.m, ns.mult, ns.mu, core.Iota)
 	if isFast {
 		ns.fast++
 	} else {
@@ -118,30 +111,4 @@ func (ns *nodeState) decideMode() float64 {
 // beacon snapshots the node's send payload.
 func (ns *nodeState) beacon() transport.Beacon {
 	return transport.Beacon{L: ns.l, M: ns.m}
-}
-
-// fingerprintLine renders the node's state as exact hexadecimal floats —
-// FormatFloat 'x' is a lossless float64 encoding — so two states fingerprint
-// equal iff they are bit-identical.
-func (ns *nodeState) fingerprintLine(sb *strings.Builder) {
-	fmt.Fprintf(sb, "%d %s %s %s %s %d %d\n",
-		ns.id,
-		strconv.FormatFloat(ns.l, 'x', -1, 64),
-		strconv.FormatFloat(ns.m, 'x', -1, 64),
-		strconv.FormatFloat(ns.hw, 'x', -1, 64),
-		strconv.FormatFloat(ns.mult, 'x', -1, 64),
-		ns.fast, ns.slow)
-}
-
-// fingerprintStates hashes the full per-node state vector. Both the live
-// cluster (after Stop) and the replay result use this one function, so a
-// live run and its replay agree on the fingerprint iff every node's final
-// state matches bit for bit.
-func fingerprintStates(states []*nodeState) string {
-	var sb strings.Builder
-	for _, ns := range states {
-		ns.fingerprintLine(&sb)
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:])
 }

@@ -90,10 +90,9 @@ func Replay(h TraceHeader, recs []TraceRecord) (ReplayResult, error) {
 	}
 
 	res := ReplayResult{
-		Fingerprint: fingerprintStates(states),
-		Records:     len(ordered),
-		EndTime:     endTime,
-		Snapshots:   make([]NodeSnapshot, h.N),
+		Records:   len(ordered),
+		EndTime:   endTime,
+		Snapshots: make([]NodeSnapshot, h.N),
 	}
 	for i, ns := range states {
 		res.Snapshots[i] = NodeSnapshot{
@@ -101,6 +100,7 @@ func Replay(h TraceHeader, recs []TraceRecord) (ReplayResult, error) {
 			Fast: ns.fast, Slow: ns.slow, Samples: ns.est.SampleCount(),
 		}
 	}
+	res.Fingerprint = fingerprint(res.Snapshots)
 	return res, nil
 }
 

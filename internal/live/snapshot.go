@@ -1,7 +1,12 @@
 package live
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -80,4 +85,26 @@ func (s *snapSlot) read(node int) NodeSnapshot {
 // per-node read.
 func (s *snapSlot) readL() float64 {
 	return math.Float64frombits(s.l.Load())
+}
+
+// fingerprint hashes a per-node state vector, one line per node rendered as
+// exact hexadecimal floats — FormatFloat 'x' is a lossless float64 encoding
+// — so two vectors fingerprint equal iff they are bit-identical. The live
+// cluster (from its snapshot slab, after Stop) and the replay (from its
+// result's snapshots) both use this one function, so a live run and its
+// replay agree on the fingerprint iff every node's final state matches bit
+// for bit.
+func fingerprint(snaps []NodeSnapshot) string {
+	var sb strings.Builder
+	for _, s := range snaps {
+		fmt.Fprintf(&sb, "%d %s %s %s %s %d %d\n",
+			s.Node,
+			strconv.FormatFloat(s.L, 'x', -1, 64),
+			strconv.FormatFloat(s.M, 'x', -1, 64),
+			strconv.FormatFloat(s.HW, 'x', -1, 64),
+			strconv.FormatFloat(s.Mult, 'x', -1, 64),
+			s.Fast, s.Slow)
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	return hex.EncodeToString(sum[:])
 }

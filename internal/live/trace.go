@@ -30,7 +30,6 @@ type TraceHeader struct {
 	S              float64     `json:"s"`
 	Rho            float64     `json:"rho"`
 	Mu             float64     `json:"mu"`
-	Iota           float64     `json:"iota"`
 	Tick           float64     `json:"tick"`
 	BeaconInterval float64     `json:"beaconInterval"`
 	Link           traceParams `json:"link"`
@@ -52,7 +51,7 @@ func (tp traceParams) link() topo.LinkParams {
 
 func (h TraceHeader) params() params {
 	return params{
-		S: h.S, Rho: h.Rho, Mu: h.Mu, Iota: h.Iota,
+		S: h.S, Rho: h.Rho, Mu: h.Mu,
 		Tick: h.Tick, BeaconInterval: h.BeaconInterval, Link: h.Link.link(),
 	}
 }
@@ -79,9 +78,9 @@ func (h TraceHeader) validate() error {
 		return fmt.Errorf("trace version %d unsupported", h.Version)
 	case h.N < 1 || h.N > maxNodes:
 		return fmt.Errorf("live: node count %d outside [1, %d]", h.N, maxNodes)
-	case !finitePositive(h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval):
-		return fmt.Errorf("live: S, Mu, Rho, Iota, Tick and BeaconInterval must be finite and positive, got %v, %v, %v, %v, %v and %v",
-			h.S, h.Mu, h.Rho, h.Iota, h.Tick, h.BeaconInterval)
+	case !finitePositive(h.S, h.Mu, h.Rho, h.Tick, h.BeaconInterval):
+		return fmt.Errorf("live: S, Mu, Rho, Tick and BeaconInterval must be finite and positive, got %v, %v, %v, %v and %v",
+			h.S, h.Mu, h.Rho, h.Tick, h.BeaconInterval)
 	}
 	if err := h.Link.link().Validate(); err != nil {
 		return fmt.Errorf("live: %w", err)

@@ -11,7 +11,7 @@ import (
 func testHeader() TraceHeader {
 	return TraceHeader{
 		Version: 1, N: 3, Edges: [][2]int{{0, 1}, {1, 2}},
-		S: 1, Rho: 0.1 / 60, Mu: 0.1, Iota: 0.05,
+		S: 1, Rho: 0.1 / 60, Mu: 0.1,
 		Tick: 0.05, BeaconInterval: 0.25,
 		Link: traceParams{Eps: 0.05, Tau: 0.05, Delay: 0.05, Uncertainty: 0.05},
 	}

@@ -54,9 +54,10 @@ type Algorithm interface {
 // tick-stable shared state) and tally mode counters into the given
 // event-shard block; FinishTick runs serially once every shard is stepped
 // and folds the blocks in shard order, so counter totals stay
-// deterministic. CanStepNodes returning false keeps the path off, for an
-// algorithm whose Step is not the per-node StepNode applied to every node;
-// a decorator forwards the wrapped algorithm's answer.
+// deterministic. Start asks CanStepNodes once: false keeps the path off for
+// the whole run, for an algorithm whose Step is not the per-node StepNode
+// applied to every node; a decorator forwards the wrapped algorithm's
+// answer.
 type NodeStepper interface {
 	CanStepNodes() bool
 	StepNode(u, shard int, dh float64)
@@ -104,16 +105,16 @@ type Config struct {
 	// EventParallelism shards the discrete-event drain itself: beacon-wheel
 	// fires (keyed by sending node), beacon deliveries and control
 	// deliveries (keyed by receiver) move off the engine's global heap into
-	// per-shard queues. Beacons drain in parallel windows bounded per
-	// receiving shard by the minimum incoming link transit time
-	// Delay−Uncertainty (topo.Dynamic.InTransit — the conservative PDES
-	// safe horizon); controls fire one at a time on the engine's serial
-	// path but no longer truncate windows; and windows may cross an
-	// integration tick when the drift schedule certifies a constant-rate
-	// stretch (see DESIGN.md, "Sharded event drain"). Values ≤ 1 keep the
-	// serial drain. Results are byte-identical for every value; the knob
-	// trades wall-clock only. Global events — ticks, topology transitions,
-	// scenario steps, handshake timers — fire one at a time. A crossed tick's
+	// per-shard queues. Beacons drain in parallel windows bounded by the
+	// minimum link transit time Delay−Uncertainty over every declared link
+	// (topo.Dynamic.MinTransit — the conservative PDES safe horizon);
+	// controls fire one at a time on the engine's serial path but no longer
+	// truncate windows; and on messaging estimates with an algorithm that
+	// steps single nodes, windows may cross an integration tick (see Start
+	// and DESIGN.md, "Sharded event drain"). Values ≤ 1 keep the serial
+	// drain. Results are byte-identical for every value; the knob trades
+	// wall-clock only. Global events — ticks, topology transitions, scenario
+	// steps, handshake timers — fire one at a time. A crossed tick's
 	// per-node work runs per event shard: inside the windows that reach the
 	// tick, and for the shards none reached, serially as the tick fires.
 	EventParallelism int
@@ -186,12 +187,13 @@ type Runtime struct {
 	// parallelize with the rest of the sharded event drain.
 	wheel *wheelSource
 
-	// Tick-crossing state. stepper is the algorithm's NodeStepper face (nil
-	// when not implemented). While crossed, the tick at crossT (with
-	// hardware increment factor crossDt) has been crossed by at least one
-	// event window, and the engine applies it one event shard at a time
-	// (stepShard). lastTick mirrors the tick ticker's previous fire time so
-	// crossDt reproduces the exact dt the barrier tick would see.
+	// Tick-crossing state. stepper is the algorithm's NodeStepper face, set
+	// by Start when ticks may be crossed (nil otherwise). While crossed, the
+	// tick at crossT (with hardware increment factor crossDt) has been
+	// crossed by at least one event window, and the engine applies it one
+	// event shard at a time (stepShard). lastTick mirrors the tick ticker's
+	// previous fire time so crossDt reproduces the exact dt the barrier tick
+	// would see.
 	stepper  NodeStepper
 	crossed  bool
 	crossT   sim.Time
@@ -215,11 +217,10 @@ func New(cfg Config) (*Runtime, error) {
 	engine.SetEventParallelism(cfg.EventParallelism)
 	rng := sim.NewRNG(cfg.Seed)
 	dyn := topo.NewDynamic(cfg.N, engine, rng.Split())
-	// The sharded drain windows on the minimum link transit time into each
-	// shard — the classic conservative-PDES lookahead: no beacon can cross a
-	// link in less, so events within a window cannot affect each other's
-	// shards.
-	engine.SetLookahead(dyn.InTransit)
+	// The sharded drain windows on the minimum link transit time — the
+	// classic conservative-PDES lookahead: no beacon can cross a link in
+	// less, so events within a window cannot affect each other's shards.
+	engine.SetLookahead(dyn.MinTransit)
 	net := transport.NewNetwork(engine, dyn, rng.Split(), cfg.Delay)
 	rt := &Runtime{
 		Engine:   engine,
@@ -328,11 +329,6 @@ func (rt *Runtime) SetEstimator(l estimate.Layer) {
 // Attach installs the algorithm and wires all event routing.
 func (rt *Runtime) Attach(a Algorithm) {
 	rt.algo = a
-	if st, ok := a.(NodeStepper); ok {
-		rt.stepper = st
-	} else {
-		rt.stepper = nil
-	}
 	rt.Dyn.SetListener(listener{rt})
 	rt.Net.SetHandler(handler{rt})
 	a.Init(rt)
@@ -358,12 +354,28 @@ func (rt *Runtime) Start() error {
 		rt.cfg.Scenario.Install(rt, rt.RNG.Split())
 	}
 	tk := rt.Engine.NewTicker(rt.cfg.Tick, rt.cfg.Tick, rt.step)
-	// Tick-crossing: event windows may extend past a pending integration
-	// tick when the whole stack certifies the stretch quiescent (see
-	// crossGate); the engine then applies the crossed tick one event shard
-	// at a time (stepShard). The engine calls the gate only on the parallel
-	// window path, so K = 1 and the reference drain never cross.
-	rt.Engine.SetCrossable(tk.Timer(), rt.crossGate, rt.beginCross, rt.stepShard)
+	// Tick crossing: event windows may run past a pending integration tick
+	// up to the next one, and the engine then applies the crossed tick one
+	// event shard at a time (stepShard). That is sound when a node's tick
+	// can be applied apart from the others', which two facts fixed from
+	// here on decide for the whole run:
+	//   - the algorithm can step single nodes (NodeStepper.CanStepNodes);
+	//   - the estimate layer is the messaging layer, whose queries for node
+	//     u read only u's samples, u's hardware clock and tick-stable
+	//     topology, so an estimate taken between two shards' applications
+	//     of the tick cannot observe the split; the oracle reads the peer's
+	//     true clock, so crossing stays off for oracle-backed runs.
+	// The drift schedule needs no clause: stepShard integrates with the
+	// rate and dt the barrier tick would use. The engine adds its own
+	// conditions per tick: no serial-source (control) item pending before
+	// the next tick, and no other global event (scenario step, topology
+	// transition, handshake timer) inside the crossed stretch — those
+	// handlers read multi-node clock state and require every tick applied.
+	// Only the parallel window path crosses, so K = 1 never does.
+	if st, ok := rt.algo.(NodeStepper); ok && st.CanStepNodes() && rt.messaging != nil {
+		rt.stepper = st
+		rt.Engine.SetCrossable(tk, rt.beginCross, rt.stepShard)
+	}
 	// Beacon wheel: slot k fires at BeaconInterval·k/N and beacons node
 	// k mod N, giving every node the period BeaconInterval at the same
 	// staggered offsets (u/N · interval) the per-node tickers used. It
@@ -375,38 +387,6 @@ func (rt *Runtime) Start() error {
 	return nil
 }
 
-// crossGate decides whether event windows may cross the integration tick
-// pending at tickAt, covering the stretch up to the following tick. Every
-// layer must certify quiescence:
-//   - the algorithm can step single nodes (NodeStepper.CanStepNodes);
-//   - the estimate layer is the messaging layer, whose queries for node u
-//     read only u's samples, u's hardware clock and tick-stable topology,
-//     so an estimate taken between two shards' applications of the tick
-//     cannot observe the split; the oracle reads the peer's true clock, so
-//     crossing stays off for oracle-backed runs;
-//   - the drift schedule certifies constant rates over [tickAt, tickAt+Tick)
-//     (drift.ConstantStretch), so Rate(u, tickAt), evaluated when u's shard
-//     is stepped, matches the barrier tick's.
-//
-// The engine adds its own conditions: no serial-source (control) item
-// pending before the limit, and no other global event (scenario step,
-// topology transition, handshake timer) inside the crossed stretch — those
-// handlers read multi-node clock state and require every tick applied.
-func (rt *Runtime) crossGate(tickAt sim.Time) (sim.Time, bool) {
-	st := rt.stepper
-	if st == nil || !st.CanStepNodes() || rt.messaging == nil {
-		return 0, false
-	}
-	if rt.stretch == nil {
-		return 0, false
-	}
-	limit := tickAt + rt.cfg.Tick
-	if rt.stretch.RatesConstantUntil(tickAt) < limit {
-		return 0, false
-	}
-	return limit, true
-}
-
 // beginCross arms the tick pending at tickAt, which the first event window
 // crossing it calls serially before it opens.
 func (rt *Runtime) beginCross(tickAt sim.Time) {
@@ -416,16 +396,18 @@ func (rt *Runtime) beginCross(tickAt sim.Time) {
 }
 
 // stepShard applies the crossed tick to event shard s: for every node
-// u ≡ s (mod K), hardware-clock integration at the certified-constant rate,
-// then the algorithm's fused decide-and-integrate. The engine calls it once
-// per shard, under InWindow() on the goroutine that owns the shard, so the
-// nodes' clocks and the stepper's shard-s counter block have one writer.
+// u ≡ s (mod K), hardware-clock integration at Rate(u, crossT) over crossDt,
+// the rate and dt of the barrier tick, then the algorithm's fused
+// decide-and-integrate. The engine calls it once per shard, under
+// InWindow() on the goroutine that owns the shard, so the nodes' clocks and
+// the stepper's shard-s counter block have one writer, and Rate is called
+// for distinct nodes only, which every drift.Schedule allows concurrently.
 // It mirrors driftShard + Step exactly (same operation order and rounding),
-// so a crossed tick is byte-identical to the barrier tick: Listing 3 decides
-// each node from its own pre-tick state, and every event of these nodes at
-// or after the tick comes after the step. It leaves dH alone: only a
-// barrier tick's Step reads dH, and driftShard rewrites every entry before
-// that.
+// so a crossed tick is byte-identical to the barrier tick under every drift
+// schedule: hardware clocks change only at ticks, Listing 3 decides each
+// node from its own pre-tick state, and every event of these nodes at or
+// after the tick comes after the step. It leaves dH alone: only a barrier
+// tick's Step reads dH, and driftShard rewrites every entry before that.
 func (rt *Runtime) stepShard(s int) {
 	for u, k := s, rt.Engine.EventShards(); u < rt.cfg.N; u += k {
 		rate := drift.Clamp(rt.driftSrc.Rate(u, rt.crossT), rateSpan)

@@ -13,10 +13,11 @@
 //
 // On top of the global queue the engine supports a sharded event drain
 // (conservative parallel PDES): external shard-partitioned event streams
-// register as Sources and are drained in parallel windows bounded by a
-// caller-provided lookahead — the minimum link transit time Delay−Uncertainty
-// in the reproduced model. See DESIGN.md ("Sharded event drain") for the
-// shard keying, the safe-horizon bound and the determinism argument.
+// register as Sources and are drained in parallel windows bounded by one
+// caller-provided lookahead — the minimum link transit time
+// Delay−Uncertainty in the reproduced model. See DESIGN.md ("Sharded event
+// drain") for the shard keying, the safe-horizon bound and the determinism
+// argument.
 package sim
 
 import (
@@ -122,28 +123,27 @@ type Engine struct {
 	// Sharded drain state. shards is the window parallelism K (1 = serial);
 	// sources fire in registration order at equal times, with serial sources
 	// (serialSrc) always stepped one item at a time outside windows.
-	// lookahead returns a receiving shard's conservative window width (the
-	// minimum link transit into it).
+	// lookahead returns the conservative window width (the minimum link
+	// transit); winEnd is the open window's end, the same for every shard.
 	shards       int
 	pool         *par.Pool
 	sources      []Source
 	serialSrc    []bool
-	lookahead    func(shard int) float64
+	lookahead    func() float64
 	inWindow     bool
-	winEnds      []Time
+	winEnd       Time
 	winHorizon   Time
 	drainFn      func(shard, lo, hi int)
 	flushFn      func(shard, lo, hi int)
 	shardStepped []shardCount
 
 	// Tick-crossing state (SetCrossable): windows may extend past the
-	// registered timer's pending event when the owner's gate allows it.
-	// crossAt is the time of the armed crossed tick, +Inf when none is.
-	crossTimer *Timer
-	crossGate  func(tickAt Time) (limit Time, ok bool)
-	crossBegin func(tickAt Time)
-	crossStep  func(shard int)
-	crossAt    Time
+	// registered ticker's pending event up to its next fire. crossAt is the
+	// time of the armed crossed tick, +Inf when none is.
+	crossTicker *Ticker
+	crossBegin  func(tickAt Time)
+	crossStep   func(shard int)
+	crossAt     Time
 
 	stats DrainStats
 
@@ -239,24 +239,15 @@ func (e *Engine) SetEventParallelism(k int) {
 // EventShards returns the sharded-drain parallelism K (≥ 1).
 func (e *Engine) EventShards() int { return e.shards }
 
-// SetLookahead installs the conservative window bound: f(s) returns the
-// minimum time any source item fired now can take to affect shard s — the
-// model's minimum link transit, Delay−Uncertainty, over every (sender
-// shard → s) pair — so shard s's window may extend to tmin + f(s) even when
-// some other shard pair has a faster link. Soundness: an item fired at t on
-// shard g can affect shard s no earlier than t + pair(g,s) ≥ tmin + f(s),
-// and that holds for g = s too because f(s) ≤ pair(s,s). +Inf is sound
-// when no interaction is possible; values ≤ 0 disable windowing (the drain
-// degrades to serial steps). Without a bound every window is unbounded.
-func (e *Engine) SetLookahead(f func(shard int) float64) { e.lookahead = f }
-
-// shardLa returns the effective lookahead for shard s.
-func (e *Engine) shardLa(s int) float64 {
-	if e.lookahead != nil {
-		return e.lookahead(s)
-	}
-	return math.Inf(1)
-}
+// SetLookahead installs the conservative window bound: f() returns the
+// minimum time any source item fired now can take to affect any shard — the
+// model's minimum link transit, Delay−Uncertainty, over every link — so a
+// window opened at tmin may extend to tmin + f() on every shard. Soundness:
+// an item fired at t ≥ tmin can create work for a shard, its own included,
+// no earlier than t + f() ≥ tmin + f(). +Inf is sound when no interaction
+// is possible; values ≤ 0 disable windowing (the drain degrades to serial
+// steps). Without a bound every window is unbounded.
+func (e *Engine) SetLookahead(f func() float64) { e.lookahead = f }
 
 // AddSource registers a source. Registration order is the priority at equal
 // item times: earlier sources fire first.
@@ -280,22 +271,25 @@ func (e *Engine) AddSerialSource(s Source) {
 	e.serialSrc = append(e.serialSrc, true)
 }
 
-// SetCrossable lets parallel windows extend past tm's pending event (the
-// integration tick in the reproduced system). When tm's event is the earliest
-// global and gate(tickAt) allows it, the window end extends to
-// min(limit, next other global). The first window to cross a pending tick
-// arms it: begin(tickAt) runs serially, before that window opens, and later
-// windows crossing the same tick find it armed. The armed tick is then
-// applied one event shard at a time: step(s) runs once for every shard s,
-// inside a window just before the shard's first item at or after tickAt, and
-// for each shard no window reached, serially just before the crossed event
-// itself fires. Either way InWindow() is true and step(s) must write only
-// state owned by shard s, like the shard's items. Crossing is refused while
-// any serial-source item is pending before limit, so crossed stretches never
-// contain a serial fire. The crossed event still fires at its own timestamp
-// as the next global once the clock passes it.
-func (e *Engine) SetCrossable(tm *Timer, gate func(tickAt Time) (limit Time, ok bool), begin func(tickAt Time), step func(shard int)) {
-	e.crossTimer, e.crossGate, e.crossBegin, e.crossStep = tm, gate, begin, step
+// SetCrossable lets parallel windows extend past tk's pending tick (the
+// integration tick in the reproduced system). The caller registers it only
+// when a tick can always be applied one shard at a time, so the engine asks
+// nothing per tick: when tk's event at tickAt is the earliest global, the
+// window end extends to min(tickAt + interval, next other global), the
+// crossed stretch ending at the ticker's next fire. The first window to
+// cross a pending tick arms it: begin(tickAt) runs serially, before that
+// window opens, and later windows crossing the same tick find it armed. The
+// armed tick is then applied one event shard at a time: step(s) runs once
+// for every shard s, inside a window just before the shard's first item at
+// or after tickAt, and for each shard no window reached, serially just
+// before the crossed event itself fires. Either way InWindow() is true and
+// step(s) must write only state owned by shard s, like the shard's items.
+// Crossing is refused while any serial-source item is pending before the
+// stretch ends, so crossed stretches never contain a serial fire. The
+// crossed event still fires at its own timestamp as the next global once
+// the clock passes it.
+func (e *Engine) SetCrossable(tk *Ticker, begin func(tickAt Time), step func(shard int)) {
+	e.crossTicker, e.crossBegin, e.crossStep = tk, begin, step
 }
 
 // InWindow reports whether a parallel window phase is in flight: a window
@@ -435,35 +429,30 @@ func (e *Engine) reschedule(h Handle, at Time, fn func(t Time)) Handle {
 	return h
 }
 
-// RunUntil executes events in time order until all queues (the global heap
-// and every registered Source) are drained past horizon. The clock ends at
-// horizon.
+// RunUntil executes events in time order until nothing is pending at or
+// before horizon, in the global heap or in any registered Source. The clock
+// ends at horizon; an engine with nothing pending stops at once, even when
+// horizon is +Inf.
 //
-// With Sources registered the drain interleaves three step kinds, always in
-// global (time, priority) order: global events fire serially and win ties;
-// source items fire serially when K = 1 or when they belong to a serial
-// source; and with K ≥ 2 parallel-source items drain in windows
-// [tmin, wEnd(s)) with a per-shard end
-// wEnd(s) = min(next global event, tmin + lookahead(s)), after which every
-// source's cross-shard mailboxes are folded at the window barrier and the
-// clock advances to min over shards of wEnd(s), clamped back to the earliest
-// pending serial-source item (see AddSerialSource) and to the next-other
-// global when a tick was crossed (see SetCrossable).
+// The drain interleaves three step kinds, always in global (time, priority)
+// order: global events fire serially and win ties; source items fire
+// serially when K = 1 or when they belong to a serial source; and with
+// K ≥ 2 parallel-source items drain in windows [tmin, wEnd) with one end for
+// every shard, wEnd = min(next global event, tmin + lookahead()), where a
+// pending crossable tick stands for the earlier of its next fire and the
+// global after it (see SetCrossable). Every source's cross-shard mailboxes
+// are then folded at the window barrier, and the clock advances to wEnd,
+// clamped back to the earliest pending serial-source item (see
+// AddSerialSource).
 func (e *Engine) RunUntil(horizon Time) {
-	if len(e.sources) == 0 {
-		e.drainGlobal(horizon)
-		return
-	}
-	if e.winEnds == nil || len(e.winEnds) != e.shards {
-		e.winEnds = make([]Time, e.shards)
-	}
 	for {
 		gAt := math.Inf(1)
 		if len(e.heap) > 0 {
 			gAt = e.recs[e.heap[0]].at
 		}
 		srcMin, src, shard, isSerial, serialMin := e.peekSources()
-		if gAt > horizon && srcMin > horizon {
+		// Event times are finite (checkTime), so +Inf means nothing pending.
+		if next := min(gAt, srcMin); next > horizon || math.IsInf(next, 1) {
 			break
 		}
 		// Global events are the scheduling frontier — only they can mutate
@@ -480,19 +469,16 @@ func (e *Engine) RunUntil(horizon Time) {
 			e.fireSource(src, shard, srcMin)
 			continue
 		}
-		// Tick crossing: when the earliest global is the crossable timer and
-		// its owner's gate allows it, the window may extend past it up to
-		// min(gate limit, next other global) — but never past a pending
-		// serial item, whose handler needs every tick applied. The first
-		// window to cross the tick arms it and clears every shard's flag.
+		// Tick crossing: when the earliest global is the crossable tick, the
+		// window may extend past it up to min(next fire, next other global)
+		// — but never past a pending serial item, whose handler needs every
+		// tick applied. The first window to cross the tick arms it and
+		// clears every shard's flag.
 		gAtEff := gAt
-		if e.crossTimer != nil {
-			if slot, ok := e.lookup(e.crossTimer.h); ok && e.heap[0] == slot {
-				if limit, allow := e.crossGate(gAt); allow && serialMin >= limit && limit > gAt {
-					eff := limit
-					if second := e.secondGlobal(); second < eff {
-						eff = second
-					}
+		if tk := e.crossTicker; tk != nil {
+			if slot, ok := e.lookup(tk.timer.h); ok && e.heap[0] == slot {
+				if limit := gAt + tk.interval; serialMin >= limit {
+					eff := min(limit, e.secondGlobal())
 					if eff > gAt {
 						gAtEff = eff
 						if e.crossAt != gAt {
@@ -507,39 +493,18 @@ func (e *Engine) RunUntil(horizon Time) {
 				}
 			}
 		}
-		tmin := srcMin
-		minEnd := math.Inf(1)
-		for s := 0; s < e.shards; s++ {
-			end := gAtEff
-			if w := tmin + e.shardLa(s); w < end {
-				end = w
-			}
-			e.winEnds[s] = end
-			if end < minEnd {
-				minEnd = end
-			}
+		end := gAtEff
+		if e.lookahead != nil {
+			end = min(end, srcMin+e.lookahead())
 		}
-		if !(e.winEnds[shard] > tmin) {
-			// Degenerate lookahead (≤ 0) on the frontier shard: no window
-			// would admit the earliest item; take one serial step so the
-			// drain still makes progress.
+		if !(end > srcMin) {
+			// Degenerate lookahead (≤ 0): no window would admit the earliest
+			// item; take one serial step so the drain still makes progress.
 			e.stats.SerialSteps++
 			e.fireSource(src, shard, srcMin)
 			continue
 		}
-		e.runWindow(tmin, minEnd, serialMin, gAtEff, horizon)
-	}
-	if e.now < horizon {
-		e.now = horizon
-	}
-}
-
-// drainGlobal is the source-free drain — the engine's historical serial
-// loop, kept on its own path so global-only workloads pay nothing for the
-// sharded machinery.
-func (e *Engine) drainGlobal(horizon Time) {
-	for len(e.heap) > 0 && e.recs[e.heap[0]].at <= horizon {
-		e.fireGlobal()
+		e.runWindow(srcMin, end, serialMin, gAtEff, horizon)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -555,7 +520,7 @@ func (e *Engine) drainGlobal(horizon Time) {
 func (e *Engine) fireGlobal() {
 	slot := e.heap[0]
 	if e.crossAt < math.Inf(1) {
-		if cs, ok := e.lookup(e.crossTimer.h); ok && cs == slot {
+		if cs, ok := e.lookup(e.crossTicker.timer.h); ok && cs == slot {
 			e.finishCross()
 		}
 	}
@@ -650,41 +615,40 @@ func (e *Engine) fireSource(s Source, shard int, at Time) {
 // DESIGN.md ("Window executor") has the full measurement.
 const inlineWindowItems = 256
 
-// runWindow drains every source item in [tmin, winEnds[s]) per shard, then
-// folds cross-shard mailboxes at the barrier: a drain phase (shards fire
-// their own items, staging remote effects) and a flush phase (shards fold
-// the mailboxes addressed to them). Shard s's window never reaches
-// winEnds[s], so items a flush materializes — which land at
-// ≥ tmin + lookahead(s) ≥ winEnds[s] by the Source contract — can never
-// have been missed by the window they were created in.
+// runWindow drains every shard's source items in [tmin, end), then folds
+// cross-shard mailboxes at the barrier: a drain phase (shards fire their own
+// items, staging remote effects) and a flush phase (shards fold the
+// mailboxes addressed to them). No shard's window reaches end, so items a
+// flush materializes — which land at ≥ tmin + lookahead() ≥ end by the
+// Source contract — can never have been missed by the window they were
+// created in.
 //
 // The two phases run on one of two executors. A window the size rule
 // expects to hold fewer than inlineItems source items runs both phases on
 // the calling goroutine, every shard in index order; any other window fans
 // each phase out over the pool, one shard per worker. The estimate is the
 // run's source-item rate so far, (Stepped − GlobalEvents)/Now(), times the
-// window's advance minEnd − tmin; at Now() = 0 there is no rate yet and the
+// window's advance end − tmin; at Now() = 0 there is no rate yet and the
 // window fans out. Both executors produce the same run: same-window items
 // of different shards commute by the Source contract, so the order in which
 // shards drain — concurrent or sequential — is unobservable, and InWindow,
 // the mailboxes and every DrainStats counter but InlineWindows behave the
 // same.
 //
-// After the barrier the clock advances to minEnd = min over shards of
-// winEnds[s], clamped back to the earliest pending serial-source item: that
-// item must still fire at its own timestamp (its handler's relative timers
-// depend on it), and the clamp is sound because every window fire past it
-// commutes with it. The advance is also capped at the run horizon so
-// RunUntil never overshoots.
-func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
+// After the barrier the clock advances to end, clamped back to the earliest
+// pending serial-source item: that item must still fire at its own
+// timestamp (its handler's relative timers depend on it), and the clamp is
+// sound because every window fire past it commutes with it. The advance is
+// also capped at the run horizon so RunUntil never overshoots.
+func (e *Engine) runWindow(tmin, end, serialMin, gAtEff, horizon Time) {
 	if tmin > e.now {
 		e.now = tmin
 	}
-	e.winHorizon = horizon
+	e.winEnd, e.winHorizon = end, horizon
 	e.inWindow = true
 	// Written so that Now() = 0 (0 < 0), an unbounded advance and a NaN
 	// estimate all fail the test and fan out.
-	if float64(e.Stepped-e.stats.GlobalEvents)*(minEnd-tmin) < e.inlineItems*e.now {
+	if float64(e.Stepped-e.stats.GlobalEvents)*(end-tmin) < e.inlineItems*e.now {
 		e.drainShards(0, 0, e.shards)
 		e.flushShards(0, 0, e.shards)
 		e.stats.InlineWindows++
@@ -701,7 +665,7 @@ func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
 	e.Stepped += fired
 	e.stats.Windows++
 	e.stats.WindowEvents += fired
-	adv := minEnd
+	adv := end
 	switch {
 	case serialMin < adv:
 		adv = serialMin
@@ -720,13 +684,12 @@ func (e *Engine) runWindow(tmin, minEnd, serialMin, gAtEff, horizon Time) {
 }
 
 // drainShards fires, per shard, every source item strictly before the
-// shard's window end (and not beyond the run horizon), merging the shard's
-// sources by (time, registration order). Before the shard's first item at or
-// after an armed crossed tick it steps the shard (SetCrossable).
+// window end (and not beyond the run horizon), merging the shard's sources
+// by (time, registration order). Before the shard's first item at or after
+// an armed crossed tick it steps the shard (SetCrossable).
 func (e *Engine) drainShards(_, lo, hi int) {
-	horizon := e.winHorizon
+	wEnd, horizon := e.winEnd, e.winHorizon
 	for sh := lo; sh < hi; sh++ {
-		wEnd := e.winEnds[sh]
 		c := &e.shardStepped[sh]
 		tickAt := e.crossAt
 		if c.ticked {
@@ -935,7 +898,3 @@ func (tk *Ticker) Stop() {
 	tk.stopped = true
 	tk.timer.Stop()
 }
-
-// Timer exposes the ticker's underlying timer, the handle SetCrossable needs
-// to recognize the pending tick on the global heap.
-func (tk *Ticker) Timer() *Timer { return tk.timer }

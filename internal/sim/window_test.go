@@ -168,7 +168,7 @@ func toyRun(k int, inlineItems float64) toyOutcome {
 	e := NewEngine()
 	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
-	e.SetLookahead(func(int) float64 { return lookahead })
+	e.SetLookahead(func() float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	for i := 0; i < 60; i++ {
 		id := SplitMix64(uint64(i) * 977)
@@ -338,7 +338,7 @@ func toyCtlRun(k int, inlineItems float64) (toyOutcome, [][]uint64) {
 	e := NewEngine()
 	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
-	e.SetLookahead(func(int) float64 { return lookahead })
+	e.SetLookahead(func() float64 { return lookahead })
 	src := newToySource(e, owners, lookahead)
 	ctl := newToyCtlSource(e, src)
 	for i := 0; i < 40; i++ {
@@ -418,25 +418,21 @@ func TestSerialSourceDifferential(t *testing.T) {
 }
 
 // randomToyRun drains a population drawn from seed — shard count, owners,
-// per-shard lookaheads, item times, control injections, the ticker period
-// and the run's horizon chunks — with the executor size rule set to
-// inlineItems. Items start after time 0, so under +Inf every window runs
-// inline.
+// the lookahead, item times, control injections, the ticker period and the
+// run's horizon chunks — with the executor size rule set to inlineItems.
+// Items start after time 0, so under +Inf every window runs inline.
 func randomToyRun(seed int64, inlineItems float64) (toyOutcome, [][]uint64) {
 	rng := NewRNG(seed)
 	k := 2 + rng.Intn(7)
 	owners := k + rng.Intn(24)
-	// Spawns land at least spawn after their fire, and every shard's
-	// lookahead is at most spawn, so the Source contract holds.
+	// Spawns land at least spawn after their fire, and the lookahead is at
+	// most spawn, so the Source contract holds.
 	spawn := rng.Uniform(0.02, 0.3)
-	la := make([]float64, k)
-	for s := range la {
-		la[s] = spawn * rng.Uniform(0.2, 1)
-	}
+	la := spawn * rng.Uniform(0.2, 1)
 	e := NewEngine()
 	e.inlineItems = inlineItems
 	e.SetEventParallelism(k)
-	e.SetLookahead(func(s int) float64 { return la[s] })
+	e.SetLookahead(func() float64 { return la })
 	src := newToySource(e, owners, spawn)
 	ctl := newToyCtlSource(e, src)
 	for i, n := 0, 10+rng.Intn(90); i < n; i++ {
@@ -494,11 +490,11 @@ func TestWindowExecutorDifferential(t *testing.T) {
 // crossToy is the engine-level model of the runner's crossed tick: each
 // owner has a clock integrated at a per-owner constant rate on a global
 // ticker, items read their owner's clock when they fire, and the harness
-// implements the tick-crossing contract — the gate always allows, and a
-// crossed tick is applied one event shard at a time by step, to every owner
-// o ≡ shard (mod K). The fired (id, clock-bits) traces must match the serial
-// run exactly, which fails if a shard step is missed, doubled, comes after
-// one of the shard's items at or past the tick, or uses the wrong dt.
+// implements the tick-crossing contract — a crossed tick is applied one
+// event shard at a time by step, to every owner o ≡ shard (mod K). The
+// fired (id, clock-bits) traces must match the serial run exactly, which
+// fails if a shard step is missed, doubled, comes after one of the shard's
+// items at or past the tick, or uses the wrong dt.
 type crossToy struct {
 	engine    *Engine
 	k, owners int
@@ -549,8 +545,6 @@ func newCrossToy(e *Engine, owners int) *crossToy {
 }
 
 func (c *crossToy) rate(o int) float64 { return 1 + 0.01*float64(o%7) }
-
-func (c *crossToy) gate(tickAt Time) (Time, bool) { return tickAt + 0.7, true }
 
 func (c *crossToy) begin(tickAt Time) {
 	c.armed = true
@@ -682,10 +676,10 @@ func crossRun(k int, inlineItems float64) (traces [][]uint64, snapshots []uint64
 	e.SetEventParallelism(k)
 	// A lookahead far beyond the tick period: without crossing every window
 	// truncates at the next tick; with it, at the tick after that.
-	e.SetLookahead(func(int) float64 { return 10 })
+	e.SetLookahead(func() float64 { return 10 })
 	c := newCrossToy(e, owners)
 	tk := e.NewTicker(0.7, 0.7, c.tick)
-	e.SetCrossable(tk.Timer(), c.gate, c.begin, c.step)
+	e.SetCrossable(tk, c.begin, c.step)
 	for i := 0; i < 80; i++ {
 		id := SplitMix64(uint64(i)*69427 + 3)
 		c.sh[int(id>>16)%owners%c.k].items = append(c.sh[int(id>>16)%owners%c.k].items, toyItem{
@@ -761,7 +755,7 @@ func TestTickCrossingDifferentialEngine(t *testing.T) {
 			check(mode, tr, snap)
 			checkExecutor(t, mode, ex.inlineItems, stats)
 			if stats.CrossedTicks == 0 || tally.ticks == 0 {
-				t.Errorf("%s: no ticks crossed; gate or window layout broken", mode)
+				t.Errorf("%s: no ticks crossed; window layout broken", mode)
 			}
 			if tally.wrongCount != 0 || tally.outside != 0 {
 				t.Errorf("%s: %d owner-ticks not stepped exactly once, %d shard steps outside InWindow()",
@@ -787,7 +781,7 @@ func TestWindowRespectsGlobalFrontier(t *testing.T) {
 			e := NewEngine()
 			e.inlineItems = ex.inlineItems
 			e.SetEventParallelism(k)
-			e.SetLookahead(func(int) float64 { return 10 })
+			e.SetLookahead(func() float64 { return 10 })
 			src := newToySource(e, 4, 10)
 			// Ids chosen so no chains spawn (SplitMix64(id)%3 == 0 is not
 			// guaranteed, so give items far-future spawn room instead: the
@@ -832,6 +826,24 @@ func (s *oneShotSource) FireNext(int, Time) {
 
 func (s *oneShotSource) Flush(int) {}
 
+// TestRunUntilInfStopsWhenIdle pins RunUntil's stop test on an engine with
+// a source: a run to +Inf fires what is pending, a source item and a global
+// event, and returns once nothing is, at one shard and in windows.
+func TestRunUntilInfStopsWhenIdle(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		e := NewEngine()
+		e.SetEventParallelism(k)
+		e.SetLookahead(func() float64 { return 1 })
+		fired := 0
+		e.Schedule(3, func(Time) { fired++ })
+		e.AddSource(&oneShotSource{at: 1, fn: func() { fired++ }})
+		e.RunUntil(math.Inf(1))
+		if fired != 2 {
+			t.Errorf("K=%d: %d events fired, want 2", k, fired)
+		}
+	}
+}
+
 // TestWindowLocksGlobalQueue pins the window guards under both executors:
 // an item fired inside a window sees InWindow(), and scheduling or
 // cancelling a global event from it panics. The item sits on shard 0,
@@ -846,7 +858,7 @@ func TestWindowLocksGlobalQueue(t *testing.T) {
 			e := NewEngine()
 			e.inlineItems = ex.inlineItems
 			e.SetEventParallelism(2)
-			e.SetLookahead(func(int) float64 { return 1 })
+			e.SetLookahead(func() float64 { return 1 })
 			h := e.Schedule(10, func(Time) {})
 			inWindow := false
 			e.AddSource(&oneShotSource{at: 1, fn: func() {

@@ -116,16 +116,13 @@ type Dynamic struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	listener Listener
-	// Per-shard transit bounds for the sharded drain (kShards = the
-	// engine's event parallelism; nodes map to shards by id mod kShards).
-	// inMin[s] is the minimum Delay−Uncertainty over every link version
-	// ever declared into a node of shard s: the conservative lookahead
-	// InTransit feeds the drain. It only ratchets down (a re-declare that
-	// raises a link's transit does not raise it), which keeps it sound
-	// without rescanning: the true minimum over declared links can never be
-	// below it.
-	kShards int
-	inMin   []float64
+	// minTransit is the minimum Delay−Uncertainty over every link version
+	// ever declared: the conservative lookahead MinTransit feeds the
+	// sharded drain. It only ratchets down (a re-declare that raises a
+	// link's transit does not raise it), which keeps it sound without
+	// rescanning: the true minimum over declared links can never be below
+	// it.
+	minTransit float64
 	// onDeclare hooks run after each newly declared link (never for
 	// re-declares); the layers keyed by directed index use them to size
 	// their slabs, so beacon ingestion and the trigger fold stay
@@ -146,40 +143,22 @@ type Dynamic struct {
 // NewDynamic creates a graph over n nodes with no edges. The listener may be
 // nil (useful in tests); SetListener installs it later.
 func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
-	k := 1
-	if engine != nil {
-		k = engine.EventShards()
-	}
-	d := &Dynamic{
-		n:        n,
-		engine:   engine,
-		rng:      rng,
-		adj:      csr.NewRows(n),
-		classIdx: make(map[LinkParams]int32),
-		pending:  make(map[int32]*cell),
-		kShards:  k,
-		inMin:    make([]float64, k),
-	}
-	for i := range d.inMin {
-		d.inMin[i] = math.Inf(1)
-	}
-	return d
-}
-
-// InTransit returns the minimum Delay−Uncertainty over every link version
-// ever declared whose receiver lives in event shard s, or +Inf when shard s
-// has no incoming links. It never increases, so it is always a sound (if
-// conservative) window bound: the per-shard lookahead of the sharded drain,
-// since no message can reach a node of shard s faster, from any shard —
-// including s itself.
-func (d *Dynamic) InTransit(s int) float64 { return d.inMin[s] }
-
-// ratchetIn folds a link's transit bound into its receiving shard's minimum.
-func (d *Dynamic) ratchetIn(to int, mt float64) {
-	if s := to % d.kShards; mt < d.inMin[s] {
-		d.inMin[s] = mt
+	return &Dynamic{
+		n:          n,
+		engine:     engine,
+		rng:        rng,
+		minTransit: math.Inf(1),
+		adj:        csr.NewRows(n),
+		classIdx:   make(map[LinkParams]int32),
+		pending:    make(map[int32]*cell),
 	}
 }
+
+// MinTransit returns the minimum Delay−Uncertainty over every link version
+// ever declared, or +Inf before the first declare. It never increases, so
+// it is always a sound (if conservative) window bound: the lookahead of the
+// sharded drain, since no message can reach any node faster.
+func (d *Dynamic) MinTransit() float64 { return d.minTransit }
 
 // SetListener installs the visibility-transition listener.
 func (d *Dynamic) SetListener(l Listener) { d.listener = l }
@@ -230,9 +209,7 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	if ok && d.eUp[slot] != 0 && d.classes[d.eClass[slot]] != p {
 		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
 	}
-	mt := p.Delay - p.Uncertainty
-	d.ratchetIn(b, mt)
-	d.ratchetIn(a, mt)
+	d.minTransit = min(d.minTransit, p.Delay-p.Uncertainty)
 	if ok {
 		d.eClass[slot] = d.classOf(p)
 		return nil

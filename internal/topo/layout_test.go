@@ -246,8 +246,8 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 	sd := p.soa.DeclaredEdges(nil)
 	equalEdges(t, ctx, "declared", sd, p.ref.edgesWhere(func(*shadowEdge) bool { return true }))
 	equalEdges(t, ctx, "both-up", p.soa.EdgesBothUp(nil), p.ref.edgesWhere(func(e *shadowEdge) bool { return e.up[0] && e.up[1] }))
-	if m := minInTransit(p.soa); m != p.ref.minTransit {
-		t.Fatalf("%s: min InTransit %v vs shadow %v", ctx, m, p.ref.minTransit)
+	if m := p.soa.MinTransit(); m != p.ref.minTransit {
+		t.Fatalf("%s: MinTransit %v vs shadow %v", ctx, m, p.ref.minTransit)
 	}
 	for _, id := range sd {
 		for _, pair := range [][2]int{{id.U, id.V}, {id.V, id.U}} {

@@ -52,7 +52,7 @@ func (c deliverCase) warm(tb testing.TB) (*sim.Engine, *echo) {
 	// Every link has the default parameters, so the minimum transit into
 	// each shard is theirs.
 	p := topo.DefaultLinkParams()
-	eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
+	eng.SetLookahead(func() float64 { return p.Delay - p.Uncertainty })
 	net := NewNetwork(eng, dyn, sim.NewRNG(2), c.policy)
 	h := &echo{net: net}
 	net.SetHandler(h)

@@ -295,7 +295,7 @@ func TestCarriedIndexUnderChurn(t *testing.T) {
 		eng.SetEventParallelism(k)
 		dyn := topo.NewDynamic(n, eng, sim.NewRNG(3))
 		install(t, dyn, edges, p)
-		eng.SetLookahead(func(int) float64 { return p.Delay - p.Uncertainty })
+		eng.SetLookahead(func() float64 { return p.Delay - p.Uncertainty })
 		net := NewNetwork(eng, dyn, sim.NewRNG(4), RandomDelay{})
 		c := &indexCheck{t: t, net: net, dyn: dyn}
 		net.SetHandler(c)

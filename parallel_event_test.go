@@ -46,10 +46,15 @@ func TestShardedDrainDifferential(t *testing.T) {
 }
 
 // TestTickCrossingDifferential pins the tick-crossing window extension on
-// the full stack: a messaging-estimate run under a constant-stretch drift
-// adversary — the configuration where every quiescence gate opens — must be
-// bit-identical at every EventParallelism, while the parallel runs actually
-// cross ticks. At 120 nodes the tick runs on one goroutine whatever
+// the full stack: messaging-estimate rings with churn must be bit-identical
+// at every EventParallelism, while the parallel runs actually cross ticks.
+// Crossing is decided once, at Start, from the algorithm and the estimate
+// layer alone, so it must open under every drift schedule: a crossed tick
+// is stepped with the barrier tick's own rate and dt. One case per
+// schedule, the time-varying ones included, each crossing at K = 2 and 8.
+// The subtests keep the TickCrossing name, so `make race` repeats them:
+// random-walk drift is then read from the event shards' goroutines, node
+// by node. At 120 nodes the tick runs on one goroutine whatever
 // TickParallelism says (runner's size rule), so the runs leave it at 1;
 // internal/runner's TestPooledTickDifferential crosses ticks under a forced
 // tick pool.
@@ -58,37 +63,46 @@ func TestTickCrossingDifferential(t *testing.T) {
 		t.Skip("differential replays take a few seconds")
 	}
 	const n = 120
-	run := func(evPar int) (tickFingerprint, uint64) {
-		net := gradsync.MustNew(gradsync.Config{
-			Topology:         gradsync.RingTopology(n),
-			Drift:            gradsync.TwoGroupDrift(n / 2),
-			Estimates:        gradsync.MessagingEstimates(false),
-			Scenario:         &scenario.Churn{Every: 2.5},
-			EventParallelism: evPar,
-			Seed:             17,
+	for _, c := range []struct {
+		name  string
+		drift gradsync.Drift
+	}{
+		{"twogroup", gradsync.TwoGroupDrift(n / 2)},
+		{"sinusoid", gradsync.SinusoidDrift(3)},
+		{"randomwalk", gradsync.RandomWalkDrift(0.5)},
+		{"flip", gradsync.FlipDrift(2)},
+		{"windowed-sinusoid", gradsync.WindowedDrift(gradsync.SinusoidDrift(3), 2, 8)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(evPar int) (tickFingerprint, uint64) {
+				net := gradsync.MustNew(gradsync.Config{
+					Topology:         gradsync.RingTopology(n),
+					Drift:            c.drift,
+					Estimates:        gradsync.MessagingEstimates(false),
+					Scenario:         &scenario.Churn{Every: 2.5},
+					EventParallelism: evPar,
+					Seed:             17,
+				})
+				net.RunFor(12)
+				return fingerprint(net), net.Runtime().Engine.DrainStats().CrossedTicks
+			}
+			serial, crossed := run(1)
+			if crossed != 0 {
+				t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", crossed)
+			}
+			for _, evPar := range []int{2, 8} {
+				fp, crossed := run(evPar)
+				if d := serial.diff(fp); d != "" {
+					t.Fatalf("EventParallelism %d diverged from serial: %s", evPar, d)
+				}
+				if crossed == 0 {
+					t.Errorf("EventParallelism %d crossed no tick", evPar)
+				}
+			}
 		})
-		net.RunFor(12)
-		return fingerprint(net), net.Runtime().Engine.DrainStats().CrossedTicks
-	}
-	serial, crossed := run(1)
-	if crossed != 0 {
-		t.Fatalf("serial run crossed %d ticks; crossing must be a parallel-only path", crossed)
-	}
-	anyCrossed := false
-	for _, evPar := range []int{2, 8} {
-		fp, crossed := run(evPar)
-		if d := serial.diff(fp); d != "" {
-			t.Fatalf("EventParallelism %d diverged from serial: %s", evPar, d)
-		}
-		if crossed > 0 {
-			anyCrossed = true
-		}
-	}
-	if !anyCrossed {
-		t.Error("no parallel run crossed a tick; the quiescence gate never opened")
 	}
 	// Oracle estimates read the queried node's true clock — not node-local —
-	// so the gate must stay closed.
+	// so crossing must stay off.
 	oracle := gradsync.MustNew(gradsync.Config{
 		Topology:         gradsync.RingTopology(n),
 		Drift:            gradsync.TwoGroupDrift(n / 2),
