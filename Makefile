@@ -89,12 +89,18 @@ cover:
 # checked by a recording decorator, and TestTickCrossingDifferential's one
 # case per drift schedule. Its random-walk case is the end-to-end run in
 # which the event shards' goroutines call RandomWalk.Rate for their own
-# nodes concurrently.
+# nodes concurrently. The fifth pass repeats internal/live's tests five
+# times (about 11 s on 2 vCPUs): beacon hand-off runs on the node
+# goroutines, each sending straight into its neighbours' inboxes and the
+# peer links' buffers, and a peer link's writer exits through Close's quit
+# channel while node loops may still send. The live tests run on real
+# tickers, so the repeats widen the interleavings the detector sees.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Window|TickCrossing|SerialSource' ./internal/sim
 	$(GO) test -race -count=10 -run RandomWalk ./internal/drift
 	$(GO) test -race -count=3 -run 'ShardedTickScale|PooledTick|CrossedTick|TickCrossing|CrossingArmed' . ./internal/runner
+	$(GO) test -race -count=5 ./internal/live
 
 # Fuzzes each target for 10 s. Plain `go test` only replays the seed
 # corpora; this searches past them. go test -fuzz takes one target in one

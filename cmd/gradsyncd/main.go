@@ -23,7 +23,7 @@
 //	GET /v1/clock?node=3    one node's clocks
 //	GET /v1/skew            skew report (global, max local, bound 2·S)
 //	GET /v1/legality        legality verdict against the gradient target
-//	GET /v1/stats           queue/trace counters
+//	GET /v1/stats           transport/trace counters
 package main
 
 import (
@@ -67,8 +67,7 @@ func run(args []string) error {
 		tick       = fs.Float64("tick", 0.05, "integration step, sim units")
 		beacon     = fs.Float64("beacon", 0.25, "beacon interval, sim units")
 		timescale  = fs.Duration("timescale", 20*time.Millisecond, "real duration of one sim unit")
-		queueCap   = fs.Int("queue", 64, "per-peer send queue capacity")
-		block      = fs.Bool("block", false, "block senders on full queues instead of shedding beacons")
+		queueCap   = fs.Int("queue", 64, "capacity of each node's inbox and each peer link's outbound buffer")
 		tracePath  = fs.String("trace", "", "record a replayable trace to this file")
 		listen     = fs.String("listen", "127.0.0.1:8470", "HTTP listen address")
 		own        = fs.String("own", "", "node ids hosted here, as lo-hi (default: all)")
@@ -107,9 +106,6 @@ func run(args []string) error {
 		Tick: *tick, BeaconInterval: *beacon,
 		TimeScale:     *timescale,
 		QueueCapacity: *queueCap,
-	}
-	if *block {
-		cfg.QueuePolicy = live.Block
 	}
 	if *own != "" {
 		if cfg.Owned, err = parseRange(*own, *n); err != nil {

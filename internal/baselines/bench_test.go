@@ -11,9 +11,8 @@ import (
 )
 
 // BenchmarkBlockSyncStep measures one integration tick of the BlockSync
-// trigger evaluation on a 32-node line. Its neighbor enumeration reuses a
-// per-instance scratch buffer; with -benchmem this must report 0
-// allocs/op.
+// trigger evaluation on a 32-node line. The decide walks each node's
+// topology row in place; with -benchmem this must report 0 allocs/op.
 func BenchmarkBlockSyncStep(b *testing.B) {
 	const n = 32
 	rt, err := runner.New(runner.Config{

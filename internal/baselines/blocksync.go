@@ -24,10 +24,6 @@ type BlockSync struct {
 	l    []float64
 	m    []float64
 	mult []float64
-	// nbrs[shard] is that shard's neighbor-enumeration scratch buffer,
-	// reused across every node and tick so the hot path stays
-	// allocation-free even when Step fans across the tick shards.
-	nbrs [][]int
 	// shardCtr gives each tick shard a private mode tally; Step folds the
 	// blocks into the public counters after the barrier (identical totals
 	// to the serial tick). decideFn/integrateFn are method values built
@@ -74,9 +70,7 @@ func (b *BlockSync) Init(rt *runner.Runtime) {
 	for i := range b.mult {
 		b.mult[i] = 1
 	}
-	shards := rt.TickShards()
-	b.nbrs = make([][]int, shards)
-	b.shardCtr = make([]blockCounters, shards)
+	b.shardCtr = make([]blockCounters, rt.TickShards())
 	b.decideFn = b.decideShard
 	b.integrateFn = b.integrateShard
 }
@@ -118,7 +112,7 @@ func (b *BlockSync) Step(_ sim.Time, dH []float64) {
 func (b *BlockSync) decideShard(shard, lo, hi int) {
 	c := &b.shardCtr[shard]
 	for u := lo; u < hi; u++ {
-		b.mult[u] = b.decideMode(u, shard, c)
+		b.mult[u] = b.decideMode(u, c)
 	}
 }
 
@@ -131,22 +125,25 @@ func (b *BlockSync) integrateShard(_, lo, hi int) {
 	}
 }
 
-// decideMode runs Listing 3 for node u on the single-threshold triggers.
-func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
+// decideMode runs Listing 3 for node u on the single-threshold triggers. It
+// walks u's topology row as core's fold does: each entry's directed index
+// serves the visibility test, the estimate and the link parameters with no
+// per-neighbour lookup.
+func (b *BlockSync) decideMode(u int, c *blockCounters) float64 {
 	lu := b.l[u]
 	f := NewBlockTriggers(b.s, b.mu, b.rho)
-	b.nbrs[shard] = b.rt.Dyn.Neighbors(u, b.nbrs[shard][:0])
-	for _, v := range b.nbrs[shard] {
-		est, ok := b.rt.Est.Estimate(u, v)
+	dyn, est := b.rt.Dyn, b.rt.Est
+	peers, dirs := dyn.Row(u)
+	for i, dir := range dirs {
+		if !dyn.SeesAt(dir) {
+			continue
+		}
+		v := int(peers[i])
+		e, ok := est.EstimateAt(u, v, dir)
 		if !ok {
 			continue
 		}
-		eps := b.rt.Est.Eps(u, v)
-		lp, ok := b.rt.Dyn.Params(u, v)
-		if !ok {
-			continue
-		}
-		f.Add(lu, est, eps, lp.Tau)
+		f.Add(lu, e, est.Eps(u, v), dyn.ParamsAt(dir).Tau)
 	}
 	fast, slow := f.Triggers()
 	mult, isFast := core.NextMode(fast, slow, lu, b.m[u], b.mult[u], b.mu, core.Iota)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	gradsync "repro"
+	"repro/internal/baselines"
 	"repro/internal/metrics"
 )
 
@@ -53,7 +54,7 @@ func E05LowerBound(spec Spec) *Result {
 		ta := aopt.stabilizedAt(threshold, 20)
 		tb := block.stabilizedAt(threshold, 20)
 		tm := maxs.stabilizedAt(threshold, 20)
-		jumps := "-"
+		jumps := maxs.net.Runtime().Algo().(*baselines.MaxSync).Jumps
 		r.Table.AddRow(n, offset, tMin, ta, tb, tm, jumps)
 
 		// Both envelope-respecting algorithms obey the lower bound; the
@@ -64,6 +65,7 @@ func E05LowerBound(spec Spec) *Result {
 			r.assert(tm >= 0 && tm < tMin/2,
 				"n=%d: max-propagation should stabilize the edge near-instantly by jumping (got %.1f vs tMin %.1f)",
 				n, tm, tMin)
+			r.assert(jumps > 0, "n=%d: max-propagation stabilized the edge without a single jump", n)
 		}
 		tMins = append(tMins, tMin)
 		if ta >= 0 {

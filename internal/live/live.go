@@ -2,10 +2,12 @@
 // synchronization state machine of the simulator, run against real time and
 // real message passing instead of the discrete-event engine. Each node is a
 // goroutine owning its state outright (the GHS message-driven pattern — one
-// inbox channel per node, no shared algorithm state); beacons travel through
-// bounded per-peer send queues with explicit back-pressure policy, either
-// in-process (Cluster) or across OS processes over a length-prefixed TCP
-// codec (transport.WriteWire / ReadWire, see tcp.go).
+// inbox channel per node, no shared algorithm state). A node hands each
+// beacon to a bounded channel without blocking — the neighbour's inbox
+// in-process (Cluster), or a peer link's outbound buffer for a neighbour in
+// another OS process, reached over a length-prefixed TCP codec
+// (transport.WriteWire / ReadWire, see tcp.go) — and a full channel sheds
+// the beacon and counts it.
 //
 // Live runs are made reproducible by recording, not by controlling the
 // schedule: every state-machine input (integration ticks with their hardware
@@ -65,11 +67,10 @@ type Config struct {
 	// nil → all 1. Length must equal N when set (indexed by node id, so every
 	// process of a multi-process deployment passes the same slice).
 	Rates []float64
-	// QueueCapacity bounds each per-peer send queue; 0 → 64.
+	// QueueCapacity bounds each node's inbox and each peer link's outbound
+	// buffer; 0 → 64. A beacon offered to a full one is shed and counted in
+	// Stats.Dropped: beacons are soft state, superseded by the next one.
 	QueueCapacity int
-	// QueuePolicy selects what a full send queue does (default DropNewest —
-	// shed beacons under back-pressure; see SendQueue).
-	QueuePolicy QueuePolicy
 	// Trace, when non-nil, receives the replayable run trace (header plus one
 	// JSON line per state-machine input of the owned nodes; see TraceRecord).
 	Trace io.Writer
@@ -144,21 +145,20 @@ type liveNode struct {
 	lastTickSim float64
 	nextBeacon  float64
 	rate        float64
-	inbox       chan Envelope
+	// inbox receives the beacons of in-process neighbours and TCP peers;
+	// its capacity is Config.QueueCapacity.
+	inbox chan Envelope
 	// pub is this node's slot in the cluster snapshot slab: the loop
 	// goroutine publishes after every applied input, and queries and
 	// Fingerprint read it (see snapshot.go and DESIGN.md §Live transport).
 	pub *snapSlot
-	// out is parallel to st.peers; nil entries are non-owned neighbors whose
-	// traffic routes through a TCP peer instead of an in-process queue.
-	out []*SendQueue
 }
 
 // Cluster runs this process's share of a live network: a loop goroutine per
-// owned node, a bounded send queue plus pump goroutine per in-process
-// directed edge, TCP peers for edges crossing process boundaries, and an
-// optional trace recorder. Construction wires everything; Start launches the
-// goroutines; Stop tears them down and flushes the trace.
+// owned node, which hands its beacons straight to in-process neighbours'
+// inboxes, TCP peers for edges crossing process boundaries, and an optional
+// trace recorder. Construction wires everything; Start launches the node
+// loops; Stop tears them down and flushes the trace.
 type Cluster struct {
 	cfg        Config
 	minTransit float64
@@ -170,10 +170,11 @@ type Cluster struct {
 	start    time.Time
 	stopCh   chan struct{}
 	nodeWG   sync.WaitGroup
-	pumpWG   sync.WaitGroup
 	started  bool
 	stopped  bool
-	unrouted uint64        // beacons to non-owned nodes with no attached peer route
+	enqueued atomic.Uint64 // beacons handed to an inbox or a peer link
+	dropped  atomic.Uint64 // beacons shed on a full inbox or peer link
+	unrouted atomic.Uint64 // beacons to non-owned nodes with no attached peer route
 	rejected atomic.Uint64 // inbound peer frames dropped by validation
 
 	// slab holds one published snapshot slot per node id; epoch counts
@@ -195,8 +196,8 @@ type Cluster struct {
 	routes map[int]*Peer // non-owned node id → outbound peer link
 }
 
-// NewCluster validates cfg and wires nodes, queues and pumps (nothing runs
-// until Start).
+// NewCluster validates cfg and builds the owned nodes (nothing runs until
+// Start).
 func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -264,37 +265,22 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			nextBeacon: cfg.BeaconInterval * float64(i+1) / float64(cfg.N),
 			inbox:      make(chan Envelope, cfg.QueueCapacity),
 			pub:        &c.slab[i],
-			out:        make([]*SendQueue, len(adj[i])),
 		}
 		// Publish the initial state (seq 0) so queries arriving before the
 		// first tick already see a consistent snapshot (mult 1, hw 0).
 		n.pub.publish(n.st, 0)
-		for j, peer := range adj[i] {
-			if isOwned[peer] {
-				n.out[j] = NewSendQueue(cfg.QueueCapacity, cfg.QueuePolicy)
-			}
-		}
 		c.nodes[i] = n
 	}
 	return c, nil
 }
 
-// Start launches node loops and delivery pumps.
+// Start launches one loop goroutine per owned node.
 func (c *Cluster) Start() {
 	if c.started {
 		return
 	}
 	c.started = true
 	c.start = time.Now()
-	for _, i := range c.owned {
-		n := c.nodes[i]
-		for j, peer := range n.st.peers {
-			if n.out[j] != nil {
-				c.pumpWG.Add(1)
-				go c.pump(n.out[j], c.nodes[peer])
-			}
-		}
-	}
 	for _, i := range c.owned {
 		c.nodeWG.Add(1)
 		go c.nodeLoop(c.nodes[i])
@@ -309,18 +295,7 @@ func (c *Cluster) Stop() error {
 	}
 	c.stopped = true
 	close(c.stopCh)
-	// Close queues before waiting on node loops: under the Block policy a
-	// node can be parked inside Offer on a full queue, and only Close wakes
-	// it. Pumps drain what remains and exit on the closed queue.
-	for _, i := range c.owned {
-		for _, q := range c.nodes[i].out {
-			if q != nil {
-				q.Close()
-			}
-		}
-	}
 	c.nodeWG.Wait()
-	c.pumpWG.Wait()
 	c.peerMu.Lock()
 	peers := append([]*Peer(nil), c.peers...)
 	c.peerMu.Unlock()
@@ -336,25 +311,6 @@ func (c *Cluster) Stop() error {
 // simNow converts real elapsed time to sim time.
 func (c *Cluster) simNow() float64 {
 	return float64(time.Since(c.start)) / float64(c.cfg.TimeScale)
-}
-
-// pump moves envelopes from one send queue into the destination inbox. The
-// inbox send blocks when the destination is saturated, which propagates
-// pressure back into the queue — where the policy decides between shedding
-// (DropNewest) and stalling the sender (Block).
-func (c *Cluster) pump(q *SendQueue, dst *liveNode) {
-	defer c.pumpWG.Done()
-	for {
-		e, ok := q.Pop()
-		if !ok {
-			return
-		}
-		select {
-		case dst.inbox <- e:
-		case <-c.stopCh:
-			return
-		}
-	}
 }
 
 // nodeLoop is one node's event loop: apply delivered beacons as they arrive,
@@ -411,15 +367,32 @@ func (c *Cluster) applyTick(n *liveNode) {
 		c.rec.Append(rec)
 	}
 	if send {
-		env := Envelope{From: n.st.id, SentAt: simNow, MinTransit: c.minTransit, B: b}
-		for j, peer := range n.st.peers {
-			env.To = peer
-			if q := n.out[j]; q != nil {
-				q.Offer(env)
-			} else {
-				c.sendRemote(env)
-			}
+		c.broadcast(n, Envelope{From: n.st.id, SentAt: simNow, MinTransit: c.minTransit, B: b})
+	}
+}
+
+// broadcast addresses env to each of n's neighbours: an owned one's inbox,
+// or the peer link routing a remote one.
+func (c *Cluster) broadcast(n *liveNode, env Envelope) {
+	for _, peer := range n.st.peers {
+		env.To = peer
+		if dst := c.nodes[peer]; dst != nil {
+			c.offer(dst.inbox, env)
+		} else {
+			c.sendRemote(env)
 		}
+	}
+}
+
+// offer hands e to ch without blocking. A full channel sheds e: the sending
+// node loop never waits on a slow receiver or link, so its tick cadence
+// stays its own, and the next beacon supersedes the shed one.
+func (c *Cluster) offer(ch chan<- Envelope, e Envelope) {
+	select {
+	case ch <- e:
+		c.enqueued.Add(1)
+	default:
+		c.dropped.Add(1)
 	}
 }
 
@@ -447,10 +420,10 @@ func (c *Cluster) sendRemote(e Envelope) {
 	p := c.routes[e.To]
 	c.peerMu.Unlock()
 	if p == nil {
-		atomic.AddUint64(&c.unrouted, 1)
+		c.unrouted.Add(1)
 		return
 	}
-	p.q.Offer(e)
+	c.offer(p.out, e)
 }
 
 // deliverLocal hands an inbound envelope (from a TCP peer) to the addressed
@@ -458,7 +431,7 @@ func (c *Cluster) sendRemote(e Envelope) {
 // a sender that is not a neighbour of the addressee as rejected.
 func (c *Cluster) deliverLocal(e Envelope) {
 	if e.To < 0 || e.To >= len(c.nodes) || c.nodes[e.To] == nil {
-		atomic.AddUint64(&c.unrouted, 1)
+		c.unrouted.Add(1)
 		return
 	}
 	dst := c.nodes[e.To]
@@ -615,14 +588,17 @@ func (c *Cluster) Legality() LegalityReport {
 }
 
 // Stats aggregates transport, trace and tick-timing counters. Every source
-// is an atomic folded at read time — reading stats never locks a node, a
-// queue or the tick path.
+// is an atomic folded at read time — reading stats never locks a node or
+// the tick path.
 type Stats struct {
-	SimNow   float64 `json:"simNow"`
-	Epoch    uint64  `json:"epoch"`
-	Enqueued uint64  `json:"enqueued"`
-	Dropped  uint64  `json:"dropped"`
-	Unrouted uint64  `json:"unrouted"`
+	SimNow float64 `json:"simNow"`
+	Epoch  uint64  `json:"epoch"`
+	// Enqueued counts beacons handed to an in-process neighbour's inbox or
+	// a peer link's outbound buffer. Dropped counts beacons shed because
+	// that channel was full, plus those a peer link shed while down.
+	Enqueued uint64 `json:"enqueued"`
+	Dropped  uint64 `json:"dropped"`
+	Unrouted uint64 `json:"unrouted"`
 	// Rejected counts frames dropped by validation on accepted peer
 	// connections: frames ReadWire refuses, a first frame that is not a
 	// hello for this cluster's shape, and beacons whose sender is not a
@@ -647,22 +623,15 @@ func (c *Cluster) Stats() Stats {
 	st := Stats{
 		SimNow:        c.SimNow(),
 		Epoch:         c.epoch.Load(),
-		Unrouted:      atomic.LoadUint64(&c.unrouted),
+		Enqueued:      c.enqueued.Load(),
+		Dropped:       c.dropped.Load(),
+		Unrouted:      c.unrouted.Load(),
 		Rejected:      c.rejected.Load(),
 		TickNominalMs: float64(c.tickNominal) / float64(time.Millisecond),
 	}
-	for _, i := range c.owned {
-		for _, q := range c.nodes[i].out {
-			if q != nil {
-				st.Enqueued += q.Enqueued()
-				st.Dropped += q.Dropped()
-			}
-		}
-	}
 	c.peerMu.Lock()
 	for _, p := range c.peers {
-		st.Enqueued += p.q.Enqueued()
-		st.Dropped += p.q.Dropped() + p.downDrops.Load()
+		st.Dropped += p.downDrops.Load()
 		st.Reconnects += p.reconnects.Load()
 		if p.down.Load() {
 			st.PeersDown++

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +104,49 @@ func TestLiveSkewBounded(t *testing.T) {
 	}
 	if rep.GlobalSkew < 0 || rep.MaxLocalSkew > rep.GlobalSkew {
 		t.Fatalf("inconsistent skew report: %+v", rep)
+	}
+}
+
+// TestClusterGoroutinePerNode runs the benchmark daemon's shape, a 64-node
+// ring, and counts goroutines: Start adds exactly one per owned node (the
+// node loop, which delivers its own beacons), and Stop leaves none behind.
+func TestClusterGoroutinePerNode(t *testing.T) {
+	const n = 64
+	c, err := NewCluster(Config{
+		N: n, Edges: ringEdges(n),
+		Tick: 0.01, BeaconInterval: 0.05, TimeScale: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	c.Start()
+	if got := runtime.NumGoroutine() - base; got != n {
+		c.Stop()
+		t.Fatalf("Start added %d goroutines, want %d (one per node)", got, n)
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "Stop's goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestSendShedsOnFullInbox pins the send path's shedding: a beacon offered
+// to a full inbox is dropped and counted, never waited on, and the inbox
+// keeps the envelope that got there first.
+func TestSendShedsOnFullInbox(t *testing.T) {
+	c, err := NewCluster(Config{N: 2, Edges: [][2]int{{0, 1}}, QueueCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 3; k++ {
+		c.broadcast(c.nodes[0], Envelope{From: 0, SentAt: float64(k)})
+	}
+	if st := c.Stats(); st.Enqueued != 1 || st.Dropped != 2 {
+		t.Fatalf("Stats read enqueued %d, dropped %d; want 1 and 2", st.Enqueued, st.Dropped)
+	}
+	if e := <-c.nodes[1].inbox; e.From != 0 || e.To != 1 || e.SentAt != 1 {
+		t.Fatalf("node 1's inbox holds %+v, want the first envelope from 0 to 1", e)
 	}
 }
 

@@ -32,21 +32,16 @@ type nodeState struct {
 
 	fast, slow uint64 // mode tick counters
 
-	s, rho, mu, tick float64
-	link             topo.LinkParams
-	est              *estimate.LocalBeacons
-	peers            []int // sorted neighbor ids
+	p     params
+	est   *estimate.LocalBeacons
+	peers []int // sorted neighbor ids
 }
 
 func newNodeState(id int, peers []int, p params) *nodeState {
 	return &nodeState{
 		id:   id,
 		mult: 1,
-		s:    p.S,
-		rho:  p.Rho,
-		mu:   p.Mu,
-		tick: p.Tick,
-		link: p.Link,
+		p:    p,
 		est: estimate.NewLocalBeacons(estimate.MessagingConfig{
 			Rho:            p.Rho,
 			Mu:             p.Mu,
@@ -71,7 +66,7 @@ type params struct {
 // the certified-minimum transit credit.
 func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float64) {
 	ns.est.Record(from, b.L, ns.hw, minTransit)
-	if cand := core.FloodCandidate(b.M, minTransit, ns.tick, ns.rho); cand > ns.m {
+	if cand := core.FloodCandidate(b.M, minTransit, ns.p.Tick, ns.p.Rho); cand > ns.m {
 		ns.m = cand
 	}
 }
@@ -85,21 +80,21 @@ func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float6
 func (ns *nodeState) applyTick(dh float64) {
 	ns.hw += dh
 	ns.mult = ns.decideMode()
-	ns.l, ns.m = core.Integrate(ns.l, ns.m, ns.mult, dh, (1-ns.rho)/(1+ns.rho))
+	ns.l, ns.m = core.Integrate(ns.l, ns.m, ns.mult, dh, (1-ns.p.Rho)/(1+ns.p.Rho))
 }
 
 // decideMode is baselines.BlockSync.decideMode in per-node form, with the
 // neighbor estimates served by the node-local store.
 func (ns *nodeState) decideMode() float64 {
-	f := baselines.NewBlockTriggers(ns.s, ns.mu, ns.rho)
-	eps, tau := ns.est.Eps(), ns.link.Tau
+	f := baselines.NewBlockTriggers(ns.p.S, ns.p.Mu, ns.p.Rho)
+	eps, tau := ns.est.Eps(), ns.p.Link.Tau
 	for _, v := range ns.peers {
 		if est, ok := ns.est.Estimate(v, ns.hw); ok {
 			f.Add(ns.l, est, eps, tau)
 		}
 	}
 	fast, slow := f.Triggers()
-	mult, isFast := core.NextMode(fast, slow, ns.l, ns.m, ns.mult, ns.mu, core.Iota)
+	mult, isFast := core.NextMode(fast, slow, ns.l, ns.m, ns.mult, ns.p.Mu, core.Iota)
 	if isFast {
 		ns.fast++
 	} else {

@@ -203,3 +203,28 @@ func TestPeerBackoffCapsAndSheds(t *testing.T) {
 		t.Fatalf("shed beacons not counted: %+v", st)
 	}
 }
+
+// TestPeerCloseWritesBuffered pins Close's contract on a healthy link: the
+// beacons buffered when Close is called reach the remote before the
+// connection closes, and closing does not count the link down.
+func TestPeerCloseWritesBuffered(t *testing.T) {
+	const n = 4
+	sink := newBeaconSink(t, n)
+	c, err := NewCluster(Config{N: n, Edges: ringEdges(n), Owned: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.ConnectPeer(sink.ln.Addr().String(), []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 64 // the default QueueCapacity
+	for k := 0; k < sent; k++ {
+		c.offer(p.out, Envelope{From: 1, To: 2, SentAt: float64(k)})
+	}
+	p.Close()
+	waitFor(t, "the buffered beacons to arrive", func() bool { return sink.frames.Load() == sent })
+	if st := c.Stats(); st.Enqueued != sent || st.Dropped != 0 || st.PeersDown != 0 {
+		t.Fatalf("after Close: %+v, want %d enqueued, none dropped, no peer down", st, sent)
+	}
+}

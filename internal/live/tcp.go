@@ -26,8 +26,9 @@ const (
 )
 
 // Peer is one outbound TCP link to another process hosting part of the
-// network. Envelopes queue in a bounded SendQueue (same back-pressure policy
-// as in-process edges) and a writer goroutine encodes them as wire frames.
+// network. Node loops hand envelopes to its bounded outbound buffer without
+// blocking (a full buffer sheds them, as a full inbox does in-process), and
+// a writer goroutine encodes them as wire frames.
 // Connections are unidirectional by convention: each process dials every
 // peer it sends to and serves a listener for inbound traffic, which keeps
 // routing explicit — the dialer states which node ids the connection reaches
@@ -38,8 +39,11 @@ const (
 type Peer struct {
 	c    *Cluster
 	addr string
-	q    *SendQueue
-	done chan struct{}
+	// out is the outbound buffer, of capacity Config.QueueCapacity. It is
+	// never closed: node loops may still send on it when Close runs.
+	out  chan Envelope
+	quit chan struct{} // closed by Close to stop the writer
+	done chan struct{} // closed by the writer on exit
 
 	// connMu guards conn (the live connection, nil while down) against the
 	// race between the writer goroutine swapping connections and Close
@@ -63,7 +67,8 @@ func (c *Cluster) ConnectPeer(addr string, remoteNodes []int) (*Peer, error) {
 	p := &Peer{
 		c:    c,
 		addr: addr,
-		q:    NewSendQueue(c.cfg.QueueCapacity, c.cfg.QueuePolicy),
+		out:  make(chan Envelope, c.cfg.QueueCapacity),
+		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	conn, err := p.dial()
@@ -132,21 +137,51 @@ func (p *Peer) swapConn(conn net.Conn) bool {
 	return true
 }
 
-// writeLoop drains the peer queue onto the wire. A write error marks the
-// link down and starts the redial cycle: each subsequent envelope either
-// rides a dial attempt (when the backoff window has elapsed) or is dropped
-// and counted. The queue keeps absorbing offers the whole time, so the
-// sending node is never blocked by a dead peer.
+// writeLoop drains the outbound buffer onto the wire. A write error marks
+// the link down and starts the redial cycle: each subsequent envelope
+// either rides a dial attempt (when the backoff window has elapsed) or is
+// dropped and counted. The buffer keeps absorbing offers the whole time, so
+// the sending node is never blocked by a dead peer. Once Close signals
+// quit, the envelopes buffered at that moment are written while the link
+// stays up, without redialing, and then the connection closes.
 func (p *Peer) writeLoop(conn net.Conn) {
 	defer close(p.done)
 	bw := bufio.NewWriter(conn)
 	buf := make([]byte, 0, 64)
 	backoff := reconnectBase
 	var nextDial time.Time // zero: dial immediately on the next envelope
+	write := func(e Envelope) {
+		frame, err := transport.AppendWire(buf[:0], transport.BeaconMsg(e.From, e.To, e.SentAt, e.MinTransit, e.B))
+		if err != nil {
+			return
+		}
+		buf = frame
+		_, werr := bw.Write(frame)
+		// Flush when the buffer is momentarily empty; back-to-back sends
+		// batch into one segment.
+		if werr == nil && len(p.out) == 0 {
+			werr = bw.Flush()
+		}
+		if werr != nil {
+			conn.Close()
+			conn = nil
+			p.swapConn(nil)
+			p.down.Store(true)
+			p.downDrops.Add(1)
+			nextDial = time.Time{} // first retry rides the next envelope
+			backoff = reconnectBase
+		}
+	}
 	for {
-		e, ok := p.q.Pop()
-		if !ok {
+		var e Envelope
+		select {
+		case e = <-p.out:
+		case <-p.quit:
+			for k := len(p.out); k > 0 && conn != nil; k-- {
+				write(<-p.out)
+			}
 			if conn != nil {
+				bw.Flush()
 				conn.Close()
 			}
 			return
@@ -168,7 +203,7 @@ func (p *Peer) writeLoop(conn net.Conn) {
 			}
 			if !p.swapConn(c2) {
 				c2.Close()
-				continue // queue is closed; next Pop returns !ok
+				continue // Close ran meanwhile; quit ends the loop
 			}
 			conn = c2
 			bw.Reset(conn)
@@ -176,31 +211,15 @@ func (p *Peer) writeLoop(conn net.Conn) {
 			p.reconnects.Add(1)
 			backoff = reconnectBase
 		}
-		frame, err := transport.AppendWire(buf[:0], transport.BeaconMsg(e.From, e.To, e.SentAt, e.MinTransit, e.B))
-		if err != nil {
-			continue
-		}
-		buf = frame
-		_, werr := bw.Write(frame)
-		// Flush when the queue is momentarily empty; back-to-back sends
-		// batch into one segment.
-		if werr == nil && p.q.Len() == 0 {
-			werr = bw.Flush()
-		}
-		if werr != nil {
-			conn.Close()
-			conn = nil
-			p.swapConn(nil)
-			p.down.Store(true)
-			p.downDrops.Add(1)
-			nextDial = time.Time{} // first retry rides the next envelope
-			backoff = reconnectBase
-		}
+		write(e)
 	}
 }
 
-// Close shuts the link down: the queue stops accepting, the writer drains
-// out, and the connection closes. Idempotent.
+// Close shuts the link down and returns once the writer has exited: the
+// envelopes buffered at the call are written while the link takes them,
+// then the connection closes. A write deadline of reconnectDialTimeout
+// bounds that on a stalled link. Envelopes offered after Close may stay
+// unwritten. Idempotent.
 func (p *Peer) Close() {
 	p.connMu.Lock()
 	already := p.closed
@@ -210,10 +229,9 @@ func (p *Peer) Close() {
 	if already {
 		return
 	}
-	p.q.Close()
+	close(p.quit)
 	if conn != nil {
-		// Unblock a writer parked inside a TCP write on a stalled link.
-		conn.Close()
+		conn.SetWriteDeadline(time.Now().Add(reconnectDialTimeout))
 	}
 	<-p.done
 }

@@ -60,10 +60,10 @@ func (h TraceHeader) params() params {
 // replay holds about half a kilobyte per node: state machine, estimate
 // store, snapshot and fingerprint line. A live process holds a 128-byte
 // snapshot slot per node of the network, and each node it hosts adds a
-// goroutine, an inbox and a send queue per in-process edge, each buffering
-// QueueCapacity 48-byte envelopes (3 KB at the default 64): on a ring,
-// about 10 KB per node, 0.6 GB at 2¹⁶ nodes. A larger count is a corrupt
-// header or a typo, rejected before anything is sized by it.
+// goroutine and an inbox buffering QueueCapacity 48-byte envelopes: 3 KB
+// per node at the default 64 besides the goroutine's stack, 0.2 GB at 2¹⁶
+// nodes. A larger count is a corrupt header or a typo, rejected before
+// anything is sized by it.
 const maxNodes = 1 << 16
 
 // validate checks what a trace header shares with a cluster Config: the

@@ -30,11 +30,9 @@ type LiveConfig struct {
 	TimeScale time.Duration
 	// Rates optionally emulates hardware drift (per-node clock rates).
 	Rates []float64
-	// QueueCapacity bounds each per-peer send queue; 0 → 64.
+	// QueueCapacity bounds each node's inbox and each peer link's outbound
+	// buffer; 0 → 64. A beacon offered to a full one is shed and counted.
 	QueueCapacity int
-	// BlockOnFull switches full send queues from shedding beacons (default)
-	// to blocking the sender.
-	BlockOnFull bool
 	// Trace, when non-nil, receives a replayable run trace; feed it back
 	// through ReplayLiveTrace to reproduce the run deterministically.
 	Trace io.Writer
@@ -73,17 +71,12 @@ func StartLive(cfg LiveConfig) (*LiveNetwork, error) {
 	for i, id := range ids {
 		edges[i] = [2]int{id.U, id.V}
 	}
-	policy := live.DropNewest
-	if cfg.BlockOnFull {
-		policy = live.Block
-	}
 	c, err := live.NewCluster(live.Config{
 		N: cfg.Topology.n, Edges: edges,
 		S: cfg.S, Mu: cfg.Mu, Rho: cfg.Rho,
 		Tick: cfg.Tick, BeaconInterval: cfg.BeaconInterval,
 		TimeScale: cfg.TimeScale, Rates: cfg.Rates,
-		QueueCapacity: cfg.QueueCapacity, QueuePolicy: policy,
-		Trace: cfg.Trace,
+		QueueCapacity: cfg.QueueCapacity, Trace: cfg.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -59,7 +59,6 @@ var surfaceAllow = map[string]string{
 	"analysis.Snapshot.MaxXi":         "ROADMAP legality item: the DFS oracle of the distance-transform differential",
 	"analysis.LegalitySkewBound":      "ROADMAP legality item: Lemma 5.14's per-path bound for every pair",
 	"analysis.StandardSeq":            "ROADMAP legality item: the gradient sequence the legality check runs against",
-	"runner.Runtime.Algo":             "golden_test.go: goldenFingerprint reads the hosted algorithm's counters",
 }
 
 // maxSurfaceAllow caps the allowlist so it cannot become a second surface.
