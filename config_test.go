@@ -96,7 +96,7 @@ func TestRandomTopologyHugeExtra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(net.edges); got != 21 {
+	if got := len(net.Runtime().Dyn.DeclaredEdges(nil)); got != 21 {
 		t.Errorf("%d edges, want the complete graph's 21", got)
 	}
 }

@@ -94,10 +94,15 @@ func run(w io.Writer) error {
 	msg := estimate.NewMessaging(n, rt.Dyn, rt.Hardware, estimate.MessagingConfig{
 		Rho: rho, Mu: mu, BeaconInterval: 0.25, TickSlop: 0.04, Centered: true,
 	})
+	dir, ok := rt.Dyn.Dir(0, 1)
+	if !ok {
+		return fmt.Errorf("rbs: nodes 0 and 1 share no link")
+	}
+	msgEps, rbsEps := msg.Eps(dir), rbs.Eps(dir)
 	fmt.Fprintf(w, "radio with delay 0.5±0.4: messaging ε = %.3f, RBS ε = %.3f (%.1f× tighter)\n",
-		msg.Eps(0, 1), rbs.Eps(0, 1), msg.Eps(0, 1)/rbs.Eps(0, 1))
+		msgEps, rbsEps, msgEps/rbsEps)
 	fmt.Fprintf(w, "resulting edge weight κ: messaging %.3f vs RBS %.3f\n\n",
-		1.1*4*(msg.Eps(0, 1)+mu*radio.Tau), algo.EdgeKappa(0, 1))
+		1.1*4*(msgEps+mu*radio.Tau), algo.EdgeKappa(0, 1))
 
 	fmt.Fprintf(w, "%8s %12s %14s\n", "t", "globalSkew", "worstPairSkew")
 	for i := 0; i < 6; i++ {

@@ -45,7 +45,6 @@ type Network struct {
 	gTilde   float64
 	epsLayer float64
 	kappa    float64
-	edges    []topo.EdgeID
 	// edgeScratch is reused by the skew samplers, which run every few
 	// simulated time units and should not allocate per sample.
 	edgeScratch []topo.EdgeID
@@ -75,12 +74,13 @@ func New(cfg Config) (*Network, error) {
 	net := &Network{cfg: cfg, rt: rt, link: cfg.Link.toTopo()}
 
 	// Declare the initial topology (without making edges visible yet) so
-	// the estimate layer can report certified uncertainties.
+	// the estimate layer can report certified uncertainties. The network
+	// keeps neither edge list once New returns: topo holds the links.
 	edges, err := cfg.Topology.build(rt.RNG.Split())
 	if err != nil {
 		return nil, err
 	}
-	net.edges = edges
+	net.cfg.Topology.edges = nil
 	for _, e := range edges {
 		if err := rt.Dyn.DeclareLink(e.U, e.V, net.link); err != nil {
 			return nil, err
@@ -128,14 +128,15 @@ func New(cfg Config) (*Network, error) {
 	// Effective uncertainty and edge weight (uniform links).
 	net.epsLayer = cfg.Link.Eps
 	if len(edges) > 0 {
-		net.epsLayer = rt.Est.Eps(edges[0].U, edges[0].V)
+		dir, _ := rt.Dyn.Dir(edges[0].U, edges[0].V) // declared above
+		net.epsLayer = rt.Est.Eps(dir)
 	}
 	net.kappa = analysis.Kappa(net.epsLayer, cfg.Link.Tau, cfg.Mu, cfg.KappaFactor)
 
 	// Global skew estimate.
 	net.gTilde = cfg.GTilde
 	if net.gTilde == 0 {
-		net.gTilde = net.deriveGTilde()
+		net.gTilde = net.deriveGTilde(edges)
 	}
 
 	// AOPT construction now that G̃ is known.
@@ -229,11 +230,12 @@ func MustNew(cfg Config) *Network {
 // proxy for the dynamic estimate diameter (Definition 3.1) with margin.
 // The per-hop term bounds the max-estimate flooding loss: the uncredited
 // delay uncertainty, the discretization of the integration tick, and the
-// drift-rate gap accumulated over the beacon staleness window.
-func (n *Network) deriveGTilde() float64 {
+// drift-rate gap accumulated over the beacon staleness window. edges is the
+// initial topology, whose hop diameter stands in for a missing DiameterHint.
+func (n *Network) deriveGTilde(edges []topo.EdgeID) float64 {
 	diam := n.cfg.DiameterHint
 	if diam <= 0 {
-		diam = n.initialHopDiameter()
+		diam = n.initialHopDiameter(edges)
 	}
 	perHop := n.link.Uncertainty + 2*n.cfg.Tick +
 		4*n.cfg.Rho*(n.cfg.BeaconInterval+n.link.Delay+n.link.Uncertainty)
@@ -244,10 +246,10 @@ func (n *Network) deriveGTilde() float64 {
 	return 1.4*(spread0+float64(diam)*perHop+core.Iota) + 0.5
 }
 
-func (n *Network) initialHopDiameter() int {
+func (n *Network) initialHopDiameter(edges []topo.EdgeID) int {
 	nn := n.cfg.Topology.n
 	adj := make([][]int, nn)
-	for _, e := range n.edges {
+	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e.V)
 		adj[e.V] = append(adj[e.V], e.U)
 	}

@@ -143,7 +143,7 @@ func (b *BlockSync) decideMode(u int, c *blockCounters) float64 {
 		if !ok {
 			continue
 		}
-		f.Add(lu, e, est.Eps(u, v), dyn.ParamsAt(dir).Tau)
+		f.Add(lu, e, est.Eps(dir), dyn.ParamsAt(dir).Tau)
 	}
 	fast, slow := f.Triggers()
 	mult, isFast := core.NextMode(fast, slow, lu, b.m[u], b.mult[u], b.mu, core.Iota)

@@ -32,19 +32,17 @@ type Algorithm struct {
 	// divided once here rather than for every node step.
 	mRate float64
 
-	// Edge records (Section 4.3.2; see soa.go): parallel slabs indexed by
-	// the topology's directed index of (node, peer), and the per-edge
-	// constants interned in classes.
+	// Edge records (Section 4.3.2; see soa.go): hot slabs indexed by the
+	// topology's directed index of (node, peer), the per-edge constants
+	// interned in classes, and the handshake and insertion state pooled in
+	// times, whose entry 0 is the zero entry of a record holding none.
 	classes   []edgeClass
 	classIdx  map[edgeClass]int32
 	recClass  []int32
 	recFlags  []uint8
-	recSince  []float64 // upSince
-	recLAtUp  []float64
-	recT0     []float64
-	recInsDur []float64
-	recKappa0 []float64
-	recCheck  []sim.Handle
+	recTimes  []int32 // index into times
+	times     []edgeTimes
+	freeTimes []int32 // LIFO free list of times entries
 
 	minKappa float64
 	sMax     int
@@ -175,6 +173,7 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 		a.mult[i] = 1
 	}
 	a.classIdx = make(map[edgeClass]int32)
+	a.times = make([]edgeTimes, 1)
 	a.growRecs()
 	rt.Dyn.OnDeclare(a.growRecs)
 	a.ctr = make([]modeCounters, max(rt.TickShards(), rt.Engine.EventShards()))
@@ -238,15 +237,15 @@ func (a *Algorithm) handshakeDelta(delay, tau float64) float64 {
 	return (1+p.Rho)*(1+p.Mu)*(delay+tau)/(1-p.Rho) + tau
 }
 
-// deriveClass derives the per-edge constants of edge {u,v}, whose directed
-// index is dir (Section 4.3.1), from the link's current parameters and the
-// estimate layer's ε, lowering the trigger level cap when the edge is the
-// lightest seen so far. It runs at every appearance, so a link re-declared
-// while down is weighed by its new parameters (eq. 9 must hold for the ε
-// the estimates now carry).
-func (a *Algorithm) deriveClass(u, v int, dir int32) edgeClass {
+// deriveClass derives the per-edge constants of the link whose directed
+// index is dir (Section 4.3.1) from its current parameters and the estimate
+// layer's ε, lowering the trigger level cap when the edge is the lightest
+// seen so far. It runs at every appearance, so a link re-declared while
+// down is weighed by its new parameters (eq. 9 must hold for the ε the
+// estimates now carry).
+func (a *Algorithm) deriveClass(dir int32) edgeClass {
 	lp := a.rt.Dyn.ParamsAt(dir)
-	eps := a.rt.Est.Eps(u, v)
+	eps := a.rt.Est.Eps(dir)
 	kappa := analysis.Kappa(eps, lp.Tau, a.p.Mu, a.p.KappaFactor)
 	_, deltaHi := analysis.DeltaRange(kappa, eps, lp.Tau, a.p.Mu)
 	if kappa < a.minKappa {
@@ -268,33 +267,38 @@ func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
 	if !ok {
 		return
 	}
-	a.recClass[dir] = a.internClass(a.deriveClass(self, peer, dir))
+	a.recClass[dir] = a.internClass(a.deriveClass(dir))
 	a.recFlags[dir] |= recUp | recSeen
-	a.recSince[dir] = t
-	a.recLAtUp[dir] = a.l[self]
 	if t == 0 {
 		// Paper convention: edges present at time 0 populate all neighbor
-		// sets immediately (N^s_u(0) = N_u(0) for all s).
+		// sets immediately (N^s_u(0) = N_u(0) for all s). The record takes
+		// no entry unless L_u is nonzero: one without reads upSince and L
+		// at discovery as zero, as a handshake reaching it must (OnControl).
 		a.recFlags[dir] |= recPreInserted
 		a.recFlags[dir] &^= recHaveTimes
+		if l := a.l[self]; l != 0 {
+			a.takeTimes(dir).lAtUp = l
+		}
 		a.clearCert(self) // the edge joins the fold at once
 		return
 	}
+	e := a.takeTimes(dir)
+	e.since, e.lAtUp = t, a.l[self]
 	if self < peer { // leader of the edge
 		a.scheduleLeaderCheck(self, peer, dir, t)
 	}
 }
 
 // OnEdgeDown implements runner.Algorithm: the node removes the peer from all
-// neighbor sets and forgets the insertion times (T_s := ⊥, Listing 1).
+// neighbor sets and forgets the insertion times (T_s := ⊥, Listing 1),
+// cancelling the pending handshake and returning the record's entry.
 func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
 	dir, ok := a.rt.Dyn.Dir(self, peer)
 	if !ok {
 		return
 	}
 	a.recFlags[dir] &^= recUp | recPreInserted | recHaveTimes | recDecaying
-	a.rt.Engine.Cancel(a.recCheck[dir]) // stale or zero handles are safe no-ops
-	a.recCheck[dir] = 0
+	a.dropTimes(dir)
 	// The edge leaves the fold, which changes the number of queries an
 	// oracle certificate skips.
 	a.clearCert(self)
@@ -303,22 +307,23 @@ func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
 // scheduleLeaderCheck waits at least Δ and until the edge has been visible
 // for a logical duration of (1+ρ)(1+µ)Δ, then agrees insertion times with
 // the peer (Listing 1 lines 4–10). The attempt closure captures
-// (self, peer, dir), the record's directed index.
+// (self, peer, dir), the record's directed index, and reaches the record's
+// entry through dir whenever it runs.
 func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered sim.Time) {
 	cls := &a.classes[a.recClass[dir]]
 	delta := a.handshakeDelta(cls.delay, cls.tau)
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * delta
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		a.recCheck[dir] = 0
-		if a.recFlags[dir]&recUp == 0 || a.recSince[dir] != discovered {
+		a.setCheck(dir, 0)
+		if a.recFlags[dir]&recUp == 0 || a.timesAt(dir).since != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if gap := needLogical - (a.l[self] - a.recLAtUp[dir]); gap > 0 {
+		if gap := needLogical - (a.l[self] - a.timesAt(dir).lAtUp); gap > 0 {
 			// Logical window not yet covered; retry once it surely is
 			// (logical clocks advance at rate ≥ 1−ρ).
-			a.recCheck[dir] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
+			a.setCheck(dir, a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt))
 			return
 		}
 		g := a.gTilde(self, t)
@@ -326,11 +331,14 @@ func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered si
 		a.rt.Net.SendControl(self, peer, insertEdgeMsg{LIns: lIns, GTilde: g})
 		a.computeInsertionTimes(self, dir, lIns, g)
 	}
-	a.recCheck[dir] = a.rt.Engine.After(delta, attempt)
+	a.setCheck(dir, a.rt.Engine.After(delta, attempt))
 }
 
 // OnControl implements runner.Algorithm; handles insertedge messages
-// (Listing 1 lines 11–14).
+// (Listing 1 lines 11–14). A second insertedge overwrites the pending
+// attempt's handle without cancelling it, so both attempts run, and the
+// first can outlive the handle OnEdgeDown cancels; each reaches the
+// record's entry through dir whenever it runs.
 func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	msg, ok := payload.(insertEdgeMsg)
 	if !ok {
@@ -341,42 +349,51 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 		a.HandshakeAborts++
 		return
 	}
+	if a.recTimes[dir] == 0 {
+		// Only a pre-inserted record holds no entry: a flap shorter than
+		// this side's detection lag hid the loss that the leader saw. Its
+		// upSince and L at discovery read zero, so a zero entry keeps them.
+		a.takeTimes(dir)
+	}
 	cls := &a.classes[a.recClass[dir]]
-	discovered := a.recSince[dir]
+	discovered := a.timesAt(dir).since
 	minWait := cls.delay + cls.tau
 	maxWait := a.handshakeDelta(cls.delay, cls.tau) - cls.tau
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * minWait
 	received := d.At
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		a.recCheck[dir] = 0
-		if a.recFlags[dir]&recUp == 0 || a.recSince[dir] != discovered {
+		a.setCheck(dir, 0)
+		if a.recFlags[dir]&recUp == 0 || a.timesAt(dir).since != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if a.l[to]-a.recLAtUp[dir] >= needLogical {
+		if a.l[to]-a.timesAt(dir).lAtUp >= needLogical {
 			a.computeInsertionTimes(to, dir, msg.LIns, msg.GTilde)
 			return
 		}
 		if t-received < maxWait {
-			a.recCheck[dir] = a.rt.Engine.After(a.rt.Tick(), attempt)
+			a.setCheck(dir, a.rt.Engine.After(a.rt.Tick(), attempt))
 			return
 		}
 		a.HandshakeAborts++
 	}
-	a.recCheck[dir] = a.rt.Engine.After(minWait, attempt)
+	a.setCheck(dir, a.rt.Engine.After(minWait, attempt))
 }
 
 // computeInsertionTimes is Listing 2 (or, for InsertDecaying, the start of
-// the §5.5 weight-decay schedule) for node u's record at dir. The edge can
-// now join u's fold as L_u advances, so u's certificate is cleared.
+// the §5.5 weight-decay schedule) for node u's record at dir, which holds an
+// entry: its handshake found it up since the appearance it started from.
+// The edge can now join u's fold as L_u advances, so u's certificate is
+// cleared.
 func (a *Algorithm) computeInsertionTimes(u int, dir int32, lIns, g float64) {
 	a.clearCert(u)
 	cls := &a.classes[a.recClass[dir]]
+	e := a.timesAt(dir)
 	if a.p.Insertion == InsertDecaying {
-		a.recT0[dir] = lIns
-		a.recInsDur[dir] = 0
-		a.recKappa0[dir] = g + 4*cls.kappa
+		e.t0 = lIns
+		e.insDur = 0
+		e.kappa0 = g + 4*cls.kappa
 		a.recFlags[dir] |= recDecaying | recHaveTimes
 		a.Insertions++
 		return
@@ -393,8 +410,8 @@ func (a *Algorithm) computeInsertionTimes(u int, dir int32, lIns, g float64) {
 		insDur = analysis.InsertionDurationStatic(g, a.p.Mu, a.p.Rho)
 		a.recFlags[dir] &^= recDynamicGrid
 	}
-	a.recT0[dir] = analysis.InsertionBase(lIns, insDur)
-	a.recInsDur[dir] = insDur
+	e.t0 = analysis.InsertionBase(lIns, insDur)
+	e.insDur = insDur
 	a.recFlags[dir] |= recHaveTimes
 	a.Insertions++
 }
@@ -407,10 +424,11 @@ func (a *Algorithm) kappaAt(dir int32, kappa, l float64) float64 {
 	if a.recFlags[dir]&recDecaying == 0 {
 		return kappa
 	}
-	if l <= a.recT0[dir] {
-		return a.recKappa0[dir]
+	e := a.timesAt(dir)
+	if l <= e.t0 {
+		return e.kappa0
 	}
-	k := a.recKappa0[dir] - (l-a.recT0[dir])*a.p.decayRate*a.p.Mu
+	k := e.kappa0 - (l-e.t0)*a.p.decayRate*a.p.Mu
 	if k <= kappa {
 		// Decay finished: the edge behaves like a fully inserted one.
 		a.recFlags[dir] &^= recDecaying
@@ -447,36 +465,36 @@ func (a *Algorithm) level(self int, dir int32) int {
 // for the record at dir, which has insertion times and is not pre-inserted:
 // levelInserted's cases, each at its level-1 boundary.
 func (a *Algorithm) level1Time(dir int32) float64 {
-	flags := a.recFlags[dir]
+	flags, e := a.recFlags[dir], a.timesAt(dir)
 	switch {
-	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[dir] == 0:
-		return a.recT0[dir]
-	case flags&recDynamicGrid != 0 && a.recInsDur[dir] > 0:
-		return analysis.InsertionTimeDynamic(a.recT0[dir], a.recInsDur[dir], 1)
+	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && e.insDur == 0:
+		return e.t0
+	case flags&recDynamicGrid != 0 && e.insDur > 0:
+		return analysis.InsertionTimeDynamic(e.t0, e.insDur, 1)
 	default:
-		return a.recT0[dir]
+		return e.t0
 	}
 }
 
 // levelInserted is level for a record that was not pre-inserted.
 func (a *Algorithm) levelInserted(self int, dir int32) int {
-	flags := a.recFlags[dir]
+	flags, e := a.recFlags[dir], a.timesAt(dir)
 	switch {
 	case flags&recUp == 0:
 		return 0
 	case flags&recHaveTimes == 0:
 		return 0
-	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[dir] == 0:
+	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && e.insDur == 0:
 		// §5.5 strategy: in all neighbor sets as soon as the agreed logical
 		// start time is reached; safety comes from the inflated weight.
-		if a.l[self] >= a.recT0[dir] {
+		if a.l[self] >= e.t0 {
 			return analysis.InfLevel
 		}
 		return 0
 	case flags&recDynamicGrid != 0:
-		return analysis.LevelAtDynamic(a.l[self], a.recT0[dir], a.recInsDur[dir])
+		return analysis.LevelAtDynamic(a.l[self], e.t0, e.insDur)
 	default:
-		return analysis.LevelAt(a.l[self], a.recT0[dir], a.recInsDur[dir])
+		return analysis.LevelAt(a.l[self], e.t0, e.insDur)
 	}
 }
 

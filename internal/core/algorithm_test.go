@@ -543,8 +543,8 @@ func TestRedeclaredLinkRederivesConstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Run(3)
-	if got := rt.Est.Eps(0, 1); got != wide.Eps {
-		t.Fatalf("estimate layer reports ε = %v, want %v", got, wide.Eps)
+	if dir, _ := rt.Dyn.Dir(0, 1); rt.Est.Eps(dir) != wide.Eps {
+		t.Fatalf("estimate layer reports ε = %v, want %v", rt.Est.Eps(dir), wide.Eps)
 	}
 	want := analysis.Kappa(wide.Eps, wide.Tau, tMu, kf)
 	for _, e := range [][2]int{{0, 1}, {1, 0}} {

@@ -82,8 +82,9 @@ func ringBand(rt *runner.Runtime, algo *Algorithm, msg *estimate.Messaging) (qui
 			}
 			gap := math.Abs(est - algo.Logical(u))
 			kappa := algo.EdgeKappa(u, v)
+			dir, _ := rt.Dyn.Dir(u, v)
 			switch {
-			case gap < kappa-msg.Eps(u, v):
+			case gap < kappa-msg.Eps(dir):
 				quiet++
 			case gap >= 2.5*kappa:
 				loud++

@@ -3,31 +3,56 @@ package core
 // Edge records (DESIGN.md §Structure-of-arrays layout). Each node's state
 // for a (potential) estimate edge, as described in Section 4.3.2 — the
 // implicit representation of all neighbor sets N^s via the pair (T₀, I),
-// plus handshake bookkeeping — lives at the topology's directed index
+// plus handshake bookkeeping — is keyed by the topology's directed index
 // dir = 2·slot + side of (node, peer), slot being topo's stable edge slot
-// and side 0 for the smaller endpoint, in parallel slabs: the mutable
-// per-record floats (upSince, lAtUp, T₀, I, κ₀), one flags byte, the
-// pending handshake handle, and an index into an interned class table
-// holding the five derived constants (ε, τ, T, κ, δ) — which are shared by
-// every edge with the same link parameters, so a ring with uniform links
-// stores them once instead of 40 bytes per record. There is no adjacency of
-// its own: the per-tick trigger fold walks u's topo row, whose peers are
-// pre-sorted and whose entries are the directed indices themselves, and
-// reads records and estimates (estimate.Layer.EstimateAt) by index.
+// and side 0 for the smaller endpoint. A record has two parts:
 //
-// Record lifecycle: topo's declare hook (growRecs) sizes the slabs, so a
-// newly declared link starts with the zero records at their end; topo never
-// reuses an index for another pair. Records persist across edge-down (the
-// paper's T_s := ⊥ is a flags clear, not a removal); recSeen marks a record
-// whose edge has appeared since its declare.
+//   - a hot part, 9 bytes per directed index in three slabs: an index into
+//     an interned class table holding the five derived constants (ε, τ, T,
+//     κ, δ), which every edge with the same link parameters shares, so a
+//     ring with uniform links stores them once; one flags byte; and the
+//     index of the record's entry in the times pool, 0 for none;
+//   - a cold part, a pooled 48-byte edgeTimes entry: upSince, L at
+//     discovery, T₀, I, κ₀ and the pending handshake handle.
+//
+// There is no adjacency of its own: the per-tick trigger fold walks u's topo
+// row, whose peers are pre-sorted and whose entries are the directed indices
+// themselves, and reads records and estimates (estimate.Layer.EstimateAt) by
+// index. It reads a pre-inserted record, the commonest, through the flags
+// byte and the class alone.
+//
+// Record lifecycle: topo's declare hook (growRecs) sizes the hot slabs, so a
+// newly declared link starts with zero records at their end; topo never
+// reuses an index for another pair. The hot part persists across edge-down
+// (the paper's T_s := ⊥ is a flags clear, not a removal); recSeen marks a
+// record whose edge has appeared since its declare. An appearance after
+// t = 0 takes an entry, and OnEdgeDown cancels its handshake and returns it
+// to a LIFO free list, so the pool is as large as the most records ever up
+// and inserting at once. An appearance at t = 0 is in every N^s at once
+// (N^s_u(0) = N_u(0)) and takes no entry, because a record without one
+// reads zeros, which are its upSince and, unless a corrupted start set
+// L_u(0), its L at discovery. Two things give such a record an entry: a
+// nonzero L_u(0), kept from the appearance on; and an insertedge reaching
+// it, whose handshake writes times. A flap shorter than the detection lag
+// sends one, by hiding the loss from this side only while the leader
+// rediscovers the edge.
+//
+// Every access resolves the entry through dir at that moment (timesAt,
+// setCheck); nothing holds a pool index across events. A record holding no
+// entry reads the zero entry and drops handle writes. A follower's attempt
+// closure can outlive the handle OnEdgeDown cancels, because a second
+// insertedge overwrites the first one's handle, so the stale closure
+// must never write into an entry the pool has since handed to another
+// record.
 //
 // Concurrency: the decide phase runs evalTriggers concurrently for
-// distinct nodes. The topo row and the slabs are only read there, except
-// the recFlags decay-expiry clear in kappaAt — a single-byte write to a
-// record owned by the evaluating node (distinct bytes are distinct memory
+// distinct nodes. The topo row, the slabs and the pool are only read there,
+// except the recFlags decay-expiry clear in kappaAt — a single-byte write to
+// a record owned by the evaluating node (distinct bytes are distinct memory
 // locations in the Go memory model, so the neighbouring record of the same
-// link, owned by the peer, does not race). Structural growth (onDeclare)
-// happens only in declares, which are serial.
+// link, owned by the peer, does not race). Structural growth (growRecs)
+// happens only in declares, and entries are taken and returned only by
+// appearances, losses, controls and handshake timers, all serial.
 
 import (
 	"repro/internal/csr"
@@ -54,18 +79,65 @@ type edgeClass struct {
 	delta float64 // slow-trigger slack δ_e
 }
 
-// growRecs sizes the record slabs to the topology's directed-index range;
-// it is the topology's declare hook.
+// edgeTimes is the cold part of an edge record: Listing 1's handshake state
+// and the insertion schedule it agrees.
+type edgeTimes struct {
+	since  sim.Time   // upSince: when the edge appeared
+	lAtUp  float64    // L_u at that appearance
+	t0     float64    // grid base T₀
+	insDur float64    // insertion duration I
+	kappa0 float64    // starting weight of a §5.5 decaying insertion
+	check  sim.Handle // pending handshake attempt
+}
+
+// growRecs sizes the hot record slabs to the topology's directed-index
+// range; it is the topology's declare hook.
 func (a *Algorithm) growRecs() {
 	n := a.rt.Dyn.DirCap()
 	a.recClass = csr.Grow(a.recClass, n)
 	a.recFlags = csr.Grow(a.recFlags, n)
-	a.recSince = csr.Grow(a.recSince, n)
-	a.recLAtUp = csr.Grow(a.recLAtUp, n)
-	a.recT0 = csr.Grow(a.recT0, n)
-	a.recInsDur = csr.Grow(a.recInsDur, n)
-	a.recKappa0 = csr.Grow(a.recKappa0, n)
-	a.recCheck = csr.Grow(a.recCheck, n)
+	a.recTimes = csr.Grow(a.recTimes, n)
+}
+
+// timesAt returns the cold entry of the record at dir, or the zero entry
+// times[0] when the record holds none; only a caller that knows the record
+// holds one writes through it.
+func (a *Algorithm) timesAt(dir int32) *edgeTimes { return &a.times[a.recTimes[dir]] }
+
+// setCheck stores the pending handshake handle of the record at dir; a
+// record holding no entry drops it.
+func (a *Algorithm) setCheck(dir int32, h sim.Handle) {
+	if i := a.recTimes[dir]; i != 0 {
+		a.times[i].check = h
+	}
+}
+
+// takeTimes gives the record at dir, which holds no entry, a zero one: the
+// free list's last, or a new one when the list is empty.
+func (a *Algorithm) takeTimes(dir int32) *edgeTimes {
+	var i int32
+	if k := len(a.freeTimes); k > 0 {
+		i = a.freeTimes[k-1]
+		a.freeTimes = a.freeTimes[:k-1]
+	} else {
+		i = int32(len(a.times))
+		a.times = append(a.times, edgeTimes{})
+	}
+	a.recTimes[dir] = i
+	return &a.times[i]
+}
+
+// dropTimes cancels the pending handshake of the record at dir and returns
+// its entry, zeroed, to the free list.
+func (a *Algorithm) dropTimes(dir int32) {
+	i := a.recTimes[dir]
+	if i == 0 {
+		return
+	}
+	a.rt.Engine.Cancel(a.times[i].check) // stale or zero handles are safe no-ops
+	a.times[i] = edgeTimes{}
+	a.recTimes[dir] = 0
+	a.freeTimes = append(a.freeTimes, i)
 }
 
 // internClass returns the class table index of cls, adding it if new.
@@ -102,12 +174,13 @@ func (a *Algorithm) recView(u, v int) (recState, bool) {
 	}
 	flags := a.recFlags[dir]
 	cls := a.classes[a.recClass[dir]]
+	e := a.timesAt(dir)
 	return recState{
 		up: flags&recUp != 0, preInserted: flags&recPreInserted != 0,
 		haveTimes: flags&recHaveTimes != 0, decaying: flags&recDecaying != 0,
-		upSince: a.recSince[dir],
-		t0:      a.recT0[dir], insDur: a.recInsDur[dir],
-		kappa: cls.kappa, kappa0: a.recKappa0[dir],
+		upSince: e.since,
+		t0:      e.t0, insDur: e.insDur,
+		kappa: cls.kappa, kappa0: e.kappa0,
 		eps: cls.eps, tau: cls.tau, delay: cls.delay, delta: cls.delta,
 	}, true
 }

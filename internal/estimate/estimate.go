@@ -35,9 +35,12 @@ type Layer interface {
 	// the adjacency lookups Estimate makes. For an edge u does not see the
 	// result is unspecified.
 	EstimateAt(u, v int, dir int32) (value float64, ok bool)
-	// Eps returns the certified error bound for estimates on edge {u,v}:
-	// |L_v(t) − L̃ᵛᵤ(t)| ≤ Eps(u,v) whenever Estimate reports ok.
-	Eps(u, v int) float64
+	// Eps returns the certified error bound for estimates on the declared
+	// link whose directed index (either side) is dir:
+	// |L_v(t) − L̃ᵛᵤ(t)| ≤ Eps(dir) whenever Estimate(u, v) reports ok.
+	// Like EstimateAt, it takes the index so that a caller walking Row(u)
+	// makes no adjacency lookup.
+	Eps(dir int32) float64
 }
 
 // ErrorPolicy chooses the oracle's estimate error within [−ε, +ε]. It plays
@@ -201,10 +204,4 @@ func (o *Oracle) EstimateAt(u, v int, dir int32) (float64, bool) {
 }
 
 // Eps implements Layer.
-func (o *Oracle) Eps(u, v int) float64 {
-	p, ok := o.dyn.Params(u, v)
-	if !ok {
-		return 0
-	}
-	return p.Eps
-}
+func (o *Oracle) Eps(dir int32) float64 { return o.dyn.ParamsAt(dir).Eps }

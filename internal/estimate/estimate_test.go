@@ -63,8 +63,8 @@ func TestOraclePolicies(t *testing.T) {
 			if math.Abs(got-tc.want) > 1e-12 {
 				t.Errorf("estimate = %v, want %v", got, tc.want)
 			}
-			if o.Eps(0, 1) != eps {
-				t.Errorf("Eps = %v, want %v", o.Eps(0, 1), eps)
+			if dir, _ := dyn.Dir(0, 1); o.Eps(dir) != eps {
+				t.Errorf("Eps = %v, want %v", o.Eps(dir), eps)
 			}
 		})
 	}
@@ -240,8 +240,9 @@ func TestMessagingEstimateIsCertifiedLowerBound(t *testing.T) {
 			if est > trueL+1e-9 {
 				t.Errorf("t=%v: estimate %v exceeds true clock %v (must be a lower bound)", now, est, trueL)
 			}
-			if trueL-est > h.layer.Eps(u, v)+1e-9 {
-				t.Errorf("t=%v: error %v exceeds certified ε=%v", now, trueL-est, h.layer.Eps(u, v))
+			dir, _ := h.dyn.Dir(u, v)
+			if trueL-est > h.layer.Eps(dir)+1e-9 {
+				t.Errorf("t=%v: error %v exceeds certified ε=%v", now, trueL-est, h.layer.Eps(dir))
 			}
 		}
 	})
@@ -253,9 +254,10 @@ func TestMessagingEstimateIsCertifiedLowerBound(t *testing.T) {
 
 func TestMessagingCenteredHalvesEps(t *testing.T) {
 	h := newMessagingHarness(t, 4)
-	plain := h.layer.Eps(0, 1)
+	dir, _ := h.dyn.Dir(0, 1)
+	plain := h.layer.Eps(dir)
 	h.layer.cfg.Centered = true
-	if got := h.layer.Eps(0, 1); math.Abs(got-plain/2) > 1e-12 {
+	if got := h.layer.Eps(dir); math.Abs(got-plain/2) > 1e-12 {
 		t.Errorf("centered Eps = %v, want %v", got, plain/2)
 	}
 }
@@ -446,8 +448,8 @@ func TestMessagingStaleSampleRejected(t *testing.T) {
 	if ok {
 		// A fresh beacon may have arrived after reappearance, which is fine;
 		// but then the error must still be certified.
-		if h.lg[1]-est > h.layer.Eps(0, 1)+1e-9 {
-			t.Fatalf("stale sample used: error %v > ε %v", h.lg[1]-est, h.layer.Eps(0, 1))
+		if dir, _ := h.dyn.Dir(0, 1); h.lg[1]-est > h.layer.Eps(dir)+1e-9 {
+			t.Fatalf("stale sample used: error %v > ε %v", h.lg[1]-est, h.layer.Eps(dir))
 		}
 	}
 }

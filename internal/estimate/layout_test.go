@@ -58,12 +58,7 @@ func (o *beaconOracle) estimate(u, v int) (float64, bool) {
 	return e, ok
 }
 
-func (o *beaconOracle) eps(u, v int) float64 {
-	if _, ok := o.dyn.Params(u, v); !ok {
-		return math.Inf(1)
-	}
-	return o.local[u].Eps()
-}
+func (o *beaconOracle) eps(u int) float64 { return o.local[u].Eps() }
 
 // TestMessagingLayoutDifferential drives Messaging and the LocalBeacons
 // oracle through the same randomized beacon/invalidate/churn script over
@@ -105,7 +100,11 @@ func runMessagingScript(t *testing.T, n int, seed int64) {
 					t.Fatalf("n=%d seed %d step %d: Estimate(%d,%d) oracle (%v,%v) messaging (%v,%v)",
 						n, seed, step, u, v, re, rok, se, sok)
 				}
-				if rEps, sEps := oracle.eps(u, v), soa.Eps(u, v); math.Float64bits(rEps) != math.Float64bits(sEps) {
+				dir, ok := oracle.dyn.Dir(u, v)
+				if !ok {
+					continue
+				}
+				if rEps, sEps := oracle.eps(u), soa.Eps(dir); math.Float64bits(rEps) != math.Float64bits(sEps) {
 					t.Fatalf("n=%d seed %d step %d: Eps(%d,%d) oracle %v messaging %v",
 						n, seed, step, u, v, rEps, sEps)
 				}
@@ -182,7 +181,7 @@ func rbsObserve(h hash.Hash, r *RBS, n int) {
 			e, ok := r.Estimate(u, v)
 			put(math.Float64bits(e))
 			flag(ok)
-			put(math.Float64bits(r.Eps(u, v)))
+			put(math.Float64bits(r.Eps(0))) // RBS's ε ignores the index
 		}
 	}
 }

@@ -62,7 +62,8 @@ func TestLocalBeaconsMatchesMessaging(t *testing.T) {
 				t.Fatalf("centered=%v %s: LocalBeacons.Estimate(%d)=(%v,%v), Messaging=(%v,%v)",
 					centered, stage, peer, gotV, gotOK, wantV, wantOK)
 			}
-			if got, want := local.Eps(), msg.Eps(u, peer); math.Float64bits(got) != math.Float64bits(want) {
+			dir, _ := dyn.Dir(u, peer)
+			if got, want := local.Eps(), msg.Eps(dir); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("centered=%v %s: LocalBeacons.Eps()=%v, Messaging.Eps=%v", centered, stage, got, want)
 			}
 		}

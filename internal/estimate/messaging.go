@@ -214,12 +214,8 @@ func oneSidedBound(cfg MessagingConfig, p topo.LinkParams) float64 {
 }
 
 // Eps implements Layer.
-func (m *Messaging) Eps(u, v int) float64 {
-	p, ok := m.dyn.Params(u, v)
-	if !ok {
-		return math.Inf(1)
-	}
-	b := oneSidedBound(m.cfg, p)
+func (m *Messaging) Eps(dir int32) float64 {
+	b := oneSidedBound(m.cfg, m.dyn.ParamsAt(dir))
 	if m.cfg.Centered {
 		return b / 2
 	}

@@ -212,7 +212,7 @@ func (r *RBS) EstimateAt(u, v int, _ int32) (float64, bool) {
 // Eps implements Layer: jitter cost both ways plus the staleness window at
 // the worst-case rate gap. Note the absence of any message-delay term —
 // that is the RBS advantage over the messaging layer.
-func (r *RBS) Eps(u, v int) float64 {
+func (r *RBS) Eps(int32) float64 {
 	rho, mu := r.cfg.Rho, r.cfg.Mu
 	fast := (1 + rho) * (1 + mu)
 	slowAdvance := (1 - rho) * (1 - rho) / (1 + rho)

@@ -126,9 +126,9 @@ func TestRBSEstimateCertified(t *testing.T) {
 			if est > trueL+1e-9 {
 				t.Fatalf("t=%v (%d,%d): estimate %v above true clock %v", now, u, v, est, trueL)
 			}
-			if trueL-est > h.layer.Eps(u, v)+1e-9 {
+			if trueL-est > h.layer.Eps(0)+1e-9 { // RBS's ε ignores the index
 				t.Fatalf("t=%v (%d,%d): error %v exceeds certified ε %v",
-					now, u, v, trueL-est, h.layer.Eps(u, v))
+					now, u, v, trueL-est, h.layer.Eps(0))
 			}
 		}
 	})
@@ -152,8 +152,9 @@ func TestRBSBeatsMessagingOnNoisyLinks(t *testing.T) {
 	msg := NewMessaging(2, dyn2, func(int) float64 { return 0 }, MessagingConfig{
 		Rho: rRho, Mu: rMu, BeaconInterval: 0.5, TickSlop: 2 * rTick,
 	})
-	rbsEps := h.layer.Eps(0, 1)
-	msgEps := msg.Eps(0, 1)
+	dir, _ := dyn2.Dir(0, 1)
+	rbsEps := h.layer.Eps(dir)
+	msgEps := msg.Eps(dir)
 	if rbsEps >= msgEps/2 {
 		t.Errorf("RBS ε = %v not clearly below messaging ε = %v on noisy links", rbsEps, msgEps)
 	}
@@ -193,10 +194,11 @@ func TestRBSEpsIndependentOfDelayUncertainty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(lb.Eps(0, 1) > la.Eps(0, 1)) {
-		t.Errorf("ε not increasing in jitter: %v vs %v", la.Eps(0, 1), lb.Eps(0, 1))
+	// RBS's ε ignores the index (these layers have no topology).
+	if !(lb.Eps(0) > la.Eps(0)) {
+		t.Errorf("ε not increasing in jitter: %v vs %v", la.Eps(0), lb.Eps(0))
 	}
-	if math.Abs(lb.Eps(0, 1)-la.Eps(0, 1)) < 1e-12 {
+	if math.Abs(lb.Eps(0)-la.Eps(0)) < 1e-12 {
 		t.Error("jitter change had no effect on ε")
 	}
 }

@@ -27,4 +27,4 @@ type nopEstimator struct{}
 
 func (nopEstimator) Estimate(_, _ int) (float64, bool)            { return 0, false }
 func (nopEstimator) EstimateAt(_, _ int, _ int32) (float64, bool) { return 0, false }
-func (nopEstimator) Eps(_, _ int) float64                         { return 0.2 }
+func (nopEstimator) Eps(int32) float64                            { return 0.2 }
