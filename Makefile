@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz lint inline cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
+.PHONY: all build vet test race fuzz lint inline cover bench bench-json bench-diff bench-baseline bench-large suite suite-large perfbench-vet ci
 
 all: build test
 
@@ -42,7 +42,9 @@ test:
 # inlining the level head and the certificate test. On internal/transport
 # it fails unless transport.go inlines topo's index-keyed reads (SeesAt,
 # ParamsAt) on the send and delivery paths and the queue's entry, the key
-# copy of a bucket walk, stays inlinable.
+# copy of a bucket walk, stays inlinable. On internal/estimate it fails
+# unless Messaging.EstimateAt, the fold's estimate query, inlines the
+# sample window's derivation: maxSampleAgeHW and topo's ParamsAt.
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in '\(\*Algorithm\)\.level' FastWitness1 FastBlocked1 SlowWitness1 SlowBlocked1 NextMode Integrate '\(\*Algorithm\)\.certified'; do \
@@ -56,6 +58,13 @@ inline:
 		echo "$$out" | grep -qE "transport\.go:[0-9:]+ inlining call to topo\.\(\*Dynamic\)\.$$f\$$" || { echo "inline: transport.go no longer inlines $$f"; exit 1; }; \
 	done; \
 	echo "$$out" | grep -qE ': can inline \(\*deadlineQueue\[.*\]\)\.entry$$' || { echo "inline: the queue's entry no longer inlines"; exit 1; }
+	@out=$$($(GO) build -gcflags=-m ./internal/estimate 2>&1) || { echo "$$out"; exit 1; }; \
+	span=$$(awk '/^func \(m \*Messaging\) EstimateAt\(/ { a = NR } a && !b && /^}/ { b = NR } END { print a, b }' internal/estimate/messaging.go); \
+	for f in maxSampleAgeHW 'topo.(*Dynamic).ParamsAt'; do \
+		echo "$$out" | awk -F: -v span="$$span" -v want=" inlining call to $$f" \
+			'BEGIN { split(span, r, " ") } $$1 ~ /messaging\.go$$/ && $$2 >= r[1] && $$2 <= r[2] && $$4 == want { ok = 1 } END { exit !ok }' || \
+			{ echo "inline: Messaging.EstimateAt no longer inlines $$f"; exit 1; }; \
+	done
 
 # Coverage profile for the whole module; CI uploads coverage.out as an
 # artifact alongside BENCH_sweep.json.
@@ -171,4 +180,11 @@ suite:
 suite-large:
 	$(GO) run -tags large ./cmd/experiments -only E15,E16 -out E_LARGE_report.txt
 
-ci: build vet test race
+# perfbench/ is its own module, so the root ./... never compiles it, and a
+# change to a type it forwards (transport.Delivery, say) would otherwise
+# fail only in CI's perfbench job. -short skips its smoke run, so both
+# steps take about a second.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: build vet test race perfbench-vet

@@ -18,15 +18,28 @@ type insertEdgeMsg struct {
 	GTilde float64
 }
 
+// nodeClock is one node's clock record: Listing 3's L_u and M_u, and the
+// node's quiet-node certificate (cert.go), kept together so that a decide,
+// an integration step and a delivered beacon each read one 24-byte record.
+// cert is a value of the node's hardware clock up to which its decide is
+// known to be quiet, and −Inf when no certificate covers the node, which
+// is always the case on estimate layers without certificates.
+type nodeClock struct {
+	l, m, cert float64
+}
+
 // Algorithm is the AOPT implementation; it satisfies runner.Algorithm.
 type Algorithm struct {
 	p  Params
 	rt *runner.Runtime
 	n  int
 
-	l    []float64 // logical clocks L_u
-	m    []float64 // max estimates M_u
-	mult []float64 // current rate multiplier (1 or 1+µ)
+	// clocks holds each node's clock record, and mode its Listing 3 mode in
+	// a byte: 1 in fast mode, whose rate multiplier is rates[1] = 1+µ, and
+	// 0 in slow mode, at rates[0] = 1.
+	clocks []nodeClock
+	mode   []uint8
+	rates  [2]float64
 
 	// mRate is (1−ρ)/(1+ρ), Integrate's rate for an M_u ahead of L_u,
 	// divided once here rather than for every node step.
@@ -47,23 +60,22 @@ type Algorithm struct {
 	minKappa float64
 	sMax     int
 
-	// Quiet-node certificates (cert.go). cert[u] is a value of u's hardware
-	// clock up to which u's decide is known to be NextMode(false, false, …)
-	// with every estimate served, so decideMode skips the fold while
-	// HW[u] ≤ cert[u]. The slab exists only when the estimate layer at Init
-	// is the messaging one (msg), whose estimates are affine in the querying
-	// node's hardware clock, or an oracle whose error draws can be skipped
-	// (orc); other layers fold every tick. aheadThr and behindThr are the
-	// smallest level-1 thresholds on est−L_u and L_u−est over all interned
-	// edge classes, and swing is twice their largest ε. On messaging,
-	// aheadGrowth bounds the rise of est−L_u over covered decides, and
-	// behindTime converts slack on L_u−est into hardware time. On the
-	// oracle, queries[u] is the number of estimates u's last fold drew,
-	// which each certified decide skips, and env is the tick's rate
-	// envelope.
+	// Quiet-node certificates (cert.go). clocks[u].cert is a value of u's
+	// hardware clock up to which u's decide is known to be
+	// NextMode(false, false, …) with every estimate served, so decideMode
+	// skips the fold while HW[u] ≤ cert. Certificates are set only when the
+	// estimate layer at Init is the messaging one (msg), whose estimates are
+	// affine in the querying node's hardware clock, or an oracle whose error
+	// draws can be skipped (orc); other layers fold every tick. aheadThr
+	// and behindThr are the smallest level-1 thresholds on est−L_u and
+	// L_u−est over all interned edge classes, and swing is twice their
+	// largest ε. On messaging, aheadGrowth bounds the rise of est−L_u over
+	// covered decides, and behindTime converts slack on L_u−est into
+	// hardware time. On the oracle, queries[u] is the number of estimates
+	// u's last fold drew, which each certified decide skips, and env is the
+	// tick's rate envelope.
 	msg         *estimate.Messaging
 	orc         *estimate.Oracle
-	cert        []float64
 	queries     []uint32
 	aheadThr    float64
 	behindThr   float64
@@ -134,7 +146,7 @@ func New(p Params) (*Algorithm, error) {
 	}
 	return &Algorithm{
 		p: p, minKappa: math.Inf(1), deltaFraction: 0.5, mRate: (1 - p.Rho) / (1 + p.Rho),
-		aheadThr: math.Inf(1), behindThr: math.Inf(1),
+		rates: [2]float64{1, 1 + p.Mu}, aheadThr: math.Inf(1), behindThr: math.Inf(1),
 	}, nil
 }
 
@@ -166,12 +178,11 @@ func (a *Algorithm) Params() Params { return a.p }
 func (a *Algorithm) Init(rt *runner.Runtime) {
 	a.rt = rt
 	a.n = rt.N()
-	a.l = make([]float64, a.n)
-	a.m = make([]float64, a.n)
-	a.mult = make([]float64, a.n)
-	for i := range a.mult {
-		a.mult[i] = 1
+	a.clocks = make([]nodeClock, a.n)
+	for u := range a.clocks {
+		a.clocks[u].cert = math.Inf(-1)
 	}
+	a.mode = make([]uint8, a.n)
 	a.classIdx = make(map[edgeClass]int32)
 	a.times = make([]edgeTimes, 1)
 	a.growRecs()
@@ -184,20 +195,18 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 }
 
 // Logical implements runner.Algorithm.
-func (a *Algorithm) Logical(u int) float64 { return a.l[u] }
+func (a *Algorithm) Logical(u int) float64 { return a.clocks[u].l }
 
 // MaxEstimate implements runner.Algorithm.
-func (a *Algorithm) MaxEstimate(u int) float64 { return a.m[u] }
+func (a *Algorithm) MaxEstimate(u int) float64 { return a.clocks[u].m }
 
 // Mult returns node u's current rate multiplier (1 = slow, 1+µ = fast).
-func (a *Algorithm) Mult(u int) float64 { return a.mult[u] }
+func (a *Algorithm) Mult(u int) float64 { return a.rates[a.mode[u]] }
 
 // SetLogical overrides a node's clocks before the run starts; used by the
 // self-stabilization experiments to model arbitrary corrupted initial state.
 func (a *Algorithm) SetLogical(u int, v float64) {
-	a.l[u] = v
-	a.m[u] = v
-	a.clearCert(u)
+	a.clocks[u] = nodeClock{l: v, m: v, cert: math.Inf(-1)}
 }
 
 // gTilde returns node u's current global skew estimate.
@@ -276,14 +285,14 @@ func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
 		// at discovery as zero, as a handshake reaching it must (OnControl).
 		a.recFlags[dir] |= recPreInserted
 		a.recFlags[dir] &^= recHaveTimes
-		if l := a.l[self]; l != 0 {
+		if l := a.clocks[self].l; l != 0 {
 			a.takeTimes(dir).lAtUp = l
 		}
 		a.clearCert(self) // the edge joins the fold at once
 		return
 	}
 	e := a.takeTimes(dir)
-	e.since, e.lAtUp = t, a.l[self]
+	e.since, e.lAtUp = t, a.clocks[self].l
 	if self < peer { // leader of the edge
 		a.scheduleLeaderCheck(self, peer, dir, t)
 	}
@@ -320,14 +329,14 @@ func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered si
 			a.HandshakeAborts++
 			return
 		}
-		if gap := needLogical - (a.l[self] - a.timesAt(dir).lAtUp); gap > 0 {
+		if gap := needLogical - (a.clocks[self].l - a.timesAt(dir).lAtUp); gap > 0 {
 			// Logical window not yet covered; retry once it surely is
 			// (logical clocks advance at rate ≥ 1−ρ).
 			a.setCheck(dir, a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt))
 			return
 		}
 		g := a.gTilde(self, t)
-		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[dir]].delay
+		lIns := a.clocks[self].l + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[dir]].delay
 		a.rt.Net.SendControl(self, peer, insertEdgeMsg{LIns: lIns, GTilde: g})
 		a.computeInsertionTimes(self, dir, lIns, g)
 	}
@@ -368,7 +377,7 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 			a.HandshakeAborts++
 			return
 		}
-		if a.l[to]-a.timesAt(dir).lAtUp >= needLogical {
+		if a.clocks[to].l-a.timesAt(dir).lAtUp >= needLogical {
 			a.computeInsertionTimes(to, dir, msg.LIns, msg.GTilde)
 			return
 		}
@@ -487,14 +496,14 @@ func (a *Algorithm) levelInserted(self int, dir int32) int {
 	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && e.insDur == 0:
 		// §5.5 strategy: in all neighbor sets as soon as the agreed logical
 		// start time is reached; safety comes from the inflated weight.
-		if a.l[self] >= e.t0 {
+		if a.clocks[self].l >= e.t0 {
 			return analysis.InfLevel
 		}
 		return 0
 	case flags&recDynamicGrid != 0:
-		return analysis.LevelAtDynamic(a.l[self], e.t0, e.insDur)
+		return analysis.LevelAtDynamic(a.clocks[self].l, e.t0, e.insDur)
 	default:
-		return analysis.LevelAt(a.l[self], e.t0, e.insDur)
+		return analysis.LevelAt(a.clocks[self].l, e.t0, e.insDur)
 	}
 }
 
@@ -516,16 +525,18 @@ func (a *Algorithm) EdgeKappa(u, v int) float64 {
 	if !ok || a.recFlags[dir]&recSeen == 0 {
 		return 0
 	}
-	return a.kappaAt(dir, a.classes[a.recClass[dir]].kappa, a.l[u])
+	return a.kappaAt(dir, a.classes[a.recClass[dir]].kappa, a.clocks[u].l)
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding
 // (FloodCandidate), and on messaging estimates the lowering of a live
 // certificate for the sample the beacon just left. Oracle estimates do not
-// read beacons, so their certificates stand.
+// read beacons, so their certificates stand. Both read the receiver's one
+// clock record.
 func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
-	if cand := FloodCandidate(b.M, d.MinTransit, a.rt.Tick(), a.p.Rho); cand > a.m[to] {
-		a.m[to] = cand
+	nc := &a.clocks[to]
+	if cand := FloodCandidate(b.M, d.MinTransit, a.rt.Tick(), a.p.Rho); cand > nc.m {
+		nc.m = cand
 	}
 	if a.msg != nil && a.certified(to) {
 		a.lowerCert(to, d.Dir)
@@ -537,12 +548,13 @@ func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Deliv
 //
 // The two phases are exactly the split the sharded tick needs, because the
 // paper's Listing 3 already decides every node's mode from pre-tick state:
-// the decide phase reads only clocks no shard writes (l, m, and neighbor
-// estimates of pre-tick values) and writes only the owning node's mult entry
-// and per-shard counters; after the barrier, the integrate phase touches
-// disjoint l/m ranges. Both fan out through the runtime's ParallelTick, so
-// results are byte-identical for every TickParallelism — pinned by the
-// differential tests in parallel_tick_test.go.
+// the decide phase reads only clocks no shard writes (L_u, M_u, and neighbor
+// estimates of pre-tick values) and writes only the owning node's mode byte,
+// its certificate and per-shard counters; after the barrier, the integrate
+// phase touches disjoint ranges of clock records. Both fan out through the
+// runtime's ParallelTick, so results are byte-identical for every
+// TickParallelism — pinned by the differential tests in
+// parallel_tick_test.go.
 //
 // Oracle queries are not node-local, so the runner never crosses a tick on
 // them: every oracle fold runs here, after Step has read the tick's rate
@@ -561,7 +573,7 @@ func (a *Algorithm) Step(t sim.Time, dH []float64) {
 func (a *Algorithm) decideShard(shard, lo, hi int) {
 	c, dH := &a.ctr[shard], a.dHTick
 	for u := lo; u < hi; u++ {
-		a.mult[u] = a.decideMode(u, dH[u], c)
+		a.mode[u] = a.decideMode(u, dH[u], c)
 	}
 }
 
@@ -569,7 +581,8 @@ func (a *Algorithm) decideShard(shard, lo, hi int) {
 func (a *Algorithm) integrateShard(_, lo, hi int) {
 	mRate, dH := a.mRate, a.dHTick
 	for u := lo; u < hi; u++ {
-		a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], a.mult[u], dH[u], mRate)
+		nc := &a.clocks[u]
+		nc.l, nc.m = Integrate(nc.l, nc.m, a.rates[a.mode[u]], dH[u], mRate)
 	}
 }
 
@@ -595,16 +608,17 @@ func (a *Algorithm) CanStepNodes() bool { return true }
 // StepNode implements runner.NodeStepper: decide-then-integrate for one node
 // of an event shard to which the runtime applies a crossed tick. Fusing the
 // phases per node is byte-identical to the phased Step because the decide
-// phase reads only the deciding node's own pre-tick state (l[u], m[u],
-// mult[u], u's estimates) — never another node's clocks — so no node's
+// phase reads only the deciding node's own pre-tick state (its clock record,
+// its mode, u's estimates) — never another node's clocks — so no node's
 // decision can observe a neighbor's integration. shard is u's fixed event
 // shard: inside a window and as the tick fires alike, a shard's calls run
 // on one goroutine at a time, so its counter block has one writer at a time
 // and needs no synchronization.
 func (a *Algorithm) StepNode(u, shard int, dh float64) {
-	mult := a.decideMode(u, dh, &a.ctr[shard])
-	a.mult[u] = mult
-	a.l[u], a.m[u] = Integrate(a.l[u], a.m[u], mult, dh, a.mRate)
+	mode := a.decideMode(u, dh, &a.ctr[shard])
+	a.mode[u] = mode
+	nc := &a.clocks[u]
+	nc.l, nc.m = Integrate(nc.l, nc.m, a.rates[mode], dh, a.mRate)
 }
 
 // FinishTick implements runner.NodeStepper: fold the per-event-shard tallies
@@ -612,12 +626,12 @@ func (a *Algorithm) StepNode(u, shard int, dh float64) {
 func (a *Algorithm) FinishTick() { a.mergeCounters() }
 
 // decideMode evaluates the triggers of Definitions 4.5–4.7 for node u, whose
-// hardware clock advanced by dh this tick, and returns the rate multiplier
-// per Listing 3, tallying into the caller's shard counters. Under a
+// hardware clock advanced by dh this tick, and returns its next mode per
+// Listing 3, tallying into the caller's shard counters. Under a
 // certificate both triggers are known false and every estimate served, so
 // the fold is skipped, the counters move exactly as it would move them, and
 // on the oracle u's error draws advance past the queries it would make.
-func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
+func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) uint8 {
 	var fast, slow bool
 	if a.certified(u) {
 		c.cert++
@@ -630,9 +644,20 @@ func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
 			c.conflicts++
 		}
 	}
-	mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, Iota)
+	nc := &a.clocks[u]
+	_, isFast := NextMode(fast, slow, nc.l, nc.m, a.rates[a.mode[u]], a.p.Mu, Iota)
 	c.count(isFast)
-	return mult
+	return modeOf(isFast)
+}
+
+// modeOf is the mode byte of a Listing 3 decision that counts as fast or
+// not. NextMode's count names its multiplier, 1+µ or 1, exactly, because
+// Params.validate keeps µ positive.
+func modeOf(isFast bool) uint8 {
+	if isFast {
+		return 1
+	}
+	return 0
 }
 
 // evalTriggers decides the fast (Definition 4.5) and slow (Definition 4.6)
@@ -661,7 +686,7 @@ func (a *Algorithm) decideMode(u int, dh float64, c *modeCounters) float64 {
 // refuses a certificate and the earliest level-1 time of an edge still
 // inserting. dh is u's hardware increment this tick.
 func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow bool) {
-	lu := a.l[u]
+	lu := a.clocks[u].l
 	est := a.rt.Est
 	var (
 		q  *certQuery
@@ -744,17 +769,17 @@ func (a *Algorithm) evalTriggers(u int, dh float64, c *modeCounters) (fast, slow
 			}
 		}
 	}
-	switch {
+	switch nc := &a.clocks[u]; {
 	case q != nil:
-		a.cert[u] = math.Inf(-1)
+		nc.cert = math.Inf(-1)
 		if !refused {
 			h := a.rt.HW[u]
-			a.cert[u] = a.quietUntil(h, lu, q.hi-lu, lu-q.lo+(1+a.p.Mu)*dh, min(q.until, a.joinCap(h, dh, lu, join)))
+			nc.cert = a.quietUntil(h, lu, q.hi-lu, lu-q.lo+(1+a.p.Mu)*dh, min(q.until, a.joinCap(h, dh, lu, join)))
 		}
 	case oq != nil:
-		a.cert[u] = math.Inf(-1)
+		nc.cert = math.Inf(-1)
 		if !refused {
-			a.cert[u] = a.oracleQuietUntil(a.rt.HW[u], dh, lu, oq.hi-lu, lu-oq.lo, join)
+			nc.cert = a.oracleQuietUntil(a.rt.HW[u], dh, lu, oq.hi-lu, lu-oq.lo, join)
 			a.queries[u] = oq.n
 		}
 	}

@@ -118,7 +118,7 @@ func TestAppendNeighborLevelsNoAllocs(t *testing.T) {
 // clearCerts drops every node's certificate, so each node's next decide
 // folds.
 func (a *Algorithm) clearCerts() {
-	for u := range a.cert {
+	for u := range a.clocks {
 		a.clearCert(u)
 	}
 }

@@ -53,11 +53,12 @@ import (
 	"repro/internal/sim"
 )
 
-// initCerts allocates the certificate slab when the estimate layer is the
-// messaging one, whose slope r must not exceed 1 for the ahead bound, or the
-// oracle, which also gets the query-count slab. The messaging layer must
-// read node clocks through rt.Hardware, as every caller in the repository
-// builds it: a certificate is a time on rt.HW[u].
+// initCerts enables certificates when the estimate layer is the messaging
+// one, whose slope r must not exceed 1 for the ahead bound, or the oracle,
+// which also gets the query-count slab; on any other layer every clock
+// record keeps its certificate at −Inf. The messaging layer must read node
+// clocks through rt.Hardware, as every caller in the repository builds it:
+// a certificate is a time on rt.HW[u].
 func (a *Algorithm) initCerts() {
 	switch est := a.rt.Est.(type) {
 	case *estimate.Messaging:
@@ -70,12 +71,6 @@ func (a *Algorithm) initCerts() {
 	case *estimate.Oracle:
 		a.orc = est
 		a.queries = make([]uint32, a.n)
-	default:
-		return
-	}
-	a.cert = make([]float64, a.n)
-	for u := range a.cert {
-		a.cert[u] = math.Inf(-1)
 	}
 }
 
@@ -99,18 +94,14 @@ func (a *Algorithm) oracleLayer(est estimate.Layer) *estimate.Oracle {
 }
 
 // certified reports whether node u's certificate covers a decide at its
-// current hardware time. It inlines into decideMode; a nil slab (estimates
-// without certificates) covers nothing.
+// current hardware time. It inlines into decideMode; the −Inf certificate
+// of estimates without certificates covers nothing.
 func (a *Algorithm) certified(u int) bool {
-	return u < len(a.cert) && a.rt.HW[u] <= a.cert[u]
+	return a.rt.HW[u] <= a.clocks[u].cert
 }
 
 // clearCert drops node u's certificate, so its next decide folds.
-func (a *Algorithm) clearCert(u int) {
-	if u < len(a.cert) {
-		a.cert[u] = math.Inf(-1)
-	}
-}
+func (a *Algorithm) clearCert(u int) { a.clocks[u].cert = math.Inf(-1) }
 
 // noteThresholds lowers aheadThr and behindThr to a newly interned class's
 // level-1 thresholds, each written as its guard's expression at s = 1 in
@@ -254,6 +245,6 @@ func (a *Algorithm) lowerCert(u int, dir int32) {
 	if !ok {
 		until = math.Inf(-1)
 	}
-	lu := a.l[u]
-	a.cert[u] = min(a.cert[u], a.quietUntil(a.rt.HW[u], lu, e-lu, lu-e, until))
+	nc := &a.clocks[u]
+	nc.cert = min(nc.cert, a.quietUntil(a.rt.HW[u], nc.l, e-nc.l, nc.l-e, until))
 }

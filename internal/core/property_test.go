@@ -39,7 +39,8 @@ func TestTriggerExclusivityProperty(t *testing.T) {
 }
 
 // TestMaxModeEnvelopeProperty: whatever the clock configuration, the mode
-// decision returns exactly 1 or 1+µ (Listing 3 admits nothing else).
+// decision is slow or fast, whose multipliers are exactly 1 and 1+µ
+// (Listing 3 admits nothing else).
 func TestMaxModeEnvelopeProperty(t *testing.T) {
 	edges := topo.Ring(4)
 	h := newHarness(t, 4, edges, testParams(), drift.Perfect())
@@ -54,7 +55,7 @@ func TestMaxModeEnvelopeProperty(t *testing.T) {
 		var c modeCounters
 		for u := 0; u < 4; u++ {
 			m := h.algo.decideMode(u, 0, &c)
-			if m != 1 && m != 1+tMu {
+			if m > 1 || h.algo.rates[m] != 1 && h.algo.rates[m] != 1+tMu {
 				return false
 			}
 		}
@@ -85,7 +86,7 @@ func TestMaxNodeIsSlowProperty(t *testing.T) {
 				maxU, maxV = u, v
 			}
 		}
-		return h.algo.decideMode(maxU, 0, &modeCounters{}) == 1
+		return h.algo.decideMode(maxU, 0, &modeCounters{}) == 0
 	}
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(f, cfg); err != nil {

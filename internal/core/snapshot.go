@@ -10,7 +10,10 @@ import (
 // is the largest s for which it belongs to E_s(t), i.e. the minimum of the
 // two endpoints' levels.
 func (a *Algorithm) Snapshot() *analysis.Snapshot {
-	snap := &analysis.Snapshot{L: append([]float64(nil), a.l...)}
+	snap := &analysis.Snapshot{L: make([]float64, len(a.clocks))}
+	for u := range a.clocks {
+		snap.L[u] = a.clocks[u].l
+	}
 	var ids []topo.EdgeID
 	ids = a.rt.Dyn.EdgesBothUp(ids)
 	for _, id := range ids {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/drift"
@@ -12,6 +13,15 @@ import (
 	"repro/internal/topo"
 	"repro/internal/transport"
 )
+
+// TestNodeClockSize pins a node's clock record at 24 bytes, L_u, M_u and the
+// certificate, which a decide, an integration step and a beacon each read
+// as one record.
+func TestNodeClockSize(t *testing.T) {
+	if size := unsafe.Sizeof(nodeClock{}); size != 24 {
+		t.Fatalf("nodeClock is %d B, want 24", size)
+	}
+}
 
 // poolProbe is AOPT with its times pool checked after every call that takes
 // or returns an entry; peak is the most entries held at once, and broken

@@ -50,9 +50,9 @@ func (r *refAlgo) Step(_ sim.Time, dH []float64) {
 		if fast && slow {
 			c.conflicts++
 		}
-		mult, isFast := NextMode(fast, slow, a.l[u], a.m[u], a.mult[u], a.p.Mu, Iota)
+		_, isFast := NextMode(fast, slow, a.clocks[u].l, a.clocks[u].m, a.Mult(u), a.p.Mu, Iota)
 		c.count(isFast)
-		a.mult[u] = mult
+		a.mode[u] = modeOf(isFast)
 	}
 	a.dHTick = dH
 	a.integrateShard(0, 0, a.n)
@@ -85,7 +85,7 @@ func (r *refAlgo) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 			continue
 		}
 		cls := &a.classes[a.recClass[dir]]
-		kappa := a.kappaAt(dir, cls.kappa, a.l[u])
+		kappa := a.kappaAt(dir, cls.kappa, a.clocks[u].l)
 		r.evals = append(r.evals, edgeEval{
 			level: lvl, est: est,
 			kappa: kappa, delta: a.deltaAt(cls, kappa),
@@ -102,7 +102,7 @@ func (r *refAlgo) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 // ≥ s·κ − ε while no level-s neighbor is behind by > s·κ + 2µτ + ε.
 func (r *refAlgo) fastTriggerRef(u, maxLevel int) bool {
 	a := r.Algorithm
-	lu := a.l[u]
+	lu := a.clocks[u].l
 	top := a.sMax
 	if maxLevel < top {
 		top = maxLevel
@@ -135,7 +135,7 @@ func (r *refAlgo) fastTriggerRef(u, maxLevel int) bool {
 // > (s+½)κ + δ + ε + µ(1+ρ)τ.
 func (r *refAlgo) slowTriggerRef(u, maxLevel int) bool {
 	a := r.Algorithm
-	lu := a.l[u]
+	lu := a.clocks[u].l
 	top := a.sMax
 	if maxLevel < top {
 		top = maxLevel
@@ -414,9 +414,9 @@ func diffAlgos(fold, ref *Algorithm) string {
 		return fmt.Sprintf("estimate misses diverged: fold %d, ref %d", m, n)
 	}
 	for u := 0; u < fold.n; u++ {
-		if fold.l[u] != ref.l[u] || fold.m[u] != ref.m[u] || fold.mult[u] != ref.mult[u] {
+		if f, r := fold.clocks[u], ref.clocks[u]; f.l != r.l || f.m != r.m || fold.Mult(u) != ref.Mult(u) {
 			return fmt.Sprintf("node %d state diverged: L %v vs %v, M %v vs %v, mult %v vs %v",
-				u, fold.l[u], ref.l[u], fold.m[u], ref.m[u], fold.mult[u], ref.mult[u])
+				u, f.l, r.l, f.m, r.m, fold.Mult(u), ref.Mult(u))
 		}
 	}
 	return ""

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -284,12 +285,56 @@ func TestMessagingInvalidateDropsSample(t *testing.T) {
 	}
 }
 
+// TestSampleSize pins a messaging sample at 16 bytes, base and receipt time:
+// every declared link holds two, and the age window is derived per query
+// from the link's parameters rather than stored.
+func TestSampleSize(t *testing.T) {
+	if size := unsafe.Sizeof(sample{}); size != 16 {
+		t.Fatalf("sample is %d B, want 16", size)
+	}
+}
+
+// TestMessagingEmptyEntriesMiss pins the entries that hold no sample: one
+// never written and one invalidated both keep hwAtRecv at +Inf, so their age
+// reads −Inf, and EstimateAt and EstimateUntil miss at hardware time 0 and
+// at the largest finite one, counting each EstimateAt miss.
+func TestMessagingEmptyEntriesMiss(t *testing.T) {
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(3, eng, sim.NewRNG(1))
+	hw := 0.0
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
+	m := NewMessaging(3, dyn, func(int) float64 { return hw }, cfg)
+	install(t, dyn, topo.Line(3), linkParams())
+	unwritten, _ := dyn.Dir(0, 1)
+	invalidated, _ := dyn.Dir(2, 1)
+	m.RecordBeacon(2, 1, transport.Beacon{L: 1}, transport.Delivery{Dir: invalidated, MinTransit: 0.05})
+	if _, ok := m.EstimateAt(2, 1, invalidated); !ok {
+		t.Fatal("fresh sample not served")
+	}
+	m.Invalidate(2, 1)
+	misses := m.Misses
+	for _, h := range []float64{0, math.MaxFloat64} {
+		hw = h
+		for _, dir := range []int32{unwritten, invalidated} {
+			if e, ok := m.EstimateAt(0, 0, dir); ok {
+				t.Errorf("hw %v: EstimateAt of empty entry %d served %v", h, dir, e)
+			}
+			if e, until, ok := m.EstimateUntil(0, dir); ok {
+				t.Errorf("hw %v: EstimateUntil of empty entry %d served %v until %v", h, dir, e, until)
+			}
+		}
+	}
+	if got := m.Misses - misses; got != 8 {
+		t.Errorf("%d misses counted, want 8", got)
+	}
+}
+
 // TestMessagingAgeBoundAcrossOutage re-declares a link with a larger
-// Uncertainty while it is down. A sample's age bound is fixed when its
-// beacon arrives, so this is the case where a stored bound could go stale:
-// the query between the reappearance and the first new beacon must miss
-// rather than serve the invalidated pre-outage sample, and the new sample
-// must be served for the new, longer window.
+// Uncertainty while it is down. A query derives a sample's age bound from
+// the link's parameters, so this is the case that derivation rests on: the
+// query between the reappearance and the first new beacon must miss rather
+// than serve the invalidated pre-outage sample, and the new sample must be
+// served for the new, longer window, up to its last ulp and not one past.
 func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
 	eng := sim.NewEngine()
 	dyn := topo.NewDynamic(2, eng, sim.NewRNG(1))
@@ -331,21 +376,25 @@ func TestMessagingAgeBoundAcrossOutage(t *testing.T) {
 		t.Fatalf("query before the new beacon served %v from the pre-outage sample", e)
 	}
 
-	hw = 10
+	hw = 0 // the new sample arrives at hardware time 0, so every age is exact
 	minTransit := wide.Delay - wide.Uncertainty
 	m.RecordBeacon(0, 1, transport.Beacon{L: 12}, transport.Delivery{Dir: dir, MinTransit: minTransit})
 	age := (lo + hi) / 2
-	hw = 10 + age
+	hw = age
 	e, ok := m.Estimate(0, 1)
 	if !ok {
 		t.Fatalf("query at age %v, between the old bound %v and the new bound %v, missed", age, lo, hi)
 	}
-	if want := advanceSample(cfg, 12, minTransit, hw-10); math.Float64bits(e) != math.Float64bits(want) {
+	if want := advanceSample(cfg, 12, minTransit, age); math.Float64bits(e) != math.Float64bits(want) {
 		t.Errorf("estimate %v, want %v", e, want)
 	}
-	hw = 10 + 1.01*hi
+	hw = hi
+	if _, until, ok := m.EstimateUntil(0, dir); !ok || !(until < hi) {
+		t.Errorf("query at the new bound %v: ok=%v until=%v", hi, ok, until)
+	}
+	hw = math.Nextafter(hi, math.Inf(1))
 	if _, ok := m.Estimate(0, 1); ok {
-		t.Errorf("query past the new bound %v served", hi)
+		t.Errorf("query one ulp past the new bound %v served", hi)
 	}
 }
 

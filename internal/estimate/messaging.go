@@ -60,15 +60,12 @@ type Messaging struct {
 // sample is one directed edge's latest beacon, stored pre-advanced: base is
 // the estimate at receipt, L_sent plus the transit credit (sampleBase), so
 // the estimate at receiver hardware age a is base + mRate·a while
-// 0 ≤ a ≤ maxAge. maxAge is the certification window maxSampleAgeHW of
-// the link's parameters at receipt; a negative maxAge (noSample) marks an
-// entry that holds no sample, so no age is ever served from it.
+// 0 ≤ a ≤ maxSampleAgeHW of the link's parameters. The window is derived
+// at each query, not stored (see RecordBeacon). An entry that holds no
+// sample has hwAtRecv = +Inf, so every age reads −Inf and misses.
 type sample struct {
-	base, hwAtRecv, maxAge float64
+	base, hwAtRecv float64
 }
-
-// noSample is the maxAge of an entry without a sample.
-const noSample = -1
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
 // hardware clock. The sample slab covers every link already declared on
@@ -87,24 +84,21 @@ func (m *Messaging) grow() {
 	old := len(m.samples)
 	m.samples = csr.Grow(m.samples, m.dyn.DirCap())
 	for i := old; i < len(m.samples); i++ {
-		m.samples[i].maxAge = noSample
+		m.samples[i].hwAtRecv = math.Inf(1)
 	}
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
 // beacon delivery. The sample lands at d.Dir, the receiver's directed index
 // of (to, from), which the transport resolved at send time. The sample's
-// age bound is fixed here, from the link's parameters at receipt, and
-// equals the bound a query would derive: the runner delivers a beacon only
-// to a receiver that sees the link, topo refuses new parameters for a
-// visible link, and edge loss invalidates the receiver's sample
-// (Invalidate), so the parameters cannot change while the sample is served.
+// age bound is not stored: a query derives it from the link's parameters,
+// and that equals the bound at receipt, because the runner delivers a
+// beacon only to a receiver that sees the link, topo refuses new
+// parameters for a visible link, and edge loss invalidates the receiver's
+// sample (Invalidate), so the parameters cannot change while the sample is
+// served.
 func (m *Messaging) RecordBeacon(to, _ int, b transport.Beacon, d transport.Delivery) {
-	m.samples[d.Dir] = sample{
-		base:     sampleBase(m.cfg, b.L, d.MinTransit),
-		hwAtRecv: m.hw(to),
-		maxAge:   maxSampleAgeHW(m.cfg, m.dyn.ParamsAt(d.Dir)),
-	}
+	m.samples[d.Dir] = sample{base: sampleBase(m.cfg, b.L, d.MinTransit), hwAtRecv: m.hw(to)}
 }
 
 // Invalidate drops the sample for a directed edge (called on edge loss, so a
@@ -115,7 +109,7 @@ func (m *Messaging) RecordBeacon(to, _ int, b transport.Beacon, d transport.Deli
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
 func (m *Messaging) Invalidate(u, v int) {
 	if dir, ok := m.dyn.Dir(u, v); ok {
-		m.samples[dir].maxAge = noSample
+		m.samples[dir].hwAtRecv = math.Inf(1)
 	}
 }
 
@@ -158,19 +152,20 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 	return m.EstimateAt(u, v, dir)
 }
 
-// EstimateAt implements Layer: one sample load at dir, with no lookup. The
-// Centered offset is added last, as LocalBeacons adds it, rather than folded
-// into the stored base, which would round the sum differently.
+// EstimateAt implements Layer: one sample load at dir, with no lookup, and
+// the window derived from the link's parameters. The Centered offset is
+// added last, as LocalBeacons adds it, rather than folded into the stored
+// base, which would round the sum differently.
 func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
-	s := &m.samples[dir]
+	s, p := &m.samples[dir], m.dyn.ParamsAt(dir)
 	ageHW := m.hw(u) - s.hwAtRecv
-	if !(ageHW >= 0 && ageHW <= s.maxAge) {
+	if !(ageHW >= 0 && ageHW <= maxSampleAgeHW(m.cfg, p)) {
 		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}
 	est := s.base + m.mRate*ageHW
 	if m.cfg.Centered {
-		est += oneSidedBound(m.cfg, m.dyn.ParamsAt(dir)) / 2
+		est += oneSidedBound(m.cfg, p) / 2
 	}
 	return est, true
 }
@@ -178,15 +173,15 @@ func (m *Messaging) EstimateAt(u, _ int, dir int32) (float64, bool) {
 // EstimateUntil is EstimateAt plus until, a conservative last hardware time
 // of u at which the same sample is still served: every query at
 // hw(u) ≤ until passes the age test, until a new beacon or an invalidation
-// replaces the sample. until sits a rounding margin below hwAtRecv + maxAge,
-// so the inclusive float test ageHW ≤ maxAge holds for each such query. The
-// estimate is EstimateAt's own answer, so the two agree bit for bit.
+// replaces the sample. until sits a rounding margin below the window's end,
+// hwAtRecv + maxSampleAgeHW, so the inclusive float test of the age holds
+// for each such query. The estimate is EstimateAt's own answer, so the two
+// agree bit for bit.
 func (m *Messaging) EstimateUntil(u int, dir int32) (est, until float64, ok bool) {
 	if est, ok = m.EstimateAt(u, 0, dir); !ok {
 		return 0, 0, false
 	}
-	s := &m.samples[dir]
-	end := s.hwAtRecv + s.maxAge
+	end := m.samples[dir].hwAtRecv + maxSampleAgeHW(m.cfg, m.dyn.ParamsAt(dir))
 	return est, end - 1e-9*(1+math.Abs(end)), true
 }
 

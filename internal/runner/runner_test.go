@@ -238,17 +238,17 @@ func TestMessagingLayerReceivesInvalidations(t *testing.T) {
 	}
 }
 
-// beaconTap records the send time of every beacon delivery per sender.
-type beaconTap struct {
-	fakeAlgo
+// sendTap is a delay policy that records the engine time of every send per
+// sender, which at EventParallelism 1 is the beacon wheel's slot time, and
+// draws the delay as RandomDelay does.
+type sendTap struct {
+	eng   *sim.Engine
 	sends map[int][]float64
 }
 
-func (b *beaconTap) OnBeacon(_, from int, _ transport.Beacon, d transport.Delivery) {
-	if b.sends == nil {
-		b.sends = make(map[int][]float64)
-	}
-	b.sends[from] = append(b.sends[from], d.SentAt)
+func (s *sendTap) Draw(st *sim.Stream, from, to int, p topo.LinkParams) float64 {
+	s.sends[from] = append(s.sends[from], s.eng.Now())
+	return transport.RandomDelay{}.Draw(st, from, to, p)
 }
 
 // TestBeaconWheelKeepsPerNodeCadence pins the beacon wheel contract: every
@@ -259,20 +259,23 @@ func TestBeaconWheelKeepsPerNodeCadence(t *testing.T) {
 		n        = 4
 		interval = 0.5
 	)
+	tap := &sendTap{sends: make(map[int][]float64)}
 	rt, err := New(Config{
 		N: n, Tick: 0.1, BeaconInterval: interval,
 		Drift: drift.Perfect(),
+		Delay: tap,
 		Seed:  5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tap.eng = rt.Engine
 	for _, e := range topo.Line(n) {
 		if err := rt.Dyn.DeclareLink(e.U, e.V, topo.LinkParams{Eps: 0.2, Tau: 0.1, Delay: 0.1, Uncertainty: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	algo := &beaconTap{}
+	algo := &fakeAlgo{}
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) }, nil))
 	rt.Attach(algo)
 	for _, e := range topo.Line(n) {
@@ -285,7 +288,7 @@ func TestBeaconWheelKeepsPerNodeCadence(t *testing.T) {
 	}
 	rt.Run(10)
 	for u := 0; u < n; u++ {
-		sends := algo.sends[u]
+		sends := tap.sends[u]
 		if len(sends) < 18 {
 			t.Fatalf("node %d sent %d beacons over 10 units, want ≈ 20", u, len(sends))
 		}

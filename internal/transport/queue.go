@@ -9,12 +9,12 @@ import (
 )
 
 // record is one pooled in-flight message: a beacon (P = Beacon) or a control
-// (P = any). Fields are packed to keep the record at 56 bytes (int32 ids,
-// uint32 seq, int32 dir) — in-flight slabs are a top-line memory consumer
-// at N=10⁷.
+// (P = any). Fields are packed to keep the record at 48 bytes (int32 ids,
+// uint32 seq, int32 dir, and no send time, which no receiver may learn) —
+// in-flight slabs are a top-line memory consumer at N=10⁷.
 type record[P any] struct {
 	from, to int32
-	// seq is the sender's send counter for the record's class, the last
+	// seq is the sender's send counter, shared by both classes, the last
 	// tie-break of the content key: it preserves FIFO among same-(from,to)
 	// same-deadline messages and — unlike a global sequence — is identical
 	// at every shard count. uint32 wraps after 4.3·10⁹ sends per sender,
@@ -26,7 +26,6 @@ type record[P any] struct {
 	// names this link at delivery.
 	dir        int32
 	deadline   sim.Time
-	sentAt     sim.Time
 	minTransit float64
 	payload    P
 }
@@ -323,5 +322,5 @@ func (q *deadlineQueue[P]) bytes() uint64 {
 
 // delivery is the receiver-facing metadata of a record delivered at now.
 func (r *record[P]) delivery(now sim.Time) Delivery {
-	return Delivery{From: int(r.from), To: int(r.to), Dir: r.dir, SentAt: r.sentAt, At: now, MinTransit: r.minTransit}
+	return Delivery{From: int(r.from), To: int(r.to), Dir: r.dir, At: now, MinTransit: r.minTransit}
 }

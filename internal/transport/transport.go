@@ -21,13 +21,13 @@ type Beacon struct {
 
 // Delivery carries the metadata a receiver may legitimately use: when the
 // message arrived and the certified minimum transit time (Delay−Uncertainty
-// for the edge). The actual delay is intentionally not exposed. Dir is the
-// receiver's directed index of (To, From) (topo.Dynamic.Dir), resolved when
-// the message was sent, so the receiver's index-keyed state needs no lookup.
+// for the edge). The actual delay is intentionally not exposed, so neither
+// is the send time, which would reveal it. Dir is the receiver's directed
+// index of (To, From) (topo.Dynamic.Dir), resolved when the message was
+// sent, so the receiver's index-keyed state needs no lookup.
 type Delivery struct {
 	From, To   int
 	Dir        int32
-	SentAt     sim.Time
 	At         sim.Time
 	MinTransit float64
 }
@@ -129,13 +129,14 @@ type Network struct {
 	handler Handler
 
 	shards []netShard
-	// streams holds each sender's private delay-draw stream; senderSeq and
-	// ctlSeq its beacon and control send counters (separate streams keep
-	// each class's content keys dense and self-contained). All are indexed
-	// by sender and touched only from the sender's own event context.
-	streams   []sim.Stream
-	senderSeq []uint32
-	ctlSeq    []uint32
+	// streams holds each sender's private delay-draw stream and seq its
+	// send counter, which numbers its beacons and controls alike: a seq
+	// breaks ties only inside one class's queue, where a sender's numbers
+	// still rise in send order. Both are indexed by sender and touched only
+	// from the sender's own event context; controls are sent only from
+	// serial contexts, never during a window's beacon sends.
+	streams []sim.Stream
+	seq     []uint32
 
 	// ctls are the receiver-sharded control queues, drained through the
 	// controlQueue serial source.
@@ -161,8 +162,7 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 	for u := range n.streams {
 		n.streams[u] = sim.NewStream(base, u)
 	}
-	n.senderSeq = make([]uint32, dyn.N())
-	n.ctlSeq = make([]uint32, dyn.N())
+	n.seq = make([]uint32, dyn.N())
 	n.ctls = make([]deadlineQueue[any], k)
 	engine.AddSource(n)
 	engine.AddSerialSource((*controlQueue)(n))
@@ -193,7 +193,7 @@ func (n *Network) Dropped() uint64 {
 
 // SlabBytes returns the bytes retained by the transport's pooled storage:
 // beacon and control queues (slabs, runs and bucket rings) and outboxes,
-// plus the per-sender streams and sequence counters. Capacities follow
+// plus the per-sender streams and send counters. Capacities follow
 // deterministic traffic, so for a fixed configuration the figure is exact
 // and reproducible — the transport's line in the memory-diet regression gate
 // (TestTransportSlabFootprintRing), complementing the whole-process live-heap
@@ -209,7 +209,7 @@ func (n *Network) SlabBytes() uint64 {
 		total += n.ctls[s].bytes()
 	}
 	total += uint64(len(n.streams)) * uint64(unsafe.Sizeof(sim.Stream{}))
-	total += uint64(cap(n.senderSeq)+cap(n.ctlSeq)) * 4
+	total += uint64(cap(n.seq)) * 4
 	return total
 }
 
@@ -235,12 +235,11 @@ func (n *Network) sendBeacon(from, to int, dir int32, b Beacon, at sim.Time) {
 	m := record[Beacon]{
 		from:    int32(from),
 		to:      int32(to),
-		seq:     n.senderSeq[from],
+		seq:     n.seq[from],
 		dir:     dir ^ 1,
-		sentAt:  at,
 		payload: b,
 	}
-	n.senderSeq[from]++
+	n.seq[from]++
 	m.deadline, m.minTransit = n.transit(from, to, dir, at)
 	dst := to % k
 	if n.engine.InWindow() && dst != from%k {
@@ -269,17 +268,15 @@ func (n *Network) SendControl(from, to int, payload any) {
 		return
 	}
 	n.shards[from%len(n.shards)].sent++
-	at := n.engine.Now()
 	c := record[any]{
 		from:    int32(from),
 		to:      int32(to),
-		seq:     n.ctlSeq[from],
+		seq:     n.seq[from],
 		dir:     dir ^ 1,
-		sentAt:  at,
 		payload: payload,
 	}
-	c.deadline, c.minTransit = n.transit(from, to, dir, at)
-	n.ctlSeq[from]++
+	c.deadline, c.minTransit = n.transit(from, to, dir, n.engine.Now())
+	n.seq[from]++
 	n.ctls[to%len(n.ctls)].push(c)
 }
 

@@ -67,13 +67,14 @@ func setup(t *testing.T, policy DelayPolicy) (*sim.Engine, *topo.Dynamic, *Netwo
 
 func TestBeaconDeliveredWithinWindow(t *testing.T) {
 	eng, _, net, cap := setup(t, RandomDelay{})
+	sent := eng.Now()
 	sendOne(net, 0, 1, Beacon{L: 5, M: 6})
 	eng.RunUntil(1)
 	if len(cap.beacons) != 1 {
 		t.Fatalf("delivered %d beacons, want 1", len(cap.beacons))
 	}
 	d := cap.beacons[0]
-	transit := d.At - d.SentAt
+	transit := d.At - sent
 	p := params()
 	if transit < p.Delay-p.Uncertainty-1e-12 || transit > p.Delay+1e-12 {
 		t.Errorf("transit %v outside legal window [%v, %v]", transit, p.Delay-p.Uncertainty, p.Delay)
@@ -247,6 +248,17 @@ func TestMessagePoolRecycles(t *testing.T) {
 func TestNetShardFillsCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(netShard{}); size%64 != 0 {
 		t.Fatalf("netShard is %d B, want a multiple of 64", size)
+	}
+}
+
+// TestRecordSize pins an in-flight record of either class at 48 bytes: the
+// in-flight slabs are a top-line memory consumer, so a field added to the
+// record, such as the send time no receiver may read, grows every one. The
+// beacon path's other per-entry records are pinned beside their types:
+// estimate's 16-byte sample and core's 24-byte node clock.
+func TestRecordSize(t *testing.T) {
+	if b, c := unsafe.Sizeof(record[Beacon]{}), unsafe.Sizeof(record[any]{}); b != 48 || c != 48 {
+		t.Fatalf("record[Beacon] is %d B and record[any] %d B, want 48", b, c)
 	}
 }
 

@@ -37,11 +37,11 @@ func measureRingHeap(t *testing.T, n int) int64 {
 
 // TestMemoryFootprintRing is the memory-diet regression gate: a messaging
 // ring must hold at most maxBytesPerNode of live heap per node. The
-// structure-of-arrays layout measures ≈241 B/node at the default N; the
-// bound sits just above that and below the ≈351 B/node the layout held
-// while core kept handshake and insertion state in a slab entry for every
-// directed index, so a return of those slabs or of per-edge maps fails it,
-// as does any new per-node state above 24 B. Default N is CI-sized; set
+// structure-of-arrays layout measures ≈204 B/node at the default N; the
+// bound sits just above that and below the ≈241 B/node the layout held
+// with 24-byte messaging samples, core's clocks in separate slabs and a
+// send time in every in-flight beacon, so a return of those fails it, as
+// does any new per-node state above 20 B. Default N is CI-sized; set
 // GRADSYNC_MEM_N (e.g. 1000000, as the nightly workflow does) to reproduce
 // the figures reported in EXPERIMENTS.md (the bound is calibrated at the
 // default N). Run with -v for the bytes/node figure.
@@ -60,7 +60,7 @@ func TestMemoryFootprintRing(t *testing.T) {
 	heap := measureRingHeap(t, n)
 	perNode := float64(heap) / float64(n)
 	t.Logf("N=%d ring: %.1f MiB live heap (%.0f B/node)", n, float64(heap)/(1<<20), perNode)
-	const maxBytesPerNode = 265
+	const maxBytesPerNode = 225
 	if perNode > maxBytesPerNode {
 		t.Errorf("ring holds %.0f B/node of live heap, bound %d — the memory diet regressed", perNode, maxBytesPerNode)
 	}
@@ -69,13 +69,15 @@ func TestMemoryFootprintRing(t *testing.T) {
 // TestMemoryFootprintGeometricChurn is the memory gate for topology churn:
 // a mobile random-geometric network under churn waves, run until its nodes
 // have hopped about ten times each, so most of its links have flapped. Its
-// live heap must stay within maxBytesPerNode. It measures ≈694 B/node. A
-// per-link record of past churn grows with that history and fails the
-// bound: the transition state kept for every link that ever flapped, with a
-// packed pair → slot map beside the adjacency rows, measured ≈1,650 B/node,
-// and core's handshake and insertion state kept for every declared link,
-// not only for those up and inserting, ≈975 B/node. Transition state held
-// only while a transition is pending does not. Run with -v for the figures.
+// live heap must stay within maxBytesPerNode. It measures ≈663 B/node
+// (≈670 under -race), and ≈694 with core's clocks in separate slabs and a
+// send time in every in-flight message. A per-link record of past churn
+// grows with that history and fails the bound: the transition state kept
+// for every link that ever flapped, with a packed pair → slot map beside
+// the adjacency rows, measured ≈1,650 B/node, and core's handshake and
+// insertion state kept for every declared link, not only for those up and
+// inserting, ≈975 B/node. Transition state held only while a transition is
+// pending does not. Run with -v for the figures.
 func TestMemoryFootprintGeometricChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement builds a full network")
@@ -110,7 +112,7 @@ func TestMemoryFootprintGeometricChurn(t *testing.T) {
 	if geo.EdgeEvents < declared {
 		t.Fatalf("only %d edge events for %d declared links: too little churn to measure", geo.EdgeEvents, declared)
 	}
-	const maxBytesPerNode = 765
+	const maxBytesPerNode = 700
 	if perNode > maxBytesPerNode {
 		t.Errorf("churning geometric network holds %.0f B/node of live heap, bound %d — topology state grows with churn history", perNode, maxBytesPerNode)
 	}
@@ -125,10 +127,12 @@ func TestMemoryFootprintGeometricChurn(t *testing.T) {
 // comparison. It runs at EventParallelism 1, where one shard holds every
 // in-flight message and no outbox exists, and at 2, the benchmark's
 // setting, which adds a second queue per class and the cross-shard outboxes.
-// The bound has ~1.3–1.6× headroom over the measured steady state (≈59 and
-// ≈75 B/node on a ring: in-flight beacons cover Delay/BeaconInterval of the
-// per-node send rate, plus 24 B of stream + counter state); packing
-// regressions (record growth, outbox headroom creep) blow through it.
+// The bound sits just above the measured steady state (≈48.8 and
+// ≈66.1 B/node on a ring: in-flight beacons cover Delay/BeaconInterval of
+// the per-node send rate, plus 12 B of stream and send-counter state), and
+// below the ≈77.4 B/node at EventParallelism 2 of 56-byte records and a
+// second send counter; packing regressions (record growth, outbox headroom
+// creep) blow through it.
 func TestTransportSlabFootprintRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory measurement builds a full network")
@@ -148,7 +152,7 @@ func TestTransportSlabFootprintRing(t *testing.T) {
 			slab := net.Runtime().Net.SlabBytes()
 			perNode := float64(slab) / float64(n)
 			t.Logf("N=%d ring, EventParallelism %d: transport slabs %.2f MiB (%.1f B/node)", n, k, float64(slab)/(1<<20), perNode)
-			const maxBytesPerNode = 96
+			const maxBytesPerNode = 72
 			if perNode > maxBytesPerNode {
 				t.Errorf("transport retains %.1f B/node, bound %d — per-node transport state regressed", perNode, maxBytesPerNode)
 			}
