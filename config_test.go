@@ -221,6 +221,39 @@ func TestAddCutEdgeLifecycle(t *testing.T) {
 	}
 }
 
+// TestCutForgottenEdge pins Network.CutEdge on a cut link: within a Delay
+// of the loss a second cut is a no-op; once the link has been down for
+// longer it is forgotten, although no other topology change has run since,
+// so CutEdge errors as on a pair never declared, and AddEdge declares it
+// afresh.
+func TestCutForgottenEdge(t *testing.T) {
+	net := MustNew(Config{Topology: LineTopology(4), Seed: 6})
+	dyn := net.Runtime().Dyn
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(net.AddEdge(0, 3))
+	net.RunFor(5)
+	must(net.CutEdge(0, 3))
+	net.RunFor(0.05)        // less than a Delay since the cut, so since any loss
+	must(net.CutEdge(0, 3)) // down, not yet forgotten
+	net.RunFor(5)
+	if dyn.Declared(0, 3) {
+		t.Fatal("the cut link still has a link a quarantine after its loss")
+	}
+	if err := net.CutEdge(0, 3); err == nil {
+		t.Error("CutEdge on a forgotten link accepted")
+	}
+	must(net.AddEdge(0, 3))
+	net.RunFor(1)
+	if !dyn.BothUp(0, 3) {
+		t.Error("the forgotten link did not come back up")
+	}
+}
+
 func TestSkewByDistance(t *testing.T) {
 	net := MustNew(Config{
 		Topology:      LineTopology(5),

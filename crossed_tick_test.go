@@ -5,14 +5,14 @@ package gradsync_test
 // shard's first event at or after the tick, and for each shard no window
 // reached, serially just before the tick itself fires. A NodeStepper
 // decorator — such as the timing decorator of the perfbench module —
-// relies on three facts about every StepNode call it sees: shard == u mod
-// K, the engine reports InWindow(), and so a shard's calls run on one
-// goroutine at a time. TestCrossedTickCompletionContract pins that contract
-// with a recording decorator under the race detector (`make race`),
-// together with exactly-once stepping per tick and bit-identity with the
-// serial drain. TestCrossingArmedAtRunBoundary pins that the remaining
-// shards are stepped only when the crossed tick fires, not at an earlier
-// global event.
+// relies on three facts about every StepNode call it sees: shard is u's
+// owner, sim.Owner(u, K), the engine reports InWindow(), and so a shard's
+// calls run on one goroutine at a time. TestCrossedTickCompletionContract
+// pins that contract with a recording decorator under the race detector
+// (`make race`), together with exactly-once stepping per tick and
+// bit-identity with the serial drain. TestCrossingArmedAtRunBoundary pins
+// that the remaining shards are stepped only when the crossed tick fires,
+// not at an earlier global event.
 
 import (
 	"fmt"
@@ -51,9 +51,9 @@ type stepRecorder struct {
 }
 
 func (r *stepRecorder) StepNode(u, shard int, dh float64) {
-	t := &r.shards[u%r.k]
+	t := &r.shards[sim.Owner(u, r.k)]
 	t.calls++
-	if shard != u%r.k {
+	if shard != sim.Owner(u, r.k) {
 		t.wrongShard++
 	}
 	if !r.engine.InWindow() {
@@ -145,11 +145,11 @@ func stepperFingerprint(rt *runner.Runtime, a *core.Algorithm) tickFingerprint {
 }
 
 // TestCrossedTickCompletionContract runs the recording decorator at event
-// shard counts 2 and 8 and checks every StepNode call: shard == u mod K,
-// InWindow() true (the shards stepped as the tick fires run as a window
-// phase too), each node stepped exactly once per crossed tick, ticks
-// actually crossed, and the final state bit-identical to the serial
-// drain's.
+// shard counts 2 and 8 and checks every StepNode call: shard is
+// sim.Owner(u, K), InWindow() true (the shards stepped as the tick fires
+// run as a window phase too), each node stepped exactly once per crossed
+// tick, ticks actually crossed, and the final state bit-identical to the
+// serial drain's.
 func TestCrossedTickCompletionContract(t *testing.T) {
 	const (
 		n       = 301 // not a multiple of either shard count
@@ -173,7 +173,7 @@ func TestCrossedTickCompletionContract(t *testing.T) {
 			outside += s.outsideWindow
 		}
 		if wrong != 0 || outside != 0 {
-			t.Errorf("K=%d: %d StepNode calls with shard != u mod K, %d outside a window phase (of %d)",
+			t.Errorf("K=%d: %d StepNode calls off their owner shard, %d outside a window phase (of %d)",
 				k, wrong, outside, calls)
 		}
 		for _, b := range rec.bad {

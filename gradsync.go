@@ -364,11 +364,22 @@ func (n *Network) SkewByDistance(minAge float64) map[int]float64 {
 }
 
 // AddEdge declares (if needed) and makes edge {u,v} appear with the shared
-// link parameters; endpoints discover it within τ.
+// link parameters; endpoints discover it within τ. The network keeps a
+// link only while it is present: a link both endpoints have lost is
+// forgotten, with its parameters, once more than a Delay has passed since
+// the loss, when its last message can no longer be in flight; AddEdge then
+// declares it afresh with the shared parameters.
 func (n *Network) AddEdge(u, v int) error { return n.rt.AddEdge(u, v) }
 
-// CutEdge makes edge {u,v} disappear; endpoints detect within τ.
+// CutEdge makes edge {u,v} disappear; endpoints detect within τ. Cutting a
+// link that is down but not yet forgotten is a no-op the endpoints never
+// observe. A pair with no link — never declared, or lost by both endpoints
+// more than a Delay ago and so forgotten (see AddEdge) — has nothing to
+// cut, and CutEdge returns an error.
 func (n *Network) CutEdge(u, v int) error {
+	if !n.rt.Dyn.Declared(u, v) {
+		return fmt.Errorf("gradsync: CutEdge on undeclared link {%d,%d}", u, v)
+	}
 	return n.rt.CutEdge(u, v)
 }
 

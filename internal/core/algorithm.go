@@ -186,7 +186,7 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	a.classIdx = make(map[edgeClass]int32)
 	a.times = make([]edgeTimes, 1)
 	a.growRecs()
-	rt.Dyn.OnDeclare(a.growRecs)
+	rt.Dyn.OnDeclare(a.declareRecs)
 	a.ctr = make([]modeCounters, max(rt.TickShards(), rt.Engine.EventShards()))
 	a.decideFn = a.decideShard
 	a.integrateFn = a.integrateShard
@@ -344,10 +344,12 @@ func (a *Algorithm) scheduleLeaderCheck(self, peer int, dir int32, discovered si
 }
 
 // OnControl implements runner.Algorithm; handles insertedge messages
-// (Listing 1 lines 11–14). A second insertedge overwrites the pending
-// attempt's handle without cancelling it, so both attempts run, and the
-// first can outlive the handle OnEdgeDown cancels; each reaches the
-// record's entry through dir whenever it runs.
+// (Listing 1 lines 11–14). A record keeps one attempt per appearance: a
+// second insertedge cancels the pending attempt before scheduling its own,
+// so the handle OnEdgeDown cancels is the record's only one. An insertedge
+// that reaches a record present at time 0 is ignored: a flap shorter than
+// this side's detection lag hid the loss that the leader saw, and the
+// edge is already in every neighbor set.
 func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	msg, ok := payload.(insertEdgeMsg)
 	if !ok {
@@ -358,12 +360,10 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 		a.HandshakeAborts++
 		return
 	}
-	if a.recTimes[dir] == 0 {
-		// Only a pre-inserted record holds no entry: a flap shorter than
-		// this side's detection lag hid the loss that the leader saw. Its
-		// upSince and L at discovery read zero, so a zero entry keeps them.
-		a.takeTimes(dir)
+	if a.recFlags[dir]&recPreInserted != 0 {
+		return
 	}
+	a.rt.Engine.Cancel(a.timesAt(dir).check) // stale or zero handles are safe no-ops
 	cls := &a.classes[a.recClass[dir]]
 	discovered := a.timesAt(dir).since
 	minWait := cls.delay + cls.tau

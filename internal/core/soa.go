@@ -4,7 +4,7 @@ package core
 // for a (potential) estimate edge, as described in Section 4.3.2 — the
 // implicit representation of all neighbor sets N^s via the pair (T₀, I),
 // plus handshake bookkeeping — is keyed by the topology's directed index
-// dir = 2·slot + side of (node, peer), slot being topo's stable edge slot
+// dir = 2·slot + side of (node, peer), slot being topo's slot of the link
 // and side 0 for the smaller endpoint. A record has two parts:
 //
 //   - a hot part, 9 bytes per directed index in three slabs: an index into
@@ -21,38 +21,40 @@ package core
 // index. It reads a pre-inserted record, the commonest, through the flags
 // byte and the class alone.
 //
-// Record lifecycle: topo's declare hook (growRecs) sizes the hot slabs, so a
-// newly declared link starts with zero records at their end; topo never
-// reuses an index for another pair. The hot part persists across edge-down
-// (the paper's T_s := ⊥ is a flags clear, not a removal); recSeen marks a
+// Record lifecycle: topo's declare hook (declareRecs) sizes the hot slabs
+// and zeroes the link's two records, since topo hands a forgotten link's
+// slot to a later declare. The hot part persists across edge-down (the
+// paper's T_s := ⊥ is a flags clear, not a removal) until topo forgets
+// the link, which happens only after both sides' losses; recSeen marks a
 // record whose edge has appeared since its declare. An appearance after
 // t = 0 takes an entry, and OnEdgeDown cancels its handshake and returns it
 // to a LIFO free list, so the pool is as large as the most records ever up
-// and inserting at once. An appearance at t = 0 is in every N^s at once
-// (N^s_u(0) = N_u(0)) and takes no entry, because a record without one
-// reads zeros, which are its upSince and, unless a corrupted start set
-// L_u(0), its L at discovery. Two things give such a record an entry: a
-// nonzero L_u(0), kept from the appearance on; and an insertedge reaching
-// it, whose handshake writes times. A flap shorter than the detection lag
-// sends one, by hiding the loss from this side only while the leader
-// rediscovers the edge.
+// and inserting at once, and a forgotten link's records hold none. An
+// appearance at t = 0 is in every N^s at once (N^s_u(0) = N_u(0)) and
+// takes no entry, because a record without one reads zeros, which are its
+// upSince and, unless a corrupted start set L_u(0), its L at discovery; a
+// nonzero L_u(0) is kept in an entry from the appearance on. An insertedge
+// that reaches such a record is ignored: a flap shorter than the detection
+// lag hid the loss from this side while the leader rediscovered the edge,
+// and the edge is already in every neighbor set.
 //
 // Every access resolves the entry through dir at that moment (timesAt,
 // setCheck); nothing holds a pool index across events. A record holding no
-// entry reads the zero entry and drops handle writes. A follower's attempt
-// closure can outlive the handle OnEdgeDown cancels, because a second
-// insertedge overwrites the first one's handle, so the stale closure
-// must never write into an entry the pool has since handed to another
-// record.
+// entry reads the zero entry and drops handle writes. A record has at most
+// one pending handshake attempt, whose handle its entry holds: a second
+// insertedge cancels the first attempt before scheduling its own, and
+// OnEdgeDown cancels it. So no attempt of an earlier appearance runs once
+// the record's entry is back in the pool, and none is left to run when
+// topo forgets the link and hands its directed indices to another pair.
 //
 // Concurrency: the decide phase runs evalTriggers concurrently for
 // distinct nodes. The topo row, the slabs and the pool are only read there,
 // except the recFlags decay-expiry clear in kappaAt — a single-byte write to
 // a record owned by the evaluating node (distinct bytes are distinct memory
 // locations in the Go memory model, so the neighbouring record of the same
-// link, owned by the peer, does not race). Structural growth (growRecs)
-// happens only in declares, and entries are taken and returned only by
-// appearances, losses, controls and handshake timers, all serial.
+// link, owned by the peer, does not race). Structural growth and resets
+// (declareRecs) happen only in declares, and entries are taken and returned
+// only by appearances, losses, controls and handshake timers, all serial.
 
 import (
 	"repro/internal/csr"
@@ -91,12 +93,23 @@ type edgeTimes struct {
 }
 
 // growRecs sizes the hot record slabs to the topology's directed-index
-// range; it is the topology's declare hook.
+// range.
 func (a *Algorithm) growRecs() {
 	n := a.rt.Dyn.DirCap()
 	a.recClass = csr.Grow(a.recClass, n)
 	a.recFlags = csr.Grow(a.recFlags, n)
 	a.recTimes = csr.Grow(a.recTimes, n)
+}
+
+// declareRecs is the topology's declare hook: it grows the hot record slabs
+// and zeroes the two records of slot, which a freed slot hands over from a
+// forgotten link. Such a link's records hold no entry: each side's loss
+// returned it.
+func (a *Algorithm) declareRecs(slot int32) {
+	a.growRecs()
+	for dir := 2 * slot; dir <= 2*slot+1; dir++ {
+		a.recClass[dir], a.recFlags[dir], a.recTimes[dir] = 0, 0, 0
+	}
 }
 
 // timesAt returns the cold entry of the record at dir, or the zero entry

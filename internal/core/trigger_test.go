@@ -282,15 +282,21 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, hs harnessSetup, refer
 	// Chord churn: each extra edge appears after start and flaps on its own
 	// cadence, so the run exercises handshakes, finite insertion levels,
 	// aborts, and disappearances — all the states the level() switch can be
-	// in while the triggers evaluate.
+	// in while the triggers evaluate. A chord stays down for longer than
+	// its quarantine, so the topology forgets it, and AddEdge declares it
+	// again with the runtime's link parameters, testLink's.
 	for i, e := range extra {
 		e := e
 		period := 4 + rng.Float64()*8
 		h.rt.Engine.NewTicker(1+float64(i)*0.7, period, func(sim.Time, float64) {
+			var err error
 			if h.rt.Dyn.BothUp(e.U, e.V) {
-				_ = h.rt.Dyn.Disappear(e.U, e.V)
+				err = h.rt.CutEdge(e.U, e.V)
 			} else {
-				_ = h.rt.Dyn.Appear(e.U, e.V)
+				err = h.rt.AddEdge(e.U, e.V)
+			}
+			if err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -1,11 +1,11 @@
 // Package csr provides the flat building blocks of the structure-of-arrays
 // memory layout (DESIGN.md §Structure-of-arrays layout):
 //
-//   - Rows: a CSR-style insert-only adjacency structure mapping
-//     (row, key) → val with int32 ids, packed per-row storage with small
-//     over-allocation slack, and amortized relocation/compaction as rows
-//     grow.
-//   - Grow: the resize step of a flat slab indexed by stable slots.
+//   - Rows: a CSR-style adjacency structure mapping (row, key) → val with
+//     int32 ids, packed per-row storage with small over-allocation slack,
+//     and amortized relocation/compaction as rows grow and shrink, so the
+//     arena tracks the live entries, not every entry ever inserted.
+//   - Grow: the resize step of a flat slab indexed by slots.
 //
 // Both are deliberately free of interior pointers: a Rows over E edges costs
 // three int32 headers per row plus 2×4 bytes per packed entry, against
@@ -14,9 +14,9 @@
 // objects.
 //
 // Concurrency contract: Find, Len and Row are safe to call concurrently
-// with each other (they only read); Insert mutates shared arrays and must
-// run in serial contexts (global engine events — declares), never inside a
-// sharded tick or drain window.
+// with each other (they only read); Insert and Remove mutate shared arrays
+// and must run in serial contexts (global engine events — declares and
+// topology transitions), never inside a sharded tick or drain window.
 package csr
 
 import "fmt"
@@ -32,7 +32,7 @@ type Rows struct {
 	keys  []int32
 	vals  []int32
 	live  int32 // total live entries
-	dead  int32 // arena entries abandoned by relocation
+	dead  int32 // arena entries abandoned by relocation or removal
 
 	// Rebuilds counts full compactions; tests assert amortization.
 	Rebuilds int
@@ -77,7 +77,8 @@ func (r *Rows) Find(row int, key int32) (int32, bool) {
 func (r *Rows) Len(row int) int { return int(r.count[row]) }
 
 // Row returns the live keys and values of a row as slices into the packed
-// arrays. The slices are invalidated by the next Insert on any row.
+// arrays. The slices are invalidated by the next Insert or Remove on any
+// row.
 func (r *Rows) Row(row int) (keys, vals []int32) {
 	o, c := r.off[row], r.count[row]
 	return r.keys[o : o+c], r.vals[o : o+c]
@@ -107,6 +108,30 @@ func (r *Rows) Insert(row int, key, val int32) {
 	r.live++
 }
 
+// Remove deletes key from row, keeping the row sorted. Removing a key that
+// is absent panics, as a duplicate Insert does: every caller removes an
+// entry it inserted. The freed entry counts as garbage towards the next
+// compaction, which shrinks every row's reservation to at most its live
+// entries plus slack, so a row that lost most of its entries gives the
+// space back.
+func (r *Rows) Remove(row int, key int32) {
+	o, c := r.off[row], r.count[row]
+	keys, vals := r.keys[o:o+c], r.vals[o:o+c]
+	i := 0
+	for i < len(keys) && keys[i] < key {
+		i++
+	}
+	if i == len(keys) || keys[i] != key {
+		panic(fmt.Sprintf("csr: remove of absent key %d in row %d", key, row))
+	}
+	copy(keys[i:], keys[i+1:])
+	copy(vals[i:], vals[i+1:])
+	r.count[row] = c - 1
+	r.live--
+	r.dead++
+	r.maybeCompact()
+}
+
 // relocate moves a full row to the arena tail with fresh slack. The old
 // storage becomes garbage until the next compaction; per-row geometric slack
 // keeps the number of relocations per row logarithmic in its degree.
@@ -126,9 +151,11 @@ func (r *Rows) relocate(row int) {
 }
 
 // maybeCompact rebuilds the arena in row-major order once the garbage left
-// by relocations exceeds the live data (plus a floor so tiny structures
-// never compact). Amortized: a compaction of cost O(rows+live) requires
-// Ω(live) prior relocation.
+// by relocations and removals exceeds the live data (plus a floor so tiny
+// structures never compact). A removed entry stays counted after an insert
+// reuses its room, so a compaction can find less garbage than counted; it
+// then only repacks, since it never grows a row. Amortized: a compaction of
+// cost O(rows+live) requires Ω(live) prior relocation or removal.
 func (r *Rows) maybeCompact() {
 	if r.dead <= r.live+64 {
 		return
@@ -138,7 +165,10 @@ func (r *Rows) maybeCompact() {
 	nv := make([]int32, 0, cap(nk))
 	for row := range r.off {
 		o, c := r.off[row], r.count[row]
-		newCap := c + slack(c)
+		// A row keeps at most its entries plus slack, and never gains room:
+		// a row that lost nothing keeps its reservation, however often
+		// removals elsewhere compact the arena.
+		newCap := min(r.cap_[row], c+slack(c))
 		if c == 0 {
 			// Empty rows get no reservation: the first insert relocates.
 			newCap = 0

@@ -87,16 +87,35 @@ func TestRowsDuplicateInsertPanics(t *testing.T) {
 	r.Insert(0, 3, 2)
 }
 
-// TestRowsDifferentialChurn drives random insert scripts against the map
-// oracle and checks full equality after every operation. Rows are
-// insert-only, so the churn is relocation: rows outgrow their slack, move to
-// the arena tail and leave garbage that compactions reclaim.
+// checkArena holds the arena to its accounting: it is the rows'
+// reservations plus the space relocations abandoned, which the garbage
+// count covers together with the entries removed inside reservations, and
+// the garbage never exceeds the live entries plus the compaction floor.
+func checkArena(t *testing.T, r *Rows) {
+	t.Helper()
+	reserved := 0
+	for row := range r.off {
+		reserved += int(r.cap_[row])
+	}
+	if a := len(r.keys); a < reserved || a > reserved+int(r.dead) || len(r.vals) != a {
+		t.Fatalf("arena %d/%d entries, %d reserved and %d garbage", a, len(r.vals), reserved, r.dead)
+	}
+	if r.dead > r.live+64 {
+		t.Fatalf("%d garbage entries for %d live: compaction overdue", r.dead, r.live)
+	}
+}
+
+// TestRowsDifferentialChurn drives random insert and remove scripts against
+// the map oracle and checks full equality after every operation: rows
+// outgrow their slack, move to the arena tail and leave garbage, lose
+// entries, and compactions reclaim both kinds of garbage.
 func TestRowsDifferentialChurn(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 17
 		r := NewRows(n)
 		ref := newRefRows(n)
+		removed := 0
 		for op := 0; op < 1500; op++ {
 			row := rng.Intn(n)
 			key := int32(rng.Intn(40))
@@ -104,13 +123,84 @@ func TestRowsDifferentialChurn(t *testing.T) {
 				val := int32(rng.Intn(1000))
 				r.Insert(row, key, val)
 				ref.m[row][key] = val
+			} else if rng.Intn(3) == 0 {
+				r.Remove(row, key)
+				delete(ref.m[row], key)
+				removed++
 			}
 			checkEqual(t, r, ref)
+			checkArena(t, r)
 		}
-		if r.Rebuilds == 0 {
-			t.Errorf("seed %d: insert script never triggered a compaction", seed)
+		if r.Rebuilds == 0 || removed == 0 {
+			t.Errorf("seed %d: %d compactions and %d removals, want both", seed, r.Rebuilds, removed)
 		}
 	}
+}
+
+// TestRowsRemoveAbsentPanics pins Remove's contract: only an entry that is
+// present can be removed.
+func TestRowsRemoveAbsentPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Remove of an absent key did not panic")
+		}
+	}()
+	r := NewRows(1)
+	r.Insert(0, 3, 1)
+	r.Remove(0, 4)
+}
+
+// TestRowsArenaTracksLiveEntries fills 1,000 rows with 40 entries each, then
+// removes all but one from every row: the compactions the removals trigger
+// must shrink the arena to a small multiple of what is left, not keep the
+// reservations of the full rows.
+func TestRowsArenaTracksLiveEntries(t *testing.T) {
+	const n, deg = 1000, 40
+	r := NewRows(n)
+	for row := 0; row < n; row++ {
+		for k := int32(0); k < deg; k++ {
+			r.Insert(row, k, k)
+		}
+	}
+	full := len(r.keys)
+	for row := 0; row < n; row++ {
+		for k := int32(1); k < deg; k++ {
+			r.Remove(row, k)
+		}
+	}
+	if r.live != n {
+		t.Fatalf("live = %d, want %d", r.live, n)
+	}
+	if len(r.keys) > 8*n {
+		t.Fatalf("arena holds %d entries for %d live (%d when full): removals are not reclaimed", len(r.keys), r.live, full)
+	}
+	checkArena(t, r)
+}
+
+// TestRowsCompactionNeverGrowsRows cycles one entry of 1,000 full two-entry
+// rows out and back in, a ring's rows under chord churn: the cycles leave no
+// garbage, but each removal counts as garbage, so compactions run, and they
+// must not hand the rows the slack they never needed.
+func TestRowsCompactionNeverGrowsRows(t *testing.T) {
+	const n = 1000
+	r := NewRows(n)
+	for row := 0; row < n; row++ {
+		r.Insert(row, 0, 0)
+		r.Insert(row, 1, 1)
+	}
+	arena := len(r.keys)
+	for c := 0; c < 100*n; c++ {
+		row := c % n
+		r.Remove(row, 1)
+		r.Insert(row, 1, 1)
+	}
+	if r.Rebuilds == 0 {
+		t.Fatal("remove/insert cycles never compacted")
+	}
+	if len(r.keys) > arena {
+		t.Fatalf("arena grew from %d to %d entries over %d compactions for an unchanged %d live", arena, len(r.keys), r.Rebuilds, r.live)
+	}
+	checkArena(t, r)
 }
 
 // TestRowsCompactionAmortized pins the amortization: building a large ring
@@ -131,11 +221,12 @@ func TestRowsCompactionAmortized(t *testing.T) {
 	}
 }
 
-// FuzzRows feeds arbitrary insert scripts through the CSR structure and the
-// map oracle, checking equality after every step. Each op is two bytes: the
-// row and the key, over the full byte range, so one row can grow far past
-// the compaction floor. The compactSeed script fills one row with 64 keys;
-// on it the structure must have compacted at least once.
+// FuzzRows feeds arbitrary insert and remove scripts through the CSR
+// structure and the map oracle, checking equality after every step. Each op
+// is two bytes: the row and the key, over the full byte range, so one row
+// can grow far past the compaction floor; an op on a present key removes
+// it. The compactSeed script fills one row with 64 keys; on it the
+// structure must have compacted at least once.
 func FuzzRows(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{10, 200, 10, 200, 10, 200, 31, 31, 31})
@@ -155,8 +246,12 @@ func FuzzRows(f *testing.F) {
 				val := int32(i)
 				r.Insert(row, key, val)
 				ref.m[row][key] = val
+			} else {
+				r.Remove(row, key)
+				delete(ref.m[row], key)
 			}
 			checkEqual(t, r, ref)
+			checkArena(t, r)
 		}
 		if bytes.Equal(script, compactSeed) && r.Rebuilds == 0 {
 			t.Fatal("a 64-key row never triggered a compaction")

@@ -45,10 +45,11 @@ type Messaging struct {
 	mRate float64
 	// The latest beacon sample of each directed edge, indexed by the
 	// topology's directed index of (receiver, sender) (topo.Dynamic.Dir).
-	// The slab is sized when links are declared (declares are serial
-	// engine/scenario operations), so RecordBeacon — which runs
-	// concurrently for distinct receivers under the sharded event drain —
-	// only writes the receiver's own entries.
+	// The slab is sized, and a reused slot's two entries emptied, when
+	// links are declared (declares are serial engine/scenario operations),
+	// so RecordBeacon — which runs concurrently for distinct receivers
+	// under the sharded event drain — only writes the receiver's own
+	// entries.
 	samples []sample
 	// Misses counts estimate queries that found no certified sample. It is
 	// incremented atomically: Estimate runs concurrently for distinct u
@@ -69,23 +70,32 @@ type sample struct {
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
 // hardware clock. The sample slab covers every link already declared on
-// dyn; a declare hook grows it for later links.
+// dyn; a declare hook grows it for later links and empties the entries of
+// a slot that a forgotten link hands over.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw, mRate: (1 - cfg.Rho) / (1 + cfg.Rho)}
 	m.grow()
-	dyn.OnDeclare(m.grow)
+	dyn.OnDeclare(m.declare)
 	return m
 }
 
 // grow sizes the sample slab to the topology's directed-index range; new
-// entries hold no sample. It is the topology's declare hook: a newly
-// declared link takes the next two indices, which no pair used before.
+// entries hold no sample.
 func (m *Messaging) grow() {
 	old := len(m.samples)
 	m.samples = csr.Grow(m.samples, m.dyn.DirCap())
 	for i := old; i < len(m.samples); i++ {
 		m.samples[i].hwAtRecv = math.Inf(1)
 	}
+}
+
+// declare is the topology's declare hook: it grows the sample slab and
+// empties the two entries of slot, which a freed slot hands over from a
+// forgotten link.
+func (m *Messaging) declare(slot int32) {
+	m.grow()
+	m.samples[2*slot] = sample{hwAtRecv: math.Inf(1)}
+	m.samples[2*slot+1] = sample{hwAtRecv: math.Inf(1)}
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every

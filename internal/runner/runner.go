@@ -48,9 +48,9 @@ type Algorithm interface {
 // instead of at a global barrier: in the window drain just before the
 // shard's first event at or after the tick, or, for a shard no window
 // reached, just before the tick fires. Either way StepNode(u, shard, dh) is
-// called with shard = u mod K while Engine.InWindow() is true. A shard's
-// calls run on one goroutine at a time, and other shards may step their
-// own nodes concurrently. It must read only node u's own state (plus
+// called with shard = sim.Owner(u, K) while Engine.InWindow() is true. A
+// shard's calls run on one goroutine at a time, and other shards may step
+// their own nodes concurrently. It must read only node u's own state (plus
 // tick-stable shared state) and tally mode counters into the given
 // event-shard block; FinishTick runs serially once every shard is stepped
 // and folds the blocks in shard order, so counter totals stay
@@ -84,9 +84,9 @@ type Config struct {
 	Drift drift.Schedule
 	// Delay is the message delay adversary.
 	Delay transport.DelayPolicy
-	// Link gives the parameters used when a scenario (or Runtime.AddEdge)
-	// touches an edge that was never declared; zero value → the
-	// topo.DefaultLinkParams unit conventions.
+	// Link gives the parameters used when a scenario (or Runtime.AddEdge
+	// and CutEdge) touches an edge that is not declared, never or no
+	// longer; zero value → the topo.DefaultLinkParams unit conventions.
 	Link topo.LinkParams
 	// Scenario, when non-nil, is installed at Start (see internal/scenario).
 	Scenario Scenario
@@ -298,19 +298,39 @@ func (rt *Runtime) Hardware(u int) float64 { return rt.HW[u] }
 func (rt *Runtime) Link() topo.LinkParams { return rt.cfg.Link }
 
 // AddEdge declares (if needed) edge {u,v} with the configured link
-// parameters and makes it appear; endpoints discover it within τ.
+// parameters and makes it appear; endpoints discover it within τ. A link
+// dead for longer than its quarantine (topo.Dynamic.Declared) is declared
+// afresh, with the configured parameters whatever it was declared with
+// before.
 func (rt *Runtime) AddEdge(u, v int) error {
-	if _, ok := rt.Dyn.Params(u, v); !ok {
-		if err := rt.Dyn.DeclareLink(u, v, rt.cfg.Link); err != nil {
-			return err
-		}
+	if err := rt.declare(u, v); err != nil {
+		return err
 	}
 	return rt.Dyn.Appear(u, v)
 }
 
-// CutEdge makes edge {u,v} disappear; endpoints detect within τ.
+// CutEdge makes edge {u,v} disappear; endpoints detect within τ. Like
+// AddEdge it declares the link first when it has none, so a generator
+// that cuts a link it last saw up, which another generator has cut since,
+// more than a quarantine ago, cuts it as it would cut any link that is
+// already down: each endpoint draws its detection lag and observes
+// nothing new.
 func (rt *Runtime) CutEdge(u, v int) error {
+	if err := rt.declare(u, v); err != nil {
+		return err
+	}
 	return rt.Dyn.Disappear(u, v)
+}
+
+// declare declares {u,v} with the configured link parameters unless it has
+// a link (topo.Dynamic.Declared); a link dead for longer than its
+// quarantine is declared afresh, whether or not the topology has forgotten
+// it yet.
+func (rt *Runtime) declare(u, v int) error {
+	if rt.Dyn.Declared(u, v) {
+		return nil
+	}
+	return rt.Dyn.DeclareLink(u, v, rt.cfg.Link)
 }
 
 // SetEstimator installs the estimate layer. When the layer is the messaging
@@ -395,10 +415,10 @@ func (rt *Runtime) beginCross(tickAt sim.Time) {
 	rt.crossDt = tickAt - rt.lastTick
 }
 
-// stepShard applies the crossed tick to event shard s: for every node
-// u ≡ s (mod K), hardware-clock integration at Rate(u, crossT) over crossDt,
-// the rate and dt of the barrier tick, then the algorithm's fused
-// decide-and-integrate. The engine calls it once per shard, under
+// stepShard applies the crossed tick to event shard s: for every node u
+// that s owns (sim.Owner), hardware-clock integration at Rate(u, crossT)
+// over crossDt, the rate and dt of the barrier tick, then the algorithm's
+// fused decide-and-integrate. The engine calls it once per shard, under
 // InWindow() on the goroutine that owns the shard, so the nodes' clocks and
 // the stepper's shard-s counter block have one writer, and Rate is called
 // for distinct nodes only, which every drift.Schedule allows concurrently.
@@ -409,7 +429,8 @@ func (rt *Runtime) beginCross(tickAt sim.Time) {
 // after the tick comes after the step. It leaves dH alone: only a barrier
 // tick's Step reads dH, and driftShard rewrites every entry before that.
 func (rt *Runtime) stepShard(s int) {
-	for u, k := s, rt.Engine.EventShards(); u < rt.cfg.N; u += k {
+	k := rt.Engine.EventShards()
+	for u := sim.FirstOwned(s, k); u < rt.cfg.N; u = sim.NextOwned(u, k) {
 		rate := drift.Clamp(rt.driftSrc.Rate(u, rt.crossT), rateSpan)
 		dh := rate * rt.crossDt
 		rt.HW[u] += dh
@@ -418,8 +439,8 @@ func (rt *Runtime) stepShard(s int) {
 }
 
 // wheelSource is the beacon wheel as a sharded event source. Shard s owns
-// the wheel slots of the nodes u ≡ s (mod K) — the same keying as beacon
-// deliveries (receiver mod K) — so during a parallel window a node's sends
+// the wheel slots of the nodes it owns (sim.Owner) — the same keying as
+// beacon deliveries, by receiver — so during a parallel window a node's sends
 // read its logical clock and max estimate on the shard that also owns every
 // write to them. Slot times are computed absolutely (not accumulated) from
 // the slot index, so the stagger stays exact over arbitrarily long runs and
@@ -431,46 +452,50 @@ type wheelSource struct {
 	sh       []wheelShard
 }
 
-// wheelShard is one shard's wheel cursor: the owned node sequence is
-// u = shard + idx·K, and cycle counts completed walks of the whole wheel.
+// wheelShard is one shard's wheel cursor: u is the next node of the
+// shard's owned sequence (sim.FirstOwned, sim.NextOwned) to beacon, and
+// cycle counts completed walks of the whole wheel.
 type wheelShard struct {
 	cycle uint64
-	idx   int32
+	u     int32
 	_     [6]uint64 // pad to 64 B: cursors advance concurrently during windows
 }
 
 func newWheelSource(rt *Runtime) *wheelSource {
 	k := rt.Engine.EventShards()
-	return &wheelSource{
+	w := &wheelSource{
 		rt:       rt,
 		n:        rt.cfg.N,
 		k:        k,
 		interval: rt.cfg.BeaconInterval,
 		sh:       make([]wheelShard, k),
 	}
+	for s := range w.sh {
+		w.sh[s].u = int32(sim.FirstOwned(s, k))
+	}
+	return w
 }
 
 // Peek implements sim.Source: the shard's next owned slot time.
 func (w *wheelSource) Peek(shard int) sim.Time {
-	if shard >= w.n {
+	ws := &w.sh[shard]
+	if int(ws.u) >= w.n {
 		return math.Inf(1) // more shards than nodes: trailing shards idle
 	}
-	ws := &w.sh[shard]
-	u := shard + int(ws.idx)*w.k
-	slot := ws.cycle*uint64(w.n) + uint64(u)
+	slot := ws.cycle*uint64(w.n) + uint64(ws.u)
 	return w.interval * float64(slot) / float64(w.n)
 }
 
 // FireNext implements sim.Source: beacon the cursor's node and advance.
 func (w *wheelSource) FireNext(shard int, now sim.Time) {
 	ws := &w.sh[shard]
-	u := shard + int(ws.idx)*w.k
+	u := int(ws.u)
 	b := transport.Beacon{L: w.rt.algo.Logical(u), M: w.rt.algo.MaxEstimate(u)}
 	w.rt.Net.BroadcastBeaconAt(u, b, now)
-	if u+w.k < w.n {
-		ws.idx++
+	if next := sim.NextOwned(u, w.k); next < w.n {
+		ws.u = int32(next)
 	} else {
-		ws.idx = 0
+		ws.u = int32(sim.FirstOwned(shard, w.k))
 		ws.cycle++
 	}
 }

@@ -417,3 +417,79 @@ func TestTickPoolSizeRule(t *testing.T) {
 		}
 	}
 }
+
+// TestForgottenLinkRedeclared cuts a link declared with parameters of its
+// own and waits out its quarantine; the next declare forgets it, hands its
+// slot to the new link and drops its parameters. CutEdge on the forgotten
+// link succeeds: it declares the link again with the runtime's link
+// parameters and cuts it, and the endpoints observe nothing, since it is
+// down already. AddEdge then makes it appear with those parameters. A
+// second link is cut and re-added with nothing in between to forget it:
+// it comes back with the runtime's parameters too.
+func TestForgottenLinkRedeclared(t *testing.T) {
+	own := topo.DefaultLinkParams()
+	shared := topo.LinkParams{Eps: 0.3, Tau: 0.05, Delay: 0.2, Uncertainty: 0.1}
+	rt, err := New(Config{N: 4, Tick: 0.1, BeaconInterval: 0.5, Link: shared, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range topo.Line(4) {
+		if err := rt.Dyn.DeclareLink(e.U, e.V, own); err != nil {
+			t.Fatal(err)
+		}
+	}
+	algo := &fakeAlgo{}
+	rt.SetEstimator(estimate.NewOracle(rt.Dyn, algo.Logical, nil))
+	rt.Attach(algo)
+	for _, e := range topo.Line(4) {
+		if err := rt.Dyn.AppearInstant(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.Run(1)
+	cut, _ := rt.Dyn.Dir(1, 2)
+	must(rt.CutEdge(1, 2))
+	rt.Run(2)
+	if p, ok := rt.Dyn.Params(1, 2); !ok || p != own {
+		t.Fatalf("before a declare or transition forgets it, the cut link holds (%+v, %v), want its own parameters", p, ok)
+	}
+	must(rt.AddEdge(0, 3)) // the declare forgets {1,2}
+	if _, ok := rt.Dyn.Params(1, 2); ok {
+		t.Fatal("a link dead for longer than its quarantine is still declared")
+	}
+	if d, _ := rt.Dyn.Dir(0, 3); d>>1 != cut>>1 || rt.Dyn.DirCap() != 6 {
+		t.Fatalf("{0,3} took directed index %d and DirCap is %d, want {1,2}'s slot %d and 6", d, rt.Dyn.DirCap(), cut>>1)
+	}
+	downs := len(algo.downs)
+	must(rt.CutEdge(1, 2))
+	rt.Run(3)
+	if p, ok := rt.Dyn.Params(1, 2); !ok || p != shared || len(algo.downs) != downs {
+		t.Fatalf("CutEdge on the forgotten link: parameters (%+v, %v), %d new losses; want the runtime's and none", p, ok, len(algo.downs)-downs)
+	}
+	must(rt.AddEdge(1, 2))
+	rt.Run(4)
+	if p, _ := rt.Dyn.Params(1, 2); p != shared || !rt.Dyn.BothUp(1, 2) {
+		t.Fatalf("AddEdge on the forgotten link: parameters %+v, both up %v; want the runtime's, up", p, rt.Dyn.BothUp(1, 2))
+	}
+	// No declare or transition runs between {2,3}'s losses and AddEdge, so
+	// the topology still holds the link; it counts as forgotten all the
+	// same, and comes back with the runtime's parameters.
+	must(rt.CutEdge(2, 3))
+	rt.Run(6)
+	if p, ok := rt.Dyn.Params(2, 3); !ok || p != own || rt.Dyn.Declared(2, 3) {
+		t.Fatalf("{2,3} a quarantine after its losses: parameters (%+v, %v), declared %v; want its own, held, not declared", p, ok, rt.Dyn.Declared(2, 3))
+	}
+	must(rt.AddEdge(2, 3))
+	if p, ok := rt.Dyn.Params(2, 3); !ok || p != shared {
+		t.Fatalf("AddEdge on {2,3}: parameters (%+v, %v), want the runtime's", p, ok)
+	}
+}

@@ -74,8 +74,9 @@ var _ runner.Scenario = (*RandomGeometric)(nil)
 // cellGrid is a sparse spatial hash over the unit torus: side m cells of
 // width 1/m ≥ radius, so two nodes within radius always land in the same or
 // an adjacent cell (±1 per axis, torus-wrapped). Only occupied cells hold
-// buckets, so memory tracks the node count rather than m² — with very small
-// radii m can be in the tens of thousands.
+// buckets, and a cell's last node to leave deletes its bucket, so memory
+// tracks the node count rather than m² — with very small radii m can be in
+// the tens of thousands — or the cells nodes have ever visited.
 type cellGrid struct {
 	m     int
 	cells map[int64][]int32
@@ -124,6 +125,10 @@ func (g *cellGrid) remove(u int32, p [2]float64) {
 	b := g.cells[k]
 	for i, v := range b {
 		if v == u {
+			if len(b) == 1 {
+				delete(g.cells, k)
+				return
+			}
 			b[i] = b[len(b)-1]
 			g.cells[k] = b[:len(b)-1]
 			return

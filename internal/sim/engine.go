@@ -239,6 +239,23 @@ func (e *Engine) SetEventParallelism(k int) {
 // EventShards returns the sharded-drain parallelism K (≥ 1).
 func (e *Engine) EventShards() int { return e.shards }
 
+// Owner is the one keying rule of node-keyed sources: the event shard, of
+// k, that owns node u. Every item about a node — its beacon-wheel slot, the
+// deliveries addressed to it, the crossed-tick step of its clocks — fires
+// on its owner's shard, so a window writes each node's state from one
+// shard. The rule is u mod k.
+func Owner(u, k int) int { return u % k }
+
+// FirstOwned returns the smallest node shard s owns at k shards, and
+// NextOwned the next node after u that u's shard owns: the owned sequence
+// a shard walks in ascending order, FirstOwned(s, k), NextOwned of that,
+// and so on while the node is below the node count. Owner of every node of
+// the sequence is s.
+func FirstOwned(s, k int) int { return s }
+
+// NextOwned is the step of the owned sequence (see FirstOwned).
+func NextOwned(u, k int) int { return u + k }
+
 // SetLookahead installs the conservative window bound: f() returns the
 // minimum time any source item fired now can take to affect any shard — the
 // model's minimum link transit, Delay−Uncertainty, over every link — so a

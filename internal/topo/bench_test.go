@@ -30,12 +30,17 @@ func BenchmarkNeighbors(b *testing.B) {
 }
 
 // BenchmarkTopoChurn pins the cost of one edge transition cycle
-// (Appear, drain detections, Disappear, drain detections) on a 10⁴-node
-// ring. A lagged transition takes a cell from the pool and returns it when
-// it fires, and the pending map reuses its entries; the pool makes its two
-// cells, and their fire closures, in the warm-up loop. So the measured
-// steady state must be 0 allocs/op: a regression here means a
-// per-transition allocation crept into the slot lookup or the cell pool.
+// (declare if forgotten, Appear, drain detections, Disappear, drain
+// detections) on a 10⁴-node ring. A lagged transition takes a cell from the
+// pool and returns it when it fires, and the pending map reuses its
+// entries; the pool makes its two cells, and their fire closures, in the
+// warm-up loop. A chord is down far longer than its quarantine before its
+// next cycle, so a later cycle's toggle forgets it and its own declare
+// takes a freed slot, and rows reuse the room its entries left. So the
+// measured steady state must be 0 allocs/op, but for the arena compaction
+// the removed entries bring on every ten thousand or so cycles: a
+// regression here means a per-transition allocation crept into the slot
+// lookup, the slot free list or the cell pool.
 func BenchmarkTopoChurn(b *testing.B) {
 	const n = 10000
 	engine := sim.NewEngine()
@@ -59,6 +64,11 @@ func BenchmarkTopoChurn(b *testing.B) {
 		}
 	}
 	cycle := func(id EdgeID) {
+		if _, declared := d.Params(id.U, id.V); !declared {
+			if err := d.DeclareLink(id.U, id.V, DefaultLinkParams()); err != nil {
+				b.Fatalf("declare chord: %v", err)
+			}
+		}
 		if err := d.Appear(id.U, id.V); err != nil {
 			b.Fatalf("appear: %v", err)
 		}

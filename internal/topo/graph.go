@@ -8,6 +8,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/csr"
@@ -80,32 +81,60 @@ type cell struct {
 	fire   func(sim.Time)
 }
 
-// Side-visibility bits of the eUp bytes: bit side is the
-// visibility of directed index 2·slot+side.
+// Per-link record bits: bit side of eRec is the visibility of directed
+// index 2·slot+side, wentDead marks a link that has gone dead since its
+// declare, and the bits above recClassShift hold the link's interned
+// parameter class.
 const (
-	upU uint8 = 1 << 0 // directed edge (U → sees V)
-	upV uint8 = 1 << 1
+	upU           uint32 = 1 << 0 // directed edge (U → sees V)
+	upV           uint32 = 1 << 1
+	upBoth               = upU | upV
+	wentDead      uint32 = 1 << 2
+	recClassShift        = 3
 )
+
+// deadLink is one entry of the quarantine queue: the link in slot went
+// dead, both sides down and no transition pending, at time at.
+type deadLink struct {
+	slot int32
+	at   sim.Time
+}
 
 // Dynamic is the dynamic estimate graph.
 //
 // The layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
-// layout): every declared edge owns a stable int32 slot in flat parallel
-// slabs (endpoints, interned parameter class, visibility bits, up-since
-// times), and per-node adjacency is a csr.Rows mapping peer → directed
-// index. Reads (Sees, Params, Neighbors) scan one contiguous sorted row;
-// declares and toggles find a pair's slot by searching the shorter of its
-// endpoints' rows, so no keyed map shadows the rows.
+// layout): every present link owns an int32 slot in flat parallel slabs
+// (endpoints, one per-link record of visibility bits and interned parameter
+// class, one time), and per-node adjacency is a csr.Rows mapping peer →
+// directed index. Reads (Sees, Params, Neighbors) scan one contiguous
+// sorted row; declares and toggles find a pair's slot by searching the
+// shorter of its endpoints' rows, so no keyed map shadows the rows.
 //
 // The directed index dir = 2·slot + side names the directed edge (u, v),
 // side 0 when u is the smaller endpoint, so dir^1 names (v, u). It is the
 // one key of per-directed-edge state in the whole stack: the algorithm's
 // edge records and the estimate layers' samples are slabs indexed by it,
 // and a caller walking Row(u) reads them without any further lookup
-// (SeesAt, ParamsAt). A declared link is never removed, so an index names
-// one pair for the life of the graph: one resolved earlier, such as a
-// beacon's at send time, still names it. A new link takes the next slot,
-// and the OnDeclare hooks grow the index-keyed slabs to it.
+// (SeesAt, ParamsAt).
+//
+// Slot lifecycle. A declare takes a slot, the last one freed or else a
+// new one, and the OnDeclare hooks reset the index-keyed slabs there. The
+// link is dead once a down transition leaves both sides down with no
+// transition pending; a link declared but never yet toggled down is not.
+// A dead link is forgotten once strictly more than maxDelay, the largest
+// Delay ever declared, has passed since it went dead: its row entries go,
+// its parameters are dropped, and its slot joins the free list. Until then
+// an index carried in flight still names its pair. Every message is sent
+// while its sender sees the link, so no later than the moment the link
+// went dead, and it is delivered within its link's Delay of the send, so at
+// the latest at that moment plus maxDelay. The bound is strict because a
+// global event at that very time, such as a declare that might take the
+// slot, fires before a delivery due then. So no message reaches a freed or
+// reused slot. Dead links wait in a queue in the order they went dead.
+// Declares and lagged transitions forget the links whose quarantine has
+// run out before they act, and toggles after they act, so the work rides
+// on events that happen anyway and none is scheduled for it; Declared
+// counts such a link as gone as soon as its quarantine has run out.
 //
 // Lagged transitions hold a cell each from a pool, and pending maps a
 // directed index to its cell only while the transition is in flight. So
@@ -121,23 +150,30 @@ type Dynamic struct {
 	// sharded drain. It only ratchets down (a re-declare that raises a
 	// link's transit does not raise it), which keeps it sound without
 	// rescanning: the true minimum over declared links can never be below
-	// it.
+	// it. maxDelay is its companion ratchet, the largest Delay ever
+	// declared, and a dead link's quarantine.
 	minTransit float64
+	maxDelay   float64
 	// onDeclare hooks run after each newly declared link (never for
-	// re-declares); the layers keyed by directed index use them to size
-	// their slabs, so beacon ingestion and the trigger fold stay
-	// structurally read-only.
-	onDeclare []func()
+	// re-declares) with the slot it took; the layers keyed by directed index
+	// use them to size and reset their slabs, so beacon ingestion and the
+	// trigger fold stay structurally read-only.
+	onDeclare []func(slot int32)
 
-	adj      *csr.Rows // (node, peer) → directed index
-	eU, eV   []int32
-	eClass   []int32 // index into classes
-	eUp      []uint8 // upU | upV visibility bits
-	eSince   [][2]sim.Time
-	classes  []LinkParams // interned parameter classes
-	classIdx map[LinkParams]int32
-	pending  map[int32]*cell // directed index → its lagged transition in flight
-	free     []*cell         // cells no transition holds
+	adj *csr.Rows // (node, peer) → directed index
+	// eU and eV are a slot's endpoints, −1 while the slot is free. eRec is
+	// its record: the visibility bits, the went-dead bit and the parameter
+	// class. eSince is one time: while both sides see the link, when that
+	// began; while the link is dead, when it went dead.
+	eU, eV    []int32
+	eRec      []uint32
+	eSince    []sim.Time
+	classes   []LinkParams // interned parameter classes
+	classIdx  map[LinkParams]int32
+	pending   map[int32]*cell // directed index → its lagged transition in flight
+	free      []*cell         // cells no transition holds
+	dying     []deadLink      // dead links in the order they went dead
+	freeSlots []int32         // slots of forgotten links, reused last first
 }
 
 // NewDynamic creates a graph over n nodes with no edges. The listener may be
@@ -164,12 +200,13 @@ func (d *Dynamic) MinTransit() float64 { return d.minTransit }
 func (d *Dynamic) SetListener(l Listener) { d.listener = l }
 
 // OnDeclare registers a hook invoked after every newly declared link (not
-// for re-declares). The link's two directed indices are the two below the
-// new DirCap, so a slab keyed by directed index grows to DirCap and starts
-// them at its zero state. Declares only happen in serial contexts
-// (construction and global scenario events), so hooks may mutate shared
-// structures.
-func (d *Dynamic) OnDeclare(fn func()) { d.onDeclare = append(d.onDeclare, fn) }
+// for re-declares) with the slot the link took. The link's two directed
+// indices are 2·slot and 2·slot+1, below DirCap: a slab keyed by directed
+// index grows to DirCap and resets those two entries to its zero state,
+// since a freed slot held another pair's state. Declares only happen in
+// serial contexts (construction and global scenario events), so hooks may
+// mutate shared structures.
+func (d *Dynamic) OnDeclare(fn func(slot int32)) { d.onDeclare = append(d.onDeclare, fn) }
 
 // N returns the number of nodes.
 func (d *Dynamic) N() int { return d.n }
@@ -195,7 +232,12 @@ func (d *Dynamic) classOf(p LinkParams) int32 {
 // afresh at the next appearance); re-declaring it with different
 // parameters while either endpoint sees it is an error, since the
 // endpoints' running estimates and weights were derived from the old ones.
+// A link stays declared until it is forgotten, some time after both sides
+// lost it (see Dynamic); a forgotten link must be declared again before it
+// can appear. A declare first forgets every link whose quarantine has run
+// out, and a new link takes the last slot freed, if any.
 func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
+	d.reclaim(d.engine.Now())
 	if a == b {
 		return fmt.Errorf("topo: self-loop {%d,%d} not allowed", a, b)
 	}
@@ -206,27 +248,83 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 		return err
 	}
 	slot, ok := d.slotOf(a, b)
-	if ok && d.eUp[slot] != 0 && d.classes[d.eClass[slot]] != p {
+	if ok && d.eRec[slot]&upBoth != 0 && d.ParamsAt(2*slot) != p {
 		return fmt.Errorf("topo: re-declare of visible link {%d,%d} with new parameters", a, b)
 	}
 	d.minTransit = min(d.minTransit, p.Delay-p.Uncertainty)
+	d.maxDelay = max(d.maxDelay, p.Delay)
+	rec := uint32(d.classOf(p)) << recClassShift
 	if ok {
-		d.eClass[slot] = d.classOf(p)
+		d.eRec[slot] = rec | d.eRec[slot]&(upBoth|wentDead)
 		return nil
 	}
 	id := MakeEdgeID(a, b)
-	slot = int32(len(d.eU))
-	d.eU = append(d.eU, int32(id.U))
-	d.eV = append(d.eV, int32(id.V))
-	d.eClass = append(d.eClass, d.classOf(p))
-	d.eUp = append(d.eUp, 0)
-	d.eSince = append(d.eSince, [2]sim.Time{})
+	if k := len(d.freeSlots); k > 0 {
+		slot = d.freeSlots[k-1]
+		d.freeSlots = d.freeSlots[:k-1]
+		d.eU[slot], d.eV[slot], d.eRec[slot], d.eSince[slot] = int32(id.U), int32(id.V), rec, 0
+	} else {
+		slot = int32(len(d.eU))
+		d.eU = append(d.eU, int32(id.U))
+		d.eV = append(d.eV, int32(id.V))
+		d.eRec = append(d.eRec, rec)
+		d.eSince = append(d.eSince, 0)
+	}
 	d.adj.Insert(id.U, int32(id.V), 2*slot)
 	d.adj.Insert(id.V, int32(id.U), 2*slot+1)
 	for _, fn := range d.onDeclare {
-		fn()
+		fn(slot)
 	}
 	return nil
+}
+
+// dead reports whether the link in slot is dead: both sides down and no
+// transition pending for either.
+func (d *Dynamic) dead(slot int32) bool {
+	return d.eRec[slot]&upBoth == 0 && d.pending[2*slot] == nil && d.pending[2*slot+1] == nil
+}
+
+// expired reports whether the link in slot is dead, and has been since
+// strictly more than its quarantine before now. A dead link that went
+// dead since its declare holds in eSince when it last did, since only a
+// down transition can leave a link dead.
+func (d *Dynamic) expired(slot int32, now sim.Time) bool {
+	return d.eRec[slot]&wentDead != 0 && d.dead(slot) && now > d.eSince[slot]+d.maxDelay
+}
+
+// reclaim forgets every link whose quarantine has run out at now. Each such
+// link has an entry in the run-out prefix of the queue: the queue is in
+// the order the links went dead, and every entry waits the same maxDelay.
+// An entry whose link came back (a side up or a transition pending) or
+// went dead again since (a later entry stands for it) forgets nothing. The
+// links forgotten together free their slots in ascending order, which
+// keeps the free list a function of the set of links forgotten, not of
+// the order they died in.
+func (d *Dynamic) reclaim(now sim.Time) {
+	i, freed := 0, len(d.freeSlots)
+	for ; i < len(d.dying); i++ {
+		k := d.dying[i]
+		if !(now > k.at+d.maxDelay) {
+			break
+		}
+		if d.eU[k.slot] >= 0 && d.expired(k.slot, now) {
+			d.forget(k.slot)
+		}
+	}
+	if i > 0 {
+		d.dying = append(d.dying[:0], d.dying[i:]...)
+		slices.Sort(d.freeSlots[freed:])
+	}
+}
+
+// forget frees the slot of a dead link: its row entries and parameters go,
+// and the slot joins the free list.
+func (d *Dynamic) forget(slot int32) {
+	u, v := d.eU[slot], d.eV[slot]
+	d.adj.Remove(int(u), v)
+	d.adj.Remove(int(v), u)
+	d.eU[slot], d.eV[slot], d.eRec[slot] = -1, -1, 0
+	d.freeSlots = append(d.freeSlots, slot)
 }
 
 // slotOf returns the slot of the declared link {a,b}. It searches the
@@ -240,40 +338,55 @@ func (d *Dynamic) slotOf(a, b int) (int32, bool) {
 	return dir >> 1, ok
 }
 
-// Params returns the link parameters for {a,b}.
+// Params returns the link parameters for {a,b}; ok is false when the link
+// is not declared, or was forgotten.
 func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
 	dir, ok := d.adj.Find(a, int32(b))
 	if !ok {
 		return LinkParams{}, false
 	}
-	return d.classes[d.eClass[dir>>1]], true
+	return d.ParamsAt(dir), true
+}
+
+// Declared reports whether {a,b} has a link now: declared, and not dead
+// for longer than the quarantine. A link counts as forgotten from the
+// moment its quarantine runs out, although its entries stay, and Params,
+// Dir and a toggle still find it, until the next declare, toggle or
+// lagged transition forgets it. So a caller that declares a link afresh
+// when Declared is false treats a cut link by its own history alone.
+func (d *Dynamic) Declared(a, b int) bool {
+	slot, ok := d.slotOf(a, b)
+	return ok && !d.expired(slot, d.engine.Now())
 }
 
 // Dir returns the directed index 2·slot+side of the declared link (u, v),
 // side 0 when u < v — the key of every per-directed-edge slab. ok is false
-// when the link is not declared.
+// when the link is not declared. The index names the pair until the link
+// is forgotten; a later declare may hand its slot to another pair.
 func (d *Dynamic) Dir(u, v int) (dir int32, ok bool) {
 	return d.adj.Find(u, int32(v))
 }
 
 // DirCap bounds every directed index handed out so far: slabs keyed by
-// directed index are in range when sized to DirCap.
+// directed index are in range when sized to DirCap. It is twice the most
+// links held at once, since freed slots are reused before new ones.
 func (d *Dynamic) DirCap() int { return 2 * len(d.eU) }
 
 // Row returns u's declared peers in ascending order and, in parallel, the
 // directed index of each (u, peer): the adjacency walk, with no per-peer
 // lookup. The slices alias internal storage and are only valid until the
-// next declare.
+// next declare, toggle or lagged transition, any of which may forget a
+// link.
 func (d *Dynamic) Row(u int) (peers, dirs []int32) { return d.adj.Row(u) }
 
 // SeesAt is Sees for the directed index of a declared link.
 func (d *Dynamic) SeesAt(dir int32) bool {
-	return d.eUp[dir>>1]&(upU<<(dir&1)) != 0
+	return d.eRec[dir>>1]&(upU<<(dir&1)) != 0
 }
 
 // ParamsAt is Params for the directed index of a declared link.
 func (d *Dynamic) ParamsAt(dir int32) LinkParams {
-	return d.classes[d.eClass[dir>>1]]
+	return d.classes[d.eRec[dir>>1]>>recClassShift]
 }
 
 // Appear makes edge {a,b} appear now. Each endpoint observes the appearance
@@ -295,12 +408,17 @@ func (d *Dynamic) Disappear(a, b int) error {
 	return d.toggle(a, b, false, false, "Disappear")
 }
 
+// toggle schedules both sides' transitions of {a,b}, then forgets the links
+// whose quarantine has run out. It forgets last, so that a toggle on a
+// dead link whose quarantine has just run out revives it, as on any other
+// declared link, rather than failing on a link it has just forgotten.
 func (d *Dynamic) toggle(a, b int, up, instant bool, op string) error {
+	defer d.reclaim(d.engine.Now())
 	slot, ok := d.slotOf(a, b)
 	if !ok {
 		return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
 	}
-	tau := d.classes[d.eClass[slot]].Tau
+	tau := d.ParamsAt(2 * slot).Tau
 	for side := int32(0); side < 2; side++ {
 		lag := 0.0
 		if !instant {
@@ -366,37 +484,47 @@ func (d *Dynamic) release(c *cell) {
 	d.free = append(d.free, c)
 }
 
-// fire applies a cell's transition when its event fires. The cell goes
-// back to the pool first, because the listener may schedule again.
+// fire applies a cell's transition when its event fires. It first forgets
+// the links whose quarantine has run out, while the cell still holds its
+// own link alive. The cell goes back to the pool before the transition
+// applies, because the listener may schedule again.
 func (d *Dynamic) fire(c *cell, t sim.Time) {
+	d.reclaim(t)
 	dir, up := c.dir, c.up
 	d.release(c)
 	d.apply(dir, up, t)
 }
 
 // apply flips the visibility of directed index dir and notifies the
-// listener.
+// listener. A down transition that leaves the link dead, a no-op one
+// included, stamps the time and queues the link for its quarantine.
 func (d *Dynamic) apply(dir int32, up bool, t sim.Time) {
 	slot, side := dir>>1, dir&1
 	bit := upU << side
-	if (d.eUp[slot]&bit != 0) == up {
-		return
-	}
-	self, peer := int(d.eU[slot]), int(d.eV[slot])
-	if side == 1 {
-		self, peer = peer, self
-	}
-	if up {
-		d.eUp[slot] |= bit
-		d.eSince[slot][side] = t
-		if d.listener != nil {
-			d.listener.EdgeUp(self, peer, t)
+	if (d.eRec[slot]&bit != 0) != up {
+		self, peer := int(d.eU[slot]), int(d.eV[slot])
+		if side == 1 {
+			self, peer = peer, self
 		}
-	} else {
-		d.eUp[slot] &^= bit
-		if d.listener != nil {
-			d.listener.EdgeDown(self, peer, t)
+		if up {
+			d.eRec[slot] |= bit
+			if d.eRec[slot]&upBoth == upBoth {
+				d.eSince[slot] = t
+			}
+			if d.listener != nil {
+				d.listener.EdgeUp(self, peer, t)
+			}
+		} else {
+			d.eRec[slot] &^= bit
+			if d.listener != nil {
+				d.listener.EdgeDown(self, peer, t)
+			}
 		}
+	}
+	if !up && d.dead(slot) {
+		d.eRec[slot] |= wentDead
+		d.eSince[slot] = t
+		d.dying = append(d.dying, deadLink{slot: slot, at: t})
 	}
 }
 
@@ -407,7 +535,7 @@ func (d *Dynamic) Sees(u, v int) bool {
 	if !ok {
 		return false
 	}
-	return d.eUp[dir>>1]&(upU<<(dir&1)) != 0
+	return d.SeesAt(dir)
 }
 
 // BothUp reports whether {u,v} exists in both directions.
@@ -416,16 +544,16 @@ func (d *Dynamic) BothUp(u, v int) bool {
 	if !ok {
 		return false
 	}
-	return d.eUp[dir>>1] == upU|upV
+	return d.eRec[dir>>1]&upBoth == upBoth
 }
 
 // ageBothSlot returns how long the link in slot has been continuously
 // visible to both endpoints, or false if it is not currently both-up.
 func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
-	if d.eUp[slot] != upU|upV {
+	if d.eRec[slot]&upBoth != upBoth {
 		return 0, false
 	}
-	return now - math.Max(d.eSince[slot][0], d.eSince[slot][1]), true
+	return now - d.eSince[slot], true
 }
 
 // Neighbors appends to dst the peers currently visible to u, in ascending
@@ -435,7 +563,7 @@ func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
 func (d *Dynamic) Neighbors(u int, dst []int) []int {
 	peers, dirs := d.adj.Row(u)
 	for i, v := range peers {
-		if dir := dirs[i]; d.eUp[dir>>1]&(upU<<(dir&1)) != 0 {
+		if d.SeesAt(dirs[i]) {
 			dst = append(dst, int(v))
 		}
 	}
@@ -443,12 +571,14 @@ func (d *Dynamic) Neighbors(u int, dst []int) []int {
 }
 
 // DeclaredEdges appends to dst every declared (potential) edge, up or down,
-// sorted. Scenario generators use it to tell the protected initial topology
-// apart from the pairs they are free to toggle.
+// sorted; forgotten links are not declared. It lets a partition sweep find
+// the cross-part links still visible.
 func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	for slot := range d.eU {
-		dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
+	for slot, u := range d.eU {
+		if u >= 0 {
+			dst = append(dst, EdgeID{U: int(u), V: int(d.eV[slot])})
+		}
 	}
 	sortEdges(dst[start:])
 	return dst
@@ -457,8 +587,8 @@ func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 // EdgesBothUp appends to dst all edges visible in both directions, sorted.
 func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	for slot := range d.eU {
-		if d.eUp[slot] == upU|upV {
+	for slot, rec := range d.eRec {
+		if rec&upBoth == upBoth {
 			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}

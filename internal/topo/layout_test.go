@@ -4,12 +4,18 @@ package topo
 // of declares, appears, disappears and time advances run on Dynamic and, in
 // lockstep, on shadowGraph — a map-of-pointers model with one heap object
 // per edge and per-node adjacency maps, kept here as the executable
-// specification of Dynamic's observable behaviour. The shadow numbers its
-// slots in declare order, so directed indices agree, and draws its
-// detection lags from an identically seeded RNG in the same order, so
-// lagged transitions land at the same times.
+// specification of Dynamic's observable behaviour. The shadow forgets a
+// link by the same rule, stated without a queue: once the link has been
+// dead, both sides down and nothing pending, for strictly more than the
+// largest Delay ever declared, checked at every declare, toggle and lagged
+// transition. The links forgotten together free their slots in ascending
+// order, and a declare takes the last slot freed, else the next new one,
+// so directed indices agree. The shadow draws its detection lags from an
+// identically seeded RNG in the same order, so lagged transitions land at
+// the same times.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,6 +36,10 @@ type shadowEdge struct {
 	up      [2]bool
 	upSince [2]sim.Time
 	pending [2]sim.Handle
+	// dead reports that a down transition left the link dead, at deadAt,
+	// and nothing revived it since.
+	dead   bool
+	deadAt sim.Time
 }
 
 func (e *shadowEdge) side(u int) int {
@@ -46,8 +56,14 @@ type shadowGraph struct {
 	rng        *sim.RNG
 	edges      map[EdgeID]*shadowEdge
 	adj        []map[int]*shadowEdge
-	slots      int32 // links declared so far
+	slots      int32   // slots ever made
+	freeSlots  []int32 // slots of forgotten links, the last freed on top
+	reused     int     // declares that took a freed slot
 	minTransit float64
+	maxDelay   float64
+	// reclaimed is the time of the latest declare, toggle or lagged
+	// transition, each of which forgets the links run out by then.
+	reclaimed sim.Time
 }
 
 func newShadowGraph(n int, engine *sim.Engine, rng *sim.RNG) *shadowGraph {
@@ -63,7 +79,33 @@ func newShadowGraph(n int, engine *sim.Engine, rng *sim.RNG) *shadowGraph {
 	return g
 }
 
+// expired reports whether e's quarantine has run out at now.
+func (g *shadowGraph) expired(e *shadowEdge, now sim.Time) bool {
+	return e.dead && now > e.deadAt+g.maxDelay
+}
+
+// forgetExpired forgets every link whose quarantine has run out, freeing
+// their slots in ascending order.
+func (g *shadowGraph) forgetExpired() {
+	now := g.engine.Now()
+	g.reclaimed = now
+	var gone []*shadowEdge
+	for _, e := range g.edges {
+		if g.expired(e, now) {
+			gone = append(gone, e)
+		}
+	}
+	sort.Slice(gone, func(i, j int) bool { return gone[i].slot < gone[j].slot })
+	for _, e := range gone {
+		delete(g.edges, e.id)
+		delete(g.adj[e.id.U], e.id.V)
+		delete(g.adj[e.id.V], e.id.U)
+		g.freeSlots = append(g.freeSlots, e.slot)
+	}
+}
+
 func (g *shadowGraph) declare(a, b int, p LinkParams) error {
+	g.forgetExpired()
 	if a == b || a < 0 || a >= g.n || b < 0 || b >= g.n {
 		return fmt.Errorf("bad pair {%d,%d}", a, b)
 	}
@@ -78,12 +120,19 @@ func (g *shadowGraph) declare(a, b int, p LinkParams) error {
 	if mt := p.Delay - p.Uncertainty; mt < g.minTransit {
 		g.minTransit = mt
 	}
+	g.maxDelay = max(g.maxDelay, p.Delay)
 	if ok {
 		e.params = p
 		return nil
 	}
 	e = &shadowEdge{id: id, slot: g.slots, params: p}
-	g.slots++
+	if k := len(g.freeSlots); k > 0 {
+		e.slot = g.freeSlots[k-1]
+		g.freeSlots = g.freeSlots[:k-1]
+		g.reused++
+	} else {
+		g.slots++
+	}
 	g.edges[id] = e
 	g.adj[id.U][id.V] = e
 	g.adj[id.V][id.U] = e
@@ -91,8 +140,10 @@ func (g *shadowGraph) declare(a, b int, p LinkParams) error {
 }
 
 // toggle draws one detection lag per side, side 0 first, exactly as
-// Dynamic does (no draw for instant toggles or τ ≤ 0).
+// Dynamic does (no draw for instant toggles or τ ≤ 0), and then forgets
+// the links whose quarantine has run out.
 func (g *shadowGraph) toggle(a, b int, up, instant bool) error {
+	defer g.forgetExpired()
 	e, ok := g.edges[MakeEdgeID(a, b)]
 	if !ok {
 		return fmt.Errorf("undeclared link {%d,%d}", a, b)
@@ -107,24 +158,33 @@ func (g *shadowGraph) toggle(a, b int, up, instant bool) error {
 	return nil
 }
 
+// transition revives e while it runs: a pending transition or a side up
+// is not dead. A down transition that leaves both sides down with nothing
+// pending makes the link dead at that moment.
 func (g *shadowGraph) transition(e *shadowEdge, side int, up bool, lag float64) {
 	g.engine.Cancel(e.pending[side])
 	e.pending[side] = 0
+	e.dead = false
 	apply := func(t sim.Time) {
 		e.pending[side] = 0
-		if e.up[side] == up {
-			return
+		if e.up[side] != up {
+			e.up[side] = up
+			if up {
+				e.upSince[side] = t
+			}
 		}
-		e.up[side] = up
-		if up {
-			e.upSince[side] = t
+		if !up && !e.up[0] && !e.up[1] && e.pending[0] == 0 && e.pending[1] == 0 {
+			e.dead, e.deadAt = true, t
 		}
 	}
 	if lag <= 0 {
 		apply(g.engine.Now())
 		return
 	}
-	e.pending[side] = g.engine.After(lag, apply)
+	e.pending[side] = g.engine.After(lag, func(t sim.Time) {
+		g.forgetExpired()
+		apply(t)
+	})
 }
 
 func (g *shadowGraph) sees(u, v int) bool {
@@ -135,14 +195,6 @@ func (g *shadowGraph) sees(u, v int) bool {
 func (g *shadowGraph) bothUp(u, v int) bool {
 	e, ok := g.adj[u][v]
 	return ok && e.up[0] && e.up[1]
-}
-
-func (g *shadowGraph) upSince(u, v int) (sim.Time, bool) {
-	e, ok := g.adj[u][v]
-	if !ok || !e.up[e.side(u)] {
-		return 0, false
-	}
-	return e.upSince[e.side(u)], true
 }
 
 func (g *shadowGraph) ageBoth(u, v int, now sim.Time) (float64, bool) {
@@ -223,20 +275,13 @@ func equalEdges(t *testing.T, ctx, what string, got, want []EdgeID) {
 	}
 }
 
-// upSince returns the time the directed edge (u,v) last became visible;
-// the second result is false if the edge is currently down for u.
-func upSince(d *Dynamic, u, v int) (sim.Time, bool) {
-	dir, ok := d.Dir(u, v)
-	if !ok || d.eUp[dir>>1]&(upU<<(dir&1)) == 0 {
-		return 0, false
-	}
-	return d.eSince[dir>>1][dir&1], true
-}
-
 // check asserts full observable equality of the graph and the shadow at the
 // current time: declared and both-up edges, and per-pair
-// Sees/BothUp/up-since/age/Params/Dir/Neighbors for every declared pair and
-// endpoint.
+// Sees/BothUp/age/Params/Declared/Dir/Neighbors for every declared pair and
+// endpoint. The rows must hold the present graph as of the latest declare,
+// toggle or lagged transition: exactly the links that have a side up, a
+// transition pending or a quarantine not yet run out, and those that have
+// not gone dead since their declare.
 func (p *layoutPair) check(t *testing.T, ctx string) {
 	t.Helper()
 	now := p.soaEng.Now()
@@ -244,7 +289,11 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 		t.Fatalf("%s: engines diverged: soa t=%v shadow t=%v", ctx, now, rn)
 	}
 	sd := p.soa.DeclaredEdges(nil)
-	equalEdges(t, ctx, "declared", sd, p.ref.edgesWhere(func(*shadowEdge) bool { return true }))
+	present := func(e *shadowEdge) bool {
+		live := e.up[0] || e.up[1] || e.pending[0] != 0 || e.pending[1] != 0
+		return live || !e.dead || !p.ref.expired(e, p.ref.reclaimed)
+	}
+	equalEdges(t, ctx, "declared", sd, p.ref.edgesWhere(present))
 	equalEdges(t, ctx, "both-up", p.soa.EdgesBothUp(nil), p.ref.edgesWhere(func(e *shadowEdge) bool { return e.up[0] && e.up[1] }))
 	if m := p.soa.MinTransit(); m != p.ref.minTransit {
 		t.Fatalf("%s: MinTransit %v vs shadow %v", ctx, m, p.ref.minTransit)
@@ -258,11 +307,6 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			if got, want := p.soa.BothUp(u, v), p.ref.bothUp(u, v); got != want {
 				t.Fatalf("%s: BothUp(%d,%d) = %v, shadow %v", ctx, u, v, got, want)
 			}
-			gt, gok := upSince(p.soa, u, v)
-			wt, wok := p.ref.upSince(u, v)
-			if gt != wt || gok != wok {
-				t.Fatalf("%s: upSince(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, gt, gok, wt, wok)
-			}
 			ga, gaok := ageBoth(p.soa, u, v, now)
 			wa, waok := p.ref.ageBoth(u, v, now)
 			if ga != wa || gaok != waok {
@@ -272,6 +316,9 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			wp, wpok := p.ref.params(u, v)
 			if gp != wp || gpok != wpok {
 				t.Fatalf("%s: Params(%d,%d) = (%v,%v), shadow (%v,%v)", ctx, u, v, gp, gpok, wp, wpok)
+			}
+			if got, want := p.soa.Declared(u, v), !p.ref.expired(p.ref.adj[u][v], now); got != want {
+				t.Fatalf("%s: Declared(%d,%d) = %v, shadow %v", ctx, u, v, got, want)
 			}
 			// Both number slots alike, so directed indices agree, and the
 			// index-keyed reads agree with the pair-keyed ones.
@@ -288,8 +335,8 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 			}
 		}
 	}
-	if got, want := p.soa.DirCap(), 2*int(p.ref.slots); got != want || got != 2*len(sd) {
-		t.Fatalf("%s: DirCap %d, shadow %d", ctx, got, want)
+	if got, want := p.soa.DirCap(), 2*int(p.ref.slots); got != want || got != 2*(len(sd)+len(p.soa.freeSlots)) {
+		t.Fatalf("%s: DirCap %d, shadow %d, with %d links and %d free slots", ctx, got, want, len(sd), len(p.soa.freeSlots))
 	}
 	entries := 0
 	var sn []int
@@ -351,12 +398,13 @@ func (p *layoutPair) checkCells(t *testing.T, ctx string) {
 }
 
 // runLayoutScript executes one churn script step-by-step, checking equality
-// after every operation and after every engine advance. Byte values map to
-// operations over a small node universe, so the fuzz target can share it.
+// after every operation and after every engine advance, and returns how
+// many declares took a freed slot. Byte values map to operations over a
+// small node universe, so the fuzz target can share it.
 // A hub script runs on a star-shaped universe: three pairs in four join
 // node 0 to one of 32 leaves, the hub first or last, so node 0's row grows
 // long and slot lookups run on it from the hub's end and from the leaves'.
-func runLayoutScript(t *testing.T, script []byte, hub bool) {
+func runLayoutScript(t *testing.T, script []byte, hub bool) int {
 	t.Helper()
 	n := 9
 	pair := func(x, y byte) (int, int) { return int(x) % n, int(y) % n }
@@ -419,12 +467,14 @@ func runLayoutScript(t *testing.T, script []byte, hub bool) {
 	if k := len(p.soa.pending); k != 0 {
 		t.Fatalf("%d transition cells still pending after the drain", k)
 	}
+	return p.ref.reused
 }
 
 // TestLayoutDifferentialChurn runs random declare/appear/disappear scripts
-// (with interleaved time advances, so lagged detections land) on Dynamic
-// and the map-backed shadow, asserting observable equality after every
-// step. Enough operations that CSR row relocation triggers. The hub scripts
+// (with interleaved time advances, so lagged detections land and dead
+// links are forgotten) on Dynamic and the map-backed shadow, asserting
+// observable equality after every step. Enough operations that CSR row
+// relocation triggers and every script reuses freed slots. The hub scripts
 // grow one long row.
 func TestLayoutDifferentialChurn(t *testing.T) {
 	for _, hub := range []bool{false, true} {
@@ -432,14 +482,20 @@ func TestLayoutDifferentialChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			script := make([]byte, 3*400)
 			rng.Read(script)
-			runLayoutScript(t, script, hub)
+			if reused := runLayoutScript(t, script, hub); reused == 0 {
+				t.Errorf("hub %v seed %d: no declare reused a freed slot", hub, seed)
+			}
 		}
 	}
 }
 
 // FuzzTopoChurn lets the fuzzer hunt for operation interleavings where
-// Dynamic and the map-backed shadow disagree, on either node universe.
+// Dynamic and the map-backed shadow disagree, on either node universe. The
+// reuseSeed script flaps {0,1}, waits out its quarantine and declares
+// {2,3}, which must take {0,1}'s slot.
 func FuzzTopoChurn(f *testing.F) {
+	reuseSeed := []byte{0, 1, 0, 0, 1, 2, 0, 1, 254, 0, 1, 3, 0, 1, 254, 0, 1, 254, 2, 3, 0, 2, 3, 2, 2, 3, 254}
+	f.Add(false, reuseSeed)
 	f.Add(false, []byte{0, 1, 0, 0, 1, 2, 0, 1, 4, 0, 1, 3, 0, 1, 4})
 	f.Add(false, []byte{3, 4, 5, 3, 4, 2, 3, 4, 2, 3, 4, 3, 3, 4, 4})
 	// The hub declares and flaps links to leaves 3, 4 and 5, naming itself
@@ -450,7 +506,9 @@ func FuzzTopoChurn(f *testing.F) {
 		if len(script) > 3*600 {
 			script = script[:3*600]
 		}
-		runLayoutScript(t, script, hub)
+		if reused := runLayoutScript(t, script, hub); !hub && bytes.Equal(script, reuseSeed) && reused == 0 {
+			t.Fatal("the reuse seed reused no slot")
+		}
 	})
 }
 

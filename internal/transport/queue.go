@@ -22,8 +22,10 @@ type record[P any] struct {
 	// same-deadline same-pair messages.
 	seq uint32
 	// dir is the receiver's directed index of (to, from), resolved once at
-	// send time. topo never reuses an index for another pair, so it still
-	// names this link at delivery.
+	// send time. It still names this link at delivery: the sender saw the
+	// link when it sent, and topo hands the slot to another pair only once
+	// the link has been dead for longer than any message takes, so the
+	// delivery comes first.
 	dir        int32
 	deadline   sim.Time
 	minTransit float64

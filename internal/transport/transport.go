@@ -24,7 +24,10 @@ type Beacon struct {
 // for the edge). The actual delay is intentionally not exposed, so neither
 // is the send time, which would reveal it. Dir is the receiver's directed
 // index of (To, From) (topo.Dynamic.Dir), resolved when the message was
-// sent, so the receiver's index-keyed state needs no lookup.
+// sent, so the receiver's index-keyed state needs no lookup. It names that
+// pair at delivery too: a message is sent only over a link its sender
+// sees, and topo keeps a dead link's slot for longer than any message's
+// Delay before another pair may take it.
 type Delivery struct {
 	From, To   int
 	Dir        int32
@@ -90,7 +93,7 @@ func (ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64 {
 }
 
 // netShard owns the in-flight beacons addressed to the receivers it is
-// keyed to (shard = receiver mod K). During a parallel window only the
+// keyed to (shard = sim.Owner(receiver, K)). During a parallel window only the
 // owning shard pops its queue; sends whose receiver lives on another shard
 // are staged in out[recvShard] and folded at the window barrier, so cell
 // (g, s) of the outbox matrix is written only by shard g in the drain phase
@@ -230,7 +233,7 @@ func (n *Network) transit(from, to int, dir int32, at sim.Time) (deadline sim.Ti
 // receiver's index of (to, from), dir^1.
 func (n *Network) sendBeacon(from, to int, dir int32, b Beacon, at sim.Time) {
 	k := len(n.shards)
-	src := &n.shards[from%k]
+	src := &n.shards[sim.Owner(from, k)]
 	src.sent++
 	m := record[Beacon]{
 		from:    int32(from),
@@ -241,8 +244,8 @@ func (n *Network) sendBeacon(from, to int, dir int32, b Beacon, at sim.Time) {
 	}
 	n.seq[from]++
 	m.deadline, m.minTransit = n.transit(from, to, dir, at)
-	dst := to % k
-	if n.engine.InWindow() && dst != from%k {
+	dst := sim.Owner(to, k)
+	if n.engine.InWindow() && dst != sim.Owner(from, k) {
 		// Cross-shard send inside a window: stage for the barrier fold. The
 		// deadline is ≥ window-start + lookahead ≥ window-end (lookahead is
 		// the min link transit), so deferring the push past the window can
@@ -254,7 +257,10 @@ func (n *Network) sendBeacon(from, to int, dir int32, b Beacon, at sim.Time) {
 }
 
 // SendControl transmits an arbitrary control payload (handshake messages)
-// into the receiver-sharded control queue. Control senders are serial
+// into the receiver-sharded control queue, over a link the sender sees:
+// like a beacon, a control is never sent over a link its sender has lost,
+// which is what lets the topology reuse a dead link's slot once every
+// message can have been delivered. Control senders are serial
 // contexts themselves — handshake timers, OnControl handlers, topology
 // transitions — so sending from inside a parallel window is a contract
 // violation and panics (window items have no path that sends controls; if
@@ -264,10 +270,10 @@ func (n *Network) SendControl(from, to int, payload any) {
 		panic("transport: SendControl during a parallel window")
 	}
 	dir, ok := n.dyn.Dir(from, to)
-	if !ok {
+	if !ok || !n.dyn.SeesAt(dir) {
 		return
 	}
-	n.shards[from%len(n.shards)].sent++
+	n.shards[sim.Owner(from, len(n.shards))].sent++
 	c := record[any]{
 		from:    int32(from),
 		to:      int32(to),
@@ -277,7 +283,7 @@ func (n *Network) SendControl(from, to int, payload any) {
 	}
 	c.deadline, c.minTransit = n.transit(from, to, dir, n.engine.Now())
 	n.seq[from]++
-	n.ctls[to%len(n.ctls)].push(c)
+	n.ctls[sim.Owner(to, len(n.ctls))].push(c)
 }
 
 // BroadcastBeaconAt sends the beacon to every neighbor currently visible to
@@ -342,7 +348,7 @@ func (q *controlQueue) FireNext(shard int, now sim.Time) {
 	n := (*Network)(q)
 	c := q.ctls[shard].pop()
 	if n.handler == nil || !n.dyn.SeesAt(c.dir) {
-		n.shards[int(c.to)%len(n.shards)].dropped++
+		n.shards[sim.Owner(int(c.to), len(n.shards))].dropped++
 		return
 	}
 	n.handler.OnControl(int(c.to), int(c.from), c.payload, c.delivery(now))

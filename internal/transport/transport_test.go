@@ -292,9 +292,11 @@ func (c *indexCheck) OnControl(to, from int, _ any, d Delivery) { c.check("contr
 
 // TestCarriedIndexUnderChurn flaps links with a detection delay τ > 0 while
 // beacons and controls are in flight, so links change visibility at each end
-// at different times between send and delivery. Every delivery must carry
-// the receiver's directed index of (to, from) and reach a receiver that sees
-// the sender, and every send must be delivered, dropped or still pending.
+// at different times between send and delivery, and links down for long
+// enough are forgotten and declared again into freed slots. Every delivery
+// must carry the receiver's directed index of (to, from) and reach a
+// receiver that sees the sender, and every send must be delivered, dropped
+// or still pending.
 func TestCarriedIndexUnderChurn(t *testing.T) {
 	const n = 16
 	p := topo.LinkParams{Eps: 0.2, Tau: 0.15, Delay: 0.2, Uncertainty: 0.1}
@@ -317,10 +319,19 @@ func TestCarriedIndexUnderChurn(t *testing.T) {
 			e := edges[rng.Intn(len(edges))]
 			net.SendControl(e.V, e.U, step)
 			e = edges[rng.Intn(len(edges))]
+			var err error
 			if dyn.Sees(e.U, e.V) || dyn.Sees(e.V, e.U) {
-				_ = dyn.Disappear(e.U, e.V)
+				err = dyn.Disappear(e.U, e.V)
 			} else {
-				_ = dyn.Appear(e.U, e.V)
+				if _, declared := dyn.Params(e.U, e.V); !declared {
+					err = dyn.DeclareLink(e.U, e.V, p) // forgotten while down
+				}
+				if err == nil {
+					err = dyn.Appear(e.U, e.V)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			eng.RunUntil(eng.Now() + 0.03)
 			pending := uint64(0)
@@ -333,6 +344,82 @@ func TestCarriedIndexUnderChurn(t *testing.T) {
 		}
 		if net.Dropped() == 0 || c.delivered.Load() == 0 {
 			t.Fatalf("k=%d: %d delivered and %d dropped, want some of each", k, c.delivered.Load(), net.Dropped())
+		}
+	}
+}
+
+// TestSlotReuseAtQuarantineEdge churns links so that new pairs take the
+// slots of forgotten ones while the cut pairs' beacons and controls are
+// still in flight. Links have τ = 0, so a cut takes both sides down at
+// once, and every message takes exactly Delay (MaxDelay). A step every
+// Delay/4 sends beacons and controls both ways over a live link, cuts it,
+// and declares and shows a new pair in its place; it also sends live
+// traffic, a broadcast from a random node and a control over a random
+// link. Four steps after a cut, at the cut plus exactly Delay, the cut
+// link's messages are due, and that step's declare runs just before them
+// (global events fire first), at the edge of the cut link's quarantine:
+// the slot it may reuse is an older one. Every delivery must carry its
+// receiver's directed index of (To, From) and reach a receiver that sees
+// the sender, at EventParallelism 1 and 2; each cut link's messages are
+// dropped, and the slots stay within the links live or in quarantine.
+func TestSlotReuseAtQuarantineEdge(t *testing.T) {
+	const n, live, steps = 24, 16, 400
+	p := topo.LinkParams{Eps: 0.2, Tau: 0, Delay: 0.25, Uncertainty: 0.125}
+	step := p.Delay / 4
+	for _, k := range []int{1, 2} {
+		eng := sim.NewEngine()
+		eng.SetEventParallelism(k)
+		dyn := topo.NewDynamic(n, eng, sim.NewRNG(3))
+		eng.SetLookahead(dyn.MinTransit)
+		net := NewNetwork(eng, dyn, sim.NewRNG(4), MaxDelay{})
+		c := &indexCheck{t: t, net: net, dyn: dyn}
+		net.SetHandler(c)
+		rng := sim.NewRNG(9)
+		fresh := func() []topo.EdgeID { // one pair with no link
+			for {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if _, declared := dyn.Params(u, v); u != v && !declared {
+					return []topo.EdgeID{topo.MakeEdgeID(u, v)}
+				}
+			}
+		}
+		links := make([]topo.EdgeID, 0, live)
+		for len(links) < live {
+			e := fresh()
+			install(t, dyn, e, p)
+			links = append(links, e[0])
+		}
+		for i := 1; i <= steps; i++ {
+			eng.Schedule(float64(i)*step, func(sim.Time) {
+				j := rng.Intn(live)
+				e := links[j]
+				sendOne(net, e.U, e.V, Beacon{})
+				sendOne(net, e.V, e.U, Beacon{})
+				net.SendControl(e.U, e.V, i)
+				net.SendControl(e.V, e.U, i)
+				if err := dyn.Disappear(e.U, e.V); err != nil {
+					t.Fatal(err)
+				}
+				add := fresh()
+				install(t, dyn, add, p)
+				links[j] = add[0]
+				net.BroadcastBeaconAt(rng.Intn(n), Beacon{}, eng.Now())
+				e = links[rng.Intn(live)]
+				net.SendControl(e.V, e.U, -i)
+			})
+		}
+		eng.RunUntil(float64(steps+8) * step)
+		if got, want := net.Sent(), c.delivered.Load()+net.Dropped(); got != want {
+			t.Fatalf("k=%d: sent %d, delivered + dropped = %d", k, got, want)
+		}
+		if c.delivered.Load() == 0 || net.Dropped() < 4*steps {
+			t.Fatalf("k=%d: %d delivered and %d dropped, want some and at least the %d sent over cut links",
+				k, c.delivered.Load(), net.Dropped(), 4*steps)
+		}
+		// Each step cuts one link, and a cut link's slot is free five steps
+		// later: live links plus at most five in quarantine.
+		if slots := dyn.DirCap() / 2; slots > live+5 {
+			t.Fatalf("k=%d: %d slots for %d links declared, at most %d live or in quarantine", k, slots, live+steps, live+5)
 		}
 	}
 }
